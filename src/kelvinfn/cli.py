@@ -113,9 +113,8 @@ def _table_row(nu: float, x: float, cfg: SeriesConfig) -> str:
             note = "undefined_at_x0"
         return ",".join([_fmt(nu), _fmt(x)] + cells + [""] * 6 + [note])
     quad = dkelvin(nu, x, cfg)
-    ber, bei, _, _ = _eval_ber_bei(nu, x, cfg)
-    ker, kei, _, _ = _eval_ker_kei(nu, x, cfg)
-    vals = [ber, bei, ker, kei, quad.dber, quad.dbei, quad.dker, quad.dkei]
+    q = quad.values
+    vals = [q.ber, q.bei, q.ker, q.kei, quad.dber, quad.dbei, quad.dker, quad.dkei]
     return ",".join([_fmt(nu), _fmt(x)] + [_fmt(v) for v in vals] + [quad.method])
 
 

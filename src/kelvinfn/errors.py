@@ -15,6 +15,10 @@ class PoleError(KelvinError):
     """Gamma or digamma evaluated at a nonpositive integer."""
 
 
+class GammaOverflowError(KelvinError, OverflowError):
+    """Gamma exceeds the double range (argument above ~171.62)."""
+
+
 class DenominatorPoleError(KelvinError):
     """A lower hypergeometric parameter is a nonpositive integer."""
 

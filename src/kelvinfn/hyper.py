@@ -67,70 +67,57 @@ class HyperSpec:
             raise ValueError("series is not entire: need len(upper) <= len(lower)")
 
 
-class _CompensatedSum:
-    """Neumaier accumulation of a complex series, componentwise.
-
-    Componentwise compensation keeps conjugation symmetry exact: summing the
-    conjugated terms produces the exact conjugate of the sum.
-    """
-
-    __slots__ = ("re", "im", "cre", "cim")
-
-    def __init__(self):
-        self.re = 0.0
-        self.im = 0.0
-        self.cre = 0.0
-        self.cim = 0.0
-
-    def add(self, t: complex) -> None:
-        tr, ti = t.real, t.imag
-        s = self.re + tr
-        if abs(self.re) >= abs(tr):
-            self.cre += (self.re - s) + tr
-        else:
-            self.cre += (tr - s) + self.re
-        self.re = s
-        s = self.im + ti
-        if abs(self.im) >= abs(ti):
-            self.cim += (self.im - s) + ti
-        else:
-            self.cim += (ti - s) + self.im
-        self.im = s
-
-    def total(self) -> complex:
-        return complex(self.re + self.cre, self.im + self.cim)
-
-
 def sum_series(first_term: complex, ratio, cfg: SeriesConfig = DEFAULT_SERIES) -> EvalResult:
     """Sum t_0 + t_1 + ... with t_{k+1} = t_k * ratio(k).
 
     Stops once two consecutive terms fall below rel_tol * (1 + |sum|); a
     single small term is not safe because Kelvin-type series alternate in
     blocks of four.  The error estimate is 10x the first neglected term.
+
+    The sum carries Neumaier compensation on each component separately,
+    which keeps conjugation symmetry exact: summing the conjugated terms
+    produces the exact conjugate of the sum.
     """
-    acc = _CompensatedSum()
+    rel_tol = cfg.rel_tol
+    max_terms = cfg.max_terms
     t = complex(first_term)
-    acc.add(t)
+    re = im = cre = cim = 0.0
     max_term = abs(t)
     small_run = 0
     k = 0
-    while k < cfg.max_terms:
+    while True:
+        tr = t.real
+        s = re + tr
+        if abs(re) >= abs(tr):
+            cre += (re - s) + tr
+        else:
+            cre += (tr - s) + re
+        re = s
+        ti = t.imag
+        s = im + ti
+        if abs(im) >= abs(ti):
+            cim += (im - s) + ti
+        else:
+            cim += (ti - s) + im
+        im = s
+        if k:
+            mag = abs(t)
+            if mag > max_term:
+                max_term = mag
+            total = complex(re + cre, im + cim)
+            if mag <= rel_tol * (1.0 + abs(total)):
+                small_run += 1
+                if small_run >= 2:
+                    neglected = abs(t * ratio(k))
+                    return EvalResult(total, 10.0 * neglected, k + 1, True, (), max_term)
+            else:
+                small_run = 0
+        if k >= max_terms:
+            break
         t = t * ratio(k)
         k += 1
-        acc.add(t)
-        mag = abs(t)
-        if mag > max_term:
-            max_term = mag
-        s = acc.total()
-        if mag <= cfg.rel_tol * (1.0 + abs(s)):
-            small_run += 1
-            if small_run >= 2:
-                neglected = abs(t * ratio(k))
-                return EvalResult(s, 10.0 * neglected, k + 1, True, (), max_term)
-        else:
-            small_run = 0
-    s = acc.total()
-    return EvalResult(s, 10.0 * abs(t), k + 1, False, ("no_convergence",), max_term)
+    return EvalResult(complex(re + cre, im + cim), 10.0 * abs(t), k + 1, False,
+                      ("no_convergence",), max_term)
 
 
 def pfq(spec: HyperSpec, cfg: SeriesConfig = DEFAULT_SERIES) -> EvalResult:

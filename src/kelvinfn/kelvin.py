@@ -8,6 +8,11 @@ For nu >= 0 the values come straight from the defining rotations
 Negative orders always go through the reflection formulas, never through a
 direct series at nu < 0, which keeps the J/K evaluation in its
 well-conditioned regime.
+
+The private ``_ber_bei``/``_ker_kei``/``_quad`` read their series from a
+``bessel._Point`` on the two rays (``_point``), so callers that need the
+values and more at one x (the order derivatives, both reflections) sum each
+series once.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bessel import ORDER_EPS, bessel_j, bessel_k
+from .bessel import ORDER_EPS, _Point
 from .errors import DomainError
 from .hyper import DEFAULT_SERIES, SeriesConfig
 from .scalars import PI
@@ -42,28 +47,32 @@ def _phase(angle: float) -> complex:
     return complex(math.cos(angle), math.sin(angle))
 
 
-def _eval_ber_bei(nu: float, x: float,
-                  cfg: SeriesConfig) -> tuple[float, float, float, str]:
-    """(ber, bei, abs error estimate, method tag)."""
+def _point(x: float, cfg: SeriesConfig) -> _Point:
+    """The series holder at x: J on the ray e^(-i pi/4) x, I and K on e^(i pi/4) x."""
+    return _Point(ROT_J * x, ROT_K * x, cfg)
+
+
+def _ber_bei(nu: float, x: float, p: _Point) -> tuple[float, float, float, str]:
+    """(ber, bei, abs error estimate, method tag) from the series at ``p``."""
     if x < 0.0:
         raise DomainError("Kelvin functions defined for x >= 0")
     if nu >= 0.0:
         if x == 0.0:
             return (1.0 if nu == 0.0 else 0.0), 0.0, 0.0, "series"
-        r = bessel_j(nu, ROT_J * x, cfg)
+        r = p.j(nu)
         w = _phase(PI * nu) * r.value
         est = r.abs_err_estimate + 2e-16 * r.max_abs_term
         return w.real, w.imag, est, "series"
     m = -nu
     if abs(m - round(m)) <= ORDER_EPS:
         n = int(round(m))
-        ber, bei, est, _ = _eval_ber_bei(float(n), x, cfg)
+        ber, bei, est, _ = _ber_bei(float(n), x, p)
         sgn = -1.0 if n % 2 else 1.0
         return sgn * ber, sgn * bei, est, "reflection"
     if x == 0.0:
         raise DomainError("reflection at non-integer order needs ker(0), undefined")
-    ber, bei, est_b, _ = _eval_ber_bei(m, x, cfg)
-    ker, kei, est_k, _ = _eval_ker_kei(m, x, cfg)
+    ber, bei, est_b, _ = _ber_bei(m, x, p)
+    ker, kei, est_k, _ = _ker_kei(m, x, p)
     c = math.cos(PI * m)
     s = math.sin(PI * m)
     est = est_b + abs(s) * (2.0 / PI) * est_k
@@ -71,21 +80,38 @@ def _eval_ber_bei(nu: float, x: float,
             -s * ber + c * bei + (2.0 / PI) * s * kei, est, "reflection")
 
 
-def _eval_ker_kei(nu: float, x: float,
-                  cfg: SeriesConfig) -> tuple[float, float, float, str]:
-    """(ker, kei, abs error estimate, method tag)."""
+def _ker_kei(nu: float, x: float, p: _Point) -> tuple[float, float, float, str]:
+    """(ker, kei, abs error estimate, method tag) from the series at ``p``."""
     if x <= 0.0:
         raise DomainError("ker/kei defined for x > 0")
     if nu >= 0.0:
-        r = bessel_k(nu, ROT_K * x, cfg)
+        r = p.k(nu)
         w = _phase(-PI * nu / 2.0) * r.value
         method = "series_averaged" if "near_integer_averaged" in r.flags else "series"
         return w.real, w.imag, r.abs_err_estimate, method
     m = -nu
-    ker, kei, est, method = _eval_ker_kei(m, x, cfg)
+    ker, kei, est, method = _ker_kei(m, x, p)
     c = math.cos(PI * m)
     s = math.sin(PI * m)
     return c * ker - s * kei, s * ker + c * kei, est, "reflection"
+
+
+def _quad(nu: float, x: float, p: _Point) -> KelvinQuad:
+    ber, bei, _, _ = _ber_bei(nu, x, p)
+    ker, kei, _, _ = _ker_kei(nu, x, p)
+    return KelvinQuad(ber, bei, ker, kei, nu, x)
+
+
+def _eval_ber_bei(nu: float, x: float,
+                  cfg: SeriesConfig) -> tuple[float, float, float, str]:
+    """(ber, bei, abs error estimate, method tag)."""
+    return _ber_bei(nu, x, _point(x, cfg))
+
+
+def _eval_ker_kei(nu: float, x: float,
+                  cfg: SeriesConfig) -> tuple[float, float, float, str]:
+    """(ker, kei, abs error estimate, method tag)."""
+    return _ker_kei(nu, x, _point(x, cfg))
 
 
 def kelvin_ber_bei(nu: float, x: float,
@@ -113,6 +139,4 @@ def kelvin_all(nu: float, x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> Kelvi
     """All four Kelvin functions at (nu, x), x > 0."""
     if x <= 0.0:
         raise DomainError("kelvin_all requires x > 0 (ker/kei singular at 0)")
-    ber, bei = kelvin_ber_bei(nu, x, cfg)
-    ker, kei = kelvin_ker_kei(nu, x, cfg)
-    return KelvinQuad(ber, bei, ker, kei, nu, x)
+    return _quad(nu, x, _point(x, cfg))

@@ -13,6 +13,10 @@ the order derivative evaluated at order -nu for nu > 0); nonnegative integer
 orders use the finite sums over lower-order Kelvin values; everything else is
 reached by delta^2 extrapolation of the closed forms.  The dispatcher
 ``dkelvin`` stitches the order classes together and tags the method used.
+
+``dkelvin`` evaluates one point: the four values and the four order
+derivatives come from one ``kelvin._point``, so each J, I and pFq series is
+summed once per (nu, x).
 """
 
 from __future__ import annotations
@@ -20,10 +24,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bessel import ORDER_EPS, bessel_k, dj_dnu, dj_dnu_any, dk_dnu_any
+from .bessel import ORDER_EPS, _dj_dnu, _Point
 from .errors import DomainError, NegativeIntegerOrderError, OrderClassError
-from .hyper import DEFAULT_SERIES, HyperSpec, SeriesConfig, pfq
-from .kelvin import ROT_J, ROT_K, kelvin_all, kelvin_ber_bei, kelvin_ker_kei
+from .hyper import DEFAULT_SERIES, EvalResult, HyperSpec, SeriesConfig, pfq
+from .kelvin import KelvinQuad, _ber_bei, _ker_kei, _phase, _point, _quad
 from .scalars import PI, digamma_real, gamma_real
 
 
@@ -34,7 +38,8 @@ class OrderDerivQuad:
     ``method`` is one of 'closed_form', 'integer_sum', 'extrapolated',
     'reference_brychkov', or the mixed tag 'closed_form+extrapolated' when
     the J side admits the closed form but the K side sits at a half-integer
-    (or vice versa).
+    (or vice versa).  ``values`` holds the four Kelvin values at the
+    requested order, equal bit for bit to ``kelvin_all(nu, x)``.
     """
 
     dber: float
@@ -45,30 +50,17 @@ class OrderDerivQuad:
     x: float
     method: str
     err_estimate: float
+    values: KelvinQuad
 
 
-def _phase(angle: float) -> complex:
-    return complex(math.cos(angle), math.sin(angle))
-
-
-def _bb_pos(nu: float, x: float, cfg: SeriesConfig,
-            allow_extrapolated: bool) -> tuple[float, float, float, bool]:
-    if allow_extrapolated:
-        dj = dj_dnu_any(nu, ROT_J * x, cfg)
-    else:
-        dj = dj_dnu(nu, ROT_J * x, cfg)
+def _bb_pos(nu: float, dj: EvalResult, ber: float, bei: float) -> tuple[float, float]:
     e = _phase(PI * nu) * dj.value
-    ber, bei = kelvin_ber_bei(nu, x, cfg)
-    return (e.real - PI * bei, e.imag + PI * ber,
-            dj.abs_err_estimate, "extrapolated" in dj.flags)
+    return e.real - PI * bei, e.imag + PI * ber
 
 
-def _kk_pos(nu: float, x: float, cfg: SeriesConfig) -> tuple[float, float, float, bool]:
-    dk = dk_dnu_any(nu, ROT_K * x, cfg)
+def _kk_pos(nu: float, dk: EvalResult, ker: float, kei: float) -> tuple[float, float]:
     e = _phase(-PI * nu / 2.0) * dk.value
-    ker, kei = kelvin_ker_kei(nu, x, cfg)
-    return (e.real + PI / 2.0 * kei, e.imag - PI / 2.0 * ker,
-            dk.abs_err_estimate, "extrapolated" in dk.flags)
+    return e.real + PI / 2.0 * kei, e.imag - PI / 2.0 * ker
 
 
 def dkelvin_bb_pos(nu: float, x: float,
@@ -78,8 +70,9 @@ def dkelvin_bb_pos(nu: float, x: float,
         raise DomainError("x must be positive")
     if nu < 0.0 or abs(nu - round(nu)) <= ORDER_EPS:
         raise OrderClassError(f"integer or negative order {nu}: use the dispatcher")
-    dber, dbei, _, _ = _bb_pos(nu, x, cfg, allow_extrapolated=False)
-    return dber, dbei
+    p = _point(x, cfg)
+    ber, bei, _, _ = _ber_bei(nu, x, p)
+    return _bb_pos(nu, _dj_dnu(nu, p), ber, bei)
 
 
 def dkelvin_kk_pos(nu: float, x: float,
@@ -89,15 +82,15 @@ def dkelvin_kk_pos(nu: float, x: float,
         raise DomainError("x must be positive")
     if nu < 0.0 or abs(2.0 * nu - round(2.0 * nu)) <= ORDER_EPS:
         raise OrderClassError(f"order {nu} excluded for the K-side closed form")
-    dk = dk_dnu_any(nu, ROT_K * x, cfg)
+    p = _point(x, cfg)
+    dk = p.dk(nu)
     if "extrapolated" in dk.flags:
         raise OrderClassError(f"order {nu} too close to an excluded order")
-    e = _phase(-PI * nu / 2.0) * dk.value
-    ker, kei = kelvin_ker_kei(nu, x, cfg)
-    return e.real + PI / 2.0 * kei, e.imag - PI / 2.0 * ker
+    ker, kei, _, _ = _ker_kei(nu, x, p)
+    return _kk_pos(nu, dk, ker, kei)
 
 
-def _bb_neg(nu: float, x: float, cfg: SeriesConfig) -> tuple[float, float, float, bool]:
+def _bb_neg(nu: float, p: _Point) -> tuple[float, float, float, bool]:
     """Order derivative of ber/bei at order -nu (nu > 0), via the reflection.
 
     d ber_mu/d mu |_{mu=-nu} =
@@ -109,23 +102,23 @@ def _bb_neg(nu: float, x: float, cfg: SeriesConfig) -> tuple[float, float, float
     vanishes (integer nu) the dK term is dropped exactly.
     """
     s = math.sin(PI * nu)
-    kv = bessel_k(nu, ROT_K * x, cfg)
+    kv = p.k(nu)
     inner = (_phase(-PI * nu) + math.cos(PI * nu)) * kv.value
     est = 2.0 * kv.abs_err_estimate
     extrap = False
     if abs(s) >= 1e-12:
-        dk = dk_dnu_any(nu, ROT_K * x, cfg)
+        dk = p.dk(nu)
         inner += (2.0 / PI) * s * dk.value
         est += abs(s) * dk.abs_err_estimate
         extrap = "extrapolated" in dk.flags
-    dj = dj_dnu_any(nu, ROT_J * x, cfg)
+    dj = p.dj(nu)
     extrap = extrap or "extrapolated" in dj.flags
     est += dj.abs_err_estimate
     w = _phase(-PI * nu / 2.0) * inner + dj.value
     return -w.real, -w.imag, est, extrap
 
 
-def _kk_neg(nu: float, x: float, cfg: SeriesConfig) -> tuple[float, float, float, bool]:
+def _kk_neg(nu: float, p: _Point) -> tuple[float, float, float, bool]:
     """Order derivative of ker/kei at order -nu (nu > 0):
 
     d ker_mu/d mu |_{mu=-nu} = (pi/2) Im[e^(i pi nu/2) K_nu(e^(i pi/4) x)]
@@ -133,8 +126,8 @@ def _kk_neg(nu: float, x: float, cfg: SeriesConfig) -> tuple[float, float, float
     d kei_mu/d mu |_{mu=-nu} = -(pi/2) Re[e^(i pi nu/2) K_nu(e^(i pi/4) x)]
                                - Im[e^(i pi nu/2) dK/dnu(e^(i pi/4) x)]
     """
-    kv = bessel_k(nu, ROT_K * x, cfg)
-    dk = dk_dnu_any(nu, ROT_K * x, cfg)
+    kv = p.k(nu)
+    dk = p.dk(nu)
     ph = _phase(PI * nu / 2.0)
     wk = ph * kv.value
     wd = ph * dk.value
@@ -149,7 +142,7 @@ def dkelvin_bb_neg(nu: float, x: float,
     """Order derivatives of ber and bei evaluated at order -nu, for nu > 0."""
     if nu <= 0.0 or x <= 0.0:
         raise DomainError("requires nu > 0 and x > 0")
-    dber, dbei, _, _ = _bb_neg(nu, x, cfg)
+    dber, dbei, _, _ = _bb_neg(nu, _point(x, cfg))
     return dber, dbei
 
 
@@ -158,7 +151,7 @@ def dkelvin_kk_neg(nu: float, x: float,
     """Order derivatives of ker and kei evaluated at order -nu, for nu > 0."""
     if nu <= 0.0 or x <= 0.0:
         raise DomainError("requires nu > 0 and x > 0")
-    dker, dkei, _, _ = _kk_neg(nu, x, cfg)
+    dker, dkei, _, _ = _kk_neg(nu, _point(x, cfg))
     return dker, dkei
 
 
@@ -177,7 +170,12 @@ def dkelvin_integer(n: int, x: float,
         raise NegativeIntegerOrderError("finite sums defined for n >= 0 only")
     if x <= 0.0:
         raise DomainError("x must be positive")
-    quads = [kelvin_all(float(k), x, cfg) for k in range(n + 1)]
+    p = _point(x, cfg)
+    return _integer_sums(n, x, p, _quad(float(n), x, p))
+
+
+def _integer_sums(n: int, x: float, p: _Point, values: KelvinQuad) -> OrderDerivQuad:
+    quads = [_quad(float(k), x, p) for k in range(n + 1)]
     top = quads[n]
     dber = -PI / 2.0 * top.bei - top.ker
     dbei = PI / 2.0 * top.ber - top.kei
@@ -196,7 +194,7 @@ def dkelvin_integer(n: int, x: float,
         dker += w * (c3 * q.ker - s3 * q.kei)
         dkei += w * (s3 * q.ker + c3 * q.kei)
     est = 1e-12 * (1.0 + abs(dber) + abs(dbei) + abs(dker) + abs(dkei))
-    return OrderDerivQuad(dber, dbei, dker, dkei, float(n), x, "integer_sum", est)
+    return OrderDerivQuad(dber, dbei, dker, dkei, float(n), x, "integer_sum", est, values)
 
 
 def coef_c(nu: float, x: float, a: int, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
@@ -233,8 +231,9 @@ def dkelvin_bb_brychkov(nu: float, x: float,
         raise DomainError("x must be positive")
     if nu <= 0.0 or abs(nu - round(nu)) <= ORDER_EPS:
         raise OrderClassError("reference form needs non-integer nu > 0")
-    ber, bei = kelvin_ber_bei(nu, x, cfg)
-    ber_m, bei_m = kelvin_ber_bei(-nu, x, cfg)
+    p = _point(x, cfg)
+    ber, bei, _, _ = _ber_bei(nu, x, p)
+    ber_m, bei_m, _, _ = _ber_bei(-nu, x, p)
     c0 = coef_c(nu, x, 0, cfg)
     c1 = coef_c(nu, x, 1, cfg)
     d0 = coef_d(nu, x, 0, cfg)
@@ -266,22 +265,26 @@ def dkelvin(nu: float, x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> OrderDer
     Routing: nonnegative integer orders -> finite sums; other nu >= 0 ->
     closed forms with extrapolated fallback near excluded orders; nu < 0 ->
     reflection-derived forms at |nu|.  The method tag is deterministic in
-    (nu, x, cfg).
+    (nu, x, cfg).  The result also carries the four values at nu.
     """
     if x <= 0.0:
         raise DomainError("x must be positive")
+    p = _point(x, cfg)
+    values = _quad(nu, x, p)
     if abs(nu - round(nu)) <= ORDER_EPS and round(nu) >= 0:
-        return dkelvin_integer(int(round(nu)), x, cfg)
+        return _integer_sums(int(round(nu)), x, p, values)
     if nu >= 0.0:
-        dber, dbei, est_b, ex_b = _bb_pos(nu, x, cfg, allow_extrapolated=True)
-        dker, dkei, est_k, ex_k = _kk_pos(nu, x, cfg)
-        method = _method_tag(ex_b, ex_k)
-        return OrderDerivQuad(dber, dbei, dker, dkei, nu, x, method, est_b + est_k)
-    m = -nu
-    dber, dbei, est_b, ex_b = _bb_neg(m, x, cfg)
-    dker, dkei, est_k, ex_k = _kk_neg(m, x, cfg)
-    method = _method_tag(ex_b, ex_k)
-    return OrderDerivQuad(dber, dbei, dker, dkei, nu, x, method, est_b + est_k)
+        dj = p.dj(nu)
+        dk = p.dk(nu)
+        dber, dbei = _bb_pos(nu, dj, values.ber, values.bei)
+        dker, dkei = _kk_pos(nu, dk, values.ker, values.kei)
+        est = dj.abs_err_estimate + dk.abs_err_estimate
+        ex_b, ex_k = "extrapolated" in dj.flags, "extrapolated" in dk.flags
+    else:
+        dber, dbei, est_b, ex_b = _bb_neg(-nu, p)
+        dker, dkei, est_k, ex_k = _kk_neg(-nu, p)
+        est = est_b + est_k
+    return OrderDerivQuad(dber, dbei, dker, dkei, nu, x, _method_tag(ex_b, ex_k), est, values)
 
 
 def _method_tag(extrap_bb: bool, extrap_kk: bool) -> str:

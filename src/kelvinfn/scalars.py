@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import PoleError
+from .errors import GammaOverflowError, PoleError
 
 PI = math.pi
 EULER_GAMMA = 0.5772156649015328606065120900824024
@@ -126,13 +126,13 @@ def gamma_real(x: float) -> float:
     ------
     PoleError
         If x is in {0, -1, -2, ...}.
-    OverflowError
+    GammaOverflowError
         If |Gamma(x)| exceeds the double range (x > ~171.62).
     """
     if x <= 0.0 and x == math.floor(x):
         raise PoleError(f"gamma pole at x = {x}")
     if x > _GAMMA_OVERFLOW_X:
-        raise OverflowError(f"gamma({x}) overflows double precision")
+        raise GammaOverflowError(f"gamma({x}) overflows double precision")
     if x >= 1.0:
         # descend to t in [1, 2]; each y - 1 step is exact in doubles,
         # so the ascending factors t + k reproduce the chain bit for bit
@@ -156,7 +156,7 @@ def gamma_real(x: float) -> float:
             hi, lo = _dd_div_dd(hi, lo, fh, fl)
     result = hi + lo
     if math.isinf(result):
-        raise OverflowError(f"gamma({x}) overflows double precision")
+        raise GammaOverflowError(f"gamma({x}) overflows double precision")
     return result
 
 

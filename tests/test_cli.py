@@ -34,6 +34,13 @@ class TestEval:
         assert code == 2
         assert "DomainError" in err
 
+    def test_gamma_overflow_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "ber", "--nu", "200", "--x", "1")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("eval: GammaOverflowError: ")
+
     def test_unknown_function_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "eval", "blah", "--nu", "0", "--x", "1")
         assert code == 2
@@ -53,6 +60,13 @@ class TestTable:
         lines = out.splitlines()
         assert lines[0] == "nu,x,ber,bei,ker,kei,dber,dbei,dker,dkei,method"
         assert len(lines) == 2
+
+    def test_gamma_overflow_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "table", "--nu", "200", "--x", "1")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("table: GammaOverflowError: ")
 
     def test_grid_rows_and_order(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--nu-range", "0:1:0.5",

@@ -1,0 +1,57 @@
+"""One evaluation per (nu, x): dkelvin's values, the table row and the
+series shared between the J and K rays agree bit for bit with the separate
+evaluations."""
+
+import math
+
+import pytest
+
+from kelvinfn.cli import _fmt, main
+from kelvinfn.hyper import HyperSpec, pfq
+from kelvinfn.kelvin import ROT_J, ROT_K, kelvin_all
+from kelvinfn.orderderiv import dkelvin
+
+ORDERS = [0.3, 0.5, 3.0, 3.0 + 1e-10, -0.3, -1.5, -3.0]
+XS = [0.5, 2.0, 15.0]
+_FIELDS = ("ber", "bei", "ker", "kei", "nu", "x")
+
+
+def bits(q) -> tuple:
+    return tuple(float(getattr(q, f)).hex() for f in _FIELDS)
+
+
+@pytest.mark.parametrize("x", XS)
+@pytest.mark.parametrize("nu", ORDERS)
+def test_dkelvin_values_equal_kelvin_all(nu, x):
+    got = dkelvin(nu, x).values
+    want = kelvin_all(nu, x)
+    assert got == want
+    assert bits(got) == bits(want)
+
+
+@pytest.mark.parametrize("x", XS)
+@pytest.mark.parametrize("nu", ORDERS)
+def test_table_row_cells(capsys, nu, x):
+    assert main(["table", "--nu", repr(nu), "--x", repr(x)]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    q = kelvin_all(nu, x)
+    d = dkelvin(nu, x)
+    want = [_fmt(nu), _fmt(x)] + [_fmt(v) for v in (
+        q.ber, q.bei, q.ker, q.kei, d.dber, d.dbei, d.dker, d.dkei)] + [d.method]
+    assert row == want
+
+
+@pytest.mark.parametrize("x", [0.5, 1.0, 2.0, 3.7, 7.5, 12.0, 15.0, 20.0])
+@pytest.mark.parametrize("nu", [0.1, 0.3, 0.7, 1.3, 2.6, 4.4, 6.9, 9.9])
+def test_pfq_equal_on_both_rays(nu, x):
+    """-zj^2 and zk^2 differ only in the sign of a zero real part, so the
+    2F3/3F4 of dJ/dnu and dK/dnu are one series."""
+    zj, zk = ROT_J * x, ROT_K * x
+    specs = [((nu, nu + 0.5), (nu + 1.0, nu + 1.0, 2.0 * nu + 1.0)),
+             ((1.0, 1.0, 1.5), (2.0, 2.0, 2.0 - nu, 2.0 + nu))]
+    for upper, lower in specs:
+        a = pfq(HyperSpec(upper, lower, -zj * zj))
+        b = pfq(HyperSpec(upper, lower, zk * zk))
+        assert a == b
+        assert (math.copysign(1.0, a.value.real), math.copysign(1.0, a.value.imag)) == \
+            (math.copysign(1.0, b.value.real), math.copysign(1.0, b.value.imag))

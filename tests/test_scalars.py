@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from kelvinfn.errors import PoleError
+from kelvinfn.errors import GammaOverflowError, KelvinError, PoleError
 from kelvinfn.scalars import EULER_GAMMA, digamma_real, gamma_real
 
 # Reference values computed with 25-digit arithmetic and rounded to double.
@@ -53,6 +53,11 @@ class TestGammaErrors:
             gamma_real(172.0)
         with pytest.raises(OverflowError):
             gamma_real(1.0e4)
+
+    def test_overflow_is_typed(self):
+        with pytest.raises(GammaOverflowError):
+            gamma_real(172.0)
+        assert issubclass(GammaOverflowError, KelvinError)
 
 
 class TestGammaRecurrence:
