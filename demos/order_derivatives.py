@@ -2,8 +2,9 @@
 Derivatives with respect to the order
 =====================================
 
-The dispatcher picks the right closed form for each order class and tags it;
-a Richardson finite difference over the order serves as the cross-check.
+``dkelvin`` takes one route for nu >= 0 and the reflection for nu < 0 and
+tags it; a Richardson finite difference over the order serves as the
+cross-check.
 """
 
 from kelvinfn import dkelvin, kelvin_all
@@ -23,16 +24,17 @@ def fd_oracle(nu, x, h=1e-3):
 
 x = 2.0
 print(f"order derivatives at x = {x}\n")
-print("  nu     d ber/d nu     d kei/d nu    method                    |closed - FD|")
+print("  nu     d ber/d nu     d kei/d nu    method                    |dkelvin - FD|")
 for nu in (0.3, 0.5, 2.0, 5.3, -0.75, -2.0):
     q = dkelvin(nu, x)
     fd = fd_oracle(nu, x)
     worst = max(abs(g - w) for g, w in zip((q.dber, q.dbei, q.dker, q.dkei), fd))
     print(f"{nu:+5.2f}  {q.dber:+13.9f}  {q.dkei:+13.9f}   {q.method:24s} {worst:.2e}")
 
-# Order classes at a glance:
-#   non-integer nu >= 0 ........ rotation of the closed-form dJ/dnu, dK/dnu
-#   integer nu >= 0 ............ finite sums over lower-order Kelvin values
-#   half-integers (K side) ..... delta^2 extrapolation across the excluded order
-#   nu < 0 ..................... derivatives of the reflection formulas
+# Routes at a glance:
+#   nu >= 0 (tag series) ....... rotation of dJ/dnu (term-wise series
+#                                derivative) and dK/dnu (differentiated
+#                                connection formula; DLMF 10.38.4 finite sum
+#                                over K_0..K_{n-1} at integer n)
+#   nu < 0 (tag reflection) .... derivatives of the reflection formulas
 print("\nevery value above is checked against the finite difference to ~1e-6")

@@ -19,6 +19,11 @@ class GammaOverflowError(KelvinError, OverflowError):
     """Gamma exceeds the double range (argument above ~171.62)."""
 
 
+class PowerOverflowError(KelvinError, OverflowError):
+    """(z/2)^nu exceeds the double range (large order at large |z|, or a
+    large negative power at small |z|)."""
+
+
 class DenominatorPoleError(KelvinError):
     """A lower hypergeometric parameter is a nonpositive integer."""
 

@@ -39,8 +39,8 @@ class EvalResult:
     ``abs_err_estimate`` follows the series rule (10x the first neglected
     term) unless an operation documents an amplified estimate.
     ``max_abs_term`` is the largest intermediate term magnitude, the input
-    to cancellation budgets.  ``flags`` records fallback paths taken
-    ('extrapolated', 'near_integer_averaged', 'degraded', ...).
+    to cancellation budgets.  ``flags`` records 'no_convergence' (the term
+    cap was reached) and 'degraded' (outside |z| <= 20, |nu| <= 10).
     """
 
     value: complex

@@ -5,14 +5,17 @@ For nu >= 0 the values come straight from the defining rotations
     ber_nu(x) + i bei_nu(x) = e^(i pi nu)    J_nu(e^(-i pi/4) x)
     ker_nu(x) + i kei_nu(x) = e^(-i pi nu/2) K_nu(e^(i pi/4)  x)
 
-Negative orders always go through the reflection formulas, never through a
-direct series at nu < 0, which keeps the J/K evaluation in its
-well-conditioned regime.
+with K_nu from the connection formula, or from the exact series of
+DLMF 10.31.1 at integer order (see ``bessel``); the method tag is
+'series'.  Negative orders always go through the reflection formulas, never
+through a direct series at nu < 0, which keeps the J/K evaluation in its
+well-conditioned regime; the method tag is 'reflection'.
 
 The private ``_ber_bei``/``_ker_kei``/``_quad`` read their series from a
 ``bessel._Point`` on the two rays (``_point``), so callers that need the
 values and more at one x (the order derivatives, both reflections) sum each
-series once.
+series once.  ``_point`` is also where every public entry rejects a
+non-finite order or argument.
 """
 
 from __future__ import annotations
@@ -47,8 +50,13 @@ def _phase(angle: float) -> complex:
     return complex(math.cos(angle), math.sin(angle))
 
 
-def _point(x: float, cfg: SeriesConfig) -> _Point:
-    """The series holder at x: J on the ray e^(-i pi/4) x, I and K on e^(i pi/4) x."""
+def _point(nu: float, x: float, cfg: SeriesConfig) -> _Point:
+    """The series holder at x: J on the ray e^(-i pi/4) x, I and K on e^(i pi/4) x.
+
+    Raises DomainError unless nu and x are finite.
+    """
+    if not (math.isfinite(nu) and math.isfinite(x)):
+        raise DomainError(f"order and argument must be finite, got nu={nu!r}, x={x!r}")
     return _Point(ROT_J * x, ROT_K * x, cfg)
 
 
@@ -87,10 +95,9 @@ def _ker_kei(nu: float, x: float, p: _Point) -> tuple[float, float, float, str]:
     if nu >= 0.0:
         r = p.k(nu)
         w = _phase(-PI * nu / 2.0) * r.value
-        method = "series_averaged" if "near_integer_averaged" in r.flags else "series"
-        return w.real, w.imag, r.abs_err_estimate, method
+        return w.real, w.imag, r.abs_err_estimate, "series"
     m = -nu
-    ker, kei, est, method = _ker_kei(m, x, p)
+    ker, kei, est, _ = _ker_kei(m, x, p)
     c = math.cos(PI * m)
     s = math.sin(PI * m)
     return c * ker - s * kei, s * ker + c * kei, est, "reflection"
@@ -105,13 +112,13 @@ def _quad(nu: float, x: float, p: _Point) -> KelvinQuad:
 def _eval_ber_bei(nu: float, x: float,
                   cfg: SeriesConfig) -> tuple[float, float, float, str]:
     """(ber, bei, abs error estimate, method tag)."""
-    return _ber_bei(nu, x, _point(x, cfg))
+    return _ber_bei(nu, x, _point(nu, x, cfg))
 
 
 def _eval_ker_kei(nu: float, x: float,
                   cfg: SeriesConfig) -> tuple[float, float, float, str]:
     """(ker, kei, abs error estimate, method tag)."""
-    return _ker_kei(nu, x, _point(x, cfg))
+    return _ker_kei(nu, x, _point(nu, x, cfg))
 
 
 def kelvin_ber_bei(nu: float, x: float,
@@ -121,8 +128,8 @@ def kelvin_ber_bei(nu: float, x: float,
     Raises
     ------
     DomainError
-        If x < 0, or x = 0 at negative non-integer order (the reflection
-        needs ker, which is singular at the origin).
+        If nu or x is not finite, x < 0, or x = 0 at negative non-integer
+        order (the reflection needs ker, which is singular at the origin).
     """
     ber, bei, _, _ = _eval_ber_bei(nu, x, cfg)
     return ber, bei
@@ -130,13 +137,16 @@ def kelvin_ber_bei(nu: float, x: float,
 
 def kelvin_ker_kei(nu: float, x: float,
                    cfg: SeriesConfig = DEFAULT_SERIES) -> tuple[float, float]:
-    """(ker_nu(x), kei_nu(x)) for x > 0; DomainError at x = 0 (log singularity)."""
+    """(ker_nu(x), kei_nu(x)) for x > 0; DomainError at x = 0 (log singularity)
+    and at non-finite nu or x."""
     ker, kei, _, _ = _eval_ker_kei(nu, x, cfg)
     return ker, kei
 
 
 def kelvin_all(nu: float, x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> KelvinQuad:
-    """All four Kelvin functions at (nu, x), x > 0."""
+    """All four Kelvin functions at (nu, x), x > 0; DomainError otherwise and
+    at non-finite nu or x."""
+    p = _point(nu, x, cfg)
     if x <= 0.0:
         raise DomainError("kelvin_all requires x > 0 (ker/kei singular at 0)")
-    return _quad(nu, x, _point(x, cfg))
+    return _quad(nu, x, p)

@@ -11,7 +11,7 @@ FD_X = (0.5, 1.0, 2.0, 5.0, 10.0)
 FD_SCALED_TOL = 1e-6          # |closed - fd| <= tol * (1 + |value|)
 FD_STEPS = (1e-3, 5e-4)       # Richardson pair for the oracle
 
-# integer-order finite sums vs the extrapolated closed forms
+# integer-order finite sums vs dkelvin just off the integer
 INTEGER_N = (0, 1, 2, 3, 5)
 INTEGER_X = (0.5, 1.0, 2.0, 5.0)
 INTEGER_SCALED_TOL = 1e-5
@@ -51,9 +51,9 @@ REFLECTION_REL_TOL = 1e-12
 
 # Kelvin ODE residual, 5-point stencils in x
 ODE_BB_NU = (0.0, 0.5, 1.0, 2.4)      # J side tolerates integer orders
-ODE_KK_NU = (0.3, 0.5, 1.5, 2.4)      # K side grid avoids integers, where the
-                                      # near-integer averaging bias would
-                                      # dominate the stencil noise
+ODE_KK_NU = (0.3, 0.5, 1.5, 2.4)      # K side grid avoids integers: the
+                                      # removed near-integer averaging had a
+                                      # bias there; exact K_n has none
 ODE_X = (1.0, 2.0, 5.0)
 ODE_STEP = 1e-3
 ODE_SCALED_TOL = 1e-5

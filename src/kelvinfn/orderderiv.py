@@ -1,21 +1,24 @@
 """Order derivatives of the four Kelvin functions, all real orders.
 
-Positive non-excluded orders use the rotation of the closed-form Bessel
-order derivatives:
+Orders nu >= 0 (integers included) rotate the Bessel order derivatives onto
+the Kelvin rays (method tag 'series'):
 
     d ber_nu/d nu = Re[e^(i pi nu)    dJ/dnu(e^(-i pi/4) x)] - pi   bei_nu(x)
     d bei_nu/d nu = Im[e^(i pi nu)    dJ/dnu(e^(-i pi/4) x)] + pi   ber_nu(x)
     d ker_nu/d nu = Re[e^(-i pi nu/2) dK/dnu(e^(i pi/4)  x)] + pi/2 kei_nu(x)
     d kei_nu/d nu = Im[e^(-i pi nu/2) dK/dnu(e^(i pi/4)  x)] - pi/2 ker_nu(x)
 
-Negative orders differentiate the reflection formulas (the *_neg ops return
-the order derivative evaluated at order -nu for nu > 0); nonnegative integer
-orders use the finite sums over lower-order Kelvin values; everything else is
-reached by delta^2 extrapolation of the closed forms.  The dispatcher
-``dkelvin`` stitches the order classes together and tags the method used.
+with dJ/dnu and dK/dnu from the one route per quantity in ``bessel``.
+Negative orders differentiate the reflection formulas (tag 'reflection'; the
+*_neg ops return the order derivative evaluated at order -nu for nu > 0).
+
+The paper's closed forms stay as oracles for the verify suites and tests:
+``dkelvin_bb_pos`` (csc/2F3/3F4 dJ/dnu), ``dkelvin_kk_pos`` (closed-form
+dK/dnu), ``dkelvin_bb_brychkov`` (3F6/4F7) and ``dkelvin_integer`` (finite
+sums over lower-order Kelvin values, tag 'integer_sum').
 
 ``dkelvin`` evaluates one point: the four values and the four order
-derivatives come from one ``kelvin._point``, so each J, I and pFq series is
+derivatives come from one ``kelvin._point``, so each J and I series is
 summed once per (nu, x).
 """
 
@@ -24,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bessel import ORDER_EPS, _dj_dnu, _Point
+from .bessel import NEAR_EXCLUDED, ORDER_EPS, _dj_dnu, _dk_dnu, _is_near_int, _Point
 from .errors import DomainError, NegativeIntegerOrderError, OrderClassError
 from .hyper import DEFAULT_SERIES, EvalResult, HyperSpec, SeriesConfig, pfq
 from .kelvin import KelvinQuad, _ber_bei, _ker_kei, _phase, _point, _quad
@@ -35,11 +38,10 @@ from .scalars import PI, digamma_real, gamma_real
 class OrderDerivQuad:
     """The four order derivatives at one (nu, x), with provenance.
 
-    ``method`` is one of 'closed_form', 'integer_sum', 'extrapolated',
-    'reference_brychkov', or the mixed tag 'closed_form+extrapolated' when
-    the J side admits the closed form but the K side sits at a half-integer
-    (or vice versa).  ``values`` holds the four Kelvin values at the
-    requested order, equal bit for bit to ``kelvin_all(nu, x)``.
+    ``method`` is 'series' (nu >= 0) or 'reflection' (nu < 0) from
+    ``dkelvin``, and 'integer_sum' from ``dkelvin_integer``.  ``values``
+    holds the four Kelvin values at the requested order, equal bit for bit
+    to ``kelvin_all(nu, x)``.
     """
 
     dber: float
@@ -65,32 +67,32 @@ def _kk_pos(nu: float, dk: EvalResult, ker: float, kei: float) -> tuple[float, f
 
 def dkelvin_bb_pos(nu: float, x: float,
                    cfg: SeriesConfig = DEFAULT_SERIES) -> tuple[float, float]:
-    """(d ber_nu/d nu, d bei_nu/d nu) for non-integer nu >= 0, x > 0."""
+    """(d ber_nu/d nu, d bei_nu/d nu) for non-integer nu >= 0, x > 0, by the
+    paper's csc/2F3/3F4 closed form for dJ/dnu."""
+    p = _point(nu, x, cfg)
     if x <= 0.0:
         raise DomainError("x must be positive")
     if nu < 0.0 or abs(nu - round(nu)) <= ORDER_EPS:
         raise OrderClassError(f"integer or negative order {nu}: use the dispatcher")
-    p = _point(x, cfg)
     ber, bei, _, _ = _ber_bei(nu, x, p)
     return _bb_pos(nu, _dj_dnu(nu, p), ber, bei)
 
 
 def dkelvin_kk_pos(nu: float, x: float,
                    cfg: SeriesConfig = DEFAULT_SERIES) -> tuple[float, float]:
-    """(d ker_nu/d nu, d kei_nu/d nu) for nu >= 0 with 2 nu non-integer, x > 0."""
+    """(d ker_nu/d nu, d kei_nu/d nu) for nu >= 0 with 2 nu non-integer, x > 0,
+    by the paper's closed form for dK/dnu.  Orders with 2 nu within 1e-6 of
+    an integer are refused."""
+    p = _point(nu, x, cfg)
     if x <= 0.0:
         raise DomainError("x must be positive")
-    if nu < 0.0 or abs(2.0 * nu - round(2.0 * nu)) <= ORDER_EPS:
+    if nu < 0.0 or _is_near_int(2.0 * nu, NEAR_EXCLUDED):
         raise OrderClassError(f"order {nu} excluded for the K-side closed form")
-    p = _point(x, cfg)
-    dk = p.dk(nu)
-    if "extrapolated" in dk.flags:
-        raise OrderClassError(f"order {nu} too close to an excluded order")
     ker, kei, _, _ = _ker_kei(nu, x, p)
-    return _kk_pos(nu, dk, ker, kei)
+    return _kk_pos(nu, _dk_dnu(nu, p), ker, kei)
 
 
-def _bb_neg(nu: float, p: _Point) -> tuple[float, float, float, bool]:
+def _bb_neg(nu: float, p: _Point) -> tuple[float, float, float]:
     """Order derivative of ber/bei at order -nu (nu > 0), via the reflection.
 
     d ber_mu/d mu |_{mu=-nu} =
@@ -105,20 +107,17 @@ def _bb_neg(nu: float, p: _Point) -> tuple[float, float, float, bool]:
     kv = p.k(nu)
     inner = (_phase(-PI * nu) + math.cos(PI * nu)) * kv.value
     est = 2.0 * kv.abs_err_estimate
-    extrap = False
     if abs(s) >= 1e-12:
         dk = p.dk(nu)
         inner += (2.0 / PI) * s * dk.value
         est += abs(s) * dk.abs_err_estimate
-        extrap = "extrapolated" in dk.flags
     dj = p.dj(nu)
-    extrap = extrap or "extrapolated" in dj.flags
     est += dj.abs_err_estimate
     w = _phase(-PI * nu / 2.0) * inner + dj.value
-    return -w.real, -w.imag, est, extrap
+    return -w.real, -w.imag, est
 
 
-def _kk_neg(nu: float, p: _Point) -> tuple[float, float, float, bool]:
+def _kk_neg(nu: float, p: _Point) -> tuple[float, float, float]:
     """Order derivative of ker/kei at order -nu (nu > 0):
 
     d ker_mu/d mu |_{mu=-nu} = (pi/2) Im[e^(i pi nu/2) K_nu(e^(i pi/4) x)]
@@ -134,24 +133,26 @@ def _kk_neg(nu: float, p: _Point) -> tuple[float, float, float, bool]:
     est = kv.abs_err_estimate * PI / 2.0 + dk.abs_err_estimate
     return (PI / 2.0 * wk.imag - wd.real,
             -PI / 2.0 * wk.real - wd.imag,
-            est, "extrapolated" in dk.flags)
+            est)
 
 
 def dkelvin_bb_neg(nu: float, x: float,
                    cfg: SeriesConfig = DEFAULT_SERIES) -> tuple[float, float]:
     """Order derivatives of ber and bei evaluated at order -nu, for nu > 0."""
+    p = _point(nu, x, cfg)
     if nu <= 0.0 or x <= 0.0:
         raise DomainError("requires nu > 0 and x > 0")
-    dber, dbei, _, _ = _bb_neg(nu, _point(x, cfg))
+    dber, dbei, _ = _bb_neg(nu, p)
     return dber, dbei
 
 
 def dkelvin_kk_neg(nu: float, x: float,
                    cfg: SeriesConfig = DEFAULT_SERIES) -> tuple[float, float]:
     """Order derivatives of ker and kei evaluated at order -nu, for nu > 0."""
+    p = _point(nu, x, cfg)
     if nu <= 0.0 or x <= 0.0:
         raise DomainError("requires nu > 0 and x > 0")
-    dker, dkei, _, _ = _kk_neg(nu, _point(x, cfg))
+    dker, dkei, _ = _kk_neg(nu, p)
     return dker, dkei
 
 
@@ -164,17 +165,13 @@ def dkelvin_integer(n: int, x: float,
             [cos(5(k-n)pi/4) ber_k + sin(5(k-n)pi/4) bei_k]
 
     with the analogous sums (3(k-n)pi/4 weights) on the K side.  Sums are
-    empty at n = 0.
+    empty at n = 0.  Kept as an oracle for ``dkelvin`` at integer order.
     """
+    p = _point(n, x, cfg)
     if n < 0:
         raise NegativeIntegerOrderError("finite sums defined for n >= 0 only")
     if x <= 0.0:
         raise DomainError("x must be positive")
-    p = _point(x, cfg)
-    return _integer_sums(n, x, p, _quad(float(n), x, p))
-
-
-def _integer_sums(n: int, x: float, p: _Point, values: KelvinQuad) -> OrderDerivQuad:
     quads = [_quad(float(k), x, p) for k in range(n + 1)]
     top = quads[n]
     dber = -PI / 2.0 * top.bei - top.ker
@@ -194,7 +191,7 @@ def _integer_sums(n: int, x: float, p: _Point, values: KelvinQuad) -> OrderDeriv
         dker += w * (c3 * q.ker - s3 * q.kei)
         dkei += w * (s3 * q.ker + c3 * q.kei)
     est = 1e-12 * (1.0 + abs(dber) + abs(dbei) + abs(dker) + abs(dkei))
-    return OrderDerivQuad(dber, dbei, dker, dkei, float(n), x, "integer_sum", est, values)
+    return OrderDerivQuad(dber, dbei, dker, dkei, float(n), x, "integer_sum", est, top)
 
 
 def coef_c(nu: float, x: float, a: int, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
@@ -227,11 +224,11 @@ def dkelvin_bb_brychkov(nu: float, x: float,
     :func:`dkelvin_bb_pos`; it routes through negative-order Kelvin values
     and the real 3F6/4F7 series instead of complex-argument 2F3/3F4.
     """
+    p = _point(nu, x, cfg)
     if x <= 0.0:
         raise DomainError("x must be positive")
     if nu <= 0.0 or abs(nu - round(nu)) <= ORDER_EPS:
         raise OrderClassError("reference form needs non-integer nu > 0")
-    p = _point(x, cfg)
     ber, bei, _, _ = _ber_bei(nu, x, p)
     ber_m, bei_m, _, _ = _ber_bei(-nu, x, p)
     c0 = coef_c(nu, x, 0, cfg)
@@ -260,36 +257,23 @@ def dkelvin_bb_brychkov(nu: float, x: float,
 
 
 def dkelvin(nu: float, x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> OrderDerivQuad:
-    """Order-derivative dispatcher over the whole real order line.
+    """The four order derivatives at any real order nu and x > 0.
 
-    Routing: nonnegative integer orders -> finite sums; other nu >= 0 ->
-    closed forms with extrapolated fallback near excluded orders; nu < 0 ->
-    reflection-derived forms at |nu|.  The method tag is deterministic in
-    (nu, x, cfg).  The result also carries the four values at nu.
+    nu >= 0 rotates dJ/dnu and dK/dnu onto the Kelvin rays (method
+    'series'); nu < 0 differentiates the reflection formulas at |nu|
+    (method 'reflection').  The result also carries the four values at nu.
     """
+    p = _point(nu, x, cfg)
     if x <= 0.0:
         raise DomainError("x must be positive")
-    p = _point(x, cfg)
     values = _quad(nu, x, p)
-    if abs(nu - round(nu)) <= ORDER_EPS and round(nu) >= 0:
-        return _integer_sums(int(round(nu)), x, p, values)
     if nu >= 0.0:
         dj = p.dj(nu)
         dk = p.dk(nu)
         dber, dbei = _bb_pos(nu, dj, values.ber, values.bei)
         dker, dkei = _kk_pos(nu, dk, values.ker, values.kei)
         est = dj.abs_err_estimate + dk.abs_err_estimate
-        ex_b, ex_k = "extrapolated" in dj.flags, "extrapolated" in dk.flags
-    else:
-        dber, dbei, est_b, ex_b = _bb_neg(-nu, p)
-        dker, dkei, est_k, ex_k = _kk_neg(-nu, p)
-        est = est_b + est_k
-    return OrderDerivQuad(dber, dbei, dker, dkei, nu, x, _method_tag(ex_b, ex_k), est, values)
-
-
-def _method_tag(extrap_bb: bool, extrap_kk: bool) -> str:
-    if extrap_bb and extrap_kk:
-        return "extrapolated"
-    if extrap_bb or extrap_kk:
-        return "closed_form+extrapolated"
-    return "closed_form"
+        return OrderDerivQuad(dber, dbei, dker, dkei, nu, x, "series", est, values)
+    dber, dbei, est_b = _bb_neg(-nu, p)
+    dker, dkei, est_k = _kk_neg(-nu, p)
+    return OrderDerivQuad(dber, dbei, dker, dkei, nu, x, "reflection", est_b + est_k, values)

@@ -54,12 +54,14 @@ def suite_fd(cfg: SeriesConfig = DEFAULT_SERIES,
 
 def suite_integer(cfg: SeriesConfig = DEFAULT_SERIES,
                   quad_cfg: QuadConfig = DEFAULT_QUAD) -> list[IdentityReport]:
-    """Integer-order finite sums vs the extrapolated closed-form path."""
+    """Integer-order finite sums vs ``dkelvin`` just off the integer."""
     out = []
     for n in M.INTEGER_N:
         for x in M.INTEGER_X:
             sums = dkelvin_integer(n, x, cfg)
-            extr = dkelvin(n + 2e-7, x, cfg)  # forces the extrapolated branch
+            # within 1e-6 of n, dkelvin takes K_n and dK/dnu|_n (DLMF 10.31.1,
+            # 10.38.4) but the phases and dJ/dnu at n + 2e-7
+            extr = dkelvin(n + 2e-7, x, cfg)
             vals = (sums.dber, sums.dbei, sums.dker, sums.dkei)
             ext = (extr.dber, extr.dbei, extr.dker, extr.dkei)
             for name, g, o in zip(_COMPONENTS, vals, ext):

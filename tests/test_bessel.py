@@ -13,7 +13,8 @@ import pytest
 
 from kelvinfn.bessel import (bessel_i, bessel_j, bessel_k, dj_dnu, dj_dnu_any,
                              dk_dnu, dk_dnu_any)
-from kelvinfn.errors import ArgumentZeroError, BranchError, OrderClassError
+from kelvinfn.errors import (ArgumentZeroError, BranchError, KelvinError,
+                             OrderClassError, PowerOverflowError)
 from kelvinfn.hyper import SeriesConfig
 from kelvinfn.quad import integrate_semiinf
 
@@ -69,6 +70,15 @@ class TestBesselJ:
         with pytest.raises(BranchError):
             bessel_j(-0.5, 0.0)
 
+    def test_power_overflow_is_typed(self):
+        """(z/2)^nu beyond the double range raises a KelvinError that is
+        still an OverflowError."""
+        for nu, z in ((1000.0, 20.0 + 0.0j), (-150.5, 1e-5 + 0.0j)):
+            with pytest.raises(PowerOverflowError):
+                bessel_j(nu, z)
+        assert issubclass(PowerOverflowError, KelvinError)
+        assert issubclass(PowerOverflowError, OverflowError)
+
     def test_degraded_flag(self):
         assert "degraded" in bessel_j(0.5, 25.0 + 0.0j).flags
         assert "degraded" in bessel_j(11.0, 1.0 + 0.0j).flags
@@ -115,7 +125,6 @@ class TestBesselK:
         z = ROT_K * 1.0
         want = k0_log_series(z)
         got = bessel_k(0.0, z)
-        assert "near_integer_averaged" in got.flags
         assert abs(got.value - want) <= 1e-10
 
     def test_even_in_order(self):
@@ -203,23 +212,22 @@ class TestDKDnu:
 class TestDispatchers:
     def test_passthrough(self):
         z = ROT_J * 1.5
-        assert dj_dnu_any(0.3, z).value == dj_dnu(0.3, z).value
+        want = dj_dnu(0.3, z).value
+        assert abs(dj_dnu_any(0.3, z).value - want) <= 1e-12 * abs(want)
 
     def test_dj_at_integer_vs_fd(self):
         for n, z in ((1.0, ROT_J * 2.0), (0.0, 1.0 + 0.5j), (3.0, ROT_J * 5.0)):
             want = fd_order_derivative(bessel_j, n, z)
             got = dj_dnu_any(n, z)
-            assert "extrapolated" in got.flags
             assert abs(got.value - want) <= 1e-7 * (1.0 + abs(want))
 
     def test_dk_at_excluded_orders_vs_fd(self):
-        # wider FD steps here: near integer orders K itself is evaluated
+        # wider FD steps here: just off integer orders K itself is evaluated
         # through a csc-amplified connection formula, so small steps would
-        # measure the oracle's own noise rather than the extrapolated value
+        # measure the oracle's own noise rather than the derivative
         for nu, z in ((0.5, ROT_K * 1.0), (1.5, ROT_K * 4.0), (2.0, 2.0 + 1.0j)):
             want = fd_order_derivative(bessel_k, nu, z, h=1e-3)
             got = dk_dnu_any(nu, z)
-            assert "extrapolated" in got.flags
             assert abs(got.value - want) <= 1e-6 * (1.0 + abs(want))
 
     def test_dk_vanishes_at_zero_order(self):
@@ -231,9 +239,9 @@ class TestDispatchers:
         with pytest.raises(OrderClassError):
             dk_dnu_any(-0.1, 1.0 + 0.0j)
 
-    def test_deltas_recorded(self):
-        flags = dj_dnu_any(1.0, ROT_J * 1.0).flags
-        assert any(f.startswith("deltas=") for f in flags)
+    def test_integer_order_has_no_fallback_flags(self):
+        assert dj_dnu_any(1.0, ROT_J * 1.0).flags == ()
+        assert dk_dnu_any(1.0, ROT_K * 1.0).flags == ()
 
 
 class TestSeriesBudget:

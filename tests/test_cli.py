@@ -41,6 +41,20 @@ class TestEval:
         assert err.count("\n") == 1
         assert err.startswith("eval: GammaOverflowError: ")
 
+    def test_power_overflow_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "ber", "--nu", "1000", "--x", "20")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("eval: PowerOverflowError: ")
+
+    @pytest.mark.parametrize("fn", ["ber", "dker"])
+    def test_non_finite_order_exit_2(self, capsys, fn):
+        code, out, err = run_cli(capsys, "eval", fn, "--nu", "nan", "--x", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("eval: DomainError: ")
+
     def test_unknown_function_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "eval", "blah", "--nu", "0", "--x", "1")
         assert code == 2

@@ -95,6 +95,14 @@ class TestBerBei:
             kelvin_ber_bei(-0.5, 0.0)  # reflection would need ker(0)
 
 
+@pytest.mark.parametrize("fn", [kelvin_all, kelvin_ber_bei, kelvin_ker_kei])
+@pytest.mark.parametrize("nu, x", [(math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0),
+                                   (0.5, math.nan), (0.5, math.inf), (0.5, -math.inf)])
+def test_non_finite_input_raises_domain_error(fn, nu, x):
+    with pytest.raises(DomainError):
+        fn(nu, x)
+
+
 class TestKerKei:
     def test_order_zero_series(self):
         for x in (0.5, 1.0, 2.0):
@@ -180,7 +188,7 @@ class TestAgainstScipy:
             q = kelvin_all(0.0, x)
             assert q.ber == pytest.approx(be.real, rel=1e-9, abs=1e-12)
             assert q.bei == pytest.approx(be.imag, rel=1e-9, abs=1e-12)
-            # ker/kei at integer order go through the averaged connection
-            # formula, whose documented accuracy is absolute, not relative
+            # ker/kei are small against the I series that build them, so
+            # their accuracy is stated in absolute terms
             assert q.ker == pytest.approx(ke.real, abs=1e-9)
             assert q.kei == pytest.approx(ke.imag, abs=1e-9)

@@ -1,0 +1,45 @@
+"""dkelvin against mpmath at 30 digits.
+
+All four values and all four order derivatives on nu = -10:10:0.5 and
+x in {0.5, 1, 2, 5}, each pair (ber + i bei, ker + i kei, and likewise for
+the derivatives) within 1e-10 relative.  The grid covers negative integers
+and half-integers, where the order derivatives are hardest to get right.
+"""
+
+import pytest
+
+mpmath = pytest.importorskip("mpmath")
+
+from kelvinfn.orderderiv import dkelvin  # noqa: E402
+
+ORDERS = [k / 2.0 for k in range(-20, 21)]
+XS = [0.5, 1.0, 2.0, 5.0]
+REL = 1e-10
+
+
+def oracle(nu: float, x: float) -> dict[str, complex]:
+    """The four pairs at 30 digits; order derivatives by mpmath.diff."""
+    mp = mpmath.mp
+    with mp.workdps(30):
+        n, z = mp.mpf(nu), mp.mpf(x)
+
+        def pair(f, g):
+            return complex(f(n, z), g(n, z))
+
+        def dpair(f, g):
+            return complex(mp.diff(lambda t: f(t, z), n), mp.diff(lambda t: g(t, z), n))
+
+        return {"bb": pair(mp.ber, mp.bei), "kk": pair(mp.ker, mp.kei),
+                "dbb": dpair(mp.ber, mp.bei), "dkk": dpair(mp.ker, mp.kei)}
+
+
+@pytest.mark.parametrize("x", XS)
+@pytest.mark.parametrize("nu", ORDERS)
+def test_dkelvin_against_mpmath(nu, x):
+    d = dkelvin(nu, x)
+    q = d.values
+    got = {"bb": complex(q.ber, q.bei), "kk": complex(q.ker, q.kei),
+           "dbb": complex(d.dber, d.dbei), "dkk": complex(d.dker, d.dkei)}
+    want = oracle(nu, x)
+    for key, w in want.items():
+        assert abs(got[key] - w) <= REL * abs(w), (key, got[key], w)

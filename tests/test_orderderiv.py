@@ -122,6 +122,15 @@ class TestIntegerOrder:
             dkelvin_integer(-1, 1.0)
 
 
+@pytest.mark.parametrize("fn", [dkelvin, dkelvin_bb_pos, dkelvin_kk_pos, dkelvin_bb_neg,
+                                dkelvin_kk_neg, dkelvin_bb_brychkov, dkelvin_integer])
+@pytest.mark.parametrize("nu, x", [(math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0),
+                                   (3, math.nan), (3, math.inf)])
+def test_non_finite_input_raises_domain_error(fn, nu, x):
+    with pytest.raises(DomainError):
+        fn(nu, x)
+
+
 class TestReferenceCoefficients:
     def test_unit_at_zero_argument(self):
         assert coef_c(0.5, 0.0, 0) == 1.0
@@ -184,12 +193,12 @@ class TestBrychkovReference:
 
 class TestDispatcher:
     def test_method_tags(self):
-        assert dkelvin(0.5, 1.0).method == "closed_form+extrapolated"
-        assert dkelvin(3.0, 2.0).method == "integer_sum"
-        assert dkelvin(-0.5, 1.0).method == "extrapolated"
-        assert dkelvin(0.3, 1.0).method == "closed_form"
-        assert dkelvin(-0.3, 1.0).method == "closed_form"
-        assert dkelvin(-3.0, 1.0).method == "extrapolated"
+        assert dkelvin(0.5, 1.0).method == "series"
+        assert dkelvin(3.0, 2.0).method == "series"
+        assert dkelvin(-0.5, 1.0).method == "reflection"
+        assert dkelvin(0.3, 1.0).method == "series"
+        assert dkelvin(-0.3, 1.0).method == "reflection"
+        assert dkelvin(-3.0, 1.0).method == "reflection"
 
     def test_method_deterministic(self):
         a = dkelvin(1.5, 2.0)
@@ -206,7 +215,7 @@ class TestDispatcher:
         """Orders within 1e-6 of an excluded order share its value."""
         at_int = dkelvin_integer(2, 1.0)
         near = dkelvin(2.0 + 3e-7, 1.0)
-        assert "extrapolated" in near.method
+        assert near.method == "series"
         assert near.dber == pytest.approx(at_int.dber, abs=1e-5 * (1 + abs(at_int.dber)))
         assert near.dker == pytest.approx(at_int.dker, abs=1e-5 * (1 + abs(at_int.dker)))
 

@@ -37,14 +37,15 @@ def table_row(nu):
 
 
 # (call, most series it may sum); the comment gives the count before each
-# (nu, x) point was evaluated once
+# (nu, x) point was evaluated once, then before the order derivatives became
+# term-wise and K at integer order exact
 @pytest.mark.parametrize("call, most", [
-    pytest.param(lambda: dkelvin(0.3, 2.0), 7, id="dkelvin(0.3,2)"),      # 12
-    pytest.param(table_row(0.5), 14, id="table(0.5,2)"),                 # 26
-    pytest.param(table_row(-1.5), 14, id="table(-1.5,2)"),               # 45
-    pytest.param(table_row(-3.0), 21, id="table(-3,2)"),                 # 45
-    pytest.param(lambda: dkelvin(5.0, 2.0), 50, id="dkelvin(5,2)"),      # 54
-    pytest.param(lambda: kelvin_all(0.0, 2.0), 5, id="kelvin_all(0,2)"),  # 9
+    pytest.param(lambda: dkelvin(0.3, 2.0), 3, id="dkelvin(0.3,2)"),      # 12, 7
+    pytest.param(table_row(0.5), 3, id="table(0.5,2)"),                  # 26, 14
+    pytest.param(table_row(-1.5), 3, id="table(-1.5,2)"),                # 45, 14
+    pytest.param(table_row(-3.0), 4, id="table(-3,2)"),                  # 45, 21
+    pytest.param(lambda: dkelvin(5.0, 2.0), 6, id="dkelvin(5,2)"),       # 54, 50
+    pytest.param(lambda: kelvin_all(0.0, 2.0), 1, id="kelvin_all(0,2)"),  # 9, 5
 ])
 def test_series_summed_once(series, capsys, call, most):
     call()
@@ -52,7 +53,7 @@ def test_series_summed_once(series, capsys, call, most):
     assert len(set(series)) == len(series)
 
 
-@pytest.mark.parametrize("nu, count", [(0.3, 3), (2.0, 9)])
+@pytest.mark.parametrize("nu, count", [(0.3, 3), (2.0, 1)])
 def test_kelvin_all_counts(series, nu, count):
     kelvin_all(nu, 2.0)
     assert len(series) == count
