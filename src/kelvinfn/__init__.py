@@ -4,7 +4,7 @@ derivatives, and quadrature-backed identity verification."""
 from .errors import (ArgumentZeroError, BranchError, DenominatorPoleError,
                      DomainError, GammaOverflowError, KelvinError,
                      NegativeIntegerOrderError, OrderClassError, PoleError,
-                     PowerOverflowError)
+                     PowerOverflowError, SeriesOverflowError)
 from .hyper import EvalResult, HyperSpec, SeriesConfig, pfq
 from .scalars import EULER_GAMMA, digamma_real, gamma_real
 from .bessel import (bessel_i, bessel_j, bessel_k, dj_dnu, dj_dnu_any,
@@ -26,7 +26,7 @@ __all__ = [
     "EULER_GAMMA", "EvalResult", "GammaOverflowError", "HyperSpec",
     "IdentityReport", "KelvinError", "KelvinQuad", "NegativeIntegerOrderError",
     "OrderClassError", "OrderDerivQuad", "PoleError", "PowerOverflowError",
-    "QuadConfig", "SeriesConfig",
+    "QuadConfig", "SeriesConfig", "SeriesOverflowError",
     "apelblat_ber_bei", "apelblat_dber_dbei", "appendix_ber_bei",
     "bessel_i", "bessel_j", "bessel_k", "coef_c", "coef_d",
     "convolution_identity", "digamma_real", "dj_dnu", "dj_dnu_any",

@@ -1,4 +1,4 @@
-"""Complex-argument Bessel functions of real order and their order derivatives.
+"""Bessel functions of real order and their order derivatives.
 
 Ascending series only; the working regime is |z| <= 20 where the compensated
 summation keeps the cancellation budget acceptable.  Powers use the principal
@@ -16,15 +16,16 @@ Each quantity has one evaluation route:
   integers; the finite sum of DLMF 10.38.4 over K_0 .. K_{n-1} within
   ``NEAR_EXCLUDED`` of an integer n; 0 at nu = 0.
 
-The psi-weighted sums of the J/I order derivatives and of K_n share one
-compensated loop that steps psi(a+1) = psi(a) + 1/a.  The paper's closed
-forms ``dj_dnu`` (csc, 2F3, 3F4) and ``dk_dnu`` are kept as independent
-oracles for the verify suites and tests; no route above calls them.
-
-Every kernel reads its series from a :class:`_Point`, which sums each J, I
-and pFq series at most once.  The public functions build a fresh point per
-call; the Kelvin layer shares one point between the values and the order
-derivatives at one (nu, x).
+Every kernel reads its series from a :class:`_Point`, which sums each
+series at most once.  On the Kelvin rays (:class:`_RayPoint`, built by the
+Kelvin layer for the values and the order derivatives at one (nu, x)) the J
+and I series of one order are one real series, summed by :func:`_ray_sums`
+together with its psi-weighted sums in one pass.  At a general complex z
+(the public functions, a fresh point per call) J and I go through
+:func:`hyper.sum_series` and the psi-weighted sums through one compensated
+loop, :func:`_psi_sum`.  The paper's closed forms ``dj_dnu`` (csc, 2F3, 3F4)
+and ``dk_dnu`` are kept as independent oracles for the verify suites and
+tests; no route above calls them.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import cmath
 import math
 
 from .errors import (ArgumentZeroError, BranchError, OrderClassError,
-                     PowerOverflowError)
+                     PowerOverflowError, SeriesOverflowError)
 from .hyper import DEFAULT_SERIES, EvalResult, HyperSpec, SeriesConfig, pfq, sum_series
 from .scalars import EULER_GAMMA, PI, digamma_real, gamma_real
 
@@ -44,8 +45,6 @@ NEAR_EXCLUDED = 1e-6
 
 _DEGRADED_ABS_Z = 20.0
 _DEGRADED_ORDER = 10.0
-# i^n for n mod 4
-_I_POW = (1.0 + 0.0j, 1j, -1.0 + 0.0j, -1j)
 
 
 def _is_near_int(x: float, eps: float) -> bool:
@@ -94,6 +93,104 @@ def _ji_series(nu: float, z: complex, sign: float, cfg: SeriesConfig) -> EvalRes
                       res.converged, flags, res.max_abs_term)
 
 
+def _ray_sums(mu: float, x: float, cfg: SeriesConfig, psi: bool) -> tuple:
+    """The Kelvin-ray series of order mu at x > 0, in real arithmetic:
+
+        S = sum_k i^k a_k,   a_k = (x/2)^(mu+2k) / (k! Gamma(mu+k+1)),
+
+    and, with ``psi``, P = sum_k i^k psi(mu+k+1) a_k and
+    H = sum_k i^k psi(k+1) a_k from the same pass, the weights stepping by
+    psi(a+1) = psi(a) + 1/a.  Each pass adds an even k to the real parts
+    and k+1 to the imaginary ones, Neumaier-compensated (TwoSum error
+    terms); the sign flips every pass.  S stops once both terms of a pass
+    are below rel_tol |S|, the same pass with or without ``psi``; P and H
+    go on until their terms are below rel_tol |P| and rel_tol |H|.  Error
+    estimates are 10x the first neglected term.
+
+    Returns (S, err, terms, converged, max |a_k|, psi part), the psi part
+    None or (P, H, err P, err H, max P term, max H term, terms, converged).
+    """
+    tol = cfg.rel_tol
+    hypot = math.hypot
+    q = 0.25 * x * x
+    try:
+        t = (0.5 * x) ** mu
+    except OverflowError:
+        raise PowerOverflowError(
+            f"(x/2)^{mu:g} overflows double precision at x = {x:g}") from None
+    t /= gamma_real(mu + 1.0)
+    re = im = cre = cim = mx = 0.0
+    plain = None
+    if psi:
+        wa = digamma_real(mu + 1.0)
+        wh = -EULER_GAMMA
+        pre = pim = pcre = pcim = hre = him = hcre = hcim = mp = mh = 0.0
+        psi_conv = False
+    for k in range(0, cfg.max_terms, 2):
+        a = mu + k + 1.0
+        u = t * q / ((k + 1.0) * a)
+        nt = -u * q / ((k + 2.0) * (a + 1.0))
+        s = re + t
+        cre += (re - (s - (s - re))) + (t - (s - re))
+        re = s
+        s = im + u
+        cim += (im - (s - (s - im))) + (u - (s - im))
+        im = s
+        if t > mx or -t > mx:
+            mx = t if t > 0.0 else -t
+        if u > mx or -u > mx:
+            mx = u if u > 0.0 else -u
+        if plain is None:
+            lim = tol * hypot(re, im)
+            if -lim <= t <= lim and -lim <= u <= lim:
+                plain = (complex(re + cre, im + cim), 10.0 * abs(nt), k + 2, True)
+                if not psi:
+                    break
+        if psi:
+            v = wa * t
+            s = pre + v
+            pcre += (pre - (s - (s - pre))) + (v - (s - pre))
+            pre = s
+            g = wh * t
+            s = hre + g
+            hcre += (hre - (s - (s - hre))) + (g - (s - hre))
+            hre = s
+            wa += 1.0 / a
+            wh += 1.0 / (k + 1.0)
+            v2 = wa * u
+            s = pim + v2
+            pcim += (pim - (s - (s - pim))) + (v2 - (s - pim))
+            pim = s
+            g2 = wh * u
+            s = him + g2
+            hcim += (him - (s - (s - him))) + (g2 - (s - him))
+            him = s
+            wa += 1.0 / (a + 1.0)
+            wh += 1.0 / (k + 2.0)
+            if v > mp or -v > mp:
+                mp = v if v > 0.0 else -v
+            if v2 > mp or -v2 > mp:
+                mp = v2 if v2 > 0.0 else -v2
+            if g > mh or -g > mh:
+                mh = g if g > 0.0 else -g
+            if g2 > mh or -g2 > mh:
+                mh = g2 if g2 > 0.0 else -g2
+            if plain is not None:
+                lp = tol * hypot(pre, pim)
+                lh = tol * hypot(hre, him)
+                if -lp <= v <= lp and -lp <= v2 <= lp and -lh <= g <= lh and -lh <= g2 <= lh:
+                    psi_conv = True
+                    break
+        t = nt
+    if not math.isfinite(re + im + (pre + pim + hre + him if psi else 0.0)):
+        raise SeriesOverflowError(f"the order-{mu:g} series is not finite at x = {x:g}")
+    plain = plain or (complex(re + cre, im + cim), 10.0 * abs(nt), k + 2, False)
+    if not psi:
+        return plain + (mx, None)
+    return plain + (mx, (complex(pre + pcre, pim + pcim), complex(hre + hcre, him + hcim),
+                         10.0 * abs(wa * nt), 10.0 * abs(wh * nt), mp, mh, k + 2, psi_conv))
+
+
 class _Point:
     """The series of one evaluation point, each summed at most once.
 
@@ -102,9 +199,9 @@ class _Point:
     ``zj`` is set.  On the Kelvin rays zj = e^(-i pi/4) x and
     zk = e^(i pi/4) x, so zj = -i zk: the two 2F3/3F4 arguments differ only
     in the sign of a zero real part, which leaves every term, and so the
-    sum, bit for bit the same, and I_n(zk) = i^n J_n(zj) at integer n.
-    K_nu and both order derivatives are kept as well.  A point lives for
-    one top-level call; nothing is kept between calls.
+    sum, bit for bit the same.  K_nu and both order derivatives are kept as
+    well.  A point lives for one top-level call; nothing is kept between
+    calls.  :class:`_RayPoint` is the point of the Kelvin functions.
     """
 
     __slots__ = ("zj", "zk", "cfg", "memo")
@@ -131,6 +228,12 @@ class _Point:
     def i(self, mu: float) -> EvalResult:
         return self._once(("i", mu), bessel_i, mu, self.zk, self.cfg)
 
+    def psi(self, mu: float, sign: float, harmonic: float) -> EvalResult:
+        """The psi-weighted series of :func:`_psi_sum`, J (sign=-1) at ``zj``
+        or I (sign=+1) at ``zk``."""
+        z = self.zj if sign < 0.0 else self.zk
+        return _psi_sum(mu, z, sign, harmonic, self.cfg)
+
     def k(self, nu: float) -> EvalResult:
         return self._once(("k", nu), _bessel_k, nu, self)
 
@@ -156,6 +259,56 @@ class _Point:
         """3F4(1, 1, 3/2; 2, 2, 2-nu, 2+nu; w)."""
         return self._once(("f34", nu), self._pfq, (1.0, 1.0, 1.5),
                           (2.0, 2.0, 2.0 - nu, 2.0 + nu))
+
+
+def _phase(angle: float) -> complex:
+    return complex(math.cos(angle), math.sin(angle))
+
+
+class _RayPoint(_Point):
+    """The point x > 0 of the Kelvin functions: zj = e^(-i pi/4) x and
+    zk = e^(i pi/4) x.
+
+    There -zj^2/4 = zk^2/4 = i x^2/4, so J_mu(zj) = e^(-i pi mu/4) S and
+    I_mu(zk) = e^(i pi mu/4) S share the real series S of :func:`_ray_sums`,
+    and the psi sums of dJ/dmu, dI/dmu and K_n take the same phases.  The
+    kernel runs once per order, with the psi sums if ``psi`` is set (the
+    order derivatives need them at every order they touch); otherwise the
+    first request for them sums that order again, so K_n asks before I_n.
+    """
+
+    __slots__ = ("x", "want_psi")
+
+    def __init__(self, zj: complex, zk: complex, x: float, cfg: SeriesConfig,
+                 psi: bool = False):
+        super().__init__(zj, zk, cfg)
+        self.x = x
+        self.want_psi = psi
+
+    def _sums(self, mu: float, psi: bool) -> tuple:
+        key = ("ray", mu)
+        r = self.memo.get(key)
+        if r is None or (psi and r[5] is None):
+            r = self.memo[key] = _ray_sums(mu, self.x, self.cfg, psi or self.want_psi)
+        return r
+
+    def _rotated(self, mu: float, sign: float) -> EvalResult:
+        s, err, terms, conv, max_term, _ = self._sums(mu, False)
+        flags = (() if conv else ("no_convergence",)) + _degraded_flags(mu, self.zk)
+        return EvalResult(_phase(sign * PI * mu / 4.0) * s, err, terms, conv, flags, max_term)
+
+    def j(self, mu: float) -> EvalResult:
+        return self._once(("j", mu), self._rotated, mu, -1.0)
+
+    def i(self, mu: float) -> EvalResult:
+        return self._once(("i", mu), self._rotated, mu, 1.0)
+
+    def psi(self, mu: float, sign: float, harmonic: float) -> EvalResult:
+        sp, sh, err_p, err_h, max_p, max_h, terms, conv = self._sums(mu, True)[5]
+        if harmonic:
+            sp, err_p, max_p = sp + sh, err_p + err_h, max_p + max_h
+        return EvalResult(_phase(sign * PI * mu / 4.0) * sp, err_p, terms, conv,
+                          () if conv else ("no_convergence",), max_p)
 
 
 def bessel_j(nu: float, z: complex, cfg: SeriesConfig = DEFAULT_SERIES) -> EvalResult:
@@ -213,25 +366,20 @@ def _k_integer(n: int, p: _Point) -> EvalResult:
                  + (-1)^n (1/2)(z/2)^n sum_k (psi(k+1) + psi(n+k+1))
                                           (z^2/4)^k / (k! (n+k)!)
 
-    I_n is read from the J_n series as i^n J_n(zj) when the point has the
-    J ray (zj = -i zk), else summed at zk.
+    The psi sum is asked for before I_n, so that a ray point sums order n
+    once.
     """
     z = p.zk
-    if p.zj is not None:
-        f = p.j(float(n))
-        i_n = _I_POW[n % 4] * f.value
-    else:
-        f = p.i(float(n))
-        i_n = f.value
+    s = p.psi(float(n), 1.0, 1.0)
+    f = p.i(float(n))
     lg = cmath.log(z / 2.0)
     # (1/2)(n-k-1)!/k! (-z^2/4)^k (z/2)^(-n) = (+-1/2)(n-k-1)!/k! (z/2)^(2k-n)
     fin_terms = [(-0.5 if k % 2 else 0.5) * (math.factorial(n - k - 1) / math.factorial(k))
                  * _half_pow(2 * k - n, z) for k in range(n)]
     fin = sum(fin_terms, 0.0 + 0.0j)
     fin_max = max(map(abs, fin_terms), default=0.0)
-    s = _psi_sum(float(n), z, 1.0, 1.0, p.cfg)
     sgn = -1.0 if n % 2 else 1.0
-    value = fin - sgn * lg * i_n + sgn * 0.5 * s.value
+    value = fin - sgn * lg * f.value + sgn * 0.5 * s.value
     est = (abs(lg) * f.abs_err_estimate + 0.5 * s.abs_err_estimate
            + 2e-16 * (fin_max + abs(lg) * f.max_abs_term + 0.5 * s.max_abs_term))
     return EvalResult(value, est, f.terms_used + s.terms_used,
@@ -408,11 +556,11 @@ def _dji_dnu_direct(mu: float, sign: float, p: _Point) -> EvalResult:
     mu, and any mu >= 0).  Unlike the csc-form closed forms it has no pole
     amplification near integer or half-integer orders.
     """
+    s = p.psi(mu, sign, 0.0)
     if sign < 0.0:
         z, f = p.zj, p.j(mu)
     else:
         z, f = p.zk, p.i(mu)
-    s = _psi_sum(mu, z, sign, 0.0, p.cfg)
     lg = cmath.log(z / 2.0)
     value = f.value * lg - s.value
     est = f.abs_err_estimate * abs(lg) + s.abs_err_estimate

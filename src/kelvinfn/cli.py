@@ -15,6 +15,7 @@ KELVIN_MAX_TERMS overrides the series term cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -242,8 +243,12 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# main's parser, built once per process: parsing leaves it unchanged
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

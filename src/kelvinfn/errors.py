@@ -24,6 +24,11 @@ class PowerOverflowError(KelvinError, OverflowError):
     large negative power at small |z|)."""
 
 
+class SeriesOverflowError(KelvinError, OverflowError):
+    """A series sum is not finite: its terms exceed the double range (far
+    outside the working envelope, e.g. x = 1000)."""
+
+
 class DenominatorPoleError(KelvinError):
     """A lower hypergeometric parameter is a nonpositive integer."""
 

@@ -9,10 +9,11 @@ largest intermediate term for cancellation-aware error budgeting downstream.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import DenominatorPoleError
+from .errors import DenominatorPoleError, SeriesOverflowError
 
 
 @dataclass(frozen=True)
@@ -76,48 +77,57 @@ def sum_series(first_term: complex, ratio, cfg: SeriesConfig = DEFAULT_SERIES) -
 
     The sum carries Neumaier compensation on each component separately,
     which keeps conjugation symmetry exact: summing the conjugated terms
-    produces the exact conjugate of the sum.
+    produces the exact conjugate of the sum.  Terms or a sum beyond the
+    double range raise SeriesOverflowError.
     """
     rel_tol = cfg.rel_tol
     max_terms = cfg.max_terms
     t = complex(first_term)
     re = im = cre = cim = 0.0
-    max_term = abs(t)
     small_run = 0
     k = 0
-    while True:
-        tr = t.real
-        s = re + tr
-        if abs(re) >= abs(tr):
-            cre += (re - s) + tr
-        else:
-            cre += (tr - s) + re
-        re = s
-        ti = t.imag
-        s = im + ti
-        if abs(im) >= abs(ti):
-            cim += (im - s) + ti
-        else:
-            cim += (ti - s) + im
-        im = s
-        if k:
-            mag = abs(t)
-            if mag > max_term:
-                max_term = mag
-            total = complex(re + cre, im + cim)
-            if mag <= rel_tol * (1.0 + abs(total)):
-                small_run += 1
-                if small_run >= 2:
-                    neglected = abs(t * ratio(k))
-                    return EvalResult(total, 10.0 * neglected, k + 1, True, (), max_term)
+    converged = False
+    try:
+        max_term = abs(t)
+        while True:
+            tr = t.real
+            s = re + tr
+            if abs(re) >= abs(tr):
+                cre += (re - s) + tr
             else:
-                small_run = 0
-        if k >= max_terms:
-            break
-        t = t * ratio(k)
-        k += 1
-    return EvalResult(complex(re + cre, im + cim), 10.0 * abs(t), k + 1, False,
-                      ("no_convergence",), max_term)
+                cre += (tr - s) + re
+            re = s
+            ti = t.imag
+            s = im + ti
+            if abs(im) >= abs(ti):
+                cim += (im - s) + ti
+            else:
+                cim += (ti - s) + im
+            im = s
+            if k:
+                mag = abs(t)
+                if mag > max_term:
+                    max_term = mag
+                if mag <= rel_tol * (1.0 + abs(complex(re + cre, im + cim))):
+                    small_run += 1
+                    if small_run >= 2:
+                        converged = True
+                        err = 10.0 * abs(t * ratio(k))
+                        break
+                else:
+                    small_run = 0
+            if k >= max_terms:
+                err = 10.0 * abs(t)
+                break
+            t = t * ratio(k)
+            k += 1
+    except OverflowError:
+        raise SeriesOverflowError("series terms exceed the double range") from None
+    total = complex(re + cre, im + cim)
+    if not cmath.isfinite(total):
+        raise SeriesOverflowError(f"series sum is not finite after {k + 1} terms")
+    return EvalResult(total, err, k + 1, converged,
+                      () if converged else ("no_convergence",), max_term)
 
 
 def pfq(spec: HyperSpec, cfg: SeriesConfig = DEFAULT_SERIES) -> EvalResult:

@@ -12,10 +12,11 @@ through a direct series at nu < 0, which keeps the J/K evaluation in its
 well-conditioned regime; the method tag is 'reflection'.
 
 The private ``_ber_bei``/``_ker_kei``/``_quad`` read their series from a
-``bessel._Point`` on the two rays (``_point``), so callers that need the
-values and more at one x (the order derivatives, both reflections) sum each
-series once.  ``_point`` is also where every public entry rejects a
-non-finite order or argument.
+``bessel._RayPoint`` on the two rays (``_point``), where J_mu and I_mu of
+one order are one real series, e^(3i pi mu/4)-rotated into ber + i bei:
+every order is summed once per x, for the values, the order derivatives
+and both reflections alike.  ``_point`` is also where every public entry
+rejects a non-finite order or argument.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bessel import ORDER_EPS, _Point
+from .bessel import ORDER_EPS, _phase, _RayPoint
 from .errors import DomainError
 from .hyper import DEFAULT_SERIES, SeriesConfig
 from .scalars import PI
@@ -46,21 +47,18 @@ class KelvinQuad:
     x: float
 
 
-def _phase(angle: float) -> complex:
-    return complex(math.cos(angle), math.sin(angle))
-
-
-def _point(nu: float, x: float, cfg: SeriesConfig) -> _Point:
+def _point(nu: float, x: float, cfg: SeriesConfig, psi: bool = False) -> _RayPoint:
     """The series holder at x: J on the ray e^(-i pi/4) x, I and K on e^(i pi/4) x.
 
-    Raises DomainError unless nu and x are finite.
+    ``psi`` sums the psi-weighted series along with every order, for the
+    order derivatives.  Raises DomainError unless nu and x are finite.
     """
     if not (math.isfinite(nu) and math.isfinite(x)):
         raise DomainError(f"order and argument must be finite, got nu={nu!r}, x={x!r}")
-    return _Point(ROT_J * x, ROT_K * x, cfg)
+    return _RayPoint(ROT_J * x, ROT_K * x, x, cfg, psi)
 
 
-def _ber_bei(nu: float, x: float, p: _Point) -> tuple[float, float, float, str]:
+def _ber_bei(nu: float, x: float, p: _RayPoint) -> tuple[float, float, float, str]:
     """(ber, bei, abs error estimate, method tag) from the series at ``p``."""
     if x < 0.0:
         raise DomainError("Kelvin functions defined for x >= 0")
@@ -88,7 +86,7 @@ def _ber_bei(nu: float, x: float, p: _Point) -> tuple[float, float, float, str]:
             -s * ber + c * bei + (2.0 / PI) * s * kei, est, "reflection")
 
 
-def _ker_kei(nu: float, x: float, p: _Point) -> tuple[float, float, float, str]:
+def _ker_kei(nu: float, x: float, p: _RayPoint) -> tuple[float, float, float, str]:
     """(ker, kei, abs error estimate, method tag) from the series at ``p``."""
     if x <= 0.0:
         raise DomainError("ker/kei defined for x > 0")
@@ -103,9 +101,10 @@ def _ker_kei(nu: float, x: float, p: _Point) -> tuple[float, float, float, str]:
     return c * ker - s * kei, s * ker + c * kei, est, "reflection"
 
 
-def _quad(nu: float, x: float, p: _Point) -> KelvinQuad:
-    ber, bei, _, _ = _ber_bei(nu, x, p)
+def _quad(nu: float, x: float, p: _RayPoint) -> KelvinQuad:
+    # K first: at integer order it asks for the psi sums that J then reuses
     ker, kei, _, _ = _ker_kei(nu, x, p)
+    ber, bei, _, _ = _ber_bei(nu, x, p)
     return KelvinQuad(ber, bei, ker, kei, nu, x)
 
 

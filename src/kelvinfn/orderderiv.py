@@ -139,7 +139,7 @@ def _kk_neg(nu: float, p: _Point) -> tuple[float, float, float]:
 def dkelvin_bb_neg(nu: float, x: float,
                    cfg: SeriesConfig = DEFAULT_SERIES) -> tuple[float, float]:
     """Order derivatives of ber and bei evaluated at order -nu, for nu > 0."""
-    p = _point(nu, x, cfg)
+    p = _point(nu, x, cfg, psi=True)
     if nu <= 0.0 or x <= 0.0:
         raise DomainError("requires nu > 0 and x > 0")
     dber, dbei, _ = _bb_neg(nu, p)
@@ -149,7 +149,7 @@ def dkelvin_bb_neg(nu: float, x: float,
 def dkelvin_kk_neg(nu: float, x: float,
                    cfg: SeriesConfig = DEFAULT_SERIES) -> tuple[float, float]:
     """Order derivatives of ker and kei evaluated at order -nu, for nu > 0."""
-    p = _point(nu, x, cfg)
+    p = _point(nu, x, cfg, psi=True)
     if nu <= 0.0 or x <= 0.0:
         raise DomainError("requires nu > 0 and x > 0")
     dker, dkei, _ = _kk_neg(nu, p)
@@ -263,7 +263,7 @@ def dkelvin(nu: float, x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> OrderDer
     'series'); nu < 0 differentiates the reflection formulas at |nu|
     (method 'reflection').  The result also carries the four values at nu.
     """
-    p = _point(nu, x, cfg)
+    p = _point(nu, x, cfg, psi=True)
     if x <= 0.0:
         raise DomainError("x must be positive")
     values = _quad(nu, x, p)

@@ -48,6 +48,13 @@ class TestEval:
         assert err.count("\n") == 1
         assert err.startswith("eval: PowerOverflowError: ")
 
+    def test_series_overflow_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "ber", "--nu", "0", "--x", "1000")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("eval: SeriesOverflowError: ")
+
     @pytest.mark.parametrize("fn", ["ber", "dker"])
     def test_non_finite_order_exit_2(self, capsys, fn):
         code, out, err = run_cli(capsys, "eval", fn, "--nu", "nan", "--x", "1")
@@ -169,6 +176,19 @@ class TestBench:
 
 
 class TestPlumbing:
+    def test_parser_reused_across_calls(self, capsys):
+        """main() keeps one parser per process; a usage error in between
+        leaves it as it was."""
+        argv = ["table", "--nu-range=-1:1:0.5", "--x", "2"]
+        code1, out1, _ = run_cli(capsys, *argv)
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "--nu", "not-a-number"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code2, out2, _ = run_cli(capsys, *argv)
+        assert code1 == code2 == 0
+        assert out1 == out2
+
     def test_parse_range(self):
         assert _parse_range("1:2:0.5", "t") == [1.0, 1.5, 2.0]
         assert _parse_range("3", "t") == [3.0]

@@ -5,8 +5,10 @@ import math
 
 import pytest
 
-from kelvinfn.errors import DomainError
+from kelvinfn.errors import DomainError, KelvinError, SeriesOverflowError
+from kelvinfn.hyper import HyperSpec, pfq
 from kelvinfn.kelvin import KelvinQuad, kelvin_all, kelvin_ber_bei, kelvin_ker_kei
+from kelvinfn.orderderiv import dkelvin
 
 EULER_GAMMA = 0.5772156649015328606
 ROT_K = complex(math.sqrt(0.5), math.sqrt(0.5))
@@ -101,6 +103,27 @@ class TestBerBei:
 def test_non_finite_input_raises_domain_error(fn, nu, x):
     with pytest.raises(DomainError):
         fn(nu, x)
+
+
+@pytest.mark.parametrize("call", [lambda: kelvin_all(0.0, 1000.0),
+                                  lambda: dkelvin(40.0, 1000.0),
+                                  lambda: pfq(HyperSpec((), (1.0,), 1e6))])
+def test_series_overflow_is_typed(call):
+    """Far outside the envelope the terms leave the double range: a typed
+    error, not NaN or a bare OverflowError."""
+    with pytest.raises(SeriesOverflowError):
+        call()
+    assert issubclass(SeriesOverflowError, KelvinError)
+    assert issubclass(SeriesOverflowError, OverflowError)
+
+
+@pytest.mark.parametrize("x", [0.1, 1.0, 5.0, 10.0, 15.0, 20.0])
+def test_envelope_raises_nothing(x):
+    for k in range(-40, 41):
+        q = kelvin_all(k / 4.0, x)
+        d = dkelvin(k / 4.0, x)
+        assert all(map(math.isfinite, (q.ber, q.bei, q.ker, q.kei,
+                                       d.dber, d.dbei, d.dker, d.dkei)))
 
 
 class TestKerKei:

@@ -4,6 +4,10 @@ All four values and all four order derivatives on nu = -10:10:0.5 and
 x in {0.5, 1, 2, 5}, each pair (ber + i bei, ker + i kei, and likewise for
 the derivatives) within 1e-10 relative.  The grid covers negative integers
 and half-integers, where the order derivatives are hardest to get right.
+
+A second grid holds the pairs to 1e-13 at large |nu| and small x, where the
+values are far below 1 and only a relative stopping rule keeps them
+accurate.
 """
 
 import pytest
@@ -15,6 +19,9 @@ from kelvinfn.orderderiv import dkelvin  # noqa: E402
 ORDERS = [k / 2.0 for k in range(-20, 21)]
 XS = [0.5, 1.0, 2.0, 5.0]
 REL = 1e-10
+SMALL_ORDERS = [-10.0, -9.5, -9.0, -6.5, 6.5, 9.0, 9.5, 9.75, 10.0]
+SMALL_XS = [0.1, 0.25, 0.5, 1.0]
+SMALL_REL = 1e-13
 
 
 def oracle(nu: float, x: float) -> dict[str, complex]:
@@ -33,13 +40,23 @@ def oracle(nu: float, x: float) -> dict[str, complex]:
                 "dbb": dpair(mp.ber, mp.bei), "dkk": dpair(mp.ker, mp.kei)}
 
 
-@pytest.mark.parametrize("x", XS)
-@pytest.mark.parametrize("nu", ORDERS)
-def test_dkelvin_against_mpmath(nu, x):
+def check(nu: float, x: float, rel: float) -> None:
     d = dkelvin(nu, x)
     q = d.values
     got = {"bb": complex(q.ber, q.bei), "kk": complex(q.ker, q.kei),
            "dbb": complex(d.dber, d.dbei), "dkk": complex(d.dker, d.dkei)}
     want = oracle(nu, x)
     for key, w in want.items():
-        assert abs(got[key] - w) <= REL * abs(w), (key, got[key], w)
+        assert abs(got[key] - w) <= rel * abs(w), (key, got[key], w)
+
+
+@pytest.mark.parametrize("x", XS)
+@pytest.mark.parametrize("nu", ORDERS)
+def test_dkelvin_against_mpmath(nu, x):
+    check(nu, x, REL)
+
+
+@pytest.mark.parametrize("x", SMALL_XS)
+@pytest.mark.parametrize("nu", SMALL_ORDERS)
+def test_small_values_relative(nu, x):
+    check(nu, x, SMALL_REL)

@@ -1,9 +1,10 @@
 """Work counts: series summed per top-level call.
 
-Every J, I and pFq series goes through ``hyper.sum_series`` (bound in both
-``kelvinfn.hyper`` and ``kelvinfn.bessel``).  Counting those calls gives a
-deterministic measure of the work one call does; a series is identified by
-its first term, its value and its length.
+Every Kelvin value and order derivative reads its series from
+``bessel._ray_sums``, the real-arithmetic kernel of the Kelvin rays, which
+sums J_mu, I_mu and their psi-weighted sums at one order in one pass.
+Counting its calls gives a deterministic measure of the work one call
+does; a run is identified by its order, argument and plain sum.
 """
 
 import pytest
@@ -11,22 +12,22 @@ import pytest
 import kelvinfn.bessel
 import kelvinfn.hyper
 from kelvinfn.cli import main
-from kelvinfn.kelvin import kelvin_all
+from kelvinfn.hyper import SeriesConfig
+from kelvinfn.kelvin import _point, kelvin_all
 from kelvinfn.orderderiv import dkelvin
 
 
 @pytest.fixture
 def series(monkeypatch):
     keys = []
-    orig = kelvinfn.hyper.sum_series
+    orig = kelvinfn.bessel._ray_sums
 
-    def counted(first_term, ratio, cfg=kelvinfn.hyper.DEFAULT_SERIES):
-        res = orig(first_term, ratio, cfg)
-        keys.append((complex(first_term), res.value, res.terms_used))
+    def counted(mu, x, cfg, psi):
+        res = orig(mu, x, cfg, psi)
+        keys.append((mu, x, res[0]))
         return res
 
-    monkeypatch.setattr(kelvinfn.hyper, "sum_series", counted)
-    monkeypatch.setattr(kelvinfn.bessel, "sum_series", counted)
+    monkeypatch.setattr(kelvinfn.bessel, "_ray_sums", counted)
     return keys
 
 
@@ -36,24 +37,44 @@ def table_row(nu):
     return run
 
 
-# (call, most series it may sum); the comment gives the count before each
-# (nu, x) point was evaluated once, then before the order derivatives became
-# term-wise and K at integer order exact
-@pytest.mark.parametrize("call, most", [
-    pytest.param(lambda: dkelvin(0.3, 2.0), 3, id="dkelvin(0.3,2)"),      # 12, 7
-    pytest.param(table_row(0.5), 3, id="table(0.5,2)"),                  # 26, 14
-    pytest.param(table_row(-1.5), 3, id="table(-1.5,2)"),                # 45, 14
-    pytest.param(table_row(-3.0), 4, id="table(-3,2)"),                  # 45, 21
-    pytest.param(lambda: dkelvin(5.0, 2.0), 6, id="dkelvin(5,2)"),       # 54, 50
-    pytest.param(lambda: kelvin_all(0.0, 2.0), 1, id="kelvin_all(0,2)"),  # 9, 5
+# (call, kernel runs); the comment gives the sum_series + _psi_sum loops the
+# complex-argument series needed for the same call
+@pytest.mark.parametrize("call, count", [
+    pytest.param(lambda: dkelvin(0.3, 2.0), 2, id="dkelvin(0.3,2)"),      # 6
+    pytest.param(table_row(0.5), 2, id="table(0.5,2)"),                  # 6
+    pytest.param(table_row(-1.5), 2, id="table(-1.5,2)"),                # 6
+    pytest.param(table_row(-3.0), 4, id="table(-3,2)"),                  # 9
+    pytest.param(lambda: dkelvin(5.0, 2.0), 6, id="dkelvin(5,2)"),       # 13
+    pytest.param(lambda: kelvin_all(0.0, 2.0), 1, id="kelvin_all(0,2)"),  # 2
 ])
-def test_series_summed_once(series, capsys, call, most):
+def test_series_summed_once(series, capsys, call, count):
     call()
-    assert len(series) <= most
+    assert len(series) == count
     assert len(set(series)) == len(series)
 
 
-@pytest.mark.parametrize("nu, count", [(0.3, 3), (2.0, 1)])
+@pytest.mark.parametrize("nu, count", [(0.3, 2), (2.0, 1)])  # 3, 2
 def test_kelvin_all_counts(series, nu, count):
     kelvin_all(nu, 2.0)
     assert len(series) == count
+
+
+@pytest.mark.parametrize("call", [lambda: kelvin_all(0.3, 2.0), lambda: kelvin_all(3.0, 2.0),
+                                  lambda: dkelvin(-2.5, 7.0), lambda: dkelvin(4.0, 7.0)])
+def test_kelvin_path_skips_complex_series(monkeypatch, call):
+    def refuse(*args, **kwargs):
+        raise AssertionError("complex-argument series reached")
+
+    monkeypatch.setattr(kelvinfn.hyper, "sum_series", refuse)
+    monkeypatch.setattr(kelvinfn.bessel, "sum_series", refuse)
+    monkeypatch.setattr(kelvinfn.bessel, "_psi_sum", refuse)
+    call()
+
+
+def test_term_cap_reported_through_the_ray_path():
+    p = _point(0.5, 18.0, SeriesConfig(max_terms=4))
+    for res in (p.j(0.5), p.i(0.5), p.i(-0.5)):
+        assert not res.converged
+        assert "no_convergence" in res.flags
+    for res in (p.k(0.5), p.dj(0.5), p.dk(0.5), p.k(2.0)):
+        assert not res.converged
