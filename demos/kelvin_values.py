@@ -29,8 +29,8 @@ neg = kelvin_all(-3.0, 1.7)
 print(f"\nber_3(1.7)  = {pos.ber:+.12f}")
 print(f"ber_-3(1.7) = {neg.ber:+.12f}   (= -ber_3)")
 
-# Negative fractional orders mix in the K-side functions through the
-# reflection formulas; the values are genuinely different
+# Negative fractional orders come from the same series at the order
+# itself; the values are genuinely different
 print(f"\nber_0.7(2)  = {kelvin_ber_bei(0.7, 2.0)[0]:+.12f}")
 print(f"ber_-0.7(2) = {kelvin_ber_bei(-0.7, 2.0)[0]:+.12f}")
 

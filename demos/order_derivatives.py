@@ -2,8 +2,8 @@
 Derivatives with respect to the order
 =====================================
 
-``dkelvin`` takes one route for nu >= 0 and the reflection for nu < 0 and
-tags it; a Richardson finite difference over the order serves as the
+``dkelvin`` takes one route for every order but the negative integers,
+where it differentiates the reflection formula, and tags it; a Richardson finite difference over the order serves as the
 cross-check.
 """
 
@@ -32,9 +32,12 @@ for nu in (0.3, 0.5, 2.0, 5.3, -0.75, -2.0):
     print(f"{nu:+5.2f}  {q.dber:+13.9f}  {q.dkei:+13.9f}   {q.method:24s} {worst:.2e}")
 
 # Routes at a glance:
-#   nu >= 0 (tag series) ....... rotation of dJ/dnu (term-wise series
-#                                derivative) and dK/dnu (differentiated
-#                                connection formula; DLMF 10.38.4 finite sum
-#                                over K_0..K_{n-1} at integer n)
-#   nu < 0 (tag reflection) .... derivatives of the reflection formulas
+#   every order (tag series) ... rotation of dJ/dnu (term-wise series
+#                                derivative at nu) and dK/dnu at |nu|, odd
+#                                in nu (differentiated connection formula;
+#                                DLMF 10.38.4 finite sum over K_0..K_{n-1}
+#                                at integer n)
+#   nu near -n (tag reflection)  d ber/d nu, d bei/d nu from the derivative
+#                                of the reflection formula, within 1e-6 of
+#                                a negative integer
 print("\nevery value above is checked against the finite difference to ~1e-6")

@@ -32,8 +32,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 
-from .errors import (ArgumentZeroError, BranchError, OrderClassError,
+from .errors import (ArgumentZeroError, BranchError, GammaOverflowError, OrderClassError,
                      PowerOverflowError, SeriesOverflowError)
 from .hyper import DEFAULT_SERIES, EvalResult, HyperSpec, SeriesConfig, pfq, sum_series
 from .scalars import EULER_GAMMA, PI, digamma_real, gamma_real
@@ -45,6 +46,7 @@ NEAR_EXCLUDED = 1e-6
 
 _DEGRADED_ABS_Z = 20.0
 _DEGRADED_ORDER = 10.0
+_TINY = sys.float_info.min
 
 
 def _is_near_int(x: float, eps: float) -> bool:
@@ -118,7 +120,16 @@ def _ray_sums(mu: float, x: float, cfg: SeriesConfig, psi: bool) -> tuple:
     except OverflowError:
         raise PowerOverflowError(
             f"(x/2)^{mu:g} overflows double precision at x = {x:g}") from None
-    t /= gamma_real(mu + 1.0)
+    g = gamma_real(mu + 1.0)
+    if mu < 0.0:
+        # the leading term of a negative order divides a small power by a
+        # small Gamma; both must be normal doubles for it to keep its digits
+        if t < _TINY:
+            raise PowerOverflowError(
+                f"(x/2)^{mu:g} underflows double precision at x = {x:g}")
+        if -_TINY < g < _TINY:
+            raise GammaOverflowError(f"1/gamma({mu + 1.0:g}) overflows double precision")
+    t /= g
     re = im = cre = cim = mx = 0.0
     plain = None
     if psi:
@@ -194,14 +205,10 @@ def _ray_sums(mu: float, x: float, cfg: SeriesConfig, psi: bool) -> tuple:
 class _Point:
     """The series of one evaluation point, each summed at most once.
 
-    J_mu is summed at ``zj`` and I_mu (hence K_nu) at ``zk``.  The 2F3/3F4
-    factors of the closed forms take the argument zk^2, or -zj^2 when only
-    ``zj`` is set.  On the Kelvin rays zj = e^(-i pi/4) x and
-    zk = e^(i pi/4) x, so zj = -i zk: the two 2F3/3F4 arguments differ only
-    in the sign of a zero real part, which leaves every term, and so the
-    sum, bit for bit the same.  K_nu and both order derivatives are kept as
-    well.  A point lives for one top-level call; nothing is kept between
-    calls.  :class:`_RayPoint` is the point of the Kelvin functions.
+    J_mu is summed at ``zj`` and I_mu (hence K_nu) at ``zk``; K_nu and both
+    order derivatives are kept as well.  A point lives for one top-level
+    call; nothing is kept between calls.  :class:`_RayPoint` is the point
+    of the Kelvin functions.
     """
 
     __slots__ = ("zj", "zk", "cfg", "memo")
@@ -217,10 +224,6 @@ class _Point:
         if res is None:
             res = self.memo[key] = fn(*args)
         return res
-
-    def _pfq(self, upper: tuple, lower: tuple) -> EvalResult:
-        w = self.zk * self.zk if self.zk is not None else -self.zj * self.zj
-        return pfq(HyperSpec(upper, lower, w), self.cfg)
 
     def j(self, mu: float) -> EvalResult:
         return self._once(("j", mu), bessel_j, mu, self.zj, self.cfg)
@@ -244,21 +247,6 @@ class _Point:
     def dk(self, nu: float) -> EvalResult:
         """dK/dnu at nu >= 0, by :func:`dk_dnu_any`."""
         return self._once(("dk", nu), _dk_dnu_any, nu, self)
-
-    def f23(self, nu: float) -> EvalResult:
-        """2F3(nu, nu+1/2; nu+1, nu+1, 2nu+1; w)."""
-        return self._once(("f23", nu), self._pfq, (nu, nu + 0.5),
-                          (nu + 1.0, nu + 1.0, 2.0 * nu + 1.0))
-
-    def f23m(self, nu: float) -> EvalResult:
-        """2F3(-nu, 1/2-nu; 1-nu, 1-nu, 1-2nu; w)."""
-        return self._once(("f23m", nu), self._pfq, (-nu, 0.5 - nu),
-                          (1.0 - nu, 1.0 - nu, 1.0 - 2.0 * nu))
-
-    def f34(self, nu: float) -> EvalResult:
-        """3F4(1, 1, 3/2; 2, 2, 2-nu, 2+nu; w)."""
-        return self._once(("f34", nu), self._pfq, (1.0, 1.0, 1.5),
-                          (2.0, 2.0, 2.0 - nu, 2.0 + nu))
 
 
 def _phase(angle: float) -> complex:
@@ -455,6 +443,16 @@ def _psi_sum(mu: float, z: complex, sign: float, harmonic: float,
                       () if converged else ("no_convergence",), max_term)
 
 
+def _f23(nu: float, w: complex, cfg: SeriesConfig) -> EvalResult:
+    """2F3(nu, nu+1/2; nu+1, nu+1, 2nu+1; w); at -nu, 2F3(-nu, 1/2-nu; 1-nu, 1-nu, 1-2nu; w)."""
+    return pfq(HyperSpec((nu, nu + 0.5), (nu + 1.0, nu + 1.0, 2.0 * nu + 1.0), w), cfg)
+
+
+def _f34(nu: float, w: complex, cfg: SeriesConfig) -> EvalResult:
+    """3F4(1, 1, 3/2; 2, 2, 2-nu, 2+nu; w)."""
+    return pfq(HyperSpec((1.0, 1.0, 1.5), (2.0, 2.0, 2.0 - nu, 2.0 + nu), w), cfg)
+
+
 def dj_dnu(nu: float, z: complex, cfg: SeriesConfig = DEFAULT_SERIES) -> EvalResult:
     """Closed form of the order derivative of J_nu at non-integer nu > 0.
 
@@ -476,8 +474,8 @@ def _dj_dnu(nu: float, p: _Point) -> EvalResult:
         raise BranchError("z = 0")
     jm = p.j(-nu)
     jp = p.j(nu)
-    f1 = p.f23(nu)
-    f2 = p.f34(nu)
+    f1 = _f23(nu, -z * z, p.cfg)
+    f2 = _f34(nu, -z * z, p.cfg)
     g1 = gamma_real(nu + 1.0)
     coef_a = -PI / math.sin(PI * nu) / (2.0 * g1 * g1) * _half_pow(2.0 * nu, z)
     a = coef_a * jm.value * f1.value
@@ -522,9 +520,9 @@ def _dk_dnu(nu: float, p: _Point) -> EvalResult:
     ip = p.i(nu)
     im = p.i(-nu)
     z2 = z * z
-    f34 = p.f34(nu)
-    f23p = p.f23(nu)
-    f23m = p.f23m(nu)
+    f34 = _f34(nu, z2, p.cfg)
+    f23p = _f23(nu, z2, p.cfg)
+    f23m = _f23(-nu, z2, p.cfg)
     s = math.sin(PI * nu)
     c = math.cos(PI * nu)
     bracket = (z2 / (4.0 * (1.0 - nu * nu)) * f34.value

@@ -222,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--x", type=float, default=None)
     pt.add_argument("--nu-range", dest="nu_range", default=None, metavar="A:B:STEP")
     pt.add_argument("--x-range", dest="x_range", default=None, metavar="A:B:STEP")
-    pt.add_argument("--format", choices=("csv", "plain"), default="csv")
     pt.add_argument("--out", default=None)
     pt.set_defaults(func=cmd_table)
 

@@ -20,8 +20,9 @@ class GammaOverflowError(KelvinError, OverflowError):
 
 
 class PowerOverflowError(KelvinError, OverflowError):
-    """(z/2)^nu exceeds the double range (large order at large |z|, or a
-    large negative power at small |z|)."""
+    """(z/2)^nu leaves the double range (large order at large |z|, or a
+    large negative power at small |z|), or underflows it at a large negative
+    order, whose series needs the power to full precision."""
 
 
 class SeriesOverflowError(KelvinError, OverflowError):

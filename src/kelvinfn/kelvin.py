@@ -1,22 +1,24 @@
 """The four Kelvin functions of arbitrary real order.
 
-For nu >= 0 the values come straight from the defining rotations
+Every order comes straight from the defining rotations
 
     ber_nu(x) + i bei_nu(x) = e^(i pi nu)    J_nu(e^(-i pi/4) x)
-    ker_nu(x) + i kei_nu(x) = e^(-i pi nu/2) K_nu(e^(i pi/4)  x)
+    ker_nu(x) + i kei_nu(x) = e^(-i pi nu/2) K_|nu|(e^(i pi/4)  x)
 
-with K_nu from the connection formula, or from the exact series of
-DLMF 10.31.1 at integer order (see ``bessel``); the method tag is
-'series'.  Negative orders always go through the reflection formulas, never
-through a direct series at nu < 0, which keeps the J/K evaluation in its
-well-conditioned regime; the method tag is 'reflection'.
+with J_nu the ascending series, valid at any order but a negative integer,
+and K_nu from the connection formula, or from the exact series of
+DLMF 10.31.1 at integer order (see ``bessel``); K is even in the order
+(DLMF 10.27.3).  The method tag is 'series'.  Within ``ORDER_EPS`` of a
+negative integer -n, where the terms of the J series pass the poles of
+Gamma, ber/bei take the reflection ber_{-n} = (-1)^n ber_n (tag
+'reflection').
 
 The private ``_ber_bei``/``_ker_kei``/``_quad`` read their series from a
 ``bessel._RayPoint`` on the two rays (``_point``), where J_mu and I_mu of
 one order are one real series, e^(3i pi mu/4)-rotated into ber + i bei:
-every order is summed once per x, for the values, the order derivatives
-and both reflections alike.  ``_point`` is also where every public entry
-rejects a non-finite order or argument.
+every order is summed once per x, for the values and the order derivatives
+alike.  ``_point`` is also where every public entry rejects a non-finite
+order or argument.
 """
 
 from __future__ import annotations
@@ -58,47 +60,38 @@ def _point(nu: float, x: float, cfg: SeriesConfig, psi: bool = False) -> _RayPoi
     return _RayPoint(ROT_J * x, ROT_K * x, x, cfg, psi)
 
 
+def _negative_integer(nu: float, eps: float) -> int:
+    """n if nu is within eps of the negative integer -n, else 0."""
+    n = -round(nu)
+    return n if n >= 1 and abs(nu + n) <= eps else 0
+
+
 def _ber_bei(nu: float, x: float, p: _RayPoint) -> tuple[float, float, float, str]:
     """(ber, bei, abs error estimate, method tag) from the series at ``p``."""
     if x < 0.0:
         raise DomainError("Kelvin functions defined for x >= 0")
-    if nu >= 0.0:
-        if x == 0.0:
-            return (1.0 if nu == 0.0 else 0.0), 0.0, 0.0, "series"
-        r = p.j(nu)
-        w = _phase(PI * nu) * r.value
-        est = r.abs_err_estimate + 2e-16 * r.max_abs_term
-        return w.real, w.imag, est, "series"
-    m = -nu
-    if abs(m - round(m)) <= ORDER_EPS:
-        n = int(round(m))
+    n = _negative_integer(nu, ORDER_EPS)
+    if n:
         ber, bei, est, _ = _ber_bei(float(n), x, p)
         sgn = -1.0 if n % 2 else 1.0
         return sgn * ber, sgn * bei, est, "reflection"
     if x == 0.0:
-        raise DomainError("reflection at non-integer order needs ker(0), undefined")
-    ber, bei, est_b, _ = _ber_bei(m, x, p)
-    ker, kei, est_k, _ = _ker_kei(m, x, p)
-    c = math.cos(PI * m)
-    s = math.sin(PI * m)
-    est = est_b + abs(s) * (2.0 / PI) * est_k
-    return (c * ber + s * bei + (2.0 / PI) * s * ker,
-            -s * ber + c * bei + (2.0 / PI) * s * kei, est, "reflection")
+        if nu < 0.0:
+            raise DomainError("ber/bei of negative non-integer order are singular at x = 0")
+        return (1.0 if nu == 0.0 else 0.0), 0.0, 0.0, "series"
+    r = p.j(nu)
+    w = _phase(PI * nu) * r.value
+    est = r.abs_err_estimate + 2e-16 * r.max_abs_term
+    return w.real, w.imag, est, "series"
 
 
 def _ker_kei(nu: float, x: float, p: _RayPoint) -> tuple[float, float, float, str]:
     """(ker, kei, abs error estimate, method tag) from the series at ``p``."""
     if x <= 0.0:
         raise DomainError("ker/kei defined for x > 0")
-    if nu >= 0.0:
-        r = p.k(nu)
-        w = _phase(-PI * nu / 2.0) * r.value
-        return w.real, w.imag, r.abs_err_estimate, "series"
-    m = -nu
-    ker, kei, est, _ = _ker_kei(m, x, p)
-    c = math.cos(PI * m)
-    s = math.sin(PI * m)
-    return c * ker - s * kei, s * ker + c * kei, est, "reflection"
+    r = p.k(abs(nu))  # K is even in the order
+    w = _phase(-PI * nu / 2.0) * r.value
+    return w.real, w.imag, r.abs_err_estimate, "series"
 
 
 def _quad(nu: float, x: float, p: _RayPoint) -> KelvinQuad:
@@ -128,7 +121,7 @@ def kelvin_ber_bei(nu: float, x: float,
     ------
     DomainError
         If nu or x is not finite, x < 0, or x = 0 at negative non-integer
-        order (the reflection needs ker, which is singular at the origin).
+        order, where (x/2)^nu is singular.
     """
     ber, bei, _, _ = _eval_ber_bei(nu, x, cfg)
     return ber, bei

@@ -1,16 +1,19 @@
 """Order derivatives of the four Kelvin functions, all real orders.
 
-Orders nu >= 0 (integers included) rotate the Bessel order derivatives onto
-the Kelvin rays (method tag 'series'):
+Every order nu rotates the Bessel order derivatives onto the Kelvin rays
+(method tag 'series'):
 
     d ber_nu/d nu = Re[e^(i pi nu)    dJ/dnu(e^(-i pi/4) x)] - pi   bei_nu(x)
     d bei_nu/d nu = Im[e^(i pi nu)    dJ/dnu(e^(-i pi/4) x)] + pi   ber_nu(x)
     d ker_nu/d nu = Re[e^(-i pi nu/2) dK/dnu(e^(i pi/4)  x)] + pi/2 kei_nu(x)
     d kei_nu/d nu = Im[e^(-i pi nu/2) dK/dnu(e^(i pi/4)  x)] - pi/2 ker_nu(x)
 
-with dJ/dnu and dK/dnu from the one route per quantity in ``bessel``.
-Negative orders differentiate the reflection formulas (tag 'reflection'; the
-*_neg ops return the order derivative evaluated at order -nu for nu > 0).
+with dJ/dnu the term-wise derivative of the J series at nu, valid at every
+order but the negative integers, and dK/dnu from ``bessel`` at |nu|, odd in
+nu because K is even.  Within ``NEAR_EXCLUDED`` of a negative integer the
+psi weights of that series pass their poles, and d ber/d nu, d bei/d nu
+differentiate the reflection formula instead (tag 'reflection').  The
+*_neg ops read the order derivatives at -nu from ``dkelvin``.
 
 The paper's closed forms stay as oracles for the verify suites and tests:
 ``dkelvin_bb_pos`` (csc/2F3/3F4 dJ/dnu), ``dkelvin_kk_pos`` (closed-form
@@ -18,7 +21,7 @@ dK/dnu), ``dkelvin_bb_brychkov`` (3F6/4F7) and ``dkelvin_integer`` (finite
 sums over lower-order Kelvin values, tag 'integer_sum').
 
 ``dkelvin`` evaluates one point: the four values and the four order
-derivatives come from one ``kelvin._point``, so each J and I series is
+derivatives come from one ``kelvin._point``, so each order's series is
 summed once per (nu, x).
 """
 
@@ -27,10 +30,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bessel import NEAR_EXCLUDED, ORDER_EPS, _dj_dnu, _dk_dnu, _is_near_int, _Point
+from .bessel import (NEAR_EXCLUDED, ORDER_EPS, _dj_dnu, _dji_dnu_direct, _dk_dnu,
+                     _is_near_int, _RayPoint)
 from .errors import DomainError, NegativeIntegerOrderError, OrderClassError
-from .hyper import DEFAULT_SERIES, EvalResult, HyperSpec, SeriesConfig, pfq
-from .kelvin import KelvinQuad, _ber_bei, _ker_kei, _phase, _point, _quad
+from .hyper import DEFAULT_SERIES, HyperSpec, SeriesConfig, pfq
+from .kelvin import (KelvinQuad, _ber_bei, _ker_kei, _negative_integer, _phase, _point,
+                     _quad)
 from .scalars import PI, digamma_real, gamma_real
 
 
@@ -38,10 +43,10 @@ from .scalars import PI, digamma_real, gamma_real
 class OrderDerivQuad:
     """The four order derivatives at one (nu, x), with provenance.
 
-    ``method`` is 'series' (nu >= 0) or 'reflection' (nu < 0) from
-    ``dkelvin``, and 'integer_sum' from ``dkelvin_integer``.  ``values``
-    holds the four Kelvin values at the requested order, equal bit for bit
-    to ``kelvin_all(nu, x)``.
+    ``method`` is 'series' or, within ``NEAR_EXCLUDED`` of a negative
+    integer, 'reflection' from ``dkelvin``, and 'integer_sum' from
+    ``dkelvin_integer``.  ``values`` holds the four Kelvin values at the
+    requested order, equal bit for bit to ``kelvin_all(nu, x)``.
     """
 
     dber: float
@@ -55,13 +60,13 @@ class OrderDerivQuad:
     values: KelvinQuad
 
 
-def _bb_pos(nu: float, dj: EvalResult, ber: float, bei: float) -> tuple[float, float]:
-    e = _phase(PI * nu) * dj.value
+def _bb_pos(nu: float, dj: complex, ber: float, bei: float) -> tuple[float, float]:
+    e = _phase(PI * nu) * dj
     return e.real - PI * bei, e.imag + PI * ber
 
 
-def _kk_pos(nu: float, dk: EvalResult, ker: float, kei: float) -> tuple[float, float]:
-    e = _phase(-PI * nu / 2.0) * dk.value
+def _kk_pos(nu: float, dk: complex, ker: float, kei: float) -> tuple[float, float]:
+    e = _phase(-PI * nu / 2.0) * dk
     return e.real + PI / 2.0 * kei, e.imag - PI / 2.0 * ker
 
 
@@ -75,7 +80,7 @@ def dkelvin_bb_pos(nu: float, x: float,
     if nu < 0.0 or abs(nu - round(nu)) <= ORDER_EPS:
         raise OrderClassError(f"integer or negative order {nu}: use the dispatcher")
     ber, bei, _, _ = _ber_bei(nu, x, p)
-    return _bb_pos(nu, _dj_dnu(nu, p), ber, bei)
+    return _bb_pos(nu, _dj_dnu(nu, p).value, ber, bei)
 
 
 def dkelvin_kk_pos(nu: float, x: float,
@@ -89,11 +94,11 @@ def dkelvin_kk_pos(nu: float, x: float,
     if nu < 0.0 or _is_near_int(2.0 * nu, NEAR_EXCLUDED):
         raise OrderClassError(f"order {nu} excluded for the K-side closed form")
     ker, kei, _, _ = _ker_kei(nu, x, p)
-    return _kk_pos(nu, _dk_dnu(nu, p), ker, kei)
+    return _kk_pos(nu, _dk_dnu(nu, p).value, ker, kei)
 
 
-def _bb_neg(nu: float, p: _Point) -> tuple[float, float, float]:
-    """Order derivative of ber/bei at order -nu (nu > 0), via the reflection.
+def _bb_neg(nu: float, p: _RayPoint) -> tuple[float, float, float]:
+    """Order derivative of ber/bei at order -nu (nu > 0), via the reflection:
 
     d ber_mu/d mu |_{mu=-nu} =
       -Re[ e^(-i pi nu/2) { (e^(-i pi nu) + cos pi nu) K_nu(e^(i pi/4) x)
@@ -101,7 +106,10 @@ def _bb_neg(nu: float, p: _Point) -> tuple[float, float, float]:
            + dJ/dnu(e^(-i pi/4) x) ]
 
     and the bei counterpart is the imaginary part.  When sin(pi nu)
-    vanishes (integer nu) the dK term is dropped exactly.
+    vanishes (integer nu) the dK term is dropped exactly.  ``dkelvin`` takes
+    this route only within ``NEAR_EXCLUDED`` of an integer nu, where the psi
+    weights of the series at -nu step past a pole (psi(a+1) = psi(a) + 1/a
+    with |a| < 1e-6) and lose their digits.
     """
     s = math.sin(PI * nu)
     kv = p.k(nu)
@@ -117,43 +125,24 @@ def _bb_neg(nu: float, p: _Point) -> tuple[float, float, float]:
     return -w.real, -w.imag, est
 
 
-def _kk_neg(nu: float, p: _Point) -> tuple[float, float, float]:
-    """Order derivative of ker/kei at order -nu (nu > 0):
-
-    d ker_mu/d mu |_{mu=-nu} = (pi/2) Im[e^(i pi nu/2) K_nu(e^(i pi/4) x)]
-                               - Re[e^(i pi nu/2) dK/dnu(e^(i pi/4) x)]
-    d kei_mu/d mu |_{mu=-nu} = -(pi/2) Re[e^(i pi nu/2) K_nu(e^(i pi/4) x)]
-                               - Im[e^(i pi nu/2) dK/dnu(e^(i pi/4) x)]
-    """
-    kv = p.k(nu)
-    dk = p.dk(nu)
-    ph = _phase(PI * nu / 2.0)
-    wk = ph * kv.value
-    wd = ph * dk.value
-    est = kv.abs_err_estimate * PI / 2.0 + dk.abs_err_estimate
-    return (PI / 2.0 * wk.imag - wd.real,
-            -PI / 2.0 * wk.real - wd.imag,
-            est)
-
-
 def dkelvin_bb_neg(nu: float, x: float,
                    cfg: SeriesConfig = DEFAULT_SERIES) -> tuple[float, float]:
-    """Order derivatives of ber and bei evaluated at order -nu, for nu > 0."""
-    p = _point(nu, x, cfg, psi=True)
+    """Order derivatives of ber and bei evaluated at order -nu, for nu > 0;
+    read from ``dkelvin(-nu, x)``."""
     if nu <= 0.0 or x <= 0.0:
         raise DomainError("requires nu > 0 and x > 0")
-    dber, dbei, _ = _bb_neg(nu, p)
-    return dber, dbei
+    d = dkelvin(-nu, x, cfg)
+    return d.dber, d.dbei
 
 
 def dkelvin_kk_neg(nu: float, x: float,
                    cfg: SeriesConfig = DEFAULT_SERIES) -> tuple[float, float]:
-    """Order derivatives of ker and kei evaluated at order -nu, for nu > 0."""
-    p = _point(nu, x, cfg, psi=True)
+    """Order derivatives of ker and kei evaluated at order -nu, for nu > 0;
+    read from ``dkelvin(-nu, x)``."""
     if nu <= 0.0 or x <= 0.0:
         raise DomainError("requires nu > 0 and x > 0")
-    dker, dkei, _ = _kk_neg(nu, p)
-    return dker, dkei
+    d = dkelvin(-nu, x, cfg)
+    return d.dker, d.dkei
 
 
 def dkelvin_integer(n: int, x: float,
@@ -259,21 +248,26 @@ def dkelvin_bb_brychkov(nu: float, x: float,
 def dkelvin(nu: float, x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> OrderDerivQuad:
     """The four order derivatives at any real order nu and x > 0.
 
-    nu >= 0 rotates dJ/dnu and dK/dnu onto the Kelvin rays (method
-    'series'); nu < 0 differentiates the reflection formulas at |nu|
-    (method 'reflection').  The result also carries the four values at nu.
+    Every order rotates the term-wise dJ/dnu of the series at nu and dK/dnu
+    at |nu|, odd in nu, onto the Kelvin rays (method 'series').  Within
+    ``NEAR_EXCLUDED`` of a negative integer, where the psi weights of the
+    series pass their poles, ber/bei differentiate the reflection formula
+    at -nu instead (method 'reflection').  The result also carries the four
+    values at nu.
     """
     p = _point(nu, x, cfg, psi=True)
     if x <= 0.0:
         raise DomainError("x must be positive")
     values = _quad(nu, x, p)
-    if nu >= 0.0:
-        dj = p.dj(nu)
-        dk = p.dk(nu)
-        dber, dbei = _bb_pos(nu, dj, values.ber, values.bei)
-        dker, dkei = _kk_pos(nu, dk, values.ker, values.kei)
-        est = dj.abs_err_estimate + dk.abs_err_estimate
-        return OrderDerivQuad(dber, dbei, dker, dkei, nu, x, "series", est, values)
-    dber, dbei, est_b = _bb_neg(-nu, p)
-    dker, dkei, est_k = _kk_neg(-nu, p)
-    return OrderDerivQuad(dber, dbei, dker, dkei, nu, x, "reflection", est_b + est_k, values)
+    dk = p.dk(abs(nu))
+    dker, dkei = _kk_pos(nu, -dk.value if nu < 0.0 else dk.value, values.ker, values.kei)
+    if _negative_integer(nu, NEAR_EXCLUDED):
+        dber, dbei, est = _bb_neg(-nu, p)
+        method = "reflection"
+    else:
+        dj = _dji_dnu_direct(nu, -1.0, p)
+        dber, dbei = _bb_pos(nu, dj.value, values.ber, values.bei)
+        est = dj.abs_err_estimate
+        method = "series"
+    return OrderDerivQuad(dber, dbei, dker, dkei, nu, x, method,
+                          est + dk.abs_err_estimate, values)

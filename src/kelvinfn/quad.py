@@ -19,13 +19,11 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .bessel import dj_dnu_any
 from .errors import DomainError
 from .hyper import DEFAULT_SERIES, EvalResult, SeriesConfig
-from .kelvin import ROT_J, kelvin_ber_bei
+from .kelvin import _point, kelvin_ber_bei
 from .scalars import EULER_GAMMA, PI, SQRT2
 
-_SEMIINF_RULES = ("log_transform", "panel_doubling")
 _MAX_SPLITS = 4096
 
 
@@ -36,13 +34,10 @@ class QuadConfig:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     max_depth: int = 30
-    semiinf_cutoff_rule: str = "log_transform"
 
     def __post_init__(self):
         if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
             raise ValueError("tolerances must be positive")
-        if self.semiinf_cutoff_rule not in _SEMIINF_RULES:
-            raise ValueError(f"semiinf_cutoff_rule must be one of {_SEMIINF_RULES}")
 
 
 DEFAULT_QUAD = QuadConfig()
@@ -165,36 +160,13 @@ def integrate_finite(f, a: float, b: float,
 
 def integrate_semiinf(f, cfg: QuadConfig = DEFAULT_QUAD) -> EvalResult:
     """Integral of f over [0, inf) for integrands decaying at least
-    exponentially.
+    exponentially, mapped onto s in (0, 1) by t = -log(1-s)."""
 
-    'log_transform' maps t = -log(1-s) onto s in (0, 1); 'panel_doubling'
-    sums [0,1], [1,2], [2,4], ... until a panel contributes below the
-    absolute tolerance.
-    """
-    if cfg.semiinf_cutoff_rule == "log_transform":
+    def g(s: float) -> float:
+        t = -math.log1p(-s)
+        return f(t) / (1.0 - s)
 
-        def g(s: float) -> float:
-            t = -math.log1p(-s)
-            return f(t) / (1.0 - s)
-
-        return integrate_finite(g, 0.0, 1.0, cfg)
-
-    total = integrate_finite(f, 0.0, 1.0, cfg)
-    val, err, evals, conv = total.value, total.abs_err_estimate, total.terms_used, total.converged
-    lo, hi = 1.0, 2.0
-    while True:
-        piece = integrate_finite(f, lo, hi, cfg)
-        val += piece.value
-        err += piece.abs_err_estimate
-        evals += piece.terms_used
-        conv = conv and piece.converged
-        if abs(piece.value) < cfg.abs_tol and hi > 16.0:
-            break
-        if hi > 1e6:
-            conv = False
-            break
-        lo, hi = hi, 2.0 * hi
-    return EvalResult(val, err, evals, conv, () if conv else ("max_depth_exceeded",))
+    return integrate_finite(g, 0.0, 1.0, cfg)
 
 
 def _exp_decay(t: float, scale: float) -> float:
@@ -416,7 +388,7 @@ def theorem5_identity(nu: float, x: float, f: str,
 
     lhs = integrate_finite(g, 0.0, 45.0, cfg).value
     ber1, bei1 = kelvin_ber_bei(nu + 1.0, x, series_cfg)
-    dj = dj_dnu_any(nu + 1.0, ROT_J * x, series_cfg).value
+    dj = _point(nu + 1.0, x, series_cfg, psi=True).dj(nu + 1.0).value
     alpha = EULER_GAMMA + math.log(x / 2.0)
     if f == "ber":
         ang = PI * (nu + 0.25)

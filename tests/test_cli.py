@@ -89,6 +89,13 @@ class TestTable:
         assert err.count("\n") == 1
         assert err.startswith("table: GammaOverflowError: ")
 
+    def test_format_option_removed(self, capsys):
+        """table writes CSV only; --format was accepted and ignored."""
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "--nu", "0", "--x", "1", "--format", "plain"])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
+
     def test_grid_rows_and_order(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--nu-range", "0:1:0.5",
                                "--x-range", "1:3:1")

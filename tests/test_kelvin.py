@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from kelvinfn.errors import DomainError, KelvinError, SeriesOverflowError
+from kelvinfn.errors import (DomainError, GammaOverflowError, KelvinError, PowerOverflowError,
+                             SeriesOverflowError)
 from kelvinfn.hyper import HyperSpec, pfq
 from kelvinfn.kelvin import KelvinQuad, kelvin_all, kelvin_ber_bei, kelvin_ker_kei
 from kelvinfn.orderderiv import dkelvin
@@ -94,7 +95,7 @@ class TestBerBei:
         with pytest.raises(DomainError):
             kelvin_ber_bei(0.5, -1.0)
         with pytest.raises(DomainError):
-            kelvin_ber_bei(-0.5, 0.0)  # reflection would need ker(0)
+            kelvin_ber_bei(-0.5, 0.0)  # (x/2)^nu is singular at the origin
 
 
 @pytest.mark.parametrize("fn", [kelvin_all, kelvin_ber_bei, kelvin_ker_kei])
@@ -115,6 +116,20 @@ def test_series_overflow_is_typed(call):
         call()
     assert issubclass(SeriesOverflowError, KelvinError)
     assert issubclass(SeriesOverflowError, OverflowError)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: kelvin_all(-180.5, 1.0), GammaOverflowError),
+    (lambda: dkelvin(-180.5, 20.0), GammaOverflowError),
+    (lambda: kelvin_ber_bei(-150.5, 1000.0), PowerOverflowError),
+    (lambda: dkelvin(-200.5, 100.0), PowerOverflowError),
+])
+def test_negative_order_range_is_typed(call, error):
+    """At a large negative order the series needs 1/Gamma(nu+1) and (x/2)^nu
+    as normal doubles; past that a typed error, not zero or a bare
+    ZeroDivisionError."""
+    with pytest.raises(error):
+        call()
 
 
 @pytest.mark.parametrize("x", [0.1, 1.0, 5.0, 10.0, 15.0, 20.0])

@@ -195,9 +195,9 @@ class TestDispatcher:
     def test_method_tags(self):
         assert dkelvin(0.5, 1.0).method == "series"
         assert dkelvin(3.0, 2.0).method == "series"
-        assert dkelvin(-0.5, 1.0).method == "reflection"
+        assert dkelvin(-0.5, 1.0).method == "series"
         assert dkelvin(0.3, 1.0).method == "series"
-        assert dkelvin(-0.3, 1.0).method == "reflection"
+        assert dkelvin(-0.3, 1.0).method == "series"
         assert dkelvin(-3.0, 1.0).method == "reflection"
 
     def test_method_deterministic(self):

@@ -96,15 +96,6 @@ class TestEngineSemiInfinite:
         r = integrate_semiinf(lambda t: math.exp(-math.sinh(min(t, 45.0))))
         assert r.value == pytest.approx(EXP_SINH_INTEGRAL, rel=1e-11)
 
-    def test_doubling_rule_agrees(self):
-        cfg = QuadConfig(semiinf_cutoff_rule="panel_doubling")
-        r = integrate_semiinf(lambda t: math.exp(-2.0 * t) * math.cos(t), cfg)
-        assert r.value == pytest.approx(2.0 / 5.0, rel=1e-11)
-
-    def test_bad_rule_rejected(self):
-        with pytest.raises(ValueError):
-            QuadConfig(semiinf_cutoff_rule="guess")
-
 
 class TestApelblatValues:
     def test_integer_order_tail_vanishes(self):

@@ -15,6 +15,7 @@ from kelvinfn.cli import main
 from kelvinfn.hyper import SeriesConfig
 from kelvinfn.kelvin import _point, kelvin_all
 from kelvinfn.orderderiv import dkelvin
+from kelvinfn.verify import run_suites
 
 
 @pytest.fixture
@@ -60,7 +61,8 @@ def test_kelvin_all_counts(series, nu, count):
 
 
 @pytest.mark.parametrize("call", [lambda: kelvin_all(0.3, 2.0), lambda: kelvin_all(3.0, 2.0),
-                                  lambda: dkelvin(-2.5, 7.0), lambda: dkelvin(4.0, 7.0)])
+                                  lambda: dkelvin(-2.5, 7.0), lambda: dkelvin(4.0, 7.0),
+                                  lambda: run_suites("theorem5")])
 def test_kelvin_path_skips_complex_series(monkeypatch, call):
     def refuse(*args, **kwargs):
         raise AssertionError("complex-argument series reached")
