@@ -12,7 +12,10 @@ Each quantity has one evaluation route:
   ``NEAR_EXCLUDED`` of an integer n.
 - dJ/dnu (nu >= 0): the term-wise order derivative of the J series, regular
   at every nu >= 0.
-- dK/dnu (nu >= 0): the differentiated connection formula away from
+- dK/dnu (nu >= 0) on the Kelvin ray z = e^(i pi/4) x: the trapezoidal rule
+  on int_0^inf t sinh(nu t) e^(-z cosh t) dt (:func:`_ray_dk`), regular at
+  every order, integers included.  At a general complex z
+  (:func:`dk_dnu_any`): the differentiated connection formula away from
   integers; the finite sum of DLMF 10.38.4 over K_0 .. K_{n-1} within
   ``NEAR_EXCLUDED`` of an integer n; 0 at nu = 0.
 
@@ -41,12 +44,17 @@ from .scalars import EULER_GAMMA, PI, digamma_real, gamma_real
 
 # Orders closer than this to an excluded value are classified as excluded.
 ORDER_EPS = 1e-9
-# Orders closer than this to an integer n take K_n and dK/dnu|_n.
+# Orders closer than this to an integer n take K_n (and, in dk_dnu_any, dK/dnu|_n).
 NEAR_EXCLUDED = 1e-6
+
+# Step of the trapezoidal rule for dK/dnu on the Kelvin ray (:func:`_ray_dk`)
+DK_STEP = 0.07
 
 _DEGRADED_ABS_Z = 20.0
 _DEGRADED_ORDER = 10.0
 _TINY = sys.float_info.min
+_EPS = sys.float_info.epsilon
+_HALF_SQRT2 = math.sqrt(0.5)
 
 
 def _is_near_int(x: float, eps: float) -> bool:
@@ -83,7 +91,11 @@ def _ji_series(nu: float, z: complex, sign: float, cfg: SeriesConfig) -> EvalRes
         return EvalResult(parity * inner.value, inner.abs_err_estimate,
                           inner.terms_used, inner.converged, inner.flags,
                           inner.max_abs_term)
-    first = _half_pow(nu, z) / gamma_real(nu + 1.0)
+    first = _half_pow(nu, z)
+    g = gamma_real(nu + 1.0)
+    if -_TINY < g < _TINY:
+        raise GammaOverflowError(f"1/gamma({nu + 1.0:g}) overflows double precision")
+    first /= g
     q = sign * z * z / 4.0
 
     def ratio(k: int) -> complex:
@@ -100,14 +112,16 @@ def _ray_sums(mu: float, x: float, cfg: SeriesConfig, psi: bool) -> tuple:
 
         S = sum_k i^k a_k,   a_k = (x/2)^(mu+2k) / (k! Gamma(mu+k+1)),
 
-    and, with ``psi``, P = sum_k i^k psi(mu+k+1) a_k and
-    H = sum_k i^k psi(k+1) a_k from the same pass, the weights stepping by
-    psi(a+1) = psi(a) + 1/a.  Each pass adds an even k to the real parts
-    and k+1 to the imaginary ones, Neumaier-compensated (TwoSum error
-    terms); the sign flips every pass.  S stops once both terms of a pass
-    are below rel_tol |S|, the same pass with or without ``psi``; P and H
-    go on until their terms are below rel_tol |P| and rel_tol |H|.  Error
-    estimates are 10x the first neglected term.
+    and, with ``psi``, P = sum_k i^k psi(mu+k+1) a_k from the same pass,
+    together with H = sum_k i^k psi(k+1) a_k where mu is a non-negative
+    integer (the orders of K_n; elsewhere H, its error and its largest term
+    are 0), the weights stepping by psi(a+1) = psi(a) + 1/a.  Each pass adds
+    an even k to the real parts and k+1 to the imaginary ones,
+    Neumaier-compensated (TwoSum error terms); the sign flips every pass.
+    S stops once both terms of a pass are below rel_tol |S|, the same pass
+    with or without ``psi``; P and H go on until their terms are below
+    rel_tol |P| and rel_tol |H|.  Error estimates are 10x the first
+    neglected term.
 
     Returns (S, err, terms, converged, max |a_k|, psi part), the psi part
     None or (P, H, err P, err H, max P term, max H term, terms, converged).
@@ -133,9 +147,10 @@ def _ray_sums(mu: float, x: float, cfg: SeriesConfig, psi: bool) -> tuple:
     re = im = cre = cim = mx = 0.0
     plain = None
     if psi:
+        harm = mu >= 0.0 and mu == math.floor(mu)
         wa = digamma_real(mu + 1.0)
-        wh = -EULER_GAMMA
-        pre = pim = pcre = pcim = hre = him = hcre = hcim = mp = mh = 0.0
+        wh = -EULER_GAMMA if harm else 0.0
+        pre = pim = pcre = pcim = hre = him = hcre = hcim = mp = mh = g = g2 = 0.0
         psi_conv = False
     for k in range(0, cfg.max_terms, 2):
         a = mu + k + 1.0
@@ -162,30 +177,31 @@ def _ray_sums(mu: float, x: float, cfg: SeriesConfig, psi: bool) -> tuple:
             s = pre + v
             pcre += (pre - (s - (s - pre))) + (v - (s - pre))
             pre = s
-            g = wh * t
-            s = hre + g
-            hcre += (hre - (s - (s - hre))) + (g - (s - hre))
-            hre = s
             wa += 1.0 / a
-            wh += 1.0 / (k + 1.0)
             v2 = wa * u
             s = pim + v2
             pcim += (pim - (s - (s - pim))) + (v2 - (s - pim))
             pim = s
-            g2 = wh * u
-            s = him + g2
-            hcim += (him - (s - (s - him))) + (g2 - (s - him))
-            him = s
             wa += 1.0 / (a + 1.0)
-            wh += 1.0 / (k + 2.0)
             if v > mp or -v > mp:
                 mp = v if v > 0.0 else -v
             if v2 > mp or -v2 > mp:
                 mp = v2 if v2 > 0.0 else -v2
-            if g > mh or -g > mh:
-                mh = g if g > 0.0 else -g
-            if g2 > mh or -g2 > mh:
-                mh = g2 if g2 > 0.0 else -g2
+            if harm:
+                g = wh * t
+                s = hre + g
+                hcre += (hre - (s - (s - hre))) + (g - (s - hre))
+                hre = s
+                wh += 1.0 / (k + 1.0)
+                g2 = wh * u
+                s = him + g2
+                hcim += (him - (s - (s - him))) + (g2 - (s - him))
+                him = s
+                wh += 1.0 / (k + 2.0)
+                if g > mh or -g > mh:
+                    mh = g if g > 0.0 else -g
+                if g2 > mh or -g2 > mh:
+                    mh = g2 if g2 > 0.0 else -g2
             if plain is not None:
                 lp = tol * hypot(pre, pim)
                 lh = tol * hypot(hre, him)
@@ -200,6 +216,72 @@ def _ray_sums(mu: float, x: float, cfg: SeriesConfig, psi: bool) -> tuple:
         return plain + (mx, None)
     return plain + (mx, (complex(pre + pcre, pim + pcim), complex(hre + hcre, him + hcim),
                          10.0 * abs(wa * nt), 10.0 * abs(wh * nt), mp, mh, k + 2, psi_conv))
+
+
+def _ray_dk(nu: float, x: float, cfg: SeriesConfig) -> EvalResult:
+    """dK/dnu at nu >= 0 on the Kelvin ray z = e^(i pi/4) x, x > 0, by the
+    trapezoidal rule with step h = ``DK_STEP`` on
+
+        dK/dnu(z) = int_0^inf t sinh(nu t) e^(-z cosh t) dt,
+
+    the order derivative of DLMF 10.32.9.  In real arithmetic
+    e^(-z cosh t) = e^(-c) (cos c - i sin c) with c = x cosh(t)/sqrt(2).
+    The integrand is analytic in |Im t| < pi/4 and decays doubly
+    exponentially, so the rule converges geometrically in 1/h (Trefethen
+    and Weideman, SIAM Review 56, 2014) at every order, integers included.
+    Each pass adds an odd and an even node; the sum stops once both terms
+    are below rel_tol |T_h|, or after ``cfg.max_terms`` nodes
+    (no_convergence, with an infinite error estimate: the tail is unknown).
+
+    The even nodes alone are the rule T_2h of step 2h, off by about
+    e = |T_h - T_2h|.  Halving the step raises the relative error to a power
+    p: against 34-digit sums p is 2 to 3 at nu <= 3, where the error of T_h
+    is below 1e-21, and 3.7 to 7 at nu in [10, 15], where it reaches
+    rounding.  The estimate takes p = 3, |T_h| (e/|T_h|)^3, plus the
+    rounding floor n eps h sum_k |f(kh)| over the n nodes.
+    """
+    if nu < 0.0:
+        raise OrderClassError("nu must be >= 0")
+    a = _HALF_SQRT2 * x
+    h = DK_STEP
+    tol = cfg.rel_tol
+    exp, cos, sin, cosh, sinh, hypot = (math.exp, math.cos, math.sin, math.cosh, math.sinh,
+                                        math.hypot)
+    ore = oim = ere = eim = mag = t = 0.0
+    n = 0
+    converged = False
+    try:
+        for n in range(2, cfg.max_terms + 1, 2):
+            t += h
+            c = a * cosh(t)
+            w = t * sinh(nu * t) * exp(-c)
+            ore += w * cos(c)
+            oim += w * sin(c)
+            t += h
+            c = a * cosh(t)
+            w2 = t * sinh(nu * t) * exp(-c)
+            ere += w2 * cos(c)
+            eim += w2 * sin(c)
+            mag += w + w2
+            lim = tol * hypot(ore + ere, oim + eim)
+            if w <= lim and w2 <= lim:
+                converged = True
+                break
+    except OverflowError:
+        raise SeriesOverflowError(
+            f"the dK/dnu quadrature at order {nu:g} overflows at x = {x:g}") from None
+    if not math.isfinite(mag):
+        raise SeriesOverflowError(f"the dK/dnu quadrature at order {nu:g} is not finite "
+                                  f"at x = {x:g}")
+    value = complex(h * (ore + ere), -h * (oim + eim))
+    if converged:
+        size = abs(value)
+        e = h * math.hypot(ore - ere, oim - eim)
+        est = (e * (e / size) ** 2 if size else 0.0) + n * _EPS * h * mag
+    else:
+        est = math.inf
+    flags = (() if converged else ("no_convergence",)) + _degraded_flags(nu, x)
+    return EvalResult(value, est, n, converged, flags)
 
 
 class _Point:
@@ -260,24 +342,23 @@ class _RayPoint(_Point):
     There -zj^2/4 = zk^2/4 = i x^2/4, so J_mu(zj) = e^(-i pi mu/4) S and
     I_mu(zk) = e^(i pi mu/4) S share the real series S of :func:`_ray_sums`,
     and the psi sums of dJ/dmu, dI/dmu and K_n take the same phases.  The
-    kernel runs once per order, with the psi sums if ``psi`` is set (the
-    order derivatives need them at every order they touch); otherwise the
-    first request for them sums that order again, so K_n asks before I_n.
+    kernel runs once per order, with the psi sums if they are asked for
+    before J or I of that order; a later request sums the order again, so
+    K_n and the order derivatives ask first.  dK/dnu comes from its own
+    quadrature, :func:`_ray_dk`, and needs no series.
     """
 
-    __slots__ = ("x", "want_psi")
+    __slots__ = ("x",)
 
-    def __init__(self, zj: complex, zk: complex, x: float, cfg: SeriesConfig,
-                 psi: bool = False):
+    def __init__(self, zj: complex, zk: complex, x: float, cfg: SeriesConfig):
         super().__init__(zj, zk, cfg)
         self.x = x
-        self.want_psi = psi
 
     def _sums(self, mu: float, psi: bool) -> tuple:
         key = ("ray", mu)
         r = self.memo.get(key)
         if r is None or (psi and r[5] is None):
-            r = self.memo[key] = _ray_sums(mu, self.x, self.cfg, psi or self.want_psi)
+            r = self.memo[key] = _ray_sums(mu, self.x, self.cfg, psi)
         return r
 
     def _rotated(self, mu: float, sign: float) -> EvalResult:
@@ -297,6 +378,10 @@ class _RayPoint(_Point):
             sp, err_p, max_p = sp + sh, err_p + err_h, max_p + max_h
         return EvalResult(_phase(sign * PI * mu / 4.0) * sp, err_p, terms, conv,
                           () if conv else ("no_convergence",), max_p)
+
+    def dk(self, nu: float) -> EvalResult:
+        """dK/dnu at nu >= 0, by :func:`_ray_dk`."""
+        return self._once(("dk", nu), _ray_dk, nu, self.x, self.cfg)
 
 
 def bessel_j(nu: float, z: complex, cfg: SeriesConfig = DEFAULT_SERIES) -> EvalResult:

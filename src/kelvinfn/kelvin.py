@@ -49,15 +49,14 @@ class KelvinQuad:
     x: float
 
 
-def _point(nu: float, x: float, cfg: SeriesConfig, psi: bool = False) -> _RayPoint:
+def _point(nu: float, x: float, cfg: SeriesConfig) -> _RayPoint:
     """The series holder at x: J on the ray e^(-i pi/4) x, I and K on e^(i pi/4) x.
 
-    ``psi`` sums the psi-weighted series along with every order, for the
-    order derivatives.  Raises DomainError unless nu and x are finite.
+    Raises DomainError unless nu and x are finite.
     """
     if not (math.isfinite(nu) and math.isfinite(x)):
         raise DomainError(f"order and argument must be finite, got nu={nu!r}, x={x!r}")
-    return _RayPoint(ROT_J * x, ROT_K * x, x, cfg, psi)
+    return _RayPoint(ROT_J * x, ROT_K * x, x, cfg)
 
 
 def _negative_integer(nu: float, eps: float) -> int:

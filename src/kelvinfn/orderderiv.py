@@ -9,10 +9,12 @@ Every order nu rotates the Bessel order derivatives onto the Kelvin rays
     d kei_nu/d nu = Im[e^(-i pi nu/2) dK/dnu(e^(i pi/4)  x)] - pi/2 ker_nu(x)
 
 with dJ/dnu the term-wise derivative of the J series at nu, valid at every
-order but the negative integers, and dK/dnu from ``bessel`` at |nu|, odd in
-nu because K is even.  Within ``NEAR_EXCLUDED`` of a negative integer the
-psi weights of that series pass their poles, and d ber/d nu, d bei/d nu
-differentiate the reflection formula instead (tag 'reflection').  The
+order but the negative integers, and dK/dnu at |nu|, odd in nu because K is
+even, from the trapezoidal rule on its integral along the Kelvin ray
+(``bessel._ray_dk``), one quadrature at every real order.  Within
+``NEAR_EXCLUDED`` of a negative integer the psi weights of that series pass
+their poles, and d ber/d nu, d bei/d nu differentiate the reflection
+formula instead (tag 'reflection').  The
 *_neg ops read the order derivatives at -nu from ``dkelvin``.
 
 The paper's closed forms stay as oracles for the verify suites and tests:
@@ -248,24 +250,27 @@ def dkelvin_bb_brychkov(nu: float, x: float,
 def dkelvin(nu: float, x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> OrderDerivQuad:
     """The four order derivatives at any real order nu and x > 0.
 
-    Every order rotates the term-wise dJ/dnu of the series at nu and dK/dnu
-    at |nu|, odd in nu, onto the Kelvin rays (method 'series').  Within
-    ``NEAR_EXCLUDED`` of a negative integer, where the psi weights of the
-    series pass their poles, ber/bei differentiate the reflection formula
-    at -nu instead (method 'reflection').  The result also carries the four
-    values at nu.
+    Every order rotates the term-wise dJ/dnu of the series at nu and the
+    quadrature dK/dnu at |nu|, odd in nu, onto the Kelvin rays (method
+    'series').  Within ``NEAR_EXCLUDED`` of a negative integer, where the
+    psi weights of the series pass their poles, ber/bei differentiate the
+    reflection formula at -nu instead (method 'reflection').  The result
+    also carries the four values at nu.
     """
-    p = _point(nu, x, cfg, psi=True)
+    p = _point(nu, x, cfg)
     if x <= 0.0:
         raise DomainError("x must be positive")
+    reflect = _negative_integer(nu, NEAR_EXCLUDED)
+    # dJ/dnu before the values, so that the series at nu is summed once,
+    # with its psi sums
+    dj = None if reflect else _dji_dnu_direct(nu, -1.0, p)
     values = _quad(nu, x, p)
     dk = p.dk(abs(nu))
     dker, dkei = _kk_pos(nu, -dk.value if nu < 0.0 else dk.value, values.ker, values.kei)
-    if _negative_integer(nu, NEAR_EXCLUDED):
+    if reflect:
         dber, dbei, est = _bb_neg(-nu, p)
         method = "reflection"
     else:
-        dj = _dji_dnu_direct(nu, -1.0, p)
         dber, dbei = _bb_pos(nu, dj.value, values.ber, values.bei)
         est = dj.abs_err_estimate
         method = "series"

@@ -388,7 +388,7 @@ def theorem5_identity(nu: float, x: float, f: str,
 
     lhs = integrate_finite(g, 0.0, 45.0, cfg).value
     ber1, bei1 = kelvin_ber_bei(nu + 1.0, x, series_cfg)
-    dj = _point(nu + 1.0, x, series_cfg, psi=True).dj(nu + 1.0).value
+    dj = _point(nu + 1.0, x, series_cfg).dj(nu + 1.0).value
     alpha = EULER_GAMMA + math.log(x / 2.0)
     if f == "ber":
         ang = PI * (nu + 0.25)

@@ -54,17 +54,16 @@ def suite_fd(cfg: SeriesConfig = DEFAULT_SERIES,
 
 def suite_integer(cfg: SeriesConfig = DEFAULT_SERIES,
                   quad_cfg: QuadConfig = DEFAULT_QUAD) -> list[IdentityReport]:
-    """Integer-order finite sums vs ``dkelvin`` just off the integer."""
+    """Integer-order finite sums vs ``dkelvin`` at the integer itself, where
+    its term-wise dJ/dnu and its dK/dnu quadrature are regular."""
     out = []
     for n in M.INTEGER_N:
         for x in M.INTEGER_X:
             sums = dkelvin_integer(n, x, cfg)
-            # within 1e-6 of n, dkelvin takes K_n and dK/dnu|_n (DLMF 10.31.1,
-            # 10.38.4) but the phases and dJ/dnu at n + 2e-7
-            extr = dkelvin(n + 2e-7, x, cfg)
+            d = dkelvin(float(n), x, cfg)
             vals = (sums.dber, sums.dbei, sums.dker, sums.dkei)
-            ext = (extr.dber, extr.dbei, extr.dker, extr.dkei)
-            for name, g, o in zip(_COMPONENTS, vals, ext):
+            at_n = (d.dber, d.dbei, d.dker, d.dkei)
+            for name, g, o in zip(_COMPONENTS, vals, at_n):
                 tol = M.INTEGER_SCALED_TOL * (1.0 + abs(o))
                 out.append(make_report(f"integer_{name}", float(n), x, g, o, tol))
     return out

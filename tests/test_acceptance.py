@@ -39,7 +39,7 @@ def test_criterion_2_fd_concordance_negative_orders():
 
 
 def test_criterion_3_integer_sums():
-    """Integer-order finite sums vs dkelvin just off the integer, 1e-5 scaled."""
+    """Integer-order finite sums vs dkelvin at the integer, 1e-5 scaled."""
     reports = run_suites("integer")
     assert len(reports) == len(M.INTEGER_N) * len(M.INTEGER_X) * 4
     _report("criterion 3 (integer-order sums vs dkelvin)", reports)

@@ -13,7 +13,7 @@ import pytest
 
 from kelvinfn.bessel import (bessel_i, bessel_j, bessel_k, dj_dnu, dj_dnu_any,
                              dk_dnu, dk_dnu_any)
-from kelvinfn.errors import (ArgumentZeroError, BranchError, KelvinError,
+from kelvinfn.errors import (ArgumentZeroError, BranchError, GammaOverflowError, KelvinError,
                              OrderClassError, PowerOverflowError)
 from kelvinfn.hyper import SeriesConfig
 from kelvinfn.quad import integrate_semiinf
@@ -83,6 +83,15 @@ class TestBesselJ:
         assert "degraded" in bessel_j(0.5, 25.0 + 0.0j).flags
         assert "degraded" in bessel_j(11.0, 1.0 + 0.0j).flags
         assert "degraded" not in bessel_j(0.5, 5.0 + 0.0j).flags
+
+
+@pytest.mark.parametrize("fn, nu", [(bessel_j, -180.5), (bessel_i, -180.5),
+                                    (bessel_k, 180.5), (bessel_k, -180.5)])
+def test_gamma_overflow_is_typed(fn, nu):
+    """Past the double range of 1/Gamma(nu+1) the series raise a typed
+    error, not a bare ZeroDivisionError."""
+    with pytest.raises(GammaOverflowError):
+        fn(nu, 1.0 + 0.0j)
 
 
 class TestBesselI:

@@ -7,8 +7,8 @@ import pytest
 
 from kelvinfn.errors import (DomainError, GammaOverflowError, KelvinError, PowerOverflowError,
                              SeriesOverflowError)
-from kelvinfn.hyper import HyperSpec, pfq
-from kelvinfn.kelvin import KelvinQuad, kelvin_all, kelvin_ber_bei, kelvin_ker_kei
+from kelvinfn.hyper import DEFAULT_SERIES, HyperSpec, pfq
+from kelvinfn.kelvin import KelvinQuad, _point, kelvin_all, kelvin_ber_bei, kelvin_ker_kei
 from kelvinfn.orderderiv import dkelvin
 
 EULER_GAMMA = 0.5772156649015328606
@@ -130,6 +130,24 @@ def test_negative_order_range_is_typed(call, error):
     ZeroDivisionError."""
     with pytest.raises(error):
         call()
+
+
+def test_dk_quadrature_below_the_envelope():
+    """Far below the envelope dkelvin returns a result or raises a typed
+    error: the dK/dnu quadrature stops at max_terms nodes with an infinite
+    error estimate, and an integrand past the double range is a
+    SeriesOverflowError, not a bare OverflowError from sinh or NaN."""
+    d = dkelvin(10.0, 1e-8)
+    assert all(map(math.isfinite, (d.dker, d.dkei, d.err_estimate)))
+    d = dkelvin(0.3, 1e-300)
+    assert d.err_estimate == math.inf
+    dk = _point(0.3, 1e-300, DEFAULT_SERIES).dk(0.3)
+    assert dk.terms_used == DEFAULT_SERIES.max_terms and "no_convergence" in dk.flags
+    with pytest.raises(PowerOverflowError):
+        dkelvin(10.0, 1e-300)
+    for nu, x in ((60.0, 1e-3), (30.0, 1e-9)):
+        with pytest.raises(SeriesOverflowError):
+            dkelvin(nu, x)
 
 
 @pytest.mark.parametrize("x", [0.1, 1.0, 5.0, 10.0, 15.0, 20.0])

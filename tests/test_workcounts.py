@@ -1,10 +1,11 @@
-"""Work counts: series summed per top-level call.
+"""Work counts: series summed and quadrature nodes per top-level call.
 
-Every Kelvin value and order derivative reads its series from
-``bessel._ray_sums``, the real-arithmetic kernel of the Kelvin rays, which
-sums J_mu, I_mu and their psi-weighted sums at one order in one pass.
-Counting its calls gives a deterministic measure of the work one call
-does; a run is identified by its order, argument and plain sum.
+Every Kelvin value and the order derivative of ber/bei read their series
+from ``bessel._ray_sums``, the real-arithmetic kernel of the Kelvin rays,
+which sums J_mu, I_mu and their psi-weighted sums at one order in one pass;
+dK/dnu is one trapezoidal sum, ``bessel._ray_dk``.  Counting kernel runs and
+nodes gives a deterministic measure of the work one call does; a run is
+identified by its order, argument and plain sum.
 """
 
 import pytest
@@ -44,8 +45,8 @@ def table_row(nu):
     pytest.param(lambda: dkelvin(0.3, 2.0), 2, id="dkelvin(0.3,2)"),      # 6
     pytest.param(table_row(0.5), 2, id="table(0.5,2)"),                  # 6
     pytest.param(table_row(-1.5), 2, id="table(-1.5,2)"),                # 6
-    pytest.param(table_row(-3.0), 4, id="table(-3,2)"),                  # 9
-    pytest.param(lambda: dkelvin(5.0, 2.0), 6, id="dkelvin(5,2)"),       # 13
+    pytest.param(table_row(-3.0), 1, id="table(-3,2)"),                  # 9
+    pytest.param(lambda: dkelvin(5.0, 2.0), 1, id="dkelvin(5,2)"),       # 13
     pytest.param(lambda: kelvin_all(0.0, 2.0), 1, id="kelvin_all(0,2)"),  # 2
 ])
 def test_series_summed_once(series, capsys, call, count):
@@ -71,6 +72,21 @@ def test_kelvin_path_skips_complex_series(monkeypatch, call):
     monkeypatch.setattr(kelvinfn.bessel, "sum_series", refuse)
     monkeypatch.setattr(kelvinfn.bessel, "_psi_sum", refuse)
     call()
+
+
+def test_dk_quadrature_nodes(monkeypatch):
+    """dkelvin(5, 2) reads dK/dnu from one quadrature of 64 nodes."""
+    runs = []
+    orig = kelvinfn.bessel._ray_dk
+
+    def counted(nu, x, cfg):
+        res = orig(nu, x, cfg)
+        runs.append((nu, x, res.terms_used))
+        return res
+
+    monkeypatch.setattr(kelvinfn.bessel, "_ray_dk", counted)
+    dkelvin(5.0, 2.0)
+    assert runs == [(5.0, 2.0, 64)]
 
 
 def test_term_cap_reported_through_the_ray_path():
