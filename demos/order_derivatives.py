@@ -2,9 +2,9 @@
 Derivatives with respect to the order
 =====================================
 
-``dkelvin`` takes one route for every order but the negative integers,
-where it differentiates the reflection formula, and tags it; a Richardson finite difference over the order serves as the
-cross-check.
+``dkelvin`` takes one route for every real order, negative integers
+included, and tags it; a Richardson finite difference over the order serves
+as the cross-check.
 """
 
 from kelvinfn import dkelvin, kelvin_all
@@ -31,13 +31,8 @@ for nu in (0.3, 0.5, 2.0, 5.3, -0.75, -2.0):
     worst = max(abs(g - w) for g, w in zip((q.dber, q.dbei, q.dker, q.dkei), fd))
     print(f"{nu:+5.2f}  {q.dber:+13.9f}  {q.dkei:+13.9f}   {q.method:24s} {worst:.2e}")
 
-# Routes at a glance:
-#   every order (tag series) ... rotation of dJ/dnu (term-wise series
-#                                derivative at nu) and dK/dnu at |nu|, odd
-#                                in nu (differentiated connection formula;
-#                                DLMF 10.38.4 finite sum over K_0..K_{n-1}
-#                                at integer n)
-#   nu near -n (tag reflection)  d ber/d nu, d bei/d nu from the derivative
-#                                of the reflection formula, within 1e-6 of
-#                                a negative integer
+# The one route (tag series), at every real order: the rotation of dJ/dnu,
+# the term-wise derivative of the J series at nu, whose weights 1/Gamma and
+# psi/Gamma are entire, and of dK/dnu at |nu|, odd in nu, the trapezoidal
+# rule on int_0^inf t sinh(nu t) exp(-z cosh t) dt along the Kelvin ray.
 print("\nevery value above is checked against the finite difference to ~1e-6")

@@ -6,12 +6,13 @@ branch z^nu = exp(nu log z), arg z in (-pi, pi].
 
 Each quantity has one evaluation route:
 
-- J_nu and I_nu: the ascending series.
+- J_nu and I_nu: the ascending series; on the Kelvin rays, with 1/Gamma
+  and psi/Gamma entire, at every real order (:func:`_ray_sums`).
 - K_nu: the connection formula (pi/2)(I_{-nu} - I_nu)/sin(pi nu) away from
-  integers; the logarithmic series of DLMF 10.31.1 for K_n within
-  ``NEAR_EXCLUDED`` of an integer n.
-- dJ/dnu (nu >= 0): the term-wise order derivative of the J series, regular
-  at every nu >= 0.
+  integers; the series of DLMF 10.31.1 for K_n at an integer n, and
+  K_n + (nu - n) dK/dnu within ``NEAR_EXCLUDED`` of it.
+- dJ/dnu: the term-wise order derivative of the J series, regular at every
+  nu >= 0, and at every real order on the Kelvin rays.
 - dK/dnu (nu >= 0) on the Kelvin ray z = e^(i pi/4) x: the trapezoidal rule
   on int_0^inf t sinh(nu t) e^(-z cosh t) dt (:func:`_ray_dk`), regular at
   every order, integers included.  At a general complex z
@@ -44,7 +45,7 @@ from .scalars import EULER_GAMMA, PI, digamma_real, gamma_real
 
 # Orders closer than this to an excluded value are classified as excluded.
 ORDER_EPS = 1e-9
-# Orders closer than this to an integer n take K_n (and, in dk_dnu_any, dK/dnu|_n).
+# Orders closer than this to an integer n step from K_n (in dk_dnu_any, take dK/dnu|_n).
 NEAR_EXCLUDED = 1e-6
 
 # Step of the trapezoidal rule for dK/dnu on the Kelvin ray (:func:`_ray_dk`)
@@ -110,49 +111,76 @@ def _ji_series(nu: float, z: complex, sign: float, cfg: SeriesConfig) -> EvalRes
 def _ray_sums(mu: float, x: float, cfg: SeriesConfig, psi: bool) -> tuple:
     """The Kelvin-ray series of order mu at x > 0, in real arithmetic:
 
-        S = sum_k i^k a_k,   a_k = (x/2)^(mu+2k) / (k! Gamma(mu+k+1)),
+        S = sum_k i^k a_k,   a_k = (x/2)^(mu+2k) r(mu+k+1) / k!,
 
-    and, with ``psi``, P = sum_k i^k psi(mu+k+1) a_k from the same pass,
-    together with H = sum_k i^k psi(k+1) a_k where mu is a non-negative
-    integer (the orders of K_n; elsewhere H, its error and its largest term
-    are 0), the weights stepping by psi(a+1) = psi(a) + 1/a.  Each pass adds
-    an even k to the real parts and k+1 to the imaginary ones,
-    Neumaier-compensated (TwoSum error terms); the sign flips every pass.
-    S stops once both terms of a pass are below rel_tol |S|, the same pass
-    with or without ``psi``; P and H go on until their terms are below
-    rel_tol |P| and rel_tol |H|.  Error estimates are 10x the first
-    neglected term.
+    and, with ``psi``, P = sum_k i^k (x/2)^(mu+2k) w(mu+k+1) / k! from the
+    same pass, together with H = sum_k i^k psi(k+1) a_k where mu is a
+    non-negative integer (the orders of K_n; elsewhere H, its error and its
+    largest term are 0).  r = 1/Gamma and w = psi/Gamma are entire
+    (DLMF 5.5), so one series serves every real order, the negative integers
+    included, and dS/dmu = log(x/2) S - P.
 
-    Returns (S, err, terms, converged, max |a_k|, psi part), the psi part
-    None or (P, H, err P, err H, max P term, max H term, terms, converged).
+    The sum is anchored at k0 = max(0, ceil(-mu)), so that a0 = mu+k0+1 is
+    at least 1, and below 2 if k0 > 0 (the kernel interval of
+    ``gamma_real``): one Gamma(a0), one psi(a0), none at a negative
+    argument.  The k0 terms below the anchor take r(a-1) = (a-1) r(a) and
+    w(a-1) = (a-1) w(a) - r(a), which divide by nothing (an exact 0 at a
+    pole), and enter as correctly rounded sums.  The sums are returned as
+    T = i^(-k0) S (P and H likewise), so that the caller folds i^k0 into its
+    one phase; the run at -n is the run at n, bit for bit.
+
+    From the anchor on, each pass adds an even k - k0 to the real parts and
+    the next k to the imaginary ones, Neumaier-compensated (TwoSum error
+    terms), with psi(a+1) = psi(a) + 1/a.  S stops once both terms of a pass
+    are below rel_tol |S|, the same pass with or without ``psi``; P and H go
+    on until their terms are below rel_tol |P| and rel_tol |H|.  Error
+    estimates are 10x the first neglected term.
+
+    Returns (T, err, terms, converged, max |a_k|, psi part, k0), the psi
+    part None or (P, H, err P, err H, max P term, max H term, terms,
+    converged).
     """
     tol = cfg.rel_tol
     hypot = math.hypot
     q = 0.25 * x * x
+    k0 = 0 if mu >= 0.0 else math.ceil(-mu)
+    a0 = mu + k0 + 1.0
     try:
-        t = (0.5 * x) ** mu
+        t = (0.5 * x) ** (mu + 2 * k0)
+        c = (0.5 * x) ** mu if k0 else t
     except OverflowError:
         raise PowerOverflowError(
             f"(x/2)^{mu:g} overflows double precision at x = {x:g}") from None
-    g = gamma_real(mu + 1.0)
-    if mu < 0.0:
-        # the leading term of a negative order divides a small power by a
-        # small Gamma; both must be normal doubles for it to keep its digits
-        if t < _TINY:
-            raise PowerOverflowError(
-                f"(x/2)^{mu:g} underflows double precision at x = {x:g}")
-        if -_TINY < g < _TINY:
-            raise GammaOverflowError(f"1/gamma({mu + 1.0:g}) overflows double precision")
-    t /= g
+    g0 = gamma_real(a0)
     re = im = cre = cim = mx = 0.0
     plain = None
     if psi:
         harm = mu >= 0.0 and mu == math.floor(mu)
-        wa = digamma_real(mu + 1.0)
+        wa = digamma_real(a0)
         wh = -EULER_GAMMA if harm else 0.0
         pre = pim = pcre = pcim = hre = him = hcre = hcim = mp = mh = g = g2 = 0.0
         psi_conv = False
-    for k in range(0, cfg.max_terms, 2):
+    if k0:
+        # the terms below the anchor need (x/2)^mu as a normal double
+        if c < _TINY:
+            raise PowerOverflowError(f"(x/2)^{mu:g} underflows double precision at x = {x:g}")
+        # rw[i] = (r, w) at a0 - i, so rw[:0:-1] runs over k = 0 .. k0-1
+        rw = [(1.0 / g0, wa / g0 if psi else 0.0)]
+        for k in range(k0 - 1, -1, -1):
+            r, w = rw[-1]
+            rw.append(((mu + k + 1.0) * r, (mu + k + 1.0) * w - r))
+        if k0 > 170 or not math.isfinite(sum(rw[-1])):
+            raise GammaOverflowError(f"1/gamma({mu + 1.0:g}) overflows double precision")
+        sp, pp = ([], []), ([], [])  # i^(k-k0) times the terms of S and P, re and im
+        for k, (r, w) in enumerate(rw[:0:-1]):
+            v = -c if (k - k0) & 2 else c
+            sp[(k - k0) & 1].append(v * r)
+            pp[(k - k0) & 1].append(v * w)
+            c *= q / (k + 1.0)
+        re, im, pre, pim = map(math.fsum, sp + pp)
+        mx, mp = max(map(abs, sp[0] + sp[1])), max(map(abs, pp[0] + pp[1]))
+    t /= math.factorial(k0) * g0
+    for k in range(k0, k0 + cfg.max_terms, 2):
         a = mu + k + 1.0
         u = t * q / ((k + 1.0) * a)
         nt = -u * q / ((k + 2.0) * (a + 1.0))
@@ -213,9 +241,9 @@ def _ray_sums(mu: float, x: float, cfg: SeriesConfig, psi: bool) -> tuple:
         raise SeriesOverflowError(f"the order-{mu:g} series is not finite at x = {x:g}")
     plain = plain or (complex(re + cre, im + cim), 10.0 * abs(nt), k + 2, False)
     if not psi:
-        return plain + (mx, None)
+        return plain + (mx, None, k0)
     return plain + (mx, (complex(pre + pcre, pim + pcim), complex(hre + hcre, him + hcim),
-                         10.0 * abs(wa * nt), 10.0 * abs(wh * nt), mp, mh, k + 2, psi_conv))
+                         10.0 * abs(wa * nt), 10.0 * abs(wh * nt), mp, mh, k + 2, psi_conv), k0)
 
 
 def _ray_dk(nu: float, x: float, cfg: SeriesConfig) -> EvalResult:
@@ -335,13 +363,20 @@ def _phase(angle: float) -> complex:
     return complex(math.cos(angle), math.sin(angle))
 
 
+def _turn(t: float) -> complex:
+    """e^(i pi t) as i^m e^(i pi e), m = round(2t), e = t - m/2 exactly."""
+    m = round(2.0 * t)
+    return _phase(PI * (t - 0.5 * m)) * (1, 1j, -1, -1j)[m & 3]
+
+
 class _RayPoint(_Point):
     """The point x > 0 of the Kelvin functions: zj = e^(-i pi/4) x and
     zk = e^(i pi/4) x.
 
     There -zj^2/4 = zk^2/4 = i x^2/4, so J_mu(zj) = e^(-i pi mu/4) S and
     I_mu(zk) = e^(i pi mu/4) S share the real series S of :func:`_ray_sums`,
-    and the psi sums of dJ/dmu, dI/dmu and K_n take the same phases.  The
+    and the psi sums of dJ/dmu, dI/dmu and K_n take the same phases, each
+    one :func:`_turn` with the i^k0 of the anchored sum folded in.  The
     kernel runs once per order, with the psi sums if they are asked for
     before J or I of that order; a later request sums the order again, so
     K_n and the order derivatives ask first.  dK/dnu comes from its own
@@ -361,22 +396,24 @@ class _RayPoint(_Point):
             r = self.memo[key] = _ray_sums(mu, self.x, self.cfg, psi)
         return r
 
-    def _rotated(self, mu: float, sign: float) -> EvalResult:
-        s, err, terms, conv, max_term, _ = self._sums(mu, False)
+    def rotated(self, mu: float, turn: float) -> EvalResult:
+        """e^(i pi turn) S of order mu: turn -mu/4 gives J_mu(zj), mu/4
+        I_mu(zk) and 3 mu/4 ber_mu + i bei_mu."""
+        s, err, terms, conv, max_term, _, k0 = self._sums(mu, False)
         flags = (() if conv else ("no_convergence",)) + _degraded_flags(mu, self.zk)
-        return EvalResult(_phase(sign * PI * mu / 4.0) * s, err, terms, conv, flags, max_term)
+        return EvalResult(_turn(turn + 0.5 * k0) * s, err, terms, conv, flags, max_term)
 
     def j(self, mu: float) -> EvalResult:
-        return self._once(("j", mu), self._rotated, mu, -1.0)
+        return self._once(("j", mu), self.rotated, mu, -0.25 * mu)
 
     def i(self, mu: float) -> EvalResult:
-        return self._once(("i", mu), self._rotated, mu, 1.0)
+        return self._once(("i", mu), self.rotated, mu, 0.25 * mu)
 
     def psi(self, mu: float, sign: float, harmonic: float) -> EvalResult:
-        sp, sh, err_p, err_h, max_p, max_h, terms, conv = self._sums(mu, True)[5]
+        *_, (sp, sh, err_p, err_h, max_p, max_h, terms, conv), k0 = self._sums(mu, True)
         if harmonic:
             sp, err_p, max_p = sp + sh, err_p + err_h, max_p + max_h
-        return EvalResult(_phase(sign * PI * mu / 4.0) * sp, err_p, terms, conv,
+        return EvalResult(_turn(0.25 * sign * mu + 0.5 * k0) * sp, err_p, terms, conv,
                           () if conv else ("no_convergence",), max_p)
 
     def dk(self, nu: float) -> EvalResult:
@@ -400,8 +437,8 @@ def bessel_k(nu: float, z: complex, cfg: SeriesConfig = DEFAULT_SERIES) -> EvalR
     Away from integers: the connection formula
     K = (pi/2)(I_{-nu} - I_nu)/sin(pi nu), whose error estimate is amplified
     by the csc factor and by the cancellation budget of the I series.  At
-    integer n, and within 1e-6 of it: the logarithmic series of
-    DLMF 10.31.1 for K_n.
+    integer n: the logarithmic series of DLMF 10.31.1 for K_n; within 1e-6
+    of n, K_n + (nu - n) dK/dnu.
     """
     return _bessel_k(nu, _Point(None, complex(z), cfg))
 
@@ -411,9 +448,19 @@ def _bessel_k(nu: float, p: _Point) -> EvalResult:
         raise ArgumentZeroError("K_nu undefined at z = 0")
     nu = abs(nu)  # K is even in the order
     n = round(nu)
-    if abs(nu - n) <= NEAR_EXCLUDED:
-        return _k_integer(n, p)
-    return _k_connection(nu, p)
+    if abs(nu - n) > NEAR_EXCLUDED:
+        return _k_connection(nu, p)
+    kn = _k_integer(n, p)
+    if nu == n:
+        return kn
+    # one step from K_n, off by (nu - n)^2 K''/2: about step^2/K where log K
+    # is near linear in the order, and step/2 at n = 0 (K even, K' = nu K'')
+    dk = p.dk(nu)
+    step = (nu - n) * dk.value
+    est = abs(nu - n) * dk.abs_err_estimate + (0.5 * abs(step) if n == 0 else
+                                               abs(step) ** 2 / abs(kn.value))
+    return EvalResult(kn.value + step, kn.abs_err_estimate + est, kn.terms_used + dk.terms_used,
+                      kn.converged and dk.converged, kn.flags, kn.max_abs_term)
 
 
 def _k_connection(nu: float, p: _Point) -> EvalResult:
@@ -453,6 +500,8 @@ def _k_integer(n: int, p: _Point) -> EvalResult:
     fin_max = max(map(abs, fin_terms), default=0.0)
     sgn = -1.0 if n % 2 else 1.0
     value = fin - sgn * lg * f.value + sgn * 0.5 * s.value
+    if not cmath.isfinite(value):
+        raise SeriesOverflowError(f"K_{n} is not finite at |z| = {abs(z):g}")
     est = (abs(lg) * f.abs_err_estimate + 0.5 * s.abs_err_estimate
            + 2e-16 * (fin_max + abs(lg) * f.max_abs_term + 0.5 * s.max_abs_term))
     return EvalResult(value, est, f.terms_used + s.terms_used,
@@ -635,9 +684,12 @@ def _dji_dnu_direct(mu: float, sign: float, p: _Point) -> EvalResult:
         d/dmu = F_mu(z) log(z/2)
                 - (z/2)^mu sum_k (sign)^k psi(mu+k+1) (z^2/4)^k / (k! Gamma(mu+k+1))
 
-    Valid whenever mu+k+1 never hits a nonpositive integer (any non-integer
-    mu, and any mu >= 0).  Unlike the csc-form closed forms it has no pole
-    amplification near integer or half-integer orders.
+    At a :class:`_RayPoint` the weights are the entire psi/Gamma of
+    :func:`_ray_sums`, so it holds at every real order, negative integers
+    included; at a general z (:func:`_psi_sum`) whenever mu+k+1 never hits
+    a nonpositive integer (any non-integer mu, and any mu >= 0).  Unlike
+    the csc-form closed forms it has no pole amplification near integer or
+    half-integer orders.
     """
     s = p.psi(mu, sign, 0.0)
     if sign < 0.0:

@@ -5,20 +5,18 @@ Every order comes straight from the defining rotations
     ber_nu(x) + i bei_nu(x) = e^(i pi nu)    J_nu(e^(-i pi/4) x)
     ker_nu(x) + i kei_nu(x) = e^(-i pi nu/2) K_|nu|(e^(i pi/4)  x)
 
-with J_nu the ascending series, valid at any order but a negative integer,
-and K_nu from the connection formula, or from the exact series of
-DLMF 10.31.1 at integer order (see ``bessel``); K is even in the order
-(DLMF 10.27.3).  The method tag is 'series'.  Within ``ORDER_EPS`` of a
-negative integer -n, where the terms of the J series pass the poles of
-Gamma, ber/bei take the reflection ber_{-n} = (-1)^n ber_n (tag
-'reflection').
+with J_nu the ascending series, entire in the order, and K_nu from the
+connection formula, or from the exact series of DLMF 10.31.1 at and next to
+integer orders (see ``bessel``); K is even in the order (DLMF 10.27.3).
+The method tag is 'series'.
 
 The private ``_ber_bei``/``_ker_kei``/``_quad`` read their series from a
 ``bessel._RayPoint`` on the two rays (``_point``), where J_mu and I_mu of
-one order are one real series, e^(3i pi mu/4)-rotated into ber + i bei:
-every order is summed once per x, for the values and the order derivatives
-alike.  ``_point`` is also where every public entry rejects a non-finite
-order or argument.
+one order are one real series, turned by one exact phase e^(3i pi mu/4)
+into ber + i bei: every order is summed once per x, for the values and the
+order derivatives alike, and ber_{-n} = (-1)^n ber_n holds bit for bit.
+``_point`` is also where every public entry rejects a non-finite order or
+argument.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bessel import ORDER_EPS, _phase, _RayPoint
+from .bessel import _phase, _RayPoint
 from .errors import DomainError
 from .hyper import DEFAULT_SERIES, SeriesConfig
 from .scalars import PI
@@ -59,29 +57,17 @@ def _point(nu: float, x: float, cfg: SeriesConfig) -> _RayPoint:
     return _RayPoint(ROT_J * x, ROT_K * x, x, cfg)
 
 
-def _negative_integer(nu: float, eps: float) -> int:
-    """n if nu is within eps of the negative integer -n, else 0."""
-    n = -round(nu)
-    return n if n >= 1 and abs(nu + n) <= eps else 0
-
-
 def _ber_bei(nu: float, x: float, p: _RayPoint) -> tuple[float, float, float, str]:
     """(ber, bei, abs error estimate, method tag) from the series at ``p``."""
     if x < 0.0:
         raise DomainError("Kelvin functions defined for x >= 0")
-    n = _negative_integer(nu, ORDER_EPS)
-    if n:
-        ber, bei, est, _ = _ber_bei(float(n), x, p)
-        sgn = -1.0 if n % 2 else 1.0
-        return sgn * ber, sgn * bei, est, "reflection"
     if x == 0.0:
-        if nu < 0.0:
+        if nu < 0.0 and nu != round(nu):
             raise DomainError("ber/bei of negative non-integer order are singular at x = 0")
         return (1.0 if nu == 0.0 else 0.0), 0.0, 0.0, "series"
-    r = p.j(nu)
-    w = _phase(PI * nu) * r.value
+    r = p.rotated(nu, 0.75 * nu)
     est = r.abs_err_estimate + 2e-16 * r.max_abs_term
-    return w.real, w.imag, est, "series"
+    return r.value.real, r.value.imag, est, "series"
 
 
 def _ker_kei(nu: float, x: float, p: _RayPoint) -> tuple[float, float, float, str]:

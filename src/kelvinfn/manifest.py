@@ -11,7 +11,7 @@ FD_X = (0.5, 1.0, 2.0, 5.0, 10.0)
 FD_SCALED_TOL = 1e-6          # |closed - fd| <= tol * (1 + |value|)
 FD_STEPS = (1e-3, 5e-4)       # Richardson pair for the oracle
 
-# integer-order finite sums vs dkelvin just off the integer
+# integer-order finite sums vs dkelvin at the integer
 INTEGER_N = (0, 1, 2, 3, 5)
 INTEGER_X = (0.5, 1.0, 2.0, 5.0)
 INTEGER_SCALED_TOL = 1e-5

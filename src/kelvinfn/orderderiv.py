@@ -8,14 +8,12 @@ Every order nu rotates the Bessel order derivatives onto the Kelvin rays
     d ker_nu/d nu = Re[e^(-i pi nu/2) dK/dnu(e^(i pi/4)  x)] + pi/2 kei_nu(x)
     d kei_nu/d nu = Im[e^(-i pi nu/2) dK/dnu(e^(i pi/4)  x)] - pi/2 ker_nu(x)
 
-with dJ/dnu the term-wise derivative of the J series at nu, valid at every
-order but the negative integers, and dK/dnu at |nu|, odd in nu because K is
-even, from the trapezoidal rule on its integral along the Kelvin ray
-(``bessel._ray_dk``), one quadrature at every real order.  Within
-``NEAR_EXCLUDED`` of a negative integer the psi weights of that series pass
-their poles, and d ber/d nu, d bei/d nu differentiate the reflection
-formula instead (tag 'reflection').  The
-*_neg ops read the order derivatives at -nu from ``dkelvin``.
+with dJ/dnu the term-wise derivative of the J series at nu, whose weights
+1/Gamma and psi/Gamma are entire, so it holds at every order, negative
+integers included, and dK/dnu at |nu|, odd in nu because K is even, from
+the trapezoidal rule on its integral along the Kelvin ray
+(``bessel._ray_dk``), one quadrature at every real order.  The *_neg ops
+read the order derivatives at -nu from ``dkelvin``.
 
 The paper's closed forms stay as oracles for the verify suites and tests:
 ``dkelvin_bb_pos`` (csc/2F3/3F4 dJ/dnu), ``dkelvin_kk_pos`` (closed-form
@@ -32,12 +30,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bessel import (NEAR_EXCLUDED, ORDER_EPS, _dj_dnu, _dji_dnu_direct, _dk_dnu,
-                     _is_near_int, _RayPoint)
+from .bessel import NEAR_EXCLUDED, ORDER_EPS, _dj_dnu, _dji_dnu_direct, _dk_dnu, _is_near_int
 from .errors import DomainError, NegativeIntegerOrderError, OrderClassError
 from .hyper import DEFAULT_SERIES, HyperSpec, SeriesConfig, pfq
-from .kelvin import (KelvinQuad, _ber_bei, _ker_kei, _negative_integer, _phase, _point,
-                     _quad)
+from .kelvin import KelvinQuad, _ber_bei, _ker_kei, _phase, _point, _quad
 from .scalars import PI, digamma_real, gamma_real
 
 
@@ -45,8 +41,7 @@ from .scalars import PI, digamma_real, gamma_real
 class OrderDerivQuad:
     """The four order derivatives at one (nu, x), with provenance.
 
-    ``method`` is 'series' or, within ``NEAR_EXCLUDED`` of a negative
-    integer, 'reflection' from ``dkelvin``, and 'integer_sum' from
+    ``method`` is 'series' from ``dkelvin`` and 'integer_sum' from
     ``dkelvin_integer``.  ``values`` holds the four Kelvin values at the
     requested order, equal bit for bit to ``kelvin_all(nu, x)``.
     """
@@ -97,34 +92,6 @@ def dkelvin_kk_pos(nu: float, x: float,
         raise OrderClassError(f"order {nu} excluded for the K-side closed form")
     ker, kei, _, _ = _ker_kei(nu, x, p)
     return _kk_pos(nu, _dk_dnu(nu, p).value, ker, kei)
-
-
-def _bb_neg(nu: float, p: _RayPoint) -> tuple[float, float, float]:
-    """Order derivative of ber/bei at order -nu (nu > 0), via the reflection:
-
-    d ber_mu/d mu |_{mu=-nu} =
-      -Re[ e^(-i pi nu/2) { (e^(-i pi nu) + cos pi nu) K_nu(e^(i pi/4) x)
-                            + (2/pi) sin(pi nu) dK/dnu(e^(i pi/4) x) }
-           + dJ/dnu(e^(-i pi/4) x) ]
-
-    and the bei counterpart is the imaginary part.  When sin(pi nu)
-    vanishes (integer nu) the dK term is dropped exactly.  ``dkelvin`` takes
-    this route only within ``NEAR_EXCLUDED`` of an integer nu, where the psi
-    weights of the series at -nu step past a pole (psi(a+1) = psi(a) + 1/a
-    with |a| < 1e-6) and lose their digits.
-    """
-    s = math.sin(PI * nu)
-    kv = p.k(nu)
-    inner = (_phase(-PI * nu) + math.cos(PI * nu)) * kv.value
-    est = 2.0 * kv.abs_err_estimate
-    if abs(s) >= 1e-12:
-        dk = p.dk(nu)
-        inner += (2.0 / PI) * s * dk.value
-        est += abs(s) * dk.abs_err_estimate
-    dj = p.dj(nu)
-    est += dj.abs_err_estimate
-    w = _phase(-PI * nu / 2.0) * inner + dj.value
-    return -w.real, -w.imag, est
 
 
 def dkelvin_bb_neg(nu: float, x: float,
@@ -252,27 +219,17 @@ def dkelvin(nu: float, x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> OrderDer
 
     Every order rotates the term-wise dJ/dnu of the series at nu and the
     quadrature dK/dnu at |nu|, odd in nu, onto the Kelvin rays (method
-    'series').  Within ``NEAR_EXCLUDED`` of a negative integer, where the
-    psi weights of the series pass their poles, ber/bei differentiate the
-    reflection formula at -nu instead (method 'reflection').  The result
-    also carries the four values at nu.
+    'series').  The result also carries the four values at nu.
     """
     p = _point(nu, x, cfg)
     if x <= 0.0:
         raise DomainError("x must be positive")
-    reflect = _negative_integer(nu, NEAR_EXCLUDED)
     # dJ/dnu before the values, so that the series at nu is summed once,
     # with its psi sums
-    dj = None if reflect else _dji_dnu_direct(nu, -1.0, p)
+    dj = _dji_dnu_direct(nu, -1.0, p)
     values = _quad(nu, x, p)
     dk = p.dk(abs(nu))
+    dber, dbei = _bb_pos(nu, dj.value, values.ber, values.bei)
     dker, dkei = _kk_pos(nu, -dk.value if nu < 0.0 else dk.value, values.ker, values.kei)
-    if reflect:
-        dber, dbei, est = _bb_neg(-nu, p)
-        method = "reflection"
-    else:
-        dber, dbei = _bb_pos(nu, dj.value, values.ber, values.bei)
-        est = dj.abs_err_estimate
-        method = "series"
-    return OrderDerivQuad(dber, dbei, dker, dkei, nu, x, method,
-                          est + dk.abs_err_estimate, values)
+    return OrderDerivQuad(dber, dbei, dker, dkei, nu, x, "series",
+                          dj.abs_err_estimate + dk.abs_err_estimate, values)

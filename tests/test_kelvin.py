@@ -79,6 +79,15 @@ class TestBerBei:
         assert ber == -pber
         assert bei == -pbei
 
+    @pytest.mark.parametrize("x", [0.5, 3.0, 8.0, 20.0])
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_integer_reflection_bit_for_bit(self, n, x):
+        """The series at -n is the series at n: ber_{-n} = (-1)^n ber_n exactly."""
+        sgn = -1.0 if n % 2 else 1.0
+        ber, bei = kelvin_ber_bei(float(-n), x)
+        pber, pbei = kelvin_ber_bei(float(n), x)
+        assert (ber, bei) == (sgn * pber, sgn * pbei)
+
     def test_negative_order_reflection_formula(self):
         """ber_{-nu} = cos(pi nu) ber + sin(pi nu) bei + (2/pi) sin(pi nu) ker."""
         nu, x = 0.7, 2.0
@@ -108,7 +117,9 @@ def test_non_finite_input_raises_domain_error(fn, nu, x):
 
 @pytest.mark.parametrize("call", [lambda: kelvin_all(0.0, 1000.0),
                                   lambda: dkelvin(40.0, 1000.0),
-                                  lambda: pfq(HyperSpec((), (1.0,), 1e6))])
+                                  lambda: pfq(HyperSpec((), (1.0,), 1e6)),
+                                  lambda: kelvin_all(30.0, 1e-9),
+                                  lambda: kelvin_all(100.0, 0.01)])
 def test_series_overflow_is_typed(call):
     """Far outside the envelope the terms leave the double range: a typed
     error, not NaN or a bare OverflowError."""

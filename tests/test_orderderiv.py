@@ -198,7 +198,7 @@ class TestDispatcher:
         assert dkelvin(-0.5, 1.0).method == "series"
         assert dkelvin(0.3, 1.0).method == "series"
         assert dkelvin(-0.3, 1.0).method == "series"
-        assert dkelvin(-3.0, 1.0).method == "reflection"
+        assert dkelvin(-3.0, 1.0).method == "series"
 
     def test_method_deterministic(self):
         a = dkelvin(1.5, 2.0)

@@ -45,7 +45,8 @@ def table_row(nu):
     pytest.param(lambda: dkelvin(0.3, 2.0), 2, id="dkelvin(0.3,2)"),      # 6
     pytest.param(table_row(0.5), 2, id="table(0.5,2)"),                  # 6
     pytest.param(table_row(-1.5), 2, id="table(-1.5,2)"),                # 6
-    pytest.param(table_row(-3.0), 1, id="table(-3,2)"),                  # 9
+    pytest.param(table_row(-3.0), 2, id="table(-3,2)"),                  # 9
+    pytest.param(lambda: dkelvin(-3.0000005, 2.0), 2, id="dkelvin(-3.0000005,2)"),
     pytest.param(lambda: dkelvin(5.0, 2.0), 1, id="dkelvin(5,2)"),       # 13
     pytest.param(lambda: kelvin_all(0.0, 2.0), 1, id="kelvin_all(0,2)"),  # 2
 ])
