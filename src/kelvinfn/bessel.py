@@ -20,12 +20,24 @@ Each quantity has one evaluation route:
   integers; the finite sum of DLMF 10.38.4 over K_0 .. K_{n-1} within
   ``NEAR_EXCLUDED`` of an integer n; 0 at nu = 0.
 
-Every kernel reads its series from a :class:`_Point`, which sums each
-series at most once.  On the Kelvin rays (:class:`_RayPoint`, built by the
-Kelvin layer for the values and the order derivatives at one (nu, x)) the J
-and I series of one order are one real series, summed by :func:`_ray_sums`
-together with its psi-weighted sums in one pass.  At a general complex z
-(the public functions, a fresh point per call) J and I go through
+On the Kelvin rays the work splits into an order part and an argument
+part.  A :class:`_RayOrder` holds what the kernels take from the order
+alone: Gamma and psi at the anchor of the series, the weights of the terms
+below it, the phase of ber + i bei and the node weights of the dK/dnu
+quadrature.  The kernels run an order at one x and do only the work that
+depends on x: :func:`_ray_sums` sums the J and I series of the order, one
+real series, together with its psi-weighted sums in one pass, and
+:func:`_ray_dk` the dK/dnu quadrature.  A :class:`_RayPoint` holds one x
+and runs each of its orders at most once, for the values and the order
+derivatives alike.  A caller that evaluates one order at many x (the rows
+of a table, the nodes of an integral, a finite-difference stencil) gives
+its points one dict of orders, so that each order is set up once; a
+single-point call keeps its orders with its point.  Nothing outlives the
+top-level call, apart from the table of quadrature nodes, which depends on
+neither the order nor the argument.
+
+At a general complex z (the public functions, a fresh :class:`_Point` per
+call, which sums each series at most once) J and I go through
 :func:`hyper.sum_series` and the psi-weighted sums through one compensated
 loop, :func:`_psi_sum`.  The paper's closed forms ``dj_dnu`` (csc, 2F3, 3F4)
 and ``dk_dnu`` are kept as independent oracles for the verify suites and
@@ -37,6 +49,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from operator import mul
 
 from .errors import (ArgumentZeroError, BranchError, GammaOverflowError, OrderClassError,
                      PowerOverflowError, SeriesOverflowError)
@@ -108,8 +121,103 @@ def _ji_series(nu: float, z: complex, sign: float, cfg: SeriesConfig) -> EvalRes
                       res.converged, flags, res.max_abs_term)
 
 
-def _ray_sums(mu: float, x: float, cfg: SeriesConfig, psi: bool) -> tuple:
-    """The Kelvin-ray series of order mu at x > 0, in real arithmetic:
+class _RayOrder:
+    """What the Kelvin-ray kernels take from the order mu alone.
+
+    An order is set up once and run at every argument of a top-level call:
+    :func:`_ray_sums` reads the anchor k0 = max(0, ceil(-mu)), the divisor
+    k0! Gamma(a0) at a0 = mu+k0+1, psi(a0) and the weights r = 1/Gamma and
+    w = psi/Gamma of the k0 terms below the anchor; :func:`_ray_dk` reads the
+    node weights t_k sinh(mu t_k); ber + i bei reads :meth:`phase`.  Each
+    part is made by the first run that needs it: psi(a0) and w only for the
+    psi sums, the node weights from the second quadrature on (a single-point
+    call never reads them back) and only as far as a quadrature has gone.
+    A part that overflows is not kept, so it raises from every run that
+    needs it, after that run's own checks of (x/2)^mu.  An order holds
+    nothing that depends on x.
+    """
+
+    __slots__ = ("mu", "k0", "g0", "tden", "r", "wa", "w", "bb", "dkw")
+
+    def __init__(self, mu: float):
+        self.mu = mu
+        self.k0 = 0 if mu >= 0.0 else math.ceil(-mu)
+        self.tden = self.wa = self.bb = self.dkw = None
+
+    def anchor(self, psi: bool) -> None:
+        """Set up k0! Gamma(a0) and r(mu+k+1), k < k0; with ``psi`` also
+        psi(a0) and w(mu+k+1).  Below the anchor r(a-1) = (a-1) r(a) and
+        w(a-1) = (a-1) w(a) - r(a) divide by nothing (an exact 0 at a pole)."""
+        mu, k0 = self.mu, self.k0
+        a0 = mu + k0 + 1.0
+        if self.tden is None:
+            g0 = gamma_real(a0)
+            if k0:
+                if k0 > 170:
+                    raise GammaOverflowError(f"1/gamma({mu + 1.0:g}) overflows double precision")
+                r = [1.0 / g0]  # r at a0, a0 - 1, ..., mu + 1
+                for k in range(k0 - 1, -1, -1):
+                    r.append((mu + k + 1.0) * r[-1])
+                if not math.isfinite(r[-1]):
+                    raise GammaOverflowError(f"1/gamma({mu + 1.0:g}) overflows double precision")
+                self.r = r
+            self.g0 = g0
+            self.tden = math.factorial(k0) * g0
+        if psi and self.wa is None:
+            wa = digamma_real(a0)
+            if k0:
+                r = self.r
+                w = [wa / self.g0]
+                for k, rk in zip(range(k0 - 1, -1, -1), r):
+                    w.append((mu + k + 1.0) * w[-1] - rk)
+                if not math.isfinite(r[-1] + w[-1]):
+                    raise GammaOverflowError(f"1/gamma({mu + 1.0:g}) overflows double precision")
+                self.w = w
+            self.wa = wa
+
+    def phase(self) -> complex:
+        """e^(i pi (3 mu/4 + k0/2)), which turns the anchored sum T into
+        ber_mu + i bei_mu."""
+        p = self.bb
+        if p is None:
+            p = self.bb = _turn(0.75 * self.mu + 0.5 * self.k0)
+        return p
+
+
+def _order(orders: dict, mu: float) -> _RayOrder:
+    """The order mu of ``orders``, set up on first use."""
+    o = orders.get(mu)
+    if o is None:
+        o = orders[mu] = _RayOrder(mu)
+    return o
+
+
+# The nodes t_k = k DK_STEP of _ray_dk, k = 1, 2, ..., each the one before
+# plus DK_STEP, and cosh t_k.  They depend on neither the order nor the
+# argument, so one table serves every call.  A run that needs more nodes
+# rebinds a longer copy: a table once read never changes, and a run keeps
+# the one it read, so runs in other threads cannot disturb it.
+_DK_NODES: tuple[tuple, tuple] = ((), ())
+
+
+def _dk_nodes(n: int) -> tuple[tuple, tuple]:
+    """(t_k, cosh t_k) for at least the first n nodes, extending the table."""
+    global _DK_NODES
+    ts, chs = _DK_NODES
+    if len(ts) < n:
+        t = ts[-1] if ts else 0.0
+        more = []
+        for _ in range(len(ts), n):
+            t += DK_STEP
+            more.append(t)
+        ts, chs = ts + tuple(more), chs + tuple(map(math.cosh, more))
+        _DK_NODES = (ts, chs)
+    return ts, chs
+
+
+def _ray_sums(o: _RayOrder, x: float, cfg: SeriesConfig, psi: bool) -> tuple:
+    """The Kelvin-ray series of the order ``o`` (mu) at x > 0, in real
+    arithmetic:
 
         S = sum_k i^k a_k,   a_k = (x/2)^(mu+2k) r(mu+k+1) / k!,
 
@@ -123,11 +231,11 @@ def _ray_sums(mu: float, x: float, cfg: SeriesConfig, psi: bool) -> tuple:
     The sum is anchored at k0 = max(0, ceil(-mu)), so that a0 = mu+k0+1 is
     at least 1, and below 2 if k0 > 0 (the kernel interval of
     ``gamma_real``): one Gamma(a0), one psi(a0), none at a negative
-    argument.  The k0 terms below the anchor take r(a-1) = (a-1) r(a) and
-    w(a-1) = (a-1) w(a) - r(a), which divide by nothing (an exact 0 at a
-    pole), and enter as correctly rounded sums.  The sums are returned as
-    T = i^(-k0) S (P and H likewise), so that the caller folds i^k0 into its
-    one phase; the run at -n is the run at n, bit for bit.
+    argument, all taken once per order (:class:`_RayOrder`).  The k0 terms
+    below the anchor enter as correctly rounded sums.  The sums are returned
+    as T = i^(-k0) S (P and H likewise), so that the caller folds i^k0 into
+    its one phase (:meth:`_RayOrder.phase`); the run at -n is the run at n,
+    bit for bit.
 
     From the anchor on, each pass adds an even k - k0 to the real parts and
     the next k to the imaginary ones, Neumaier-compensated (TwoSum error
@@ -136,50 +244,46 @@ def _ray_sums(mu: float, x: float, cfg: SeriesConfig, psi: bool) -> tuple:
     on until their terms are below rel_tol |P| and rel_tol |H|.  Error
     estimates are 10x the first neglected term.
 
-    Returns (T, err, terms, converged, max |a_k|, psi part, k0), the psi
-    part None or (P, H, err P, err H, max P term, max H term, terms,
-    converged).
+    Returns (T, err, terms, converged, max |a_k|, psi part), the psi part
+    None or (P, H, err P, err H, max P term, max H term, terms, converged).
     """
+    mu, k0 = o.mu, o.k0
     tol = cfg.rel_tol
     hypot = math.hypot
     q = 0.25 * x * x
-    k0 = 0 if mu >= 0.0 else math.ceil(-mu)
-    a0 = mu + k0 + 1.0
     try:
         t = (0.5 * x) ** (mu + 2 * k0)
         c = (0.5 * x) ** mu if k0 else t
     except OverflowError:
         raise PowerOverflowError(
             f"(x/2)^{mu:g} overflows double precision at x = {x:g}") from None
-    g0 = gamma_real(a0)
+    # the terms below the anchor need (x/2)^mu as a normal double
+    if k0 and c < _TINY:
+        raise PowerOverflowError(f"(x/2)^{mu:g} underflows double precision at x = {x:g}")
+    if o.tden is None or psi and o.wa is None:
+        o.anchor(psi)
     re = im = cre = cim = mx = 0.0
     plain = None
     if psi:
         harm = mu >= 0.0 and mu == math.floor(mu)
-        wa = digamma_real(a0)
+        wa = o.wa
         wh = -EULER_GAMMA if harm else 0.0
         pre = pim = pcre = pcim = hre = him = hcre = hcim = mp = mh = g = g2 = 0.0
         psi_conv = False
     if k0:
-        # the terms below the anchor need (x/2)^mu as a normal double
-        if c < _TINY:
-            raise PowerOverflowError(f"(x/2)^{mu:g} underflows double precision at x = {x:g}")
-        # rw[i] = (r, w) at a0 - i, so rw[:0:-1] runs over k = 0 .. k0-1
-        rw = [(1.0 / g0, wa / g0 if psi else 0.0)]
-        for k in range(k0 - 1, -1, -1):
-            r, w = rw[-1]
-            rw.append(((mu + k + 1.0) * r, (mu + k + 1.0) * w - r))
-        if k0 > 170 or not math.isfinite(sum(rw[-1])):
-            raise GammaOverflowError(f"1/gamma({mu + 1.0:g}) overflows double precision")
-        sp, pp = ([], []), ([], [])  # i^(k-k0) times the terms of S and P, re and im
-        for k, (r, w) in enumerate(rw[:0:-1]):
-            v = -c if (k - k0) & 2 else c
-            sp[(k - k0) & 1].append(v * r)
-            pp[(k - k0) & 1].append(v * w)
+        # c (x/2)^2k / k! times i^(k-k0), k = 0 .. k0-1: re from even k - k0
+        vs = []
+        for k in range(k0):
+            vs.append(-c if (k - k0) & 2 else c)
             c *= q / (k + 1.0)
-        re, im, pre, pim = map(math.fsum, sp + pp)
-        mx, mp = max(map(abs, sp[0] + sp[1])), max(map(abs, pp[0] + pp[1]))
-    t /= math.factorial(k0) * g0
+        sp = list(map(mul, vs, reversed(o.r)))
+        re, im = math.fsum(sp[k0 & 1::2]), math.fsum(sp[1 - (k0 & 1)::2])
+        mx = max(map(abs, sp))
+        if psi:
+            pp = list(map(mul, vs, reversed(o.w)))
+            pre, pim = math.fsum(pp[k0 & 1::2]), math.fsum(pp[1 - (k0 & 1)::2])
+            mp = max(map(abs, pp))
+    t /= o.tden
     for k in range(k0, k0 + cfg.max_terms, 2):
         a = mu + k + 1.0
         u = t * q / ((k + 1.0) * a)
@@ -241,14 +345,14 @@ def _ray_sums(mu: float, x: float, cfg: SeriesConfig, psi: bool) -> tuple:
         raise SeriesOverflowError(f"the order-{mu:g} series is not finite at x = {x:g}")
     plain = plain or (complex(re + cre, im + cim), 10.0 * abs(nt), k + 2, False)
     if not psi:
-        return plain + (mx, None, k0)
+        return plain + (mx, None)
     return plain + (mx, (complex(pre + pcre, pim + pcim), complex(hre + hcre, him + hcim),
-                         10.0 * abs(wa * nt), 10.0 * abs(wh * nt), mp, mh, k + 2, psi_conv), k0)
+                         10.0 * abs(wa * nt), 10.0 * abs(wh * nt), mp, mh, k + 2, psi_conv))
 
 
-def _ray_dk(nu: float, x: float, cfg: SeriesConfig) -> EvalResult:
-    """dK/dnu at nu >= 0 on the Kelvin ray z = e^(i pi/4) x, x > 0, by the
-    trapezoidal rule with step h = ``DK_STEP`` on
+def _ray_dk(o: _RayOrder, x: float, cfg: SeriesConfig) -> EvalResult:
+    """dK/dnu at the order ``o`` (nu >= 0) on the Kelvin ray z = e^(i pi/4) x,
+    x > 0, by the trapezoidal rule with step h = ``DK_STEP`` on
 
         dK/dnu(z) = int_0^inf t sinh(nu t) e^(-z cosh t) dt,
 
@@ -260,6 +364,8 @@ def _ray_dk(nu: float, x: float, cfg: SeriesConfig) -> EvalResult:
     Each pass adds an odd and an even node; the sum stops once both terms
     are below rel_tol |T_h|, or after ``cfg.max_terms`` nodes
     (no_convergence, with an infinite error estimate: the tail is unknown).
+    The nodes and cosh t_k come from a table shared by every order
+    (:func:`_dk_nodes`), the weights t_k sinh(nu t_k) from the order.
 
     The even nodes alone are the rule T_2h of step 2h, off by about
     e = |T_h - T_2h|.  Halving the step raises the relative error to a power
@@ -268,26 +374,46 @@ def _ray_dk(nu: float, x: float, cfg: SeriesConfig) -> EvalResult:
     rounding.  The estimate takes p = 3, |T_h| (e/|T_h|)^3, plus the
     rounding floor n eps h sum_k |f(kh)| over the n nodes.
     """
+    nu = o.mu
     if nu < 0.0:
         raise OrderClassError("nu must be >= 0")
     a = _HALF_SQRT2 * x
     h = DK_STEP
     tol = cfg.rel_tol
-    exp, cos, sin, cosh, sinh, hypot = (math.exp, math.cos, math.sin, math.cosh, math.sinh,
-                                        math.hypot)
-    ore = oim = ere = eim = mag = t = 0.0
-    n = 0
+    exp, cos, sin, sinh, hypot = math.exp, math.cos, math.sin, math.sinh, math.hypot
+    ws = o.dkw
+    have = 0 if ws is None else len(ws)
+    ts, chs = _DK_NODES
+    if have > len(ts):  # a shorter table, rebound by a run in another thread
+        ts, chs = _dk_nodes(have)
+    nodes = len(ts)
+    ore = oim = ere = eim = mag = 0.0
+    i = -2  # a pass adds the nodes at index i and j = i + 1 of the tables
     converged = False
     try:
-        for n in range(2, cfg.max_terms + 1, 2):
-            t += h
-            c = a * cosh(t)
-            w = t * sinh(nu * t) * exp(-c)
+        for i in range(0, cfg.max_terms - 1, 2):
+            j = i + 1
+            if j < have:
+                f = ws[i]
+                f2 = ws[j]
+            else:
+                if j >= nodes:
+                    ts, chs = _dk_nodes(max(64, 2 * nodes))
+                    nodes = len(ts)
+                t = ts[i]
+                f = t * sinh(nu * t)
+                t = ts[j]
+                f2 = t * sinh(nu * t)
+                if ws is not None:
+                    # the first run of the order to get this far keeps them
+                    ws += (f, f2)
+                    have = j + 1
+            c = a * chs[i]
+            w = f * exp(-c)
             ore += w * cos(c)
             oim += w * sin(c)
-            t += h
-            c = a * cosh(t)
-            w2 = t * sinh(nu * t) * exp(-c)
+            c = a * chs[j]
+            w2 = f2 * exp(-c)
             ere += w2 * cos(c)
             eim += w2 * sin(c)
             mag += w + w2
@@ -298,6 +424,9 @@ def _ray_dk(nu: float, x: float, cfg: SeriesConfig) -> EvalResult:
     except OverflowError:
         raise SeriesOverflowError(
             f"the dK/dnu quadrature at order {nu:g} overflows at x = {x:g}") from None
+    n = i + 2
+    if ws is None:
+        o.dkw = []  # an order run at a second x keeps its weights from then on
     if not math.isfinite(mag):
         raise SeriesOverflowError(f"the dK/dnu quadrature at order {nu:g} is not finite "
                                   f"at x = {x:g}")
@@ -379,46 +508,72 @@ class _RayPoint(_Point):
     one :func:`_turn` with the i^k0 of the anchored sum folded in.  The
     kernel runs once per order, with the psi sums if they are asked for
     before J or I of that order; a later request sums the order again, so
-    K_n and the order derivatives ask first.  dK/dnu comes from its own
-    quadrature, :func:`_ray_dk`, and needs no series.
+    K_n and the order derivatives ask first.  A plain sum at a negative
+    integer -n reads the run at n if the point has one, since S_{-n} is S_n
+    bit for bit.  dK/dnu comes from its own quadrature, :func:`_ray_dk`, and
+    needs no series.
+
+    The point finds its orders (:class:`_RayOrder`) by mu in ``orders``: a
+    caller that evaluates one order at many x passes one dict to all its
+    points, so that each order is set up once; by default the point keeps
+    them with its own results.
     """
 
-    __slots__ = ("x",)
+    __slots__ = ("x", "orders")
 
-    def __init__(self, zj: complex, zk: complex, x: float, cfg: SeriesConfig):
-        super().__init__(zj, zk, cfg)
+    def __init__(self, zj: complex, zk: complex, x: float, cfg: SeriesConfig,
+                 orders: dict | None = None):
+        self.zj = zj
+        self.zk = zk
+        self.cfg = cfg
+        self.memo = {}
         self.x = x
+        self.orders = self.memo if orders is None else orders
 
-    def _sums(self, mu: float, psi: bool) -> tuple:
+    def run(self, mu: float, psi: bool) -> tuple[_RayOrder, tuple]:
+        """The order mu and its kernel run at x, with the psi sums if ``psi``.
+        A plain sum at a negative integer -n is read from the run at n if
+        there is one: S_{-n} is S_n bit for bit."""
+        o = self.orders.get(mu)
+        if o is None:
+            o = self.orders[mu] = _RayOrder(mu)
         key = ("ray", mu)
         r = self.memo.get(key)
+        if r is None and not psi and mu < 0.0 and mu == math.floor(mu):
+            r = self.memo.get(("ray", -mu))
         if r is None or (psi and r[5] is None):
-            r = self.memo[key] = _ray_sums(mu, self.x, self.cfg, psi)
-        return r
+            r = self.memo[key] = _ray_sums(o, self.x, self.cfg, psi)
+        return o, r
 
-    def rotated(self, mu: float, turn: float) -> EvalResult:
-        """e^(i pi turn) S of order mu: turn -mu/4 gives J_mu(zj), mu/4
-        I_mu(zk) and 3 mu/4 ber_mu + i bei_mu."""
-        s, err, terms, conv, max_term, _, k0 = self._sums(mu, False)
+    def rotated(self, mu: float, c: float) -> EvalResult:
+        """e^(i pi c mu) S of order mu: c = -1/4 gives J_mu(zj), 1/4
+        I_mu(zk) and 3/4 ber_mu + i bei_mu."""
+        o, (s, err, terms, conv, max_term, _) = self.run(mu, False)
         flags = (() if conv else ("no_convergence",)) + _degraded_flags(mu, self.zk)
-        return EvalResult(_turn(turn + 0.5 * k0) * s, err, terms, conv, flags, max_term)
+        return EvalResult(_turn(c * mu + 0.5 * o.k0) * s, err, terms, conv, flags, max_term)
 
     def j(self, mu: float) -> EvalResult:
-        return self._once(("j", mu), self.rotated, mu, -0.25 * mu)
+        r = self.memo.get(("j", mu))
+        if r is None:
+            r = self.memo[("j", mu)] = self.rotated(mu, -0.25)
+        return r
 
     def i(self, mu: float) -> EvalResult:
-        return self._once(("i", mu), self.rotated, mu, 0.25 * mu)
+        r = self.memo.get(("i", mu))
+        if r is None:
+            r = self.memo[("i", mu)] = self.rotated(mu, 0.25)
+        return r
 
     def psi(self, mu: float, sign: float, harmonic: float) -> EvalResult:
-        *_, (sp, sh, err_p, err_h, max_p, max_h, terms, conv), k0 = self._sums(mu, True)
+        o, (*_, (sp, sh, err_p, err_h, max_p, max_h, terms, conv)) = self.run(mu, True)
         if harmonic:
             sp, err_p, max_p = sp + sh, err_p + err_h, max_p + max_h
-        return EvalResult(_turn(0.25 * sign * mu + 0.5 * k0) * sp, err_p, terms, conv,
+        return EvalResult(_turn(0.25 * sign * mu + 0.5 * o.k0) * sp, err_p, terms, conv,
                           () if conv else ("no_convergence",), max_p)
 
     def dk(self, nu: float) -> EvalResult:
         """dK/dnu at nu >= 0, by :func:`_ray_dk`."""
-        return self._once(("dk", nu), _ray_dk, nu, self.x, self.cfg)
+        return self._once(("dk", nu), _ray_dk, _order(self.orders, nu), self.x, self.cfg)
 
 
 def bessel_j(nu: float, z: complex, cfg: SeriesConfig = DEFAULT_SERIES) -> EvalResult:

@@ -22,8 +22,8 @@ import time
 
 from .errors import KelvinError
 from .hyper import SeriesConfig
-from .kelvin import _eval_ber_bei, _eval_ker_kei
-from .orderderiv import dkelvin
+from .kelvin import _eval_ber_bei, _eval_ker_kei, _point
+from .orderderiv import _dkelvin, dkelvin
 from .quad import QuadConfig, apelblat_dber_dbei
 from .verify import SUITES, run_suites
 
@@ -103,7 +103,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _table_row(nu: float, x: float, cfg: SeriesConfig) -> str:
+def _table_row(nu: float, x: float, cfg: SeriesConfig, orders: dict) -> str:
     if x == 0.0:
         try:
             ber, bei, _, _ = _eval_ber_bei(nu, 0.0, cfg)
@@ -113,7 +113,7 @@ def _table_row(nu: float, x: float, cfg: SeriesConfig) -> str:
             cells = ["", ""]
             note = "undefined_at_x0"
         return ",".join([_fmt(nu), _fmt(x)] + cells + [""] * 6 + [note])
-    quad = dkelvin(nu, x, cfg)
+    quad = _dkelvin(nu, x, _point(nu, x, cfg, orders))
     q = quad.values
     vals = [q.ber, q.bei, q.ker, q.kei, quad.dber, quad.dbei, quad.dker, quad.dkei]
     return ",".join([_fmt(nu), _fmt(x)] + [_fmt(v) for v in vals] + [quad.method])
@@ -132,8 +132,9 @@ def cmd_table(args: argparse.Namespace) -> int:
     lines = [_TABLE_HEADER]
     try:
         for nu in nus:          # nu-major, then x: deterministic row order
+            orders: dict = {}   # the order set-ups of nu, shared by its rows
             for x in xs:
-                lines.append(_table_row(nu, x, cfg))
+                lines.append(_table_row(nu, x, cfg, orders))
     except KelvinError as exc:
         print(f"table: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -10,13 +10,19 @@ connection formula, or from the exact series of DLMF 10.31.1 at and next to
 integer orders (see ``bessel``); K is even in the order (DLMF 10.27.3).
 The method tag is 'series'.
 
-The private ``_ber_bei``/``_ker_kei``/``_quad`` read their series from a
-``bessel._RayPoint`` on the two rays (``_point``), where J_mu and I_mu of
-one order are one real series, turned by one exact phase e^(3i pi mu/4)
-into ber + i bei: every order is summed once per x, for the values and the
-order derivatives alike, and ber_{-n} = (-1)^n ber_n holds bit for bit.
-``_point`` is also where every public entry rejects a non-finite order or
-argument.
+J_mu and I_mu of one order are one real series on the two rays, turned by
+one exact phase e^(3i pi mu/4) into ber + i bei, so ber_{-n} = (-1)^n ber_n
+holds bit for bit.  Each order is set up once (``bessel._RayOrder``: Gamma
+and psi at the anchor, the phase) and then run at each x.  The private
+``_ber_bei``/``_ker_kei``/``_quad`` read their series from a
+``bessel._RayPoint`` at one x (``_point``), which runs every order at most
+once, for the values and the order derivatives alike; ber/bei alone
+(``_eval_ber_bei``) is one kernel run.  Both take an optional dict of
+orders: a caller that evaluates one order at many x (table rows, integrand
+nodes, ODE stencils) passes the same dict each time, so that the order is
+set up once per top-level call; without it a call sets up its own.
+``_point`` and ``_eval_ber_bei`` are where every public entry rejects a
+non-finite order or argument.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bessel import _phase, _RayPoint
+from .bessel import _order, _phase, _ray_sums, _RayOrder, _RayPoint
 from .errors import DomainError
 from .hyper import DEFAULT_SERIES, SeriesConfig
 from .scalars import PI
@@ -47,27 +53,40 @@ class KelvinQuad:
     x: float
 
 
-def _point(nu: float, x: float, cfg: SeriesConfig) -> _RayPoint:
+def _point(nu: float, x: float, cfg: SeriesConfig, orders: dict | None = None) -> _RayPoint:
     """The series holder at x: J on the ray e^(-i pi/4) x, I and K on e^(i pi/4) x.
 
-    Raises DomainError unless nu and x are finite.
+    ``orders`` is the dict of order set-ups (``bessel._RayOrder``) that the
+    points of one top-level call at one order nu share; by default the
+    point sets up its own.  Raises DomainError unless nu and x are finite.
     """
     if not (math.isfinite(nu) and math.isfinite(x)):
         raise DomainError(f"order and argument must be finite, got nu={nu!r}, x={x!r}")
-    return _RayPoint(ROT_J * x, ROT_K * x, x, cfg)
+    return _RayPoint(ROT_J * x, ROT_K * x, x, cfg, orders)
+
+
+def _origin(nu: float, x: float) -> tuple[float, float, float, str]:
+    """(ber, bei, 0, method tag) at x = 0; DomainError at x < 0, and at x = 0
+    where the order is negative and not an integer."""
+    if x < 0.0:
+        raise DomainError("Kelvin functions defined for x >= 0")
+    if nu < 0.0 and nu != round(nu):
+        raise DomainError("ber/bei of negative non-integer order are singular at x = 0")
+    return (1.0 if nu == 0.0 else 0.0), 0.0, 0.0, "series"
+
+
+def _rotate(o: _RayOrder, run: tuple) -> tuple[float, float, float, str]:
+    """(ber, bei, abs error estimate, method tag) from the kernel run of ``o``."""
+    s, err, _, _, max_term, _ = run
+    value = o.phase() * s
+    return value.real, value.imag, err + 2e-16 * max_term, "series"
 
 
 def _ber_bei(nu: float, x: float, p: _RayPoint) -> tuple[float, float, float, str]:
     """(ber, bei, abs error estimate, method tag) from the series at ``p``."""
-    if x < 0.0:
-        raise DomainError("Kelvin functions defined for x >= 0")
-    if x == 0.0:
-        if nu < 0.0 and nu != round(nu):
-            raise DomainError("ber/bei of negative non-integer order are singular at x = 0")
-        return (1.0 if nu == 0.0 else 0.0), 0.0, 0.0, "series"
-    r = p.rotated(nu, 0.75 * nu)
-    est = r.abs_err_estimate + 2e-16 * r.max_abs_term
-    return r.value.real, r.value.imag, est, "series"
+    if x <= 0.0:
+        return _origin(nu, x)
+    return _rotate(*p.run(nu, False))
 
 
 def _ker_kei(nu: float, x: float, p: _RayPoint) -> tuple[float, float, float, str]:
@@ -86,16 +105,25 @@ def _quad(nu: float, x: float, p: _RayPoint) -> KelvinQuad:
     return KelvinQuad(ber, bei, ker, kei, nu, x)
 
 
-def _eval_ber_bei(nu: float, x: float,
-                  cfg: SeriesConfig) -> tuple[float, float, float, str]:
-    """(ber, bei, abs error estimate, method tag)."""
-    return _ber_bei(nu, x, _point(nu, x, cfg))
+def _eval_ber_bei(nu: float, x: float, cfg: SeriesConfig,
+                  orders: dict | None = None) -> tuple[float, float, float, str]:
+    """(ber, bei, abs error estimate, method tag) from one kernel run at x.
+
+    A caller that evaluates order nu at many x passes them all one dict
+    ``orders``, in which nu is set up once (``bessel._RayOrder``).
+    """
+    if not (math.isfinite(nu) and math.isfinite(x)):
+        raise DomainError(f"order and argument must be finite, got nu={nu!r}, x={x!r}")
+    if x <= 0.0:
+        return _origin(nu, x)
+    o = _RayOrder(nu) if orders is None else _order(orders, nu)
+    return _rotate(o, _ray_sums(o, x, cfg, False))
 
 
-def _eval_ker_kei(nu: float, x: float,
-                  cfg: SeriesConfig) -> tuple[float, float, float, str]:
-    """(ker, kei, abs error estimate, method tag)."""
-    return _ker_kei(nu, x, _point(nu, x, cfg))
+def _eval_ker_kei(nu: float, x: float, cfg: SeriesConfig,
+                  orders: dict | None = None) -> tuple[float, float, float, str]:
+    """(ker, kei, abs error estimate, method tag); ``orders`` as in ``_point``."""
+    return _ker_kei(nu, x, _point(nu, x, cfg, orders))
 
 
 def kelvin_ber_bei(nu: float, x: float,

@@ -30,7 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bessel import NEAR_EXCLUDED, ORDER_EPS, _dj_dnu, _dji_dnu_direct, _dk_dnu, _is_near_int
+from .bessel import (NEAR_EXCLUDED, ORDER_EPS, _dj_dnu, _dji_dnu_direct, _dk_dnu, _is_near_int,
+                     _RayPoint)
 from .errors import DomainError, NegativeIntegerOrderError, OrderClassError
 from .hyper import DEFAULT_SERIES, HyperSpec, SeriesConfig, pfq
 from .kelvin import KelvinQuad, _ber_bei, _ker_kei, _phase, _point, _quad
@@ -221,7 +222,12 @@ def dkelvin(nu: float, x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> OrderDer
     quadrature dK/dnu at |nu|, odd in nu, onto the Kelvin rays (method
     'series').  The result also carries the four values at nu.
     """
-    p = _point(nu, x, cfg)
+    return _dkelvin(nu, x, _point(nu, x, cfg))
+
+
+def _dkelvin(nu: float, x: float, p: _RayPoint) -> OrderDerivQuad:
+    """``dkelvin`` at the point ``p`` of (nu, x), whose orders a table row
+    shares with the other rows of its order."""
     if x <= 0.0:
         raise DomainError("x must be positive")
     # dJ/dnu before the values, so that the series at nu is summed once,

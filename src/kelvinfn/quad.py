@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .hyper import DEFAULT_SERIES, EvalResult, SeriesConfig
-from .kelvin import _point, kelvin_ber_bei
+from .kelvin import _ber_bei, _eval_ber_bei, _point, kelvin_ber_bei
 from .scalars import EULER_GAMMA, PI, SQRT2
 
 _MAX_SPLITS = 4096
@@ -255,16 +255,15 @@ def apelblat_dber_dbei(nu: float, x: float,
     if x <= 0.0 or nu < 0.0:
         raise DomainError("requires x > 0 and nu >= 0")
     ber, bei = kelvin_ber_bei(nu, x, series_cfg)
+    orders: dict = {}  # the set-ups of orders nu - 1 and nu, shared by every node
 
     def brackets(arg: float) -> tuple[float, float]:
+        b, e, _, _ = _eval_ber_bei(nu - 1.0, arg, series_cfg, orders)
         if bracket == "consistent":
-            b, e = _ber_bei_any(nu - 1.0, arg, series_cfg)
             return b + e, b - e
         if bracket == "printed_s3":
-            b, e = _ber_bei_any(nu - 1.0, arg, series_cfg)
             return b + e, b + e
-        b, _ = _ber_bei_any(nu - 1.0, arg, series_cfg)
-        _, e = kelvin_ber_bei(nu, arg, series_cfg)
+        _, e, _, _ = _eval_ber_bei(nu, arg, series_cfg, orders)
         return b + e, b - e
 
     # integrand ~ u^(nu-1) near 0; u = w^p with p*nu >= 2 keeps it smooth
@@ -288,16 +287,6 @@ def apelblat_dber_dbei(nu: float, x: float,
     pref = x / (2.0 * SQRT2)
     return (math.log(x / 2.0) * ber - 0.75 * PI * bei - pref * packed.real,
             math.log(x / 2.0) * bei + 0.75 * PI * ber + pref * packed.imag)
-
-
-def _ber_bei_any(nu: float, x: float, series_cfg: SeriesConfig) -> tuple[float, float]:
-    """ber/bei at possibly negative order, tolerating x = 0."""
-    if x == 0.0:
-        if nu > 0.0:
-            return 0.0, 0.0
-        if nu == 0.0:
-            return 1.0, 0.0
-    return kelvin_ber_bei(nu, x, series_cfg)
 
 
 def appendix_ber_bei(x: float, variant: str = "sin",
@@ -343,8 +332,8 @@ def convolution_identity(a: float, b: float, t: float,
     """
     if not (a >= b > 0.0 and t > 0.0):
         raise DomainError("requires a >= b > 0 and t > 0")
-    lhs = (_ber_bei_any(0.0, 2.0 * math.sqrt(a * t), series_cfg)[0]
-           + _ber_bei_any(0.0, 2.0 * math.sqrt(b * t), series_cfg)[0])
+    lhs = (kelvin_ber_bei(0.0, 2.0 * math.sqrt(a * t), series_cfg)[0]
+           + kelvin_ber_bei(0.0, 2.0 * math.sqrt(b * t), series_cfg)[0])
 
     def f(theta: float) -> float:
         s2 = math.sin(theta) ** 2
@@ -378,17 +367,21 @@ def theorem5_identity(nu: float, x: float, f: str,
     if x <= 0.0 or nu <= -1.0:
         raise DomainError("requires x > 0 and nu > -1")
     idx = 0 if f == "ber" else 1
+    orders: dict = {}  # the set-up of order nu, shared by every node
 
     def g(v: float) -> float:
         u = -math.expm1(-v)
         if u <= 0.0 or u >= 1.0:
             return 0.0
         log1mu2 = -v + math.log1p(u)
-        return u ** (nu + 1.0) * log1mu2 * _ber_bei_any(nu, x * u, series_cfg)[idx] * math.exp(-v)
+        return (u ** (nu + 1.0) * log1mu2 * _eval_ber_bei(nu, x * u, series_cfg, orders)[idx]
+                * math.exp(-v))
 
     lhs = integrate_finite(g, 0.0, 45.0, cfg).value
-    ber1, bei1 = kelvin_ber_bei(nu + 1.0, x, series_cfg)
-    dj = _point(nu + 1.0, x, series_cfg).dj(nu + 1.0).value
+    # dJ/dmu first, so that order nu + 1 is summed once, with its psi sums
+    p = _point(nu + 1.0, x, series_cfg)
+    dj = p.dj(nu + 1.0).value
+    ber1, bei1, _, _ = _ber_bei(nu + 1.0, x, p)
     alpha = EULER_GAMMA + math.log(x / 2.0)
     if f == "ber":
         ang = PI * (nu + 0.25)
@@ -414,10 +407,11 @@ def indefinite_integral_check(nu: float, x: float,
     """
     if nu < 0.0 or x <= 0.0:
         raise DomainError("requires nu >= 0 and x > 0")
+    orders: dict = {}  # the set-up of order nu, shared by both integrals
     lhs_ber = integrate_finite(
-        lambda u: u ** (nu + 1.0) * _ber_bei_any(nu, u, series_cfg)[0], 0.0, x, cfg).value
+        lambda u: u ** (nu + 1.0) * _eval_ber_bei(nu, u, series_cfg, orders)[0], 0.0, x, cfg).value
     lhs_bei = integrate_finite(
-        lambda u: u ** (nu + 1.0) * _ber_bei_any(nu, u, series_cfg)[1], 0.0, x, cfg).value
+        lambda u: u ** (nu + 1.0) * _eval_ber_bei(nu, u, series_cfg, orders)[1], 0.0, x, cfg).value
     ber1, bei1 = kelvin_ber_bei(nu + 1.0, x, series_cfg)
     pref = x ** (nu + 1.0) / SQRT2
     return (make_report("indefinite_ber", nu, x, lhs_ber, pref * (bei1 - ber1), tol),

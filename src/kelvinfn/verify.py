@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from . import manifest as M
 from .hyper import DEFAULT_SERIES, SeriesConfig
-from .kelvin import kelvin_all, kelvin_ber_bei, kelvin_ker_kei
+from .kelvin import _eval_ber_bei, _eval_ker_kei, kelvin_all, kelvin_ber_bei
 from .orderderiv import dkelvin, dkelvin_bb_brychkov, dkelvin_bb_pos, dkelvin_integer
 from .quad import (DEFAULT_QUAD, IdentityReport, QuadConfig, apelblat_ber_bei,
                    apelblat_dber_dbei, appendix_ber_bei, convolution_identity,
@@ -153,8 +153,10 @@ def suite_reflection(cfg: SeriesConfig = DEFAULT_SERIES,
 
 
 def _ode_residual(w_of_x, nu: float, x: float, h: float) -> float:
-    """Scaled residual of x^2 w'' + x w' - (nu^2 + i x^2) w via 5-point stencils."""
-    w = [w_of_x(x + k * h) for k in (-2, -1, 0, 1, 2)]
+    """Scaled residual of x^2 w'' + x w' - (nu^2 + i x^2) w via 5-point stencils;
+    ``w_of_x(t, orders)`` gets one dict of order set-ups for the stencil."""
+    orders: dict = {}
+    w = [w_of_x(x + k * h, orders) for k in (-2, -1, 0, 1, 2)]
     d1 = (w[0] - 8.0 * w[1] + 8.0 * w[3] - w[4]) / (12.0 * h)
     d2 = (-w[0] + 16.0 * w[1] - 30.0 * w[2] + 16.0 * w[3] - w[4]) / (12.0 * h * h)
     residual = x * x * d2 + x * d1 - complex(nu * nu, x * x) * w[2]
@@ -169,12 +171,14 @@ def suite_ode(cfg: SeriesConfig = DEFAULT_SERIES,
     for nu in M.ODE_BB_NU:
         for x in M.ODE_X:
             res = _ode_residual(
-                lambda t: complex(*kelvin_ber_bei(nu, t, cfg)), nu, x, M.ODE_STEP)
+                lambda t, orders: complex(*_eval_ber_bei(nu, t, cfg, orders)[:2]),
+                nu, x, M.ODE_STEP)
             out.append(make_report("ode_ber_bei", nu, x, res, 0.0, M.ODE_SCALED_TOL))
     for nu in M.ODE_KK_NU:
         for x in M.ODE_X:
             res = _ode_residual(
-                lambda t: complex(*kelvin_ker_kei(nu, t, cfg)), nu, x, M.ODE_STEP)
+                lambda t, orders: complex(*_eval_ker_kei(nu, t, cfg, orders)[:2]),
+                nu, x, M.ODE_STEP)
             out.append(make_report("ode_ker_kei", nu, x, res, 0.0, M.ODE_SCALED_TOL))
     return out
 
