@@ -1,10 +1,10 @@
 """Kelvin functions ber/bei/ker/kei of real order, their closed-form order
 derivatives, and quadrature-backed identity verification."""
 
-from .errors import (ArgumentZeroError, BranchError, DenominatorPoleError,
-                     DomainError, GammaOverflowError, KelvinError,
-                     NegativeIntegerOrderError, OrderClassError, PoleError,
-                     PowerOverflowError, SeriesOverflowError)
+from .errors import (ArgumentZeroError, BranchError, ConvergenceError,
+                     DenominatorPoleError, DomainError, GammaOverflowError,
+                     KelvinError, NegativeIntegerOrderError, OrderClassError,
+                     PoleError, PowerOverflowError, SeriesOverflowError)
 from .hyper import EvalResult, HyperSpec, SeriesConfig, pfq
 from .scalars import EULER_GAMMA, digamma_real, gamma_real
 from .bessel import (bessel_i, bessel_j, bessel_k, dj_dnu, dj_dnu_any,
@@ -22,8 +22,8 @@ from .verify import run_suites
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArgumentZeroError", "BranchError", "DenominatorPoleError", "DomainError",
-    "EULER_GAMMA", "EvalResult", "GammaOverflowError", "HyperSpec",
+    "ArgumentZeroError", "BranchError", "ConvergenceError", "DenominatorPoleError",
+    "DomainError", "EULER_GAMMA", "EvalResult", "GammaOverflowError", "HyperSpec",
     "IdentityReport", "KelvinError", "KelvinQuad", "NegativeIntegerOrderError",
     "OrderClassError", "OrderDerivQuad", "PoleError", "PowerOverflowError",
     "QuadConfig", "SeriesConfig", "SeriesOverflowError",

@@ -1,47 +1,33 @@
 """Bessel functions of real order and their order derivatives.
 
-Ascending series only; the working regime is |z| <= 20 where the compensated
-summation keeps the cancellation budget acceptable.  Powers use the principal
-branch z^nu = exp(nu log z), arg z in (-pi, pi].
+The working regime is |z| <= 20.  Powers use the principal branch
+z^nu = exp(nu log z), arg z in (-pi, pi].  On the Kelvin rays, where every
+Kelvin value and order derivative is taken, each quantity has one route:
 
-Each quantity has one evaluation route:
+- J_nu and I_nu: the ascending series, with 1/Gamma and psi/Gamma entire,
+  at every real order (:func:`_ray_sums`); dJ/dnu is its term-wise order
+  derivative, from the psi-weighted sums of the same pass.
+- K_nu and dK/dnu (nu >= 0) on z = e^(i pi/4) x: one trapezoidal sum over
+  int_0^inf e^(-z cosh t) (cosh(nu t), t sinh(nu t)) dt (:func:`_ray_k`),
+  regular at every order, integers included; past nu = 15 or x = 30 it
+  reports no_convergence.
 
-- J_nu and I_nu: the ascending series; on the Kelvin rays, with 1/Gamma
-  and psi/Gamma entire, at every real order (:func:`_ray_sums`).
-- K_nu: the connection formula (pi/2)(I_{-nu} - I_nu)/sin(pi nu) away from
-  integers; the series of DLMF 10.31.1 for K_n at an integer n, and
-  K_n + (nu - n) dK/dnu within ``NEAR_EXCLUDED`` of it.
-- dJ/dnu: the term-wise order derivative of the J series, regular at every
-  nu >= 0, and at every real order on the Kelvin rays.
-- dK/dnu (nu >= 0) on the Kelvin ray z = e^(i pi/4) x: the trapezoidal rule
-  on int_0^inf t sinh(nu t) e^(-z cosh t) dt (:func:`_ray_dk`), regular at
-  every order, integers included.  At a general complex z
-  (:func:`dk_dnu_any`): the differentiated connection formula away from
-  integers; the finite sum of DLMF 10.38.4 over K_0 .. K_{n-1} within
-  ``NEAR_EXCLUDED`` of an integer n; 0 at nu = 0.
+A :class:`_RayOrder` holds what :func:`_ray_sums` takes from the order
+alone (Gamma and psi at the anchor, the weights below it, the phase of
+ber + i bei), so the kernel does only the work that depends on x; the K
+sum reads one table of nodes, which depends on neither.  A
+:class:`_RayPoint` holds one x and runs each series and each K sum at most
+once, for the values and the order derivatives alike.  A caller that
+evaluates one order at many x (table rows, integrand nodes, stencils)
+gives its points one dict of orders, so each is set up once.  Nothing but
+the node table outlives the top-level call.
 
-On the Kelvin rays the work splits into an order part and an argument
-part.  A :class:`_RayOrder` holds what the kernels take from the order
-alone: Gamma and psi at the anchor of the series, the weights of the terms
-below it, the phase of ber + i bei and the node weights of the dK/dnu
-quadrature.  The kernels run an order at one x and do only the work that
-depends on x: :func:`_ray_sums` sums the J and I series of the order, one
-real series, together with its psi-weighted sums in one pass, and
-:func:`_ray_dk` the dK/dnu quadrature.  A :class:`_RayPoint` holds one x
-and runs each of its orders at most once, for the values and the order
-derivatives alike.  A caller that evaluates one order at many x (the rows
-of a table, the nodes of an integral, a finite-difference stencil) gives
-its points one dict of orders, so that each order is set up once; a
-single-point call keeps its orders with its point.  Nothing outlives the
-top-level call, apart from the table of quadrature nodes, which depends on
-neither the order nor the argument.
-
-At a general complex z (the public functions, a fresh :class:`_Point` per
-call, which sums each series at most once) J and I go through
-:func:`hyper.sum_series` and the psi-weighted sums through one compensated
-loop, :func:`_psi_sum`.  The paper's closed forms ``dj_dnu`` (csc, 2F3, 3F4)
-and ``dk_dnu`` are kept as independent oracles for the verify suites and
-tests; no route above calls them.
+At a general complex z (the public functions, one :class:`_Point` per
+call) J and I go through :func:`hyper.sum_series`, the psi sums through
+:func:`_psi_sum`, and K and dK/dnu through the connection formula and its
+order derivative, or DLMF 10.31.1 and 10.38.4 near an integer
+(:func:`bessel_k`, :func:`dk_dnu_any`).  The paper's closed forms
+``dj_dnu`` and ``dk_dnu`` are oracles for the verify suites and tests only.
 """
 
 from __future__ import annotations
@@ -49,6 +35,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from itertools import accumulate, repeat
 from operator import mul
 
 from .errors import (ArgumentZeroError, BranchError, GammaOverflowError, OrderClassError,
@@ -61,14 +48,18 @@ ORDER_EPS = 1e-9
 # Orders closer than this to an integer n step from K_n (in dk_dnu_any, take dK/dnu|_n).
 NEAR_EXCLUDED = 1e-6
 
-# Step of the trapezoidal rule for dK/dnu on the Kelvin ray (:func:`_ray_dk`)
+# Step of the trapezoidal rule for K and dK/dnu on the Kelvin ray (:func:`_ray_k`),
+# and the order and argument past which it no longer resolves their integrands
 DK_STEP = 0.07
+K_MAX_ORDER = 15.0
+K_MAX_ARG = 30.0
 
 _DEGRADED_ABS_Z = 20.0
 _DEGRADED_ORDER = 10.0
 _TINY = sys.float_info.min
 _EPS = sys.float_info.epsilon
 _HALF_SQRT2 = math.sqrt(0.5)
+_LN2 = math.log(2.0)
 
 
 def _is_near_int(x: float, eps: float) -> bool:
@@ -127,22 +118,19 @@ class _RayOrder:
     An order is set up once and run at every argument of a top-level call:
     :func:`_ray_sums` reads the anchor k0 = max(0, ceil(-mu)), the divisor
     k0! Gamma(a0) at a0 = mu+k0+1, psi(a0) and the weights r = 1/Gamma and
-    w = psi/Gamma of the k0 terms below the anchor; :func:`_ray_dk` reads the
-    node weights t_k sinh(mu t_k); ber + i bei reads :meth:`phase`.  Each
-    part is made by the first run that needs it: psi(a0) and w only for the
-    psi sums, the node weights from the second quadrature on (a single-point
-    call never reads them back) and only as far as a quadrature has gone.
-    A part that overflows is not kept, so it raises from every run that
-    needs it, after that run's own checks of (x/2)^mu.  An order holds
-    nothing that depends on x.
+    w = psi/Gamma of the k0 terms below the anchor; ber + i bei reads
+    :meth:`phase`.  Each part is made by the first run that needs it: psi(a0)
+    and w only for the psi sums.  A part that overflows is not kept, so it
+    raises from every run that needs it, after that run's own checks of
+    (x/2)^mu.  An order holds nothing that depends on x, and K none of it.
     """
 
-    __slots__ = ("mu", "k0", "g0", "tden", "r", "wa", "w", "bb", "dkw")
+    __slots__ = ("mu", "k0", "g0", "tden", "r", "wa", "w", "bb")
 
     def __init__(self, mu: float):
         self.mu = mu
         self.k0 = 0 if mu >= 0.0 else math.ceil(-mu)
-        self.tden = self.wa = self.bb = self.dkw = None
+        self.tden = self.wa = self.bb = None
 
     def anchor(self, psi: bool) -> None:
         """Set up k0! Gamma(a0) and r(mu+k+1), k < k0; with ``psi`` also
@@ -192,25 +180,22 @@ def _order(orders: dict, mu: float) -> _RayOrder:
     return o
 
 
-# The nodes t_k = k DK_STEP of _ray_dk, k = 1, 2, ..., each the one before
-# plus DK_STEP, and cosh t_k.  They depend on neither the order nor the
-# argument, so one table serves every call.  A run that needs more nodes
-# rebinds a longer copy: a table once read never changes, and a run keeps
-# the one it read, so runs in other threads cannot disturb it.
+# The nodes t_k = k DK_STEP of _ray_k, k = 1, 2, ..., each the one before
+# plus DK_STEP, and cosh t_k, for every order and argument.  A run that
+# needs more rebinds a longer copy, so a table once read never changes
+# under a run in another thread.  Past t = 700 cosh t nears overflow.
 _DK_NODES: tuple[tuple, tuple] = ((), ())
+_MAX_NODES = 10000
 
 
 def _dk_nodes(n: int) -> tuple[tuple, tuple]:
-    """(t_k, cosh t_k) for at least the first n nodes, extending the table."""
+    """(t_k, cosh t_k) for at least min(n, ``_MAX_NODES``) nodes, extending the table."""
     global _DK_NODES
     ts, chs = _DK_NODES
+    n = min(n, _MAX_NODES)
     if len(ts) < n:
-        t = ts[-1] if ts else 0.0
-        more = []
-        for _ in range(len(ts), n):
-            t += DK_STEP
-            more.append(t)
-        ts, chs = ts + tuple(more), chs + tuple(map(math.cosh, more))
+        more = tuple(accumulate(repeat(DK_STEP, n - len(ts)), initial=ts[-1] if ts else 0.0))[1:]
+        ts, chs = ts + more, chs + tuple(map(math.cosh, more))
         _DK_NODES = (ts, chs)
     return ts, chs
 
@@ -222,9 +207,7 @@ def _ray_sums(o: _RayOrder, x: float, cfg: SeriesConfig, psi: bool) -> tuple:
         S = sum_k i^k a_k,   a_k = (x/2)^(mu+2k) r(mu+k+1) / k!,
 
     and, with ``psi``, P = sum_k i^k (x/2)^(mu+2k) w(mu+k+1) / k! from the
-    same pass, together with H = sum_k i^k psi(k+1) a_k where mu is a
-    non-negative integer (the orders of K_n; elsewhere H, its error and its
-    largest term are 0).  r = 1/Gamma and w = psi/Gamma are entire
+    same pass.  r = 1/Gamma and w = psi/Gamma are entire
     (DLMF 5.5), so one series serves every real order, the negative integers
     included, and dS/dmu = log(x/2) S - P.
 
@@ -233,19 +216,19 @@ def _ray_sums(o: _RayOrder, x: float, cfg: SeriesConfig, psi: bool) -> tuple:
     ``gamma_real``): one Gamma(a0), one psi(a0), none at a negative
     argument, all taken once per order (:class:`_RayOrder`).  The k0 terms
     below the anchor enter as correctly rounded sums.  The sums are returned
-    as T = i^(-k0) S (P and H likewise), so that the caller folds i^k0 into
+    as T = i^(-k0) S (P likewise), so that the caller folds i^k0 into
     its one phase (:meth:`_RayOrder.phase`); the run at -n is the run at n,
     bit for bit.
 
     From the anchor on, each pass adds an even k - k0 to the real parts and
     the next k to the imaginary ones, Neumaier-compensated (TwoSum error
     terms), with psi(a+1) = psi(a) + 1/a.  S stops once both terms of a pass
-    are below rel_tol |S|, the same pass with or without ``psi``; P and H go
-    on until their terms are below rel_tol |P| and rel_tol |H|.  Error
-    estimates are 10x the first neglected term.
+    are below rel_tol |S|, the same pass with or without ``psi``; P goes on
+    until its terms are below rel_tol |P|.  Error estimates are 10x the
+    first neglected term.
 
     Returns (T, err, terms, converged, max |a_k|, psi part), the psi part
-    None or (P, H, err P, err H, max P term, max H term, terms, converged).
+    None or (P, err P, max P term, terms, converged).
     """
     mu, k0 = o.mu, o.k0
     tol = cfg.rel_tol
@@ -265,10 +248,8 @@ def _ray_sums(o: _RayOrder, x: float, cfg: SeriesConfig, psi: bool) -> tuple:
     re = im = cre = cim = mx = 0.0
     plain = None
     if psi:
-        harm = mu >= 0.0 and mu == math.floor(mu)
         wa = o.wa
-        wh = -EULER_GAMMA if harm else 0.0
-        pre = pim = pcre = pcim = hre = him = hcre = hcim = mp = mh = g = g2 = 0.0
+        pre = pim = pcre = pcim = mp = 0.0
         psi_conv = False
     if k0:
         # c (x/2)^2k / k! times i^(k-k0), k = 0 .. k0-1: re from even k - k0
@@ -319,118 +300,139 @@ def _ray_sums(o: _RayOrder, x: float, cfg: SeriesConfig, psi: bool) -> tuple:
                 mp = v if v > 0.0 else -v
             if v2 > mp or -v2 > mp:
                 mp = v2 if v2 > 0.0 else -v2
-            if harm:
-                g = wh * t
-                s = hre + g
-                hcre += (hre - (s - (s - hre))) + (g - (s - hre))
-                hre = s
-                wh += 1.0 / (k + 1.0)
-                g2 = wh * u
-                s = him + g2
-                hcim += (him - (s - (s - him))) + (g2 - (s - him))
-                him = s
-                wh += 1.0 / (k + 2.0)
-                if g > mh or -g > mh:
-                    mh = g if g > 0.0 else -g
-                if g2 > mh or -g2 > mh:
-                    mh = g2 if g2 > 0.0 else -g2
             if plain is not None:
                 lp = tol * hypot(pre, pim)
-                lh = tol * hypot(hre, him)
-                if -lp <= v <= lp and -lp <= v2 <= lp and -lh <= g <= lh and -lh <= g2 <= lh:
+                if -lp <= v <= lp and -lp <= v2 <= lp:
                     psi_conv = True
                     break
         t = nt
-    if not math.isfinite(re + im + (pre + pim + hre + him if psi else 0.0)):
+    if not math.isfinite(re + im + (pre + pim if psi else 0.0)):
         raise SeriesOverflowError(f"the order-{mu:g} series is not finite at x = {x:g}")
     plain = plain or (complex(re + cre, im + cim), 10.0 * abs(nt), k + 2, False)
     if not psi:
         return plain + (mx, None)
-    return plain + (mx, (complex(pre + pcre, pim + pcim), complex(hre + hcre, him + hcim),
-                         10.0 * abs(wa * nt), 10.0 * abs(wh * nt), mp, mh, k + 2, psi_conv))
+    return plain + (mx, (complex(pre + pcre, pim + pcim), 10.0 * abs(wa * nt), mp, k + 2,
+                         psi_conv))
 
 
-def _ray_dk(o: _RayOrder, x: float, cfg: SeriesConfig) -> EvalResult:
-    """dK/dnu at the order ``o`` (nu >= 0) on the Kelvin ray z = e^(i pi/4) x,
-    x > 0, by the trapezoidal rule with step h = ``DK_STEP`` on
+def _ray_k(nu: float, x: float, cfg: SeriesConfig, dk: bool) -> tuple:
+    """K_nu at nu >= 0 on the Kelvin ray z = e^(i pi/4) x, x > 0, and with
+    ``dk`` dK/dnu, by one trapezoidal sum h (f(0)/2 + sum_k f(kh)), step
+    h = ``DK_STEP``, over
 
+        K_nu(z)   = int_0^inf cosh(nu t) e^(-z cosh t) dt     (DLMF 10.32.9)
         dK/dnu(z) = int_0^inf t sinh(nu t) e^(-z cosh t) dt,
 
-    the order derivative of DLMF 10.32.9.  In real arithmetic
-    e^(-z cosh t) = e^(-c) (cos c - i sin c) with c = x cosh(t)/sqrt(2).
-    The integrand is analytic in |Im t| < pi/4 and decays doubly
-    exponentially, so the rule converges geometrically in 1/h (Trefethen
-    and Weideman, SIAM Review 56, 2014) at every order, integers included.
-    Each pass adds an odd and an even node; the sum stops once both terms
-    are below rel_tol |T_h|, or after ``cfg.max_terms`` nodes
-    (no_convergence, with an infinite error estimate: the tail is unknown).
-    The nodes and cosh t_k come from a table shared by every order
-    (:func:`_dk_nodes`), the weights t_k sinh(nu t_k) from the order.
+    e^(-z cosh t) = e^(-c) (cos c - i sin c), c = x cosh(t)/sqrt(2), taken
+    once per node of a shared table (:func:`_dk_nodes`); a dK/dnu term is
+    the K term times t tanh(nu t).  The integrands are analytic in
+    |Im t| < pi/4 and decay doubly exponentially, so the rule converges
+    geometrically in 1/h (Trefethen and Weideman, SIAM Review 56, 2014): to
+    3e-12 of 40-digit sums at nu <= ``K_MAX_ORDER``, x <= ``K_MAX_ARG``.
+    Past them the step no longer resolves the integrand (7e-10 off at
+    nu = 20, x = 1; 3e-9 at nu = 10, x = 100): both sums report no_convergence.
 
-    The even nodes alone are the rule T_2h of step 2h, off by about
-    e = |T_h - T_2h|.  Halving the step raises the relative error to a power
-    p: against 34-digit sums p is 2 to 3 at nu <= 3, where the error of T_h
-    is below 1e-21, and 3.7 to 7 at nu in [10, 15], where it reaches
-    rounding.  The estimate takes p = 3, |T_h| (e/|T_h|)^3, plus the
-    rounding floor n eps h sum_k |f(kh)| over the n nodes.
+    Each pass adds an odd and an even node.  The terms f e^(-c) rise to one
+    peak and then fall, so K stops once the terms of a pass fall and are
+    below rel_tol |K|, |K| read again only when they pass the bound last
+    read: the same pass, so the same bits, with or without ``dk``; by
+    t = log(2/x) + 5 at nu <= ``K_MAX_ORDER``.  K sums at most
+    ``cfg.max_terms`` nodes past t = max(0, log(2/x)), where e^(-c) starts
+    to decay, and none past the table's end, t = 700 (x below 1e-304);
+    dK/dnu goes on to its own rule, within ``cfg.max_terms`` nodes from
+    t = 0.  A sum stopped by a cap is unconverged: no_convergence, infinite
+    estimate, as the tail is unknown.
+
+    The even nodes with t = 0 are the rule T_2h, off by about
+    e = |T_h - T_2h|.  Halving h raises the relative error to a power p,
+    against 34-digit sums 2 to 3 at nu <= 3 and 3.7 to 7 at nu in [10, 15];
+    the estimates take p = 3, |T_h| (e/|T_h|)^3, plus the rounding floor
+    n eps h sum_k |f(kh)| over the n nodes.
+
+    Returns (K, dK/dnu or None).  Raises PowerOverflowError where
+    (x/2)^(-nu), the scale of K near 0, overflows.
     """
-    nu = o.mu
-    if nu < 0.0:
-        raise OrderClassError("nu must be >= 0")
-    a = _HALF_SQRT2 * x
-    h = DK_STEP
-    tol = cfg.rel_tol
-    exp, cos, sin, sinh, hypot = math.exp, math.cos, math.sin, math.sinh, math.hypot
-    ws = o.dkw
-    have = 0 if ws is None else len(ws)
-    ts, chs = _DK_NODES
-    if have > len(ts):  # a shorter table, rebound by a run in another thread
-        ts, chs = _dk_nodes(have)
-    nodes = len(ts)
-    ore = oim = ere = eim = mag = 0.0
-    i = -2  # a pass adds the nodes at index i and j = i + 1 of the tables
-    converged = False
     try:
-        for i in range(0, cfg.max_terms - 1, 2):
-            j = i + 1
-            if j < have:
-                f = ws[i]
-                f2 = ws[j]
-            else:
-                if j >= nodes:
-                    ts, chs = _dk_nodes(max(64, 2 * nodes))
-                    nodes = len(ts)
+        (0.5 * x) ** -nu
+    except (OverflowError, ZeroDivisionError):
+        raise PowerOverflowError(
+            f"(x/2)^{-nu:g} overflows double precision at x = {x:g}") from None
+    na = -_HALF_SQRT2 * x  # m = na cosh t is -c, so the sine sums carry -sin c
+    tol = cfg.rel_tol
+    exp, cos, sin, cosh = math.exp, math.cos, math.sin, math.cosh
+    tanh, hypot = math.tanh, math.hypot
+    top = min(_MAX_NODES, max(0, int((_LN2 - math.log(x)) / DK_STEP)) + cfg.max_terms)
+    ts, chs = _dk_nodes(top)
+    w = 0.5 * exp(na)  # f(0)/2, summed with the even nodes
+    ore = oim = dore = doim = dere = deim = dmag = 0.0
+    ere, eim, mag = w * cos(na), w * sin(na), w
+    ks = None  # K's sums once it stops
+    lim = dlim = math.inf  # rel_tol |K| and rel_tol |dK/dnu| as last read
+    dconv = False
+    i = -2  # a pass adds the nodes at index i and i + 1 of the tables
+    try:
+        if dk:
+            # the K arithmetic of the loop below; each dK/dnu term is the K term times t tanh(nu t)
+            for i in range(0, min(top, cfg.max_terms) - 1, 2):
                 t = ts[i]
-                f = t * sinh(nu * t)
-                t = ts[j]
-                f2 = t * sinh(nu * t)
-                if ws is not None:
-                    # the first run of the order to get this far keeps them
-                    ws += (f, f2)
-                    have = j + 1
-            c = a * chs[i]
-            w = f * exp(-c)
-            ore += w * cos(c)
-            oim += w * sin(c)
-            c = a * chs[j]
-            w2 = f2 * exp(-c)
-            ere += w2 * cos(c)
-            eim += w2 * sin(c)
-            mag += w + w2
-            lim = tol * hypot(ore + ere, oim + eim)
-            if w <= lim and w2 <= lim:
-                converged = True
-                break
+                m = na * chs[i]
+                w = cosh(nu * t) * exp(m)
+                p, q = w * cos(m), w * sin(m)
+                ore, oim = ore + p, oim + q
+                t *= tanh(nu * t)
+                u = w * t
+                dore, doim = dore + p * t, doim + q * t
+                t = ts[i + 1]
+                m = na * chs[i + 1]
+                w2 = cosh(nu * t) * exp(m)
+                p, q = w2 * cos(m), w2 * sin(m)
+                ere, eim = ere + p, eim + q
+                t *= tanh(nu * t)
+                u2 = w2 * t
+                dere, deim = dere + p * t, deim + q * t
+                mag += w + w2
+                dmag += u + u2
+                if ks is None and w2 <= w and w <= lim:
+                    lim = tol * hypot(ore + ere, oim + eim)
+                    if w <= lim:
+                        ks = (ore, oim, ere, eim, mag, i + 2)
+                if ks is not None and u2 <= u and u <= dlim:
+                    dlim = tol * hypot(dore + dere, doim + deim)
+                    if u <= dlim:
+                        dconv = True
+                        break
+        dn = i + 2
+        if ks is None:
+            # K alone, or on from where the dK/dnu sum stopped short of it
+            for i in range(dn, top - 1, 2):
+                m = na * chs[i]
+                w = cosh(nu * ts[i]) * exp(m)
+                ore, oim = ore + w * cos(m), oim + w * sin(m)
+                m = na * chs[i + 1]
+                w2 = cosh(nu * ts[i + 1]) * exp(m)
+                ere, eim = ere + w2 * cos(m), eim + w2 * sin(m)
+                mag += w + w2
+                if w2 <= w and w <= lim:
+                    lim = tol * hypot(ore + ere, oim + eim)
+                    if w <= lim:
+                        ks = (ore, oim, ere, eim, mag, i + 2)
+                        break
     except OverflowError:
         raise SeriesOverflowError(
-            f"the dK/dnu quadrature at order {nu:g} overflows at x = {x:g}") from None
-    n = i + 2
-    if ws is None:
-        o.dkw = []  # an order run at a second x keeps its weights from then on
-    if not math.isfinite(mag):
-        raise SeriesOverflowError(f"the dK/dnu quadrature at order {nu:g} is not finite "
-                                  f"at x = {x:g}")
-    value = complex(h * (ore + ere), -h * (oim + eim))
+            f"the K quadrature at order {nu:g} overflows at x = {x:g}") from None
+    if not math.isfinite(mag + dmag):
+        raise SeriesOverflowError(f"the K quadrature at order {nu:g} is not finite at x = {x:g}")
+    ok = nu <= K_MAX_ORDER and x <= K_MAX_ARG
+    k = _trapezoid(*(ks or (ore, oim, ere, eim, mag, i + 2)), ok and ks is not None, nu, x)
+    return k, (_trapezoid(dore, doim, dere, deim, dmag, dn, ok and dconv, nu, x) if dk else None)
+
+
+def _trapezoid(ore: float, oim: float, ere: float, eim: float, mag: float, n: int,
+               converged: bool, nu: float, x: float) -> EvalResult:
+    """T_h of :func:`_ray_k` from its odd and even sums of f e^(-c) cos c
+    and -f e^(-c) sin c over n nodes, the f e^(-c) adding up to ``mag``."""
+    h = DK_STEP
+    value = complex(h * (ore + ere), h * (oim + eim))
     if converged:
         size = abs(value)
         e = h * math.hypot(ore - ere, oim - eim)
@@ -444,10 +446,10 @@ def _ray_dk(o: _RayOrder, x: float, cfg: SeriesConfig) -> EvalResult:
 class _Point:
     """The series of one evaluation point, each summed at most once.
 
-    J_mu is summed at ``zj`` and I_mu (hence K_nu) at ``zk``; K_nu and both
-    order derivatives are kept as well.  A point lives for one top-level
-    call; nothing is kept between calls.  :class:`_RayPoint` is the point
-    of the Kelvin functions.
+    J_mu is summed at ``zj`` and I_mu at ``zk``, where K_nu takes them; K_nu
+    and both order derivatives are kept as well.  A point lives for one
+    top-level call; nothing is kept between calls.  :class:`_RayPoint`, the
+    point of the Kelvin functions, takes K from a quadrature instead.
     """
 
     __slots__ = ("zj", "zk", "cfg", "memo")
@@ -470,7 +472,7 @@ class _Point:
     def i(self, mu: float) -> EvalResult:
         return self._once(("i", mu), bessel_i, mu, self.zk, self.cfg)
 
-    def psi(self, mu: float, sign: float, harmonic: float) -> EvalResult:
+    def psi(self, mu: float, sign: float, harmonic: float = 0.0) -> EvalResult:
         """The psi-weighted series of :func:`_psi_sum`, J (sign=-1) at ``zj``
         or I (sign=+1) at ``zk``."""
         z = self.zj if sign < 0.0 else self.zk
@@ -504,46 +506,42 @@ class _RayPoint(_Point):
 
     There -zj^2/4 = zk^2/4 = i x^2/4, so J_mu(zj) = e^(-i pi mu/4) S and
     I_mu(zk) = e^(i pi mu/4) S share the real series S of :func:`_ray_sums`,
-    and the psi sums of dJ/dmu, dI/dmu and K_n take the same phases, each
-    one :func:`_turn` with the i^k0 of the anchored sum folded in.  The
-    kernel runs once per order, with the psi sums if they are asked for
-    before J or I of that order; a later request sums the order again, so
-    K_n and the order derivatives ask first.  A plain sum at a negative
-    integer -n reads the run at n if the point has one, since S_{-n} is S_n
-    bit for bit.  dK/dnu comes from its own quadrature, :func:`_ray_dk`, and
-    needs no series.
+    and the psi sums of dJ/dmu and dI/dmu take the same phases, each one
+    :func:`_turn` with the i^k0 of the anchored sum folded in.  K and dK/dnu
+    come from one trapezoidal sum, :func:`_ray_k`, and need no series.
+    Each kernel runs once per order, with the psi sums (the dK/dnu sum) if
+    they are asked for before J or I (before K) of that order; a later
+    request runs the kernel again, so the order derivatives ask first.
 
-    The point finds its orders (:class:`_RayOrder`) by mu in ``orders``: a
-    caller that evaluates one order at many x passes one dict to all its
-    points, so that each order is set up once; by default the point keeps
-    them with its own results.
+    The point finds its orders (:class:`_RayOrder`) by mu in ``orders``,
+    one dict for all the points of a caller that evaluates one order at many
+    x, so that each order is set up once; by default its own results.
     """
 
     __slots__ = ("x", "orders")
 
     def __init__(self, zj: complex, zk: complex, x: float, cfg: SeriesConfig,
                  orders: dict | None = None):
-        self.zj = zj
-        self.zk = zk
-        self.cfg = cfg
-        self.memo = {}
+        super().__init__(zj, zk, cfg)
         self.x = x
         self.orders = self.memo if orders is None else orders
 
     def run(self, mu: float, psi: bool) -> tuple[_RayOrder, tuple]:
-        """The order mu and its kernel run at x, with the psi sums if ``psi``.
-        A plain sum at a negative integer -n is read from the run at n if
-        there is one: S_{-n} is S_n bit for bit."""
-        o = self.orders.get(mu)
-        if o is None:
-            o = self.orders[mu] = _RayOrder(mu)
+        """The order mu and its series run at x, with the psi sums if ``psi``."""
+        o = _order(self.orders, mu)
         key = ("ray", mu)
         r = self.memo.get(key)
-        if r is None and not psi and mu < 0.0 and mu == math.floor(mu):
-            r = self.memo.get(("ray", -mu))
         if r is None or (psi and r[5] is None):
             r = self.memo[key] = _ray_sums(o, self.x, self.cfg, psi)
         return o, r
+
+    def ksum(self, nu: float, dk: bool) -> tuple[EvalResult, EvalResult | None]:
+        """K at nu >= 0 and, if ``dk``, dK/dnu, from one run of :func:`_ray_k` at x."""
+        key = ("k", nu)
+        r = self.memo.get(key)
+        if r is None or (dk and r[1] is None):
+            r = self.memo[key] = _ray_k(nu, self.x, self.cfg, dk)
+        return r
 
     def rotated(self, mu: float, c: float) -> EvalResult:
         """e^(i pi c mu) S of order mu: c = -1/4 gives J_mu(zj), 1/4
@@ -553,27 +551,23 @@ class _RayPoint(_Point):
         return EvalResult(_turn(c * mu + 0.5 * o.k0) * s, err, terms, conv, flags, max_term)
 
     def j(self, mu: float) -> EvalResult:
-        r = self.memo.get(("j", mu))
-        if r is None:
-            r = self.memo[("j", mu)] = self.rotated(mu, -0.25)
-        return r
+        return self._once(("j", mu), self.rotated, mu, -0.25)
 
     def i(self, mu: float) -> EvalResult:
-        r = self.memo.get(("i", mu))
-        if r is None:
-            r = self.memo[("i", mu)] = self.rotated(mu, 0.25)
-        return r
+        return self._once(("i", mu), self.rotated, mu, 0.25)
 
-    def psi(self, mu: float, sign: float, harmonic: float) -> EvalResult:
-        o, (*_, (sp, sh, err_p, err_h, max_p, max_h, terms, conv)) = self.run(mu, True)
-        if harmonic:
-            sp, err_p, max_p = sp + sh, err_p + err_h, max_p + max_h
+    def psi(self, mu: float, sign: float) -> EvalResult:
+        o, (*_, (sp, err_p, max_p, terms, conv)) = self.run(mu, True)
         return EvalResult(_turn(0.25 * sign * mu + 0.5 * o.k0) * sp, err_p, terms, conv,
                           () if conv else ("no_convergence",), max_p)
 
+    def k(self, nu: float) -> EvalResult:
+        """K_nu at nu >= 0, by :func:`_ray_k`."""
+        return self.ksum(nu, False)[0]
+
     def dk(self, nu: float) -> EvalResult:
-        """dK/dnu at nu >= 0, by :func:`_ray_dk`."""
-        return self._once(("dk", nu), _ray_dk, _order(self.orders, nu), self.x, self.cfg)
+        """dK/dnu at nu >= 0, from the same sum as K."""
+        return self.ksum(nu, True)[1]
 
 
 def bessel_j(nu: float, z: complex, cfg: SeriesConfig = DEFAULT_SERIES) -> EvalResult:
@@ -640,9 +634,6 @@ def _k_integer(n: int, p: _Point) -> EvalResult:
                  + (-1)^(n+1) log(z/2) I_n(z)
                  + (-1)^n (1/2)(z/2)^n sum_k (psi(k+1) + psi(n+k+1))
                                           (z^2/4)^k / (k! (n+k)!)
-
-    The psi sum is asked for before I_n, so that a ray point sums order n
-    once.
     """
     z = p.zk
     s = p.psi(float(n), 1.0, 1.0)
@@ -846,7 +837,7 @@ def _dji_dnu_direct(mu: float, sign: float, p: _Point) -> EvalResult:
     the csc-form closed forms it has no pole amplification near integer or
     half-integer orders.
     """
-    s = p.psi(mu, sign, 0.0)
+    s = p.psi(mu, sign)
     if sign < 0.0:
         z, f = p.zj, p.j(mu)
     else:

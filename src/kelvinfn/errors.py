@@ -30,6 +30,11 @@ class SeriesOverflowError(KelvinError, OverflowError):
     outside the working envelope, e.g. x = 1000)."""
 
 
+class ConvergenceError(KelvinError):
+    """A sum cannot bound its error: the K sum on the Kelvin ray past order
+    15 or x = 30 (its step is too coarse) or below x ~ 1e-304 (no nodes)."""
+
+
 class DenominatorPoleError(KelvinError):
     """A lower hypergeometric parameter is a nonpositive integer."""
 

@@ -5,19 +5,19 @@ Every order comes straight from the defining rotations
     ber_nu(x) + i bei_nu(x) = e^(i pi nu)    J_nu(e^(-i pi/4) x)
     ker_nu(x) + i kei_nu(x) = e^(-i pi nu/2) K_|nu|(e^(i pi/4)  x)
 
-with J_nu the ascending series, entire in the order, and K_nu from the
-connection formula, or from the exact series of DLMF 10.31.1 at and next to
-integer orders (see ``bessel``); K is even in the order (DLMF 10.27.3).
-The method tag is 'series'.
+with J_nu the ascending series, entire in the order, and K_|nu| the
+trapezoidal sum of its integral along the ray, DLMF 10.32.9 (see
+``bessel``); K is even in the order (DLMF 10.27.3).  Neither route has a
+special case at or next to an integer order.  The method tag is 'series'.
 
 J_mu and I_mu of one order are one real series on the two rays, turned by
 one exact phase e^(3i pi mu/4) into ber + i bei, so ber_{-n} = (-1)^n ber_n
 holds bit for bit.  Each order is set up once (``bessel._RayOrder``: Gamma
 and psi at the anchor, the phase) and then run at each x.  The private
-``_ber_bei``/``_ker_kei``/``_quad`` read their series from a
-``bessel._RayPoint`` at one x (``_point``), which runs every order at most
-once, for the values and the order derivatives alike; ber/bei alone
-(``_eval_ber_bei``) is one kernel run.  Both take an optional dict of
+``_ber_bei``/``_ker_kei``/``_quad`` read the series and the K sum from a
+``bessel._RayPoint`` at one x (``_point``), which runs each at most once,
+for the values and the order derivatives alike; ber/bei alone
+(``_eval_ber_bei``) is one series run.  Both take an optional dict of
 orders: a caller that evaluates one order at many x (table rows, integrand
 nodes, ODE stencils) passes the same dict each time, so that the order is
 set up once per top-level call; without it a call sets up its own.
@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 
 from .bessel import _order, _phase, _ray_sums, _RayOrder, _RayPoint
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .hyper import DEFAULT_SERIES, SeriesConfig
 from .scalars import PI
 
@@ -90,18 +90,19 @@ def _ber_bei(nu: float, x: float, p: _RayPoint) -> tuple[float, float, float, st
 
 
 def _ker_kei(nu: float, x: float, p: _RayPoint) -> tuple[float, float, float, str]:
-    """(ker, kei, abs error estimate, method tag) from the series at ``p``."""
+    """(ker, kei, abs error estimate, method tag) from the K sum at ``p``."""
     if x <= 0.0:
         raise DomainError("ker/kei defined for x > 0")
     r = p.k(abs(nu))  # K is even in the order
+    if not r.converged:
+        raise ConvergenceError(f"the K sum at order {nu:g} has no error bound at x = {x:g}")
     w = _phase(-PI * nu / 2.0) * r.value
     return w.real, w.imag, r.abs_err_estimate, "series"
 
 
 def _quad(nu: float, x: float, p: _RayPoint) -> KelvinQuad:
-    # K first: at integer order it asks for the psi sums that J then reuses
-    ker, kei, _, _ = _ker_kei(nu, x, p)
     ber, bei, _, _ = _ber_bei(nu, x, p)
+    ker, kei, _, _ = _ker_kei(nu, x, p)
     return KelvinQuad(ber, bei, ker, kei, nu, x)
 
 

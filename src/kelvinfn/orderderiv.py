@@ -12,8 +12,9 @@ with dJ/dnu the term-wise derivative of the J series at nu, whose weights
 1/Gamma and psi/Gamma are entire, so it holds at every order, negative
 integers included, and dK/dnu at |nu|, odd in nu because K is even, from
 the trapezoidal rule on its integral along the Kelvin ray
-(``bessel._ray_dk``), one quadrature at every real order.  The *_neg ops
-read the order derivatives at -nu from ``dkelvin``.
+(``bessel._ray_k``): the same sum that gives K, so one quadrature at every
+real order yields ker/kei and dker/dkei.  The *_neg ops read the order
+derivatives at -nu from ``dkelvin``.
 
 The paper's closed forms stay as oracles for the verify suites and tests:
 ``dkelvin_bb_pos`` (csc/2F3/3F4 dJ/dnu), ``dkelvin_kk_pos`` (closed-form
@@ -21,8 +22,8 @@ dK/dnu), ``dkelvin_bb_brychkov`` (3F6/4F7) and ``dkelvin_integer`` (finite
 sums over lower-order Kelvin values, tag 'integer_sum').
 
 ``dkelvin`` evaluates one point: the four values and the four order
-derivatives come from one ``kelvin._point``, so each order's series is
-summed once per (nu, x).
+derivatives come from one ``kelvin._point``, so the series at nu is summed
+once, with its psi sums, and the K sum at |nu| once, with dK/dnu.
 """
 
 from __future__ import annotations
@@ -230,11 +231,11 @@ def _dkelvin(nu: float, x: float, p: _RayPoint) -> OrderDerivQuad:
     shares with the other rows of its order."""
     if x <= 0.0:
         raise DomainError("x must be positive")
-    # dJ/dnu before the values, so that the series at nu is summed once,
-    # with its psi sums
+    # the derivatives before the values, so that the series at nu is summed
+    # once, with its psi sums, and K at |nu| once, with dK/dnu
     dj = _dji_dnu_direct(nu, -1.0, p)
-    values = _quad(nu, x, p)
     dk = p.dk(abs(nu))
+    values = _quad(nu, x, p)
     dber, dbei = _bb_pos(nu, dj.value, values.ber, values.bei)
     dker, dkei = _kk_pos(nu, -dk.value if nu < 0.0 else dk.value, values.ker, values.kei)
     return OrderDerivQuad(dber, dbei, dker, dkei, nu, x, "series",

@@ -407,12 +407,11 @@ def indefinite_integral_check(nu: float, x: float,
     """
     if nu < 0.0 or x <= 0.0:
         raise DomainError("requires nu >= 0 and x > 0")
-    orders: dict = {}  # the set-up of order nu, shared by both integrals
-    lhs_ber = integrate_finite(
-        lambda u: u ** (nu + 1.0) * _eval_ber_bei(nu, u, series_cfg, orders)[0], 0.0, x, cfg).value
-    lhs_bei = integrate_finite(
-        lambda u: u ** (nu + 1.0) * _eval_ber_bei(nu, u, series_cfg, orders)[1], 0.0, x, cfg).value
+    orders: dict = {}  # the set-up of order nu, shared by every node
+    # both integrals in one adaptive pass, packed re/im
+    lhs = integrate_finite(lambda u: u ** (nu + 1.0) * complex(
+        *_eval_ber_bei(nu, u, series_cfg, orders)[:2]), 0.0, x, cfg).value
     ber1, bei1 = kelvin_ber_bei(nu + 1.0, x, series_cfg)
     pref = x ** (nu + 1.0) / SQRT2
-    return (make_report("indefinite_ber", nu, x, lhs_ber, pref * (bei1 - ber1), tol),
-            make_report("indefinite_bei", nu, x, lhs_bei, -pref * (bei1 + ber1), tol))
+    return (make_report("indefinite_ber", nu, x, lhs.real, pref * (bei1 - ber1), tol),
+            make_report("indefinite_bei", nu, x, lhs.imag, -pref * (bei1 + ber1), tol))

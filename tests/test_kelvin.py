@@ -5,9 +5,9 @@ import math
 
 import pytest
 
-from kelvinfn.errors import (DomainError, GammaOverflowError, KelvinError, PowerOverflowError,
-                             SeriesOverflowError)
-from kelvinfn.hyper import DEFAULT_SERIES, HyperSpec, pfq
+from kelvinfn.errors import (ConvergenceError, DomainError, GammaOverflowError, KelvinError,
+                             PowerOverflowError, SeriesOverflowError)
+from kelvinfn.hyper import DEFAULT_SERIES, HyperSpec, SeriesConfig, pfq
 from kelvinfn.kelvin import KelvinQuad, _point, kelvin_all, kelvin_ber_bei, kelvin_ker_kei
 from kelvinfn.orderderiv import dkelvin
 
@@ -159,6 +159,21 @@ def test_dk_quadrature_below_the_envelope():
     for nu, x in ((60.0, 1e-3), (30.0, 1e-9)):
         with pytest.raises(SeriesOverflowError):
             dkelvin(nu, x)
+
+
+def test_k_quadrature_edges_are_typed():
+    """At the smallest double x/2 is 0, so (x/2)^(-nu) is a typed
+    PowerOverflowError, not a bare ZeroDivisionError; at order 0 the K sum
+    runs out of nodes there, a typed ConvergenceError, not a value cut
+    short.  A term cap past the nodes whose cosh t stays finite still sums
+    K, from the nodes there are."""
+    with pytest.raises(PowerOverflowError):
+        kelvin_ker_kei(0.3, 5e-324)
+    for call in (kelvin_ker_kei, kelvin_all):
+        with pytest.raises(ConvergenceError):
+            call(0.0, 5e-324)
+    k = _point(0.3, 2.0, SeriesConfig(max_terms=20000)).k(0.3)
+    assert k.converged and k.value == _point(0.3, 2.0, DEFAULT_SERIES).k(0.3).value
 
 
 @pytest.mark.parametrize("x", [0.1, 1.0, 5.0, 10.0, 15.0, 20.0])

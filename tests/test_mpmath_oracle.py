@@ -1,41 +1,42 @@
 """dkelvin against mpmath at 30 digits.
 
 All four values and all four order derivatives on nu = -10:10:0.5 and
-x in {0.5, 1, 2, 5}, each pair (ber + i bei, ker + i kei, and likewise for
-the derivatives) within 1e-10 relative.  The grid covers negative integers
-and half-integers, where the order derivatives are hardest to get right.
+x in {0.5, 1, 2, 5, 8, 10, 12, 15, 18, 20}, each pair (ber + i bei,
+ker + i kei, and likewise for the derivatives) within 1e-10 relative.  The
+grid covers negative integers and half-integers, where the order
+derivatives are hardest to get right, and the large x where K is small
+against the terms of the I series it was once taken from.
 
 A second grid holds the pairs to 1e-13 at large |nu| and small x, where the
 values are far below 1 and only a relative stopping rule keeps them
 accurate.  A third sits at and within 1e-6 of the integers +-n, where the
-J series passes the poles of Gamma at -n and K is one step from K_n: it
-holds ber/bei and their order derivatives to 1e-13 and ker/kei and theirs
-to 1e-10.
+J series passes the poles of Gamma at -n: it holds ber/bei and their order
+derivatives to 1e-13 and ker/kei and theirs to 1e-10.
 
-dK/dnu on the Kelvin ray, the trapezoidal sum of ``bessel._ray_dk``, is
-held to 1e-12 against the 40-digit derivative of mpmath's K_nu, with its
+K and dK/dnu on the Kelvin ray, the one trapezoidal sum of
+``bessel._ray_k``, are held to 1e-12 against 40-digit mpmath, each with its
 error estimate calibrated against the true error, at integers, just off
-them and at generic orders.
-
-Just outside ``NEAR_EXCLUDED`` of an integer the K *values* still break
-down: the connection formula's csc(pi nu) amplifies the cancellation of
-I_{-nu} and I_nu, so ker/kei, and with them dker/dkei, are ~1e-6 off at
-x = 8.  Strict xfails pin that defect so that a fix shows up as an
-unexpected pass.
+them and at generic orders; ker/kei to 1e-12 on nu = -10:10:0.25 over
+x in [0.1, 20] and at small x just off an integer.  Just outside 1e-6 of an
+integer, where the connection formula (pi/2)(I_{-nu} - I_nu)/sin(pi nu)
+would lose digits to its csc factor, dker/dkei hold 1e-10 at x = 8.
 """
 
 import functools
+import math
 
 import pytest
 
 mpmath = pytest.importorskip("mpmath")
 
+from kelvinfn.cli import main  # noqa: E402
+from kelvinfn.errors import ConvergenceError  # noqa: E402
 from kelvinfn.hyper import DEFAULT_SERIES  # noqa: E402
-from kelvinfn.kelvin import _point  # noqa: E402
+from kelvinfn.kelvin import _point, kelvin_all, kelvin_ker_kei  # noqa: E402
 from kelvinfn.orderderiv import dkelvin  # noqa: E402
 
 ORDERS = [k / 2.0 for k in range(-20, 21)]
-XS = [0.5, 1.0, 2.0, 5.0]
+XS = [0.5, 1.0, 2.0, 5.0, 8.0, 10.0, 12.0, 15.0, 18.0, 20.0]
 REL = 1e-10
 SMALL_ORDERS = [-10.0, -9.5, -9.0, -6.5, 6.5, 9.0, 9.5, 9.75, 10.0]
 SMALL_XS = [0.1, 0.25, 0.5, 1.0]
@@ -49,6 +50,13 @@ DK_BREAKDOWN = [(3.000002, 8.0), (-3.000002, 8.0), (2e-6, 8.0), (5.00001, 8.0)]
 DK_ORDERS = [2e-6, 0.3, 3.0, 3.000002, 5.00001, 7.75, 10.0]
 DK_XS = [0.1, 2.0, 8.0, 15.0, 20.0]
 DK_REL = 1e-12
+KK_ORDERS = [k / 4.0 for k in range(-40, 41)]
+KK_XS = [0.1, 0.3, 1.0, 3.0, 8.0, 15.0, 20.0]
+# just off an integer at small x, where csc(pi nu) and the cancellation of
+# I_{-nu} against I_nu once cost ker/kei up to 2.4e-10
+KK_NEAR = [(5.0 - 2e-6, 0.01), (-5.0 + 2e-6, 0.01), (5.0 - 2e-6, 0.05), (-5.0 + 2e-6, 0.05),
+           (-3.0 + 3e-6, 0.02)]
+KK_REL = 1e-12
 
 
 def oracle(nu: float, x: float) -> dict[str, complex]:
@@ -96,6 +104,27 @@ def test_near_negative_integers(nu, x):
     check(nu, x, NEAR_NEG_REL)
 
 
+def kk_oracle(nu: float, x: float) -> complex:
+    """ker + i kei at 40 digits."""
+    mp = mpmath.mp
+    with mp.workdps(40):
+        return complex(mp.ker(mp.mpf(nu), mp.mpf(x)), mp.kei(mp.mpf(nu), mp.mpf(x)))
+
+
+@pytest.mark.parametrize("nu, x", [(nu, x) for nu in KK_ORDERS for x in KK_XS] + KK_NEAR)
+def test_ker_kei_pairs(nu, x):
+    want = kk_oracle(nu, x)
+    assert abs(complex(*kelvin_ker_kei(nu, x)) - want) <= KK_REL * abs(want)
+
+
+@functools.lru_cache(maxsize=None)
+def k_oracle(nu: float, x: float) -> complex:
+    """K_nu at e^(i pi/4) x, 40 digits."""
+    mp = mpmath.mp
+    with mp.workdps(40):
+        return complex(mp.besselk(mp.mpf(nu), mp.mpf(x) * mp.expjpi(mp.mpf(1) / 4)))
+
+
 @functools.lru_cache(maxsize=None)
 def dk_oracle(nu: float, x: float) -> complex:
     """dK/dnu at e^(i pi/4) x, 40 digits."""
@@ -108,30 +137,67 @@ def dk_oracle(nu: float, x: float) -> complex:
 @pytest.mark.parametrize("x", DK_XS)
 @pytest.mark.parametrize("nu", DK_ORDERS)
 def test_dk_quadrature(nu, x):
-    got = _point(nu, x, DEFAULT_SERIES).dk(nu).value
-    want = dk_oracle(nu, x)
-    assert abs(got - want) <= DK_REL * abs(want), (got, want)
+    p = _point(nu, x, DEFAULT_SERIES)
+    for got, want in ((p.dk(nu).value, dk_oracle(nu, x)), (p.k(nu).value, k_oracle(nu, x))):
+        assert abs(got - want) <= DK_REL * abs(want), (got, want)
 
 
 @pytest.mark.parametrize("x", DK_XS)
 @pytest.mark.parametrize("nu", DK_ORDERS)
 def test_dk_error_estimate_calibrated(nu, x):
-    """The estimate covers the true error and, where that error is above
-    1e-15 of the value, overstates it by at most 1e3."""
-    res = _point(nu, x, DEFAULT_SERIES).dk(nu)
-    want = dk_oracle(nu, x)
-    err = abs(res.value - want)
-    assert res.abs_err_estimate >= err
-    if err > 1e-15 * abs(want):
-        assert res.abs_err_estimate <= 1e3 * err, (res.abs_err_estimate, err)
+    """Each estimate, of dK/dnu and of K, covers the true error and, where
+    that error is above 1e-15 of the value, overstates it by at most 1e3."""
+    p = _point(nu, x, DEFAULT_SERIES)
+    for res, want in ((p.dk(nu), dk_oracle(nu, x)), (p.k(nu), k_oracle(nu, x))):
+        err = abs(res.value - want)
+        assert res.abs_err_estimate >= err
+        if err > 1e-15 * abs(want):
+            assert res.abs_err_estimate <= 1e3 * err, (res.abs_err_estimate, err)
 
 
-@pytest.mark.xfail(strict=True, reason="ker/kei just outside NEAR_EXCLUDED of an integer come "
-                                       "from the connection formula, whose csc(pi nu) "
-                                       "amplifies the I_{-nu}, I_nu cancellation")
 @pytest.mark.parametrize("nu, x", DK_BREAKDOWN)
 def test_dk_near_integers(nu, x):
     d = dkelvin(nu, x)
     got = complex(d.dker, d.dkei)
     want = oracle(nu, x)["dkk"]
     assert abs(got - want) <= REL * abs(want), (got, want)
+
+
+def test_k_below_the_envelope(capsys):
+    """Far below x = 0.1 the K sum still meets 1e-12, at x = 1e-12 and at
+    x = 1e-300, where it needs 9936 nodes past the term cap of dK/dnu, which
+    stops there and says so with an infinite estimate.  At the smallest
+    double the nodes run out: ker raises a typed error that ``eval ker``
+    reports."""
+    for nu, x in ((0.0, 1e-12), (10.0, 1e-12), (0.0, 1e-300), (0.3, 1e-300)):
+        want = kk_oracle(nu, x)
+        assert abs(complex(*kelvin_ker_kei(nu, x)) - want) <= KK_REL * abs(want)
+    dk = _point(0.3, 1e-300, DEFAULT_SERIES).dk(0.3)
+    assert dk.terms_used == DEFAULT_SERIES.max_terms and "no_convergence" in dk.flags
+    assert dk.abs_err_estimate == math.inf and dkelvin(0.3, 1e-300).err_estimate == math.inf
+    assert main(["eval", "ker", "--nu", "0.3", "--x", "1e-300"]) == 0
+    est = capsys.readouterr().out.splitlines()[1]
+    assert est.startswith("err_estimate = ") and math.isfinite(float(est.split("= ")[1]))
+    assert main(["eval", "ker", "--nu", "0", "--x", "5e-324"]) == 2
+    assert "ConvergenceError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("x", [0.1, 1.0, 10.0, 20.0, 30.0])
+@pytest.mark.parametrize("nu", [15.0, -15.0, 14.5])
+def test_k_at_the_order_bound(nu, x):
+    """Up to |nu| = 15 and x = 30 ker/kei hold 1e-12 and dker/dkei 3e-12."""
+    want = oracle(nu, x)
+    d = dkelvin(nu, x)
+    assert abs(complex(d.values.ker, d.values.kei) - want["kk"]) <= KK_REL * abs(want["kk"])
+    assert abs(complex(d.dker, d.dkei) - want["dkk"]) <= 3 * KK_REL * abs(want["dkk"])
+
+
+@pytest.mark.parametrize("nu, x", [(20.0, 1.0), (30.0, 1.0), (-20.0, 10.0), (15.5, 0.1),
+                                   (0.0, 40.0), (10.0, 100.0), (100.0, 20.0)])
+def test_k_past_the_bounds_is_typed(nu, x):
+    """Past |nu| = 15 or x = 30 the step no longer resolves the K integrand
+    (7e-10 off at nu = 20, 5e-4 at 30): ker/kei and their order derivatives
+    raise a typed error instead of a value labelled accurate."""
+    for call in (kelvin_ker_kei, kelvin_all, dkelvin):
+        with pytest.raises(ConvergenceError):
+            call(nu, x)

@@ -1,13 +1,14 @@
 """Work counts: series summed and quadrature nodes per top-level call.
 
-Every Kelvin value and the order derivative of ber/bei read their series
-from ``bessel._ray_sums``, the real-arithmetic kernel of the Kelvin rays,
-which sums J_mu, I_mu and their psi-weighted sums at one order and one
-argument in one pass; dK/dnu is one trapezoidal sum, ``bessel._ray_dk``.
-Both run an order set up once (``bessel._RayOrder``: Gamma and psi at the
-anchor, the node weights) at one x.  Counting kernel runs, nodes and
-Gamma/psi calls gives a deterministic measure of the work one call does; a
-run is identified by its order, argument and plain sum.
+ber/bei and their order derivatives read their series from
+``bessel._ray_sums``, the real-arithmetic kernel of the Kelvin rays, which
+sums J_mu, I_mu and their psi-weighted sums at one order and one argument
+in one pass, run on an order set up once (``bessel._RayOrder``: Gamma and
+psi at the anchor).  ker/kei and their order derivatives are one
+trapezoidal sum, ``bessel._ray_k``, which needs no series.  Counting kernel
+runs, nodes and Gamma/psi calls gives a deterministic measure of the work
+one call does; a series run is identified by its order, argument and plain
+sum.
 """
 
 import pytest
@@ -17,7 +18,7 @@ import kelvinfn.hyper
 import kelvinfn.kelvin
 from kelvinfn.cli import main
 from kelvinfn.hyper import SeriesConfig
-from kelvinfn.kelvin import _point, kelvin_all
+from kelvinfn.kelvin import _point, kelvin_all, kelvin_ker_kei
 from kelvinfn.orderderiv import dkelvin
 from kelvinfn.quad import QuadConfig, theorem5_identity
 from kelvinfn.verify import run_suites
@@ -60,56 +61,81 @@ def table_row(nu):
     return run
 
 
-# (call, kernel runs); the comment gives the sum_series + _psi_sum loops the
-# complex-argument series needed for the same call
+@pytest.fixture
+def ksums(monkeypatch):
+    """The K sums, as (order, argument, dK/dnu asked for)."""
+    keys = []
+    orig = kelvinfn.bessel._ray_k
+
+    def counted(nu, x, cfg, dk):
+        keys.append((nu, x, dk))
+        return orig(nu, x, cfg, dk)
+
+    monkeypatch.setattr(kelvinfn.bessel, "_ray_k", counted)
+    return keys
+
+
+# (call, series runs); the comment gives the sum_series + _psi_sum loops the
+# complex-argument series needed for the same call.  Every call makes one K
+# sum besides.
 @pytest.mark.parametrize("call, count", [
-    pytest.param(lambda: dkelvin(0.3, 2.0), 2, id="dkelvin(0.3,2)"),      # 6
-    pytest.param(table_row(0.5), 2, id="table(0.5,2)"),                  # 6
-    pytest.param(table_row(-1.5), 2, id="table(-1.5,2)"),                # 6
-    pytest.param(table_row(-3.0), 2, id="table(-3,2)"),                  # 9
-    pytest.param(lambda: dkelvin(-3.0000005, 2.0), 2, id="dkelvin(-3.0000005,2)"),
+    pytest.param(lambda: dkelvin(0.3, 2.0), 1, id="dkelvin(0.3,2)"),      # 6
+    pytest.param(table_row(0.5), 1, id="table(0.5,2)"),                  # 6
+    pytest.param(table_row(-1.5), 1, id="table(-1.5,2)"),                # 6
+    pytest.param(table_row(-3.0), 1, id="table(-3,2)"),                  # 9
+    pytest.param(lambda: dkelvin(-3.0000005, 2.0), 1, id="dkelvin(-3.0000005,2)"),
     pytest.param(lambda: dkelvin(5.0, 2.0), 1, id="dkelvin(5,2)"),       # 13
     pytest.param(lambda: kelvin_all(0.0, 2.0), 1, id="kelvin_all(0,2)"),  # 2
 ])
-def test_series_summed_once(series, capsys, call, count):
+def test_series_summed_once(series, ksums, capsys, call, count):
     call()
     assert len(series) == count
     assert len(set(series)) == len(series)
+    assert len(ksums) == 1
 
 
-@pytest.mark.parametrize("nu, count", [(0.3, 2), (2.0, 1),  # 3, 2
-                                       (-3.0, 1)])  # ber/bei at -3 read the K_3 run
-def test_kelvin_all_counts(series, nu, count):
+@pytest.mark.parametrize("nu, count", [(0.3, 1), (2.0, 1),  # 3, 2
+                                       (-3.0, 1)])
+def test_kelvin_all_counts(series, ksums, nu, count):
     kelvin_all(nu, 2.0)
     assert len(series) == count
+    assert ksums == [(abs(nu), 2.0, False)]
 
 
 @pytest.mark.parametrize("call", [lambda: kelvin_all(0.3, 2.0), lambda: kelvin_all(3.0, 2.0),
                                   lambda: dkelvin(-2.5, 7.0), lambda: dkelvin(4.0, 7.0),
-                                  lambda: run_suites("theorem5")])
-def test_kelvin_path_skips_complex_series(monkeypatch, call):
+                                  lambda: run_suites("theorem5"),
+                                  lambda: kelvin_all(-3.0, 2.0), lambda: kelvin_all(3.0000005, 8.0),
+                                  lambda: kelvin_ker_kei(0.0, 2.0),
+                                  lambda: kelvin_ker_kei(-3.000002, 8.0),
+                                  lambda: dkelvin(3.000002, 8.0), lambda: dkelvin(-3.0, 0.5),
+                                  table_row(2.0), table_row(-0.5)])
+def test_kelvin_path_skips_complex_series(monkeypatch, capsys, call):
+    """No Kelvin value or order derivative reaches the complex-argument
+    series or any of the routes of K at a general z."""
     def refuse(*args, **kwargs):
-        raise AssertionError("complex-argument series reached")
+        raise AssertionError("complex-argument route reached")
 
     monkeypatch.setattr(kelvinfn.hyper, "sum_series", refuse)
-    monkeypatch.setattr(kelvinfn.bessel, "sum_series", refuse)
-    monkeypatch.setattr(kelvinfn.bessel, "_psi_sum", refuse)
+    for name in ("sum_series", "_psi_sum", "_bessel_k", "_k_connection", "_k_integer"):
+        monkeypatch.setattr(kelvinfn.bessel, name, refuse)
     call()
 
 
 def test_dk_quadrature_nodes(monkeypatch):
-    """dkelvin(5, 2) reads dK/dnu from one quadrature of 64 nodes."""
+    """dkelvin(5, 2) reads K and dK/dnu from one quadrature: K stops after
+    62 nodes, dK/dnu goes on to 64."""
     runs = []
-    orig = kelvinfn.bessel._ray_dk
+    orig = kelvinfn.bessel._ray_k
 
-    def counted(o, x, cfg):
-        res = orig(o, x, cfg)
-        runs.append((o.mu, x, res.terms_used))
-        return res
+    def counted(nu, x, cfg, dk):
+        k, d = orig(nu, x, cfg, dk)
+        runs.append((nu, x, k.terms_used, d.terms_used))
+        return k, d
 
-    monkeypatch.setattr(kelvinfn.bessel, "_ray_dk", counted)
+    monkeypatch.setattr(kelvinfn.bessel, "_ray_k", counted)
     dkelvin(5.0, 2.0)
-    assert runs == [(5.0, 2.0, 64)]
+    assert runs == [(5.0, 2.0, 62, 64)]
 
 
 def test_term_cap_reported_through_the_ray_path():
@@ -127,10 +153,10 @@ def _counts(calls):
 
 @pytest.mark.parametrize("xs", ["1:20:1", "1:5:1", "3"])
 def test_table_sets_up_each_order_once(anchors, capsys, xs):
-    """One Gamma per series order (2.3 and -2.3) and one psi for the psi
-    sums of 2.3, however many rows share the order."""
+    """One Gamma and one psi for the series of 2.3 and its psi sums,
+    however many rows share the order; K needs neither."""
     assert main(["table", "--nu", "2.3", "--x-range", xs]) == 0
-    assert _counts(anchors) == (2, 1)
+    assert _counts(anchors) == (1, 1)
 
 
 @pytest.mark.parametrize("tol", [1e-10, 1e-13])
