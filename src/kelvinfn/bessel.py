@@ -15,12 +15,13 @@ Kelvin value and order derivative is taken, each quantity has one route:
 A :class:`_RayOrder` holds what :func:`_ray_sums` takes from the order
 alone (Gamma and psi at the anchor, the weights below it, the phase of
 ber + i bei), so the kernel does only the work that depends on x; the K
-sum reads one table of nodes, which depends on neither.  A
-:class:`_RayPoint` holds one x and runs each series and each K sum at most
-once, for the values and the order derivatives alike.  A caller that
-evaluates one order at many x (table rows, integrand nodes, stencils)
-gives its points one dict of orders, so each is set up once.  Nothing but
-the node table outlives the top-level call.
+sum reads one table of nodes, which depends on neither.  The Kelvin values
+and order derivatives call the two kernels directly, once each per (nu, x);
+a caller that evaluates one order at many x (table rows, integrand nodes,
+stencils) keeps one dict of orders, so each is set up once.  A
+:class:`_RayPoint` holds one x and runs each kernel at most once per order,
+read as J, I, K and their order derivatives by the paper's closed forms.
+Nothing but the node table outlives the top-level call.
 
 At a general complex z (the public functions, one :class:`_Point` per
 call) J and I go through :func:`hyper.sum_series`, the psi sums through
@@ -237,7 +238,7 @@ def _ray_sums(o: _RayOrder, x: float, cfg: SeriesConfig, psi: bool) -> tuple:
     try:
         t = (0.5 * x) ** (mu + 2 * k0)
         c = (0.5 * x) ** mu if k0 else t
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):  # the latter where x/2 is 0 and mu < 0
         raise PowerOverflowError(
             f"(x/2)^{mu:g} overflows double precision at x = {x:g}") from None
     # the terms below the anchor need (x/2)^mu as a normal double
@@ -512,23 +513,20 @@ class _RayPoint(_Point):
     Each kernel runs once per order, with the psi sums (the dK/dnu sum) if
     they are asked for before J or I (before K) of that order; a later
     request runs the kernel again, so the order derivatives ask first.
-
-    The point finds its orders (:class:`_RayOrder`) by mu in ``orders``,
-    one dict for all the points of a caller that evaluates one order at many
-    x, so that each order is set up once; by default its own results.
+    Each order (:class:`_RayOrder`) is set up once, among the results.  The
+    point serves the paper's closed forms and the tests; the Kelvin values
+    and ``dkelvin`` call the kernels directly.
     """
 
-    __slots__ = ("x", "orders")
+    __slots__ = ("x",)
 
-    def __init__(self, zj: complex, zk: complex, x: float, cfg: SeriesConfig,
-                 orders: dict | None = None):
+    def __init__(self, zj: complex, zk: complex, x: float, cfg: SeriesConfig):
         super().__init__(zj, zk, cfg)
         self.x = x
-        self.orders = self.memo if orders is None else orders
 
     def run(self, mu: float, psi: bool) -> tuple[_RayOrder, tuple]:
         """The order mu and its series run at x, with the psi sums if ``psi``."""
-        o = _order(self.orders, mu)
+        o = _order(self.memo, mu)
         key = ("ray", mu)
         r = self.memo.get(key)
         if r is None or (psi and r[5] is None):

@@ -22,7 +22,7 @@ import time
 
 from .errors import KelvinError
 from .hyper import SeriesConfig
-from .kelvin import _eval_ber_bei, _eval_ker_kei, _point
+from .kelvin import _eval_ber_bei, _eval_ker_kei
 from .orderderiv import _dkelvin, dkelvin
 from .quad import QuadConfig, apelblat_dber_dbei
 from .verify import SUITES, run_suites
@@ -113,7 +113,7 @@ def _table_row(nu: float, x: float, cfg: SeriesConfig, orders: dict) -> str:
             cells = ["", ""]
             note = "undefined_at_x0"
         return ",".join([_fmt(nu), _fmt(x)] + cells + [""] * 6 + [note])
-    quad = _dkelvin(nu, x, _point(nu, x, cfg, orders))
+    quad = _dkelvin(nu, x, cfg, orders)
     q = quad.values
     vals = [q.ber, q.bei, q.ker, q.kei, quad.dber, quad.dbei, quad.dker, quad.dkei]
     return ",".join([_fmt(nu), _fmt(x)] + [_fmt(v) for v in vals] + [quad.method])

@@ -12,17 +12,15 @@ special case at or next to an integer order.  The method tag is 'series'.
 
 J_mu and I_mu of one order are one real series on the two rays, turned by
 one exact phase e^(3i pi mu/4) into ber + i bei, so ber_{-n} = (-1)^n ber_n
-holds bit for bit.  Each order is set up once (``bessel._RayOrder``: Gamma
-and psi at the anchor, the phase) and then run at each x.  The private
-``_ber_bei``/``_ker_kei``/``_quad`` read the series and the K sum from a
-``bessel._RayPoint`` at one x (``_point``), which runs each at most once,
-for the values and the order derivatives alike; ber/bei alone
-(``_eval_ber_bei``) is one series run.  Both take an optional dict of
-orders: a caller that evaluates one order at many x (table rows, integrand
-nodes, ODE stencils) passes the same dict each time, so that the order is
-set up once per top-level call; without it a call sets up its own.
-``_point`` and ``_eval_ber_bei`` are where every public entry rejects a
-non-finite order or argument.
+holds bit for bit.  Each entry calls the kernels itself, once each:
+``bessel._ray_sums`` on an order set up once (``bessel._RayOrder``: Gamma
+and psi at the anchor, the phase) and ``bessel._ray_k``, turned by
+e^(-i pi nu/2) (``_k_turn``).  ``_eval_ber_bei`` takes an optional dict of
+orders: a caller that evaluates one order at many x (integrand nodes, ODE
+stencils) passes the same dict each time, so that the order is set up once
+per top-level call.  ``_finite`` is where every entry rejects a non-finite
+order or argument.  The paper's closed forms read J, I and dJ/dnu at more
+than one order at one x from a ``bessel._RayPoint`` (``_point``, ``_ber_bei``).
 """
 
 from __future__ import annotations
@@ -30,9 +28,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bessel import _order, _phase, _ray_sums, _RayOrder, _RayPoint
+from . import bessel
+from .bessel import _order, _phase, _RayOrder, _RayPoint
 from .errors import ConvergenceError, DomainError
-from .hyper import DEFAULT_SERIES, SeriesConfig
+from .hyper import DEFAULT_SERIES, EvalResult, SeriesConfig
 from .scalars import PI
 
 _HALF_SQRT2 = math.sqrt(0.5)
@@ -53,16 +52,17 @@ class KelvinQuad:
     x: float
 
 
-def _point(nu: float, x: float, cfg: SeriesConfig, orders: dict | None = None) -> _RayPoint:
-    """The series holder at x: J on the ray e^(-i pi/4) x, I and K on e^(i pi/4) x.
-
-    ``orders`` is the dict of order set-ups (``bessel._RayOrder``) that the
-    points of one top-level call at one order nu share; by default the
-    point sets up its own.  Raises DomainError unless nu and x are finite.
-    """
+def _finite(nu: float, x: float) -> None:
+    """DomainError unless the order nu and the argument x are finite."""
     if not (math.isfinite(nu) and math.isfinite(x)):
         raise DomainError(f"order and argument must be finite, got nu={nu!r}, x={x!r}")
-    return _RayPoint(ROT_J * x, ROT_K * x, x, cfg, orders)
+
+
+def _point(nu: float, x: float, cfg: SeriesConfig) -> _RayPoint:
+    """The series holder of the closed forms at x: J on the ray e^(-i pi/4) x,
+    I and K on e^(i pi/4) x; DomainError unless nu and x are finite."""
+    _finite(nu, x)
+    return _RayPoint(ROT_J * x, ROT_K * x, x, cfg)
 
 
 def _origin(nu: float, x: float) -> tuple[float, float, float, str]:
@@ -89,21 +89,12 @@ def _ber_bei(nu: float, x: float, p: _RayPoint) -> tuple[float, float, float, st
     return _rotate(*p.run(nu, False))
 
 
-def _ker_kei(nu: float, x: float, p: _RayPoint) -> tuple[float, float, float, str]:
-    """(ker, kei, abs error estimate, method tag) from the K sum at ``p``."""
-    if x <= 0.0:
-        raise DomainError("ker/kei defined for x > 0")
-    r = p.k(abs(nu))  # K is even in the order
-    if not r.converged:
+def _k_turn(nu: float, x: float, k: EvalResult) -> complex:
+    """e^(-i pi nu/2), which turns the K sum ``k`` at |nu| and x into
+    ker + i kei; ConvergenceError where that sum has no error bound."""
+    if not k.converged:
         raise ConvergenceError(f"the K sum at order {nu:g} has no error bound at x = {x:g}")
-    w = _phase(-PI * nu / 2.0) * r.value
-    return w.real, w.imag, r.abs_err_estimate, "series"
-
-
-def _quad(nu: float, x: float, p: _RayPoint) -> KelvinQuad:
-    ber, bei, _, _ = _ber_bei(nu, x, p)
-    ker, kei, _, _ = _ker_kei(nu, x, p)
-    return KelvinQuad(ber, bei, ker, kei, nu, x)
+    return _phase(-PI * nu / 2.0)
 
 
 def _eval_ber_bei(nu: float, x: float, cfg: SeriesConfig,
@@ -113,18 +104,21 @@ def _eval_ber_bei(nu: float, x: float, cfg: SeriesConfig,
     A caller that evaluates order nu at many x passes them all one dict
     ``orders``, in which nu is set up once (``bessel._RayOrder``).
     """
-    if not (math.isfinite(nu) and math.isfinite(x)):
-        raise DomainError(f"order and argument must be finite, got nu={nu!r}, x={x!r}")
+    _finite(nu, x)
     if x <= 0.0:
         return _origin(nu, x)
     o = _RayOrder(nu) if orders is None else _order(orders, nu)
-    return _rotate(o, _ray_sums(o, x, cfg, False))
+    return _rotate(o, bessel._ray_sums(o, x, cfg, False))
 
 
-def _eval_ker_kei(nu: float, x: float, cfg: SeriesConfig,
-                  orders: dict | None = None) -> tuple[float, float, float, str]:
-    """(ker, kei, abs error estimate, method tag); ``orders`` as in ``_point``."""
-    return _ker_kei(nu, x, _point(nu, x, cfg, orders))
+def _eval_ker_kei(nu: float, x: float, cfg: SeriesConfig) -> tuple[float, float, float, str]:
+    """(ker, kei, abs error estimate, method tag) from one K sum at x."""
+    _finite(nu, x)
+    if x <= 0.0:
+        raise DomainError("ker/kei defined for x > 0")
+    k = bessel._ray_k(abs(nu), x, cfg, False)[0]  # K is even in the order
+    w = _k_turn(nu, x, k) * k.value
+    return w.real, w.imag, k.abs_err_estimate, "series"
 
 
 def kelvin_ber_bei(nu: float, x: float,
@@ -152,7 +146,8 @@ def kelvin_ker_kei(nu: float, x: float,
 def kelvin_all(nu: float, x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> KelvinQuad:
     """All four Kelvin functions at (nu, x), x > 0; DomainError otherwise and
     at non-finite nu or x."""
-    p = _point(nu, x, cfg)
     if x <= 0.0:
         raise DomainError("kelvin_all requires x > 0 (ker/kei singular at 0)")
-    return _quad(nu, x, p)
+    ber, bei, _, _ = _eval_ber_bei(nu, x, cfg)
+    ker, kei, _, _ = _eval_ker_kei(nu, x, cfg)
+    return KelvinQuad(ber, bei, ker, kei, nu, x)

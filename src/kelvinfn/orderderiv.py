@@ -21,9 +21,11 @@ The paper's closed forms stay as oracles for the verify suites and tests:
 dK/dnu), ``dkelvin_bb_brychkov`` (3F6/4F7) and ``dkelvin_integer`` (finite
 sums over lower-order Kelvin values, tag 'integer_sum').
 
-``dkelvin`` evaluates one point: the four values and the four order
-derivatives come from one ``kelvin._point``, so the series at nu is summed
-once, with its psi sums, and the K sum at |nu| once, with dK/dnu.
+``dkelvin`` is two kernel calls: the series at nu with its psi sums, T and
+P (``bessel._ray_sums``), and the K sum at |nu| with dK/dnu
+(``bessel._ray_k``).  Each side takes one phase: with ber + i bei = phi T,
+d(ber + i bei)/dnu = phi ((log(x/2) + 3i pi/4) T - P), as
+dT/dnu = log(x/2) T - P, and the K side turns by e^(-i pi nu/2).
 """
 
 from __future__ import annotations
@@ -31,12 +33,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bessel import (NEAR_EXCLUDED, ORDER_EPS, _dj_dnu, _dji_dnu_direct, _dk_dnu, _is_near_int,
-                     _RayPoint)
+from . import bessel
+from .bessel import NEAR_EXCLUDED, ORDER_EPS, _dj_dnu, _dk_dnu, _is_near_int, _order, _RayOrder
 from .errors import DomainError, NegativeIntegerOrderError, OrderClassError
 from .hyper import DEFAULT_SERIES, HyperSpec, SeriesConfig, pfq
-from .kelvin import KelvinQuad, _ber_bei, _ker_kei, _phase, _point, _quad
+from .kelvin import (KelvinQuad, _ber_bei, _eval_ker_kei, _finite, _k_turn, _phase, _point,
+                     kelvin_all)
 from .scalars import PI, digamma_real, gamma_real
+
+# dkelvin's rounding floor of a series per unit of its largest term; on the
+# mpmath grids of the tests 3e-16 is the least that covers the true error
+_SERIES_FLOOR = 5e-16
 
 
 @dataclass(frozen=True)
@@ -59,16 +66,6 @@ class OrderDerivQuad:
     values: KelvinQuad
 
 
-def _bb_pos(nu: float, dj: complex, ber: float, bei: float) -> tuple[float, float]:
-    e = _phase(PI * nu) * dj
-    return e.real - PI * bei, e.imag + PI * ber
-
-
-def _kk_pos(nu: float, dk: complex, ker: float, kei: float) -> tuple[float, float]:
-    e = _phase(-PI * nu / 2.0) * dk
-    return e.real + PI / 2.0 * kei, e.imag - PI / 2.0 * ker
-
-
 def dkelvin_bb_pos(nu: float, x: float,
                    cfg: SeriesConfig = DEFAULT_SERIES) -> tuple[float, float]:
     """(d ber_nu/d nu, d bei_nu/d nu) for non-integer nu >= 0, x > 0, by the
@@ -79,7 +76,8 @@ def dkelvin_bb_pos(nu: float, x: float,
     if nu < 0.0 or abs(nu - round(nu)) <= ORDER_EPS:
         raise OrderClassError(f"integer or negative order {nu}: use the dispatcher")
     ber, bei, _, _ = _ber_bei(nu, x, p)
-    return _bb_pos(nu, _dj_dnu(nu, p).value, ber, bei)
+    e = _phase(PI * nu) * _dj_dnu(nu, p).value
+    return e.real - PI * bei, e.imag + PI * ber
 
 
 def dkelvin_kk_pos(nu: float, x: float,
@@ -92,8 +90,9 @@ def dkelvin_kk_pos(nu: float, x: float,
         raise DomainError("x must be positive")
     if nu < 0.0 or _is_near_int(2.0 * nu, NEAR_EXCLUDED):
         raise OrderClassError(f"order {nu} excluded for the K-side closed form")
-    ker, kei, _, _ = _ker_kei(nu, x, p)
-    return _kk_pos(nu, _dk_dnu(nu, p).value, ker, kei)
+    ker, kei, _, _ = _eval_ker_kei(nu, x, cfg)
+    e = _phase(-PI * nu / 2.0) * _dk_dnu(nu, p).value
+    return e.real + PI / 2.0 * kei, e.imag - PI / 2.0 * ker
 
 
 def dkelvin_bb_neg(nu: float, x: float,
@@ -127,12 +126,12 @@ def dkelvin_integer(n: int, x: float,
     with the analogous sums (3(k-n)pi/4 weights) on the K side.  Sums are
     empty at n = 0.  Kept as an oracle for ``dkelvin`` at integer order.
     """
-    p = _point(n, x, cfg)
+    _finite(n, x)
     if n < 0:
         raise NegativeIntegerOrderError("finite sums defined for n >= 0 only")
     if x <= 0.0:
         raise DomainError("x must be positive")
-    quads = [_quad(float(k), x, p) for k in range(n + 1)]
+    quads = [kelvin_all(float(k), x, cfg) for k in range(n + 1)]
     top = quads[n]
     dber = -PI / 2.0 * top.bei - top.ker
     dbei = PI / 2.0 * top.ber - top.kei
@@ -223,20 +222,28 @@ def dkelvin(nu: float, x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> OrderDer
     quadrature dK/dnu at |nu|, odd in nu, onto the Kelvin rays (method
     'series').  The result also carries the four values at nu.
     """
-    return _dkelvin(nu, x, _point(nu, x, cfg))
+    return _dkelvin(nu, x, cfg)
 
 
-def _dkelvin(nu: float, x: float, p: _RayPoint) -> OrderDerivQuad:
-    """``dkelvin`` at the point ``p`` of (nu, x), whose orders a table row
-    shares with the other rows of its order."""
+def _dkelvin(nu: float, x: float, cfg: SeriesConfig, orders: dict | None = None) -> OrderDerivQuad:
+    """``dkelvin``; the rows of a table order pass one dict ``orders``, in
+    which nu is set up once.  The estimate adds to the kernels' estimates
+    the floor of each series, ``_SERIES_FLOOR`` times its largest term, each
+    scaled as in the derivative, and pi/2 times the K estimate."""
+    _finite(nu, x)
     if x <= 0.0:
         raise DomainError("x must be positive")
-    # the derivatives before the values, so that the series at nu is summed
-    # once, with its psi sums, and K at |nu| once, with dK/dnu
-    dj = _dji_dnu_direct(nu, -1.0, p)
-    dk = p.dk(abs(nu))
-    values = _quad(nu, x, p)
-    dber, dbei = _bb_pos(nu, dj.value, values.ber, values.bei)
-    dker, dkei = _kk_pos(nu, -dk.value if nu < 0.0 else dk.value, values.ker, values.kei)
-    return OrderDerivQuad(dber, dbei, dker, dkei, nu, x, "series",
-                          dj.abs_err_estimate + dk.abs_err_estimate, values)
+    o = _RayOrder(nu) if orders is None else _order(orders, nu)
+    t, t_err, _, _, t_max, (p, p_err, p_max, _, _) = bessel._ray_sums(o, x, cfg, True)
+    k, dk = bessel._ray_k(abs(nu), x, cfg, True)
+    turn = _k_turn(nu, x, k)
+    # log(x/2) after the K sum, which raises where x/2 underflows to 0
+    lg = complex(math.log(0.5 * x), 0.75 * PI)
+    phi = o.phase()
+    bb, dbb = phi * t, phi * (lg * t - p)
+    kk, e = turn * k.value, turn * (-dk.value if nu < 0.0 else dk.value)
+    est = (abs(lg) * (t_err + _SERIES_FLOOR * t_max) + p_err + _SERIES_FLOOR * p_max
+           + dk.abs_err_estimate + PI / 2.0 * k.abs_err_estimate)
+    return OrderDerivQuad(dbb.real, dbb.imag, e.real + PI / 2.0 * kk.imag,
+                          e.imag - PI / 2.0 * kk.real, nu, x, "series", est,
+                          KelvinQuad(bb.real, bb.imag, kk.real, kk.imag, nu, x))

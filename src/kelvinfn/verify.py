@@ -177,7 +177,7 @@ def suite_ode(cfg: SeriesConfig = DEFAULT_SERIES,
     for nu in M.ODE_KK_NU:
         for x in M.ODE_X:
             res = _ode_residual(
-                lambda t, orders: complex(*_eval_ker_kei(nu, t, cfg, orders)[:2]),
+                lambda t, orders: complex(*_eval_ker_kei(nu, t, cfg)[:2]),
                 nu, x, M.ODE_STEP)
             out.append(make_report("ode_ker_kei", nu, x, res, 0.0, M.ODE_SCALED_TOL))
     return out

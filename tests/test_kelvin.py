@@ -163,15 +163,20 @@ def test_dk_quadrature_below_the_envelope():
 
 def test_k_quadrature_edges_are_typed():
     """At the smallest double x/2 is 0, so (x/2)^(-nu) is a typed
-    PowerOverflowError, not a bare ZeroDivisionError; at order 0 the K sum
-    runs out of nodes there, a typed ConvergenceError, not a value cut
-    short.  A term cap past the nodes whose cosh t stays finite still sums
-    K, from the nodes there are."""
-    with pytest.raises(PowerOverflowError):
-        kelvin_ker_kei(0.3, 5e-324)
-    for call in (kelvin_ker_kei, kelvin_all):
+    PowerOverflowError, not a bare ZeroDivisionError, in the K sum and, at
+    a negative order, in the series; at order 0 the K sum runs out of nodes
+    there, a typed ConvergenceError, not a value cut short, and dkelvin
+    raises it before it takes log(x/2).  A term cap past the nodes whose
+    cosh t stays finite still sums K, from the nodes there are."""
+    for call in (kelvin_ker_kei, kelvin_all, dkelvin):
+        with pytest.raises(PowerOverflowError):
+            call(0.3, 5e-324)
         with pytest.raises(ConvergenceError):
             call(0.0, 5e-324)
+    for call in (kelvin_ber_bei, kelvin_all, dkelvin):
+        for nu in (-1.0, -2.0, -2.5):
+            with pytest.raises(PowerOverflowError):
+                call(nu, 5e-324)
     k = _point(0.3, 2.0, SeriesConfig(max_terms=20000)).k(0.3)
     assert k.converged and k.value == _point(0.3, 2.0, DEFAULT_SERIES).k(0.3).value
 

@@ -76,6 +76,10 @@ def oracle(nu: float, x: float) -> dict[str, complex]:
 
 
 def check(nu: float, x: float, rel: float | dict[str, float]) -> None:
+    """The four pairs within ``rel`` of the oracle, and dkelvin's error
+    estimate calibrated against the worst of the four order derivatives:
+    it covers that error and, where the error is above 1e-15 of its pair,
+    overstates it by at most 1e3."""
     d = dkelvin(nu, x)
     q = d.values
     got = {"bb": complex(q.ber, q.bei), "kk": complex(q.ker, q.kei),
@@ -84,6 +88,11 @@ def check(nu: float, x: float, rel: float | dict[str, float]) -> None:
     for key, w in want.items():
         bound = rel[key] if isinstance(rel, dict) else rel
         assert abs(got[key] - w) <= bound * abs(w), (key, got[key], w)
+    err, pair = max((abs(g - w), abs(want[key])) for key in ("dbb", "dkk")
+                    for g, w in ((got[key].real, want[key].real), (got[key].imag, want[key].imag)))
+    assert d.err_estimate >= err, (d.err_estimate, err)
+    if err > 1e-15 * pair:
+        assert d.err_estimate <= 1e3 * err, (d.err_estimate, err)
 
 
 @pytest.mark.parametrize("x", XS)

@@ -8,8 +8,7 @@ import pytest
 
 from kelvinfn.cli import _fmt, _table_row
 from kelvinfn.hyper import DEFAULT_SERIES
-from kelvinfn.kelvin import (_eval_ber_bei, _eval_ker_kei, _point, kelvin_ber_bei,
-                             kelvin_ker_kei)
+from kelvinfn.kelvin import _eval_ber_bei, _eval_ker_kei, kelvin_ber_bei, kelvin_ker_kei
 from kelvinfn.orderderiv import _dkelvin, dkelvin
 
 ORDERS = [-10.0, -3.0, -3.0 - 1e-9, -3.0 + 1e-9, -2.5, -0.3, 0.0, 2e-6, 3.0, 3.0 + 5e-7,
@@ -40,7 +39,7 @@ def test_table_rows_equal_single_points(nu):
         assert _table_row(nu, x, DEFAULT_SERIES, orders).split(",") == want, x
     shared: dict = {}
     for x in WALK:
-        got = _dkelvin(nu, x, _point(nu, x, DEFAULT_SERIES, shared))
+        got = _dkelvin(nu, x, DEFAULT_SERIES, shared)
         assert deriv_bits(got) == deriv_bits(dkelvin(nu, x)), x
 
 
@@ -54,9 +53,8 @@ def test_integrand_ber_bei_equal_single_points(nu):
 
 @pytest.mark.parametrize("nu", ORDERS)
 def test_stencil_ker_kei_equal_single_points(nu):
-    orders: dict = {}
     for x in WALK:
-        assert bits(*_eval_ker_kei(nu, x, DEFAULT_SERIES, orders)[:3]) == \
+        assert bits(*_eval_ker_kei(nu, x, DEFAULT_SERIES)[:3]) == \
             bits(*kelvin_ker_kei(nu, x), _eval_ker_kei(nu, x, DEFAULT_SERIES)[2]), x
 
 

@@ -15,7 +15,6 @@ import pytest
 
 import kelvinfn.bessel
 import kelvinfn.hyper
-import kelvinfn.kelvin
 from kelvinfn.cli import main
 from kelvinfn.hyper import SeriesConfig
 from kelvinfn.kelvin import _point, kelvin_all, kelvin_ker_kei
@@ -34,9 +33,7 @@ def series(monkeypatch):
         keys.append((o.mu, x, res[0]))
         return res
 
-    # kelvin binds the kernel for its one-run ber/bei
     monkeypatch.setattr(kelvinfn.bessel, "_ray_sums", counted)
-    monkeypatch.setattr(kelvinfn.kelvin, "_ray_sums", counted)
     return keys
 
 
@@ -77,7 +74,8 @@ def ksums(monkeypatch):
 
 # (call, series runs); the comment gives the sum_series + _psi_sum loops the
 # complex-argument series needed for the same call.  Every call makes one K
-# sum besides.
+# sum besides, and calls both kernels directly: no series holder
+# (``bessel._RayPoint``) between.
 @pytest.mark.parametrize("call, count", [
     pytest.param(lambda: dkelvin(0.3, 2.0), 1, id="dkelvin(0.3,2)"),      # 6
     pytest.param(table_row(0.5), 1, id="table(0.5,2)"),                  # 6
@@ -87,7 +85,11 @@ def ksums(monkeypatch):
     pytest.param(lambda: dkelvin(5.0, 2.0), 1, id="dkelvin(5,2)"),       # 13
     pytest.param(lambda: kelvin_all(0.0, 2.0), 1, id="kelvin_all(0,2)"),  # 2
 ])
-def test_series_summed_once(series, ksums, capsys, call, count):
+def test_series_summed_once(monkeypatch, series, ksums, capsys, call, count):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a _RayPoint was built")
+
+    monkeypatch.setattr(kelvinfn.bessel._RayPoint, "__init__", refuse)
     call()
     assert len(series) == count
     assert len(set(series)) == len(series)
