@@ -16,7 +16,8 @@ from .orderderiv import (OrderDerivQuad, coef_c, coef_d, dkelvin,
 from .quad import (IdentityReport, QuadConfig, apelblat_ber_bei,
                    apelblat_dber_dbei, appendix_ber_bei, convolution_identity,
                    indefinite_integral_check, integrate_finite,
-                   integrate_semiinf, theorem5_identity)
+                   integrate_semiinf, theorem5_identities,
+                   theorem5_identity)
 from .verify import run_suites
 
 __version__ = "0.1.0"
@@ -34,5 +35,6 @@ __all__ = [
     "dkelvin_bb_neg", "dkelvin_bb_pos", "dkelvin_integer", "dkelvin_kk_neg",
     "dkelvin_kk_pos", "gamma_real", "indefinite_integral_check",
     "integrate_finite", "integrate_semiinf", "kelvin_all", "kelvin_ber_bei",
-    "kelvin_ker_kei", "pfq", "run_suites", "theorem5_identity",
+    "kelvin_ker_kei", "pfq", "run_suites", "theorem5_identities",
+    "theorem5_identity",
 ]

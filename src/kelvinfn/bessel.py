@@ -350,7 +350,8 @@ def _ray_k(nu: float, x: float, cfg: SeriesConfig, dk: bool) -> tuple:
     the estimates take p = 3, |T_h| (e/|T_h|)^3, plus the rounding floor
     n eps h sum_k |f(kh)| over the n nodes.
 
-    Returns (K, dK/dnu or None).  Raises PowerOverflowError where
+    Returns (K, dK/dnu or None), each a plain tuple (value, abs error
+    estimate, nodes, converged) (:func:`_trapezoid`).  Raises PowerOverflowError where
     (x/2)^(-nu), the scale of K near 0, overflows.
     """
     try:
@@ -424,24 +425,22 @@ def _ray_k(nu: float, x: float, cfg: SeriesConfig, dk: bool) -> tuple:
     if not math.isfinite(mag + dmag):
         raise SeriesOverflowError(f"the K quadrature at order {nu:g} is not finite at x = {x:g}")
     ok = nu <= K_MAX_ORDER and x <= K_MAX_ARG
-    k = _trapezoid(*(ks or (ore, oim, ere, eim, mag, i + 2)), ok and ks is not None, nu, x)
-    return k, (_trapezoid(dore, doim, dere, deim, dmag, dn, ok and dconv, nu, x) if dk else None)
+    k = _trapezoid(*(ks or (ore, oim, ere, eim, mag, i + 2)), ok and ks is not None)
+    return k, (_trapezoid(dore, doim, dere, deim, dmag, dn, ok and dconv) if dk else None)
 
 
 def _trapezoid(ore: float, oim: float, ere: float, eim: float, mag: float, n: int,
-               converged: bool, nu: float, x: float) -> EvalResult:
-    """T_h of :func:`_ray_k` from its odd and even sums of f e^(-c) cos c
-    and -f e^(-c) sin c over n nodes, the f e^(-c) adding up to ``mag``."""
+               converged: bool) -> tuple:
+    """(T_h, abs error estimate, n, converged) of :func:`_ray_k` from its odd
+    and even sums of f e^(-c) cos c and -f e^(-c) sin c over n nodes, the
+    f e^(-c) adding up to ``mag``."""
     h = DK_STEP
     value = complex(h * (ore + ere), h * (oim + eim))
-    if converged:
-        size = abs(value)
-        e = h * math.hypot(ore - ere, oim - eim)
-        est = (e * (e / size) ** 2 if size else 0.0) + n * _EPS * h * mag
-    else:
-        est = math.inf
-    flags = (() if converged else ("no_convergence",)) + _degraded_flags(nu, x)
-    return EvalResult(value, est, n, converged, flags)
+    if not converged:
+        return value, math.inf, n, False
+    size = abs(value)
+    e = h * math.hypot(ore - ere, oim - eim)
+    return value, (e * (e / size) ** 2 if size else 0.0) + n * _EPS * h * mag, n, True
 
 
 class _Point:
@@ -534,12 +533,19 @@ class _RayPoint(_Point):
         return o, r
 
     def ksum(self, nu: float, dk: bool) -> tuple[EvalResult, EvalResult | None]:
-        """K at nu >= 0 and, if ``dk``, dK/dnu, from one run of :func:`_ray_k` at x."""
+        """K at nu >= 0 and, if ``dk``, dK/dnu, from one run of :func:`_ray_k` at x,
+        each with its flags."""
         key = ("k", nu)
         r = self.memo.get(key)
         if r is None or (dk and r[1] is None):
-            r = self.memo[key] = _ray_k(nu, self.x, self.cfg, dk)
+            k, d = _ray_k(nu, self.x, self.cfg, dk)
+            r = self.memo[key] = (self._flagged(nu, k), d and self._flagged(nu, d))
         return r
+
+    def _flagged(self, nu: float, s: tuple) -> EvalResult:
+        """The sum ``s`` of :func:`_ray_k` at order nu, with its flags."""
+        flags = (() if s[3] else ("no_convergence",)) + _degraded_flags(nu, self.x)
+        return EvalResult(*s, flags)
 
     def rotated(self, mu: float, c: float) -> EvalResult:
         """e^(i pi c mu) S of order mu: c = -1/4 gives J_mu(zj), 1/4

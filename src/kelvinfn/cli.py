@@ -1,11 +1,10 @@
-"""Command-line front end: point evaluation, tables, verification, benchmark.
+"""Command-line front end: point evaluation, tables, verification.
 
 Subcommands
 -----------
 eval    one function at one (nu, x); prints value, error estimate, method
 table   CSV sweep over nu/x ranges with all four values and derivatives
 verify  run identity suites, emit the report CSV, exit 1 on any failure
-bench   median per-point latency, closed forms vs quadrature
 
 CSV output uses 17 significant digits, '\n' line endings and no quoting, so
 two runs with identical flags are byte-identical.  The environment variable
@@ -18,19 +17,21 @@ import argparse
 import functools
 import os
 import sys
-import time
 
 from .errors import KelvinError
 from .hyper import SeriesConfig
 from .kelvin import _eval_ber_bei, _eval_ker_kei
 from .orderderiv import _dkelvin, dkelvin
-from .quad import QuadConfig, apelblat_dber_dbei
+from .quad import QuadConfig
 from .verify import SUITES, run_suites
 
 _VALUE_FNS = ("ber", "bei", "ker", "kei")
 _DERIV_FNS = ("dber", "dbei", "dker", "dkei")
 _TABLE_HEADER = "nu,x,ber,bei,ker,kei,dber,dbei,dker,dkei,method"
 _REPORT_HEADER = "name,nu,x,lhs,rhs,abs_diff,tol,pass"
+# a table row: nu, x, the four values and the four order derivatives, each
+# cell the string of _fmt ('%.17g' and '{:.17g}' agree on every double)
+_TABLE_ROW = "%.17g," * 10 + "series"
 
 
 def _fmt(v: float) -> str:
@@ -113,10 +114,7 @@ def _table_row(nu: float, x: float, cfg: SeriesConfig, orders: dict) -> str:
             cells = ["", ""]
             note = "undefined_at_x0"
         return ",".join([_fmt(nu), _fmt(x)] + cells + [""] * 6 + [note])
-    quad = _dkelvin(nu, x, cfg, orders)
-    q = quad.values
-    vals = [q.ber, q.bei, q.ker, q.kei, quad.dber, quad.dbei, quad.dker, quad.dkei]
-    return ",".join([_fmt(nu), _fmt(x)] + [_fmt(v) for v in vals] + [quad.method])
+    return _TABLE_ROW % ((nu, x) + _dkelvin(nu, x, cfg, orders)[:8])
 
 
 def cmd_table(args: argparse.Namespace) -> int:
@@ -162,46 +160,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    try:
-        nus = _parse_range(args.nu_range, "--nu-range")
-        xs = _parse_range(args.x_range, "--x-range")
-    except ValueError as exc:
-        print(f"bench: {exc}", file=sys.stderr)
-        return 2
-    points = [(nu, x) for nu in nus for x in xs if x > 0.0]
-    if not points:
-        print("bench: empty grid", file=sys.stderr)
-        return 2
-    cfg = _series_cfg()
-    quad_cfg = QuadConfig()
-
-    def median(vals: list[float]) -> float:
-        vals = sorted(vals)
-        mid = len(vals) // 2
-        return vals[mid] if len(vals) % 2 else 0.5 * (vals[mid - 1] + vals[mid])
-
-    closed_times = []
-    quad_times = []
-    for nu, x in points:
-        t0 = time.perf_counter()
-        dkelvin(nu, x, cfg)
-        closed_times.append(time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        apelblat_dber_dbei(nu, x, quad_cfg, cfg)
-        quad_times.append(time.perf_counter() - t0)
-    mc = median(closed_times)
-    mq = median(quad_times)
-    lines = [
-        f"points = {len(points)}",
-        f"closed_form_median_s = {mc:.6g}",
-        f"quadrature_median_s = {mq:.6g}",
-        f"speedup_ratio = {mq / mc:.6g}",
-    ]
-    _emit(lines, args.out)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="kelvinfn",
@@ -234,12 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--format", choices=("csv", "plain"), default="csv")
     pv.add_argument("--out", default=None)
     pv.set_defaults(func=cmd_verify)
-
-    pb = sub.add_parser("bench", help="closed forms vs quadrature latency")
-    pb.add_argument("--nu-range", dest="nu_range", default="0.3:2.7:0.8")
-    pb.add_argument("--x-range", dest="x_range", default="0.5:5:1.5")
-    pb.add_argument("--out", default=None)
-    pb.set_defaults(func=cmd_bench)
     return p
 
 

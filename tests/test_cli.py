@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from kelvinfn.cli import _parse_range, _series_cfg, main
+from kelvinfn.cli import _TABLE_ROW, _fmt, _parse_range, _series_cfg, main
 
 
 def run_cli(capsys, *argv):
@@ -75,6 +75,12 @@ class TestEval:
 
 
 class TestTable:
+    def test_row_format_cells(self):
+        """The one row format writes each cell as _fmt does, special values included."""
+        vals = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+                -2.2250738585072014e-308, 1.7976931348623157e308, 0.1, -1e-5)
+        assert _TABLE_ROW % vals == ",".join(map(_fmt, vals)) + ",series"
+
     def test_single_point(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--nu", "0", "--x", "1")
         assert code == 0
@@ -166,21 +172,6 @@ class TestVerify:
         assert main(["verify", "--suite", "appendix", "--out", str(p1)]) == 0
         assert main(["verify", "--suite", "appendix", "--out", str(p2)]) == 0
         assert p1.read_bytes() == p2.read_bytes()
-
-
-class TestBench:
-    def test_single_point(self, capsys):
-        code, out, _ = run_cli(capsys, "bench", "--nu-range", "0.3",
-                               "--x-range", "1")
-        assert code == 0
-        assert "points = 1" in out
-        assert "speedup_ratio" in out
-
-    def test_empty_grid_exit_2(self, capsys):
-        code, _, err = run_cli(capsys, "bench", "--nu-range", "0.3",
-                               "--x-range", "0")
-        assert code == 2
-        assert "empty grid" in err
 
 
 class TestPlumbing:

@@ -17,7 +17,8 @@ K and dK/dnu on the Kelvin ray, the one trapezoidal sum of
 ``bessel._ray_k``, are held to 1e-12 against 40-digit mpmath, each with its
 error estimate calibrated against the true error, at integers, just off
 them and at generic orders; ker/kei to 1e-12 on nu = -10:10:0.25 over
-x in [0.1, 20] and at small x just off an integer.  Just outside 1e-6 of an
+x in [0.1, 20] and at small x just off an integer.  The ber/bei estimate
+that ``eval`` prints is calibrated the same way on an 80-point grid.  Just outside 1e-6 of an
 integer, where the connection formula (pi/2)(I_{-nu} - I_nu)/sin(pi nu)
 would lose digits to its csc factor, dker/dkei hold 1e-10 at x = 8.
 """
@@ -32,7 +33,7 @@ mpmath = pytest.importorskip("mpmath")
 from kelvinfn.cli import main  # noqa: E402
 from kelvinfn.errors import ConvergenceError  # noqa: E402
 from kelvinfn.hyper import DEFAULT_SERIES  # noqa: E402
-from kelvinfn.kelvin import _point, kelvin_all, kelvin_ker_kei  # noqa: E402
+from kelvinfn.kelvin import _eval_ber_bei, _point, kelvin_all, kelvin_ker_kei  # noqa: E402
 from kelvinfn.orderderiv import dkelvin  # noqa: E402
 
 ORDERS = [k / 2.0 for k in range(-20, 21)]
@@ -57,6 +58,8 @@ KK_XS = [0.1, 0.3, 1.0, 3.0, 8.0, 15.0, 20.0]
 KK_NEAR = [(5.0 - 2e-6, 0.01), (-5.0 + 2e-6, 0.01), (5.0 - 2e-6, 0.05), (-5.0 + 2e-6, 0.05),
            (-3.0 + 3e-6, 0.02)]
 KK_REL = 1e-12
+BB_CAL_ORDERS = [0.0, 0.3, 1.0, 2.5, 5.0, 7.75, 10.0, -1.5, -3.3, -7.0]
+BB_CAL_XS = [0.1, 0.5, 2.0, 5.0, 8.0, 12.0, 15.0, 20.0]
 
 
 def oracle(nu: float, x: float) -> dict[str, complex]:
@@ -118,6 +121,24 @@ def kk_oracle(nu: float, x: float) -> complex:
     mp = mpmath.mp
     with mp.workdps(40):
         return complex(mp.ker(mp.mpf(nu), mp.mpf(x)), mp.kei(mp.mpf(nu), mp.mpf(x)))
+
+
+@pytest.mark.parametrize("x", BB_CAL_XS)
+@pytest.mark.parametrize("nu", BB_CAL_ORDERS)
+def test_ber_bei_error_estimate_calibrated(nu, x):
+    """The estimate that ``eval ber``/``eval bei`` print covers the error of
+    both against 40-digit mpmath and, where that error is above 1e-15 (or
+    above 1e-15 of the pair, for pairs below 1), overstates it by at most 1e3."""
+    ber, bei, est, _ = _eval_ber_bei(nu, x, DEFAULT_SERIES)
+    mp = mpmath.mp
+    with mp.workdps(40):
+        n, z = mp.mpf(nu), mp.mpf(x)
+        wb, wi = mp.ber(n, z), mp.bei(n, z)
+        err = float(max(abs(mp.mpf(ber) - wb), abs(mp.mpf(bei) - wi)))
+        pair = float(mp.sqrt(wb * wb + wi * wi))
+    assert est >= err, (est, err)
+    if err > 1e-15 * min(1.0, pair):
+        assert est <= 1e3 * err, (est, err)
 
 
 @pytest.mark.parametrize("nu, x", [(nu, x) for nu in KK_ORDERS for x in KK_XS] + KK_NEAR)

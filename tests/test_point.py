@@ -51,6 +51,21 @@ def test_table_row_cells(capsys, nu, x):
     assert row == want
 
 
+def test_table_rows_on_the_whole_grid(capsys):
+    """Every row of the table over nu = -10:10:0.25, x = 0.5:20:0.5 is the
+    f"{v:.17g}" string of dkelvin(nu, x), cell by cell."""
+    assert main(["table", "--nu-range=-10:10:0.25", "--x-range=0.5:20:0.5"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    points = [(-10.0 + 0.25 * i, 0.5 + 0.5 * j) for i in range(81) for j in range(40)]
+    assert len(rows) == len(points)
+    for row, (nu, x) in zip(rows, points):
+        d = dkelvin(nu, x)
+        q = d.values
+        cells = [f"{v:.17g}" for v in (nu, x, q.ber, q.bei, q.ker, q.kei,
+                                       d.dber, d.dbei, d.dker, d.dkei)]
+        assert row == ",".join(cells + [d.method]), (nu, x)
+
+
 @pytest.mark.parametrize("x", [0.5, 1.0, 2.0, 3.7, 7.5, 12.0, 15.0, 20.0])
 @pytest.mark.parametrize("nu", [0.1, 0.3, 0.7, 1.3, 2.6, 4.4, 6.9, 9.9])
 def test_pfq_equal_on_both_rays(nu, x):

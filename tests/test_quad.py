@@ -10,7 +10,8 @@ from kelvinfn.orderderiv import dkelvin
 from kelvinfn.quad import (QuadConfig, apelblat_ber_bei, apelblat_dber_dbei,
                            appendix_ber_bei, convolution_identity,
                            indefinite_integral_check, integrate_finite,
-                           integrate_semiinf, make_report, theorem5_identity)
+                           integrate_semiinf, make_report, theorem5_identities,
+                           theorem5_identity)
 
 # high-depth reference run of the engine itself at rel_tol 1e-14
 EXP_SINH_INTEGRAL = 0.754610025770972169
@@ -185,6 +186,12 @@ class TestTheorem5:
     def test_bad_tag(self):
         with pytest.raises(ValueError):
             theorem5_identity(0.5, 1.0, "foo")
+
+    def test_rows_of_the_pair(self):
+        """theorem5_identity returns one row of the pair, which shares one pass."""
+        pair = theorem5_identities(2.5, 2.0)
+        assert [theorem5_identity(2.5, 2.0, f) for f in ("ber", "bei")] == list(pair)
+        assert all(r.passed for r in pair), pair
 
 
 class TestIndefinite:

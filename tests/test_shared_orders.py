@@ -39,8 +39,10 @@ def test_table_rows_equal_single_points(nu):
         assert _table_row(nu, x, DEFAULT_SERIES, orders).split(",") == want, x
     shared: dict = {}
     for x in WALK:
-        got = _dkelvin(nu, x, DEFAULT_SERIES, shared)
-        assert deriv_bits(got) == deriv_bits(dkelvin(nu, x)), x
+        d = dkelvin(nu, x)
+        want = bits(d.values.ber, d.values.bei, d.values.ker, d.values.kei,
+                    d.dber, d.dbei, d.dker, d.dkei, d.err_estimate)
+        assert bits(*_dkelvin(nu, x, DEFAULT_SERIES, shared)) == want, x
 
 
 @pytest.mark.parametrize("nu", ORDERS)

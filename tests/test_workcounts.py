@@ -19,7 +19,7 @@ from kelvinfn.cli import main
 from kelvinfn.hyper import SeriesConfig
 from kelvinfn.kelvin import _point, kelvin_all, kelvin_ker_kei
 from kelvinfn.orderderiv import dkelvin
-from kelvinfn.quad import QuadConfig, theorem5_identity
+from kelvinfn.quad import QuadConfig, theorem5_identities, theorem5_identity
 from kelvinfn.verify import run_suites
 
 
@@ -132,7 +132,7 @@ def test_dk_quadrature_nodes(monkeypatch):
 
     def counted(nu, x, cfg, dk):
         k, d = orig(nu, x, cfg, dk)
-        runs.append((nu, x, k.terms_used, d.terms_used))
+        runs.append((nu, x, k[2], d[2]))  # (value, estimate, nodes, converged)
         return k, d
 
     monkeypatch.setattr(kelvinfn.bessel, "_ray_k", counted)
@@ -168,3 +168,13 @@ def test_theorem5_sets_up_each_order_once(anchors, tol):
     cfg = QuadConfig(abs_tol=tol, rel_tol=tol)
     theorem5_identity(0.5, 2.0, "ber", cfg)
     assert _counts(anchors) == (2, 1)
+
+
+def test_theorem5_pair_in_one_pass(series):
+    """Both theorem5 rows at (0.5, 2) come from one adaptive pass over
+    ber + i bei: each of its 185 nodes runs the series of order 0.5 once,
+    and the closed form runs order 1.5 once, with its psi sums."""
+    ber, bei = theorem5_identities(0.5, 2.0)
+    assert (ber.name, bei.name) == ("theorem5_ber", "theorem5_bei")
+    mus = [mu for mu, _, _ in series]
+    assert (mus.count(0.5), mus.count(1.5), len(mus)) == (185, 1, 186)
