@@ -32,7 +32,8 @@ class SeriesOverflowError(KelvinError, OverflowError):
 
 class ConvergenceError(KelvinError):
     """A sum cannot bound its error: the K sum on the Kelvin ray past order
-    15 or x = 30 (its step is too coarse) or below x ~ 1e-304 (no nodes)."""
+    15 or x = 30 (its step is too coarse) or below x ~ 1e-304 (no nodes),
+    or an integral representation whose quadrature misses its target."""
 
 
 class DenominatorPoleError(KelvinError):

@@ -2,15 +2,25 @@
 
 The engine is a globally adaptive Gauss-Kronrod 7-15 pair (open nodes, so
 integrable endpoint singularities never get evaluated) with bisection of the
-worst panel.  Each integral representation substitutes its known endpoint
-singularity away before handing the integrand to the engine:
+worst panel.  It starts from a list of panels under one global error target
+(``_integrate_panels``, the breakpoints of QUADPACK's QAGP);
+``integrate_finite`` is its one-panel start.  Each integral representation
+substitutes its known endpoint singularity away before handing the
+integrand to the engine:
 
 * log(1-u) endpoints use u = 1 - e^(-v), under which log(1-u) = -v exactly;
+  the two integrals over v in [0, 45] (theorem 5 and the Apelblat order
+  derivatives) start on the dyadic panels ``_V_EDGES``, which the bisection
+  of the one panel [0, 45] reaches on 19 of the 21 points of their manifest
+  grids (at nu = 2.5, x = 0.5 it stops one level short), so the parents of
+  those panels are never evaluated;
 * u^((nu-1)/2) power endpoints use u = w^2;
 * the 1/sqrt(tau (t-tau)) convolution kernel uses tau = t sin^2(theta).
 
 Every identity check returns an :class:`IdentityReport` that serializes to
-one CSV row: name,nu,x,lhs,rhs,abs_diff,tol,pass.
+one CSV row: name,nu,x,lhs,rhs,abs_diff,tol,pass.  A value-returning
+representation whose integral misses its error target raises
+:class:`ConvergenceError`; an identity row whose integral misses it fails.
 """
 
 from __future__ import annotations
@@ -19,12 +29,14 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .hyper import DEFAULT_SERIES, EvalResult, SeriesConfig
 from .kelvin import _ber_bei, _eval_ber_bei, _phase, _point, kelvin_ber_bei
-from .scalars import EULER_GAMMA, PI, SQRT2
+from .scalars import EULER_GAMMA, PI, SQRT2, digamma_real, gamma_real
 
 _MAX_SPLITS = 4096
+# the starting panels of the integrals over v in [0, 45]: 0, 45/64, ..., 45/2, 45
+_V_EDGES = (0.0,) + tuple(45.0 * 2.0 ** -k for k in range(6, -1, -1))
 
 
 @dataclass(frozen=True)
@@ -45,7 +57,11 @@ DEFAULT_QUAD = QuadConfig()
 
 @dataclass(frozen=True)
 class IdentityReport:
-    """Outcome of one identity check; ``passed`` iff abs_diff <= tol."""
+    """Outcome of one identity check; ``passed`` iff abs_diff <= tol.
+
+    abs_diff is inf when the integral behind a side missed its error
+    target, so that such a row fails under any tolerance.
+    """
 
     name: str
     nu: float
@@ -66,6 +82,23 @@ def make_report(name: str, nu: float, x: float, lhs: float, rhs: float,
                 tol: float) -> IdentityReport:
     d = abs(lhs - rhs)
     return IdentityReport(name, nu, x, lhs, rhs, d, tol, d <= tol)
+
+
+def _report(name: str, nu: float, x: float, lhs: float, rhs: float,
+            tol: float, converged: bool) -> IdentityReport:
+    """make_report for a side that comes from an integral, which must
+    have met its error target for the row to pass."""
+    if converged:
+        return make_report(name, nu, x, lhs, rhs, tol)
+    return IdentityReport(name, nu, x, lhs, rhs, math.inf, tol, False)
+
+
+def _value(res: EvalResult):
+    """The value of an integral that met its error target."""
+    if not res.converged:
+        raise ConvergenceError("quadrature missed its error target: estimate "
+                               f"{res.abs_err_estimate:.3g}")
+    return res.value
 
 
 # Gauss-Kronrod 7-15 nodes and weights on [-1, 1] (QUADPACK values).
@@ -119,19 +152,37 @@ def integrate_finite(f, a: float, b: float,
 
     Returns converged=False (with the best estimate) if the error target
     max(abs_tol, rel_tol * |result|) is still unmet once every remaining
-    panel has reached max_depth.
+    panel has reached max_depth.  This is the one-panel start of
+    :func:`_integrate_panels`.
     """
-    if not a < b:
+    return _integrate_panels(f, (a, b), cfg)
+
+
+def _integrate_panels(f, edges: tuple[float, ...],
+                      cfg: QuadConfig = DEFAULT_QUAD) -> EvalResult:
+    """Adaptive integral of f over [edges[0], edges[-1]], started from the
+    panels between consecutive edges (the breakpoints of QUADPACK's QAGP).
+
+    Every starting panel is at depth 0 and joins one heap under one global
+    error target, so a panel that needs more still bisects, up to max_depth
+    below its own start; a start on the panels the bisection of
+    [edges[0], edges[-1]] always reaches skips evaluating their parents.
+    """
+    if not all(a < b for a, b in zip(edges, edges[1:])):
         raise DomainError("integration interval must satisfy a < b")
-    val, err = _gk15(f, a, b)
     # heap entries: (-err, seq, depth, a, b, val, err); panels at max_depth
     # are dropped from the heap but their contribution stays in the totals
-    heap = [(-err, 0, 0, a, b, val, err)]
-    total_val = val
-    total_err = err
+    heap = []
+    for seq, (a, b) in enumerate(zip(edges, edges[1:])):
+        val, err = _gk15(f, a, b)
+        heap.append((-err, seq, 0, a, b, val, err))
+    # summed onto the first panel, so that one panel returns its own value
+    total_val = sum((e[5] for e in heap[1:]), heap[0][5])
+    total_err = sum(e[6] for e in heap)
+    heapq.heapify(heap)
     stuck_err = 0.0
-    seq = 1
-    evals = 15
+    seq = len(heap)
+    evals = 15 * seq
     splits = 0
     while heap:
         target = max(cfg.abs_tol, cfg.rel_tol * abs(total_val))
@@ -205,7 +256,7 @@ def apelblat_ber_bei(nu: float, x: float,
         ch, sh = math.cosh(s), math.sinh(s)
         return complex(cpn * c * ch - spn * sn * sh, cpn * sn * sh + spn * c * ch)
 
-    w = integrate_finite(fin, 0.0, PI, cfg).value / PI
+    w = _value(integrate_finite(fin, 0.0, PI, cfg)) / PI
     if abs(spn) > 1e-15:
 
         def tail(t: float) -> complex:
@@ -216,7 +267,7 @@ def apelblat_ber_bei(nu: float, x: float,
             a = big_x * math.sinh(t) + PI * nu
             return math.exp(-nu * t) * d * complex(math.cos(a), math.sin(a))
 
-        w -= spn / PI * integrate_semiinf(tail, cfg).value
+        w -= spn / PI * _value(integrate_semiinf(tail, cfg))
     return w.real, w.imag
 
 
@@ -241,9 +292,16 @@ def apelblat_dber_dbei(nu: float, x: float,
     * 'printed_s1'  mixed indices ber_{nu-1} +/- bei_nu;
     * 'printed_s3'  ber_{nu-1} + bei_{nu-1} for *both* derivatives.
 
-    Integration substitutes u = w^p, removing the combined u^(nu-1) endpoint
-    behaviour of the weight and the bracket (p grows as nu shrinks), and
-    then w = 1 - e^(-v), which makes the log(1-u) factor exact.
+    The first series term of ber_{nu-1} + i bei_{nu-1} at y = x sqrt u,
+    (y/2)^(nu-1) e^(3 pi i (nu-1)/4) / Gamma(nu), carries the u^(nu-1)
+    endpoint behaviour of the integrand, which concentrates at u = 0 as
+    nu -> 0.  It is integrated in closed form,
+
+      int_0^1 u^(nu-1) [gamma + log(1-u)] du / Gamma(nu) = -psi(nu+1)/Gamma(nu+1),
+
+    which tends to gamma at nu = 0, where 1/Gamma(nu) vanishes.  The rest
+    of the integrand goes like u^nu at 0 and is integrated under u = w^2
+    and then w = 1 - e^(-v), which makes the log(1-u) factor exact.
     """
     if bracket not in _BRACKET_VARIANTS:
         raise ValueError(f"bracket must be one of {_BRACKET_VARIANTS}")
@@ -251,37 +309,33 @@ def apelblat_dber_dbei(nu: float, x: float,
         raise DomainError("requires x > 0 and nu >= 0")
     ber, bei = kelvin_ber_bei(nu, x, series_cfg)
     orders: dict = {}  # the set-ups of orders nu - 1 and nu, shared by every node
-
-    def brackets(arg: float) -> tuple[float, float]:
-        b, e, _, _ = _eval_ber_bei(nu - 1.0, arg, series_cfg, orders)
-        if bracket == "consistent":
-            return b + e, b - e
-        if bracket == "printed_s3":
-            return b + e, b + e
-        _, e, _, _ = _eval_ber_bei(nu, arg, series_cfg, orders)
-        return b + e, b - e
-
-    # integrand ~ u^(nu-1) near 0; u = w^p with p*nu >= 2 keeps it smooth
-    # (at integer nu the bracket order is integer-reflected and harmless)
-    p = 2 if nu >= 1.0 or abs(nu - round(nu)) <= 1e-9 else min(64, math.ceil(2.0 / nu))
+    g1 = gamma_real(nu + 1.0)
+    # the first term of ber_{nu-1} + i bei_{nu-1} at y is lead * y^(nu-1) * turn;
+    # the mixed bracket takes bei of order nu, whose first term needs no split
+    lead = nu / g1 * 2.0 ** (1.0 - nu)
+    th = 0.75 * PI * (nu - 1.0)
+    turn = complex(math.cos(th), 0.0 if bracket == "printed_s1" else math.sin(th))
 
     def integrand(v: float) -> complex:
-        # both integrals in one adaptive pass, packed re/im
+        # ber and bei of the bracket, less their first terms, packed re/im
         w = -math.expm1(-v)
-        if w <= 0.0 or w >= 1.0:
-            return 0.0 + 0.0j
-        u = w ** p
-        geom = sum(w ** j for j in range(p))        # (1-u)/(1-w)
-        log1mu = -v + math.log(geom)                # log(1-u), exact split
-        weight = p * w ** (p * (nu + 1.0) / 2.0 - 1.0) \
-            * (EULER_GAMMA + log1mu) * math.exp(-v)
-        b_ber, b_bei = brackets(x * math.sqrt(u))
-        return complex(weight * b_ber, weight * b_bei)
+        y = x * w
+        if y == 0.0 or w >= 1.0:
+            return 0j  # the rest vanishes at u = 0; past v ~ 37, e^(-v) < eps
+        b, e, _, _ = _eval_ber_bei(nu - 1.0, y, series_cfg, orders)
+        if bracket == "printed_s1":
+            e = _eval_ber_bei(nu, y, series_cfg, orders)[1]
+        # u^((nu-1)/2) [gamma + log(1-u)] du, with log(1-u) = -v + log(1+w)
+        weight = 2.0 * w ** nu * (EULER_GAMMA - v + math.log1p(w)) * math.exp(-v)
+        return weight * (complex(b, e) - lead * y ** (nu - 1.0) * turn)
 
-    packed = integrate_finite(integrand, 0.0, 45.0, cfg).value
+    first = -(x / 2.0) ** (nu - 1.0) * digamma_real(nu + 1.0) / g1
+    packed = _value(_integrate_panels(integrand, _V_EDGES, cfg)) + first * turn
+    b_ber = packed.real + packed.imag
+    b_bei = b_ber if bracket == "printed_s3" else packed.real - packed.imag
     pref = x / (2.0 * SQRT2)
-    return (math.log(x / 2.0) * ber - 0.75 * PI * bei - pref * packed.real,
-            math.log(x / 2.0) * bei + 0.75 * PI * ber + pref * packed.imag)
+    return (math.log(x / 2.0) * ber - 0.75 * PI * bei - pref * b_ber,
+            math.log(x / 2.0) * bei + 0.75 * PI * ber + pref * b_bei)
 
 
 def appendix_ber_bei(x: float, variant: str = "sin",
@@ -305,7 +359,7 @@ def appendix_ber_bei(x: float, variant: str = "sin",
         s = x * sc(t) / SQRT2
         return complex(math.cosh(s) * math.cos(s), math.sinh(s) * math.sin(s))
 
-    w = 2.0 / PI * integrate_finite(f, 0.0, PI / 2.0, cfg).value
+    w = 2.0 / PI * _value(integrate_finite(f, 0.0, PI / 2.0, cfg))
     return w.real, w.imag
 
 
@@ -332,8 +386,9 @@ def convolution_identity(a: float, b: float, t: float,
         u2 = math.sqrt((a - b) * t * s2)
         return (math.cosh(u1) * math.cos(u1)) * (math.cosh(u2) * math.cos(u2))
 
-    rhs = 4.0 / PI * integrate_finite(f, 0.0, PI / 2.0, cfg).value
-    return make_report(f"convolution_a{a:g}_b{b:g}", a, t, lhs, rhs, tol)
+    res = integrate_finite(f, 0.0, PI / 2.0, cfg)
+    return _report(f"convolution_a{a:g}_b{b:g}", a, t, lhs, 4.0 / PI * res.value, tol,
+                   res.converged)
 
 
 def theorem5_identities(nu: float, x: float,
@@ -366,7 +421,8 @@ def theorem5_identities(nu: float, x: float,
         ber, bei, _, _ = _eval_ber_bei(nu, x * u, series_cfg, orders)
         return u ** (nu + 1.0) * log1mu2 * math.exp(-v) * complex(ber, bei)
 
-    lhs = integrate_finite(g, 0.0, 45.0, cfg).value
+    res = _integrate_panels(g, _V_EDGES, cfg)
+    lhs = res.value
     # dJ/dmu first, so that order nu + 1 is summed once, with its psi sums
     p = _point(nu + 1.0, x, series_cfg)
     dj = p.dj(nu + 1.0).value
@@ -376,8 +432,8 @@ def theorem5_identities(nu: float, x: float,
                + SQRT2 * (_phase(PI * (nu + 0.25)) * dj).real) / (SQRT2 * x)
     rhs_bei = ((PI / 4.0 + alpha) * bei1 - (PI / 4.0 - alpha) * ber1
                + SQRT2 * (_phase(PI * (nu - 0.25)) * dj).real) / (SQRT2 * x)
-    return (make_report("theorem5_ber", nu, x, lhs.real, rhs_ber, tol),
-            make_report("theorem5_bei", nu, x, lhs.imag, rhs_bei, tol))
+    return (_report("theorem5_ber", nu, x, lhs.real, rhs_ber, tol, res.converged),
+            _report("theorem5_bei", nu, x, lhs.imag, rhs_bei, tol, res.converged))
 
 
 def theorem5_identity(nu: float, x: float, f: str,
@@ -404,9 +460,12 @@ def indefinite_integral_check(nu: float, x: float,
         raise DomainError("requires nu >= 0 and x > 0")
     orders: dict = {}  # the set-up of order nu, shared by every node
     # both integrals in one adaptive pass, packed re/im
-    lhs = integrate_finite(lambda u: u ** (nu + 1.0) * complex(
-        *_eval_ber_bei(nu, u, series_cfg, orders)[:2]), 0.0, x, cfg).value
+    res = integrate_finite(lambda u: u ** (nu + 1.0) * complex(
+        *_eval_ber_bei(nu, u, series_cfg, orders)[:2]), 0.0, x, cfg)
+    lhs = res.value
     ber1, bei1 = kelvin_ber_bei(nu + 1.0, x, series_cfg)
     pref = x ** (nu + 1.0) / SQRT2
-    return (make_report("indefinite_ber", nu, x, lhs.real, pref * (bei1 - ber1), tol),
-            make_report("indefinite_bei", nu, x, lhs.imag, -pref * (bei1 + ber1), tol))
+    return (_report("indefinite_ber", nu, x, lhs.real, pref * (bei1 - ber1), tol,
+                    res.converged),
+            _report("indefinite_bei", nu, x, lhs.imag, -pref * (bei1 + ber1), tol,
+                    res.converged))

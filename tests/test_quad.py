@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from kelvinfn.errors import DomainError
+import kelvinfn.quad
+from kelvinfn.errors import ConvergenceError, DomainError
 from kelvinfn.kelvin import kelvin_ber_bei
 from kelvinfn.orderderiv import dkelvin
 from kelvinfn.quad import (QuadConfig, apelblat_ber_bei, apelblat_dber_dbei,
@@ -12,6 +13,7 @@ from kelvinfn.quad import (QuadConfig, apelblat_ber_bei, apelblat_dber_dbei,
                            indefinite_integral_check, integrate_finite,
                            integrate_semiinf, make_report, theorem5_identities,
                            theorem5_identity)
+from kelvinfn.verify import run_suites
 
 # high-depth reference run of the engine itself at rel_tol 1e-14
 EXP_SINH_INTEGRAL = 0.754610025770972169
@@ -135,6 +137,17 @@ class TestApelblatDerivatives:
         with pytest.raises(ValueError):
             apelblat_dber_dbei(0.5, 1.0, bracket="whatever")
 
+    @pytest.mark.parametrize("nu", [0.0, 1e-9, 1e-6, 1e-3, 0.01, 0.03, 0.05])
+    @pytest.mark.parametrize("x", [0.5, 2.0])
+    def test_near_order_zero(self, nu, x):
+        """As nu -> 0 the weight of the first series term concentrates at
+        u = 0 and carries gamma into dber; its closed form keeps it, and the
+        nodes where u = w^2 would be tiny need no negative-order value at 0."""
+        got = apelblat_dber_dbei(nu, x)
+        want = dkelvin(nu, x)
+        assert got[0] == pytest.approx(want.dber, abs=1e-9)
+        assert got[1] == pytest.approx(want.dbei, abs=1e-9)
+
 
 class TestAppendix:
     def test_zero_argument(self):
@@ -201,6 +214,57 @@ class TestIndefinite:
         r_ber, r_bei = indefinite_integral_check(nu, x, tol=tol)
         assert r_ber.passed, r_ber
         assert r_bei.passed, r_bei
+
+
+# too few panels for the tolerance: the integrals below miss their target
+STARVED = QuadConfig(abs_tol=1e-14, rel_tol=1e-14, max_depth=1)
+
+
+class TestUnconverged:
+    def test_identity_rows_fail(self):
+        """A row whose integral missed its target fails, even where its
+        sides agree (theorem 5, the convolution); abs_diff reads inf."""
+        pair = theorem5_identities(0.5, 2.0, STARVED)
+        conv = convolution_identity(2.0, 1.0, 0.5, STARVED)
+        for r in (*pair, conv):
+            assert abs(r.lhs - r.rhs) < r.tol, r
+        for r in (*pair, conv, *indefinite_integral_check(0.3, 8.0, STARVED)):
+            assert r.abs_diff == math.inf and not r.passed, r
+
+    def test_tolerance_override_cannot_pass(self):
+        """Of the theorem5 suite, the 18 theorem 5 rows whose integral misses
+        1e-14 fail under a tolerance of 1; the rest pass."""
+        rows = run_suites("theorem5", quad_cfg=STARVED, tol_override=1.0)
+        missed = [r for r in rows if r.abs_diff == math.inf]
+        assert len(missed) == 18
+        assert not any(r.passed for r in missed)
+        assert all(r.passed for r in rows if r.abs_diff != math.inf)
+
+    @pytest.mark.parametrize("call", [
+        lambda: apelblat_ber_bei(0.5, 2.0, STARVED),
+        lambda: apelblat_ber_bei(1.0, 2.0, STARVED),
+        lambda: apelblat_dber_dbei(0.5, 1.0, STARVED),
+        lambda: appendix_ber_bei(5.0, "sin", STARVED)])
+    def test_values_raise(self, call):
+        with pytest.raises(ConvergenceError):
+            call()
+
+    def test_manifest_integrals_converge(self, monkeypatch):
+        """Every integral behind verify --suite all meets its target, so no
+        manifest row changes with the checks above."""
+        results = []
+        orig = kelvinfn.quad._integrate_panels
+
+        def recorded(f, edges, cfg):
+            res = orig(f, edges, cfg)
+            results.append(res)
+            return res
+
+        monkeypatch.setattr(kelvinfn.quad, "_integrate_panels", recorded)
+        rows = run_suites("all")
+        assert all(r.passed for r in rows)
+        assert len(results) == 82
+        assert all(res.converged for res in results)
 
 
 class TestIdentityReport:

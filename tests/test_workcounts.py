@@ -15,11 +15,14 @@ import pytest
 
 import kelvinfn.bessel
 import kelvinfn.hyper
+import kelvinfn.quad
+from kelvinfn import manifest as M
 from kelvinfn.cli import main
 from kelvinfn.hyper import SeriesConfig
 from kelvinfn.kelvin import _point, kelvin_all, kelvin_ker_kei
 from kelvinfn.orderderiv import dkelvin
-from kelvinfn.quad import QuadConfig, theorem5_identities, theorem5_identity
+from kelvinfn.quad import (DEFAULT_QUAD, QuadConfig, apelblat_dber_dbei,
+                           theorem5_identities, theorem5_identity)
 from kelvinfn.verify import run_suites
 
 
@@ -172,9 +175,75 @@ def test_theorem5_sets_up_each_order_once(anchors, tol):
 
 def test_theorem5_pair_in_one_pass(series):
     """Both theorem5 rows at (0.5, 2) come from one adaptive pass over
-    ber + i bei: each of its 185 nodes runs the series of order 0.5 once,
-    and the closed form runs order 1.5 once, with its psi sums."""
+    ber + i bei, started on the seven panels of ``quad._V_EDGES``: each of
+    its 99 nodes runs the series of order 0.5 once (the 6 nodes past
+    v ~ 37, where 1 - e^(-v) rounds to 1, run none), and the closed form
+    runs order 1.5 once, with its psi sums.  Started on the one panel
+    [0, 45] the pass took 185 runs."""
     ber, bei = theorem5_identities(0.5, 2.0)
     assert (ber.name, bei.name) == ("theorem5_ber", "theorem5_bei")
     mus = [mu for mu, _, _ in series]
-    assert (mus.count(0.5), mus.count(1.5), len(mus)) == (185, 1, 186)
+    assert (mus.count(0.5), mus.count(1.5), len(mus)) == (99, 1, 100)
+
+
+def test_apelblat_derivatives_in_one_pass(series):
+    """apelblat_dber_dbei(0.5, 1) runs the bracket's series of order -0.5
+    once at each of the 99 nodes of its seven starting panels, and order 0.5
+    once for the values.  Started on [0, 45], with the first series term
+    left in the integrand (u = w^4), it took 245 runs."""
+    apelblat_dber_dbei(0.5, 1.0)
+    mus = [mu for mu, _, _ in series]
+    assert (mus.count(-0.5), mus.count(0.5), len(mus)) == (99, 1, 100)
+
+
+def test_log_weighted_panels(monkeypatch):
+    """The GK15 panels of the theorem5 suite and the Apelblat derivative
+    grid: 170, against 308 when both e^(-v) integrals started on the one
+    panel [0, 45] and the derivative integrand kept its first series term."""
+    panels = []
+    orig = kelvinfn.quad._gk15
+
+    def counted(f, a, b):
+        panels.append((a, b))
+        return orig(f, a, b)
+
+    monkeypatch.setattr(kelvinfn.quad, "_gk15", counted)
+    run_suites("theorem5")
+    for nu in M.APELBLAT_D_NU:
+        for x in M.APELBLAT_D_X:
+            apelblat_dber_dbei(nu, x)
+    assert len(panels) == 170
+    assert len(panels) <= 0.65 * 308
+
+
+@pytest.mark.parametrize("nu", [-0.5, 0.3, 1.0, 5.0, 7.5])
+@pytest.mark.parametrize("x", [0.1, 1.0, 4.0, 8.0])
+def test_seeded_start_off_the_grid(monkeypatch, nu, x):
+    """Off the manifest grid the e^(-v) integrals started on
+    ``quad._V_EDGES`` converge and agree with the one-panel start within
+    twice the error target."""
+    runs = []
+    orig = kelvinfn.quad._integrate_panels
+
+    def recorded(f, edges, cfg):
+        res = orig(f, edges, cfg)
+        runs.append(res)
+        return res
+
+    monkeypatch.setattr(kelvinfn.quad, "_integrate_panels", recorded)
+
+    def integrals():
+        runs.clear()
+        theorem5_identities(nu, x)
+        if nu >= 0.0:
+            apelblat_dber_dbei(nu, x)
+        return list(runs)
+
+    seeded = integrals()
+    monkeypatch.setattr(kelvinfn.quad, "_V_EDGES", (0.0, 45.0))
+    single = integrals()
+    assert len(seeded) == len(single) == (1 if nu < 0.0 else 2)
+    cfg = DEFAULT_QUAD
+    for s, o in zip(seeded, single):
+        assert s.converged
+        assert abs(s.value - o.value) <= 2.0 * max(cfg.abs_tol, cfg.rel_tol * abs(s.value))
