@@ -1,34 +1,40 @@
 """Bessel functions of real order and their order derivatives.
 
 The working regime is |z| <= 20.  Powers use the principal branch
-z^nu = exp(nu log z), arg z in (-pi, pi].  On the Kelvin rays, where every
-Kelvin value and order derivative is taken, each quantity has one route:
+z^nu = exp(nu log z), arg z in (-pi, pi].  Each quantity has one route:
 
 - J_nu and I_nu: the ascending series, with 1/Gamma and psi/Gamma entire,
-  at every real order (:func:`_ray_sums`); dJ/dnu is its term-wise order
-  derivative, from the psi-weighted sums of the same pass.
+  at every real order, negative integers included; dJ/dnu and dI/dnu are
+  its term-wise order derivative, from the psi-weighted sums of the same
+  pass.  On the Kelvin rays the series is summed in real arithmetic
+  (:func:`_ray_sums`), at a general complex z by its twin
+  (:func:`_z_sums`).
 - K_nu and dK/dnu (nu >= 0) on z = e^(i pi/4) x: one trapezoidal sum over
   int_0^inf e^(-z cosh t) (cosh(nu t), t sinh(nu t)) dt (:func:`_ray_k`),
   regular at every order, integers included; past nu = 15 or x = 30 it
   reports no_convergence.
+- K_nu at a general z: the connection formula
+  (pi/2)(I_{-nu} - I_nu)/sin(pi nu), at an integer its limit, which takes
+  the order derivatives of I at +-n (:func:`_k_limit`), and dK/dnu the
+  derivative of the connection formula, or DLMF 10.38.4 near an integer
+  (:func:`bessel_k`, :func:`dk_dnu_any`).
 
-A :class:`_RayOrder` holds what :func:`_ray_sums` takes from the order
+A :class:`_RayOrder` holds what both series kernels take from the order
 alone (Gamma and psi at the anchor, the weights below it, the phase of
-ber + i bei), so the kernel does only the work that depends on x; the K
-sum reads one table of nodes, which depends on neither.  The Kelvin values
-and order derivatives call the two kernels directly, once each per (nu, x);
-a caller that evaluates one order at many x (table rows, integrand nodes,
-stencils) keeps one dict of orders, so each is set up once.  A
-:class:`_RayPoint` holds one x and runs each kernel at most once per order,
-read as J, I, K and their order derivatives by the paper's closed forms.
-Nothing but the node table outlives the top-level call.
+ber + i bei), so a kernel run does only the work that depends on the
+argument; the K sum reads one table of nodes, which depends on neither.
+The Kelvin values and order derivatives call the ray kernels directly, once
+each per (nu, x); a caller that evaluates one order at many x (table rows,
+integrand nodes, stencils) keeps one dict of orders, so each is set up
+once.  One psi run gives a function and its order derivative together, so
+nothing is memoised: nothing but the node table outlives the top-level
+call.
 
-At a general complex z (the public functions, one :class:`_Point` per
-call) J and I go through :func:`hyper.sum_series`, the psi sums through
-:func:`_psi_sum`, and K and dK/dnu through the connection formula and its
-order derivative, or DLMF 10.31.1 and 10.38.4 near an integer
-(:func:`bessel_k`, :func:`dk_dnu_any`).  The paper's closed forms
-``dj_dnu`` and ``dk_dnu`` are oracles for the verify suites and tests only.
+The paper's closed forms ``dj_dnu`` and ``dk_dnu`` are oracles for the
+verify suites and tests only; they read J (or I) at an order from a
+function passed to them, so that on the Kelvin rays they read the ray
+kernel.  Every public function rejects a non-finite order or argument
+first (:func:`_finite`).
 """
 
 from __future__ import annotations
@@ -39,10 +45,11 @@ import sys
 from itertools import accumulate, repeat
 from operator import mul
 
-from .errors import (ArgumentZeroError, BranchError, GammaOverflowError, OrderClassError,
-                     PowerOverflowError, SeriesOverflowError)
-from .hyper import DEFAULT_SERIES, EvalResult, HyperSpec, SeriesConfig, pfq, sum_series
-from .scalars import EULER_GAMMA, PI, digamma_real, gamma_real
+from .errors import (ArgumentZeroError, BranchError, DomainError, GammaOverflowError,
+                     OrderClassError, PowerOverflowError, SeriesOverflowError)
+from .hyper import DEFAULT_SERIES, EvalResult, HyperSpec, SeriesConfig, pfq
+from .hyper import sum_series  # noqa: F401  bound here for perfbench/tracing.py, which wraps it
+from .scalars import PI, digamma_real, gamma_real
 
 # Orders closer than this to an excluded value are classified as excluded.
 ORDER_EPS = 1e-9
@@ -82,48 +89,18 @@ def _half_pow(nu: float, z: complex) -> complex:
             f"(z/2)^{nu:g} overflows double precision at |z| = {abs(z):g}") from None
 
 
-def _ji_series(nu: float, z: complex, sign: float, cfg: SeriesConfig) -> EvalResult:
-    """Shared ascending series for J (sign=-1) and I (sign=+1)."""
-    if z == 0:
-        if nu < 0.0:
-            raise BranchError("z = 0 with negative order")
-        value = 1.0 + 0.0j if nu == 0.0 else 0.0 + 0.0j
-        return EvalResult(value, 0.0, 1, True, _degraded_flags(nu, z))
-    if nu < 0.0 and _is_near_int(nu, 0.0):
-        # J_{-n} = (-1)^n J_n, I_{-n} = I_n
-        n = int(round(-nu))
-        inner = _ji_series(float(n), z, sign, cfg)
-        parity = -1.0 if (sign < 0 and n % 2) else 1.0
-        return EvalResult(parity * inner.value, inner.abs_err_estimate,
-                          inner.terms_used, inner.converged, inner.flags,
-                          inner.max_abs_term)
-    first = _half_pow(nu, z)
-    g = gamma_real(nu + 1.0)
-    if -_TINY < g < _TINY:
-        raise GammaOverflowError(f"1/gamma({nu + 1.0:g}) overflows double precision")
-    first /= g
-    q = sign * z * z / 4.0
-
-    def ratio(k: int) -> complex:
-        return q / ((k + 1.0) * (nu + k + 1.0))
-
-    res = sum_series(first, ratio, cfg)
-    flags = res.flags + _degraded_flags(nu, z)
-    return EvalResult(res.value, res.abs_err_estimate, res.terms_used,
-                      res.converged, flags, res.max_abs_term)
-
-
 class _RayOrder:
-    """What the Kelvin-ray kernels take from the order mu alone.
+    """What the series kernels take from the order mu alone.
 
     An order is set up once and run at every argument of a top-level call:
-    :func:`_ray_sums` reads the anchor k0 = max(0, ceil(-mu)), the divisor
-    k0! Gamma(a0) at a0 = mu+k0+1, psi(a0) and the weights r = 1/Gamma and
-    w = psi/Gamma of the k0 terms below the anchor; ber + i bei reads
-    :meth:`phase`.  Each part is made by the first run that needs it: psi(a0)
-    and w only for the psi sums.  A part that overflows is not kept, so it
-    raises from every run that needs it, after that run's own checks of
-    (x/2)^mu.  An order holds nothing that depends on x, and K none of it.
+    :func:`_ray_sums` and its general-z twin :func:`_z_sums` read the anchor
+    k0 = max(0, ceil(-mu)), the divisor k0! Gamma(a0) at a0 = mu+k0+1,
+    psi(a0) and the weights r = 1/Gamma and w = psi/Gamma of the k0 terms
+    below the anchor; ber + i bei reads :meth:`phase`.  Each part is made by
+    the first run that needs it: psi(a0) and w only for the psi sums.  A
+    part that overflows is not kept, so it raises from every run that needs
+    it, after that run's own checks of (x/2)^mu.  An order holds nothing
+    that depends on the argument, and K none of it.
     """
 
     __slots__ = ("mu", "k0", "g0", "tden", "r", "wa", "w", "bb")
@@ -443,51 +420,6 @@ def _trapezoid(ore: float, oim: float, ere: float, eim: float, mag: float, n: in
     return value, (e * (e / size) ** 2 if size else 0.0) + n * _EPS * h * mag, n, True
 
 
-class _Point:
-    """The series of one evaluation point, each summed at most once.
-
-    J_mu is summed at ``zj`` and I_mu at ``zk``, where K_nu takes them; K_nu
-    and both order derivatives are kept as well.  A point lives for one
-    top-level call; nothing is kept between calls.  :class:`_RayPoint`, the
-    point of the Kelvin functions, takes K from a quadrature instead.
-    """
-
-    __slots__ = ("zj", "zk", "cfg", "memo")
-
-    def __init__(self, zj: complex | None, zk: complex | None, cfg: SeriesConfig):
-        self.zj = zj
-        self.zk = zk
-        self.cfg = cfg
-        self.memo: dict = {}
-
-    def _once(self, key: tuple, fn, *args) -> EvalResult:
-        res = self.memo.get(key)
-        if res is None:
-            res = self.memo[key] = fn(*args)
-        return res
-
-    def j(self, mu: float) -> EvalResult:
-        return self._once(("j", mu), bessel_j, mu, self.zj, self.cfg)
-
-    def i(self, mu: float) -> EvalResult:
-        return self._once(("i", mu), bessel_i, mu, self.zk, self.cfg)
-
-    def psi(self, mu: float, sign: float, harmonic: float = 0.0) -> EvalResult:
-        """The psi-weighted series of :func:`_psi_sum`, J (sign=-1) at ``zj``
-        or I (sign=+1) at ``zk``."""
-        z = self.zj if sign < 0.0 else self.zk
-        return _psi_sum(mu, z, sign, harmonic, self.cfg)
-
-    def k(self, nu: float) -> EvalResult:
-        return self._once(("k", nu), _bessel_k, nu, self)
-
-    def dj(self, nu: float) -> EvalResult:
-        """dJ/dnu at nu >= 0, by :func:`dj_dnu_any`."""
-        return self._once(("dj", nu), _dj_dnu_any, nu, self)
-
-    def dk(self, nu: float) -> EvalResult:
-        """dK/dnu at nu >= 0, by :func:`dk_dnu_any`."""
-        return self._once(("dk", nu), _dk_dnu_any, nu, self)
 
 
 def _phase(angle: float) -> complex:
@@ -500,88 +432,155 @@ def _turn(t: float) -> complex:
     return _phase(PI * (t - 0.5 * m)) * (1, 1j, -1, -1j)[m & 3]
 
 
-class _RayPoint(_Point):
-    """The point x > 0 of the Kelvin functions: zj = e^(-i pi/4) x and
-    zk = e^(i pi/4) x.
+def _two_sum(s: float, c: float, v: float) -> tuple[float, float]:
+    """s + v, and c plus the rounding error of that sum (Knuth's TwoSum)."""
+    n = s + v
+    return n, c + ((s - (n - (n - s))) + (v - (n - s)))
 
-    There -zj^2/4 = zk^2/4 = i x^2/4, so J_mu(zj) = e^(-i pi mu/4) S and
-    I_mu(zk) = e^(i pi mu/4) S share the real series S of :func:`_ray_sums`,
-    and the psi sums of dJ/dmu and dI/dmu take the same phases, each one
-    :func:`_turn` with the i^k0 of the anchored sum folded in.  K and dK/dnu
-    come from one trapezoidal sum, :func:`_ray_k`, and need no series.
-    Each kernel runs once per order, with the psi sums (the dK/dnu sum) if
-    they are asked for before J or I (before K) of that order; a later
-    request runs the kernel again, so the order derivatives ask first.
-    Each order (:class:`_RayOrder`) is set up once, among the results.  The
-    point serves the paper's closed forms and the tests; the Kelvin values
-    and ``dkelvin`` call the kernels directly.
+
+def _z_sums(o: _RayOrder, z: complex, sign: float, cfg: SeriesConfig, psi: bool) -> tuple:
+    """The twin of :func:`_ray_sums` at a complex z != 0: F = J_mu(z)
+    (sign = -1) or I_mu(z) (sign = +1) of the order ``o`` (mu),
+
+        F = sum_k c_k r(mu+k+1),   c_k = (z/2)^mu (sign z^2/4)^k / k!,
+
+    and, with ``psi``, P = sum_k c_k w(mu+k+1) from the same pass, so that
+    dF/dmu = log(z/2) F - P at every real order, the negative integers
+    included.
+
+    The order is set up and the sum anchored as in :func:`_ray_sums`: the
+    k0 terms below the anchor enter as correctly rounded sums of each
+    component, and the powers (z/2)^(mu+2k0) and (z/2)^mu are taken before
+    the order's Gamma and psi.  From the anchor on each pass adds the terms
+    k and k+1, each component Neumaier-compensated (TwoSum error terms), so
+    that the run at conj(z) is the exact conjugate of the run at z.  At
+    mu = -n the weights below the anchor are exact zeros and each term past
+    it is sign^n times the term of the run at n, so F_(-n) = sign^n F_n bit
+    for bit.  F stops once both terms of a pass are below rel_tol |F|, the
+    same pass with or without ``psi``; P goes on until its terms are below
+    rel_tol |P|.  Error estimates are 10x the first neglected term.
+
+    Returns (F, err, terms, converged, max |term|, psi part), the psi part
+    None or (P, err P, max P term, terms, converged).
     """
+    mu, k0 = o.mu, o.k0
+    tol = cfg.rel_tol
+    hypot = math.hypot
+    q = sign * z * z / 4.0
+    t = _half_pow(mu + 2 * k0, z)
+    c = _half_pow(mu, z) if k0 else t
+    # the terms below the anchor need (z/2)^mu as a normal double
+    if k0 and abs(c) < _TINY:
+        raise PowerOverflowError(f"(z/2)^{mu:g} underflows double precision at |z| = {abs(z):g}")
+    if o.tden is None or psi and o.wa is None:
+        o.anchor(psi)
+    re = im = cre = cim = mx = 0.0
+    plain = None
+    if psi:
+        wa = o.wa
+        pre = pim = pcre = pcim = mp = 0.0
+        psi_conv = False
+    if k0:
+        cs = []
+        for k in range(k0):
+            cs.append(c)
+            c = c * q / (k + 1.0)
+        sp = list(map(mul, cs, reversed(o.r)))
+        re, im = math.fsum(v.real for v in sp), math.fsum(v.imag for v in sp)
+        mx = max(map(abs, sp))
+        if psi:
+            pp = list(map(mul, cs, reversed(o.w)))
+            pre, pim = math.fsum(v.real for v in pp), math.fsum(v.imag for v in pp)
+            mp = max(map(abs, pp))
+    t /= o.tden
+    if sign < 0.0 and k0 & 1:
+        t = -t
+    for k in range(k0, k0 + cfg.max_terms, 2):
+        a = mu + k + 1.0
+        u = t * q / ((k + 1.0) * a)
+        nt = u * q / ((k + 2.0) * (a + 1.0))
+        re, cre = _two_sum(re, cre, t.real)
+        im, cim = _two_sum(im, cim, t.imag)
+        re, cre = _two_sum(re, cre, u.real)
+        im, cim = _two_sum(im, cim, u.imag)
+        at, au = abs(t), abs(u)
+        mx = max(mx, at, au)
+        if plain is None:
+            lim = tol * hypot(re, im)
+            if at <= lim and au <= lim:
+                plain = (complex(re + cre, im + cim), 10.0 * abs(nt), k + 2, True)
+                if not psi:
+                    break
+        if psi:
+            vr, vi = wa * t.real, wa * t.imag
+            wa += 1.0 / a
+            ur, ui = wa * u.real, wa * u.imag
+            wa += 1.0 / (a + 1.0)
+            pre, pcre = _two_sum(pre, pcre, vr)
+            pim, pcim = _two_sum(pim, pcim, vi)
+            pre, pcre = _two_sum(pre, pcre, ur)
+            pim, pcim = _two_sum(pim, pcim, ui)
+            av, aw = hypot(vr, vi), hypot(ur, ui)
+            mp = max(mp, av, aw)
+            if plain is not None:
+                lp = tol * hypot(pre, pim)
+                if av <= lp and aw <= lp:
+                    psi_conv = True
+                    break
+        t = nt
+    if not math.isfinite(re + im + (pre + pim if psi else 0.0)):
+        raise SeriesOverflowError(f"the order-{mu:g} series is not finite at |z| = {abs(z):g}")
+    plain = plain or (complex(re + cre, im + cim), 10.0 * abs(nt), k + 2, False)
+    if not psi:
+        return plain + (mx, None)
+    return plain + (mx, (complex(pre + pcre, pim + pcim), 10.0 * abs(wa * nt), mp, k + 2,
+                         psi_conv))
 
-    __slots__ = ("x",)
 
-    def __init__(self, zj: complex, zk: complex, x: float, cfg: SeriesConfig):
-        super().__init__(zj, zk, cfg)
-        self.x = x
+def _finite(nu: float, z: complex) -> None:
+    """DomainError unless the order nu and the argument z are finite: the
+    first check of every public entry."""
+    if not (math.isfinite(nu) and cmath.isfinite(z)):
+        raise DomainError(f"order and argument must be finite, got nu={nu!r}, x={z!r}")
 
-    def run(self, mu: float, psi: bool) -> tuple[_RayOrder, tuple]:
-        """The order mu and its series run at x, with the psi sums if ``psi``."""
-        o = _order(self.memo, mu)
-        key = ("ray", mu)
-        r = self.memo.get(key)
-        if r is None or (psi and r[5] is None):
-            r = self.memo[key] = _ray_sums(o, self.x, self.cfg, psi)
-        return o, r
 
-    def ksum(self, nu: float, dk: bool) -> tuple[EvalResult, EvalResult | None]:
-        """K at nu >= 0 and, if ``dk``, dK/dnu, from one run of :func:`_ray_k` at x,
-        each with its flags."""
-        key = ("k", nu)
-        r = self.memo.get(key)
-        if r is None or (dk and r[1] is None):
-            k, d = _ray_k(nu, self.x, self.cfg, dk)
-            r = self.memo[key] = (self._flagged(nu, k), d and self._flagged(nu, d))
-        return r
+def _ji(mu: float, z: complex, sign: float, cfg: SeriesConfig,
+        psi: bool = False) -> tuple[EvalResult, EvalResult | None]:
+    """F = J_mu(z) (sign = -1) or I_mu(z) (sign = +1) at z != 0 from one run
+    of :func:`_z_sums`, and with ``psi`` dF/dmu = log(z/2) F - P from the
+    same run (else None)."""
+    f, err, terms, conv, max_term, ps = _z_sums(_RayOrder(mu), z, sign, cfg, psi)
+    flags = (() if conv else ("no_convergence",)) + _degraded_flags(mu, z)
+    res = EvalResult(f, err, terms, conv, flags, max_term)
+    if ps is None:
+        return res, None
+    p, p_err, p_max, p_terms, p_conv = ps
+    lg = cmath.log(z / 2.0)
+    return res, EvalResult(f * lg - p, err * abs(lg) + p_err, p_terms, conv and p_conv, flags,
+                           max(abs(lg) * max_term, p_max))
 
-    def _flagged(self, nu: float, s: tuple) -> EvalResult:
-        """The sum ``s`` of :func:`_ray_k` at order nu, with its flags."""
-        flags = (() if s[3] else ("no_convergence",)) + _degraded_flags(nu, self.x)
-        return EvalResult(*s, flags)
 
-    def rotated(self, mu: float, c: float) -> EvalResult:
-        """e^(i pi c mu) S of order mu: c = -1/4 gives J_mu(zj), 1/4
-        I_mu(zk) and 3/4 ber_mu + i bei_mu."""
-        o, (s, err, terms, conv, max_term, _) = self.run(mu, False)
-        flags = (() if conv else ("no_convergence",)) + _degraded_flags(mu, self.zk)
-        return EvalResult(_turn(c * mu + 0.5 * o.k0) * s, err, terms, conv, flags, max_term)
-
-    def j(self, mu: float) -> EvalResult:
-        return self._once(("j", mu), self.rotated, mu, -0.25)
-
-    def i(self, mu: float) -> EvalResult:
-        return self._once(("i", mu), self.rotated, mu, 0.25)
-
-    def psi(self, mu: float, sign: float) -> EvalResult:
-        o, (*_, (sp, err_p, max_p, terms, conv)) = self.run(mu, True)
-        return EvalResult(_turn(0.25 * sign * mu + 0.5 * o.k0) * sp, err_p, terms, conv,
-                          () if conv else ("no_convergence",), max_p)
-
-    def k(self, nu: float) -> EvalResult:
-        """K_nu at nu >= 0, by :func:`_ray_k`."""
-        return self.ksum(nu, False)[0]
-
-    def dk(self, nu: float) -> EvalResult:
-        """dK/dnu at nu >= 0, from the same sum as K."""
-        return self.ksum(nu, True)[1]
+def _bessel_ji(nu: float, z: complex, sign: float, cfg: SeriesConfig) -> EvalResult:
+    _finite(nu, z)
+    z = complex(z)
+    if z == 0:
+        if nu < 0.0 and nu != round(nu):
+            raise BranchError("z = 0 with negative non-integer order")
+        # 1/Gamma(nu+1) vanishes at the negative integers, so F_(-n)(0) = 0
+        return EvalResult(1.0 + 0.0j if nu == 0.0 else 0.0j, 0.0, 1, True,
+                          _degraded_flags(nu, z))
+    return _ji(nu, z, sign, cfg)[0]
 
 
 def bessel_j(nu: float, z: complex, cfg: SeriesConfig = DEFAULT_SERIES) -> EvalResult:
-    """J_nu(z) by the ascending series sum_k (-1)^k (z/2)^(nu+2k) / (k! Gamma(nu+k+1))."""
-    return _ji_series(nu, complex(z), -1.0, cfg)
+    """J_nu(z) by the ascending series sum_k (-1)^k (z/2)^(nu+2k) / (k! Gamma(nu+k+1)),
+    1/Gamma entire, at every real order (0 at z = 0 and a negative integer order)."""
+    return _bessel_ji(nu, z, -1.0, cfg)
 
 
 def bessel_i(nu: float, z: complex, cfg: SeriesConfig = DEFAULT_SERIES) -> EvalResult:
     """I_nu(z), the (+1)^k counterpart of :func:`bessel_j`."""
-    return _ji_series(nu, complex(z), 1.0, cfg)
+    return _bessel_ji(nu, z, 1.0, cfg)
 
 
 def bessel_k(nu: float, z: complex, cfg: SeriesConfig = DEFAULT_SERIES) -> EvalResult:
@@ -590,35 +589,32 @@ def bessel_k(nu: float, z: complex, cfg: SeriesConfig = DEFAULT_SERIES) -> EvalR
     Away from integers: the connection formula
     K = (pi/2)(I_{-nu} - I_nu)/sin(pi nu), whose error estimate is amplified
     by the csc factor and by the cancellation budget of the I series.  At
-    integer n: the logarithmic series of DLMF 10.31.1 for K_n; within 1e-6
-    of n, K_n + (nu - n) dK/dnu.
+    integer n: its limit (:func:`_k_limit`); within 1e-6 of n,
+    K_n + (nu - n) dK/dnu.
     """
-    return _bessel_k(nu, _Point(None, complex(z), cfg))
-
-
-def _bessel_k(nu: float, p: _Point) -> EvalResult:
-    if p.zk == 0:
+    _finite(nu, z)
+    z = complex(z)
+    if z == 0:
         raise ArgumentZeroError("K_nu undefined at z = 0")
     nu = abs(nu)  # K is even in the order
     n = round(nu)
     if abs(nu - n) > NEAR_EXCLUDED:
-        return _k_connection(nu, p)
-    kn = _k_integer(n, p)
-    if nu == n:
+        return _k_connection(nu, z, _ji(-nu, z, 1.0, cfg)[0], _ji(nu, z, 1.0, cfg)[0])
+    kn = _k_limit(n, z, cfg)
+    if nu == n or n == 0:
+        # K is even in the order, so K_nu = K_0 + O(nu^2) next to 0
         return kn
     # one step from K_n, off by (nu - n)^2 K''/2: about step^2/K where log K
-    # is near linear in the order, and step/2 at n = 0 (K even, K' = nu K'')
-    dk = p.dk(nu)
+    # is near linear in the order
+    dk = _dk_integer(n, z, cfg)
     step = (nu - n) * dk.value
-    est = abs(nu - n) * dk.abs_err_estimate + (0.5 * abs(step) if n == 0 else
-                                               abs(step) ** 2 / abs(kn.value))
+    est = abs(nu - n) * dk.abs_err_estimate + abs(step) ** 2 / abs(kn.value)
     return EvalResult(kn.value + step, kn.abs_err_estimate + est, kn.terms_used + dk.terms_used,
                       kn.converged and dk.converged, kn.flags, kn.max_abs_term)
 
 
-def _k_connection(nu: float, p: _Point) -> EvalResult:
-    im = p.i(-nu)
-    ip = p.i(nu)
+def _k_connection(nu: float, z: complex, im: EvalResult, ip: EvalResult) -> EvalResult:
+    """K_nu(z) from I_{-nu} (``im``) and I_nu (``ip``) by the connection formula."""
     s = math.sin(PI * nu)
     amp = PI / (2.0 * abs(s))
     value = (PI / 2.0) * (im.value - ip.value) / s
@@ -626,105 +622,29 @@ def _k_connection(nu: float, p: _Point) -> EvalResult:
     cancel = 2e-16 * (im.max_abs_term + ip.max_abs_term)
     est = amp * (im.abs_err_estimate + ip.abs_err_estimate + cancel)
     return EvalResult(value, est, im.terms_used + ip.terms_used,
-                      im.converged and ip.converged,
-                      _degraded_flags(nu, p.zk),
+                      im.converged and ip.converged, _degraded_flags(nu, z),
                       max(im.max_abs_term, ip.max_abs_term))
 
 
-def _k_integer(n: int, p: _Point) -> EvalResult:
-    """K_n(z) at integer n >= 0 by DLMF 10.31.1:
+def _k_limit(n: int, z: complex, cfg: SeriesConfig) -> EvalResult:
+    """K_n(z) at integer n >= 0, the limit of the connection formula
+    (DLMF 10.27.4) at the integer,
 
-        K_n(z) = (1/2)(z/2)^(-n) sum_{k<n} (n-k-1)!/k! (-z^2/4)^k
-                 + (-1)^(n+1) log(z/2) I_n(z)
-                 + (-1)^n (1/2)(z/2)^n sum_k (psi(k+1) + psi(n+k+1))
-                                          (z^2/4)^k / (k! (n+k)!)
+        K_n(z) = ((-1)^(n-1)/2) (dI/dnu|_n + dI/dnu|_(-n)),
+
+    each order derivative log(z/2) I - P from one psi run of :func:`_z_sums`.
+    Below its anchor the run at -n takes the weights psi/Gamma at the poles
+    -m of Gamma, (-1)^(m+1) m!: the finite sum of DLMF 10.31.1.
     """
-    z = p.zk
-    s = p.psi(float(n), 1.0, 1.0)
-    f = p.i(float(n))
-    lg = cmath.log(z / 2.0)
-    # (1/2)(n-k-1)!/k! (-z^2/4)^k (z/2)^(-n) = (+-1/2)(n-k-1)!/k! (z/2)^(2k-n)
-    fin_terms = [(-0.5 if k % 2 else 0.5) * (math.factorial(n - k - 1) / math.factorial(k))
-                 * _half_pow(2 * k - n, z) for k in range(n)]
-    fin = sum(fin_terms, 0.0 + 0.0j)
-    fin_max = max(map(abs, fin_terms), default=0.0)
-    sgn = -1.0 if n % 2 else 1.0
-    value = fin - sgn * lg * f.value + sgn * 0.5 * s.value
+    dm = _ji(-float(n), z, 1.0, cfg, True)[1]
+    dp = _ji(float(n), z, 1.0, cfg, True)[1]
+    value = (0.5 if n % 2 else -0.5) * (dp.value + dm.value)
     if not cmath.isfinite(value):
         raise SeriesOverflowError(f"K_{n} is not finite at |z| = {abs(z):g}")
-    est = (abs(lg) * f.abs_err_estimate + 0.5 * s.abs_err_estimate
-           + 2e-16 * (fin_max + abs(lg) * f.max_abs_term + 0.5 * s.max_abs_term))
-    return EvalResult(value, est, f.terms_used + s.terms_used,
-                      f.converged and s.converged, _degraded_flags(n, z),
-                      max(fin_max, abs(lg) * f.max_abs_term, 0.5 * s.max_abs_term))
-
-
-def _psi_sum(mu: float, z: complex, sign: float, harmonic: float,
-             cfg: SeriesConfig) -> EvalResult:
-    """The psi-weighted J (sign=-1) / I (sign=+1) series
-
-        (z/2)^mu sum_k w_k (sign z^2/4)^k / (k! Gamma(mu+k+1)),
-        w_k = psi(mu+k+1) + harmonic psi(k+1),
-
-    with ``harmonic`` 0 for the order derivatives of J/I and 1 for K_n.
-    The weights step by psi(a+1) = psi(a) + 1/a from one digamma call.  The
-    terms carry the prefactor, so they have the scale of the J/I terms and
-    the stopping rule of :func:`hyper.sum_series` means the same there; the
-    sum is Neumaier-compensated per component like it, and the error
-    estimate is 10x the first neglected term.
-    """
-    rel_tol = cfg.rel_tol
-    max_terms = cfg.max_terms
-    q = sign * z * z / 4.0
-    psi_a = digamma_real(mu + 1.0)
-    psi_1 = -EULER_GAMMA
-    c = _half_pow(mu, z) / gamma_real(mu + 1.0)
-    term = (psi_a + harmonic * psi_1) * c
-    re = im = cre = cim = 0.0
-    max_term = abs(term)
-    small_run = 0
-    k = 0
-    converged = False
-    while True:
-        tr = term.real
-        s = re + tr
-        if abs(re) >= abs(tr):
-            cre += (re - s) + tr
-        else:
-            cre += (tr - s) + re
-        re = s
-        ti = term.imag
-        s = im + ti
-        if abs(im) >= abs(ti):
-            cim += (im - s) + ti
-        else:
-            cim += (ti - s) + im
-        im = s
-        if k:
-            mag = abs(term)
-            if mag > max_term:
-                max_term = mag
-            if mag <= rel_tol * (1.0 + abs(complex(re + cre, im + cim))):
-                small_run += 1
-                if small_run >= 2:
-                    converged = True
-                    break
-            else:
-                small_run = 0
-        if k >= max_terms:
-            break
-        a = mu + k + 1.0
-        k += 1
-        c = c * q / (k * a)
-        psi_a += 1.0 / a
-        psi_1 += 1.0 / k
-        term = (psi_a + harmonic * psi_1) * c
-    if converged:
-        nxt = abs(term * q) / ((k + 1.0) * (mu + k + 1.0))
-    else:
-        nxt = abs(term)
-    return EvalResult(complex(re + cre, im + cim), 10.0 * nxt, k + 1, converged,
-                      () if converged else ("no_convergence",), max_term)
+    est = 0.5 * (dp.abs_err_estimate + dm.abs_err_estimate
+                 + 2e-16 * (dp.max_abs_term + dm.max_abs_term))
+    return EvalResult(value, est, dp.terms_used + dm.terms_used, dp.converged and dm.converged,
+                      _degraded_flags(n, z), max(dp.max_abs_term, dm.max_abs_term))
 
 
 def _f23(nu: float, w: complex, cfg: SeriesConfig) -> EvalResult:
@@ -747,19 +667,21 @@ def dj_dnu(nu: float, z: complex, cfg: SeriesConfig = DEFAULT_SERIES) -> EvalRes
 
     The paper's form, kept as an oracle; :func:`dj_dnu_any` is the route.
     """
-    return _dj_dnu(nu, _Point(complex(z), None, cfg))
+    _finite(nu, z)
+    z = complex(z)
+    return _dj_dnu(nu, z, lambda mu: bessel_j(mu, z, cfg), cfg)[0]
 
 
-def _dj_dnu(nu: float, p: _Point) -> EvalResult:
-    z = p.zj
+def _dj_dnu(nu: float, z: complex, j, cfg: SeriesConfig) -> tuple[EvalResult, EvalResult]:
+    """:func:`dj_dnu` with J_mu(z) read as j(mu), and the J_nu it read."""
     if nu <= 0.0 or _is_near_int(nu, ORDER_EPS):
         raise OrderClassError(f"dJ/dnu closed form invalid at nu = {nu}")
     if z == 0:
         raise BranchError("z = 0")
-    jm = p.j(-nu)
-    jp = p.j(nu)
-    f1 = _f23(nu, -z * z, p.cfg)
-    f2 = _f34(nu, -z * z, p.cfg)
+    jm = j(-nu)
+    jp = j(nu)
+    f1 = _f23(nu, -z * z, cfg)
+    f2 = _f34(nu, -z * z, cfg)
     g1 = gamma_real(nu + 1.0)
     coef_a = -PI / math.sin(PI * nu) / (2.0 * g1 * g1) * _half_pow(2.0 * nu, z)
     a = coef_a * jm.value * f1.value
@@ -773,7 +695,7 @@ def _dj_dnu(nu: float, p: _Point) -> EvalResult:
     conv = jm.converged and jp.converged and f1.converged and f2.converged
     terms = jm.terms_used + jp.terms_used + f1.terms_used + f2.terms_used
     return EvalResult(value, est, terms, conv, _degraded_flags(nu, z),
-                      max(jm.max_abs_term, jp.max_abs_term))
+                      max(jm.max_abs_term, jp.max_abs_term)), jp
 
 
 def dk_dnu(nu: float, z: complex, cfg: SeriesConfig = DEFAULT_SERIES) -> EvalResult:
@@ -792,21 +714,23 @@ def dk_dnu(nu: float, z: complex, cfg: SeriesConfig = DEFAULT_SERIES) -> EvalRes
     order to full working precision.  The paper's form, kept as an oracle;
     :func:`dk_dnu_any` is the route.
     """
-    return _dk_dnu(nu, _Point(None, complex(z), cfg))
+    _finite(nu, z)
+    z = complex(z)
+    return _dk_dnu(nu, z, lambda mu: bessel_i(mu, z, cfg), cfg)
 
 
-def _dk_dnu(nu: float, p: _Point) -> EvalResult:
-    z = p.zk
+def _dk_dnu(nu: float, z: complex, i, cfg: SeriesConfig) -> EvalResult:
+    """:func:`dk_dnu` with I_mu(z) read as i(mu)."""
     if nu <= 0.0 or _is_near_int(2.0 * nu, ORDER_EPS):
         raise OrderClassError(f"dK/dnu closed form invalid at nu = {nu}")
     if z == 0:
         raise ArgumentZeroError("z = 0")
-    ip = p.i(nu)
-    im = p.i(-nu)
+    ip = i(nu)
+    im = i(-nu)
     z2 = z * z
-    f34 = _f34(nu, z2, p.cfg)
-    f23p = _f23(nu, z2, p.cfg)
-    f23m = _f23(-nu, z2, p.cfg)
+    f34 = _f34(nu, z2, cfg)
+    f23p = _f23(nu, z2, cfg)
+    f23m = _f23(-nu, z2, cfg)
     s = math.sin(PI * nu)
     c = math.cos(PI * nu)
     bracket = (z2 / (4.0 * (1.0 - nu * nu)) * f34.value
@@ -828,101 +752,79 @@ def _dk_dnu(nu: float, p: _Point) -> EvalResult:
                       max(ip.max_abs_term, im.max_abs_term))
 
 
-def _dji_dnu_direct(mu: float, sign: float, p: _Point) -> EvalResult:
-    """Term-wise order derivative of the J (sign=-1) / I (sign=+1) series:
-
-        d/dmu = F_mu(z) log(z/2)
-                - (z/2)^mu sum_k (sign)^k psi(mu+k+1) (z^2/4)^k / (k! Gamma(mu+k+1))
-
-    At a :class:`_RayPoint` the weights are the entire psi/Gamma of
-    :func:`_ray_sums`, so it holds at every real order, negative integers
-    included; at a general z (:func:`_psi_sum`) whenever mu+k+1 never hits
-    a nonpositive integer (any non-integer mu, and any mu >= 0).  Unlike
-    the csc-form closed forms it has no pole amplification near integer or
-    half-integer orders.
-    """
-    s = p.psi(mu, sign)
-    if sign < 0.0:
-        z, f = p.zj, p.j(mu)
-    else:
-        z, f = p.zk, p.i(mu)
-    lg = cmath.log(z / 2.0)
-    value = f.value * lg - s.value
-    est = f.abs_err_estimate * abs(lg) + s.abs_err_estimate
-    return EvalResult(value, est, f.terms_used + s.terms_used, s.converged and f.converged,
-                      f.flags, max(f.max_abs_term, s.max_abs_term))
-
-
-def _dk_dnu_direct(nu: float, p: _Point) -> EvalResult:
+def _dk_dnu_direct(nu: float, z: complex, cfg: SeriesConfig) -> EvalResult:
     """dK/dnu from the differentiated connection formula:
 
         dK/dnu = (pi / (2 sin(pi nu))) [ -dI/dmu|_{-nu} - dI/dmu|_{+nu} ]
                  - pi cot(pi nu) K_nu(z)
 
     Regular at half-integers (csc = +-1, cot = 0); removable singularity at
-    integers, where :func:`_dk_integer` takes over.  K_nu reuses the two I
-    series of the derivatives.
+    integers, where :func:`_dk_integer` takes over.  I_{-nu}, I_nu and their
+    order derivatives come from one psi run each, and K_nu from the same
+    two I.
     """
+    im, dim = _ji(-nu, z, 1.0, cfg, True)
+    ip, dip = _ji(nu, z, 1.0, cfg, True)
+    kv = _k_connection(nu, z, im, ip)
     s = math.sin(PI * nu)
-    dim = _dji_dnu_direct(-nu, 1.0, p)
-    dip = _dji_dnu_direct(nu, 1.0, p)
-    kv = p.k(nu)
     value = (PI / (2.0 * s)) * (-dim.value - dip.value) \
         - PI * (math.cos(PI * nu) / s) * kv.value
     amp = PI / (2.0 * abs(s))
     est = amp * (dim.abs_err_estimate + dip.abs_err_estimate
                  + 2e-16 * (dim.max_abs_term + dip.max_abs_term)) \
         + PI * abs(math.cos(PI * nu) / s) * kv.abs_err_estimate
-    return EvalResult(value, est, dim.terms_used + dip.terms_used + kv.terms_used,
-                      dim.converged and dip.converged and kv.converged,
-                      _degraded_flags(nu, p.zk),
+    return EvalResult(value, est, dim.terms_used + dip.terms_used,
+                      dim.converged and dip.converged, _degraded_flags(nu, z),
                       max(dim.max_abs_term, dip.max_abs_term))
 
 
-def _dk_integer(n: int, p: _Point) -> EvalResult:
+def _dk_integer(n: int, z: complex, cfg: SeriesConfig) -> EvalResult:
     """dK/dnu at integer n >= 1 by DLMF 10.38.4:
 
         dK/dnu|_n = (n! (z/2)^(-n) / 2) sum_{k<n} (z/2)^k K_k(z) / (k! (n-k))
     """
-    ks = [p.k(float(k)) for k in range(n)]
-    ws = [_half_pow(k - n, p.zk) * (math.factorial(n) / (2 * math.factorial(k) * (n - k)))
+    ks = [_k_limit(k, z, cfg) for k in range(n)]
+    ws = [_half_pow(k - n, z) * (math.factorial(n) / (2 * math.factorial(k) * (n - k)))
           for k in range(n)]
     value = sum((w * kk.value for w, kk in zip(ws, ks)), 0.0 + 0.0j)
     est = sum(abs(w) * (kk.abs_err_estimate + 2e-16 * kk.max_abs_term) for w, kk in zip(ws, ks))
     return EvalResult(value, est, sum(kk.terms_used for kk in ks),
-                      all(kk.converged for kk in ks), _degraded_flags(n, p.zk),
+                      all(kk.converged for kk in ks), _degraded_flags(n, z),
                       max(abs(w) * kk.max_abs_term for w, kk in zip(ws, ks)))
 
 
 def dj_dnu_any(nu: float, z: complex, cfg: SeriesConfig = DEFAULT_SERIES) -> EvalResult:
-    """dJ/dnu for any nu >= 0, by the term-wise derivative of the series."""
-    return _Point(complex(z), None, cfg).dj(nu)
+    """dJ/dnu for any nu >= 0, by the term-wise derivative of the series,
+    log(z/2) J_nu - P with the psi sum P of the same run:
 
+        P = (z/2)^nu sum_k (-1)^k psi(nu+k+1) (z^2/4)^k / (k! Gamma(nu+k+1))
 
-def _dj_dnu_any(nu: float, p: _Point) -> EvalResult:
+    Unlike the csc-form closed form it has no pole amplification near
+    integer or half-integer orders.
+    """
+    _finite(nu, z)
+    z = complex(z)
     if nu < 0.0:
         raise OrderClassError("nu must be >= 0")
-    if p.zj == 0:
+    if z == 0:
         raise BranchError("z = 0")
-    return _dji_dnu_direct(nu, -1.0, p)
+    return _ji(nu, z, -1.0, cfg, True)[1]
 
 
 def dk_dnu_any(nu: float, z: complex, cfg: SeriesConfig = DEFAULT_SERIES) -> EvalResult:
     """dK/dnu for any nu >= 0: the differentiated connection formula away
     from integers, the finite sum of DLMF 10.38.4 within 1e-6 of an integer
     (0 at nu = 0)."""
-    return _Point(None, complex(z), cfg).dk(nu)
-
-
-def _dk_dnu_any(nu: float, p: _Point) -> EvalResult:
+    _finite(nu, z)
+    z = complex(z)
     if nu < 0.0:
         raise OrderClassError("nu must be >= 0")
-    if p.zk == 0:
+    if z == 0:
         raise ArgumentZeroError("z = 0")
     n = round(nu)
     if abs(nu - n) > NEAR_EXCLUDED:
-        return _dk_dnu_direct(nu, p)
+        return _dk_dnu_direct(nu, z, cfg)
     if n == 0:
         # K is even in the order, so its order derivative vanishes at 0
         return EvalResult(0.0 + 0.0j, 0.0, 0, True, (), 0.0)
-    return _dk_integer(n, p)
+    return _dk_integer(n, z, cfg)

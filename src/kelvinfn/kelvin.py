@@ -18,9 +18,8 @@ and psi at the anchor, the phase) and ``bessel._ray_k``, turned by
 e^(-i pi nu/2) (``_k_turn``).  ``_eval_ber_bei`` takes an optional dict of
 orders: a caller that evaluates one order at many x (integrand nodes, ODE
 stencils) passes the same dict each time, so that the order is set up once
-per top-level call.  ``_finite`` is where every entry rejects a non-finite
-order or argument.  The paper's closed forms read J, I and dJ/dnu at more
-than one order at one x from a ``bessel._RayPoint`` (``_point``, ``_ber_bei``).
+per top-level call.  ``_finite`` (``bessel._finite``, shared with the
+complex API) is where every entry rejects a non-finite order or argument.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 from . import bessel
-from .bessel import _order, _phase, _RayOrder, _RayPoint
+from .bessel import _finite, _order, _phase, _RayOrder
 from .errors import ConvergenceError, DomainError
 from .hyper import DEFAULT_SERIES, SeriesConfig
 from .scalars import PI
@@ -56,19 +55,6 @@ class KelvinQuad:
     x: float
 
 
-def _finite(nu: float, x: float) -> None:
-    """DomainError unless the order nu and the argument x are finite."""
-    if not (math.isfinite(nu) and math.isfinite(x)):
-        raise DomainError(f"order and argument must be finite, got nu={nu!r}, x={x!r}")
-
-
-def _point(nu: float, x: float, cfg: SeriesConfig) -> _RayPoint:
-    """The series holder of the closed forms at x: J on the ray e^(-i pi/4) x,
-    I and K on e^(i pi/4) x; DomainError unless nu and x are finite."""
-    _finite(nu, x)
-    return _RayPoint(ROT_J * x, ROT_K * x, x, cfg)
-
-
 def _origin(nu: float, x: float) -> tuple[float, float, float, str]:
     """(ber, bei, 0, method tag) at x = 0; DomainError at x < 0, and at x = 0
     where the order is negative and not an integer."""
@@ -84,13 +70,6 @@ def _rotate(o: _RayOrder, run: tuple) -> tuple[float, float, float, str]:
     s, err, _, _, max_term, _ = run
     value = o.phase() * s
     return value.real, value.imag, err + _VALUE_FLOOR * max_term, "series"
-
-
-def _ber_bei(nu: float, x: float, p: _RayPoint) -> tuple[float, float, float, str]:
-    """(ber, bei, abs error estimate, method tag) from the series at ``p``."""
-    if x <= 0.0:
-        return _origin(nu, x)
-    return _rotate(*p.run(nu, False))
 
 
 def _k_turn(nu: float, x: float, k: tuple) -> complex:

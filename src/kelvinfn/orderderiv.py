@@ -19,13 +19,17 @@ derivatives at -nu from ``dkelvin``.
 The paper's closed forms stay as oracles for the verify suites and tests:
 ``dkelvin_bb_pos`` (csc/2F3/3F4 dJ/dnu), ``dkelvin_kk_pos`` (closed-form
 dK/dnu), ``dkelvin_bb_brychkov`` (3F6/4F7) and ``dkelvin_integer`` (finite
-sums over lower-order Kelvin values, tag 'integer_sum').
+sums over lower-order Kelvin values, tag 'integer_sum').  The first two
+read J and I on the rays from one ``bessel._ray_sums`` run per order
+(``_ray_reader``).
 
 ``dkelvin`` is two kernel calls: the series at nu with its psi sums, T and
 P (``bessel._ray_sums``), and the K sum at |nu| with dK/dnu
 (``bessel._ray_k``).  Each side takes one phase: with ber + i bei = phi T,
 d(ber + i bei)/dnu = phi ((log(x/2) + 3i pi/4) T - P), as
-dT/dnu = log(x/2) T - P, and the K side turns by e^(-i pi nu/2).
+dT/dnu = log(x/2) T - P, and the K side turns by e^(-i pi nu/2).  The
+series side (``_bb_series``) also gives theorem 5 (``quad``) its ber/bei
+and dJ/dnu at nu + 1.
 """
 
 from __future__ import annotations
@@ -34,11 +38,12 @@ import math
 from dataclasses import dataclass
 
 from . import bessel
-from .bessel import NEAR_EXCLUDED, ORDER_EPS, _dj_dnu, _dk_dnu, _is_near_int, _order, _RayOrder
+from .bessel import (NEAR_EXCLUDED, ORDER_EPS, _degraded_flags, _dj_dnu, _dk_dnu, _is_near_int,
+                     _order, _RayOrder, _turn)
 from .errors import DomainError, NegativeIntegerOrderError, OrderClassError
-from .hyper import DEFAULT_SERIES, HyperSpec, SeriesConfig, pfq
-from .kelvin import (KelvinQuad, _ber_bei, _eval_ker_kei, _finite, _k_turn, _phase, _point,
-                     kelvin_all)
+from .hyper import DEFAULT_SERIES, EvalResult, HyperSpec, SeriesConfig, pfq
+from .kelvin import (ROT_J, ROT_K, KelvinQuad, _eval_ber_bei, _eval_ker_kei, _finite, _k_turn,
+                     _phase, kelvin_all)
 from .scalars import PI, digamma_real, gamma_real
 
 # dkelvin's rounding floor of a series per unit of its largest term; on the
@@ -66,18 +71,32 @@ class OrderDerivQuad:
     values: KelvinQuad
 
 
+def _ray_reader(x: float, cfg: SeriesConfig, c: float):
+    """The closed forms' reader of J_mu at e^(-i pi/4) x (c = -1/4) or of
+    I_mu at e^(i pi/4) x (c = 1/4): one ``bessel._ray_sums`` run of the
+    order, turned by e^(i pi (c mu + k0/2)) (``bessel._turn``)."""
+    def read(mu: float) -> EvalResult:
+        o = _RayOrder(mu)
+        s, err, terms, conv, max_term, _ = bessel._ray_sums(o, x, cfg, False)
+        flags = (() if conv else ("no_convergence",)) + _degraded_flags(mu, x)
+        return EvalResult(_turn(c * mu + 0.5 * o.k0) * s, err, terms, conv, flags, max_term)
+    return read
+
+
 def dkelvin_bb_pos(nu: float, x: float,
                    cfg: SeriesConfig = DEFAULT_SERIES) -> tuple[float, float]:
     """(d ber_nu/d nu, d bei_nu/d nu) for non-integer nu >= 0, x > 0, by the
-    paper's csc/2F3/3F4 closed form for dJ/dnu."""
-    p = _point(nu, x, cfg)
+    paper's csc/2F3/3F4 closed form for dJ/dnu; ber + i bei = e^(i pi nu) J_nu
+    from the J_nu that the closed form reads."""
+    _finite(nu, x)
     if x <= 0.0:
         raise DomainError("x must be positive")
     if nu < 0.0 or abs(nu - round(nu)) <= ORDER_EPS:
         raise OrderClassError(f"integer or negative order {nu}: use the dispatcher")
-    ber, bei, _, _ = _ber_bei(nu, x, p)
-    e = _phase(PI * nu) * _dj_dnu(nu, p).value
-    return e.real - PI * bei, e.imag + PI * ber
+    dj, j = _dj_dnu(nu, ROT_J * x, _ray_reader(x, cfg, -0.25), cfg)
+    turn = _phase(PI * nu)
+    bb, e = turn * j.value, turn * dj.value
+    return e.real - PI * bb.imag, e.imag + PI * bb.real
 
 
 def dkelvin_kk_pos(nu: float, x: float,
@@ -85,13 +104,13 @@ def dkelvin_kk_pos(nu: float, x: float,
     """(d ker_nu/d nu, d kei_nu/d nu) for nu >= 0 with 2 nu non-integer, x > 0,
     by the paper's closed form for dK/dnu.  Orders with 2 nu within 1e-6 of
     an integer are refused."""
-    p = _point(nu, x, cfg)
+    _finite(nu, x)
     if x <= 0.0:
         raise DomainError("x must be positive")
     if nu < 0.0 or _is_near_int(2.0 * nu, NEAR_EXCLUDED):
         raise OrderClassError(f"order {nu} excluded for the K-side closed form")
     ker, kei, _, _ = _eval_ker_kei(nu, x, cfg)
-    e = _phase(-PI * nu / 2.0) * _dk_dnu(nu, p).value
+    e = _phase(-PI * nu / 2.0) * _dk_dnu(nu, ROT_K * x, _ray_reader(x, cfg, 0.25), cfg).value
     return e.real + PI / 2.0 * kei, e.imag - PI / 2.0 * ker
 
 
@@ -183,13 +202,13 @@ def dkelvin_bb_brychkov(nu: float, x: float,
     :func:`dkelvin_bb_pos`; it routes through negative-order Kelvin values
     and the real 3F6/4F7 series instead of complex-argument 2F3/3F4.
     """
-    p = _point(nu, x, cfg)
+    _finite(nu, x)
     if x <= 0.0:
         raise DomainError("x must be positive")
     if nu <= 0.0 or abs(nu - round(nu)) <= ORDER_EPS:
         raise OrderClassError("reference form needs non-integer nu > 0")
-    ber, bei, _, _ = _ber_bei(nu, x, p)
-    ber_m, bei_m, _, _ = _ber_bei(-nu, x, p)
+    ber, bei, _, _ = _eval_ber_bei(nu, x, cfg)
+    ber_m, bei_m, _, _ = _eval_ber_bei(-nu, x, cfg)
     c0 = coef_c(nu, x, 0, cfg)
     c1 = coef_c(nu, x, 1, cfg)
     d0 = coef_d(nu, x, 0, cfg)
@@ -231,22 +250,32 @@ def _dkelvin(nu: float, x: float, cfg: SeriesConfig, orders: dict | None = None)
     """``dkelvin`` as the plain tuple (ber, bei, ker, kei, dber, dbei, dker,
     dkei, abs error estimate); the rows of a table order pass one dict
     ``orders``, in which nu is set up once.  The estimate adds to the
-    kernels' estimates the floor of each series, ``_SERIES_FLOOR`` times its
-    largest term, each scaled as in the derivative, and pi/2 times the K
-    estimate."""
+    series' estimate (:func:`_bb_series`) that of dK/dnu and pi/2 times the
+    K estimate."""
     _finite(nu, x)
     if x <= 0.0:
         raise DomainError("x must be positive")
     o = _RayOrder(nu) if orders is None else _order(orders, nu)
-    t, t_err, _, _, t_max, (p, p_err, p_max, _, _) = bessel._ray_sums(o, x, cfg, True)
+    run = bessel._ray_sums(o, x, cfg, True)
     k, dk = bessel._ray_k(abs(nu), x, cfg, True)
     turn = _k_turn(nu, x, k)
     # log(x/2) after the K sum, which raises where x/2 underflows to 0
-    lg = complex(math.log(0.5 * x), 0.75 * PI)
-    phi = o.phase()
-    bb, dbb = phi * t, phi * (lg * t - p)
+    bb, dbb, est = _bb_series(o, run, x)
     kk, e = turn * k[0], turn * (-dk[0] if nu < 0.0 else dk[0])
-    est = (abs(lg) * (t_err + _SERIES_FLOOR * t_max) + p_err + _SERIES_FLOOR * p_max
-           + dk[1] + PI / 2.0 * k[1])
+    est = est + dk[1] + PI / 2.0 * k[1]
     return (bb.real, bb.imag, kk.real, kk.imag, dbb.real, dbb.imag,
             e.real + PI / 2.0 * kk.imag, e.imag - PI / 2.0 * kk.real, est)
+
+
+def _bb_series(o: _RayOrder, run: tuple, x: float) -> tuple[complex, complex, float]:
+    """(ber + i bei, d(ber + i bei)/dnu, abs error estimate of the latter)
+    from the run of ``bessel._ray_sums`` with psi sums, T and P, of the order
+    ``o`` at x: ber + i bei = phi T and d(ber + i bei)/dnu =
+    phi ((log(x/2) + 3i pi/4) T - P), phi = ``o.phase()``.  The estimate
+    adds to the run's estimates the floor of each series, ``_SERIES_FLOOR``
+    times its largest term, each scaled as in the derivative."""
+    t, t_err, _, _, t_max, (p, p_err, p_max, _, _) = run
+    lg = complex(math.log(0.5 * x), 0.75 * PI)
+    phi = o.phase()
+    return (phi * t, phi * (lg * t - p),
+            abs(lg) * (t_err + _SERIES_FLOOR * t_max) + p_err + _SERIES_FLOOR * p_max)

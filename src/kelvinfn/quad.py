@@ -29,9 +29,12 @@ import heapq
 import math
 from dataclasses import dataclass
 
+from . import bessel
+from .bessel import _RayOrder
 from .errors import ConvergenceError, DomainError
 from .hyper import DEFAULT_SERIES, EvalResult, SeriesConfig
-from .kelvin import _ber_bei, _eval_ber_bei, _phase, _point, kelvin_ber_bei
+from .kelvin import _eval_ber_bei, _finite, kelvin_ber_bei
+from .orderderiv import _bb_series
 from .scalars import EULER_GAMMA, PI, SQRT2, digamma_real, gamma_real
 
 _MAX_SPLITS = 4096
@@ -243,6 +246,7 @@ def apelblat_ber_bei(nu: float, x: float,
     representation of J at argument e^(-i pi/4) x makes both the decay and
     the oscillation come from the same X sinh t term).
     """
+    _finite(nu, x)
     if x <= 0.0:
         raise DomainError("x must be positive")
     big_x = x / SQRT2
@@ -348,6 +352,7 @@ def appendix_ber_bei(x: float, variant: str = "sin",
     with sc = sin or cos selected by ``variant`` (the two are equal by the
     t -> pi/2 - t substitution).
     """
+    _finite(0.0, x)
     if variant not in ("sin", "cos"):
         raise ValueError("variant must be 'sin' or 'cos'")
     if x < 0.0:
@@ -407,8 +412,13 @@ def theorem5_identities(nu: float, x: float,
     with (f, g, upper signs) = (ber, bei, +) and (bei, ber, -).  The Bessel
     order derivative on the right sits at order nu + 1, one step above the
     order under the integral (the identity arises from the derivative of the
-    order-(nu+1) function).
+    order-(nu+1) function).  ber/bei and dJ/dmu at mu = nu + 1 come from one
+    series run with its psi sums, read as in ``dkelvin``: with
+    E = e^(i pi mu) dJ/dmu = d(ber + i bei)/dmu - i pi (ber + i bei),
+    sqrt 2 Re[e^(i pi (nu + 1/4)) dJ/dmu] = Im E - Re E and
+    sqrt 2 Re[e^(i pi (nu - 1/4)) dJ/dmu] = -Re E - Im E.
     """
+    _finite(nu, x)
     if x <= 0.0 or nu <= -1.0:
         raise DomainError("requires x > 0 and nu > -1")
     orders: dict = {}  # the set-up of order nu, shared by every node
@@ -423,15 +433,15 @@ def theorem5_identities(nu: float, x: float,
 
     res = _integrate_panels(g, _V_EDGES, cfg)
     lhs = res.value
-    # dJ/dmu first, so that order nu + 1 is summed once, with its psi sums
-    p = _point(nu + 1.0, x, series_cfg)
-    dj = p.dj(nu + 1.0).value
-    ber1, bei1, _, _ = _ber_bei(nu + 1.0, x, p)
+    o = _RayOrder(nu + 1.0)
+    bb, dbb, _ = _bb_series(o, bessel._ray_sums(o, x, series_cfg, True), x)
+    e = dbb - 1j * PI * bb
+    ber1, bei1 = bb.real, bb.imag
     alpha = EULER_GAMMA + math.log(x / 2.0)
     rhs_ber = ((PI / 4.0 + alpha) * ber1 + (PI / 4.0 - alpha) * bei1
-               + SQRT2 * (_phase(PI * (nu + 0.25)) * dj).real) / (SQRT2 * x)
+               + e.imag - e.real) / (SQRT2 * x)
     rhs_bei = ((PI / 4.0 + alpha) * bei1 - (PI / 4.0 - alpha) * ber1
-               + SQRT2 * (_phase(PI * (nu - 0.25)) * dj).real) / (SQRT2 * x)
+               - e.real - e.imag) / (SQRT2 * x)
     return (_report("theorem5_ber", nu, x, lhs.real, rhs_ber, tol, res.converged),
             _report("theorem5_bei", nu, x, lhs.imag, rhs_bei, tol, res.converged))
 
@@ -456,6 +466,7 @@ def indefinite_integral_check(nu: float, x: float,
       int_0^x u^(nu+1) ber_nu(u) du =  (x^(nu+1)/sqrt 2) [bei_{nu+1}(x) - ber_{nu+1}(x)]
       int_0^x u^(nu+1) bei_nu(u) du = -(x^(nu+1)/sqrt 2) [bei_{nu+1}(x) + ber_{nu+1}(x)]
     """
+    _finite(nu, x)
     if nu < 0.0 or x <= 0.0:
         raise DomainError("requires nu >= 0 and x > 0")
     orders: dict = {}  # the set-up of order nu, shared by every node

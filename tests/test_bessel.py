@@ -70,6 +70,12 @@ class TestBesselJ:
         with pytest.raises(BranchError):
             bessel_j(-0.5, 0.0)
 
+    @pytest.mark.parametrize("fn", [bessel_j, bessel_i])
+    def test_negative_integer_order_at_origin(self, fn):
+        """1/Gamma(nu+1) vanishes at the negative integers: J_-n(0) = I_-n(0) = 0."""
+        for n in (1, 2, 5):
+            assert fn(float(-n), 0.0).value == 0.0
+
     def test_power_overflow_is_typed(self):
         """(z/2)^nu beyond the double range raises a KelvinError that is
         still an OverflowError."""

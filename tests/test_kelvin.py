@@ -5,10 +5,11 @@ import math
 
 import pytest
 
+from kelvinfn.bessel import _ray_k
 from kelvinfn.errors import (ConvergenceError, DomainError, GammaOverflowError, KelvinError,
                              PowerOverflowError, SeriesOverflowError)
 from kelvinfn.hyper import DEFAULT_SERIES, HyperSpec, SeriesConfig, pfq
-from kelvinfn.kelvin import KelvinQuad, _point, kelvin_all, kelvin_ber_bei, kelvin_ker_kei
+from kelvinfn.kelvin import KelvinQuad, kelvin_all, kelvin_ber_bei, kelvin_ker_kei
 from kelvinfn.orderderiv import dkelvin
 
 EULER_GAMMA = 0.5772156649015328606
@@ -152,8 +153,8 @@ def test_dk_quadrature_below_the_envelope():
     assert all(map(math.isfinite, (d.dker, d.dkei, d.err_estimate)))
     d = dkelvin(0.3, 1e-300)
     assert d.err_estimate == math.inf
-    dk = _point(0.3, 1e-300, DEFAULT_SERIES).dk(0.3)
-    assert dk.terms_used == DEFAULT_SERIES.max_terms and "no_convergence" in dk.flags
+    dk = _ray_k(0.3, 1e-300, DEFAULT_SERIES, True)[1]  # (value, estimate, nodes, converged)
+    assert dk[2] == DEFAULT_SERIES.max_terms and not dk[3]
     with pytest.raises(PowerOverflowError):
         dkelvin(10.0, 1e-300)
     for nu, x in ((60.0, 1e-3), (30.0, 1e-9)):
@@ -177,8 +178,8 @@ def test_k_quadrature_edges_are_typed():
         for nu in (-1.0, -2.0, -2.5):
             with pytest.raises(PowerOverflowError):
                 call(nu, 5e-324)
-    k = _point(0.3, 2.0, SeriesConfig(max_terms=20000)).k(0.3)
-    assert k.converged and k.value == _point(0.3, 2.0, DEFAULT_SERIES).k(0.3).value
+    k = _ray_k(0.3, 2.0, SeriesConfig(max_terms=20000), False)[0]
+    assert k[3] and k[0] == _ray_k(0.3, 2.0, DEFAULT_SERIES, False)[0][0]
 
 
 @pytest.mark.parametrize("x", [0.1, 1.0, 5.0, 10.0, 15.0, 20.0])

@@ -23,6 +23,7 @@ integer, where the connection formula (pi/2)(I_{-nu} - I_nu)/sin(pi nu)
 would lose digits to its csc factor, dker/dkei hold 1e-10 at x = 8.
 """
 
+import cmath
 import functools
 import math
 
@@ -30,10 +31,12 @@ import pytest
 
 mpmath = pytest.importorskip("mpmath")
 
+from kelvinfn.bessel import (_ray_k, bessel_i, bessel_j, bessel_k, dj_dnu_any,  # noqa: E402
+                             dk_dnu_any)
 from kelvinfn.cli import main  # noqa: E402
 from kelvinfn.errors import ConvergenceError  # noqa: E402
 from kelvinfn.hyper import DEFAULT_SERIES  # noqa: E402
-from kelvinfn.kelvin import _eval_ber_bei, _point, kelvin_all, kelvin_ker_kei  # noqa: E402
+from kelvinfn.kelvin import _eval_ber_bei, kelvin_all, kelvin_ker_kei  # noqa: E402
 from kelvinfn.orderderiv import dkelvin  # noqa: E402
 
 ORDERS = [k / 2.0 for k in range(-20, 21)]
@@ -167,8 +170,8 @@ def dk_oracle(nu: float, x: float) -> complex:
 @pytest.mark.parametrize("x", DK_XS)
 @pytest.mark.parametrize("nu", DK_ORDERS)
 def test_dk_quadrature(nu, x):
-    p = _point(nu, x, DEFAULT_SERIES)
-    for got, want in ((p.dk(nu).value, dk_oracle(nu, x)), (p.k(nu).value, k_oracle(nu, x))):
+    k, dk = _ray_k(nu, x, DEFAULT_SERIES, True)
+    for got, want in ((dk[0], dk_oracle(nu, x)), (k[0], k_oracle(nu, x))):
         assert abs(got - want) <= DK_REL * abs(want), (got, want)
 
 
@@ -177,12 +180,12 @@ def test_dk_quadrature(nu, x):
 def test_dk_error_estimate_calibrated(nu, x):
     """Each estimate, of dK/dnu and of K, covers the true error and, where
     that error is above 1e-15 of the value, overstates it by at most 1e3."""
-    p = _point(nu, x, DEFAULT_SERIES)
-    for res, want in ((p.dk(nu), dk_oracle(nu, x)), (p.k(nu), k_oracle(nu, x))):
-        err = abs(res.value - want)
-        assert res.abs_err_estimate >= err
+    k, dk = _ray_k(nu, x, DEFAULT_SERIES, True)  # each (value, estimate, nodes, converged)
+    for (value, est, _, _), want in ((dk, dk_oracle(nu, x)), (k, k_oracle(nu, x))):
+        err = abs(value - want)
+        assert est >= err
         if err > 1e-15 * abs(want):
-            assert res.abs_err_estimate <= 1e3 * err, (res.abs_err_estimate, err)
+            assert est <= 1e3 * err, (est, err)
 
 
 @pytest.mark.parametrize("nu, x", DK_BREAKDOWN)
@@ -202,9 +205,9 @@ def test_k_below_the_envelope(capsys):
     for nu, x in ((0.0, 1e-12), (10.0, 1e-12), (0.0, 1e-300), (0.3, 1e-300)):
         want = kk_oracle(nu, x)
         assert abs(complex(*kelvin_ker_kei(nu, x)) - want) <= KK_REL * abs(want)
-    dk = _point(0.3, 1e-300, DEFAULT_SERIES).dk(0.3)
-    assert dk.terms_used == DEFAULT_SERIES.max_terms and "no_convergence" in dk.flags
-    assert dk.abs_err_estimate == math.inf and dkelvin(0.3, 1e-300).err_estimate == math.inf
+    dk = _ray_k(0.3, 1e-300, DEFAULT_SERIES, True)[1]
+    assert dk[2] == DEFAULT_SERIES.max_terms and not dk[3]
+    assert dk[1] == math.inf and dkelvin(0.3, 1e-300).err_estimate == math.inf
     assert main(["eval", "ker", "--nu", "0.3", "--x", "1e-300"]) == 0
     est = capsys.readouterr().out.splitlines()[1]
     assert est.startswith("err_estimate = ") and math.isfinite(float(est.split("= ")[1]))
@@ -231,3 +234,65 @@ def test_k_past_the_bounds_is_typed(nu, x):
     for call in (kelvin_ker_kei, kelvin_all, dkelvin):
         with pytest.raises(ConvergenceError):
             call(nu, x)
+
+
+# The complex API at a general z: J and I at every real order of the grid,
+# negative integers included, and dJ/dnu at nu >= 0, held to 1e-13 relative
+# against 40-digit mpmath over |z| from 0.05 to 5 and six phases; K and
+# dK/dnu at integers and generic orders to 5e-12 on |z| in [0.1, 5].
+API_ORDERS = [-10.0, -8.0, -7.5, -5.0, -3.3, -3.0, -2.5, -2.0, -1.0, -0.5, 0.0, 0.3, 1.0,
+              2.0, 2.5, 3.5, 5.0, 6.3, 8.0, 10.0, 12.5]
+API_PHASES = [0.0, math.pi / 4.0, -math.pi / 4.0, 0.7, 1.2, 1.5]
+API_ZS = [cmath.rect(r, ph) for r in (0.05, 0.1, 0.3, 0.5, 0.8, 1.0, 2.0, 5.0)
+          for ph in API_PHASES]
+API_REL = 1e-13
+K_INTEGERS = [0, 1, 2, 3, 5, 8]
+K_ZS = [cmath.rect(r, ph) for r in (0.1, 0.3, 1.0, 2.0, 5.0) for ph in API_PHASES]
+K_REL = 5e-12
+
+
+def api_oracle(name: str, nu: float, z: complex, diff: bool = False) -> complex:
+    """mpmath's besselj/besseli/besselk at (nu, z), or with ``diff`` its
+    order derivative, at 40 digits."""
+    mp = mpmath.mp
+    f = getattr(mp, name)
+    with mp.workdps(40):
+        n, w = mp.mpf(nu), mp.mpc(z.real, z.imag)
+        return complex(mp.diff(lambda t: f(t, w), n) if diff else f(n, w))
+
+
+def api_misses(fn, name: str, nu: float, zs, rel: float, diff: bool = False) -> list:
+    """The points of ``zs`` where fn(nu, z) is not within ``rel`` of the oracle."""
+    out = []
+    for z in zs:
+        got = fn(nu, z).value
+        want = api_oracle(name, nu, z, diff)
+        if not abs(got - want) <= rel * abs(want):
+            out.append((z, abs(got - want) / abs(want)))
+    return out
+
+
+@pytest.mark.parametrize("nu", API_ORDERS)
+@pytest.mark.parametrize("fn, name", [(bessel_j, "besselj"), (bessel_i, "besseli")],
+                         ids=["J", "I"])
+def test_bessel_ji_against_mpmath(fn, name, nu):
+    assert api_misses(fn, name, nu, API_ZS, API_REL) == []
+
+
+@pytest.mark.parametrize("nu", [nu for nu in API_ORDERS if nu >= 0.0])
+def test_dj_dnu_any_against_mpmath(nu):
+    assert api_misses(dj_dnu_any, "besselj", nu, API_ZS, API_REL, diff=True) == []
+
+
+@pytest.mark.parametrize("nu", [float(n) for n in K_INTEGERS] + [0.3, 1.5, 2.7, 4.25])
+def test_bessel_k_against_mpmath(nu):
+    assert api_misses(bessel_k, "besselk", nu, K_ZS, K_REL) == []
+
+
+@pytest.mark.parametrize("n", K_INTEGERS)
+def test_dk_dnu_any_at_integers_against_mpmath(n):
+    """dK/dnu at the integers; at 0, where K is even in the order, exactly 0."""
+    if n == 0:
+        assert all(dk_dnu_any(0.0, z).value == 0.0 for z in K_ZS)
+    else:
+        assert api_misses(dk_dnu_any, "besselk", float(n), K_ZS, K_REL, diff=True) == []

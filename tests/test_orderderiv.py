@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+from kelvinfn.bessel import (bessel_i, bessel_j, bessel_k, dj_dnu, dj_dnu_any, dk_dnu,
+                             dk_dnu_any)
 from kelvinfn.errors import (DomainError, NegativeIntegerOrderError,
                              OrderClassError)
 from kelvinfn.kelvin import kelvin_all, kelvin_ber_bei, kelvin_ker_kei
@@ -123,7 +125,9 @@ class TestIntegerOrder:
 
 
 @pytest.mark.parametrize("fn", [dkelvin, dkelvin_bb_pos, dkelvin_kk_pos, dkelvin_bb_neg,
-                                dkelvin_kk_neg, dkelvin_bb_brychkov, dkelvin_integer])
+                                dkelvin_kk_neg, dkelvin_bb_brychkov, dkelvin_integer,
+                                bessel_j, bessel_i, bessel_k, dj_dnu, dk_dnu, dj_dnu_any,
+                                dk_dnu_any])
 @pytest.mark.parametrize("nu, x", [(math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0),
                                    (3, math.nan), (3, math.inf)])
 def test_non_finite_input_raises_domain_error(fn, nu, x):

@@ -267,6 +267,27 @@ class TestUnconverged:
         assert all(res.converged for res in results)
 
 
+class TestNonFinite:
+    """A non-finite order or argument is refused on entry, before any
+    integral runs, with the caller's values in the message."""
+
+    def test_apelblat_values(self):
+        with pytest.raises(DomainError, match="nu=nan, x=1.0"):
+            apelblat_ber_bei(math.nan, 1.0)
+
+    def test_appendix(self):
+        with pytest.raises(DomainError, match="x=nan"):
+            appendix_ber_bei(math.nan)
+
+    def test_theorem5(self):
+        with pytest.raises(DomainError, match="nu=nan, x=1.0"):
+            theorem5_identities(math.nan, 1.0)
+
+    def test_indefinite(self):
+        with pytest.raises(DomainError, match="nu=0.5, x=nan"):
+            indefinite_integral_check(0.5, math.nan)
+
+
 class TestIdentityReport:
     def test_csv_row_format(self):
         rep = make_report("demo", 0.5, 2.0, 1.0, 1.0 + 3e-9, 1e-7)

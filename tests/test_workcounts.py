@@ -17,10 +17,11 @@ import kelvinfn.bessel
 import kelvinfn.hyper
 import kelvinfn.quad
 from kelvinfn import manifest as M
+from kelvinfn.bessel import _RayOrder
 from kelvinfn.cli import main
 from kelvinfn.hyper import SeriesConfig
-from kelvinfn.kelvin import _point, kelvin_all, kelvin_ker_kei
-from kelvinfn.orderderiv import dkelvin
+from kelvinfn.kelvin import kelvin_all, kelvin_ker_kei
+from kelvinfn.orderderiv import _ray_reader, dkelvin
 from kelvinfn.quad import (DEFAULT_QUAD, QuadConfig, apelblat_dber_dbei,
                            theorem5_identities, theorem5_identity)
 from kelvinfn.verify import run_suites
@@ -75,10 +76,9 @@ def ksums(monkeypatch):
     return keys
 
 
-# (call, series runs); the comment gives the sum_series + _psi_sum loops the
-# complex-argument series needed for the same call.  Every call makes one K
-# sum besides, and calls both kernels directly: no series holder
-# (``bessel._RayPoint``) between.
+# (call, series runs); the comment gives the sum_series + psi-sum loops the
+# complex-argument series once needed for the same call.  Every call makes
+# one K sum besides, and calls both kernels directly.
 @pytest.mark.parametrize("call, count", [
     pytest.param(lambda: dkelvin(0.3, 2.0), 1, id="dkelvin(0.3,2)"),      # 6
     pytest.param(table_row(0.5), 1, id="table(0.5,2)"),                  # 6
@@ -88,11 +88,7 @@ def ksums(monkeypatch):
     pytest.param(lambda: dkelvin(5.0, 2.0), 1, id="dkelvin(5,2)"),       # 13
     pytest.param(lambda: kelvin_all(0.0, 2.0), 1, id="kelvin_all(0,2)"),  # 2
 ])
-def test_series_summed_once(monkeypatch, series, ksums, capsys, call, count):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a _RayPoint was built")
-
-    monkeypatch.setattr(kelvinfn.bessel._RayPoint, "__init__", refuse)
+def test_series_summed_once(series, ksums, capsys, call, count):
     call()
     assert len(series) == count
     assert len(set(series)) == len(series)
@@ -122,7 +118,7 @@ def test_kelvin_path_skips_complex_series(monkeypatch, capsys, call):
         raise AssertionError("complex-argument route reached")
 
     monkeypatch.setattr(kelvinfn.hyper, "sum_series", refuse)
-    for name in ("sum_series", "_psi_sum", "_bessel_k", "_k_connection", "_k_integer"):
+    for name in ("sum_series", "_z_sums", "bessel_k", "_k_connection", "_k_limit"):
         monkeypatch.setattr(kelvinfn.bessel, name, refuse)
     call()
 
@@ -144,12 +140,16 @@ def test_dk_quadrature_nodes(monkeypatch):
 
 
 def test_term_cap_reported_through_the_ray_path():
-    p = _point(0.5, 18.0, SeriesConfig(max_terms=4))
-    for res in (p.j(0.5), p.i(0.5), p.i(-0.5)):
+    cfg = SeriesConfig(max_terms=4)
+    for res in (_ray_reader(18.0, cfg, -0.25)(0.5), _ray_reader(18.0, cfg, 0.25)(0.5),
+                _ray_reader(18.0, cfg, 0.25)(-0.5)):
         assert not res.converged
         assert "no_convergence" in res.flags
-    for res in (p.k(0.5), p.dj(0.5), p.dk(0.5), p.k(2.0)):
-        assert not res.converged
+    # the psi sums of dJ/dnu, K and dK/dnu at 0.5, and K at 2
+    psi = kelvinfn.bessel._ray_sums(_RayOrder(0.5), 18.0, cfg, True)[5]
+    k, dk = kelvinfn.bessel._ray_k(0.5, 18.0, cfg, True)
+    k2 = kelvinfn.bessel._ray_k(2.0, 18.0, cfg, False)[0]
+    assert not (psi[4] or k[3] or dk[3] or k2[3])
 
 
 def _counts(calls):
