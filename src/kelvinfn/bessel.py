@@ -9,25 +9,22 @@ z^nu = exp(nu log z), arg z in (-pi, pi].  Each quantity has one route:
   pass.  On the Kelvin rays the series is summed in real arithmetic
   (:func:`_ray_sums`), at a general complex z by its twin
   (:func:`_z_sums`).
-- K_nu and dK/dnu (nu >= 0) on z = e^(i pi/4) x: one trapezoidal sum over
-  int_0^inf e^(-z cosh t) (cosh(nu t), t sinh(nu t)) dt (:func:`_ray_k`),
-  regular at every order, integers included; past nu = 15 or x = 30 it
-  reports no_convergence.
-- K_nu at a general z: the connection formula
-  (pi/2)(I_{-nu} - I_nu)/sin(pi nu), at an integer its limit, which takes
-  the order derivatives of I at +-n (:func:`_k_limit`), and dK/dnu the
-  derivative of the connection formula, or DLMF 10.38.4 near an integer
-  (:func:`bessel_k`, :func:`dk_dnu_any`).
+- K_nu and dK/dnu, even and odd in nu, at every order and every z off the
+  imaginary axis: one trapezoidal sum over int_0^inf e^(-z cosh t) dt at
+  mu = |nu| - floor(|nu|), climbed to |nu| by the recurrence
+  (:func:`_k_sums`), continued to Re z < 0 by DLMF 10.34.2
+  (:func:`_k_any`); past |z| = 30 it reports no_convergence.
 
-A :class:`_RayOrder` holds what both series kernels take from the order
+A :class:`_RayOrder` holds what the series kernels take from the order
 alone (Gamma and psi at the anchor, the weights below it, the phase of
 ber + i bei), so a kernel run does only the work that depends on the
-argument; the K sum reads one table of nodes, which depends on neither.
+argument; the K sum reads a table of nodes per step, which depends on
+neither.
 The Kelvin values and order derivatives call the ray kernels directly, once
 each per (nu, x); a caller that evaluates one order at many x (table rows,
 integrand nodes, stencils) keeps one dict of orders, so each is set up
 once.  One psi run gives a function and its order derivative together, so
-nothing is memoised: nothing but the node table outlives the top-level
+nothing is memoised: nothing but the node tables outlives the top-level
 call.
 
 The paper's closed forms ``dj_dnu`` and ``dk_dnu`` are oracles for the
@@ -42,32 +39,48 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from itertools import accumulate, repeat
 from operator import mul
 
-from .errors import (ArgumentZeroError, BranchError, DomainError, GammaOverflowError,
-                     OrderClassError, PowerOverflowError, SeriesOverflowError)
+from .errors import (ArgumentZeroError, BranchError, ConvergenceError, DomainError,
+                     GammaOverflowError, OrderClassError, PowerOverflowError,
+                     SeriesOverflowError)
 from .hyper import DEFAULT_SERIES, EvalResult, HyperSpec, SeriesConfig, pfq
 from .hyper import sum_series  # noqa: F401  bound here for perfbench/tracing.py, which wraps it
 from .scalars import PI, digamma_real, gamma_real
 
 # Orders closer than this to an excluded value are classified as excluded.
 ORDER_EPS = 1e-9
-# Orders closer than this to an integer n step from K_n (in dk_dnu_any, take dK/dnu|_n).
-NEAR_EXCLUDED = 1e-6
 
-# Step of the trapezoidal rule for K and dK/dnu on the Kelvin ray (:func:`_ray_k`),
-# and the order and argument past which it no longer resolves their integrands
-DK_STEP = 0.07
-K_MAX_ORDER = 15.0
+# Steps of the trapezoidal sum for K and dK/dnu (:func:`_k_sums`) where its
+# integrand is analytic in a strip at least pi/4 wide: at |z| up to 2, 8 and
+# 15 the largest that holds 1e-15 of 40-digit mpmath on the Kelvin ray, then
+# DK_STEP up to K_MAX_ARG, past which no step resolves the integrand's peak
+DK_STEP = 0.09
 K_MAX_ARG = 30.0
+# Narrower strips halve the step, at most this many times: within about
+# 0.003 of the imaginary axis the K sum raises ConvergenceError
+_MAX_HALVINGS = 8
+_QUARTER_PI = PI / 4.0
+# cosh t is in range to t = 700, and e^(-a cosh t) underflows to 0 once
+# a cosh t passes 746, at t = log(2/a) + log(746)
+_T_END = 700.0
+_LN2 = math.log(2.0)
+_LOG_UNDERFLOW = math.log(746.0)
+# The K estimate's rounding floor per eps and unit of scale
+# (:func:`_k_estimate`); against 40-digit mpmath over |z| <= 30 and six
+# phases it needs 3.4 (at nu < 1, |z| = 15 to 20)
+_K_FLOOR = 6.0
+
+# The rounding floor of J and I at a general z per unit of the largest term:
+# over |z| in {5, 10, 15, 20}, six phases and the orders of the tests, 5 to 10
+# eps (with :func:`_ji`'s part per term) covers the error against 40-digit
+# mpmath and overstates it by at most 1e3
+_JI_FLOOR = 8.0 * sys.float_info.epsilon
 
 _DEGRADED_ABS_Z = 20.0
 _DEGRADED_ORDER = 10.0
 _TINY = sys.float_info.min
 _EPS = sys.float_info.epsilon
-_HALF_SQRT2 = math.sqrt(0.5)
-_LN2 = math.log(2.0)
 
 
 def _is_near_int(x: float, eps: float) -> bool:
@@ -156,26 +169,6 @@ def _order(orders: dict, mu: float) -> _RayOrder:
     if o is None:
         o = orders[mu] = _RayOrder(mu)
     return o
-
-
-# The nodes t_k = k DK_STEP of _ray_k, k = 1, 2, ..., each the one before
-# plus DK_STEP, and cosh t_k, for every order and argument.  A run that
-# needs more rebinds a longer copy, so a table once read never changes
-# under a run in another thread.  Past t = 700 cosh t nears overflow.
-_DK_NODES: tuple[tuple, tuple] = ((), ())
-_MAX_NODES = 10000
-
-
-def _dk_nodes(n: int) -> tuple[tuple, tuple]:
-    """(t_k, cosh t_k) for at least min(n, ``_MAX_NODES``) nodes, extending the table."""
-    global _DK_NODES
-    ts, chs = _DK_NODES
-    n = min(n, _MAX_NODES)
-    if len(ts) < n:
-        more = tuple(accumulate(repeat(DK_STEP, n - len(ts)), initial=ts[-1] if ts else 0.0))[1:]
-        ts, chs = ts + more, chs + tuple(map(math.cosh, more))
-        _DK_NODES = (ts, chs)
-    return ts, chs
 
 
 def _ray_sums(o: _RayOrder, x: float, cfg: SeriesConfig, psi: bool) -> tuple:
@@ -293,133 +286,198 @@ def _ray_sums(o: _RayOrder, x: float, cfg: SeriesConfig, psi: bool) -> tuple:
                          psi_conv))
 
 
-def _ray_k(nu: float, x: float, cfg: SeriesConfig, dk: bool) -> tuple:
-    """K_nu at nu >= 0 on the Kelvin ray z = e^(i pi/4) x, x > 0, and with
-    ``dk`` dK/dnu, by one trapezoidal sum h (f(0)/2 + sum_k f(kh)), step
-    h = ``DK_STEP``, over
+_K_NODES: dict = {}  # step h -> (t_k, cosh t_k), t_k = k h, k = 1, 2, ...
 
-        K_nu(z)   = int_0^inf cosh(nu t) e^(-z cosh t) dt     (DLMF 10.32.9)
-        dK/dnu(z) = int_0^inf t sinh(nu t) e^(-z cosh t) dt,
 
-    e^(-z cosh t) = e^(-c) (cos c - i sin c), c = x cosh(t)/sqrt(2), taken
-    once per node of a shared table (:func:`_dk_nodes`); a dK/dnu term is
-    the K term times t tanh(nu t).  The integrands are analytic in
-    |Im t| < pi/4 and decay doubly exponentially, so the rule converges
-    geometrically in 1/h (Trefethen and Weideman, SIAM Review 56, 2014): to
-    3e-12 of 40-digit sums at nu <= ``K_MAX_ORDER``, x <= ``K_MAX_ARG``.
-    Past them the step no longer resolves the integrand (7e-10 off at
-    nu = 20, x = 1; 3e-9 at nu = 10, x = 100): both sums report no_convergence.
+def _k_nodes(h: float, n: int, keep: bool) -> tuple[tuple, tuple]:
+    """(t_k, cosh t_k) for at least n nodes at the step h: with ``keep``
+    from the shared table of h, which a run that needs more rebinds to a
+    longer copy (so no thread sees it change), else made for the run."""
+    ts, chs = _K_NODES.get(h, ((), ())) if keep else ((), ())
+    if len(ts) < n:
+        more = tuple(k * h for k in range(len(ts) + 1, n + 1))
+        ts, chs = ts + more, chs + tuple(map(math.cosh, more))
+        if keep:
+            _K_NODES[h] = (ts, chs)
+    return ts, chs
 
-    Each pass adds an odd and an even node.  The terms f e^(-c) rise to one
-    peak and then fall, so K stops once the terms of a pass fall and are
-    below rel_tol |K|, |K| read again only when they pass the bound last
-    read: the same pass, so the same bits, with or without ``dk``; by
-    t = log(2/x) + 5 at nu <= ``K_MAX_ORDER``.  K sums at most
-    ``cfg.max_terms`` nodes past t = max(0, log(2/x)), where e^(-c) starts
-    to decay, and none past the table's end, t = 700 (x below 1e-304);
-    dK/dnu goes on to its own rule, within ``cfg.max_terms`` nodes from
-    t = 0.  A sum stopped by a cap is unconverged: no_convergence, infinite
-    estimate, as the tail is unknown.
 
-    The even nodes with t = 0 are the rule T_2h, off by about
-    e = |T_h - T_2h|.  Halving h raises the relative error to a power p,
-    against 34-digit sums 2 to 3 at nu <= 3 and 3.7 to 7 at nu in [10, 15];
-    the estimates take p = 3, |T_h| (e/|T_h|)^3, plus the rounding floor
-    n eps h sum_k |f(kh)| over the n nodes.
+def _k_sums(nu: float, z: complex, cfg: SeriesConfig, dk: bool) -> tuple:
+    """K_nu(z) at nu >= 0, Re z > 0, and with ``dk`` D_nu = dK/dnu.
 
-    Returns (K, dK/dnu or None), each a plain tuple (value, abs error
-    estimate, nodes, converged) (:func:`_trapezoid`).  Raises PowerOverflowError where
-    (x/2)^(-nu), the scale of K near 0, overflows.
+    One trapezoidal sum h (f(0)/2 + sum_k f(kh)) gives, at mu = nu -
+    floor(nu) in [0, 1), K_mu = int_0^inf cosh(mu t) e^(-z cosh t) dt
+    (DLMF 10.32.9), its z-derivative K'_mu (the weight -cosh t) and, with
+    ``dk``, D_mu and D'_mu (the same times t tanh(mu t)); :func:`_climb`
+    takes them to nu.  Each node takes e^(-z cosh t), z = a + ib, once, with
+    cosh t from a table (:func:`_k_nodes`); the primed sums carry a cosh t,
+    which keeps them in range where K'_mu overflows.  The integrands are
+    analytic in |Im t| < pi/2 - |ph z| and decay doubly exponentially, so
+    the rule converges geometrically in 1/h (Trefethen and Weideman, SIAM
+    Review 56, 2014).  Where the strip is at least pi/4 wide the step
+    depends on |z| alone (``DK_STEP``); a narrower one halves it until h per
+    pi/4 of strip is no larger, at most ``_MAX_HALVINGS`` times, past which,
+    Re z <= 0 included, ConvergenceError.
+
+    Each pass adds an odd and an even node (the even ones and t = 0 are
+    T_2h).  The terms |f| rise to one peak and fall, so K stops once the
+    terms of a pass fall and the K and K' terms are below rel_tol |K_mu| and
+    rel_tol |a K'_mu|, each read again when its term passes it: the same
+    pass, and bits, with or without ``dk``; D goes on to its own rule.  K
+    sums at most ``cfg.max_terms`` 2^j nodes past t = log(2/a), where
+    e^(-a cosh t) starts to decay, none where it underflows or past t = 700,
+    D at most ``cfg.max_terms`` 2^j from t = 0; a sum cut by a cap, or past
+    |z| = ``K_MAX_ARG``, is unconverged.  Returns (K, D or None), tuples of
+    :func:`_k_estimate`; PowerOverflowError where (|z|/2)^(-nu) overflows,
+    SeriesOverflowError where K or D does.
     """
+    n = int(nu)
+    mu = nu - n
+    a, b, sz = z.real, z.imag, abs(z)
     try:
-        (0.5 * x) ** -nu
+        (0.5 * sz) ** -nu
     except (OverflowError, ZeroDivisionError):
         raise PowerOverflowError(
-            f"(x/2)^{-nu:g} overflows double precision at x = {x:g}") from None
-    na = -_HALF_SQRT2 * x  # m = na cosh t is -c, so the sine sums carry -sin c
-    tol = cfg.rel_tol
-    exp, cos, sin, cosh = math.exp, math.cos, math.sin, math.cosh
-    tanh, hypot = math.tanh, math.hypot
-    top = min(_MAX_NODES, max(0, int((_LN2 - math.log(x)) / DK_STEP)) + cfg.max_terms)
-    ts, chs = _dk_nodes(top)
+            f"(z/2)^{-nu:g} overflows double precision at |z| = {sz:g}") from None
+    strip = math.atan2(a, abs(b))  # pi/2 - |ph z|
+    j = 0
+    while strip * (1 << j) < _QUARTER_PI:
+        if strip <= 0.0 or j == _MAX_HALVINGS:
+            raise ConvergenceError(
+                f"the K sum has no step for ph z = {cmath.phase(z):.17g}: its strip is too narrow")
+        j += 1
+    h = (0.12 if sz <= 2.0 else 0.11 if sz <= 8.0 else 0.1 if sz <= 15.0 else DK_STEP) / (1 << j)
+    cap = cfg.max_terms << j
+    t0 = _LN2 - math.log(a)  # log(2/a), where e^(-a cosh t) starts to decay
+    top = min(int(min(t0 + _LOG_UNDERFLOW, _T_END) / h) + 1, max(0, int(t0 / h)) + cap)
+    ts, chs = _k_nodes(h, top, j == 0)
+    na, nb, tol = -a, -b, cfg.rel_tol
+    exp, cos, sin, cosh, tanh = math.exp, math.cos, math.sin, math.cosh, math.tanh
+    hypot = math.hypot
     w = 0.5 * exp(na)  # f(0)/2, summed with the even nodes
-    ore = oim = dore = doim = dere = deim = dmag = 0.0
-    ere, eim, mag = w * cos(na), w * sin(na), w
-    ks = None  # K's sums once it stops
-    lim = dlim = math.inf  # rel_tol |K| and rel_tol |dK/dnu| as last read
-    dconv = False
+    ere, eim = w * cos(nb), w * sin(nb)
+    ore = oim = dore = doim = dere = deim = d1re = d1im = dmag = dmag1 = 0.0
+    k1re, k1im, mag, mag1, ks = na * ere, na * eim, w, a * w, None  # ks: K's sums once it stops
+    # rel_tol |K_mu|, |a K'_mu|, |D_mu| and |a D'_mu| as last read
+    lim = lim1 = dlim = dlim1 = math.inf
+    # D sums while dsum; at mu = 0 its terms are exact zeros, so it is done at once
+    dsum, dconv, dn = dk and mu > 0.0, dk, 0
+    dtop = min(top, cap)
     i = -2  # a pass adds the nodes at index i and i + 1 of the tables
-    try:
+    for i in range(0, top - 1, 2):
+        t, ch = ts[i], chs[i]
+        y = na * ch
+        w = cosh(mu * t) * exp(y)
+        m = nb * ch
+        p, q = w * cos(m), w * sin(m)
+        ore, oim = ore + p, oim + q
+        t2, ch = ts[i + 1], chs[i + 1]
+        y2 = na * ch
+        w2 = cosh(mu * t2) * exp(y2)
+        m = nb * ch
+        p2, q2 = w2 * cos(m), w2 * sin(m)
+        ere, eim = ere + p2, eim + q2
+        k1re += y * p + y2 * p2
+        k1im += y * q + y2 * q2
+        mag += w + w2
+        mag1 -= y * w + y2 * w2
+        if dsum:
+            # each D term is the K term times t tanh(mu t)
+            g, g2 = t * tanh(mu * t), t2 * tanh(mu * t2)
+            p, q = g * p, g * q
+            p2, q2 = g2 * p2, g2 * q2
+            dore, doim = dore + p, doim + q
+            dere, deim = dere + p2, deim + q2
+            d1re += y * p + y2 * p2
+            d1im += y * q + y2 * q2
+            v, v2 = g * w, g2 * w2
+            dmag += v + v2
+            dmag1 -= y * v + y2 * v2
+        if ks is None and w2 <= w and (w <= lim or -y * w <= lim1):
+            lim, lim1 = tol * hypot(ore + ere, oim + eim), tol * hypot(k1re, k1im)
+            if w <= lim and -y * w <= lim1:
+                ks = (ore, oim, ere, eim, k1re, k1im, mag, mag1, i + 2)
+                if not dsum:
+                    break
+        if dsum:
+            if ks is not None and v2 <= v and (v <= dlim or -y * v <= dlim1):
+                dlim, dlim1 = tol * hypot(dore + dere, doim + deim), tol * hypot(d1re, d1im)
+                if v <= dlim and -y * v <= dlim1:
+                    dsum, dn = False, i + 2
+                    break
+            if i + 3 >= dtop:  # D's node cap
+                dsum, dconv, dn = False, False, i + 2
+                if ks is not None:
+                    break
+    if dsum:  # out of nodes
+        dconv, dn = False, i + 2
+    kconv = ks is not None and sz <= K_MAX_ARG
+    kore, koim, kere, keim, k1re, k1im, kmag, kmag1, kn = ks or (
+        ore, oim, ere, eim, k1re, k1im, mag, mag1, i + 2)
+    # r, K_mu's relative gap T_h - T_2h, and c, the largest ratio of a start
+    # value's sum of |terms| to its size (the cancellation)
+    s = hypot(kore + kere, koim + keim) or 1.0  # 0 only where K_mu underflows
+    r, c = hypot(kore - kere, koim - keim) / s, kmag / s
+    # (1j * y + x is complex(x, y), exactly, and cheaper to build)
+    kv = 1j * (h * (koim + keim)) + h * (kore + kere)
+    dv = d1 = None
+    if dk:
+        dv = 1j * (h * (doim + deim)) + h * (dore + dere)
+        s = hypot(dore + dere, doim + deim) or 1.0  # 0 at mu = 0
+        dr, dc = max(r, hypot(dore - dere, doim - deim) / s), max(c, dmag / s)
+    if n:
+        # K_(mu+1) = (mu/z) K_mu - K'_mu (DLMF 10.29.2) and its order
+        # derivative D_(mu+1) = K_mu/z + (mu/z) D_mu - D'_mu
+        rz, ha = 1.0 / z, h / a
+        k1 = rz * mu * kv - (1j * k1im + k1re) * ha
+        s = (kmag * mu / sz + kmag1 / a) * h / (abs(k1) or 1.0)
+        if s > c:
+            c = s
         if dk:
-            # the K arithmetic of the loop below; each dK/dnu term is the K term times t tanh(nu t)
-            for i in range(0, min(top, cfg.max_terms) - 1, 2):
-                t = ts[i]
-                m = na * chs[i]
-                w = cosh(nu * t) * exp(m)
-                p, q = w * cos(m), w * sin(m)
-                ore, oim = ore + p, oim + q
-                t *= tanh(nu * t)
-                u = w * t
-                dore, doim = dore + p * t, doim + q * t
-                t = ts[i + 1]
-                m = na * chs[i + 1]
-                w2 = cosh(nu * t) * exp(m)
-                p, q = w2 * cos(m), w2 * sin(m)
-                ere, eim = ere + p, eim + q
-                t *= tanh(nu * t)
-                u2 = w2 * t
-                dere, deim = dere + p * t, deim + q * t
-                mag += w + w2
-                dmag += u + u2
-                if ks is None and w2 <= w and w <= lim:
-                    lim = tol * hypot(ore + ere, oim + eim)
-                    if w <= lim:
-                        ks = (ore, oim, ere, eim, mag, i + 2)
-                if ks is not None and u2 <= u and u <= dlim:
-                    dlim = tol * hypot(dore + dere, doim + deim)
-                    if u <= dlim:
-                        dconv = True
-                        break
-        dn = i + 2
-        if ks is None:
-            # K alone, or on from where the dK/dnu sum stopped short of it
-            for i in range(dn, top - 1, 2):
-                m = na * chs[i]
-                w = cosh(nu * ts[i]) * exp(m)
-                ore, oim = ore + w * cos(m), oim + w * sin(m)
-                m = na * chs[i + 1]
-                w2 = cosh(nu * ts[i + 1]) * exp(m)
-                ere, eim = ere + w2 * cos(m), eim + w2 * sin(m)
-                mag += w + w2
-                if w2 <= w and w <= lim:
-                    lim = tol * hypot(ore + ere, oim + eim)
-                    if w <= lim:
-                        ks = (ore, oim, ere, eim, mag, i + 2)
-                        break
-    except OverflowError:
-        raise SeriesOverflowError(
-            f"the K quadrature at order {nu:g} overflows at x = {x:g}") from None
-    if not math.isfinite(mag + dmag):
-        raise SeriesOverflowError(f"the K quadrature at order {nu:g} is not finite at x = {x:g}")
-    ok = nu <= K_MAX_ORDER and x <= K_MAX_ARG
-    k = _trapezoid(*(ks or (ore, oim, ere, eim, mag, i + 2)), ok and ks is not None)
-    return k, (_trapezoid(dore, doim, dere, deim, dmag, dn, ok and dconv) if dk else None)
+            d1 = rz * (kv + dv * mu) - (1j * d1im + d1re) * ha
+            s = ((kmag + dmag * mu) / sz + dmag1 / a) * h / abs(d1)
+            dc = max(dc, c, s)
+        kv, dv = _climb(n, mu, rz + rz, kv, k1, dv, d1)
+    if not cmath.isfinite(kv) or dk and not cmath.isfinite(dv):
+        raise SeriesOverflowError(f"K_{nu:g} overflows double precision at |z| = {sz:g}")
+    k = _k_estimate(kv, r, c, n, kn, kconv)
+    return k, (_k_estimate(dv, dr, dc, n, dn or kn, dconv and kconv) if dk else None)
 
 
-def _trapezoid(ore: float, oim: float, ere: float, eim: float, mag: float, n: int,
-               converged: bool) -> tuple:
-    """(T_h, abs error estimate, n, converged) of :func:`_ray_k` from its odd
-    and even sums of f e^(-c) cos c and -f e^(-c) sin c over n nodes, the
-    f e^(-c) adding up to ``mag``."""
-    h = DK_STEP
-    value = complex(h * (ore + ere), h * (oim + eim))
-    if not converged:
-        return value, math.inf, n, False
-    size = abs(value)
-    e = h * math.hypot(ore - ere, oim - eim)
-    return value, (e * (e / size) ** 2 if size else 0.0) + n * _EPS * h * mag, n, True
+def _k_estimate(v: complex, r: float, c: float, n: int, nodes: int, conv: bool) -> tuple:
+    """The tuple (value, abs error estimate, nodes, converged, scale) of
+    :func:`_k_sums` for v, n steps of the recurrence above its start values,
+    which carries their relative errors: |v| (r^3 + (``_K_FLOOR`` + n) eps c).
+    r is the largest relative gap |T_h - T_2h|/|T_h| of the start sums:
+    halving the step raises the relative error to a power, against 40-digit
+    mpmath 2 where it is below the rounding floor (|z| <= 1) and 3 to 10
+    above it (|z| >= 15, steps 0.18 to 0.72), so the estimate takes 3.  c is
+    the largest ratio of a start value's sum of |terms| to its size (the
+    cancellation); the scale is c |v|."""
+    size = abs(v)
+    return v, size * (r * r * r + (_K_FLOOR + n) * _EPS * c) if conv else math.inf, nodes, \
+        conv, c * size
 
 
+def _climb(n: int, mu: float, r: complex, k: complex, k1: complex, d: complex | None,
+           d1: complex | None) -> tuple:
+    """(K_(mu+n), D_(mu+n)), n >= 1, from K and D = dK/dnu at mu and mu + 1
+    (d None: K alone), r = 2/z, by DLMF 10.29.1 and its order derivative,
+    K_(a+1) = K_(a-1) + (2a/z) K_a, D_(a+1) = D_(a-1) + (2/z) K_a + (2a/z) D_a,
+    stable upward, where K is dominant (Temme, J. Comput. Phys. 19, 1975);
+    2a/z is one product per step, as a running sum of 2/z would drift."""
+    a = mu + 1.0
+    if d is None:
+        for _ in range(n - 1):
+            k, k1 = k1, k + r * a * k1
+            a += 1.0
+        return k1, None
+    for _ in range(n - 1):
+        ar = r * a
+        d, d1 = d1, d + r * k1 + ar * d1
+        k, k1 = k1, k + ar * k1
+        a += 1.0
+    return k1, d1
 
 
 def _phase(angle: float) -> complex:
@@ -548,16 +606,21 @@ def _ji(mu: float, z: complex, sign: float, cfg: SeriesConfig,
         psi: bool = False) -> tuple[EvalResult, EvalResult | None]:
     """F = J_mu(z) (sign = -1) or I_mu(z) (sign = +1) at z != 0 from one run
     of :func:`_z_sums`, and with ``psi`` dF/dmu = log(z/2) F - P from the
-    same run (else None)."""
+    same run (else None).  Each estimate adds ``_JI_FLOOR`` times the largest
+    term (cancellation) and eps times the terms times the value (rounding
+    carried from term to term)."""
     f, err, terms, conv, max_term, ps = _z_sums(_RayOrder(mu), z, sign, cfg, psi)
     flags = (() if conv else ("no_convergence",)) + _degraded_flags(mu, z)
-    res = EvalResult(f, err, terms, conv, flags, max_term)
+    res = EvalResult(f, err + _JI_FLOOR * max_term + terms * _EPS * abs(f), terms, conv, flags,
+                     max_term)
     if ps is None:
         return res, None
     p, p_err, p_max, p_terms, p_conv = ps
     lg = cmath.log(z / 2.0)
-    return res, EvalResult(f * lg - p, err * abs(lg) + p_err, p_terms, conv and p_conv, flags,
-                           max(abs(lg) * max_term, p_max))
+    df = f * lg - p
+    d_max = max(abs(lg) * max_term, p_max)
+    return res, EvalResult(df, err * abs(lg) + p_err + _JI_FLOOR * d_max + p_terms * _EPS * abs(df),
+                           p_terms, conv and p_conv, flags, d_max)
 
 
 def _bessel_ji(nu: float, z: complex, sign: float, cfg: SeriesConfig) -> EvalResult:
@@ -584,67 +647,45 @@ def bessel_i(nu: float, z: complex, cfg: SeriesConfig = DEFAULT_SERIES) -> EvalR
 
 
 def bessel_k(nu: float, z: complex, cfg: SeriesConfig = DEFAULT_SERIES) -> EvalResult:
-    """K_nu(z), even in nu.
-
-    Away from integers: the connection formula
-    K = (pi/2)(I_{-nu} - I_nu)/sin(pi nu), whose error estimate is amplified
-    by the csc factor and by the cancellation budget of the I series.  At
-    integer n: its limit (:func:`_k_limit`); within 1e-6 of n,
-    K_n + (nu - n) dK/dnu.
-    """
+    """K_nu(z), even in nu, at z off the imaginary axis (:func:`_k_any`);
+    ArgumentZeroError at z = 0, ConvergenceError on and within ~0.003 of
+    the imaginary axis.  ``max_abs_term`` is the sum of |terms| carried to
+    the order, the scale of its cancellation."""
     _finite(nu, z)
     z = complex(z)
     if z == 0:
         raise ArgumentZeroError("K_nu undefined at z = 0")
-    nu = abs(nu)  # K is even in the order
-    n = round(nu)
-    if abs(nu - n) > NEAR_EXCLUDED:
-        return _k_connection(nu, z, _ji(-nu, z, 1.0, cfg)[0], _ji(nu, z, 1.0, cfg)[0])
-    kn = _k_limit(n, z, cfg)
-    if nu == n or n == 0:
-        # K is even in the order, so K_nu = K_0 + O(nu^2) next to 0
-        return kn
-    # one step from K_n, off by (nu - n)^2 K''/2: about step^2/K where log K
-    # is near linear in the order
-    dk = _dk_integer(n, z, cfg)
-    step = (nu - n) * dk.value
-    est = abs(nu - n) * dk.abs_err_estimate + abs(step) ** 2 / abs(kn.value)
-    return EvalResult(kn.value + step, kn.abs_err_estimate + est, kn.terms_used + dk.terms_used,
-                      kn.converged and dk.converged, kn.flags, kn.max_abs_term)
+    return _k_any(abs(nu), z, cfg, False)[0]  # K is even in the order
 
 
-def _k_connection(nu: float, z: complex, im: EvalResult, ip: EvalResult) -> EvalResult:
-    """K_nu(z) from I_{-nu} (``im``) and I_nu (``ip``) by the connection formula."""
-    s = math.sin(PI * nu)
-    amp = PI / (2.0 * abs(s))
-    value = (PI / 2.0) * (im.value - ip.value) / s
-    # cancellation floor: the I series are summed to ~1 ulp of their largest term
-    cancel = 2e-16 * (im.max_abs_term + ip.max_abs_term)
-    est = amp * (im.abs_err_estimate + ip.abs_err_estimate + cancel)
-    return EvalResult(value, est, im.terms_used + ip.terms_used,
-                      im.converged and ip.converged, _degraded_flags(nu, z),
-                      max(im.max_abs_term, ip.max_abs_term))
+def _k_result(nu: float, z: complex, run: tuple) -> EvalResult:
+    flags = (() if run[3] else ("no_convergence",)) + _degraded_flags(nu, z)
+    return EvalResult(*run[:4], flags, run[4])
 
 
-def _k_limit(n: int, z: complex, cfg: SeriesConfig) -> EvalResult:
-    """K_n(z) at integer n >= 0, the limit of the connection formula
-    (DLMF 10.27.4) at the integer,
+def _k_any(nu: float, z: complex, cfg: SeriesConfig,
+           dk: bool) -> tuple[EvalResult, EvalResult | None]:
+    """K_nu(z) at nu >= 0 and with ``dk`` dK/dnu (else None).  At Re z > 0
+    one run of :func:`_k_sums`; at Re z < 0 DLMF 10.34.2 with m = +-1 the
+    sign of Im z, where sin(m nu pi)/sin(nu pi) = m at every order,
 
-        K_n(z) = ((-1)^(n-1)/2) (dI/dnu|_n + dI/dnu|_(-n)),
+        K_nu(z) = e^(-i m nu pi) K_nu(-z) - i m pi I_nu(-z),
 
-    each order derivative log(z/2) I - P from one psi run of :func:`_z_sums`.
-    Below its anchor the run at -n takes the weights psi/Gamma at the poles
-    -m of Gamma, (-1)^(m+1) m!: the finite sum of DLMF 10.31.1.
-    """
-    dm = _ji(-float(n), z, 1.0, cfg, True)[1]
-    dp = _ji(float(n), z, 1.0, cfg, True)[1]
-    value = (0.5 if n % 2 else -0.5) * (dp.value + dm.value)
-    if not cmath.isfinite(value):
-        raise SeriesOverflowError(f"K_{n} is not finite at |z| = {abs(z):g}")
-    est = 0.5 * (dp.abs_err_estimate + dm.abs_err_estimate
-                 + 2e-16 * (dp.max_abs_term + dm.max_abs_term))
-    return EvalResult(value, est, dp.terms_used + dm.terms_used, dp.converged and dm.converged,
-                      _degraded_flags(n, z), max(dp.max_abs_term, dm.max_abs_term))
+    with I_nu, and dI/dnu for dK/dnu, from one run of :func:`_ji`."""
+    if z.real >= 0.0:
+        k, d = _k_sums(nu, z, cfg, dk)
+    else:
+        k, d = _k_sums(nu, -z, cfg, dk)
+        i, di = _ji(nu, -z, 1.0, cfg, dk)
+        m = math.copysign(1.0, z.imag)
+        turn, im = _turn(-m * nu), complex(0.0, m * PI)
+        if dk:  # e^(-i m nu pi) (dK/dnu - i m pi K_nu)(-z) - i m pi dI/dnu(-z)
+            d = (turn * (d[0] - im * k[0]) - im * di.value,
+                 d[1] + PI * (k[1] + di.abs_err_estimate), d[2] + di.terms_used,
+                 d[3] and di.converged, max(d[4], PI * k[4], PI * di.max_abs_term))
+        k = (turn * k[0] - im * i.value, k[1] + PI * i.abs_err_estimate, k[2] + i.terms_used,
+             k[3] and i.converged, max(k[4], PI * i.max_abs_term))
+    return _k_result(nu, z, k), (_k_result(nu, z, d) if dk else None)
 
 
 def _f23(nu: float, w: complex, cfg: SeriesConfig) -> EvalResult:
@@ -752,47 +793,6 @@ def _dk_dnu(nu: float, z: complex, i, cfg: SeriesConfig) -> EvalResult:
                       max(ip.max_abs_term, im.max_abs_term))
 
 
-def _dk_dnu_direct(nu: float, z: complex, cfg: SeriesConfig) -> EvalResult:
-    """dK/dnu from the differentiated connection formula:
-
-        dK/dnu = (pi / (2 sin(pi nu))) [ -dI/dmu|_{-nu} - dI/dmu|_{+nu} ]
-                 - pi cot(pi nu) K_nu(z)
-
-    Regular at half-integers (csc = +-1, cot = 0); removable singularity at
-    integers, where :func:`_dk_integer` takes over.  I_{-nu}, I_nu and their
-    order derivatives come from one psi run each, and K_nu from the same
-    two I.
-    """
-    im, dim = _ji(-nu, z, 1.0, cfg, True)
-    ip, dip = _ji(nu, z, 1.0, cfg, True)
-    kv = _k_connection(nu, z, im, ip)
-    s = math.sin(PI * nu)
-    value = (PI / (2.0 * s)) * (-dim.value - dip.value) \
-        - PI * (math.cos(PI * nu) / s) * kv.value
-    amp = PI / (2.0 * abs(s))
-    est = amp * (dim.abs_err_estimate + dip.abs_err_estimate
-                 + 2e-16 * (dim.max_abs_term + dip.max_abs_term)) \
-        + PI * abs(math.cos(PI * nu) / s) * kv.abs_err_estimate
-    return EvalResult(value, est, dim.terms_used + dip.terms_used,
-                      dim.converged and dip.converged, _degraded_flags(nu, z),
-                      max(dim.max_abs_term, dip.max_abs_term))
-
-
-def _dk_integer(n: int, z: complex, cfg: SeriesConfig) -> EvalResult:
-    """dK/dnu at integer n >= 1 by DLMF 10.38.4:
-
-        dK/dnu|_n = (n! (z/2)^(-n) / 2) sum_{k<n} (z/2)^k K_k(z) / (k! (n-k))
-    """
-    ks = [_k_limit(k, z, cfg) for k in range(n)]
-    ws = [_half_pow(k - n, z) * (math.factorial(n) / (2 * math.factorial(k) * (n - k)))
-          for k in range(n)]
-    value = sum((w * kk.value for w, kk in zip(ws, ks)), 0.0 + 0.0j)
-    est = sum(abs(w) * (kk.abs_err_estimate + 2e-16 * kk.max_abs_term) for w, kk in zip(ws, ks))
-    return EvalResult(value, est, sum(kk.terms_used for kk in ks),
-                      all(kk.converged for kk in ks), _degraded_flags(n, z),
-                      max(abs(w) * kk.max_abs_term for w, kk in zip(ws, ks)))
-
-
 def dj_dnu_any(nu: float, z: complex, cfg: SeriesConfig = DEFAULT_SERIES) -> EvalResult:
     """dJ/dnu for any nu >= 0, by the term-wise derivative of the series,
     log(z/2) J_nu - P with the psi sum P of the same run:
@@ -812,19 +812,12 @@ def dj_dnu_any(nu: float, z: complex, cfg: SeriesConfig = DEFAULT_SERIES) -> Eva
 
 
 def dk_dnu_any(nu: float, z: complex, cfg: SeriesConfig = DEFAULT_SERIES) -> EvalResult:
-    """dK/dnu for any nu >= 0: the differentiated connection formula away
-    from integers, the finite sum of DLMF 10.38.4 within 1e-6 of an integer
-    (0 at nu = 0)."""
+    """dK/dnu for any nu >= 0, from the run that gives K (:func:`_k_any`):
+    exactly 0 at nu = 0 for Re z > 0, where the order weights vanish."""
     _finite(nu, z)
     z = complex(z)
     if nu < 0.0:
         raise OrderClassError("nu must be >= 0")
     if z == 0:
         raise ArgumentZeroError("z = 0")
-    n = round(nu)
-    if abs(nu - n) > NEAR_EXCLUDED:
-        return _dk_dnu_direct(nu, z, cfg)
-    if n == 0:
-        # K is even in the order, so its order derivative vanishes at 0
-        return EvalResult(0.0 + 0.0j, 0.0, 0, True, (), 0.0)
-    return _dk_integer(n, z, cfg)
+    return _k_any(nu, z, cfg, True)[1]

@@ -31,9 +31,10 @@ class SeriesOverflowError(KelvinError, OverflowError):
 
 
 class ConvergenceError(KelvinError):
-    """A sum cannot bound its error: the K sum on the Kelvin ray past order
-    15 or x = 30 (its step is too coarse) or below x ~ 1e-304 (no nodes),
-    or an integral representation whose quadrature misses its target."""
+    """A sum cannot bound its error: the K sum past |z| = 30 (its step is
+    too coarse), below |z| ~ 1e-304 (no nodes) or on and within ~0.003 of
+    the imaginary axis (its strip of analyticity is too narrow), or an
+    integral representation whose quadrature misses its target."""
 
 
 class DenominatorPoleError(KelvinError):

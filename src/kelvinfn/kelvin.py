@@ -6,15 +6,16 @@ Every order comes straight from the defining rotations
     ker_nu(x) + i kei_nu(x) = e^(-i pi nu/2) K_|nu|(e^(i pi/4)  x)
 
 with J_nu the ascending series, entire in the order, and K_|nu| the
-trapezoidal sum of its integral along the ray, DLMF 10.32.9 (see
-``bessel``); K is even in the order (DLMF 10.27.3).  Neither route has a
-special case at or next to an integer order.  The method tag is 'series'.
+trapezoidal sum of its integral at |nu| - floor(|nu|), DLMF 10.32.9,
+climbed to |nu| by the recurrence (see ``bessel``); K is even in the order
+(DLMF 10.27.3).  Neither route has a special case at or next to an integer
+order, nor a bound on the order.  The method tag is 'series'.
 
 J_mu and I_mu of one order are one real series on the two rays, turned by
 one exact phase e^(3i pi mu/4) into ber + i bei, so ber_{-n} = (-1)^n ber_n
 holds bit for bit.  Each entry calls the kernels itself, once each:
 ``bessel._ray_sums`` on an order set up once (``bessel._RayOrder``: Gamma
-and psi at the anchor, the phase) and ``bessel._ray_k``, turned by
+and psi at the anchor, the phase) and ``bessel._k_sums``, turned by
 e^(-i pi nu/2) (``_k_turn``).  ``_eval_ber_bei`` takes an optional dict of
 orders: a caller that evaluates one order at many x (integrand nodes, ODE
 stencils) passes the same dict each time, so that the order is set up once
@@ -74,7 +75,7 @@ def _rotate(o: _RayOrder, run: tuple) -> tuple[float, float, float, str]:
 
 def _k_turn(nu: float, x: float, k: tuple) -> complex:
     """e^(-i pi nu/2), which turns the K sum ``k`` at |nu| and x (a tuple of
-    ``bessel._ray_k``) into ker + i kei; ConvergenceError where that sum has
+    ``bessel._k_sums``) into ker + i kei; ConvergenceError where that sum has
     no error bound."""
     if not k[3]:
         raise ConvergenceError(f"the K sum at order {nu:g} has no error bound at x = {x:g}")
@@ -100,7 +101,7 @@ def _eval_ker_kei(nu: float, x: float, cfg: SeriesConfig) -> tuple[float, float,
     _finite(nu, x)
     if x <= 0.0:
         raise DomainError("ker/kei defined for x > 0")
-    k = bessel._ray_k(abs(nu), x, cfg, False)[0]  # K is even in the order
+    k = bessel._k_sums(abs(nu), ROT_K * x, cfg, False)[0]  # K is even in the order
     w = _k_turn(nu, x, k) * k[0]
     return w.real, w.imag, k[1], "series"
 

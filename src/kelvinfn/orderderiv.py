@@ -11,9 +11,9 @@ Every order nu rotates the Bessel order derivatives onto the Kelvin rays
 with dJ/dnu the term-wise derivative of the J series at nu, whose weights
 1/Gamma and psi/Gamma are entire, so it holds at every order, negative
 integers included, and dK/dnu at |nu|, odd in nu because K is even, from
-the trapezoidal rule on its integral along the Kelvin ray
-(``bessel._ray_k``): the same sum that gives K, so one quadrature at every
-real order yields ker/kei and dker/dkei.  The *_neg ops read the order
+the trapezoidal sum that gives K (``bessel._k_sums``) and the order
+derivative of its recurrence, so one quadrature at every real order yields
+ker/kei and dker/dkei.  The *_neg ops read the order
 derivatives at -nu from ``dkelvin``.
 
 The paper's closed forms stay as oracles for the verify suites and tests:
@@ -25,7 +25,7 @@ read J and I on the rays from one ``bessel._ray_sums`` run per order
 
 ``dkelvin`` is two kernel calls: the series at nu with its psi sums, T and
 P (``bessel._ray_sums``), and the K sum at |nu| with dK/dnu
-(``bessel._ray_k``).  Each side takes one phase: with ber + i bei = phi T,
+(``bessel._k_sums``).  Each side takes one phase: with ber + i bei = phi T,
 d(ber + i bei)/dnu = phi ((log(x/2) + 3i pi/4) T - P), as
 dT/dnu = log(x/2) T - P, and the K side turns by e^(-i pi nu/2).  The
 series side (``_bb_series``) also gives theorem 5 (``quad``) its ber/bei
@@ -38,17 +38,21 @@ import math
 from dataclasses import dataclass
 
 from . import bessel
-from .bessel import (NEAR_EXCLUDED, ORDER_EPS, _degraded_flags, _dj_dnu, _dk_dnu, _is_near_int,
-                     _order, _RayOrder, _turn)
+from .bessel import (ORDER_EPS, _degraded_flags, _dj_dnu, _dk_dnu, _is_near_int, _order,
+                     _RayOrder, _turn)
 from .errors import DomainError, NegativeIntegerOrderError, OrderClassError
 from .hyper import DEFAULT_SERIES, EvalResult, HyperSpec, SeriesConfig, pfq
 from .kelvin import (ROT_J, ROT_K, KelvinQuad, _eval_ber_bei, _eval_ker_kei, _finite, _k_turn,
                      _phase, kelvin_all)
 from .scalars import PI, digamma_real, gamma_real
 
+# dkelvin_kk_pos refuses 2 nu this close to an integer, where the csc of its
+# closed form amplifies the cancellation of I_{-nu} against I_nu
+NEAR_EXCLUDED = 1e-6
 # dkelvin's rounding floor of a series per unit of its largest term; on the
-# mpmath grids of the tests 3e-16 is the least that covers the true error
-_SERIES_FLOOR = 5e-16
+# mpmath grids of the tests 6e-16 is the least that covers the true error
+# (at nu = 7.9999995, x = 8), and 1e-15 is kelvin._VALUE_FLOOR's
+_SERIES_FLOOR = 1e-15
 
 
 @dataclass(frozen=True)
@@ -257,7 +261,7 @@ def _dkelvin(nu: float, x: float, cfg: SeriesConfig, orders: dict | None = None)
         raise DomainError("x must be positive")
     o = _RayOrder(nu) if orders is None else _order(orders, nu)
     run = bessel._ray_sums(o, x, cfg, True)
-    k, dk = bessel._ray_k(abs(nu), x, cfg, True)
+    k, dk = bessel._k_sums(abs(nu), ROT_K * x, cfg, True)
     turn = _k_turn(nu, x, k)
     # log(x/2) after the K sum, which raises where x/2 underflows to 0
     bb, dbb, est = _bb_series(o, run, x)

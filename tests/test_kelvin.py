@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from kelvinfn.bessel import _ray_k
+from kelvinfn.bessel import _k_sums
 from kelvinfn.errors import (ConvergenceError, DomainError, GammaOverflowError, KelvinError,
                              PowerOverflowError, SeriesOverflowError)
 from kelvinfn.hyper import DEFAULT_SERIES, HyperSpec, SeriesConfig, pfq
@@ -14,6 +14,12 @@ from kelvinfn.orderderiv import dkelvin
 
 EULER_GAMMA = 0.5772156649015328606
 ROT_K = complex(math.sqrt(0.5), math.sqrt(0.5))
+
+
+def ray_k(nu, x, cfg, dk):
+    """The K sum at |nu| on the Kelvin ray: (K, dK/dnu or None), each
+    (value, estimate, nodes, converged, scale)."""
+    return _k_sums(nu, ROT_K * x, cfg, dk)
 
 
 def ber_bei_series(x, n_terms=60):
@@ -147,19 +153,24 @@ def test_negative_order_range_is_typed(call, error):
 def test_dk_quadrature_below_the_envelope():
     """Far below the envelope dkelvin returns a result or raises a typed
     error: the dK/dnu quadrature stops at max_terms nodes with an infinite
-    error estimate, and an integrand past the double range is a
-    SeriesOverflowError, not a bare OverflowError from sinh or NaN."""
+    error estimate; K_60 at x = 1e-3, about 1e278, is a value; K past the
+    double range is a SeriesOverflowError (K_30 at 1e-9, about 1e310) or,
+    where (x/2)^(-nu) already leaves it, a PowerOverflowError, not a bare
+    OverflowError or NaN."""
     d = dkelvin(10.0, 1e-8)
     assert all(map(math.isfinite, (d.dker, d.dkei, d.err_estimate)))
     d = dkelvin(0.3, 1e-300)
     assert d.err_estimate == math.inf
-    dk = _ray_k(0.3, 1e-300, DEFAULT_SERIES, True)[1]  # (value, estimate, nodes, converged)
+    dk = ray_k(0.3, 1e-300, DEFAULT_SERIES, True)[1]
     assert dk[2] == DEFAULT_SERIES.max_terms and not dk[3]
+    d = dkelvin(60.0, 1e-3)
+    assert all(map(math.isfinite, (d.values.ker, d.values.kei, d.dker, d.dkei, d.err_estimate)))
     with pytest.raises(PowerOverflowError):
         dkelvin(10.0, 1e-300)
-    for nu, x in ((60.0, 1e-3), (30.0, 1e-9)):
-        with pytest.raises(SeriesOverflowError):
-            dkelvin(nu, x)
+    with pytest.raises(PowerOverflowError):
+        kelvin_ker_kei(200.0, 1e-3)
+    with pytest.raises(SeriesOverflowError):
+        dkelvin(30.0, 1e-9)
 
 
 def test_k_quadrature_edges_are_typed():
@@ -178,8 +189,8 @@ def test_k_quadrature_edges_are_typed():
         for nu in (-1.0, -2.0, -2.5):
             with pytest.raises(PowerOverflowError):
                 call(nu, 5e-324)
-    k = _ray_k(0.3, 2.0, SeriesConfig(max_terms=20000), False)[0]
-    assert k[3] and k[0] == _ray_k(0.3, 2.0, DEFAULT_SERIES, False)[0][0]
+    k = ray_k(0.3, 2.0, SeriesConfig(max_terms=20000), False)[0]
+    assert k[3] and k[0] == ray_k(0.3, 2.0, DEFAULT_SERIES, False)[0][0]
 
 
 @pytest.mark.parametrize("x", [0.1, 1.0, 5.0, 10.0, 15.0, 20.0])

@@ -14,13 +14,15 @@ J series passes the poles of Gamma at -n: it holds ber/bei and their order
 derivatives to 1e-13 and ker/kei and theirs to 1e-10.
 
 K and dK/dnu on the Kelvin ray, the one trapezoidal sum of
-``bessel._ray_k``, are held to 1e-12 against 40-digit mpmath, each with its
-error estimate calibrated against the true error, at integers, just off
-them and at generic orders; ker/kei to 1e-12 on nu = -10:10:0.25 over
-x in [0.1, 20] and at small x just off an integer.  The ber/bei estimate
-that ``eval`` prints is calibrated the same way on an 80-point grid.  Just outside 1e-6 of an
-integer, where the connection formula (pi/2)(I_{-nu} - I_nu)/sin(pi nu)
-would lose digits to its csc factor, dker/dkei hold 1e-10 at x = 8.
+``bessel._k_sums`` climbed from nu - floor(nu) to the order, are held to
+1e-12 against 40-digit mpmath, each with its error estimate calibrated
+against the true error, at integers, just off them, at generic orders and
+out to nu = 50; ker/kei to 1e-12 on nu = -10:10:0.25 over x in [0.1, 20]
+and at small x just off an integer.  The ber/bei estimate that ``eval``
+prints is calibrated the same way on an 80-point grid.  Just outside 1e-6
+of an integer, where the connection formula
+(pi/2)(I_{-nu} - I_nu)/sin(pi nu) would lose digits to its csc factor,
+dker/dkei hold 1e-10 at x = 8.
 """
 
 import cmath
@@ -31,12 +33,12 @@ import pytest
 
 mpmath = pytest.importorskip("mpmath")
 
-from kelvinfn.bessel import (_ray_k, bessel_i, bessel_j, bessel_k, dj_dnu_any,  # noqa: E402
-                             dk_dnu_any)
+from kelvinfn.bessel import (K_MAX_ARG, _k_sums, bessel_i, bessel_j,  # noqa: E402
+                             bessel_k, dj_dnu_any, dk_dnu_any)
 from kelvinfn.cli import main  # noqa: E402
 from kelvinfn.errors import ConvergenceError  # noqa: E402
 from kelvinfn.hyper import DEFAULT_SERIES  # noqa: E402
-from kelvinfn.kelvin import _eval_ber_bei, kelvin_all, kelvin_ker_kei  # noqa: E402
+from kelvinfn.kelvin import ROT_K, _eval_ber_bei, kelvin_all, kelvin_ker_kei  # noqa: E402
 from kelvinfn.orderderiv import dkelvin  # noqa: E402
 
 ORDERS = [k / 2.0 for k in range(-20, 21)]
@@ -51,7 +53,7 @@ NEAR_NEG_ORDERS = [s * n + d for n in (1, 2, 3, 5, 8, 10) for s in (-1, 1)
 NEAR_NEG_XS = [0.5, 2.0, 8.0]
 NEAR_NEG_REL = {"bb": 1e-13, "dbb": 1e-13, "kk": REL, "dkk": REL}
 DK_BREAKDOWN = [(3.000002, 8.0), (-3.000002, 8.0), (2e-6, 8.0), (5.00001, 8.0)]
-DK_ORDERS = [2e-6, 0.3, 3.0, 3.000002, 5.00001, 7.75, 10.0]
+DK_ORDERS = [2e-6, 0.3, 3.0, 3.000002, 5.00001, 7.75, 10.0, 12.5, 15.0, 20.0, 30.0, 50.0]
 DK_XS = [0.1, 2.0, 8.0, 15.0, 20.0]
 DK_REL = 1e-12
 KK_ORDERS = [k / 4.0 for k in range(-40, 41)]
@@ -63,6 +65,12 @@ KK_NEAR = [(5.0 - 2e-6, 0.01), (-5.0 + 2e-6, 0.01), (5.0 - 2e-6, 0.05), (-5.0 + 
 KK_REL = 1e-12
 BB_CAL_ORDERS = [0.0, 0.3, 1.0, 2.5, 5.0, 7.75, 10.0, -1.5, -3.3, -7.0]
 BB_CAL_XS = [0.1, 0.5, 2.0, 5.0, 8.0, 12.0, 15.0, 20.0]
+
+
+def ray_k(nu: float, x: float, dk: bool) -> tuple:
+    """The K sum at nu >= 0 on the Kelvin ray: (K, dK/dnu or None), each
+    (value, estimate, nodes, converged, scale)."""
+    return _k_sums(nu, ROT_K * x, DEFAULT_SERIES, dk)
 
 
 def oracle(nu: float, x: float) -> dict[str, complex]:
@@ -170,7 +178,7 @@ def dk_oracle(nu: float, x: float) -> complex:
 @pytest.mark.parametrize("x", DK_XS)
 @pytest.mark.parametrize("nu", DK_ORDERS)
 def test_dk_quadrature(nu, x):
-    k, dk = _ray_k(nu, x, DEFAULT_SERIES, True)
+    k, dk = ray_k(nu, x, True)
     for got, want in ((dk[0], dk_oracle(nu, x)), (k[0], k_oracle(nu, x))):
         assert abs(got - want) <= DK_REL * abs(want), (got, want)
 
@@ -180,8 +188,8 @@ def test_dk_quadrature(nu, x):
 def test_dk_error_estimate_calibrated(nu, x):
     """Each estimate, of dK/dnu and of K, covers the true error and, where
     that error is above 1e-15 of the value, overstates it by at most 1e3."""
-    k, dk = _ray_k(nu, x, DEFAULT_SERIES, True)  # each (value, estimate, nodes, converged)
-    for (value, est, _, _), want in ((dk, dk_oracle(nu, x)), (k, k_oracle(nu, x))):
+    k, dk = ray_k(nu, x, True)
+    for (value, est, _, _, _), want in ((dk, dk_oracle(nu, x)), (k, k_oracle(nu, x))):
         err = abs(value - want)
         assert est >= err
         if err > 1e-15 * abs(want):
@@ -198,14 +206,14 @@ def test_dk_near_integers(nu, x):
 
 def test_k_below_the_envelope(capsys):
     """Far below x = 0.1 the K sum still meets 1e-12, at x = 1e-12 and at
-    x = 1e-300, where it needs 9936 nodes past the term cap of dK/dnu, which
+    x = 1e-300, where it needs 5798 nodes past the term cap of dK/dnu, which
     stops there and says so with an infinite estimate.  At the smallest
     double the nodes run out: ker raises a typed error that ``eval ker``
     reports."""
     for nu, x in ((0.0, 1e-12), (10.0, 1e-12), (0.0, 1e-300), (0.3, 1e-300)):
         want = kk_oracle(nu, x)
         assert abs(complex(*kelvin_ker_kei(nu, x)) - want) <= KK_REL * abs(want)
-    dk = _ray_k(0.3, 1e-300, DEFAULT_SERIES, True)[1]
+    dk = ray_k(0.3, 1e-300, True)[1]
     assert dk[2] == DEFAULT_SERIES.max_terms and not dk[3]
     assert dk[1] == math.inf and dkelvin(0.3, 1e-300).err_estimate == math.inf
     assert main(["eval", "ker", "--nu", "0.3", "--x", "1e-300"]) == 0
@@ -218,7 +226,8 @@ def test_k_below_the_envelope(capsys):
 @pytest.mark.parametrize("x", [0.1, 1.0, 10.0, 20.0, 30.0])
 @pytest.mark.parametrize("nu", [15.0, -15.0, 14.5])
 def test_k_at_the_order_bound(nu, x):
-    """Up to |nu| = 15 and x = 30 ker/kei hold 1e-12 and dker/dkei 3e-12."""
+    """At |nu| = 15, the bound of the one-order sum that climbing the order
+    replaced, and up to x = 30, ker/kei hold 1e-12 and dker/dkei 3e-12."""
     want = oracle(nu, x)
     d = dkelvin(nu, x)
     assert abs(complex(d.values.ker, d.values.kei) - want["kk"]) <= KK_REL * abs(want["kk"])
@@ -228,29 +237,46 @@ def test_k_at_the_order_bound(nu, x):
 @pytest.mark.parametrize("nu, x", [(20.0, 1.0), (30.0, 1.0), (-20.0, 10.0), (15.5, 0.1),
                                    (0.0, 40.0), (10.0, 100.0), (100.0, 20.0)])
 def test_k_past_the_bounds_is_typed(nu, x):
-    """Past |nu| = 15 or x = 30 the step no longer resolves the K integrand
-    (7e-10 off at nu = 20, 5e-4 at 30): ker/kei and their order derivatives
-    raise a typed error instead of a value labelled accurate."""
-    for call in (kelvin_ker_kei, kelvin_all, dkelvin):
-        with pytest.raises(ConvergenceError):
-            call(nu, x)
+    """Past |nu| = 15 the sum at nu - floor(nu), climbed to the order, holds
+    ker/kei and dker/dkei to 1e-12, where the one-order sum was 7e-10 off at
+    nu = 20 and 5e-4 at 30.  Past x = 30 the step no longer resolves the
+    K integrand: ker/kei and their order derivatives raise a typed error
+    instead of a value labelled accurate."""
+    if abs(x) > K_MAX_ARG:
+        for call in (kelvin_ker_kei, kelvin_all, dkelvin):
+            with pytest.raises(ConvergenceError):
+                call(nu, x)
+        return
+    want = oracle(nu, x)
+    d = dkelvin(nu, x)
+    assert (d.values.ker, d.values.kei) == kelvin_ker_kei(nu, x)
+    assert abs(complex(d.values.ker, d.values.kei) - want["kk"]) <= KK_REL * abs(want["kk"])
+    assert abs(complex(d.dker, d.dkei) - want["dkk"]) <= KK_REL * abs(want["dkk"])
 
 
 # The complex API at a general z: J and I at every real order of the grid,
 # negative integers included, and dJ/dnu at nu >= 0, held to 1e-13 relative
 # against 40-digit mpmath over |z| from 0.05 to 5 and six phases; K and
-# dK/dnu at integers and generic orders to 5e-12 on |z| in [0.1, 5].
+# dK/dnu at integers and generic orders to 5e-12 on |z| in [0.1, 20] at the
+# same phases and at Re z < 0, away from the imaginary axis.
 API_ORDERS = [-10.0, -8.0, -7.5, -5.0, -3.3, -3.0, -2.5, -2.0, -1.0, -0.5, 0.0, 0.3, 1.0,
               2.0, 2.5, 3.5, 5.0, 6.3, 8.0, 10.0, 12.5]
 API_PHASES = [0.0, math.pi / 4.0, -math.pi / 4.0, 0.7, 1.2, 1.5]
 API_ZS = [cmath.rect(r, ph) for r in (0.05, 0.1, 0.3, 0.5, 0.8, 1.0, 2.0, 5.0)
           for ph in API_PHASES]
 API_REL = 1e-13
+# |z| from 5 to 20, where the ascending series cancel
+JI_CAL_ZS = [cmath.rect(r, ph) for r in (5.0, 10.0, 15.0, 20.0) for ph in API_PHASES]
 K_INTEGERS = [0, 1, 2, 3, 5, 8]
-K_ZS = [cmath.rect(r, ph) for r in (0.1, 0.3, 1.0, 2.0, 5.0) for ph in API_PHASES]
+K_GENERIC = [0.3, 1.5, 2.7, 4.25]
+K_ZS = ([cmath.rect(r, ph) for r in (0.1, 0.3, 1.0, 2.0, 5.0, 10.0, 15.0, 20.0)
+         for ph in API_PHASES]
+        + [cmath.rect(r, ph) for r in (0.3, 2.0, 5.0, 10.0, 20.0)
+           for ph in (math.pi, 3.0 * math.pi / 4.0, -3.0 * math.pi / 4.0, 2.4)])
 K_REL = 5e-12
 
 
+@functools.lru_cache(maxsize=None)
 def api_oracle(name: str, nu: float, z: complex, diff: bool = False) -> complex:
     """mpmath's besselj/besseli/besselk at (nu, z), or with ``diff`` its
     order derivative, at 40 digits."""
@@ -272,6 +298,21 @@ def api_misses(fn, name: str, nu: float, zs, rel: float, diff: bool = False) -> 
     return out
 
 
+def api_miscalibrated(fn, name: str, nu: float, zs, diff: bool = False) -> list:
+    """The points of ``zs`` where the estimate of fn(nu, z) does not cover
+    the error against the oracle or, where that error is above 1e-15 (or
+    above 1e-15 of the value, for values below 1), overstates it by more
+    than 1e3."""
+    out = []
+    for z in zs:
+        res = fn(nu, z)
+        want = api_oracle(name, nu, z, diff)
+        err, est = abs(res.value - want), res.abs_err_estimate
+        if est < err or err > 1e-15 * min(1.0, abs(want)) and est > 1e3 * err:
+            out.append((z, err, est))
+    return out
+
+
 @pytest.mark.parametrize("nu", API_ORDERS)
 @pytest.mark.parametrize("fn, name", [(bessel_j, "besselj"), (bessel_i, "besseli")],
                          ids=["J", "I"])
@@ -279,20 +320,61 @@ def test_bessel_ji_against_mpmath(fn, name, nu):
     assert api_misses(fn, name, nu, API_ZS, API_REL) == []
 
 
+@pytest.mark.parametrize("nu", API_ORDERS)
+@pytest.mark.parametrize("fn, name", [(bessel_j, "besselj"), (bessel_i, "besseli")],
+                         ids=["J", "I"])
+def test_bessel_ji_error_estimate_calibrated(fn, name, nu):
+    """Where the ascending series cancel, |z| from 5 to 20, the J and I
+    estimates (and at nu >= 0 that of dJ/dnu) cover the error and overstate
+    it by at most 1e3."""
+    assert api_miscalibrated(fn, name, nu, JI_CAL_ZS) == []
+    if fn is bessel_j and nu >= 0.0:
+        assert api_miscalibrated(dj_dnu_any, name, nu, JI_CAL_ZS, diff=True) == []
+
+
 @pytest.mark.parametrize("nu", [nu for nu in API_ORDERS if nu >= 0.0])
 def test_dj_dnu_any_against_mpmath(nu):
     assert api_misses(dj_dnu_any, "besselj", nu, API_ZS, API_REL, diff=True) == []
 
 
-@pytest.mark.parametrize("nu", [float(n) for n in K_INTEGERS] + [0.3, 1.5, 2.7, 4.25])
+@pytest.mark.parametrize("nu", [float(n) for n in K_INTEGERS] + K_GENERIC)
 def test_bessel_k_against_mpmath(nu):
     assert api_misses(bessel_k, "besselk", nu, K_ZS, K_REL) == []
 
 
 @pytest.mark.parametrize("n", K_INTEGERS)
 def test_dk_dnu_any_at_integers_against_mpmath(n):
-    """dK/dnu at the integers; at 0, where K is even in the order, exactly 0."""
+    """dK/dnu at the integers; at 0, where K is even in the order, exactly 0
+    for Re z > 0 (the sum's order-derivative weights vanish) and within
+    5e-12 of K_0 at Re z < 0, where I_0 and dI/dnu enter."""
     if n == 0:
-        assert all(dk_dnu_any(0.0, z).value == 0.0 for z in K_ZS)
+        assert all(dk_dnu_any(0.0, z).value == 0.0 for z in K_ZS if z.real > 0.0)
+        assert all(abs(dk_dnu_any(0.0, z).value) <= K_REL * abs(bessel_k(0.0, z).value)
+                   for z in K_ZS if z.real < 0.0)
     else:
         assert api_misses(dk_dnu_any, "besselk", float(n), K_ZS, K_REL, diff=True) == []
+
+
+@pytest.mark.parametrize("nu", K_GENERIC)
+def test_dk_dnu_any_against_mpmath(nu):
+    assert api_misses(dk_dnu_any, "besselk", nu, K_ZS, K_REL, diff=True) == []
+
+
+@pytest.mark.parametrize("nu", [float(n) for n in K_INTEGERS] + K_GENERIC)
+def test_bessel_k_error_estimate_calibrated(nu):
+    """The K and dK/dnu estimates cover the error on K_ZS and overstate it
+    by at most 1e3 (dK/dnu at nu > 0)."""
+    assert api_miscalibrated(bessel_k, "besselk", nu, K_ZS) == []
+    if nu:
+        assert api_miscalibrated(dk_dnu_any, "besselk", nu, K_ZS, diff=True) == []
+
+
+def test_k_off_the_right_half_plane():
+    """On the imaginary axis, and within ~0.003 of it, where the step would
+    have to halve past its cap, K raises a typed error."""
+    for z in (2j, -3j, cmath.rect(1.0, math.pi / 2.0 - 0.002)):
+        for fn in (bessel_k, dk_dnu_any):
+            with pytest.raises(ConvergenceError):
+                fn(1.5, z)
+    assert api_misses(bessel_k, "besselk", 1.5, [cmath.rect(1.0, math.pi / 2.0 - 0.01)],
+                      K_REL) == []

@@ -61,8 +61,8 @@ def test_stencil_ker_kei_equal_single_points(nu):
 
 
 def test_node_table_grows_safely_across_threads(monkeypatch):
-    """The dK/dnu node table is the one module-level table; threads that
-    find it short extend it at once, and each run still reads whole nodes."""
+    """The K sum's node tables are module-level, one per step; threads that
+    find one short extend it at once, and each run still reads whole nodes."""
     import sys
     import threading
 
@@ -82,7 +82,7 @@ def test_node_table_grows_safely_across_threads(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
-            monkeypatch.setattr(kelvinfn.bessel, "_DK_NODES", ((), ()))
+            monkeypatch.setattr(kelvinfn.bessel, "_K_NODES", {})
             threads = [threading.Thread(target=work) for _ in range(8)]
             for t in threads:
                 t.start()

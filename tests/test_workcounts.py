@@ -5,7 +5,7 @@ ber/bei and their order derivatives read their series from
 sums J_mu, I_mu and their psi-weighted sums at one order and one argument
 in one pass, run on an order set up once (``bessel._RayOrder``: Gamma and
 psi at the anchor).  ker/kei and their order derivatives are one
-trapezoidal sum, ``bessel._ray_k``, which needs no series.  Counting kernel
+trapezoidal sum, ``bessel._k_sums``, which needs no series.  Counting kernel
 runs, nodes and Gamma/psi calls gives a deterministic measure of the work
 one call does; a series run is identified by its order, argument and plain
 sum.
@@ -20,7 +20,7 @@ from kelvinfn import manifest as M
 from kelvinfn.bessel import _RayOrder
 from kelvinfn.cli import main
 from kelvinfn.hyper import SeriesConfig
-from kelvinfn.kelvin import kelvin_all, kelvin_ker_kei
+from kelvinfn.kelvin import ROT_K, kelvin_all, kelvin_ker_kei
 from kelvinfn.orderderiv import _ray_reader, dkelvin
 from kelvinfn.quad import (DEFAULT_QUAD, QuadConfig, apelblat_dber_dbei,
                            theorem5_identities, theorem5_identity)
@@ -66,13 +66,13 @@ def table_row(nu):
 def ksums(monkeypatch):
     """The K sums, as (order, argument, dK/dnu asked for)."""
     keys = []
-    orig = kelvinfn.bessel._ray_k
+    orig = kelvinfn.bessel._k_sums
 
-    def counted(nu, x, cfg, dk):
-        keys.append((nu, x, dk))
-        return orig(nu, x, cfg, dk)
+    def counted(nu, z, cfg, dk):
+        keys.append((nu, z, dk))
+        return orig(nu, z, cfg, dk)
 
-    monkeypatch.setattr(kelvinfn.bessel, "_ray_k", counted)
+    monkeypatch.setattr(kelvinfn.bessel, "_k_sums", counted)
     return keys
 
 
@@ -100,7 +100,7 @@ def test_series_summed_once(series, ksums, capsys, call, count):
 def test_kelvin_all_counts(series, ksums, nu, count):
     kelvin_all(nu, 2.0)
     assert len(series) == count
-    assert ksums == [(abs(nu), 2.0, False)]
+    assert ksums == [(abs(nu), ROT_K * 2.0, False)]
 
 
 @pytest.mark.parametrize("call", [lambda: kelvin_all(0.3, 2.0), lambda: kelvin_all(3.0, 2.0),
@@ -113,30 +113,32 @@ def test_kelvin_all_counts(series, ksums, nu, count):
                                   table_row(2.0), table_row(-0.5)])
 def test_kelvin_path_skips_complex_series(monkeypatch, capsys, call):
     """No Kelvin value or order derivative reaches the complex-argument
-    series or any of the routes of K at a general z."""
+    series, or K at a general z beyond the one K sum."""
     def refuse(*args, **kwargs):
         raise AssertionError("complex-argument route reached")
 
     monkeypatch.setattr(kelvinfn.hyper, "sum_series", refuse)
-    for name in ("sum_series", "_z_sums", "bessel_k", "_k_connection", "_k_limit"):
+    for name in ("sum_series", "_z_sums", "_ji", "bessel_k", "_k_any"):
         monkeypatch.setattr(kelvinfn.bessel, name, refuse)
     call()
 
 
 def test_dk_quadrature_nodes(monkeypatch):
-    """dkelvin(5, 2) reads K and dK/dnu from one quadrature: K stops after
-    62 nodes, dK/dnu goes on to 64."""
+    """dkelvin(5, 2) reads K and dK/dnu from one quadrature at mu = 0,
+    climbed to the order: K stops after 34 nodes (step 0.12 at |z| = 2),
+    and dK/dnu, whose start sums vanish at mu = 0, with it.  The one-order
+    sum at 5 took 62 and 64 at step 0.07."""
     runs = []
-    orig = kelvinfn.bessel._ray_k
+    orig = kelvinfn.bessel._k_sums
 
-    def counted(nu, x, cfg, dk):
-        k, d = orig(nu, x, cfg, dk)
-        runs.append((nu, x, k[2], d[2]))  # (value, estimate, nodes, converged)
+    def counted(nu, z, cfg, dk):
+        k, d = orig(nu, z, cfg, dk)
+        runs.append((nu, z, k[2], d[2]))  # (value, estimate, nodes, converged, scale)
         return k, d
 
-    monkeypatch.setattr(kelvinfn.bessel, "_ray_k", counted)
+    monkeypatch.setattr(kelvinfn.bessel, "_k_sums", counted)
     dkelvin(5.0, 2.0)
-    assert runs == [(5.0, 2.0, 62, 64)]
+    assert runs == [(5.0, ROT_K * 2.0, 34, 34)]
 
 
 def test_term_cap_reported_through_the_ray_path():
@@ -147,8 +149,8 @@ def test_term_cap_reported_through_the_ray_path():
         assert "no_convergence" in res.flags
     # the psi sums of dJ/dnu, K and dK/dnu at 0.5, and K at 2
     psi = kelvinfn.bessel._ray_sums(_RayOrder(0.5), 18.0, cfg, True)[5]
-    k, dk = kelvinfn.bessel._ray_k(0.5, 18.0, cfg, True)
-    k2 = kelvinfn.bessel._ray_k(2.0, 18.0, cfg, False)[0]
+    k, dk = kelvinfn.bessel._k_sums(0.5, ROT_K * 18.0, cfg, True)
+    k2 = kelvinfn.bessel._k_sums(2.0, ROT_K * 18.0, cfg, False)[0]
     assert not (psi[4] or k[3] or dk[3] or k2[3])
 
 
