@@ -5,7 +5,7 @@ from .errors import (ArgumentZeroError, BranchError, ConvergenceError,
                      DenominatorPoleError, DomainError, GammaOverflowError,
                      KelvinError, NegativeIntegerOrderError, OrderClassError,
                      PoleError, PowerOverflowError, SeriesOverflowError)
-from .hyper import EvalResult, HyperSpec, SeriesConfig, pfq
+from .hyper import EvalResult, HyperSpec, pfq
 from .scalars import EULER_GAMMA, digamma_real, gamma_real
 from .bessel import (bessel_i, bessel_j, bessel_k, dj_dnu, dj_dnu_any,
                      dk_dnu, dk_dnu_any)
@@ -27,7 +27,7 @@ __all__ = [
     "DomainError", "EULER_GAMMA", "EvalResult", "GammaOverflowError", "HyperSpec",
     "IdentityReport", "KelvinError", "KelvinQuad", "NegativeIntegerOrderError",
     "OrderClassError", "OrderDerivQuad", "PoleError", "PowerOverflowError",
-    "QuadConfig", "SeriesConfig", "SeriesOverflowError",
+    "QuadConfig", "SeriesOverflowError",
     "apelblat_ber_bei", "apelblat_dber_dbei", "appendix_ber_bei",
     "bessel_i", "bessel_j", "bessel_k", "coef_c", "coef_d",
     "convolution_identity", "digamma_real", "dj_dnu", "dj_dnu_any",

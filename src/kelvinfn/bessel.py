@@ -44,7 +44,8 @@ from operator import mul
 from .errors import (ArgumentZeroError, BranchError, ConvergenceError, DomainError,
                      GammaOverflowError, OrderClassError, PowerOverflowError,
                      SeriesOverflowError)
-from .hyper import DEFAULT_SERIES, EvalResult, HyperSpec, SeriesConfig, pfq
+from . import hyper
+from .hyper import EvalResult, HyperSpec, pfq
 from .hyper import sum_series  # noqa: F401  bound here for perfbench/tracing.py, which wraps it
 from .scalars import PI, digamma_real, gamma_real
 
@@ -171,7 +172,7 @@ def _order(orders: dict, mu: float) -> _RayOrder:
     return o
 
 
-def _ray_sums(o: _RayOrder, x: float, cfg: SeriesConfig, psi: bool) -> tuple:
+def _ray_sums(o: _RayOrder, x: float, psi: bool) -> tuple:
     """The Kelvin-ray series of the order ``o`` (mu) at x > 0, in real
     arithmetic:
 
@@ -194,15 +195,16 @@ def _ray_sums(o: _RayOrder, x: float, cfg: SeriesConfig, psi: bool) -> tuple:
     From the anchor on, each pass adds an even k - k0 to the real parts and
     the next k to the imaginary ones, Neumaier-compensated (TwoSum error
     terms), with psi(a+1) = psi(a) + 1/a.  S stops once both terms of a pass
-    are below rel_tol |S|, the same pass with or without ``psi``; P goes on
-    until its terms are below rel_tol |P|.  Error estimates are 10x the
-    first neglected term.
+    are below ``hyper.REL_TOL`` |S|, the same pass with or without ``psi``;
+    P goes on until its terms are below ``hyper.REL_TOL`` |P|; the run ends
+    after ``hyper.MAX_TERMS`` terms.  Error estimates are 10x the first
+    neglected term.
 
     Returns (T, err, terms, converged, max |a_k|, psi part), the psi part
     None or (P, err P, max P term, terms, converged).
     """
     mu, k0 = o.mu, o.k0
-    tol = cfg.rel_tol
+    tol = hyper.REL_TOL
     hypot = math.hypot
     q = 0.25 * x * x
     try:
@@ -236,7 +238,7 @@ def _ray_sums(o: _RayOrder, x: float, cfg: SeriesConfig, psi: bool) -> tuple:
             pre, pim = math.fsum(pp[k0 & 1::2]), math.fsum(pp[1 - (k0 & 1)::2])
             mp = max(map(abs, pp))
     t /= o.tden
-    for k in range(k0, k0 + cfg.max_terms, 2):
+    for k in range(k0, k0 + hyper.MAX_TERMS, 2):
         a = mu + k + 1.0
         u = t * q / ((k + 1.0) * a)
         nt = -u * q / ((k + 2.0) * (a + 1.0))
@@ -302,7 +304,7 @@ def _k_nodes(h: float, n: int, keep: bool) -> tuple[tuple, tuple]:
     return ts, chs
 
 
-def _k_sums(nu: float, z: complex, cfg: SeriesConfig, dk: bool) -> tuple:
+def _k_sums(nu: float, z: complex, dk: bool) -> tuple:
     """K_nu(z) at nu >= 0, Re z > 0, and with ``dk`` D_nu = dK/dnu.
 
     One trapezoidal sum h (f(0)/2 + sum_k f(kh)) gives, at mu = nu -
@@ -321,12 +323,12 @@ def _k_sums(nu: float, z: complex, cfg: SeriesConfig, dk: bool) -> tuple:
 
     Each pass adds an odd and an even node (the even ones and t = 0 are
     T_2h).  The terms |f| rise to one peak and fall, so K stops once the
-    terms of a pass fall and the K and K' terms are below rel_tol |K_mu| and
-    rel_tol |a K'_mu|, each read again when its term passes it: the same
+    terms of a pass fall and the K and K' terms are below ``hyper.REL_TOL``
+    |K_mu| and |a K'_mu|, each read again when its term passes it: the same
     pass, and bits, with or without ``dk``; D goes on to its own rule.  K
-    sums at most ``cfg.max_terms`` 2^j nodes past t = log(2/a), where
+    sums at most ``hyper.MAX_TERMS`` 2^j nodes past t = log(2/a), where
     e^(-a cosh t) starts to decay, none where it underflows or past t = 700,
-    D at most ``cfg.max_terms`` 2^j from t = 0; a sum cut by a cap, or past
+    D at most ``hyper.MAX_TERMS`` 2^j from t = 0; a sum cut by a cap, or past
     |z| = ``K_MAX_ARG``, is unconverged.  Returns (K, D or None), tuples of
     :func:`_k_estimate`; PowerOverflowError where (|z|/2)^(-nu) overflows,
     SeriesOverflowError where K or D does.
@@ -347,18 +349,18 @@ def _k_sums(nu: float, z: complex, cfg: SeriesConfig, dk: bool) -> tuple:
                 f"the K sum has no step for ph z = {cmath.phase(z):.17g}: its strip is too narrow")
         j += 1
     h = (0.12 if sz <= 2.0 else 0.11 if sz <= 8.0 else 0.1 if sz <= 15.0 else DK_STEP) / (1 << j)
-    cap = cfg.max_terms << j
+    cap = hyper.MAX_TERMS << j
     t0 = _LN2 - math.log(a)  # log(2/a), where e^(-a cosh t) starts to decay
     top = min(int(min(t0 + _LOG_UNDERFLOW, _T_END) / h) + 1, max(0, int(t0 / h)) + cap)
     ts, chs = _k_nodes(h, top, j == 0)
-    na, nb, tol = -a, -b, cfg.rel_tol
+    na, nb, tol = -a, -b, hyper.REL_TOL
     exp, cos, sin, cosh, tanh = math.exp, math.cos, math.sin, math.cosh, math.tanh
     hypot = math.hypot
     w = 0.5 * exp(na)  # f(0)/2, summed with the even nodes
     ere, eim = w * cos(nb), w * sin(nb)
     ore = oim = dore = doim = dere = deim = d1re = d1im = dmag = dmag1 = 0.0
     k1re, k1im, mag, mag1, ks = na * ere, na * eim, w, a * w, None  # ks: K's sums once it stops
-    # rel_tol |K_mu|, |a K'_mu|, |D_mu| and |a D'_mu| as last read
+    # REL_TOL |K_mu|, |a K'_mu|, |D_mu| and |a D'_mu| as last read
     lim = lim1 = dlim = dlim1 = math.inf
     # D sums while dsum; at mu = 0 its terms are exact zeros, so it is done at once
     dsum, dconv, dn = dk and mu > 0.0, dk, 0
@@ -480,14 +482,12 @@ def _climb(n: int, mu: float, r: complex, k: complex, k1: complex, d: complex | 
     return k1, d1
 
 
-def _phase(angle: float) -> complex:
-    return complex(math.cos(angle), math.sin(angle))
-
-
 def _turn(t: float) -> complex:
-    """e^(i pi t) as i^m e^(i pi e), m = round(2t), e = t - m/2 exactly."""
+    """e^(i pi t) as i^m e^(i pi e), m = round(2t), e = t - m/2 exactly, so
+    that it is exact where 2t is an integer."""
     m = round(2.0 * t)
-    return _phase(PI * (t - 0.5 * m)) * (1, 1j, -1, -1j)[m & 3]
+    e = PI * (t - 0.5 * m)
+    return complex(math.cos(e), math.sin(e)) * (1, 1j, -1, -1j)[m & 3]
 
 
 def _two_sum(s: float, c: float, v: float) -> tuple[float, float]:
@@ -496,7 +496,7 @@ def _two_sum(s: float, c: float, v: float) -> tuple[float, float]:
     return n, c + ((s - (n - (n - s))) + (v - (n - s)))
 
 
-def _z_sums(o: _RayOrder, z: complex, sign: float, cfg: SeriesConfig, psi: bool) -> tuple:
+def _z_sums(o: _RayOrder, z: complex, sign: float, psi: bool) -> tuple:
     """The twin of :func:`_ray_sums` at a complex z != 0: F = J_mu(z)
     (sign = -1) or I_mu(z) (sign = +1) of the order ``o`` (mu),
 
@@ -514,15 +514,16 @@ def _z_sums(o: _RayOrder, z: complex, sign: float, cfg: SeriesConfig, psi: bool)
     that the run at conj(z) is the exact conjugate of the run at z.  At
     mu = -n the weights below the anchor are exact zeros and each term past
     it is sign^n times the term of the run at n, so F_(-n) = sign^n F_n bit
-    for bit.  F stops once both terms of a pass are below rel_tol |F|, the
-    same pass with or without ``psi``; P goes on until its terms are below
-    rel_tol |P|.  Error estimates are 10x the first neglected term.
+    for bit.  F stops once both terms of a pass are below ``hyper.REL_TOL``
+    |F|, the same pass with or without ``psi``; P goes on until its terms
+    are below ``hyper.REL_TOL`` |P|; the run ends after ``hyper.MAX_TERMS``
+    terms.  Error estimates are 10x the first neglected term.
 
     Returns (F, err, terms, converged, max |term|, psi part), the psi part
     None or (P, err P, max P term, terms, converged).
     """
     mu, k0 = o.mu, o.k0
-    tol = cfg.rel_tol
+    tol = hyper.REL_TOL
     hypot = math.hypot
     q = sign * z * z / 4.0
     t = _half_pow(mu + 2 * k0, z)
@@ -553,7 +554,7 @@ def _z_sums(o: _RayOrder, z: complex, sign: float, cfg: SeriesConfig, psi: bool)
     t /= o.tden
     if sign < 0.0 and k0 & 1:
         t = -t
-    for k in range(k0, k0 + cfg.max_terms, 2):
+    for k in range(k0, k0 + hyper.MAX_TERMS, 2):
         a = mu + k + 1.0
         u = t * q / ((k + 1.0) * a)
         nt = u * q / ((k + 2.0) * (a + 1.0))
@@ -602,14 +603,14 @@ def _finite(nu: float, z: complex) -> None:
         raise DomainError(f"order and argument must be finite, got nu={nu!r}, x={z!r}")
 
 
-def _ji(mu: float, z: complex, sign: float, cfg: SeriesConfig,
+def _ji(mu: float, z: complex, sign: float,
         psi: bool = False) -> tuple[EvalResult, EvalResult | None]:
     """F = J_mu(z) (sign = -1) or I_mu(z) (sign = +1) at z != 0 from one run
     of :func:`_z_sums`, and with ``psi`` dF/dmu = log(z/2) F - P from the
     same run (else None).  Each estimate adds ``_JI_FLOOR`` times the largest
     term (cancellation) and eps times the terms times the value (rounding
     carried from term to term)."""
-    f, err, terms, conv, max_term, ps = _z_sums(_RayOrder(mu), z, sign, cfg, psi)
+    f, err, terms, conv, max_term, ps = _z_sums(_RayOrder(mu), z, sign, psi)
     flags = (() if conv else ("no_convergence",)) + _degraded_flags(mu, z)
     res = EvalResult(f, err + _JI_FLOOR * max_term + terms * _EPS * abs(f), terms, conv, flags,
                      max_term)
@@ -623,7 +624,7 @@ def _ji(mu: float, z: complex, sign: float, cfg: SeriesConfig,
                            p_terms, conv and p_conv, flags, d_max)
 
 
-def _bessel_ji(nu: float, z: complex, sign: float, cfg: SeriesConfig) -> EvalResult:
+def _bessel_ji(nu: float, z: complex, sign: float) -> EvalResult:
     _finite(nu, z)
     z = complex(z)
     if z == 0:
@@ -632,21 +633,21 @@ def _bessel_ji(nu: float, z: complex, sign: float, cfg: SeriesConfig) -> EvalRes
         # 1/Gamma(nu+1) vanishes at the negative integers, so F_(-n)(0) = 0
         return EvalResult(1.0 + 0.0j if nu == 0.0 else 0.0j, 0.0, 1, True,
                           _degraded_flags(nu, z))
-    return _ji(nu, z, sign, cfg)[0]
+    return _ji(nu, z, sign)[0]
 
 
-def bessel_j(nu: float, z: complex, cfg: SeriesConfig = DEFAULT_SERIES) -> EvalResult:
+def bessel_j(nu: float, z: complex) -> EvalResult:
     """J_nu(z) by the ascending series sum_k (-1)^k (z/2)^(nu+2k) / (k! Gamma(nu+k+1)),
     1/Gamma entire, at every real order (0 at z = 0 and a negative integer order)."""
-    return _bessel_ji(nu, z, -1.0, cfg)
+    return _bessel_ji(nu, z, -1.0)
 
 
-def bessel_i(nu: float, z: complex, cfg: SeriesConfig = DEFAULT_SERIES) -> EvalResult:
+def bessel_i(nu: float, z: complex) -> EvalResult:
     """I_nu(z), the (+1)^k counterpart of :func:`bessel_j`."""
-    return _bessel_ji(nu, z, 1.0, cfg)
+    return _bessel_ji(nu, z, 1.0)
 
 
-def bessel_k(nu: float, z: complex, cfg: SeriesConfig = DEFAULT_SERIES) -> EvalResult:
+def bessel_k(nu: float, z: complex) -> EvalResult:
     """K_nu(z), even in nu, at z off the imaginary axis (:func:`_k_any`);
     ArgumentZeroError at z = 0, ConvergenceError on and within ~0.003 of
     the imaginary axis.  ``max_abs_term`` is the sum of |terms| carried to
@@ -655,7 +656,7 @@ def bessel_k(nu: float, z: complex, cfg: SeriesConfig = DEFAULT_SERIES) -> EvalR
     z = complex(z)
     if z == 0:
         raise ArgumentZeroError("K_nu undefined at z = 0")
-    return _k_any(abs(nu), z, cfg, False)[0]  # K is even in the order
+    return _k_any(abs(nu), z, False)[0]  # K is even in the order
 
 
 def _k_result(nu: float, z: complex, run: tuple) -> EvalResult:
@@ -663,8 +664,7 @@ def _k_result(nu: float, z: complex, run: tuple) -> EvalResult:
     return EvalResult(*run[:4], flags, run[4])
 
 
-def _k_any(nu: float, z: complex, cfg: SeriesConfig,
-           dk: bool) -> tuple[EvalResult, EvalResult | None]:
+def _k_any(nu: float, z: complex, dk: bool) -> tuple[EvalResult, EvalResult | None]:
     """K_nu(z) at nu >= 0 and with ``dk`` dK/dnu (else None).  At Re z > 0
     one run of :func:`_k_sums`; at Re z < 0 DLMF 10.34.2 with m = +-1 the
     sign of Im z, where sin(m nu pi)/sin(nu pi) = m at every order,
@@ -673,10 +673,10 @@ def _k_any(nu: float, z: complex, cfg: SeriesConfig,
 
     with I_nu, and dI/dnu for dK/dnu, from one run of :func:`_ji`."""
     if z.real >= 0.0:
-        k, d = _k_sums(nu, z, cfg, dk)
+        k, d = _k_sums(nu, z, dk)
     else:
-        k, d = _k_sums(nu, -z, cfg, dk)
-        i, di = _ji(nu, -z, 1.0, cfg, dk)
+        k, d = _k_sums(nu, -z, dk)
+        i, di = _ji(nu, -z, 1.0, dk)
         m = math.copysign(1.0, z.imag)
         turn, im = _turn(-m * nu), complex(0.0, m * PI)
         if dk:  # e^(-i m nu pi) (dK/dnu - i m pi K_nu)(-z) - i m pi dI/dnu(-z)
@@ -688,17 +688,17 @@ def _k_any(nu: float, z: complex, cfg: SeriesConfig,
     return _k_result(nu, z, k), (_k_result(nu, z, d) if dk else None)
 
 
-def _f23(nu: float, w: complex, cfg: SeriesConfig) -> EvalResult:
+def _f23(nu: float, w: complex) -> EvalResult:
     """2F3(nu, nu+1/2; nu+1, nu+1, 2nu+1; w); at -nu, 2F3(-nu, 1/2-nu; 1-nu, 1-nu, 1-2nu; w)."""
-    return pfq(HyperSpec((nu, nu + 0.5), (nu + 1.0, nu + 1.0, 2.0 * nu + 1.0), w), cfg)
+    return pfq(HyperSpec((nu, nu + 0.5), (nu + 1.0, nu + 1.0, 2.0 * nu + 1.0), w))
 
 
-def _f34(nu: float, w: complex, cfg: SeriesConfig) -> EvalResult:
+def _f34(nu: float, w: complex) -> EvalResult:
     """3F4(1, 1, 3/2; 2, 2, 2-nu, 2+nu; w)."""
-    return pfq(HyperSpec((1.0, 1.0, 1.5), (2.0, 2.0, 2.0 - nu, 2.0 + nu), w), cfg)
+    return pfq(HyperSpec((1.0, 1.0, 1.5), (2.0, 2.0, 2.0 - nu, 2.0 + nu), w))
 
 
-def dj_dnu(nu: float, z: complex, cfg: SeriesConfig = DEFAULT_SERIES) -> EvalResult:
+def dj_dnu(nu: float, z: complex) -> EvalResult:
     """Closed form of the order derivative of J_nu at non-integer nu > 0.
 
     dJ/dnu = -pi J_{-nu}(z) csc(pi nu) / (2 Gamma(nu+1)^2) (z/2)^(2 nu)
@@ -710,10 +710,10 @@ def dj_dnu(nu: float, z: complex, cfg: SeriesConfig = DEFAULT_SERIES) -> EvalRes
     """
     _finite(nu, z)
     z = complex(z)
-    return _dj_dnu(nu, z, lambda mu: bessel_j(mu, z, cfg), cfg)[0]
+    return _dj_dnu(nu, z, lambda mu: bessel_j(mu, z))[0]
 
 
-def _dj_dnu(nu: float, z: complex, j, cfg: SeriesConfig) -> tuple[EvalResult, EvalResult]:
+def _dj_dnu(nu: float, z: complex, j) -> tuple[EvalResult, EvalResult]:
     """:func:`dj_dnu` with J_mu(z) read as j(mu), and the J_nu it read."""
     if nu <= 0.0 or _is_near_int(nu, ORDER_EPS):
         raise OrderClassError(f"dJ/dnu closed form invalid at nu = {nu}")
@@ -721,8 +721,8 @@ def _dj_dnu(nu: float, z: complex, j, cfg: SeriesConfig) -> tuple[EvalResult, Ev
         raise BranchError("z = 0")
     jm = j(-nu)
     jp = j(nu)
-    f1 = _f23(nu, -z * z, cfg)
-    f2 = _f34(nu, -z * z, cfg)
+    f1 = _f23(nu, -z * z)
+    f2 = _f34(nu, -z * z)
     g1 = gamma_real(nu + 1.0)
     coef_a = -PI / math.sin(PI * nu) / (2.0 * g1 * g1) * _half_pow(2.0 * nu, z)
     a = coef_a * jm.value * f1.value
@@ -739,7 +739,7 @@ def _dj_dnu(nu: float, z: complex, j, cfg: SeriesConfig) -> tuple[EvalResult, Ev
                       max(jm.max_abs_term, jp.max_abs_term)), jp
 
 
-def dk_dnu(nu: float, z: complex, cfg: SeriesConfig = DEFAULT_SERIES) -> EvalResult:
+def dk_dnu(nu: float, z: complex) -> EvalResult:
     """Closed form of the order derivative of K_nu, excluded at 2 nu integer.
 
     dK/dnu = (pi/2) csc(pi nu) { pi cot(pi nu) I_nu(z)
@@ -757,10 +757,10 @@ def dk_dnu(nu: float, z: complex, cfg: SeriesConfig = DEFAULT_SERIES) -> EvalRes
     """
     _finite(nu, z)
     z = complex(z)
-    return _dk_dnu(nu, z, lambda mu: bessel_i(mu, z, cfg), cfg)
+    return _dk_dnu(nu, z, lambda mu: bessel_i(mu, z))
 
 
-def _dk_dnu(nu: float, z: complex, i, cfg: SeriesConfig) -> EvalResult:
+def _dk_dnu(nu: float, z: complex, i) -> EvalResult:
     """:func:`dk_dnu` with I_mu(z) read as i(mu)."""
     if nu <= 0.0 or _is_near_int(2.0 * nu, ORDER_EPS):
         raise OrderClassError(f"dK/dnu closed form invalid at nu = {nu}")
@@ -769,9 +769,9 @@ def _dk_dnu(nu: float, z: complex, i, cfg: SeriesConfig) -> EvalResult:
     ip = i(nu)
     im = i(-nu)
     z2 = z * z
-    f34 = _f34(nu, z2, cfg)
-    f23p = _f23(nu, z2, cfg)
-    f23m = _f23(-nu, z2, cfg)
+    f34 = _f34(nu, z2)
+    f23p = _f23(nu, z2)
+    f23m = _f23(-nu, z2)
     s = math.sin(PI * nu)
     c = math.cos(PI * nu)
     bracket = (z2 / (4.0 * (1.0 - nu * nu)) * f34.value
@@ -793,7 +793,7 @@ def _dk_dnu(nu: float, z: complex, i, cfg: SeriesConfig) -> EvalResult:
                       max(ip.max_abs_term, im.max_abs_term))
 
 
-def dj_dnu_any(nu: float, z: complex, cfg: SeriesConfig = DEFAULT_SERIES) -> EvalResult:
+def dj_dnu_any(nu: float, z: complex) -> EvalResult:
     """dJ/dnu for any nu >= 0, by the term-wise derivative of the series,
     log(z/2) J_nu - P with the psi sum P of the same run:
 
@@ -808,10 +808,10 @@ def dj_dnu_any(nu: float, z: complex, cfg: SeriesConfig = DEFAULT_SERIES) -> Eva
         raise OrderClassError("nu must be >= 0")
     if z == 0:
         raise BranchError("z = 0")
-    return _ji(nu, z, -1.0, cfg, True)[1]
+    return _ji(nu, z, -1.0, True)[1]
 
 
-def dk_dnu_any(nu: float, z: complex, cfg: SeriesConfig = DEFAULT_SERIES) -> EvalResult:
+def dk_dnu_any(nu: float, z: complex) -> EvalResult:
     """dK/dnu for any nu >= 0, from the run that gives K (:func:`_k_any`):
     exactly 0 at nu = 0 for Re z > 0, where the order weights vanish."""
     _finite(nu, z)
@@ -820,4 +820,4 @@ def dk_dnu_any(nu: float, z: complex, cfg: SeriesConfig = DEFAULT_SERIES) -> Eva
         raise OrderClassError("nu must be >= 0")
     if z == 0:
         raise ArgumentZeroError("z = 0")
-    return _k_any(nu, z, cfg, True)[1]
+    return _k_any(nu, z, True)[1]

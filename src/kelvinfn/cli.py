@@ -7,22 +7,19 @@ table   CSV sweep over nu/x ranges with all four values and derivatives
 verify  run identity suites, emit the report CSV, exit 1 on any failure
 
 CSV output uses 17 significant digits, '\n' line endings and no quoting, so
-two runs with identical flags are byte-identical.  The environment variable
-KELVIN_MAX_TERMS overrides the series term cap.
+two runs with identical flags are byte-identical.  Every value is computed
+to full double precision; no flag or environment variable changes that.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 
 from .errors import KelvinError
-from .hyper import SeriesConfig
 from .kelvin import _eval_ber_bei, _eval_ker_kei
 from .orderderiv import _dkelvin, dkelvin
-from .quad import QuadConfig
 from .verify import SUITES, run_suites
 
 _VALUE_FNS = ("ber", "bei", "ker", "kei")
@@ -52,13 +49,6 @@ def _parse_range(spec: str, what: str) -> list[float]:
     return [a + k * step for k in range(n)]
 
 
-def _series_cfg() -> SeriesConfig:
-    raw = os.environ.get("KELVIN_MAX_TERMS")
-    if raw is None:
-        return SeriesConfig()
-    return SeriesConfig(max_terms=int(raw))
-
-
 def _emit(lines: list[str], out_path: str | None) -> None:
     text = "\n".join(lines) + "\n"
     if out_path:
@@ -76,17 +66,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if fn not in _VALUE_FNS + _DERIV_FNS:
         print(f"eval: unknown function {fn!r}", file=sys.stderr)
         return 2
-    cfg = _series_cfg()
+    method = "series"
     try:
         if fn in _VALUE_FNS:
             if fn in ("ber", "bei"):
-                ber, bei, est, method = _eval_ber_bei(args.nu, args.x, cfg)
+                ber, bei, est = _eval_ber_bei(args.nu, args.x)
                 value = ber if fn == "ber" else bei
             else:
-                ker, kei, est, method = _eval_ker_kei(args.nu, args.x, cfg)
+                ker, kei, est = _eval_ker_kei(args.nu, args.x)
                 value = ker if fn == "ker" else kei
         else:
-            quad = dkelvin(args.nu, args.x, cfg)
+            quad = dkelvin(args.nu, args.x)
             value = getattr(quad, fn)
             est = quad.err_estimate
             method = quad.method
@@ -104,17 +94,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _table_row(nu: float, x: float, cfg: SeriesConfig, orders: dict) -> str:
+def _table_row(nu: float, x: float, orders: dict) -> str:
     if x == 0.0:
         try:
-            ber, bei, _, _ = _eval_ber_bei(nu, 0.0, cfg)
+            ber, bei, _ = _eval_ber_bei(nu, 0.0)
             cells = [_fmt(ber), _fmt(bei)]
             note = "undefined_at_x0"
         except KelvinError:
             cells = ["", ""]
             note = "undefined_at_x0"
         return ",".join([_fmt(nu), _fmt(x)] + cells + [""] * 6 + [note])
-    return _TABLE_ROW % ((nu, x) + _dkelvin(nu, x, cfg, orders)[:8])
+    return _TABLE_ROW % ((nu, x) + _dkelvin(nu, x, orders)[:8])
 
 
 def cmd_table(args: argparse.Namespace) -> int:
@@ -126,13 +116,12 @@ def cmd_table(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"table: {exc}", file=sys.stderr)
         return 2
-    cfg = _series_cfg()
     lines = [_TABLE_HEADER]
     try:
         for nu in nus:          # nu-major, then x: deterministic row order
             orders: dict = {}   # the order set-ups of nu, shared by its rows
             for x in xs:
-                lines.append(_table_row(nu, x, cfg, orders))
+                lines.append(_table_row(nu, x, orders))
     except KelvinError as exc:
         print(f"table: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
@@ -141,10 +130,8 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _series_cfg()
-    quad_cfg = QuadConfig()
     try:
-        reports = run_suites(args.suite, cfg, quad_cfg, tol_override=args.tol)
+        reports = run_suites(args.suite, tol_override=args.tol)
     except ValueError as exc:
         print(f"verify: {exc}", file=sys.stderr)
         return 2

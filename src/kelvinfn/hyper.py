@@ -5,6 +5,10 @@ term-ratio recursion with compensated accumulation.  The Kelvin-type
 arguments make partial sums cancel by factors up to ~e^(x/sqrt(2)), so the
 summation carries Neumaier compensation on both components and reports the
 largest intermediate term for cancellation-aware error budgeting downstream.
+
+Every series of the package stops on one rule, full double precision: terms
+below ``REL_TOL`` of the sum, at most ``MAX_TERMS`` of them (the series
+kernels of ``bessel`` and its K sum read the same two constants).
 """
 
 from __future__ import annotations
@@ -16,21 +20,10 @@ from dataclasses import dataclass
 from .errors import DenominatorPoleError, SeriesOverflowError
 
 
-@dataclass(frozen=True)
-class SeriesConfig:
-    """Stopping control for series evaluation."""
-
-    rel_tol: float = 1e-15
-    max_terms: int = 500
-
-    def __post_init__(self):
-        if self.rel_tol <= 0.0:
-            raise ValueError("rel_tol must be positive")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
-
-
-DEFAULT_SERIES = SeriesConfig()
+# A series stops once its terms fall below REL_TOL of the sum; one that has
+# not by MAX_TERMS terms is reported unconverged ('no_convergence')
+REL_TOL = 1e-15
+MAX_TERMS = 500
 
 
 @dataclass(frozen=True)
@@ -68,10 +61,10 @@ class HyperSpec:
             raise ValueError("series is not entire: need len(upper) <= len(lower)")
 
 
-def sum_series(first_term: complex, ratio, cfg: SeriesConfig = DEFAULT_SERIES) -> EvalResult:
+def sum_series(first_term: complex, ratio) -> EvalResult:
     """Sum t_0 + t_1 + ... with t_{k+1} = t_k * ratio(k).
 
-    Stops once two consecutive terms fall below rel_tol * (1 + |sum|); a
+    Stops once two consecutive terms fall below REL_TOL * (1 + |sum|); a
     single small term is not safe because Kelvin-type series alternate in
     blocks of four.  The error estimate is 10x the first neglected term.
 
@@ -80,8 +73,8 @@ def sum_series(first_term: complex, ratio, cfg: SeriesConfig = DEFAULT_SERIES) -
     produces the exact conjugate of the sum.  Terms or a sum beyond the
     double range raise SeriesOverflowError.
     """
-    rel_tol = cfg.rel_tol
-    max_terms = cfg.max_terms
+    rel_tol = REL_TOL
+    max_terms = MAX_TERMS
     t = complex(first_term)
     re = im = cre = cim = 0.0
     small_run = 0
@@ -130,7 +123,7 @@ def sum_series(first_term: complex, ratio, cfg: SeriesConfig = DEFAULT_SERIES) -
                       () if converged else ("no_convergence",), max_term)
 
 
-def pfq(spec: HyperSpec, cfg: SeriesConfig = DEFAULT_SERIES) -> EvalResult:
+def pfq(spec: HyperSpec) -> EvalResult:
     """Evaluate pFq(a; b; z) = sum_k [prod (a_i)_k / prod (b_j)_k] z^k / k!.
 
     Raises
@@ -152,4 +145,4 @@ def pfq(spec: HyperSpec, cfg: SeriesConfig = DEFAULT_SERIES) -> EvalResult:
             den *= b + k
         return (num / den) * z
 
-    return sum_series(1.0 + 0.0j, ratio, cfg)
+    return sum_series(1.0 + 0.0j, ratio)

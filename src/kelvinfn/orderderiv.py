@@ -41,9 +41,9 @@ from . import bessel
 from .bessel import (ORDER_EPS, _degraded_flags, _dj_dnu, _dk_dnu, _is_near_int, _order,
                      _RayOrder, _turn)
 from .errors import DomainError, NegativeIntegerOrderError, OrderClassError
-from .hyper import DEFAULT_SERIES, EvalResult, HyperSpec, SeriesConfig, pfq
+from .hyper import EvalResult, HyperSpec, pfq
 from .kelvin import (ROT_J, ROT_K, KelvinQuad, _eval_ber_bei, _eval_ker_kei, _finite, _k_turn,
-                     _phase, kelvin_all)
+                     kelvin_all)
 from .scalars import PI, digamma_real, gamma_real
 
 # dkelvin_kk_pos refuses 2 nu this close to an integer, where the csc of its
@@ -75,20 +75,19 @@ class OrderDerivQuad:
     values: KelvinQuad
 
 
-def _ray_reader(x: float, cfg: SeriesConfig, c: float):
+def _ray_reader(x: float, c: float):
     """The closed forms' reader of J_mu at e^(-i pi/4) x (c = -1/4) or of
     I_mu at e^(i pi/4) x (c = 1/4): one ``bessel._ray_sums`` run of the
     order, turned by e^(i pi (c mu + k0/2)) (``bessel._turn``)."""
     def read(mu: float) -> EvalResult:
         o = _RayOrder(mu)
-        s, err, terms, conv, max_term, _ = bessel._ray_sums(o, x, cfg, False)
+        s, err, terms, conv, max_term, _ = bessel._ray_sums(o, x, False)
         flags = (() if conv else ("no_convergence",)) + _degraded_flags(mu, x)
         return EvalResult(_turn(c * mu + 0.5 * o.k0) * s, err, terms, conv, flags, max_term)
     return read
 
 
-def dkelvin_bb_pos(nu: float, x: float,
-                   cfg: SeriesConfig = DEFAULT_SERIES) -> tuple[float, float]:
+def dkelvin_bb_pos(nu: float, x: float) -> tuple[float, float]:
     """(d ber_nu/d nu, d bei_nu/d nu) for non-integer nu >= 0, x > 0, by the
     paper's csc/2F3/3F4 closed form for dJ/dnu; ber + i bei = e^(i pi nu) J_nu
     from the J_nu that the closed form reads."""
@@ -97,14 +96,13 @@ def dkelvin_bb_pos(nu: float, x: float,
         raise DomainError("x must be positive")
     if nu < 0.0 or abs(nu - round(nu)) <= ORDER_EPS:
         raise OrderClassError(f"integer or negative order {nu}: use the dispatcher")
-    dj, j = _dj_dnu(nu, ROT_J * x, _ray_reader(x, cfg, -0.25), cfg)
-    turn = _phase(PI * nu)
+    dj, j = _dj_dnu(nu, ROT_J * x, _ray_reader(x, -0.25))
+    turn = _turn(nu)
     bb, e = turn * j.value, turn * dj.value
     return e.real - PI * bb.imag, e.imag + PI * bb.real
 
 
-def dkelvin_kk_pos(nu: float, x: float,
-                   cfg: SeriesConfig = DEFAULT_SERIES) -> tuple[float, float]:
+def dkelvin_kk_pos(nu: float, x: float) -> tuple[float, float]:
     """(d ker_nu/d nu, d kei_nu/d nu) for nu >= 0 with 2 nu non-integer, x > 0,
     by the paper's closed form for dK/dnu.  Orders with 2 nu within 1e-6 of
     an integer are refused."""
@@ -113,33 +111,30 @@ def dkelvin_kk_pos(nu: float, x: float,
         raise DomainError("x must be positive")
     if nu < 0.0 or _is_near_int(2.0 * nu, NEAR_EXCLUDED):
         raise OrderClassError(f"order {nu} excluded for the K-side closed form")
-    ker, kei, _, _ = _eval_ker_kei(nu, x, cfg)
-    e = _phase(-PI * nu / 2.0) * _dk_dnu(nu, ROT_K * x, _ray_reader(x, cfg, 0.25), cfg).value
+    ker, kei, _ = _eval_ker_kei(nu, x)
+    e = _turn(-0.5 * nu) * _dk_dnu(nu, ROT_K * x, _ray_reader(x, 0.25)).value
     return e.real + PI / 2.0 * kei, e.imag - PI / 2.0 * ker
 
 
-def dkelvin_bb_neg(nu: float, x: float,
-                   cfg: SeriesConfig = DEFAULT_SERIES) -> tuple[float, float]:
+def dkelvin_bb_neg(nu: float, x: float) -> tuple[float, float]:
     """Order derivatives of ber and bei evaluated at order -nu, for nu > 0;
     read from ``dkelvin(-nu, x)``."""
     if nu <= 0.0 or x <= 0.0:
         raise DomainError("requires nu > 0 and x > 0")
-    d = dkelvin(-nu, x, cfg)
+    d = dkelvin(-nu, x)
     return d.dber, d.dbei
 
 
-def dkelvin_kk_neg(nu: float, x: float,
-                   cfg: SeriesConfig = DEFAULT_SERIES) -> tuple[float, float]:
+def dkelvin_kk_neg(nu: float, x: float) -> tuple[float, float]:
     """Order derivatives of ker and kei evaluated at order -nu, for nu > 0;
     read from ``dkelvin(-nu, x)``."""
     if nu <= 0.0 or x <= 0.0:
         raise DomainError("requires nu > 0 and x > 0")
-    d = dkelvin(-nu, x, cfg)
+    d = dkelvin(-nu, x)
     return d.dker, d.dkei
 
 
-def dkelvin_integer(n: int, x: float,
-                    cfg: SeriesConfig = DEFAULT_SERIES) -> OrderDerivQuad:
+def dkelvin_integer(n: int, x: float) -> OrderDerivQuad:
     """All four order derivatives at integer order n >= 0 via the finite sums.
 
     d ber/d nu |_n = -(pi/2) bei_n - ker_n
@@ -154,7 +149,7 @@ def dkelvin_integer(n: int, x: float,
         raise NegativeIntegerOrderError("finite sums defined for n >= 0 only")
     if x <= 0.0:
         raise DomainError("x must be positive")
-    quads = [kelvin_all(float(k), x, cfg) for k in range(n + 1)]
+    quads = [kelvin_all(float(k), x) for k in range(n + 1)]
     top = quads[n]
     dber = -PI / 2.0 * top.bei - top.ker
     dbei = PI / 2.0 * top.ber - top.kei
@@ -176,7 +171,7 @@ def dkelvin_integer(n: int, x: float,
     return OrderDerivQuad(dber, dbei, dker, dkei, float(n), x, "integer_sum", est, top)
 
 
-def coef_c(nu: float, x: float, a: int, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
+def coef_c(nu: float, x: float, a: int) -> float:
     """c(nu, x, a): the 3F6 factor of the reference ber/bei order derivatives."""
     spec = HyperSpec(
         ((2.0 * nu + a + 1.0) / 4.0, (2.0 * nu + 3.0) / 4.0, (2.0 * nu + 5.0 * a) / 4.0),
@@ -184,10 +179,10 @@ def coef_c(nu: float, x: float, a: int, cfg: SeriesConfig = DEFAULT_SERIES) -> f
          nu + (a + 1.0) / 2.0, nu + 1.0 + a / 2.0),
         -x ** 4 / 16.0,
     )
-    return pfq(spec, cfg).value.real
+    return pfq(spec).value.real
 
 
-def coef_d(nu: float, x: float, a: int, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
+def coef_d(nu: float, x: float, a: int) -> float:
     """d(nu, x, a): the 4F7 factor of the reference ber/bei order derivatives."""
     spec = HyperSpec(
         ((a + 1.0) / 2.0, (a + 1.0) / 2.0, (2.0 * a + 3.0) / 4.0, (2.0 * a + 5.0) / 4.0),
@@ -195,11 +190,10 @@ def coef_d(nu: float, x: float, a: int, cfg: SeriesConfig = DEFAULT_SERIES) -> f
          (nu + a + 3.0) / 2.0, (a - nu) / 2.0 + 1.0, (a - nu + 3.0) / 2.0),
         -x ** 4 / 16.0,
     )
-    return pfq(spec, cfg).value.real
+    return pfq(spec).value.real
 
 
-def dkelvin_bb_brychkov(nu: float, x: float,
-                        cfg: SeriesConfig = DEFAULT_SERIES) -> tuple[float, float]:
+def dkelvin_bb_brychkov(nu: float, x: float) -> tuple[float, float]:
     """Reference closed form for (d ber/d nu, d bei/d nu) built from c and d.
 
     Kept as an independent evaluation path for differential testing against
@@ -211,12 +205,12 @@ def dkelvin_bb_brychkov(nu: float, x: float,
         raise DomainError("x must be positive")
     if nu <= 0.0 or abs(nu - round(nu)) <= ORDER_EPS:
         raise OrderClassError("reference form needs non-integer nu > 0")
-    ber, bei, _, _ = _eval_ber_bei(nu, x, cfg)
-    ber_m, bei_m, _, _ = _eval_ber_bei(-nu, x, cfg)
-    c0 = coef_c(nu, x, 0, cfg)
-    c1 = coef_c(nu, x, 1, cfg)
-    d0 = coef_d(nu, x, 0, cfg)
-    d1 = coef_d(nu, x, 1, cfg)
+    ber, bei, _ = _eval_ber_bei(nu, x)
+    ber_m, bei_m, _ = _eval_ber_bei(-nu, x)
+    c0 = coef_c(nu, x, 0)
+    c1 = coef_c(nu, x, 1)
+    d0 = coef_d(nu, x, 0)
+    d1 = coef_d(nu, x, 1)
     lg = math.log(x / 2.0) - digamma_real(nu) - 1.0 / (2.0 * nu)
     csc = 1.0 / math.sin(PI * nu)
     g1 = gamma_real(nu + 1.0)
@@ -238,19 +232,19 @@ def dkelvin_bb_brychkov(nu: float, x: float,
     return dber, dbei
 
 
-def dkelvin(nu: float, x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> OrderDerivQuad:
+def dkelvin(nu: float, x: float) -> OrderDerivQuad:
     """The four order derivatives at any real order nu and x > 0.
 
     Every order rotates the term-wise dJ/dnu of the series at nu and the
     quadrature dK/dnu at |nu|, odd in nu, onto the Kelvin rays (method
     'series').  The result also carries the four values at nu.
     """
-    ber, bei, ker, kei, dber, dbei, dker, dkei, est = _dkelvin(nu, x, cfg)
+    ber, bei, ker, kei, dber, dbei, dker, dkei, est = _dkelvin(nu, x)
     return OrderDerivQuad(dber, dbei, dker, dkei, nu, x, "series", est,
                           KelvinQuad(ber, bei, ker, kei, nu, x))
 
 
-def _dkelvin(nu: float, x: float, cfg: SeriesConfig, orders: dict | None = None) -> tuple:
+def _dkelvin(nu: float, x: float, orders: dict | None = None) -> tuple:
     """``dkelvin`` as the plain tuple (ber, bei, ker, kei, dber, dbei, dker,
     dkei, abs error estimate); the rows of a table order pass one dict
     ``orders``, in which nu is set up once.  The estimate adds to the
@@ -260,8 +254,8 @@ def _dkelvin(nu: float, x: float, cfg: SeriesConfig, orders: dict | None = None)
     if x <= 0.0:
         raise DomainError("x must be positive")
     o = _RayOrder(nu) if orders is None else _order(orders, nu)
-    run = bessel._ray_sums(o, x, cfg, True)
-    k, dk = bessel._k_sums(abs(nu), ROT_K * x, cfg, True)
+    run = bessel._ray_sums(o, x, True)
+    k, dk = bessel._k_sums(abs(nu), ROT_K * x, True)
     turn = _k_turn(nu, x, k)
     # log(x/2) after the K sum, which raises where x/2 underflows to 0
     bb, dbb, est = _bb_series(o, run, x)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from . import bessel
 from .bessel import _RayOrder
 from .errors import ConvergenceError, DomainError
-from .hyper import DEFAULT_SERIES, EvalResult, SeriesConfig
+from .hyper import EvalResult
 from .kelvin import _eval_ber_bei, _finite, kelvin_ber_bei
 from .orderderiv import _bb_series
 from .scalars import EULER_GAMMA, PI, SQRT2, digamma_real, gamma_real
@@ -280,7 +280,6 @@ _BRACKET_VARIANTS = ("consistent", "printed_s1", "printed_s3")
 
 def apelblat_dber_dbei(nu: float, x: float,
                        cfg: QuadConfig = DEFAULT_QUAD,
-                       series_cfg: SeriesConfig = DEFAULT_SERIES,
                        bracket: str = "consistent") -> tuple[float, float]:
     """(d ber_nu/d nu, d bei_nu/d nu) from the log-weighted integral form:
 
@@ -311,7 +310,7 @@ def apelblat_dber_dbei(nu: float, x: float,
         raise ValueError(f"bracket must be one of {_BRACKET_VARIANTS}")
     if x <= 0.0 or nu < 0.0:
         raise DomainError("requires x > 0 and nu >= 0")
-    ber, bei = kelvin_ber_bei(nu, x, series_cfg)
+    ber, bei = kelvin_ber_bei(nu, x)
     orders: dict = {}  # the set-ups of orders nu - 1 and nu, shared by every node
     g1 = gamma_real(nu + 1.0)
     # the first term of ber_{nu-1} + i bei_{nu-1} at y is lead * y^(nu-1) * turn;
@@ -326,9 +325,9 @@ def apelblat_dber_dbei(nu: float, x: float,
         y = x * w
         if y == 0.0 or w >= 1.0:
             return 0j  # the rest vanishes at u = 0; past v ~ 37, e^(-v) < eps
-        b, e, _, _ = _eval_ber_bei(nu - 1.0, y, series_cfg, orders)
+        b, e, _ = _eval_ber_bei(nu - 1.0, y, orders)
         if bracket == "printed_s1":
-            e = _eval_ber_bei(nu, y, series_cfg, orders)[1]
+            e = _eval_ber_bei(nu, y, orders)[1]
         # u^((nu-1)/2) [gamma + log(1-u)] du, with log(1-u) = -v + log(1+w)
         weight = 2.0 * w ** nu * (EULER_GAMMA - v + math.log1p(w)) * math.exp(-v)
         return weight * (complex(b, e) - lead * y ** (nu - 1.0) * turn)
@@ -370,7 +369,6 @@ def appendix_ber_bei(x: float, variant: str = "sin",
 
 def convolution_identity(a: float, b: float, t: float,
                          cfg: QuadConfig = DEFAULT_QUAD,
-                         series_cfg: SeriesConfig = DEFAULT_SERIES,
                          tol: float = 1e-7) -> IdentityReport:
     """Check ber(2 sqrt(a t)) + ber(2 sqrt(b t)) against its self-convolution:
 
@@ -382,8 +380,8 @@ def convolution_identity(a: float, b: float, t: float,
     """
     if not (a >= b > 0.0 and t > 0.0):
         raise DomainError("requires a >= b > 0 and t > 0")
-    lhs = (kelvin_ber_bei(0.0, 2.0 * math.sqrt(a * t), series_cfg)[0]
-           + kelvin_ber_bei(0.0, 2.0 * math.sqrt(b * t), series_cfg)[0])
+    lhs = (kelvin_ber_bei(0.0, 2.0 * math.sqrt(a * t))[0]
+           + kelvin_ber_bei(0.0, 2.0 * math.sqrt(b * t))[0])
 
     def f(theta: float) -> float:
         s2 = math.sin(theta) ** 2
@@ -398,7 +396,6 @@ def convolution_identity(a: float, b: float, t: float,
 
 def theorem5_identities(nu: float, x: float,
                         cfg: QuadConfig = DEFAULT_QUAD,
-                        series_cfg: SeriesConfig = DEFAULT_SERIES,
                         tol: float = 1e-7) -> tuple[IdentityReport, IdentityReport]:
     """Check the log-weighted moment integrals of ber and bei against their
     closed forms, both rows from one adaptive pass over ber + i bei:
@@ -428,13 +425,13 @@ def theorem5_identities(nu: float, x: float,
         if u <= 0.0 or u >= 1.0:
             return 0j
         log1mu2 = -v + math.log1p(u)
-        ber, bei, _, _ = _eval_ber_bei(nu, x * u, series_cfg, orders)
+        ber, bei, _ = _eval_ber_bei(nu, x * u, orders)
         return u ** (nu + 1.0) * log1mu2 * math.exp(-v) * complex(ber, bei)
 
     res = _integrate_panels(g, _V_EDGES, cfg)
     lhs = res.value
     o = _RayOrder(nu + 1.0)
-    bb, dbb, _ = _bb_series(o, bessel._ray_sums(o, x, series_cfg, True), x)
+    bb, dbb, _ = _bb_series(o, bessel._ray_sums(o, x, True), x)
     e = dbb - 1j * PI * bb
     ber1, bei1 = bb.real, bb.imag
     alpha = EULER_GAMMA + math.log(x / 2.0)
@@ -448,17 +445,15 @@ def theorem5_identities(nu: float, x: float,
 
 def theorem5_identity(nu: float, x: float, f: str,
                       cfg: QuadConfig = DEFAULT_QUAD,
-                      series_cfg: SeriesConfig = DEFAULT_SERIES,
                       tol: float = 1e-7) -> IdentityReport:
     """The row of :func:`theorem5_identities` for f = 'ber' or 'bei'."""
     if f not in ("ber", "bei"):
         raise ValueError("f must be 'ber' or 'bei'")
-    return theorem5_identities(nu, x, cfg, series_cfg, tol)[f == "bei"]
+    return theorem5_identities(nu, x, cfg, tol)[f == "bei"]
 
 
 def indefinite_integral_check(nu: float, x: float,
                               cfg: QuadConfig = DEFAULT_QUAD,
-                              series_cfg: SeriesConfig = DEFAULT_SERIES,
                               tol: float = 1e-9) -> tuple[IdentityReport, IdentityReport]:
     """Check the antiderivatives of u^(nu+1) ber_nu / bei_nu as definite
     integrals from 0 (where the boundary term vanishes for nu > -1):
@@ -472,9 +467,9 @@ def indefinite_integral_check(nu: float, x: float,
     orders: dict = {}  # the set-up of order nu, shared by every node
     # both integrals in one adaptive pass, packed re/im
     res = integrate_finite(lambda u: u ** (nu + 1.0) * complex(
-        *_eval_ber_bei(nu, u, series_cfg, orders)[:2]), 0.0, x, cfg)
+        *_eval_ber_bei(nu, u, orders)[:2]), 0.0, x, cfg)
     lhs = res.value
-    ber1, bei1 = kelvin_ber_bei(nu + 1.0, x, series_cfg)
+    ber1, bei1 = kelvin_ber_bei(nu + 1.0, x)
     pref = x ** (nu + 1.0) / SQRT2
     return (_report("indefinite_ber", nu, x, lhs.real, pref * (bei1 - ber1), tol,
                     res.converged),

@@ -9,7 +9,6 @@ brychkov, integer (plus 'all').
 from __future__ import annotations
 
 from . import manifest as M
-from .hyper import DEFAULT_SERIES, SeriesConfig
 from .kelvin import _eval_ber_bei, _eval_ker_kei, kelvin_all, kelvin_ber_bei
 from .orderderiv import dkelvin, dkelvin_bb_brychkov, dkelvin_bb_pos, dkelvin_integer
 from .quad import (DEFAULT_QUAD, IdentityReport, QuadConfig, apelblat_ber_bei,
@@ -19,32 +18,31 @@ from .quad import (DEFAULT_QUAD, IdentityReport, QuadConfig, apelblat_ber_bei,
 _COMPONENTS = ("dber", "dbei", "dker", "dkei")
 
 
-def _fd_quad(nu: float, x: float, h: float, cfg: SeriesConfig) -> tuple[float, ...]:
+def _fd_quad(nu: float, x: float, h: float) -> tuple[float, ...]:
     """Central finite difference of all four Kelvin functions over the order."""
-    hi = kelvin_all(nu + h, x, cfg)
-    lo = kelvin_all(nu - h, x, cfg)
+    hi = kelvin_all(nu + h, x)
+    lo = kelvin_all(nu - h, x)
     return tuple((a - b) / (2.0 * h) for a, b in
                  ((hi.ber, lo.ber), (hi.bei, lo.bei), (hi.ker, lo.ker), (hi.kei, lo.kei)))
 
 
-def fd_oracle(nu: float, x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> tuple[float, ...]:
+def fd_oracle(nu: float, x: float) -> tuple[float, ...]:
     """Richardson-extrapolated finite-difference order derivatives."""
     h1, h2 = M.FD_STEPS
-    g1 = _fd_quad(nu, x, h1, cfg)
-    g2 = _fd_quad(nu, x, h2, cfg)
+    g1 = _fd_quad(nu, x, h1)
+    g2 = _fd_quad(nu, x, h2)
     return tuple((4.0 * b - a) / 3.0 for a, b in zip(g1, g2))
 
 
-def suite_fd(cfg: SeriesConfig = DEFAULT_SERIES,
-             quad_cfg: QuadConfig = DEFAULT_QUAD) -> list[IdentityReport]:
+def suite_fd(quad_cfg: QuadConfig = DEFAULT_QUAD) -> list[IdentityReport]:
     """Dispatcher vs finite differences, positive and reflected grids."""
     out = []
     for sign in (1.0, -1.0):
         for nu in M.FD_NU:
             for x in M.FD_X:
                 order = sign * nu
-                got = dkelvin(order, x, cfg)
-                ora = fd_oracle(order, x, cfg)
+                got = dkelvin(order, x)
+                ora = fd_oracle(order, x)
                 vals = (got.dber, got.dbei, got.dker, got.dkei)
                 for name, g, o in zip(_COMPONENTS, vals, ora):
                     tol = M.FD_SCALED_TOL * (1.0 + abs(o))
@@ -52,15 +50,14 @@ def suite_fd(cfg: SeriesConfig = DEFAULT_SERIES,
     return out
 
 
-def suite_integer(cfg: SeriesConfig = DEFAULT_SERIES,
-                  quad_cfg: QuadConfig = DEFAULT_QUAD) -> list[IdentityReport]:
+def suite_integer(quad_cfg: QuadConfig = DEFAULT_QUAD) -> list[IdentityReport]:
     """Integer-order finite sums vs ``dkelvin`` at the integer itself, where
     its term-wise dJ/dnu and its dK/dnu quadrature are regular."""
     out = []
     for n in M.INTEGER_N:
         for x in M.INTEGER_X:
-            sums = dkelvin_integer(n, x, cfg)
-            d = dkelvin(float(n), x, cfg)
+            sums = dkelvin_integer(n, x)
+            d = dkelvin(float(n), x)
             vals = (sums.dber, sums.dbei, sums.dker, sums.dkei)
             at_n = (d.dber, d.dbei, d.dker, d.dkei)
             for name, g, o in zip(_COMPONENTS, vals, at_n):
@@ -69,58 +66,54 @@ def suite_integer(cfg: SeriesConfig = DEFAULT_SERIES,
     return out
 
 
-def suite_brychkov(cfg: SeriesConfig = DEFAULT_SERIES,
-                   quad_cfg: QuadConfig = DEFAULT_QUAD) -> list[IdentityReport]:
+def suite_brychkov(quad_cfg: QuadConfig = DEFAULT_QUAD) -> list[IdentityReport]:
     """Rotation-form ber/bei derivatives vs the 3F6/4F7 reference forms."""
     out = []
     for nu in M.BRYCHKOV_NU:
         for x in M.BRYCHKOV_X:
-            a = dkelvin_bb_pos(nu, x, cfg)
-            b = dkelvin_bb_brychkov(nu, x, cfg)
+            a = dkelvin_bb_pos(nu, x)
+            b = dkelvin_bb_brychkov(nu, x)
             out.append(make_report("brychkov_dber", nu, x, a[0], b[0], M.BRYCHKOV_TOL))
             out.append(make_report("brychkov_dbei", nu, x, a[1], b[1], M.BRYCHKOV_TOL))
     return out
 
 
-def suite_apelblat(cfg: SeriesConfig = DEFAULT_SERIES,
-                   quad_cfg: QuadConfig = DEFAULT_QUAD) -> list[IdentityReport]:
+def suite_apelblat(quad_cfg: QuadConfig = DEFAULT_QUAD) -> list[IdentityReport]:
     """Integral representations vs the series path, values and derivatives."""
     out = []
     for nu in M.APELBLAT_NU:
         for arg in M.APELBLAT_ARG:
             q = apelblat_ber_bei(nu, arg, quad_cfg)
-            k = kelvin_ber_bei(nu, arg, cfg)
+            k = kelvin_ber_bei(nu, arg)
             out.append(make_report("apelblat_ber", nu, arg, q[0], k[0], M.APELBLAT_TOL))
             out.append(make_report("apelblat_bei", nu, arg, q[1], k[1], M.APELBLAT_TOL))
     for nu in M.APELBLAT_D_NU:
         for x in M.APELBLAT_D_X:
-            q = apelblat_dber_dbei(nu, x, quad_cfg, cfg)
-            d = dkelvin(nu, x, cfg)
+            q = apelblat_dber_dbei(nu, x, quad_cfg)
+            d = dkelvin(nu, x)
             out.append(make_report("apelblat_dber", nu, x, q[0], d.dber, M.APELBLAT_D_TOL))
             out.append(make_report("apelblat_dbei", nu, x, q[1], d.dbei, M.APELBLAT_D_TOL))
     return out
 
 
-def suite_theorem5(cfg: SeriesConfig = DEFAULT_SERIES,
-                   quad_cfg: QuadConfig = DEFAULT_QUAD) -> list[IdentityReport]:
+def suite_theorem5(quad_cfg: QuadConfig = DEFAULT_QUAD) -> list[IdentityReport]:
     """Log-weighted moment integrals plus the antiderivative checks."""
     out = []
     for nu in M.THEOREM5_NU:
         for x in M.THEOREM5_X:
-            out.extend(theorem5_identities(nu, x, quad_cfg, cfg, M.THEOREM5_TOL))
+            out.extend(theorem5_identities(nu, x, quad_cfg, M.THEOREM5_TOL))
     for nu, x, tol in M.INDEFINITE_POINTS:
-        out.extend(indefinite_integral_check(nu, x, quad_cfg, cfg, tol))
+        out.extend(indefinite_integral_check(nu, x, quad_cfg, tol))
     return out
 
 
-def suite_appendix(cfg: SeriesConfig = DEFAULT_SERIES,
-                   quad_cfg: QuadConfig = DEFAULT_QUAD) -> list[IdentityReport]:
+def suite_appendix(quad_cfg: QuadConfig = DEFAULT_QUAD) -> list[IdentityReport]:
     """Quarter-period representations and the self-convolution identity."""
     out = []
     for x in M.APPENDIX_X:
         s = appendix_ber_bei(x, "sin", quad_cfg)
         c = appendix_ber_bei(x, "cos", quad_cfg)
-        k = kelvin_ber_bei(0.0, x, cfg)
+        k = kelvin_ber_bei(0.0, x)
         out.append(make_report("appendix_variants_ber", 0.0, x, s[0], c[0],
                                M.APPENDIX_VARIANT_TOL))
         out.append(make_report("appendix_variants_bei", 0.0, x, s[1], c[1],
@@ -130,19 +123,18 @@ def suite_appendix(cfg: SeriesConfig = DEFAULT_SERIES,
         out.append(make_report("appendix_series_bei", 0.0, x, s[1], k[1],
                                M.APPENDIX_SERIES_TOL))
     for a, b, t in M.CONVOLUTION_POINTS:
-        out.append(convolution_identity(a, b, t, quad_cfg, cfg, M.CONVOLUTION_TOL))
+        out.append(convolution_identity(a, b, t, quad_cfg, M.CONVOLUTION_TOL))
     return out
 
 
-def suite_reflection(cfg: SeriesConfig = DEFAULT_SERIES,
-                     quad_cfg: QuadConfig = DEFAULT_QUAD) -> list[IdentityReport]:
+def suite_reflection(quad_cfg: QuadConfig = DEFAULT_QUAD) -> list[IdentityReport]:
     """Integer reflection: f_{-n} = (-1)^n f_n for all four functions."""
     out = []
     for n in M.REFLECTION_N:
         sgn = -1.0 if n % 2 else 1.0
         for x in M.REFLECTION_X:
-            neg = kelvin_all(float(-n), x, cfg)
-            pos = kelvin_all(float(n), x, cfg)
+            neg = kelvin_all(float(-n), x)
+            pos = kelvin_all(float(n), x)
             pairs = (("ber", neg.ber, sgn * pos.ber), ("bei", neg.bei, sgn * pos.bei),
                      ("ker", neg.ker, sgn * pos.ker), ("kei", neg.kei, sgn * pos.kei))
             for name, lhs, rhs in pairs:
@@ -163,20 +155,19 @@ def _ode_residual(w_of_x, nu: float, x: float, h: float) -> float:
     return abs(residual) / scale
 
 
-def suite_ode(cfg: SeriesConfig = DEFAULT_SERIES,
-              quad_cfg: QuadConfig = DEFAULT_QUAD) -> list[IdentityReport]:
+def suite_ode(quad_cfg: QuadConfig = DEFAULT_QUAD) -> list[IdentityReport]:
     """Both Kelvin pairs satisfy x^2 w'' + x w' - (nu^2 + i x^2) w = 0."""
     out = []
     for nu in M.ODE_BB_NU:
         for x in M.ODE_X:
             res = _ode_residual(
-                lambda t, orders: complex(*_eval_ber_bei(nu, t, cfg, orders)[:2]),
+                lambda t, orders: complex(*_eval_ber_bei(nu, t, orders)[:2]),
                 nu, x, M.ODE_STEP)
             out.append(make_report("ode_ber_bei", nu, x, res, 0.0, M.ODE_SCALED_TOL))
     for nu in M.ODE_KK_NU:
         for x in M.ODE_X:
             res = _ode_residual(
-                lambda t, orders: complex(*_eval_ker_kei(nu, t, cfg)[:2]),
+                lambda t, orders: complex(*_eval_ker_kei(nu, t)[:2]),
                 nu, x, M.ODE_STEP)
             out.append(make_report("ode_ker_kei", nu, x, res, 0.0, M.ODE_SCALED_TOL))
     return out
@@ -194,8 +185,7 @@ SUITES = {
 }
 
 
-def run_suites(name: str, cfg: SeriesConfig = DEFAULT_SERIES,
-               quad_cfg: QuadConfig = DEFAULT_QUAD,
+def run_suites(name: str, quad_cfg: QuadConfig = DEFAULT_QUAD,
                tol_override: float | None = None) -> list[IdentityReport]:
     """Run one named suite (or 'all'), optionally overriding every tolerance."""
     if name == "all":
@@ -207,7 +197,7 @@ def run_suites(name: str, cfg: SeriesConfig = DEFAULT_SERIES,
                          f"{['all'] + sorted(SUITES)}")
     reports: list[IdentityReport] = []
     for n in names:
-        reports.extend(SUITES[n](cfg, quad_cfg))
+        reports.extend(SUITES[n](quad_cfg))
     if tol_override is not None:
         reports = [
             IdentityReport(r.name, r.nu, r.x, r.lhs, r.rhs, r.abs_diff,

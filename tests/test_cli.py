@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from kelvinfn.cli import _TABLE_ROW, _fmt, _parse_range, _series_cfg, main
+from kelvinfn.cli import _TABLE_ROW, _fmt, _parse_range, main
 
 
 def run_cli(capsys, *argv):
@@ -65,6 +65,17 @@ class TestEval:
     def test_unknown_function_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "eval", "blah", "--nu", "0", "--x", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("fn", ["bei", "ker", "dkei"])
+    def test_method_line(self, capsys, fn):
+        """Values and order derivatives alike report the method 'series'."""
+        code, out, _ = run_cli(capsys, "eval", fn, "--nu", "0.5", "--x", "2")
+        assert code == 0
+        assert out.splitlines()[2] == "method = series"
+        code, out, _ = run_cli(capsys, "eval", fn, "--nu", "0.5", "--x", "2",
+                               "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[1].endswith(",series")
 
     def test_fn_flag_equivalent(self, capsys):
         code1, out1, _ = run_cli(capsys, "eval", "bei", "--nu", "0.5", "--x", "2")
@@ -195,19 +206,3 @@ class TestPlumbing:
             _parse_range("1:2:0", "t")
         with pytest.raises(ValueError):
             _parse_range("1:2", "t")
-
-    def test_max_terms_env(self, monkeypatch):
-        monkeypatch.setenv("KELVIN_MAX_TERMS", "123")
-        assert _series_cfg().max_terms == 123
-        monkeypatch.delenv("KELVIN_MAX_TERMS")
-        assert _series_cfg().max_terms == 500
-
-    def test_env_reaches_evaluation(self, capsys, monkeypatch):
-        """A starved term budget changes the computed value."""
-        code, out_default, _ = run_cli(capsys, "eval", "ber", "--nu", "0",
-                                       "--x", "10", "--format", "csv")
-        monkeypatch.setenv("KELVIN_MAX_TERMS", "3")
-        code2, out_starved, _ = run_cli(capsys, "eval", "ber", "--nu", "0",
-                                        "--x", "10", "--format", "csv")
-        assert code == code2 == 0
-        assert out_default != out_starved

@@ -1,11 +1,15 @@
 """Hypergeometric series engine: spot values, stopping, structural symmetry."""
 
+import inspect
 from fractions import Fraction
 
 import pytest
 
+import kelvinfn
+from kelvinfn import hyper
 from kelvinfn.errors import DenominatorPoleError
-from kelvinfn.hyper import HyperSpec, SeriesConfig, pfq
+from kelvinfn.hyper import HyperSpec, pfq
+from kelvinfn.quad import QuadConfig
 
 J0_AT_2 = 0.22389077914123567  # 0F1(;1;-1), exact-rational partial sums
 
@@ -119,21 +123,34 @@ class TestErrorHandling:
         with pytest.raises(ValueError):
             HyperSpec((1.0, 2.0), (3.0,), 0.5)
 
-    def test_max_terms_reports_no_convergence(self):
-        r = pfq(HyperSpec((0.5,), (1.0, 1.0), 900.0), SeriesConfig(max_terms=5))
+    def test_max_terms_reports_no_convergence(self, monkeypatch):
+        monkeypatch.setattr(hyper, "MAX_TERMS", 5)
+        r = pfq(HyperSpec((0.5,), (1.0, 1.0), 900.0))
         assert not r.converged
         assert "no_convergence" in r.flags
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SeriesConfig(rel_tol=0.0)
-        with pytest.raises(ValueError):
-            SeriesConfig(max_terms=0)
-
     def test_converged_estimate_invariant(self):
-        """converged implies abs_err_estimate <= rel_tol (1 + |value|)."""
-        cfg = SeriesConfig()
+        """converged implies abs_err_estimate <= REL_TOL (1 + |value|)."""
         for z in (0.5 + 0.5j, -3.0, 10j, -40.0):
-            r = pfq(HyperSpec((0.7, 1.2), (1.1, 2.2, 0.9), z), cfg)
+            r = pfq(HyperSpec((0.7, 1.2), (1.1, 2.2, 0.9), z))
             assert r.converged
-            assert r.abs_err_estimate <= cfg.rel_tol * (1.0 + abs(r.value)) * 10.0
+            assert r.abs_err_estimate <= hyper.REL_TOL * (1.0 + abs(r.value)) * 10.0
+
+
+def test_precision_is_not_a_setting():
+    """Every series stops on the one full-precision rule (``REL_TOL``,
+    ``MAX_TERMS``): no public callable takes a series configuration, and a
+    ``cfg`` is the integrator's QuadConfig."""
+    assert not hasattr(hyper, "SeriesConfig")
+    assert "SeriesConfig" not in kelvinfn.__all__
+    for name in kelvinfn.__all__:
+        obj = getattr(kelvinfn, name)
+        if not callable(obj):
+            continue
+        try:
+            params = inspect.signature(obj).parameters
+        except (TypeError, ValueError):  # a builtin without a signature
+            continue
+        assert "series_cfg" not in params, name
+        if "cfg" in params:
+            assert isinstance(params["cfg"].default, QuadConfig), name

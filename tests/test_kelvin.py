@@ -8,7 +8,8 @@ import pytest
 from kelvinfn.bessel import _k_sums
 from kelvinfn.errors import (ConvergenceError, DomainError, GammaOverflowError, KelvinError,
                              PowerOverflowError, SeriesOverflowError)
-from kelvinfn.hyper import DEFAULT_SERIES, HyperSpec, SeriesConfig, pfq
+from kelvinfn import hyper
+from kelvinfn.hyper import HyperSpec, pfq
 from kelvinfn.kelvin import KelvinQuad, kelvin_all, kelvin_ber_bei, kelvin_ker_kei
 from kelvinfn.orderderiv import dkelvin
 
@@ -16,10 +17,10 @@ EULER_GAMMA = 0.5772156649015328606
 ROT_K = complex(math.sqrt(0.5), math.sqrt(0.5))
 
 
-def ray_k(nu, x, cfg, dk):
+def ray_k(nu, x, dk):
     """The K sum at |nu| on the Kelvin ray: (K, dK/dnu or None), each
     (value, estimate, nodes, converged, scale)."""
-    return _k_sums(nu, ROT_K * x, cfg, dk)
+    return _k_sums(nu, ROT_K * x, dk)
 
 
 def ber_bei_series(x, n_terms=60):
@@ -152,7 +153,7 @@ def test_negative_order_range_is_typed(call, error):
 
 def test_dk_quadrature_below_the_envelope():
     """Far below the envelope dkelvin returns a result or raises a typed
-    error: the dK/dnu quadrature stops at max_terms nodes with an infinite
+    error: the dK/dnu quadrature stops at MAX_TERMS nodes with an infinite
     error estimate; K_60 at x = 1e-3, about 1e278, is a value; K past the
     double range is a SeriesOverflowError (K_30 at 1e-9, about 1e310) or,
     where (x/2)^(-nu) already leaves it, a PowerOverflowError, not a bare
@@ -161,8 +162,8 @@ def test_dk_quadrature_below_the_envelope():
     assert all(map(math.isfinite, (d.dker, d.dkei, d.err_estimate)))
     d = dkelvin(0.3, 1e-300)
     assert d.err_estimate == math.inf
-    dk = ray_k(0.3, 1e-300, DEFAULT_SERIES, True)[1]
-    assert dk[2] == DEFAULT_SERIES.max_terms and not dk[3]
+    dk = ray_k(0.3, 1e-300, True)[1]
+    assert dk[2] == hyper.MAX_TERMS and not dk[3]
     d = dkelvin(60.0, 1e-3)
     assert all(map(math.isfinite, (d.values.ker, d.values.kei, d.dker, d.dkei, d.err_estimate)))
     with pytest.raises(PowerOverflowError):
@@ -173,7 +174,7 @@ def test_dk_quadrature_below_the_envelope():
         dkelvin(30.0, 1e-9)
 
 
-def test_k_quadrature_edges_are_typed():
+def test_k_quadrature_edges_are_typed(monkeypatch):
     """At the smallest double x/2 is 0, so (x/2)^(-nu) is a typed
     PowerOverflowError, not a bare ZeroDivisionError, in the K sum and, at
     a negative order, in the series; at order 0 the K sum runs out of nodes
@@ -189,8 +190,10 @@ def test_k_quadrature_edges_are_typed():
         for nu in (-1.0, -2.0, -2.5):
             with pytest.raises(PowerOverflowError):
                 call(nu, 5e-324)
-    k = ray_k(0.3, 2.0, SeriesConfig(max_terms=20000), False)[0]
-    assert k[3] and k[0] == ray_k(0.3, 2.0, DEFAULT_SERIES, False)[0][0]
+    want = ray_k(0.3, 2.0, False)[0][0]
+    monkeypatch.setattr(hyper, "MAX_TERMS", 20000)
+    k = ray_k(0.3, 2.0, False)[0]
+    assert k[3] and k[0] == want
 
 
 @pytest.mark.parametrize("x", [0.1, 1.0, 5.0, 10.0, 15.0, 20.0])
@@ -225,6 +228,16 @@ class TestKerKei:
         pker, pkei = kelvin_ker_kei(0.5, 2.0)
         assert ker == pytest.approx(-pkei, rel=1e-14)
         assert kei == pytest.approx(pker, rel=1e-14)
+
+    @pytest.mark.parametrize("x", [0.5, 1.0, 2.0, 5.0, 10.0, 20.0])
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_integer_reflection_bit_for_bit(self, n, x):
+        """K is even in the order and its phase e^(-i pi nu/2) is exact at the
+        integers: ker_{-n} = (-1)^n ker_n exactly, kei likewise."""
+        sgn = -1.0 if n % 2 else 1.0
+        ker, kei = kelvin_ker_kei(float(-n), x)
+        pker, pkei = kelvin_ker_kei(float(n), x)
+        assert (ker, kei) == (sgn * pker, sgn * pkei)
 
     def test_domain_error_at_origin(self):
         with pytest.raises(DomainError):

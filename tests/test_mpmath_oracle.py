@@ -37,7 +37,7 @@ from kelvinfn.bessel import (K_MAX_ARG, _k_sums, bessel_i, bessel_j,  # noqa: E4
                              bessel_k, dj_dnu_any, dk_dnu_any)
 from kelvinfn.cli import main  # noqa: E402
 from kelvinfn.errors import ConvergenceError  # noqa: E402
-from kelvinfn.hyper import DEFAULT_SERIES  # noqa: E402
+from kelvinfn import hyper  # noqa: E402
 from kelvinfn.kelvin import ROT_K, _eval_ber_bei, kelvin_all, kelvin_ker_kei  # noqa: E402
 from kelvinfn.orderderiv import dkelvin  # noqa: E402
 
@@ -70,7 +70,7 @@ BB_CAL_XS = [0.1, 0.5, 2.0, 5.0, 8.0, 12.0, 15.0, 20.0]
 def ray_k(nu: float, x: float, dk: bool) -> tuple:
     """The K sum at nu >= 0 on the Kelvin ray: (K, dK/dnu or None), each
     (value, estimate, nodes, converged, scale)."""
-    return _k_sums(nu, ROT_K * x, DEFAULT_SERIES, dk)
+    return _k_sums(nu, ROT_K * x, dk)
 
 
 def oracle(nu: float, x: float) -> dict[str, complex]:
@@ -140,7 +140,7 @@ def test_ber_bei_error_estimate_calibrated(nu, x):
     """The estimate that ``eval ber``/``eval bei`` print covers the error of
     both against 40-digit mpmath and, where that error is above 1e-15 (or
     above 1e-15 of the pair, for pairs below 1), overstates it by at most 1e3."""
-    ber, bei, est, _ = _eval_ber_bei(nu, x, DEFAULT_SERIES)
+    ber, bei, est = _eval_ber_bei(nu, x)
     mp = mpmath.mp
     with mp.workdps(40):
         n, z = mp.mpf(nu), mp.mpf(x)
@@ -214,7 +214,7 @@ def test_k_below_the_envelope(capsys):
         want = kk_oracle(nu, x)
         assert abs(complex(*kelvin_ker_kei(nu, x)) - want) <= KK_REL * abs(want)
     dk = ray_k(0.3, 1e-300, True)[1]
-    assert dk[2] == DEFAULT_SERIES.max_terms and not dk[3]
+    assert dk[2] == hyper.MAX_TERMS and not dk[3]
     assert dk[1] == math.inf and dkelvin(0.3, 1e-300).err_estimate == math.inf
     assert main(["eval", "ker", "--nu", "0.3", "--x", "1e-300"]) == 0
     est = capsys.readouterr().out.splitlines()[1]

@@ -7,7 +7,6 @@ can depend on the argument it was first run at."""
 import pytest
 
 from kelvinfn.cli import _fmt, _table_row
-from kelvinfn.hyper import DEFAULT_SERIES
 from kelvinfn.kelvin import _eval_ber_bei, _eval_ker_kei, kelvin_ber_bei, kelvin_ker_kei
 from kelvinfn.orderderiv import _dkelvin, dkelvin
 
@@ -36,28 +35,28 @@ def test_table_rows_equal_single_points(nu):
         want = [_fmt(nu), _fmt(x)] + [_fmt(v) for v in (
             d.values.ber, d.values.bei, d.values.ker, d.values.kei,
             d.dber, d.dbei, d.dker, d.dkei)] + [d.method]
-        assert _table_row(nu, x, DEFAULT_SERIES, orders).split(",") == want, x
+        assert _table_row(nu, x, orders).split(",") == want, x
     shared: dict = {}
     for x in WALK:
         d = dkelvin(nu, x)
         want = bits(d.values.ber, d.values.bei, d.values.ker, d.values.kei,
                     d.dber, d.dbei, d.dker, d.dkei, d.err_estimate)
-        assert bits(*_dkelvin(nu, x, DEFAULT_SERIES, shared)) == want, x
+        assert bits(*_dkelvin(nu, x, shared)) == want, x
 
 
 @pytest.mark.parametrize("nu", ORDERS)
 def test_integrand_ber_bei_equal_single_points(nu):
     orders: dict = {}
     for x in WALK:
-        assert bits(*_eval_ber_bei(nu, x, DEFAULT_SERIES, orders)[:3]) == \
-            bits(*kelvin_ber_bei(nu, x), _eval_ber_bei(nu, x, DEFAULT_SERIES)[2]), x
+        assert bits(*_eval_ber_bei(nu, x, orders)) == \
+            bits(*kelvin_ber_bei(nu, x), _eval_ber_bei(nu, x)[2]), x
 
 
 @pytest.mark.parametrize("nu", ORDERS)
 def test_stencil_ker_kei_equal_single_points(nu):
     for x in WALK:
-        assert bits(*_eval_ker_kei(nu, x, DEFAULT_SERIES)[:3]) == \
-            bits(*kelvin_ker_kei(nu, x), _eval_ker_kei(nu, x, DEFAULT_SERIES)[2]), x
+        assert bits(*_eval_ker_kei(nu, x)) == \
+            bits(*kelvin_ker_kei(nu, x), _eval_ker_kei(nu, x)[2]), x
 
 
 def test_node_table_grows_safely_across_threads(monkeypatch):

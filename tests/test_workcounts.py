@@ -19,7 +19,6 @@ import kelvinfn.quad
 from kelvinfn import manifest as M
 from kelvinfn.bessel import _RayOrder
 from kelvinfn.cli import main
-from kelvinfn.hyper import SeriesConfig
 from kelvinfn.kelvin import ROT_K, kelvin_all, kelvin_ker_kei
 from kelvinfn.orderderiv import _ray_reader, dkelvin
 from kelvinfn.quad import (DEFAULT_QUAD, QuadConfig, apelblat_dber_dbei,
@@ -32,8 +31,8 @@ def series(monkeypatch):
     keys = []
     orig = kelvinfn.bessel._ray_sums
 
-    def counted(o, x, cfg, psi):
-        res = orig(o, x, cfg, psi)
+    def counted(o, x, psi):
+        res = orig(o, x, psi)
         keys.append((o.mu, x, res[0]))
         return res
 
@@ -68,9 +67,9 @@ def ksums(monkeypatch):
     keys = []
     orig = kelvinfn.bessel._k_sums
 
-    def counted(nu, z, cfg, dk):
+    def counted(nu, z, dk):
         keys.append((nu, z, dk))
-        return orig(nu, z, cfg, dk)
+        return orig(nu, z, dk)
 
     monkeypatch.setattr(kelvinfn.bessel, "_k_sums", counted)
     return keys
@@ -131,8 +130,8 @@ def test_dk_quadrature_nodes(monkeypatch):
     runs = []
     orig = kelvinfn.bessel._k_sums
 
-    def counted(nu, z, cfg, dk):
-        k, d = orig(nu, z, cfg, dk)
+    def counted(nu, z, dk):
+        k, d = orig(nu, z, dk)
         runs.append((nu, z, k[2], d[2]))  # (value, estimate, nodes, converged, scale)
         return k, d
 
@@ -141,16 +140,16 @@ def test_dk_quadrature_nodes(monkeypatch):
     assert runs == [(5.0, ROT_K * 2.0, 34, 34)]
 
 
-def test_term_cap_reported_through_the_ray_path():
-    cfg = SeriesConfig(max_terms=4)
-    for res in (_ray_reader(18.0, cfg, -0.25)(0.5), _ray_reader(18.0, cfg, 0.25)(0.5),
-                _ray_reader(18.0, cfg, 0.25)(-0.5)):
+def test_term_cap_reported_through_the_ray_path(monkeypatch):
+    monkeypatch.setattr(kelvinfn.hyper, "MAX_TERMS", 4)
+    for res in (_ray_reader(18.0, -0.25)(0.5), _ray_reader(18.0, 0.25)(0.5),
+                _ray_reader(18.0, 0.25)(-0.5)):
         assert not res.converged
         assert "no_convergence" in res.flags
     # the psi sums of dJ/dnu, K and dK/dnu at 0.5, and K at 2
-    psi = kelvinfn.bessel._ray_sums(_RayOrder(0.5), 18.0, cfg, True)[5]
-    k, dk = kelvinfn.bessel._k_sums(0.5, ROT_K * 18.0, cfg, True)
-    k2 = kelvinfn.bessel._k_sums(2.0, ROT_K * 18.0, cfg, False)[0]
+    psi = kelvinfn.bessel._ray_sums(_RayOrder(0.5), 18.0, True)[5]
+    k, dk = kelvinfn.bessel._k_sums(0.5, ROT_K * 18.0, True)
+    k2 = kelvinfn.bessel._k_sums(2.0, ROT_K * 18.0, False)[0]
     assert not (psi[4] or k[3] or dk[3] or k2[3])
 
 
