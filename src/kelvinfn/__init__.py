@@ -13,7 +13,7 @@ from .kelvin import KelvinQuad, kelvin_all, kelvin_ber_bei, kelvin_ker_kei
 from .orderderiv import (OrderDerivQuad, coef_c, coef_d, dkelvin,
                          dkelvin_bb_brychkov, dkelvin_bb_neg, dkelvin_bb_pos,
                          dkelvin_integer, dkelvin_kk_neg, dkelvin_kk_pos)
-from .quad import (IdentityReport, QuadConfig, apelblat_ber_bei,
+from .quad import (IdentityReport, apelblat_ber_bei,
                    apelblat_dber_dbei, appendix_ber_bei, convolution_identity,
                    indefinite_integral_check, integrate_finite,
                    integrate_semiinf, theorem5_identities,
@@ -27,7 +27,7 @@ __all__ = [
     "DomainError", "EULER_GAMMA", "EvalResult", "GammaOverflowError", "HyperSpec",
     "IdentityReport", "KelvinError", "KelvinQuad", "NegativeIntegerOrderError",
     "OrderClassError", "OrderDerivQuad", "PoleError", "PowerOverflowError",
-    "QuadConfig", "SeriesOverflowError",
+    "SeriesOverflowError",
     "apelblat_ber_bei", "apelblat_dber_dbei", "appendix_ber_bei",
     "bessel_i", "bessel_j", "bessel_k", "coef_c", "coef_d",
     "convolution_identity", "digamma_real", "dj_dnu", "dj_dnu_any",

@@ -39,6 +39,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from dataclasses import replace
 from operator import mul
 
 from .errors import (ArgumentZeroError, BranchError, ConvergenceError, DomainError,
@@ -794,30 +795,30 @@ def _dk_dnu(nu: float, z: complex, i) -> EvalResult:
 
 
 def dj_dnu_any(nu: float, z: complex) -> EvalResult:
-    """dJ/dnu for any nu >= 0, by the term-wise derivative of the series,
-    log(z/2) J_nu - P with the psi sum P of the same run:
+    """dJ/dnu at every real order, by the term-wise derivative of the
+    series, log(z/2) J_nu - P with the psi sum P of the same run:
 
         P = (z/2)^nu sum_k (-1)^k psi(nu+k+1) (z^2/4)^k / (k! Gamma(nu+k+1))
 
+    with psi/Gamma entire, so negative integer orders need no limit.
     Unlike the csc-form closed form it has no pole amplification near
     integer or half-integer orders.
     """
     _finite(nu, z)
     z = complex(z)
-    if nu < 0.0:
-        raise OrderClassError("nu must be >= 0")
     if z == 0:
         raise BranchError("z = 0")
     return _ji(nu, z, -1.0, True)[1]
 
 
 def dk_dnu_any(nu: float, z: complex) -> EvalResult:
-    """dK/dnu for any nu >= 0, from the run that gives K (:func:`_k_any`):
-    exactly 0 at nu = 0 for Re z > 0, where the order weights vanish."""
+    """dK/dnu at every real order, from the run that gives K
+    (:func:`_k_any`) at |nu|, negated at nu < 0 (dK/dnu is odd in the
+    order): exactly 0 at nu = 0 for Re z > 0, where the order weights
+    vanish."""
     _finite(nu, z)
     z = complex(z)
-    if nu < 0.0:
-        raise OrderClassError("nu must be >= 0")
     if z == 0:
         raise ArgumentZeroError("z = 0")
-    return _k_any(nu, z, True)[1]
+    d = _k_any(abs(nu), z, True)[1]
+    return d if nu >= 0.0 else replace(d, value=-d.value)

@@ -50,7 +50,8 @@ class ArgumentZeroError(KelvinError):
 
 
 class OrderClassError(KelvinError):
-    """Closed form evaluated at an excluded order (integer or half-integer)."""
+    """Closed form evaluated outside its order class (an excluded integer or
+    half-integer, or a non-integer order for the integer finite sums)."""
 
 
 class DomainError(KelvinError):

@@ -134,7 +134,7 @@ def dkelvin_kk_neg(nu: float, x: float) -> tuple[float, float]:
     return d.dker, d.dkei
 
 
-def dkelvin_integer(n: int, x: float) -> OrderDerivQuad:
+def dkelvin_integer(n: int | float, x: float) -> OrderDerivQuad:
     """All four order derivatives at integer order n >= 0 via the finite sums.
 
     d ber/d nu |_n = -(pi/2) bei_n - ker_n
@@ -143,8 +143,12 @@ def dkelvin_integer(n: int, x: float) -> OrderDerivQuad:
 
     with the analogous sums (3(k-n)pi/4 weights) on the K side.  Sums are
     empty at n = 0.  Kept as an oracle for ``dkelvin`` at integer order.
+    A float order must be an integer (2.0), or OrderClassError is raised.
     """
     _finite(n, x)
+    if n != int(n):
+        raise OrderClassError(f"finite sums need an integer order, got nu = {n}")
+    n = int(n)
     if n < 0:
         raise NegativeIntegerOrderError("finite sums defined for n >= 0 only")
     if x <= 0.0:

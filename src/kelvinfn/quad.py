@@ -4,7 +4,9 @@ The engine is a globally adaptive Gauss-Kronrod 7-15 pair (open nodes, so
 integrable endpoint singularities never get evaluated) with bisection of the
 worst panel.  It starts from a list of panels under one global error target
 (``_integrate_panels``, the breakpoints of QUADPACK's QAGP);
-``integrate_finite`` is its one-panel start.  Each integral representation
+``integrate_finite`` is its one-panel start.  Accuracy is one module rule,
+not an option: every integral aims at max(TOL, TOL * |value|) and bisects a
+panel at most MAX_DEPTH levels below its start.  Each integral representation
 substitutes its known endpoint singularity away before handing the
 integrand to the engine:
 
@@ -37,25 +39,11 @@ from .kelvin import _eval_ber_bei, _finite, kelvin_ber_bei
 from .orderderiv import _bb_series
 from .scalars import EULER_GAMMA, PI, SQRT2, digamma_real, gamma_real
 
+TOL = 1e-10  # read at call time, as is MAX_DEPTH
+MAX_DEPTH = 30
 _MAX_SPLITS = 4096
 # the starting panels of the integrals over v in [0, 45]: 0, 45/64, ..., 45/2, 45
 _V_EDGES = (0.0,) + tuple(45.0 * 2.0 ** -k for k in range(6, -1, -1))
-
-
-@dataclass(frozen=True)
-class QuadConfig:
-    """Tolerances and limits for adaptive quadrature."""
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_depth: int = 30
-
-    def __post_init__(self):
-        if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
-
-
-DEFAULT_QUAD = QuadConfig()
 
 
 @dataclass(frozen=True)
@@ -149,31 +137,33 @@ def _gk15(f, a: float, b: float) -> tuple[float, float]:
     return kron * h, abs(kron - gauss) * h
 
 
-def integrate_finite(f, a: float, b: float,
-                     cfg: QuadConfig = DEFAULT_QUAD) -> EvalResult:
+def integrate_finite(f, a: float, b: float) -> EvalResult:
     """Adaptive integral of f over [a, b] by worst-panel bisection.
 
     Returns converged=False (with the best estimate) if the error target
-    max(abs_tol, rel_tol * |result|) is still unmet once every remaining
-    panel has reached max_depth.  This is the one-panel start of
+    max(TOL, TOL * |result|) is still unmet once every remaining panel has
+    reached MAX_DEPTH (flag ``max_depth_exceeded``), or as soon as the error
+    estimate is not finite (flag ``non_finite``: the integrand returned NaN
+    or inf, which no bisection mends).  This is the one-panel start of
     :func:`_integrate_panels`.
     """
-    return _integrate_panels(f, (a, b), cfg)
+    return _integrate_panels(f, (a, b))
 
 
-def _integrate_panels(f, edges: tuple[float, ...],
-                      cfg: QuadConfig = DEFAULT_QUAD) -> EvalResult:
+def _integrate_panels(f, edges: tuple[float, ...]) -> EvalResult:
     """Adaptive integral of f over [edges[0], edges[-1]], started from the
     panels between consecutive edges (the breakpoints of QUADPACK's QAGP).
 
     Every starting panel is at depth 0 and joins one heap under one global
-    error target, so a panel that needs more still bisects, up to max_depth
+    error target, so a panel that needs more still bisects, up to MAX_DEPTH
     below its own start; a start on the panels the bisection of
     [edges[0], edges[-1]] always reaches skips evaluating their parents.
     """
+    if not (math.isfinite(edges[0]) and math.isfinite(edges[-1])):
+        raise DomainError(f"integration interval [{edges[0]}, {edges[-1]}] must be finite")
     if not all(a < b for a, b in zip(edges, edges[1:])):
         raise DomainError("integration interval must satisfy a < b")
-    # heap entries: (-err, seq, depth, a, b, val, err); panels at max_depth
+    # heap entries: (-err, seq, depth, a, b, val, err); panels at MAX_DEPTH
     # are dropped from the heap but their contribution stays in the totals
     heap = []
     for seq, (a, b) in enumerate(zip(edges, edges[1:])):
@@ -188,13 +178,13 @@ def _integrate_panels(f, edges: tuple[float, ...],
     evals = 15 * seq
     splits = 0
     while heap:
-        target = max(cfg.abs_tol, cfg.rel_tol * abs(total_val))
+        target = max(TOL, TOL * abs(total_val))
         if total_err <= target:
             break
-        if stuck_err >= target or splits >= _MAX_SPLITS:
+        if stuck_err >= target or splits >= _MAX_SPLITS or not math.isfinite(total_err):
             break  # unreachable tolerance; stop refining, report honestly
         _, _, depth, pa, pb, pval, perr = heapq.heappop(heap)
-        if depth >= cfg.max_depth:
+        if depth >= MAX_DEPTH:
             stuck_err += perr
             continue
         mid = 0.5 * (pa + pb)
@@ -207,12 +197,13 @@ def _integrate_panels(f, edges: tuple[float, ...],
         heapq.heappush(heap, (-le, seq, depth + 1, pa, mid, lv, le))
         heapq.heappush(heap, (-re_, seq + 1, depth + 1, mid, pb, rv, re_))
         seq += 2
-    converged = total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total_val))
-    flags = () if converged else ("max_depth_exceeded",)
+    converged = total_err <= max(TOL, TOL * abs(total_val))
+    flags = (() if converged else
+             ("max_depth_exceeded",) if math.isfinite(total_err) else ("non_finite",))
     return EvalResult(total_val, total_err, evals, converged, flags)
 
 
-def integrate_semiinf(f, cfg: QuadConfig = DEFAULT_QUAD) -> EvalResult:
+def integrate_semiinf(f) -> EvalResult:
     """Integral of f over [0, inf) for integrands decaying at least
     exponentially, mapped onto s in (0, 1) by t = -log(1-s)."""
 
@@ -220,7 +211,7 @@ def integrate_semiinf(f, cfg: QuadConfig = DEFAULT_QUAD) -> EvalResult:
         t = -math.log1p(-s)
         return f(t) / (1.0 - s)
 
-    return integrate_finite(g, 0.0, 1.0, cfg)
+    return integrate_finite(g, 0.0, 1.0)
 
 
 def _exp_decay(t: float, scale: float) -> float:
@@ -230,8 +221,7 @@ def _exp_decay(t: float, scale: float) -> float:
     return math.exp(-scale * math.sinh(t))
 
 
-def apelblat_ber_bei(nu: float, x: float,
-                     cfg: QuadConfig = DEFAULT_QUAD) -> tuple[float, float]:
+def apelblat_ber_bei(nu: float, x: float) -> tuple[float, float]:
     """(ber_nu(x), bei_nu(x)) from the two-part integral representation.
 
     With X = x/sqrt(2):
@@ -260,7 +250,7 @@ def apelblat_ber_bei(nu: float, x: float,
         ch, sh = math.cosh(s), math.sinh(s)
         return complex(cpn * c * ch - spn * sn * sh, cpn * sn * sh + spn * c * ch)
 
-    w = _value(integrate_finite(fin, 0.0, PI, cfg)) / PI
+    w = _value(integrate_finite(fin, 0.0, PI)) / PI
     if abs(spn) > 1e-15:
 
         def tail(t: float) -> complex:
@@ -271,7 +261,7 @@ def apelblat_ber_bei(nu: float, x: float,
             a = big_x * math.sinh(t) + PI * nu
             return math.exp(-nu * t) * d * complex(math.cos(a), math.sin(a))
 
-        w -= spn / PI * _value(integrate_semiinf(tail, cfg))
+        w -= spn / PI * _value(integrate_semiinf(tail))
     return w.real, w.imag
 
 
@@ -279,7 +269,6 @@ _BRACKET_VARIANTS = ("consistent", "printed_s1", "printed_s3")
 
 
 def apelblat_dber_dbei(nu: float, x: float,
-                       cfg: QuadConfig = DEFAULT_QUAD,
                        bracket: str = "consistent") -> tuple[float, float]:
     """(d ber_nu/d nu, d bei_nu/d nu) from the log-weighted integral form:
 
@@ -333,7 +322,7 @@ def apelblat_dber_dbei(nu: float, x: float,
         return weight * (complex(b, e) - lead * y ** (nu - 1.0) * turn)
 
     first = -(x / 2.0) ** (nu - 1.0) * digamma_real(nu + 1.0) / g1
-    packed = _value(_integrate_panels(integrand, _V_EDGES, cfg)) + first * turn
+    packed = _value(_integrate_panels(integrand, _V_EDGES)) + first * turn
     b_ber = packed.real + packed.imag
     b_bei = b_ber if bracket == "printed_s3" else packed.real - packed.imag
     pref = x / (2.0 * SQRT2)
@@ -341,8 +330,7 @@ def apelblat_dber_dbei(nu: float, x: float,
             math.log(x / 2.0) * bei + 0.75 * PI * ber + pref * b_bei)
 
 
-def appendix_ber_bei(x: float, variant: str = "sin",
-                     cfg: QuadConfig = DEFAULT_QUAD) -> tuple[float, float]:
+def appendix_ber_bei(x: float, variant: str = "sin") -> tuple[float, float]:
     """Order-zero values from the quarter-period representations
 
       ber(x) = (2/pi) int_0^{pi/2} cosh(x sc(t)/sqrt 2) cos(x sc(t)/sqrt 2) dt
@@ -363,12 +351,11 @@ def appendix_ber_bei(x: float, variant: str = "sin",
         s = x * sc(t) / SQRT2
         return complex(math.cosh(s) * math.cos(s), math.sinh(s) * math.sin(s))
 
-    w = 2.0 / PI * _value(integrate_finite(f, 0.0, PI / 2.0, cfg))
+    w = 2.0 / PI * _value(integrate_finite(f, 0.0, PI / 2.0))
     return w.real, w.imag
 
 
 def convolution_identity(a: float, b: float, t: float,
-                         cfg: QuadConfig = DEFAULT_QUAD,
                          tol: float = 1e-7) -> IdentityReport:
     """Check ber(2 sqrt(a t)) + ber(2 sqrt(b t)) against its self-convolution:
 
@@ -389,13 +376,12 @@ def convolution_identity(a: float, b: float, t: float,
         u2 = math.sqrt((a - b) * t * s2)
         return (math.cosh(u1) * math.cos(u1)) * (math.cosh(u2) * math.cos(u2))
 
-    res = integrate_finite(f, 0.0, PI / 2.0, cfg)
+    res = integrate_finite(f, 0.0, PI / 2.0)
     return _report(f"convolution_a{a:g}_b{b:g}", a, t, lhs, 4.0 / PI * res.value, tol,
                    res.converged)
 
 
 def theorem5_identities(nu: float, x: float,
-                        cfg: QuadConfig = DEFAULT_QUAD,
                         tol: float = 1e-7) -> tuple[IdentityReport, IdentityReport]:
     """Check the log-weighted moment integrals of ber and bei against their
     closed forms, both rows from one adaptive pass over ber + i bei:
@@ -428,7 +414,7 @@ def theorem5_identities(nu: float, x: float,
         ber, bei, _ = _eval_ber_bei(nu, x * u, orders)
         return u ** (nu + 1.0) * log1mu2 * math.exp(-v) * complex(ber, bei)
 
-    res = _integrate_panels(g, _V_EDGES, cfg)
+    res = _integrate_panels(g, _V_EDGES)
     lhs = res.value
     o = _RayOrder(nu + 1.0)
     bb, dbb, _ = _bb_series(o, bessel._ray_sums(o, x, True), x)
@@ -444,16 +430,14 @@ def theorem5_identities(nu: float, x: float,
 
 
 def theorem5_identity(nu: float, x: float, f: str,
-                      cfg: QuadConfig = DEFAULT_QUAD,
                       tol: float = 1e-7) -> IdentityReport:
     """The row of :func:`theorem5_identities` for f = 'ber' or 'bei'."""
     if f not in ("ber", "bei"):
         raise ValueError("f must be 'ber' or 'bei'")
-    return theorem5_identities(nu, x, cfg, tol)[f == "bei"]
+    return theorem5_identities(nu, x, tol)[f == "bei"]
 
 
 def indefinite_integral_check(nu: float, x: float,
-                              cfg: QuadConfig = DEFAULT_QUAD,
                               tol: float = 1e-9) -> tuple[IdentityReport, IdentityReport]:
     """Check the antiderivatives of u^(nu+1) ber_nu / bei_nu as definite
     integrals from 0 (where the boundary term vanishes for nu > -1):
@@ -467,7 +451,7 @@ def indefinite_integral_check(nu: float, x: float,
     orders: dict = {}  # the set-up of order nu, shared by every node
     # both integrals in one adaptive pass, packed re/im
     res = integrate_finite(lambda u: u ** (nu + 1.0) * complex(
-        *_eval_ber_bei(nu, u, orders)[:2]), 0.0, x, cfg)
+        *_eval_ber_bei(nu, u, orders)[:2]), 0.0, x)
     lhs = res.value
     ber1, bei1 = kelvin_ber_bei(nu + 1.0, x)
     pref = x ** (nu + 1.0) / SQRT2

@@ -1,9 +1,10 @@
 """Identity-verification suites over the frozen manifest grids.
 
-Each suite returns a list of :class:`IdentityReport` rows; ``run_suites``
-is what both the command-line ``verify`` command and the acceptance tests
-drive.  Suite names: fd, reflection, ode, apelblat, theorem5, appendix,
-brychkov, integer (plus 'all').
+Each suite takes no arguments and returns a list of :class:`IdentityReport`
+rows; ``run_suites`` is what both the command-line ``verify`` command and
+the acceptance tests drive.  Suite names: fd, reflection, ode, apelblat,
+theorem5, appendix, brychkov, integer (plus 'all').  Series and integrals
+run at the one accuracy of ``hyper`` and ``quad``.
 """
 
 from __future__ import annotations
@@ -11,9 +12,9 @@ from __future__ import annotations
 from . import manifest as M
 from .kelvin import _eval_ber_bei, _eval_ker_kei, kelvin_all, kelvin_ber_bei
 from .orderderiv import dkelvin, dkelvin_bb_brychkov, dkelvin_bb_pos, dkelvin_integer
-from .quad import (DEFAULT_QUAD, IdentityReport, QuadConfig, apelblat_ber_bei,
-                   apelblat_dber_dbei, appendix_ber_bei, convolution_identity,
-                   indefinite_integral_check, make_report, theorem5_identities)
+from .quad import (IdentityReport, apelblat_ber_bei, apelblat_dber_dbei,
+                   appendix_ber_bei, convolution_identity, indefinite_integral_check,
+                   make_report, theorem5_identities)
 
 _COMPONENTS = ("dber", "dbei", "dker", "dkei")
 
@@ -34,7 +35,7 @@ def fd_oracle(nu: float, x: float) -> tuple[float, ...]:
     return tuple((4.0 * b - a) / 3.0 for a, b in zip(g1, g2))
 
 
-def suite_fd(quad_cfg: QuadConfig = DEFAULT_QUAD) -> list[IdentityReport]:
+def suite_fd() -> list[IdentityReport]:
     """Dispatcher vs finite differences, positive and reflected grids."""
     out = []
     for sign in (1.0, -1.0):
@@ -50,7 +51,7 @@ def suite_fd(quad_cfg: QuadConfig = DEFAULT_QUAD) -> list[IdentityReport]:
     return out
 
 
-def suite_integer(quad_cfg: QuadConfig = DEFAULT_QUAD) -> list[IdentityReport]:
+def suite_integer() -> list[IdentityReport]:
     """Integer-order finite sums vs ``dkelvin`` at the integer itself, where
     its term-wise dJ/dnu and its dK/dnu quadrature are regular."""
     out = []
@@ -66,7 +67,7 @@ def suite_integer(quad_cfg: QuadConfig = DEFAULT_QUAD) -> list[IdentityReport]:
     return out
 
 
-def suite_brychkov(quad_cfg: QuadConfig = DEFAULT_QUAD) -> list[IdentityReport]:
+def suite_brychkov() -> list[IdentityReport]:
     """Rotation-form ber/bei derivatives vs the 3F6/4F7 reference forms."""
     out = []
     for nu in M.BRYCHKOV_NU:
@@ -78,41 +79,41 @@ def suite_brychkov(quad_cfg: QuadConfig = DEFAULT_QUAD) -> list[IdentityReport]:
     return out
 
 
-def suite_apelblat(quad_cfg: QuadConfig = DEFAULT_QUAD) -> list[IdentityReport]:
+def suite_apelblat() -> list[IdentityReport]:
     """Integral representations vs the series path, values and derivatives."""
     out = []
     for nu in M.APELBLAT_NU:
         for arg in M.APELBLAT_ARG:
-            q = apelblat_ber_bei(nu, arg, quad_cfg)
+            q = apelblat_ber_bei(nu, arg)
             k = kelvin_ber_bei(nu, arg)
             out.append(make_report("apelblat_ber", nu, arg, q[0], k[0], M.APELBLAT_TOL))
             out.append(make_report("apelblat_bei", nu, arg, q[1], k[1], M.APELBLAT_TOL))
     for nu in M.APELBLAT_D_NU:
         for x in M.APELBLAT_D_X:
-            q = apelblat_dber_dbei(nu, x, quad_cfg)
+            q = apelblat_dber_dbei(nu, x)
             d = dkelvin(nu, x)
             out.append(make_report("apelblat_dber", nu, x, q[0], d.dber, M.APELBLAT_D_TOL))
             out.append(make_report("apelblat_dbei", nu, x, q[1], d.dbei, M.APELBLAT_D_TOL))
     return out
 
 
-def suite_theorem5(quad_cfg: QuadConfig = DEFAULT_QUAD) -> list[IdentityReport]:
+def suite_theorem5() -> list[IdentityReport]:
     """Log-weighted moment integrals plus the antiderivative checks."""
     out = []
     for nu in M.THEOREM5_NU:
         for x in M.THEOREM5_X:
-            out.extend(theorem5_identities(nu, x, quad_cfg, M.THEOREM5_TOL))
+            out.extend(theorem5_identities(nu, x, M.THEOREM5_TOL))
     for nu, x, tol in M.INDEFINITE_POINTS:
-        out.extend(indefinite_integral_check(nu, x, quad_cfg, tol))
+        out.extend(indefinite_integral_check(nu, x, tol))
     return out
 
 
-def suite_appendix(quad_cfg: QuadConfig = DEFAULT_QUAD) -> list[IdentityReport]:
+def suite_appendix() -> list[IdentityReport]:
     """Quarter-period representations and the self-convolution identity."""
     out = []
     for x in M.APPENDIX_X:
-        s = appendix_ber_bei(x, "sin", quad_cfg)
-        c = appendix_ber_bei(x, "cos", quad_cfg)
+        s = appendix_ber_bei(x, "sin")
+        c = appendix_ber_bei(x, "cos")
         k = kelvin_ber_bei(0.0, x)
         out.append(make_report("appendix_variants_ber", 0.0, x, s[0], c[0],
                                M.APPENDIX_VARIANT_TOL))
@@ -123,11 +124,11 @@ def suite_appendix(quad_cfg: QuadConfig = DEFAULT_QUAD) -> list[IdentityReport]:
         out.append(make_report("appendix_series_bei", 0.0, x, s[1], k[1],
                                M.APPENDIX_SERIES_TOL))
     for a, b, t in M.CONVOLUTION_POINTS:
-        out.append(convolution_identity(a, b, t, quad_cfg, M.CONVOLUTION_TOL))
+        out.append(convolution_identity(a, b, t, M.CONVOLUTION_TOL))
     return out
 
 
-def suite_reflection(quad_cfg: QuadConfig = DEFAULT_QUAD) -> list[IdentityReport]:
+def suite_reflection() -> list[IdentityReport]:
     """Integer reflection: f_{-n} = (-1)^n f_n for all four functions."""
     out = []
     for n in M.REFLECTION_N:
@@ -155,7 +156,7 @@ def _ode_residual(w_of_x, nu: float, x: float, h: float) -> float:
     return abs(residual) / scale
 
 
-def suite_ode(quad_cfg: QuadConfig = DEFAULT_QUAD) -> list[IdentityReport]:
+def suite_ode() -> list[IdentityReport]:
     """Both Kelvin pairs satisfy x^2 w'' + x w' - (nu^2 + i x^2) w = 0."""
     out = []
     for nu in M.ODE_BB_NU:
@@ -185,8 +186,7 @@ SUITES = {
 }
 
 
-def run_suites(name: str, quad_cfg: QuadConfig = DEFAULT_QUAD,
-               tol_override: float | None = None) -> list[IdentityReport]:
+def run_suites(name: str, tol_override: float | None = None) -> list[IdentityReport]:
     """Run one named suite (or 'all'), optionally overriding every tolerance."""
     if name == "all":
         names = list(SUITES)
@@ -197,7 +197,7 @@ def run_suites(name: str, quad_cfg: QuadConfig = DEFAULT_QUAD,
                          f"{['all'] + sorted(SUITES)}")
     reports: list[IdentityReport] = []
     for n in names:
-        reports.extend(SUITES[n](quad_cfg))
+        reports.extend(SUITES[n]())
     if tol_override is not None:
         reports = [
             IdentityReport(r.name, r.nu, r.x, r.lhs, r.rhs, r.abs_diff,

@@ -249,12 +249,6 @@ class TestDispatchers:
     def test_dk_vanishes_at_zero_order(self):
         assert dk_dnu_any(0.0, 1.0 + 1.0j).value == 0.0
 
-    def test_negative_order_rejected(self):
-        with pytest.raises(OrderClassError):
-            dj_dnu_any(-0.1, 1.0 + 0.0j)
-        with pytest.raises(OrderClassError):
-            dk_dnu_any(-0.1, 1.0 + 0.0j)
-
     def test_integer_order_has_no_fallback_flags(self):
         assert dj_dnu_any(1.0, ROT_J * 1.0).flags == ()
         assert dk_dnu_any(1.0, ROT_K * 1.0).flags == ()

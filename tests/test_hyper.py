@@ -9,7 +9,6 @@ import kelvinfn
 from kelvinfn import hyper
 from kelvinfn.errors import DenominatorPoleError
 from kelvinfn.hyper import HyperSpec, pfq
-from kelvinfn.quad import QuadConfig
 
 J0_AT_2 = 0.22389077914123567  # 0F1(;1;-1), exact-rational partial sums
 
@@ -139,10 +138,15 @@ class TestErrorHandling:
 
 def test_precision_is_not_a_setting():
     """Every series stops on the one full-precision rule (``REL_TOL``,
-    ``MAX_TERMS``): no public callable takes a series configuration, and a
-    ``cfg`` is the integrator's QuadConfig."""
+    ``MAX_TERMS``) and every integral on the one error target of ``quad``
+    (``TOL``, ``MAX_DEPTH``): no public callable takes a series or a
+    quadrature configuration."""
     assert not hasattr(hyper, "SeriesConfig")
+    assert not hasattr(kelvinfn, "QuadConfig")
+    assert not hasattr(kelvinfn.quad, "QuadConfig")
+    assert not hasattr(kelvinfn.quad, "DEFAULT_QUAD")
     assert "SeriesConfig" not in kelvinfn.__all__
+    assert "QuadConfig" not in kelvinfn.__all__
     for name in kelvinfn.__all__:
         obj = getattr(kelvinfn, name)
         if not callable(obj):
@@ -151,6 +155,4 @@ def test_precision_is_not_a_setting():
             params = inspect.signature(obj).parameters
         except (TypeError, ValueError):  # a builtin without a signature
             continue
-        assert "series_cfg" not in params, name
-        if "cfg" in params:
-            assert isinstance(params["cfg"].default, QuadConfig), name
+        assert not {"cfg", "quad_cfg", "series_cfg"} & set(params), name

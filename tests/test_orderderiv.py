@@ -123,6 +123,17 @@ class TestIntegerOrder:
         with pytest.raises(NegativeIntegerOrderError):
             dkelvin_integer(-1, 1.0)
 
+    def test_order_class_is_typed(self):
+        """A float order that is an integer is that integer; any other order
+        raises OrderClassError (both used to raise a bare TypeError)."""
+        assert dkelvin_integer(2.0, 1.0) == dkelvin_integer(2, 1.0)
+        assert dkelvin_integer(-0.0, 1.0) == dkelvin_integer(0, 1.0)
+        for n in (2.5, -2.5, 0.1):
+            with pytest.raises(OrderClassError, match="integer order"):
+                dkelvin_integer(n, 1.0)
+        with pytest.raises(NegativeIntegerOrderError):
+            dkelvin_integer(-1.0, 1.0)
+
 
 @pytest.mark.parametrize("fn", [dkelvin, dkelvin_bb_pos, dkelvin_kk_pos, dkelvin_bb_neg,
                                 dkelvin_kk_neg, dkelvin_bb_brychkov, dkelvin_integer,

@@ -8,14 +8,14 @@ import kelvinfn.quad
 from kelvinfn.errors import ConvergenceError, DomainError
 from kelvinfn.kelvin import kelvin_ber_bei
 from kelvinfn.orderderiv import dkelvin
-from kelvinfn.quad import (QuadConfig, apelblat_ber_bei, apelblat_dber_dbei,
+from kelvinfn.quad import (apelblat_ber_bei, apelblat_dber_dbei,
                            appendix_ber_bei, convolution_identity,
                            indefinite_integral_check, integrate_finite,
                            integrate_semiinf, make_report, theorem5_identities,
                            theorem5_identity)
 from kelvinfn.verify import run_suites
 
-# high-depth reference run of the engine itself at rel_tol 1e-14
+# high-depth reference run of the engine itself at TOL = 1e-14
 EXP_SINH_INTEGRAL = 0.754610025770972169
 
 
@@ -57,17 +57,47 @@ class TestEngineFinite:
         with pytest.raises(DomainError):
             integrate_finite(lambda u: u, 1.0, 0.0)
 
-    def test_unreachable_tolerance_reported(self):
+    @pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan)])
+    def test_non_finite_interval(self, a, b):
+        """An infinite or NaN edge is refused before any evaluation; [0, inf)
+        used to bisect 4096 times (122,895 evaluations) and return NaN."""
+        calls = []
+        with pytest.raises(DomainError, match="must be finite"):
+            integrate_finite(lambda u: calls.append(u) or 1.0, a, b)
+        with pytest.raises(DomainError, match="must be finite"):
+            kelvinfn.quad._integrate_panels(lambda u: calls.append(u) or 1.0, (a, 1.0, b))
+        assert calls == []
+
+    @pytest.mark.parametrize("f", [lambda u: math.nan, lambda u: math.inf,
+                                   lambda u: math.nan if u > 0.9 else 1.0],
+                             ids=["nan", "inf", "nan_near_b"])
+    def test_non_finite_integrand(self, f):
+        """An integrand that returns NaN or inf stops after its starting
+        panels (15 evaluations each), unconverged and flagged ``non_finite``:
+        no bisection mends it, and it used to run 4096 of them."""
+        calls = []
+
+        def counted(u):
+            calls.append(u)
+            return f(u)
+
+        for start, edges in ((1, (0.0, 1.0)), (7, kelvinfn.quad._V_EDGES)):
+            calls.clear()
+            r = kelvinfn.quad._integrate_panels(counted, edges)
+            assert len(calls) == r.terms_used == 15 * start
+            assert not r.converged and r.flags == ("non_finite",)
+
+    def test_unreachable_tolerance_reported(self, monkeypatch):
         """A noisy integrand cannot reach 1e-10; the flag says so."""
         import random
         rng = random.Random(3)
-        r = integrate_finite(lambda u: 1.0 + 1e-6 * rng.random(), 0.0, 1.0,
-                             QuadConfig(max_depth=3))
+        monkeypatch.setattr(kelvinfn.quad, "MAX_DEPTH", 3)
+        r = integrate_finite(lambda u: 1.0 + 1e-6 * rng.random(), 0.0, 1.0)
         assert r.value == pytest.approx(1.0, abs=1e-5)
         assert not r.converged
         assert "max_depth_exceeded" in r.flags
 
-    def test_monotone_refinement(self):
+    def test_monotone_refinement(self, monkeypatch):
         """Halving tolerances never moves the result away from a
         high-precision reference, on the test corpus."""
         cases = [
@@ -79,7 +109,8 @@ class TestEngineFinite:
         for f, a, b, ref in cases:
             prev = None
             for tol in (1e-4, 1e-6, 1e-8, 1e-10):
-                r = integrate_finite(f, a, b, QuadConfig(abs_tol=tol, rel_tol=tol))
+                monkeypatch.setattr(kelvinfn.quad, "TOL", tol)
+                r = integrate_finite(f, a, b)
                 err = abs(r.value - ref)
                 if prev is not None:
                     assert err <= prev * 1.0000001 + 1e-15
@@ -94,6 +125,13 @@ class TestEngineSemiInfinite:
     def test_zero(self):
         r = integrate_semiinf(lambda t: 0.0)
         assert r.value == 0.0
+
+    def test_nan_integrand(self):
+        """A NaN integrand stops after one panel, as on a finite interval."""
+        calls = []
+        r = integrate_semiinf(lambda t: calls.append(t) or math.nan)
+        assert len(calls) == r.terms_used == 15
+        assert not r.converged and r.flags == ("non_finite",)
 
     def test_sinh_decay_reference(self):
         r = integrate_semiinf(lambda t: math.exp(-math.sinh(min(t, 45.0))))
@@ -216,36 +254,39 @@ class TestIndefinite:
         assert r_bei.passed, r_bei
 
 
-# too few panels for the tolerance: the integrals below miss their target
-STARVED = QuadConfig(abs_tol=1e-14, rel_tol=1e-14, max_depth=1)
+@pytest.fixture
+def starved(monkeypatch):
+    """Too few panels for the tolerance: the integrals miss their target."""
+    monkeypatch.setattr(kelvinfn.quad, "TOL", 1e-14)
+    monkeypatch.setattr(kelvinfn.quad, "MAX_DEPTH", 1)
 
 
 class TestUnconverged:
-    def test_identity_rows_fail(self):
+    def test_identity_rows_fail(self, starved):
         """A row whose integral missed its target fails, even where its
         sides agree (theorem 5, the convolution); abs_diff reads inf."""
-        pair = theorem5_identities(0.5, 2.0, STARVED)
-        conv = convolution_identity(2.0, 1.0, 0.5, STARVED)
+        pair = theorem5_identities(0.5, 2.0)
+        conv = convolution_identity(2.0, 1.0, 0.5)
         for r in (*pair, conv):
             assert abs(r.lhs - r.rhs) < r.tol, r
-        for r in (*pair, conv, *indefinite_integral_check(0.3, 8.0, STARVED)):
+        for r in (*pair, conv, *indefinite_integral_check(0.3, 8.0)):
             assert r.abs_diff == math.inf and not r.passed, r
 
-    def test_tolerance_override_cannot_pass(self):
+    def test_tolerance_override_cannot_pass(self, starved):
         """Of the theorem5 suite, the 18 theorem 5 rows whose integral misses
         1e-14 fail under a tolerance of 1; the rest pass."""
-        rows = run_suites("theorem5", quad_cfg=STARVED, tol_override=1.0)
+        rows = run_suites("theorem5", tol_override=1.0)
         missed = [r for r in rows if r.abs_diff == math.inf]
         assert len(missed) == 18
         assert not any(r.passed for r in missed)
         assert all(r.passed for r in rows if r.abs_diff != math.inf)
 
     @pytest.mark.parametrize("call", [
-        lambda: apelblat_ber_bei(0.5, 2.0, STARVED),
-        lambda: apelblat_ber_bei(1.0, 2.0, STARVED),
-        lambda: apelblat_dber_dbei(0.5, 1.0, STARVED),
-        lambda: appendix_ber_bei(5.0, "sin", STARVED)])
-    def test_values_raise(self, call):
+        lambda: apelblat_ber_bei(0.5, 2.0),
+        lambda: apelblat_ber_bei(1.0, 2.0),
+        lambda: apelblat_dber_dbei(0.5, 1.0),
+        lambda: appendix_ber_bei(5.0, "sin")])
+    def test_values_raise(self, starved, call):
         with pytest.raises(ConvergenceError):
             call()
 
@@ -255,8 +296,8 @@ class TestUnconverged:
         results = []
         orig = kelvinfn.quad._integrate_panels
 
-        def recorded(f, edges, cfg):
-            res = orig(f, edges, cfg)
+        def recorded(f, edges):
+            res = orig(f, edges)
             results.append(res)
             return res
 

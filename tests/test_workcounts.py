@@ -21,8 +21,7 @@ from kelvinfn.bessel import _RayOrder
 from kelvinfn.cli import main
 from kelvinfn.kelvin import ROT_K, kelvin_all, kelvin_ker_kei
 from kelvinfn.orderderiv import _ray_reader, dkelvin
-from kelvinfn.quad import (DEFAULT_QUAD, QuadConfig, apelblat_dber_dbei,
-                           theorem5_identities, theorem5_identity)
+from kelvinfn.quad import apelblat_dber_dbei, theorem5_identities, theorem5_identity
 from kelvinfn.verify import run_suites
 
 
@@ -166,11 +165,11 @@ def test_table_sets_up_each_order_once(anchors, capsys, xs):
 
 
 @pytest.mark.parametrize("tol", [1e-10, 1e-13])
-def test_theorem5_sets_up_each_order_once(anchors, tol):
+def test_theorem5_sets_up_each_order_once(anchors, monkeypatch, tol):
     """The integrand's order 0.5 takes one Gamma for all its nodes; order
     1.5 of the closed form one Gamma and one psi, whatever the node count."""
-    cfg = QuadConfig(abs_tol=tol, rel_tol=tol)
-    theorem5_identity(0.5, 2.0, "ber", cfg)
+    monkeypatch.setattr(kelvinfn.quad, "TOL", tol)
+    theorem5_identity(0.5, 2.0, "ber")
     assert _counts(anchors) == (2, 1)
 
 
@@ -226,8 +225,8 @@ def test_seeded_start_off_the_grid(monkeypatch, nu, x):
     runs = []
     orig = kelvinfn.quad._integrate_panels
 
-    def recorded(f, edges, cfg):
-        res = orig(f, edges, cfg)
+    def recorded(f, edges):
+        res = orig(f, edges)
         runs.append(res)
         return res
 
@@ -244,7 +243,7 @@ def test_seeded_start_off_the_grid(monkeypatch, nu, x):
     monkeypatch.setattr(kelvinfn.quad, "_V_EDGES", (0.0, 45.0))
     single = integrals()
     assert len(seeded) == len(single) == (1 if nu < 0.0 else 2)
-    cfg = DEFAULT_QUAD
+    tol = kelvinfn.quad.TOL
     for s, o in zip(seeded, single):
         assert s.converged
-        assert abs(s.value - o.value) <= 2.0 * max(cfg.abs_tol, cfg.rel_tol * abs(s.value))
+        assert abs(s.value - o.value) <= 2.0 * max(tol, tol * abs(s.value))
