@@ -9,17 +9,18 @@ z^nu = exp(nu log z), arg z in (-pi, pi].  Each quantity has one route:
   pass.  On the Kelvin rays the series is summed in real arithmetic
   (:func:`_ray_sums`), at a general complex z by its twin
   (:func:`_z_sums`).
-- K_nu and dK/dnu, even and odd in nu, at every order and every z off the
-  imaginary axis: one trapezoidal sum over int_0^inf e^(-z cosh t) dt at
-  mu = |nu| - floor(|nu|), climbed to |nu| by the recurrence
-  (:func:`_k_sums`), continued to Re z < 0 by DLMF 10.34.2
-  (:func:`_k_any`); past |z| = 30 it reports no_convergence.
+- K_nu and dK/dnu, even and odd in nu, at every order: a start near
+  mu = |nu| - floor(|nu|) chosen by |z| alone, Temme's series at |z| <= 1.2
+  (0.5 for dK/dnu) and above one trapezoidal sum over int_0^inf
+  e^(-z cosh t) dt off the imaginary axis, then one climb by the recurrence
+  to |nu| (:func:`_k_sums`), continued to Re z < 0 by DLMF 10.34.2
+  (:func:`_k_any`); past |z| = 30 the sum reports no_convergence.
 
 A :class:`_RayOrder` holds what the series kernels take from the order
 alone (Gamma and psi at the anchor, the weights below it, the phase of
 ber + i bei), so a kernel run does only the work that depends on the
-argument; the K sum reads a table of nodes per step, which depends on
-neither.
+argument; the K starts read fixed tables (nodes per step, Gamma_1 and
+Gamma_2), which depend on neither.
 The Kelvin values and order derivatives call the ray kernels directly, once
 each per (nu, x); a caller that evaluates one order at many x (table rows,
 integrand nodes, stencils) keeps one dict of orders, so each is set up
@@ -63,11 +64,29 @@ K_MAX_ARG = 30.0
 # 0.003 of the imaginary axis the K sum raises ConvergenceError
 _MAX_HALVINGS = 8
 _QUARTER_PI = PI / 4.0
-# cosh t is in range to t = 700, and e^(-a cosh t) underflows to 0 once
-# a cosh t passes 746, at t = log(2/a) + log(746)
-_T_END = 700.0
+# e^(-a cosh t) underflows to 0 past t = log(2/a) + log(746)
 _LN2 = math.log(2.0)
 _LOG_UNDERFLOW = math.log(746.0)
+
+# Temme's series starts K at |z| up to TEMME_MAX_ARG and dK/dnu up to
+# TEMME_DK_MAX_ARG (:func:`_k_temme`), the trapezoidal sum above; its dK/dnu
+# sums cancel 10-25 fold near order 1/2, 1.9e-15 off at |z| = 0.5, 4.8e-15 at 1
+TEMME_MAX_ARG = 1.2
+TEMME_DK_MAX_ARG = 0.5
+# Taylor coefficients in mu^2, highest power first, of Gamma_2 = (1/Gamma(1-mu)
+# + 1/Gamma(1+mu))/2 and Gamma_1 = (1/Gamma(1-mu) - 1/Gamma(1+mu))/(2 mu), from
+# 50-digit mpmath: to |mu| = 1/2 the first term left out is below 1e-18
+_G2 = (-3.696805618642206e-12, 1.0434267116911005e-10, 5.002007644469223e-09,
+       -2.056338416977607e-07, -1.2504934821426706e-06, 0.0001280502823881162,
+       -0.0011651675918590652, -0.009621971527876973, 0.16653861138229148,
+       -0.6558780715202539, 1.0)
+_G1 = (-5.100370287454476e-13, -7.782263439905071e-12, 1.18127457048702e-09, -6.116095104481416e-09,
+       -1.133027231981696e-06, 2.013485478078824e-05, 0.00021524167411495098,
+       -0.0072189432466631, 0.04219773455554433, 0.04200263503409524, -0.5772156649015329)
+_G = tuple(zip(_G1, _G2))
+_DG = tuple((k * a, k * b) for k, (a, b) in zip(range(10, 0, -1), _G))  # d/d(mu^2)
+# 2k/(2k+1)!, k = 9 .. 1: d(sinh(s)/s)/ds = s sum_k 2k s^(2k-2)/(2k+1)!, for |s| <= 1
+_DSINHC = tuple(2.0 * k / math.factorial(2 * k + 1) for k in range(9, 0, -1))
 # The K estimate's rounding floor per eps and unit of scale
 # (:func:`_k_estimate`); against 40-digit mpmath over |z| <= 30 and six
 # phases it needs 3.4 (at nu < 1, |z| = 15 to 20)
@@ -306,7 +325,11 @@ def _k_nodes(h: float, n: int, keep: bool) -> tuple[tuple, tuple]:
 
 
 def _k_sums(nu: float, z: complex, dk: bool) -> tuple:
-    """K_nu(z) at nu >= 0, Re z > 0, and with ``dk`` D_nu = dK/dnu.
+    """K_nu(z) at nu >= 0, Re z >= 0, and with ``dk`` D_nu = dK/dnu: a start
+    chosen by |z| alone, Temme's series (:func:`_k_temme`) for K at |z| <=
+    ``TEMME_MAX_ARG`` and for D at |z| <= ``TEMME_DK_MAX_ARG``, above them
+    the trapezoidal sum below (which, between the two, gives only D), then
+    one climb.
 
     One trapezoidal sum h (f(0)/2 + sum_k f(kh)) gives, at mu = nu -
     floor(nu) in [0, 1), K_mu = int_0^inf cosh(mu t) e^(-z cosh t) dt
@@ -328,7 +351,8 @@ def _k_sums(nu: float, z: complex, dk: bool) -> tuple:
     |K_mu| and |a K'_mu|, each read again when its term passes it: the same
     pass, and bits, with or without ``dk``; D goes on to its own rule.  K
     sums at most ``hyper.MAX_TERMS`` 2^j nodes past t = log(2/a), where
-    e^(-a cosh t) starts to decay, none where it underflows or past t = 700,
+    e^(-a cosh t) starts to decay, none where it underflows (below t = 14,
+    as the strip rule keeps a >= |z| sin(pi/1024) at |z| > ``TEMME_DK_MAX_ARG``),
     D at most ``hyper.MAX_TERMS`` 2^j from t = 0; a sum cut by a cap, or past
     |z| = ``K_MAX_ARG``, is unconverged.  Returns (K, D or None), tuples of
     :func:`_k_estimate`; PowerOverflowError where (|z|/2)^(-nu) overflows,
@@ -342,6 +366,11 @@ def _k_sums(nu: float, z: complex, dk: bool) -> tuple:
     except (OverflowError, ZeroDivisionError):
         raise PowerOverflowError(
             f"(z/2)^{-nu:g} overflows double precision at |z| = {sz:g}") from None
+    k = None
+    if sz <= TEMME_MAX_ARG:
+        k, d = _k_temme(nu, z, dk and sz <= TEMME_DK_MAX_ARG)
+        if d or not dk:
+            return k, d
     strip = math.atan2(a, abs(b))  # pi/2 - |ph z|
     j = 0
     while strip * (1 << j) < _QUARTER_PI:
@@ -352,7 +381,7 @@ def _k_sums(nu: float, z: complex, dk: bool) -> tuple:
     h = (0.12 if sz <= 2.0 else 0.11 if sz <= 8.0 else 0.1 if sz <= 15.0 else DK_STEP) / (1 << j)
     cap = hyper.MAX_TERMS << j
     t0 = _LN2 - math.log(a)  # log(2/a), where e^(-a cosh t) starts to decay
-    top = min(int(min(t0 + _LOG_UNDERFLOW, _T_END) / h) + 1, max(0, int(t0 / h)) + cap)
+    top = min(int((t0 + _LOG_UNDERFLOW) / h) + 1, max(0, int(t0 / h)) + cap)
     ts, chs = _k_nodes(h, top, j == 0)
     na, nb, tol = -a, -b, hyper.REL_TOL
     exp, cos, sin, cosh, tanh = math.exp, math.cos, math.sin, math.cosh, math.tanh
@@ -440,45 +469,176 @@ def _k_sums(nu: float, z: complex, dk: bool) -> tuple:
             d1 = rz * (kv + dv * mu) - (1j * d1im + d1re) * ha
             s = ((kmag + dmag * mu) / sz + dmag1 / a) * h / abs(d1)
             dc = max(dc, c, s)
-        kv, dv = _climb(n, mu, rz + rz, kv, k1, dv, d1)
+        kv, dv = _climb(n, mu, 0.5 * z, kv, k1, dv, d1)
     if not cmath.isfinite(kv) or dk and not cmath.isfinite(dv):
         raise SeriesOverflowError(f"K_{nu:g} overflows double precision at |z| = {sz:g}")
-    k = _k_estimate(kv, r, c, n, kn, kconv)
-    return k, (_k_estimate(dv, dr, dc, n, dn or kn, dconv and kconv) if dk else None)
+    k = k or _k_estimate(kv, r * r * r, c, n, kn, kconv)
+    return k, (_k_estimate(dv, dr * dr * dr, dc, n, dn or kn, dconv and kconv) if dk else None)
+
+
+def _gamma12(m: float, dk: bool) -> tuple:
+    """Gamma_1 and Gamma_2 at m, |m| <= 1/2, from their tables (``_G``), and
+    with ``dk`` their m-derivatives (else 0.0)."""
+    s = m * m
+    g1 = g2 = 0.0
+    for a, b in _G:
+        g1, g2 = g1 * s + a, g2 * s + b
+    if not dk:
+        return g1, g2, 0.0, 0.0
+    d1 = d2 = 0.0
+    for a, b in _DG:
+        d1, d2 = d1 * s + a, d2 * s + b
+    return g1, g2, 2.0 * m * d1, 2.0 * m * d2
+
+
+def _k_temme(nu: float, z: complex, dk: bool) -> tuple:
+    """:func:`_k_sums` at |z| <= ``TEMME_MAX_ARG`` (with ``dk`` at |z| <=
+    ``TEMME_DK_MAX_ARG``): Temme's series (J. Comput. Phys. 19, 1975) at
+    m = nu - floor(nu), or m - 1 where m > 1/2,
+
+        K_m = sum_k c_k f_k,   K_(m+1) = (2/z) sum_k c_k (p_k - k f_k),
+        c_k = (z^2/4)^k / k!,  f_k = (k f_(k-1) + p_(k-1) + q_(k-1)) / (k^2 - m^2),
+        p_k = p_(k-1) / (k - m),   q_k = q_(k-1) / (k + m),
+
+    from p_0 = Gamma(1+m) (z/2)^(-m) / 2, q_0 = Gamma(1-m) (z/2)^m / 2 and
+    f_0 = A_1 cosh(s) + A_2 log(2/z) sinh(s)/s, s = m log(2/z), with
+    A_1, A_2 = (Gamma(1+m) -+ Gamma(1-m)) / (2m, 2) from 1/Gamma(1 -+ m) =
+    Gamma_2 +- m Gamma_1 (:func:`_gamma12`), so nothing divides by m.  With
+    ``dk`` the pass carries d/dm of each quantity (forward mode) to D_m and
+    D_(m+1); p + q and p - q take their own recurrences, whose odd parts
+    carry the factor m, so D_0 = 0 exactly.  K stops once the terms of both
+    its sums are below ``hyper.REL_TOL`` of them, each limit read again when
+    a term passes it: the same term, and bits, with or without ``dk``; D goes
+    on to its own rule.  The estimate (:func:`_k_estimate`) takes as r the
+    first neglected term, bounded by the last times |z^2/4|/(k+1), plus
+    |s| eps (the rounding of s), and as c the sums of |terms| over the sums."""
+    n = int(nu)
+    m = nu - n
+    if m > 0.5:
+        m -= 1.0
+        n += 1
+    h = 0.5 * z
+    if not h:
+        raise ConvergenceError(f"K_{nu:g} has no start at |z| = {abs(z):g}: z/2 underflows to 0")
+    s = m * m
+    g1, g2, dg1, dg2 = _gamma12(m, dk)
+    rp, rm = g2 - m * g1, g2 + m * g1  # 1/Gamma(1+m), 1/Gamma(1-m)
+    gg = 1.0 / (rp * rm)  # Gamma(1+m) Gamma(1-m)
+    a1, a2 = gg * g1, gg * g2
+    lg = -cmath.log(h)  # log(2/z)
+    sg = m * lg
+    ep, ch = cmath.exp(sg), cmath.cosh(sg)
+    sh = cmath.sinh(sg) / sg if sg else 1.0
+    lsh = lg * sh  # sinh(s) / m
+    b1, b2 = ch * a1, lsh * a2
+    f = b1 + b2
+    p, q, w = 0.5 * ep / rp, 0.5 / (ep * rm), h * h
+    ks, k1s, kmag, k1mag, ds, d1s = f, p, abs(b1) + abs(b2), abs(p), None, None
+    if dk:
+        e, gg2 = g1 + m * dg1, gg * gg
+        da1 = gg * dg1 + 2.0 * g1 * gg2 * (m * g1 * e - g2 * dg2)
+        da2 = 2.0 * m * g1 * g2 * e * gg2 - 0.5 * dg2 * (1.0 / (rp * rp) + 1.0 / (rm * rm))
+        if abs(sg) <= 1.0:  # d(sinh(s)/s)/ds
+            t, s2 = 0.0, sg * sg
+            for a in _DSINHC:
+                t = t * s2 + a
+            dsh = sg * t
+        else:
+            dsh = (ch - sh) / sg
+        dch, dlsh = m * lg * lsh, lg * lg * dsh
+        b = (dch * a1, ch * da1, dlsh * a2, lsh * da2)
+        df = sum(b)
+        du = dch * a2 + ch * da2 + m * (2.0 * lsh * a1 + m * (dlsh * a1 + lsh * da1))
+        v, dv = m * f, f + m * df  # p - q
+        dp = p * (lg - (dg2 - e) / rp)
+        ds, d1s, dmag, d1mag = df, dp, sum(map(abs, b)), abs(dp)
+    # from here on f, p, q (and their derivatives) carry the factor c_k
+    tol, lim, lim1, dlim, dlim1 = hyper.REL_TOL, math.inf, math.inf, math.inf, math.inf
+    kn, dn, r, dr = 0, 0, 0.0, 0.0
+    for k in range(1, hyper.MAX_TERMS):
+        a = w / k
+        den = k * k - s
+        pq = p + q
+        f = (k * f + pq) * a / den
+        p *= a / (k - m)
+        q *= a / (k + m)
+        if dk:
+            df = ((k * df + du) * a + 2.0 * m * f) / den
+            dp = (a * dp + p) / (k - m)
+            vn = (k * v + m * pq) * a / den
+            du, dv = (((k * du + v + m * dv) * a + 2.0 * m * (p + q)) / den,
+                      ((k * dv + pq + m * du) * a + 2.0 * m * vn) / den)
+            v = vn
+            if not dn:
+                t = dp - k * df
+                ds, d1s = ds + df, d1s + t
+                at, at1 = abs(df), abs(t)
+                dmag, d1mag = dmag + at, d1mag + at1
+                if at <= dlim and at1 <= dlim1:
+                    dlim, dlim1 = tol * abs(ds), tol * abs(d1s)
+                    if at <= dlim and at1 <= dlim1:
+                        dr = max(at / (abs(ds) or 1.0), at1 / abs(d1s)) * abs(w) / (k + 1)
+                        dn = k + 1
+                        if kn:
+                            break
+        if not kn:
+            t = p - k * f
+            ks, k1s = ks + f, k1s + t
+            at, at1 = abs(f), abs(t)
+            kmag, k1mag = kmag + at, k1mag + at1
+            if at <= lim and at1 <= lim1:
+                lim, lim1 = tol * abs(ks), tol * abs(k1s)
+                if at <= lim and at1 <= lim1:
+                    kn, r = k + 1, max(at / abs(ks), at1 / abs(k1s)) * abs(w) / (k + 1)
+                    if dn or not dk:
+                        break
+    r += abs(sg) * _EPS
+    c = max(kmag / abs(ks), k1mag / abs(k1s))
+    k1s /= h
+    if dk:
+        dc = max(c, dmag / (abs(ds) or 1.0), d1mag / abs(d1s))
+        d1s /= h
+    kv, dv = _climb(n, m, h, ks, k1s, ds, d1s) if n else (ks, ds)
+    if not cmath.isfinite(kv) or dk and not cmath.isfinite(dv):
+        raise SeriesOverflowError(f"K_{nu:g} overflows double precision at |z| = {abs(z):g}")
+    k = _k_estimate(kv, r, c, n, kn or hyper.MAX_TERMS, kn > 0)
+    return k, (_k_estimate(dv, r + dr, dc, n, dn or hyper.MAX_TERMS, dn > 0 and kn > 0)
+               if dk else None)
 
 
 def _k_estimate(v: complex, r: float, c: float, n: int, nodes: int, conv: bool) -> tuple:
     """The tuple (value, abs error estimate, nodes, converged, scale) of
     :func:`_k_sums` for v, n steps of the recurrence above its start values,
-    which carries their relative errors: |v| (r^3 + (``_K_FLOOR`` + n) eps c).
-    r is the largest relative gap |T_h - T_2h|/|T_h| of the start sums:
-    halving the step raises the relative error to a power, against 40-digit
-    mpmath 2 where it is below the rounding floor (|z| <= 1) and 3 to 10
-    above it (|z| >= 15, steps 0.18 to 0.72), so the estimate takes 3.  c is
-    the largest ratio of a start value's sum of |terms| to its size (the
-    cancellation); the scale is c |v|."""
+    which carries their relative errors: |v| (r + (``_K_FLOOR`` + n) eps c).
+    r is the start's relative truncation error: Temme's first neglected term
+    (:func:`_k_temme`), or the cube of the trapezoidal sum's largest relative
+    gap |T_h - T_2h|/|T_h|: halving the step raises the relative error to a
+    power, against 40-digit mpmath 2 where it is below the rounding floor
+    (|z| <= 1) and 3 to 10 above it (|z| >= 15, steps 0.18 to 0.72), so the
+    estimate takes 3.  c is the largest ratio of a start value's sum of
+    |terms| to its size (the cancellation); the scale is c |v|."""
     size = abs(v)
-    return v, size * (r * r * r + (_K_FLOOR + n) * _EPS * c) if conv else math.inf, nodes, \
+    return v, size * (r + (_K_FLOOR + n) * _EPS * c) if conv else math.inf, nodes, \
         conv, c * size
 
 
-def _climb(n: int, mu: float, r: complex, k: complex, k1: complex, d: complex | None,
+def _climb(n: int, mu: float, h: complex, k: complex, k1: complex, d: complex | None,
            d1: complex | None) -> tuple:
     """(K_(mu+n), D_(mu+n)), n >= 1, from K and D = dK/dnu at mu and mu + 1
-    (d None: K alone), r = 2/z, by DLMF 10.29.1 and its order derivative,
-    K_(a+1) = K_(a-1) + (2a/z) K_a, D_(a+1) = D_(a-1) + (2/z) K_a + (2a/z) D_a,
-    stable upward, where K is dominant (Temme, J. Comput. Phys. 19, 1975);
-    2a/z is one product per step, as a running sum of 2/z would drift."""
+    (d None: K alone), h = z/2, by DLMF 10.29.1 and its order derivative,
+    K_(a+1) = K_(a-1) + a K_a / h, D_(a+1) = D_(a-1) + (K_a + a D_a) / h,
+    stable upward, where K is dominant (Temme, J. Comput. Phys. 19, 1975).
+    Each step divides by h: the rounding of a product by 1/h would repeat
+    at every step and grow n-fold (5.6e-15 at n = 49, |z| = 0.7)."""
     a = mu + 1.0
     if d is None:
         for _ in range(n - 1):
-            k, k1 = k1, k + r * a * k1
+            k, k1 = k1, k + a * k1 / h
             a += 1.0
         return k1, None
     for _ in range(n - 1):
-        ar = r * a
-        d, d1 = d1, d + r * k1 + ar * d1
-        k, k1 = k1, k + ar * k1
+        d, d1 = d1, d + (k1 + a * d1) / h
+        k, k1 = k1, k + a * k1 / h
         a += 1.0
     return k1, d1
 
@@ -649,9 +809,9 @@ def bessel_i(nu: float, z: complex) -> EvalResult:
 
 
 def bessel_k(nu: float, z: complex) -> EvalResult:
-    """K_nu(z), even in nu, at z off the imaginary axis (:func:`_k_any`);
-    ArgumentZeroError at z = 0, ConvergenceError on and within ~0.003 of
-    the imaginary axis.  ``max_abs_term`` is the sum of |terms| carried to
+    """K_nu(z), even in nu (:func:`_k_any`); ArgumentZeroError at z = 0,
+    ConvergenceError on and within ~0.003 of the imaginary axis at |z| >
+    ``TEMME_MAX_ARG``.  ``max_abs_term`` is the sum of |terms| carried to
     the order, the scale of its cancellation."""
     _finite(nu, z)
     z = complex(z)

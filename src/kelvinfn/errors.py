@@ -32,8 +32,8 @@ class SeriesOverflowError(KelvinError, OverflowError):
 
 class ConvergenceError(KelvinError):
     """A sum cannot bound its error: the K sum past |z| = 30 (its step is
-    too coarse), below |z| ~ 1e-304 (no nodes) or on and within ~0.003 of
-    the imaginary axis (its strip of analyticity is too narrow), or an
+    too coarse), where z/2 underflows to 0 (no log(z/2)) or on and within
+    ~0.003 of the imaginary axis above |z| = 1.2 (0.5 for dK/dnu), or an
     integral representation whose quadrature misses its target."""
 
 

@@ -5,11 +5,11 @@ Every order comes straight from the defining rotations
     ber_nu(x) + i bei_nu(x) = e^(i pi nu)    J_nu(e^(-i pi/4) x)
     ker_nu(x) + i kei_nu(x) = e^(-i pi nu/2) K_|nu|(e^(i pi/4)  x)
 
-with J_nu the ascending series, entire in the order, and K_|nu| the
-trapezoidal sum of its integral at |nu| - floor(|nu|), DLMF 10.32.9,
-climbed to |nu| by the recurrence (see ``bessel``); K is even in the order
-(DLMF 10.27.3).  Neither route has a special case at or next to an integer
-order, nor a bound on the order.
+with J_nu the ascending series, entire in the order, and K_|nu| started
+near |nu| - floor(|nu|), by Temme's series at x <= 1.2 and the trapezoidal
+sum of DLMF 10.32.9 above, and climbed to |nu| (see ``bessel``); K is even
+in the order (DLMF 10.27.3).  Neither route has a special case at or next
+to an integer order, nor a bound on the order.
 
 J_mu and I_mu of one order are one real series on the two rays, turned by
 one exact phase e^(3i pi mu/4) into ber + i bei, so ber_{-n} = (-1)^n ber_n
@@ -95,7 +95,7 @@ def _eval_ber_bei(nu: float, x: float, orders: dict | None = None) -> tuple[floa
 
 
 def _eval_ker_kei(nu: float, x: float) -> tuple[float, float, float]:
-    """(ker, kei, abs error estimate) from one K sum at x."""
+    """(ker, kei, abs error estimate) from one K start and climb at x."""
     _finite(nu, x)
     if x <= 0.0:
         raise DomainError("ker/kei defined for x > 0")

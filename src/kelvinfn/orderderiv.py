@@ -11,10 +11,9 @@ Every order nu rotates the Bessel order derivatives onto the Kelvin rays
 with dJ/dnu the term-wise derivative of the J series at nu, whose weights
 1/Gamma and psi/Gamma are entire, so it holds at every order, negative
 integers included, and dK/dnu at |nu|, odd in nu because K is even, from
-the trapezoidal sum that gives K (``bessel._k_sums``) and the order
-derivative of its recurrence, so one quadrature at every real order yields
-ker/kei and dker/dkei.  The *_neg ops read the order
-derivatives at -nu from ``dkelvin``.
+the start of ``bessel._k_sums`` (Temme's series at x <= 0.5, the
+trapezoidal sum above) and the order derivative of its recurrence.  The *_neg ops
+read the order derivatives at -nu from ``dkelvin``.
 
 The paper's closed forms stay as oracles for the verify suites and tests:
 ``dkelvin_bb_pos`` (csc/2F3/3F4 dJ/dnu), ``dkelvin_kk_pos`` (closed-form
@@ -24,7 +23,7 @@ read J and I on the rays from one ``bessel._ray_sums`` run per order
 (``_ray_reader``).
 
 ``dkelvin`` is two kernel calls: the series at nu with its psi sums, T and
-P (``bessel._ray_sums``), and the K sum at |nu| with dK/dnu
+P (``bessel._ray_sums``), and the K start and climb at |nu| with dK/dnu
 (``bessel._k_sums``).  Each side takes one phase: with ber + i bei = phi T,
 d(ber + i bei)/dnu = phi ((log(x/2) + 3i pi/4) T - P), as
 dT/dnu = log(x/2) T - P, and the K side turns by e^(-i pi nu/2).  The
@@ -240,7 +239,7 @@ def dkelvin(nu: float, x: float) -> OrderDerivQuad:
     """The four order derivatives at any real order nu and x > 0.
 
     Every order rotates the term-wise dJ/dnu of the series at nu and the
-    quadrature dK/dnu at |nu|, odd in nu, onto the Kelvin rays (method
+    dK/dnu of the K pass at |nu|, odd in nu, onto the Kelvin rays (method
     'series').  The result also carries the four values at nu.
     """
     ber, bei, ker, kei, dber, dbei, dker, dkei, est = _dkelvin(nu, x)
@@ -261,7 +260,7 @@ def _dkelvin(nu: float, x: float, orders: dict | None = None) -> tuple:
     run = bessel._ray_sums(o, x, True)
     k, dk = bessel._k_sums(abs(nu), ROT_K * x, True)
     turn = _k_turn(nu, x, k)
-    # log(x/2) after the K sum, which raises where x/2 underflows to 0
+    # log(x/2) after the K start, which raises where x/2 underflows to 0
     bb, dbb, est = _bb_series(o, run, x)
     kk, e = turn * k[0], turn * (-dk[0] if nu < 0.0 else dk[0])
     est = est + dk[1] + PI / 2.0 * k[1]

@@ -153,7 +153,7 @@ def test_negative_order_range_is_typed(call, error):
 
 def test_dk_quadrature_below_the_envelope():
     """Far below the envelope dkelvin returns a result or raises a typed
-    error: the dK/dnu quadrature stops at MAX_TERMS nodes with an infinite
+    error: at x = 1e-300 Temme's start gives dK/dnu in 2 terms with a finite
     error estimate; K_60 at x = 1e-3, about 1e278, is a value; K past the
     double range is a SeriesOverflowError (K_30 at 1e-9, about 1e310) or,
     where (x/2)^(-nu) already leaves it, a PowerOverflowError, not a bare
@@ -161,9 +161,9 @@ def test_dk_quadrature_below_the_envelope():
     d = dkelvin(10.0, 1e-8)
     assert all(map(math.isfinite, (d.dker, d.dkei, d.err_estimate)))
     d = dkelvin(0.3, 1e-300)
-    assert d.err_estimate == math.inf
+    assert all(map(math.isfinite, (d.dker, d.dkei, d.err_estimate)))
     dk = ray_k(0.3, 1e-300, True)[1]
-    assert dk[2] == hyper.MAX_TERMS and not dk[3]
+    assert dk[2] == 2 and dk[3]
     d = dkelvin(60.0, 1e-3)
     assert all(map(math.isfinite, (d.values.ker, d.values.kei, d.dker, d.dkei, d.err_estimate)))
     with pytest.raises(PowerOverflowError):
@@ -177,10 +177,10 @@ def test_dk_quadrature_below_the_envelope():
 def test_k_quadrature_edges_are_typed(monkeypatch):
     """At the smallest double x/2 is 0, so (x/2)^(-nu) is a typed
     PowerOverflowError, not a bare ZeroDivisionError, in the K sum and, at
-    a negative order, in the series; at order 0 the K sum runs out of nodes
-    there, a typed ConvergenceError, not a value cut short, and dkelvin
-    raises it before it takes log(x/2).  A term cap past the nodes whose
-    cosh t stays finite still sums K, from the nodes there are."""
+    a negative order, in the series; at order 0 Temme's start has no
+    log(z/2) there, a typed ConvergenceError, not a bare ValueError, and
+    dkelvin raises it before it takes log(x/2).  A term cap past the nodes
+    before e^(-a cosh t) underflows still sums K, from the nodes there are."""
     for call in (kelvin_ker_kei, kelvin_all, dkelvin):
         with pytest.raises(PowerOverflowError):
             call(0.3, 5e-324)
@@ -194,6 +194,21 @@ def test_k_quadrature_edges_are_typed(monkeypatch):
     monkeypatch.setattr(hyper, "MAX_TERMS", 20000)
     k = ray_k(0.3, 2.0, False)[0]
     assert k[3] and k[0] == want
+
+
+@pytest.mark.parametrize("x", [1e-300, 0.1, 0.49, 0.51, 1.0, 1.19, 1.21, 2.0, 20.0])
+def test_k_start_bits(x):
+    """On either K start (Temme's series up to |z| = 1.2, for dK/dnu up to
+    0.5, the trapezoidal sum above), K has the same bits with or without
+    dK/dnu, and dK/dnu is exactly 0 at order 0."""
+    for k in range(0, 41):
+        nu = k / 4.0
+        if x < 1e-200 and nu > 0.3:
+            break
+        with_dk = ray_k(nu, x, True)
+        assert with_dk[0] == ray_k(nu, x, False)[0], nu
+        if nu == 0.0:
+            assert with_dk[1][0] == 0.0
 
 
 @pytest.mark.parametrize("x", [0.1, 1.0, 5.0, 10.0, 15.0, 20.0])

@@ -13,31 +13,37 @@ accurate.  A third sits at and within 1e-6 of the integers +-n, where the
 J series passes the poles of Gamma at -n: it holds ber/bei and their order
 derivatives to 1e-13 and ker/kei and theirs to 1e-10.
 
-K and dK/dnu on the Kelvin ray, the one trapezoidal sum of
-``bessel._k_sums`` climbed from nu - floor(nu) to the order, are held to
-1e-12 against 40-digit mpmath, each with its error estimate calibrated
-against the true error, at integers, just off them, at generic orders and
-out to nu = 50; ker/kei to 1e-12 on nu = -10:10:0.25 over x in [0.1, 20]
-and at small x just off an integer.  The ber/bei estimate that ``eval``
-prints is calibrated the same way on an 80-point grid.  Just outside 1e-6
-of an integer, where the connection formula
-(pi/2)(I_{-nu} - I_nu)/sin(pi nu) would lose digits to its csc factor,
-dker/dkei hold 1e-10 at x = 8.
+K and dK/dnu on the Kelvin ray, from the start of ``bessel._k_sums``
+(Temme's series at |z| <= ``TEMME_MAX_ARG``, for dK/dnu only to
+``TEMME_DK_MAX_ARG``, the trapezoidal sum above) climbed from
+nu - floor(nu) to the order, are held to 1e-12 against 40-digit mpmath,
+each with its error estimate calibrated against the true error, at
+integers, just off them, at generic orders and out to nu = 50, and on both
+sides of each border to 1.8e-15 (K) and 3.1e-15 (dK/dnu); ker/kei to
+1e-12 on nu = -10:10:0.25 over x in [0.1, 20], to 2.6e-15 at the borders,
+and at small x just off an integer.
+The coefficient tables of Temme's start are recomputed here from mpmath.
+The ber/bei estimate that ``eval`` prints is calibrated the same way on an
+80-point grid.  Just outside 1e-6 of an integer, where the connection
+formula (pi/2)(I_{-nu} - I_nu)/sin(pi nu) would lose digits to its csc
+factor, dker/dkei hold 1e-10 at x = 8.
 """
 
 import cmath
 import functools
 import math
+import sys
 
 import pytest
 
 mpmath = pytest.importorskip("mpmath")
 
-from kelvinfn.bessel import (K_MAX_ARG, _k_sums, bessel_i, bessel_j,  # noqa: E402
-                             bessel_k, dj_dnu_any, dk_dnu_any)
+from kelvinfn import bessel  # noqa: E402
+from kelvinfn.bessel import (K_MAX_ARG, TEMME_DK_MAX_ARG, TEMME_MAX_ARG,  # noqa: E402
+                             _gamma12, _k_sums, bessel_i, bessel_j, bessel_k, dj_dnu_any,
+                             dk_dnu_any)
 from kelvinfn.cli import main  # noqa: E402
 from kelvinfn.errors import ConvergenceError  # noqa: E402
-from kelvinfn import hyper  # noqa: E402
 from kelvinfn.kelvin import ROT_K, _eval_ber_bei, kelvin_all, kelvin_ker_kei  # noqa: E402
 from kelvinfn.orderderiv import dkelvin  # noqa: E402
 
@@ -205,17 +211,19 @@ def test_dk_near_integers(nu, x):
 
 
 def test_k_below_the_envelope(capsys):
-    """Far below x = 0.1 the K sum still meets 1e-12, at x = 1e-12 and at
-    x = 1e-300, where it needs 5798 nodes past the term cap of dK/dnu, which
-    stops there and says so with an infinite estimate.  At the smallest
-    double the nodes run out: ker raises a typed error that ``eval ker``
-    reports."""
+    """Far below x = 0.1 Temme's start still meets 1e-12, at x = 1e-12 and
+    at x = 1e-300, where dK/dnu, which the trapezoidal sum cut at its term
+    cap with an infinite estimate, takes 2 terms and has a finite, calibrated
+    estimate.  At the smallest double z/2 underflows to 0: ker raises a
+    typed error that ``eval ker`` reports."""
     for nu, x in ((0.0, 1e-12), (10.0, 1e-12), (0.0, 1e-300), (0.3, 1e-300)):
         want = kk_oracle(nu, x)
         assert abs(complex(*kelvin_ker_kei(nu, x)) - want) <= KK_REL * abs(want)
     dk = ray_k(0.3, 1e-300, True)[1]
-    assert dk[2] == hyper.MAX_TERMS and not dk[3]
-    assert dk[1] == math.inf and dkelvin(0.3, 1e-300).err_estimate == math.inf
+    err = abs(dk[0] - dk_oracle(0.3, 1e-300))
+    assert dk[2] == 2 and dk[3] and err <= DK_REL * abs(dk[0])
+    assert err <= dk[1] <= 1e3 * err
+    assert math.isfinite(dkelvin(0.3, 1e-300).err_estimate)
     assert main(["eval", "ker", "--nu", "0.3", "--x", "1e-300"]) == 0
     est = capsys.readouterr().out.splitlines()[1]
     assert est.startswith("err_estimate = ") and math.isfinite(float(est.split("= ")[1]))
@@ -381,11 +389,99 @@ def test_bessel_k_error_estimate_calibrated(nu):
 
 
 def test_k_off_the_right_half_plane():
-    """On the imaginary axis, and within ~0.003 of it, where the step would
-    have to halve past its cap, K raises a typed error."""
-    for z in (2j, -3j, cmath.rect(1.0, math.pi / 2.0 - 0.002)):
-        for fn in (bessel_k, dk_dnu_any):
-            with pytest.raises(ConvergenceError):
-                fn(1.5, z)
-    assert api_misses(bessel_k, "besselk", 1.5, [cmath.rect(1.0, math.pi / 2.0 - 0.01)],
+    """On the imaginary axis and within ~0.003 of it, where the step of the
+    trapezoidal sum would have to halve past its cap, K raises a typed error
+    above ``TEMME_MAX_ARG`` and dK/dnu above ``TEMME_DK_MAX_ARG``; Temme's
+    series, below them, has no such edge: there K and dK/dnu hold K_REL, at
+    |z| = 1 (K) and 0.5 (both), 0.002 from the axis and on it."""
+    near = cmath.rect(1.0, math.pi / 2.0 - 0.002)
+    for z in (2j, -3j, near):
+        with pytest.raises(ConvergenceError):
+            dk_dnu_any(1.5, z)
+    for z in (2j, -3j):
+        with pytest.raises(ConvergenceError):
+            bessel_k(1.5, z)
+    assert api_misses(bessel_k, "besselk", 1.5, [near, 1j, cmath.rect(1.0, math.pi / 2.0 - 0.01)],
                       K_REL) == []
+    zs = [cmath.rect(0.5, math.pi / 2.0 - 0.002), 0.5j, -0.5j]
+    assert api_misses(bessel_k, "besselk", 1.5, zs, K_REL) == []
+    assert api_misses(dk_dnu_any, "besselk", 1.5, zs, K_REL, diff=True) == []
+
+
+BORDER_XS = [0.1, 0.3, TEMME_DK_MAX_ARG - 1e-9, TEMME_DK_MAX_ARG + 1e-9, 1.0,
+             TEMME_MAX_ARG - 1e-9, TEMME_MAX_ARG + 1e-9, 2.0]
+BORDER_ORDERS = [0.0, 2e-6, 0.25, 0.5 - 1e-9, 0.5 + 1e-9, 0.75, 0.999999, 1.0, 2.3, 7.75, 50.0]
+
+
+@functools.lru_cache(maxsize=None)
+def k_oracle_at_double(nu: float, x: float) -> tuple[complex, complex]:
+    """K_nu and dK/dnu, 40 digits, at the double z = ROT_K * x that
+    :func:`ray_k` passes: at nu = 50 the rounding of z alone moves K by up
+    to 50 x 1.1e-16 against the exact ray, which no start can take back."""
+    mp = mpmath.mp
+    z = ROT_K * x
+    with mp.workdps(40):
+        w = mp.mpc(z.real, z.imag)
+        return (complex(mp.besselk(mp.mpf(nu), w)),
+                complex(mp.diff(lambda t: mp.besselk(t, w), mp.mpf(nu))))
+
+
+@pytest.mark.parametrize("x", BORDER_XS)
+@pytest.mark.parametrize("nu", BORDER_ORDERS)
+def test_k_across_the_temme_border(nu, x):
+    """On both sides of each border between the K starts, K on the Kelvin
+    ray holds 1.8e-15 and dK/dnu 3.1e-15 (measured: 1.7e-15 and 1.1e-15),
+    each estimate calibrated as in test_dk_error_estimate_calibrated."""
+    k, dk = ray_k(nu, x, True)
+    # Temme's terms, or the trapezoid's nodes
+    assert k[2] <= 12 if x < TEMME_MAX_ARG else k[2] > 30
+    assert dk[2] <= 9 if x < TEMME_DK_MAX_ARG else dk[2] > 30
+    for (value, est, _, conv, _), want, rel in zip((k, dk), k_oracle_at_double(nu, x),
+                                                   (1.8e-15, 3.1e-15)):
+        err = abs(value - want)
+        assert conv and err <= rel * abs(want) and est >= err, (value, want, est)
+        if err > 1e-15 * abs(want):
+            assert est <= 1e3 * err, (est, err)
+    if nu == 0.0:
+        assert dk[0] == 0.0
+
+
+@pytest.mark.parametrize("x", BORDER_XS)
+def test_ker_kei_across_the_temme_border(x):
+    """ker + i kei within 2.6e-15 of 40 digits on nu = -10:10:0.25 on both
+    sides of each border (measured: 1.8e-15)."""
+    for nu in KK_ORDERS:
+        want = kk_oracle(nu, x)
+        assert abs(complex(*kelvin_ker_kei(nu, x)) - want) <= 2.6e-15 * abs(want), nu
+
+
+def test_temme_tables():
+    """The tables of Temme's start, recomputed from mpmath: the Taylor
+    coefficients in mu^2 of Gamma_1 and Gamma_2 as stored, those of their
+    mu^2-derivatives and of d(sinh(s)/s)/ds, made at import, within an ulp;
+    and Gamma_1, Gamma_2 and their mu-derivatives as evaluated, within
+    1e-16 of 40 digits on 201 points of |mu| <= 1/2, mu = 0 included."""
+    mp = mpmath.mp
+    with mp.workdps(40):
+        c = mp.taylor(lambda t: mp.rgamma(1 + t), 0, 21)
+        g1, g2 = [-c[k] for k in range(21, 0, -2)], [c[k] for k in range(20, -1, -2)]
+        assert bessel._G1 == tuple(map(float, g1)) and bessel._G2 == tuple(map(float, g2))
+        want = [(k * a, k * b) for k, a, b in zip(range(10, 0, -1), g1, g2)]
+        ulp = sys.float_info.epsilon
+        assert all(abs(got - w) <= ulp * abs(w) for pair, wp in zip(bessel._DG, want)
+                   for got, w in zip(pair, wp))
+        want = [2 * k / mp.factorial(2 * k + 1) for k in range(9, 0, -1)]
+        assert len(bessel._DSINHC) == len(want)
+        assert all(abs(got - w) <= ulp * w for got, w in zip(bessel._DSINHC, want))
+
+        def gamma1(t):
+            return (mp.rgamma(1 - t) - mp.rgamma(1 + t)) / (2 * t) if t else -mp.euler
+
+        def gamma2(t):
+            return (mp.rgamma(1 - t) + mp.rgamma(1 + t)) / 2
+
+        for i in range(201):
+            mu = -0.5 + i / 200.0
+            t = mp.mpf(mu)
+            want = (gamma1(t), gamma2(t), mp.diff(gamma1, t), mp.diff(gamma2, t))
+            assert all(abs(got - w) <= 1e-16 for got, w in zip(_gamma12(mu, True), want)), mu

@@ -4,8 +4,9 @@ ber/bei and their order derivatives read their series from
 ``bessel._ray_sums``, the real-arithmetic kernel of the Kelvin rays, which
 sums J_mu, I_mu and their psi-weighted sums at one order and one argument
 in one pass, run on an order set up once (``bessel._RayOrder``: Gamma and
-psi at the anchor).  ker/kei and their order derivatives are one
-trapezoidal sum, ``bessel._k_sums``, which needs no series.  Counting kernel
+psi at the anchor).  ker/kei and their order derivatives are one K start
+and climb, ``bessel._k_sums``: Temme's series from fixed tables at small
+|z|, the trapezoidal sum above, neither with Gamma or psi.  Counting kernel
 runs, nodes and Gamma/psi calls gives a deterministic measure of the work
 one call does; a series run is identified by its order, argument and plain
 sum.
@@ -139,6 +140,24 @@ def test_dk_quadrature_nodes(monkeypatch):
     assert runs == [(5.0, ROT_K * 2.0, 34, 34)]
 
 
+_BORDER = kelvinfn.bessel.TEMME_MAX_ARG - 1e-9
+_DK_BORDER = kelvinfn.bessel.TEMME_DK_MAX_ARG - 1e-9
+
+
+@pytest.mark.parametrize("nu, x, terms, dterms", [
+    (0.3, 0.1, 6, 6), (2.7, 0.1, 6, 7), (5.0, 0.1, 6, 6),
+    (0.3, _DK_BORDER, 9, 9), (2.7, _DK_BORDER, 9, 9), (5.0, _DK_BORDER, 9, 8),
+    (0.3, _BORDER, 11, 40), (2.7, _BORDER, 11, 40), (5.0, _BORDER, 11, 40)])
+def test_temme_terms(nu, x, terms, dterms):
+    """One K start by Temme's series takes 6 terms at x = 0.1, 9 just below
+    |z| = 0.5 and 11 just below its border |z| = 1.2, with or without
+    dK/dnu, where the trapezoidal sum takes 60, 46-48 and 40 nodes; dK/dnu goes
+    on to its own rule, and above |z| = 0.5 to the trapezoidal sum."""
+    k, dk = kelvinfn.bessel._k_sums(nu, ROT_K * x, True)
+    assert (kelvinfn.bessel._k_sums(nu, ROT_K * x, False)[0][2], k[2], dk[2]) == \
+        (terms, terms, dterms)
+
+
 def test_term_cap_reported_through_the_ray_path(monkeypatch):
     monkeypatch.setattr(kelvinfn.hyper, "MAX_TERMS", 4)
     for res in (_ray_reader(18.0, -0.25)(0.5), _ray_reader(18.0, 0.25)(0.5),
@@ -156,10 +175,10 @@ def _counts(calls):
     return calls.count("gamma_real"), calls.count("digamma_real")
 
 
-@pytest.mark.parametrize("xs", ["1:20:1", "1:5:1", "3"])
+@pytest.mark.parametrize("xs", ["1:20:1", "1:5:1", "3", "0.1:2:0.1"])
 def test_table_sets_up_each_order_once(anchors, capsys, xs):
     """One Gamma and one psi for the series of 2.3 and its psi sums,
-    however many rows share the order; K needs neither."""
+    however many rows share the order; K needs neither, on either start."""
     assert main(["table", "--nu", "2.3", "--x-range", xs]) == 0
     assert _counts(anchors) == (1, 1)
 
