@@ -31,10 +31,9 @@ class SeriesOverflowError(KelvinError, OverflowError):
 
 
 class ConvergenceError(KelvinError):
-    """A sum cannot bound its error: the K sum past |z| = 30 (its step is
-    too coarse), where z/2 underflows to 0 (no log(z/2)) or on and within
-    ~0.003 of the imaginary axis above |z| = 1.2 (0.5 for dK/dnu), or an
-    integral representation whose quadrature misses its target."""
+    """A sum cannot bound its error: the K sum past |z| = 30 (its steps
+    are calibrated to 30) or where z/2 underflows to 0 (no log(z/2)), or
+    an integral representation whose quadrature misses its target."""
 
 
 class DenominatorPoleError(KelvinError):

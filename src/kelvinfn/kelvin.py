@@ -7,9 +7,10 @@ Every order comes straight from the defining rotations
 
 with J_nu the ascending series, entire in the order, and K_|nu| started
 near |nu| - floor(|nu|), by Temme's series at x <= 1.2 and the trapezoidal
-sum of DLMF 10.32.9 above, and climbed to |nu| (see ``bessel``); K is even
-in the order (DLMF 10.27.3).  Neither route has a special case at or next
-to an integer order, nor a bound on the order.
+sum of DLMF 10.32.9 on a contour bent towards steepest descent above, and
+climbed to |nu| (see ``bessel``); K is even in the order (DLMF 10.27.3).
+Neither route has a special case at or next to an integer order, nor a
+bound on the order.
 
 J_mu and I_mu of one order are one real series on the two rays, turned by
 one exact phase e^(3i pi mu/4) into ber + i bei, so ber_{-n} = (-1)^n ber_n

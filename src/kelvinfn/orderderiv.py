@@ -12,8 +12,9 @@ with dJ/dnu the term-wise derivative of the J series at nu, whose weights
 1/Gamma and psi/Gamma are entire, so it holds at every order, negative
 integers included, and dK/dnu at |nu|, odd in nu because K is even, from
 the start of ``bessel._k_sums`` (Temme's series at x <= 0.5, the
-trapezoidal sum above) and the order derivative of its recurrence.  The *_neg ops
-read the order derivatives at -nu from ``dkelvin``.
+trapezoidal sum on a contour bent towards steepest descent above) and the
+order derivative of its recurrence.  The *_neg ops read the order
+derivatives at -nu from ``dkelvin``.
 
 The paper's closed forms stay as oracles for the verify suites and tests:
 ``dkelvin_bb_pos`` (csc/2F3/3F4 dJ/dnu), ``dkelvin_kk_pos`` (closed-form

@@ -253,6 +253,13 @@ class TestDispatchers:
         assert dj_dnu_any(1.0, ROT_J * 1.0).flags == ()
         assert dk_dnu_any(1.0, ROT_K * 1.0).flags == ()
 
+    def test_k_underflow_is_flagged(self):
+        """Where e^(-z) underflows, far past |z| = 30, K and dK/dnu above
+        order 1 are 0 and flagged unconverged, not a ZeroDivisionError."""
+        for fn in (bessel_k, dk_dnu_any):
+            r = fn(2.5, 800.0)
+            assert r.value == 0.0 and "no_convergence" in r.flags
+
 
 class TestSeriesBudget:
     def test_max_terms_env(self, monkeypatch):

@@ -127,10 +127,14 @@ def test_non_finite_input_raises_domain_error(fn, nu, x):
                                   lambda: dkelvin(40.0, 1000.0),
                                   lambda: pfq(HyperSpec((), (1.0,), 1e6)),
                                   lambda: kelvin_all(30.0, 1e-9),
-                                  lambda: kelvin_all(100.0, 0.01)])
+                                  lambda: kelvin_all(100.0, 0.01),
+                                  lambda: kelvin_all(-49.5, 3.4e-6),
+                                  lambda: dkelvin(-56.0, 4.5e-5)])
 def test_series_overflow_is_typed(call):
     """Far outside the envelope the terms leave the double range: a typed
-    error, not NaN or a bare OverflowError."""
+    error, not NaN or a bare OverflowError, and at a negative order not the
+    ValueError of fsum, where terms below the anchor overflow to -inf and
+    +inf."""
     with pytest.raises(SeriesOverflowError):
         call()
     assert issubclass(SeriesOverflowError, KelvinError)
@@ -180,7 +184,8 @@ def test_k_quadrature_edges_are_typed(monkeypatch):
     a negative order, in the series; at order 0 Temme's start has no
     log(z/2) there, a typed ConvergenceError, not a bare ValueError, and
     dkelvin raises it before it takes log(x/2).  A term cap past the nodes
-    before e^(-a cosh t) underflows still sums K, from the nodes there are."""
+    before e^(-|z| (cosh u - 1)) underflows still sums K, from the nodes
+    there are."""
     for call in (kelvin_ker_kei, kelvin_all, dkelvin):
         with pytest.raises(PowerOverflowError):
             call(0.3, 5e-324)

@@ -60,7 +60,7 @@ NEAR_NEG_XS = [0.5, 2.0, 8.0]
 NEAR_NEG_REL = {"bb": 1e-13, "dbb": 1e-13, "kk": REL, "dkk": REL}
 DK_BREAKDOWN = [(3.000002, 8.0), (-3.000002, 8.0), (2e-6, 8.0), (5.00001, 8.0)]
 DK_ORDERS = [2e-6, 0.3, 3.0, 3.000002, 5.00001, 7.75, 10.0, 12.5, 15.0, 20.0, 30.0, 50.0]
-DK_XS = [0.1, 2.0, 8.0, 15.0, 20.0]
+DK_XS = [0.1, 2.0, 8.0, 15.0, 20.0, 25.0, 30.0]
 DK_REL = 1e-12
 KK_ORDERS = [k / 4.0 for k in range(-40, 41)]
 KK_XS = [0.1, 0.3, 1.0, 3.0, 8.0, 15.0, 20.0]
@@ -389,23 +389,39 @@ def test_bessel_k_error_estimate_calibrated(nu):
 
 
 def test_k_off_the_right_half_plane():
-    """On the imaginary axis and within ~0.003 of it, where the step of the
-    trapezoidal sum would have to halve past its cap, K raises a typed error
-    above ``TEMME_MAX_ARG`` and dK/dnu above ``TEMME_DK_MAX_ARG``; Temme's
-    series, below them, has no such edge: there K and dK/dnu hold K_REL, at
-    |z| = 1 (K) and 0.5 (both), 0.002 from the axis and on it."""
+    """On the imaginary axis and within 0.002 of it, where the sum on the
+    real t axis had no step and raised ConvergenceError above
+    ``TEMME_MAX_ARG`` (K) and ``TEMME_DK_MAX_ARG`` (dK/dnu), the bent
+    contour holds K and dK/dnu to K_REL, as Temme's series does below the
+    borders: at |z| = 2, 3 and 1 (both sums), 1 (K) and 0.5 (both)."""
     near = cmath.rect(1.0, math.pi / 2.0 - 0.002)
-    for z in (2j, -3j, near):
-        with pytest.raises(ConvergenceError):
-            dk_dnu_any(1.5, z)
-    for z in (2j, -3j):
-        with pytest.raises(ConvergenceError):
-            bessel_k(1.5, z)
-    assert api_misses(bessel_k, "besselk", 1.5, [near, 1j, cmath.rect(1.0, math.pi / 2.0 - 0.01)],
+    zs = [2j, -3j, near]
+    assert api_misses(bessel_k, "besselk", 1.5, zs, K_REL) == []
+    assert api_misses(dk_dnu_any, "besselk", 1.5, zs, K_REL, diff=True) == []
+    assert api_misses(bessel_k, "besselk", 1.5, [1j, cmath.rect(1.0, math.pi / 2.0 - 0.01)],
                       K_REL) == []
     zs = [cmath.rect(0.5, math.pi / 2.0 - 0.002), 0.5j, -0.5j]
     assert api_misses(bessel_k, "besselk", 1.5, zs, K_REL) == []
     assert api_misses(dk_dnu_any, "besselk", 1.5, zs, K_REL, diff=True) == []
+
+
+# where the sum on the real t axis halved its step, or had none: |ph z| past
+# pi/4 up to the imaginary axis, and |z| to K_MAX_ARG
+AXIS_ZS = [cmath.rect(r, ph) for r in (1.3, 5.0, 10.0, 20.0, 30.0)
+           for ph in (0.0, math.pi / 4.0, 1.2, math.pi / 2.0 - 0.002, math.pi / 2.0,
+                      -math.pi / 2.0)]
+
+
+@pytest.mark.parametrize("nu", [float(n) for n in K_INTEGERS] + K_GENERIC)
+def test_k_towards_the_imaginary_axis(nu):
+    """K and (at nu > 0) dK/dnu within K_REL of 40-digit mpmath on AXIS_ZS,
+    each estimate covering the error and, where that is above 1e-15 (of the
+    value, below 1), overstating it by at most 1e3."""
+    assert api_misses(bessel_k, "besselk", nu, AXIS_ZS, K_REL) == []
+    assert api_miscalibrated(bessel_k, "besselk", nu, AXIS_ZS) == []
+    if nu:
+        assert api_misses(dk_dnu_any, "besselk", nu, AXIS_ZS, K_REL, diff=True) == []
+        assert api_miscalibrated(dk_dnu_any, "besselk", nu, AXIS_ZS, diff=True) == []
 
 
 BORDER_XS = [0.1, 0.3, TEMME_DK_MAX_ARG - 1e-9, TEMME_DK_MAX_ARG + 1e-9, 1.0,
@@ -433,9 +449,9 @@ def test_k_across_the_temme_border(nu, x):
     ray holds 1.8e-15 and dK/dnu 3.1e-15 (measured: 1.7e-15 and 1.1e-15),
     each estimate calibrated as in test_dk_error_estimate_calibrated."""
     k, dk = ray_k(nu, x, True)
-    # Temme's terms, or the trapezoid's nodes
-    assert k[2] <= 12 if x < TEMME_MAX_ARG else k[2] > 30
-    assert dk[2] <= 9 if x < TEMME_DK_MAX_ARG else dk[2] > 30
+    # Temme's terms, or the trapezoid's nodes (18 to 24)
+    assert k[2] <= 12 if x < TEMME_MAX_ARG else k[2] >= 18
+    assert dk[2] <= 9 if x < TEMME_DK_MAX_ARG else dk[2] >= 18
     for (value, est, _, conv, _), want, rel in zip((k, dk), k_oracle_at_double(nu, x),
                                                    (1.8e-15, 3.1e-15)):
         err = abs(value - want)

@@ -124,8 +124,9 @@ def test_kelvin_path_skips_complex_series(monkeypatch, capsys, call):
 
 def test_dk_quadrature_nodes(monkeypatch):
     """dkelvin(5, 2) reads K and dK/dnu from one quadrature at mu = 0,
-    climbed to the order: K stops after 34 nodes (step 0.12 at |z| = 2),
-    and dK/dnu, whose start sums vanish at mu = 0, with it.  The one-order
+    climbed to the order: K stops after 18 nodes (step 0.225 at |z| = 2 on
+    the bent contour), and dK/dnu, whose start sums vanish at mu = 0, with
+    it.  On the real t axis the sum took 34 at step 0.12, and the one-order
     sum at 5 took 62 and 64 at step 0.07."""
     runs = []
     orig = kelvinfn.bessel._k_sums
@@ -137,7 +138,21 @@ def test_dk_quadrature_nodes(monkeypatch):
 
     monkeypatch.setattr(kelvinfn.bessel, "_k_sums", counted)
     dkelvin(5.0, 2.0)
-    assert runs == [(5.0, ROT_K * 2.0, 34, 34)]
+    assert runs == [(5.0, ROT_K * 2.0, 18, 18)]
+
+
+# on the real t axis the sums took 38/40, 36/36, 30/30, 26/28 and 24/24
+# nodes (K/dK/dnu)
+@pytest.mark.parametrize("x, nodes", [(1.3, 20), (2.0, 18), (5.0, 16), (10.0, 12), (20.0, 12)])
+def test_k_sum_nodes_on_the_ray(x, nodes):
+    """One K sum, and one K + dK/dnu sum, at order 2.3 on the Kelvin ray
+    above Temme's borders: the nodes of the bent contour, about half those
+    of the sum on the real t axis.  K stops at the same node, with the same
+    bits, with or without dK/dnu."""
+    k = kelvinfn.bessel._k_sums(2.3, ROT_K * x, False)[0]
+    kd, dk = kelvinfn.bessel._k_sums(2.3, ROT_K * x, True)
+    assert (k[2], kd[2], dk[2]) == (nodes, nodes, nodes)
+    assert k[0] == kd[0]
 
 
 _BORDER = kelvinfn.bessel.TEMME_MAX_ARG - 1e-9
@@ -147,12 +162,14 @@ _DK_BORDER = kelvinfn.bessel.TEMME_DK_MAX_ARG - 1e-9
 @pytest.mark.parametrize("nu, x, terms, dterms", [
     (0.3, 0.1, 6, 6), (2.7, 0.1, 6, 7), (5.0, 0.1, 6, 6),
     (0.3, _DK_BORDER, 9, 9), (2.7, _DK_BORDER, 9, 9), (5.0, _DK_BORDER, 9, 8),
-    (0.3, _BORDER, 11, 40), (2.7, _BORDER, 11, 40), (5.0, _BORDER, 11, 40)])
+    (0.3, _BORDER, 11, 20), (2.7, _BORDER, 11, 20), (5.0, _BORDER, 11, 20)])
 def test_temme_terms(nu, x, terms, dterms):
     """One K start by Temme's series takes 6 terms at x = 0.1, 9 just below
     |z| = 0.5 and 11 just below its border |z| = 1.2, with or without
-    dK/dnu, where the trapezoidal sum takes 60, 46-48 and 40 nodes; dK/dnu goes
-    on to its own rule, and above |z| = 0.5 to the trapezoidal sum."""
+    dK/dnu, where the trapezoidal sum on the real t axis took 60, 46-48 and
+    40 nodes; dK/dnu goes on to its own rule, and above |z| = 0.5 to the
+    trapezoidal sum, which takes 20 nodes just below 1.2 (40 on the real t
+    axis)."""
     k, dk = kelvinfn.bessel._k_sums(nu, ROT_K * x, True)
     assert (kelvinfn.bessel._k_sums(nu, ROT_K * x, False)[0][2], k[2], dk[2]) == \
         (terms, terms, dterms)
