@@ -31,9 +31,10 @@ nothing is memoised: nothing but the node tables outlives the top-level
 call.
 
 The paper's closed forms ``dj_dnu`` and ``dk_dnu`` are oracles for the
-verify suites and tests only; they read J (or I) at an order from a
-function passed to them, so that on the Kelvin rays they read the ray
-kernel.  Every public function rejects a non-finite order or argument
+verify suites and tests only; they read J (or I) at nu and -nu from one
+run of :func:`_z_sums` each (:func:`_ji`), on the Kelvin rays as at every
+other z, so the ray kernel serves only the Kelvin values and order
+derivatives.  Every public function rejects a non-finite order or argument
 first (:func:`_finite`).
 """
 
@@ -643,12 +644,6 @@ def _turn(t: float) -> complex:
     return complex(math.cos(e), math.sin(e)) * (1, 1j, -1, -1j)[m & 3]
 
 
-def _two_sum(s: float, c: float, v: float) -> tuple[float, float]:
-    """s + v, and c plus the rounding error of that sum (Knuth's TwoSum)."""
-    n = s + v
-    return n, c + ((s - (n - (n - s))) + (v - (n - s)))
-
-
 def _z_sums(o: _RayOrder, z: complex, sign: float, psi: bool) -> tuple:
     """The twin of :func:`_ray_sums` at a complex z != 0: F = J_mu(z)
     (sign = -1) or I_mu(z) (sign = +1) of the order ``o`` (mu),
@@ -661,10 +656,12 @@ def _z_sums(o: _RayOrder, z: complex, sign: float, psi: bool) -> tuple:
 
     The order is set up and the sum anchored as in :func:`_ray_sums`: the
     k0 terms below the anchor enter as correctly rounded sums of each
-    component, and the powers (z/2)^(mu+2k0) and (z/2)^mu are taken before
-    the order's Gamma and psi.  From the anchor on each pass adds the terms
-    k and k+1, each component Neumaier-compensated (TwoSum error terms), so
-    that the run at conj(z) is the exact conjugate of the run at z.  At
+    component, after the same check that none is inf, and the powers
+    (z/2)^(mu+2k0) and (z/2)^mu are taken before the order's Gamma and psi.
+    From the anchor on each pass adds the terms k and k+1, Neumaier-
+    compensated in complex arithmetic (TwoSum error terms), whose + and -
+    act on each component alone, so that the run at conj(z) is the exact
+    conjugate of the run at z.  At
     mu = -n the weights below the anchor are exact zeros and each term past
     it is sign^n times the term of the run at n, so F_(-n) = sign^n F_n bit
     for bit.  F stops once both terms of a pass are below ``hyper.REL_TOL``
@@ -677,7 +674,6 @@ def _z_sums(o: _RayOrder, z: complex, sign: float, psi: bool) -> tuple:
     """
     mu, k0 = o.mu, o.k0
     tol = hyper.REL_TOL
-    hypot = math.hypot
     q = sign * z * z / 4.0
     t = _half_pow(mu + 2 * k0, z)
     c = _half_pow(mu, z) if k0 else t
@@ -686,24 +682,27 @@ def _z_sums(o: _RayOrder, z: complex, sign: float, psi: bool) -> tuple:
         raise PowerOverflowError(f"(z/2)^{mu:g} underflows double precision at |z| = {abs(z):g}")
     if o.tden is None or psi and o.wa is None:
         o.anchor(psi)
-    re = im = cre = cim = mx = 0.0
+    f = cf = p = cp = 0j
+    mx = mp = 0.0
     plain = None
-    if psi:
-        wa = o.wa
-        pre = pim = pcre = pcim = mp = 0.0
-        psi_conv = False
+    psi_conv = False
+    wa = o.wa
     if k0:
         cs = []
         for k in range(k0):
             cs.append(c)
             c = c * q / (k + 1.0)
         sp = list(map(mul, cs, reversed(o.r)))
-        re, im = math.fsum(v.real for v in sp), math.fsum(v.imag for v in sp)
         mx = max(map(abs, sp))
         if psi:
             pp = list(map(mul, cs, reversed(o.w)))
-            pre, pim = math.fsum(v.real for v in pp), math.fsum(v.imag for v in pp)
             mp = max(map(abs, pp))
+        # a term that overflows would reach fsum as -inf + inf
+        if mx == math.inf or mp == math.inf:
+            raise SeriesOverflowError(f"the order-{mu:g} series is not finite at |z| = {abs(z):g}")
+        f = complex(math.fsum(v.real for v in sp), math.fsum(v.imag for v in sp))
+        if psi:
+            p = complex(math.fsum(v.real for v in pp), math.fsum(v.imag for v in pp))
     t /= o.tden
     if sign < 0.0 and k0 & 1:
         t = -t
@@ -711,42 +710,41 @@ def _z_sums(o: _RayOrder, z: complex, sign: float, psi: bool) -> tuple:
         a = mu + k + 1.0
         u = t * q / ((k + 1.0) * a)
         nt = u * q / ((k + 2.0) * (a + 1.0))
-        re, cre = _two_sum(re, cre, t.real)
-        im, cim = _two_sum(im, cim, t.imag)
-        re, cre = _two_sum(re, cre, u.real)
-        im, cim = _two_sum(im, cim, u.imag)
+        n = f + t
+        cf += (f - (n - (n - f))) + (t - (n - f))
+        f = n + u
+        cf += (n - (f - (f - n))) + (u - (f - n))
         at, au = abs(t), abs(u)
         mx = max(mx, at, au)
         if plain is None:
-            lim = tol * hypot(re, im)
+            lim = tol * abs(f)
             if at <= lim and au <= lim:
-                plain = (complex(re + cre, im + cim), 10.0 * abs(nt), k + 2, True)
+                plain = (f + cf, 10.0 * abs(nt), k + 2, True)
                 if not psi:
                     break
         if psi:
-            vr, vi = wa * t.real, wa * t.imag
+            v = wa * t
             wa += 1.0 / a
-            ur, ui = wa * u.real, wa * u.imag
+            w = wa * u
             wa += 1.0 / (a + 1.0)
-            pre, pcre = _two_sum(pre, pcre, vr)
-            pim, pcim = _two_sum(pim, pcim, vi)
-            pre, pcre = _two_sum(pre, pcre, ur)
-            pim, pcim = _two_sum(pim, pcim, ui)
-            av, aw = hypot(vr, vi), hypot(ur, ui)
+            n = p + v
+            cp += (p - (n - (n - p))) + (v - (n - p))
+            p = n + w
+            cp += (n - (p - (p - n))) + (w - (p - n))
+            av, aw = abs(v), abs(w)
             mp = max(mp, av, aw)
             if plain is not None:
-                lp = tol * hypot(pre, pim)
+                lp = tol * abs(p)
                 if av <= lp and aw <= lp:
                     psi_conv = True
                     break
         t = nt
-    if not math.isfinite(re + im + (pre + pim if psi else 0.0)):
+    if not cmath.isfinite(f + p):
         raise SeriesOverflowError(f"the order-{mu:g} series is not finite at |z| = {abs(z):g}")
-    plain = plain or (complex(re + cre, im + cim), 10.0 * abs(nt), k + 2, False)
+    plain = plain or (f + cf, 10.0 * abs(nt), k + 2, False)
     if not psi:
         return plain + (mx, None)
-    return plain + (mx, (complex(pre + pcre, pim + pcim), 10.0 * abs(wa * nt), mp, k + 2,
-                         psi_conv))
+    return plain + (mx, (p + cp, 10.0 * abs(wa * nt), mp, k + 2, psi_conv))
 
 
 def _finite(nu: float, z: complex) -> None:
@@ -858,21 +856,17 @@ def dj_dnu(nu: float, z: complex) -> EvalResult:
              - J_nu(z) [ z^2/(4(1-nu^2)) 3F4(1, 1, 3/2; 2, 2, 2-nu, 2+nu; -z^2)
                          + log(2/z) + 1/(2 nu) + psi(nu) ]
 
-    The paper's form, kept as an oracle; :func:`dj_dnu_any` is the route.
+    with J_{+-nu} from one run of :func:`_ji` each.  The paper's form, kept
+    as an oracle; :func:`dj_dnu_any` is the route.
     """
     _finite(nu, z)
     z = complex(z)
-    return _dj_dnu(nu, z, lambda mu: bessel_j(mu, z))[0]
-
-
-def _dj_dnu(nu: float, z: complex, j) -> tuple[EvalResult, EvalResult]:
-    """:func:`dj_dnu` with J_mu(z) read as j(mu), and the J_nu it read."""
     if nu <= 0.0 or _is_near_int(nu, ORDER_EPS):
         raise OrderClassError(f"dJ/dnu closed form invalid at nu = {nu}")
     if z == 0:
         raise BranchError("z = 0")
-    jm = j(-nu)
-    jp = j(nu)
+    jm = _ji(-nu, z, -1.0)[0]
+    jp = _ji(nu, z, -1.0)[0]
     f1 = _f23(nu, -z * z)
     f2 = _f34(nu, -z * z)
     g1 = gamma_real(nu + 1.0)
@@ -888,7 +882,7 @@ def _dj_dnu(nu: float, z: complex, j) -> tuple[EvalResult, EvalResult]:
     conv = jm.converged and jp.converged and f1.converged and f2.converged
     terms = jm.terms_used + jp.terms_used + f1.terms_used + f2.terms_used
     return EvalResult(value, est, terms, conv, _degraded_flags(nu, z),
-                      max(jm.max_abs_term, jp.max_abs_term)), jp
+                      max(jm.max_abs_term, jp.max_abs_term))
 
 
 def dk_dnu(nu: float, z: complex) -> EvalResult:
@@ -902,24 +896,20 @@ def dk_dnu(nu: float, z: complex) -> EvalResult:
                      - I_nu(z) Gamma(nu)^2 (z/2)^(-2 nu)
                          * 2F3(-nu, 1/2-nu; 1-nu, 1-nu, 1-2nu; z^2) }
 
-    This is the derivative of the connection formula combined with the
-    closed form for dI/dnu; it reproduces finite differences of K over the
-    order to full working precision.  The paper's form, kept as an oracle;
-    :func:`dk_dnu_any` is the route.
+    with I_{+-nu} from one run of :func:`_ji` each.  This is the derivative
+    of the connection formula combined with the closed form for dI/dnu; it
+    reproduces finite differences of K over the order to full working
+    precision.  The paper's form, kept as an oracle; :func:`dk_dnu_any` is
+    the route.
     """
     _finite(nu, z)
     z = complex(z)
-    return _dk_dnu(nu, z, lambda mu: bessel_i(mu, z))
-
-
-def _dk_dnu(nu: float, z: complex, i) -> EvalResult:
-    """:func:`dk_dnu` with I_mu(z) read as i(mu)."""
     if nu <= 0.0 or _is_near_int(2.0 * nu, ORDER_EPS):
         raise OrderClassError(f"dK/dnu closed form invalid at nu = {nu}")
     if z == 0:
         raise ArgumentZeroError("z = 0")
-    ip = i(nu)
-    im = i(-nu)
+    ip = _ji(nu, z, 1.0)[0]
+    im = _ji(-nu, z, 1.0)[0]
     z2 = z * z
     f34 = _f34(nu, z2)
     f23p = _f23(nu, z2)

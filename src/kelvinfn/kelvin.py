@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 
 from . import bessel
-from .bessel import _finite, _order, _RayOrder, _turn
+from .bessel import _EPS, _finite, _order, _RayOrder, _turn
 from .errors import ConvergenceError, DomainError
 
 _HALF_SQRT2 = math.sqrt(0.5)
@@ -96,13 +96,23 @@ def _eval_ber_bei(nu: float, x: float, orders: dict | None = None) -> tuple[floa
 
 
 def _eval_ker_kei(nu: float, x: float) -> tuple[float, float, float]:
-    """(ker, kei, abs error estimate) from one K start and climb at x."""
+    """(ker, kei, abs error estimate) from one K start and climb at x.  The
+    sum is taken at the double z = ``ROT_K`` x, off the ray by its rounding,
+    so the estimate adds what that moves K by (:func:`_ray_rounding`)."""
     _finite(nu, x)
     if x <= 0.0:
         raise DomainError("ker/kei defined for x > 0")
     k = bessel._k_sums(abs(nu), ROT_K * x, False)[0]  # K is even in the order
     w = _k_turn(nu, x, k) * k[0]
-    return w.real, w.imag, k[1]
+    return w.real, w.imag, k[1] + _ray_rounding(nu, x, k[0])
+
+
+def _ray_rounding(nu: float, x: float, v: complex) -> float:
+    """eps (x + |nu|) |v|: about what the rounding of z = ``ROT_K`` x to a
+    double (|dz| < 0.81 eps x) moves v = K_nu or dK/dnu by at large x, where
+    |dv/dz| is near (1 + |nu|/x) |v|.  With it the estimates are 2.4 to 15
+    times the error against mpmath on the exact ray at x in [12, 30]."""
+    return _EPS * (x + abs(nu)) * abs(v)
 
 
 def kelvin_ber_bei(nu: float, x: float) -> tuple[float, float]:

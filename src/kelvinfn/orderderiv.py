@@ -20,8 +20,9 @@ The paper's closed forms stay as oracles for the verify suites and tests:
 ``dkelvin_bb_pos`` (csc/2F3/3F4 dJ/dnu), ``dkelvin_kk_pos`` (closed-form
 dK/dnu), ``dkelvin_bb_brychkov`` (3F6/4F7) and ``dkelvin_integer`` (finite
 sums over lower-order Kelvin values, tag 'integer_sum').  The first two
-read J and I on the rays from one ``bessel._ray_sums`` run per order
-(``_ray_reader``).
+rotate ``bessel.dj_dnu`` and ``bessel.dk_dnu`` at the ray points, which
+read J and I there as at every complex z (``bessel._z_sums``), and take
+the Kelvin values from their own kernels.
 
 ``dkelvin`` is two kernel calls: the series at nu with its psi sums, T and
 P (``bessel._ray_sums``), and the K start and climb at |nu| with dK/dnu
@@ -38,12 +39,11 @@ import math
 from dataclasses import dataclass
 
 from . import bessel
-from .bessel import (ORDER_EPS, _degraded_flags, _dj_dnu, _dk_dnu, _is_near_int, _order,
-                     _RayOrder, _turn)
+from .bessel import ORDER_EPS, _is_near_int, _order, _RayOrder, _turn, dj_dnu, dk_dnu
 from .errors import DomainError, NegativeIntegerOrderError, OrderClassError
-from .hyper import EvalResult, HyperSpec, pfq
+from .hyper import HyperSpec, pfq
 from .kelvin import (ROT_J, ROT_K, KelvinQuad, _eval_ber_bei, _eval_ker_kei, _finite, _k_turn,
-                     kelvin_all)
+                     _ray_rounding, kelvin_all)
 from .scalars import PI, digamma_real, gamma_real
 
 # dkelvin_kk_pos refuses 2 nu this close to an integer, where the csc of its
@@ -75,31 +75,17 @@ class OrderDerivQuad:
     values: KelvinQuad
 
 
-def _ray_reader(x: float, c: float):
-    """The closed forms' reader of J_mu at e^(-i pi/4) x (c = -1/4) or of
-    I_mu at e^(i pi/4) x (c = 1/4): one ``bessel._ray_sums`` run of the
-    order, turned by e^(i pi (c mu + k0/2)) (``bessel._turn``)."""
-    def read(mu: float) -> EvalResult:
-        o = _RayOrder(mu)
-        s, err, terms, conv, max_term, _ = bessel._ray_sums(o, x, False)
-        flags = (() if conv else ("no_convergence",)) + _degraded_flags(mu, x)
-        return EvalResult(_turn(c * mu + 0.5 * o.k0) * s, err, terms, conv, flags, max_term)
-    return read
-
-
 def dkelvin_bb_pos(nu: float, x: float) -> tuple[float, float]:
     """(d ber_nu/d nu, d bei_nu/d nu) for non-integer nu >= 0, x > 0, by the
-    paper's csc/2F3/3F4 closed form for dJ/dnu; ber + i bei = e^(i pi nu) J_nu
-    from the J_nu that the closed form reads."""
+    paper's csc/2F3/3F4 closed form for dJ/dnu (``bessel.dj_dnu``)."""
     _finite(nu, x)
     if x <= 0.0:
         raise DomainError("x must be positive")
     if nu < 0.0 or abs(nu - round(nu)) <= ORDER_EPS:
         raise OrderClassError(f"integer or negative order {nu}: use the dispatcher")
-    dj, j = _dj_dnu(nu, ROT_J * x, _ray_reader(x, -0.25))
-    turn = _turn(nu)
-    bb, e = turn * j.value, turn * dj.value
-    return e.real - PI * bb.imag, e.imag + PI * bb.real
+    ber, bei, _ = _eval_ber_bei(nu, x)
+    e = _turn(nu) * dj_dnu(nu, ROT_J * x).value
+    return e.real - PI * bei, e.imag + PI * ber
 
 
 def dkelvin_kk_pos(nu: float, x: float) -> tuple[float, float]:
@@ -112,7 +98,7 @@ def dkelvin_kk_pos(nu: float, x: float) -> tuple[float, float]:
     if nu < 0.0 or _is_near_int(2.0 * nu, NEAR_EXCLUDED):
         raise OrderClassError(f"order {nu} excluded for the K-side closed form")
     ker, kei, _ = _eval_ker_kei(nu, x)
-    e = _turn(-0.5 * nu) * _dk_dnu(nu, ROT_K * x, _ray_reader(x, 0.25)).value
+    e = _turn(-0.5 * nu) * dk_dnu(nu, ROT_K * x).value
     return e.real + PI / 2.0 * kei, e.imag - PI / 2.0 * ker
 
 
@@ -253,7 +239,8 @@ def _dkelvin(nu: float, x: float, orders: dict | None = None) -> tuple:
     dkei, abs error estimate); the rows of a table order pass one dict
     ``orders``, in which nu is set up once.  The estimate adds to the
     series' estimate (:func:`_bb_series`) that of dK/dnu and pi/2 times the
-    K estimate."""
+    K estimate, each with the rounding of the ray point
+    (``kelvin._ray_rounding``)."""
     _finite(nu, x)
     if x <= 0.0:
         raise DomainError("x must be positive")
@@ -264,7 +251,8 @@ def _dkelvin(nu: float, x: float, orders: dict | None = None) -> tuple:
     # log(x/2) after the K start, which raises where x/2 underflows to 0
     bb, dbb, est = _bb_series(o, run, x)
     kk, e = turn * k[0], turn * (-dk[0] if nu < 0.0 else dk[0])
-    est = est + dk[1] + PI / 2.0 * k[1]
+    est += (dk[1] + _ray_rounding(nu, x, dk[0])
+            + PI / 2.0 * (k[1] + _ray_rounding(nu, x, k[0])))
     return (bb.real, bb.imag, kk.real, kk.imag, dbb.real, dbb.imag,
             e.real + PI / 2.0 * kk.imag, e.imag - PI / 2.0 * kk.real, est)
 

@@ -1,5 +1,6 @@
 """Hypergeometric series engine: spot values, stopping, structural symmetry."""
 
+import importlib
 import inspect
 from fractions import Fraction
 
@@ -156,3 +157,21 @@ def test_precision_is_not_a_setting():
         except (TypeError, ValueError):  # a builtin without a signature
             continue
         assert not {"cfg", "quad_cfg", "series_cfg"} & set(params), name
+
+
+# the oracles of the verify suites, by home module
+ORACLES = {"bessel": ("dj_dnu", "dk_dnu"),
+           "orderderiv": ("dkelvin_bb_pos", "dkelvin_kk_pos", "dkelvin_bb_brychkov",
+                          "dkelvin_integer", "coef_c", "coef_d"),
+           "hyper": ("pfq", "HyperSpec"),
+           "errors": ("OrderClassError", "DenominatorPoleError", "NegativeIntegerOrderError")}
+
+
+@pytest.mark.parametrize("module, names", ORACLES.items(), ids=ORACLES)
+def test_oracles_leave_the_top_level(module, names):
+    """The paper's closed forms, the pFq engine and the errors that only
+    they raise are imported from their modules, not from the package."""
+    home = importlib.import_module(f"kelvinfn.{module}")
+    for name in names:
+        assert hasattr(home, name)
+        assert name not in kelvinfn.__all__ and not hasattr(kelvinfn, name), name

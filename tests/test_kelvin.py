@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from kelvinfn.bessel import _k_sums
+from kelvinfn.bessel import _k_sums, bessel_i, bessel_j, dj_dnu_any
 from kelvinfn.errors import (ConvergenceError, DomainError, GammaOverflowError, KelvinError,
                              PowerOverflowError, SeriesOverflowError)
 from kelvinfn import hyper
@@ -129,12 +129,15 @@ def test_non_finite_input_raises_domain_error(fn, nu, x):
                                   lambda: kelvin_all(30.0, 1e-9),
                                   lambda: kelvin_all(100.0, 0.01),
                                   lambda: kelvin_all(-49.5, 3.4e-6),
-                                  lambda: dkelvin(-56.0, 4.5e-5)])
+                                  lambda: dkelvin(-56.0, 4.5e-5),
+                                  lambda: bessel_j(-49.5, 3.4e-6j),
+                                  lambda: bessel_i(-49.5, 3.4e-6),
+                                  lambda: dj_dnu_any(-49.5, 3.4e-6j)])
 def test_series_overflow_is_typed(call):
     """Far outside the envelope the terms leave the double range: a typed
     error, not NaN or a bare OverflowError, and at a negative order not the
     ValueError of fsum, where terms below the anchor overflow to -inf and
-    +inf."""
+    +inf, on the Kelvin rays and at a general z alike."""
     with pytest.raises(SeriesOverflowError):
         call()
     assert issubclass(SeriesOverflowError, KelvinError)

@@ -44,7 +44,9 @@ from kelvinfn.bessel import (K_MAX_ARG, TEMME_DK_MAX_ARG, TEMME_MAX_ARG,  # noqa
                              dk_dnu_any)
 from kelvinfn.cli import main  # noqa: E402
 from kelvinfn.errors import ConvergenceError  # noqa: E402
-from kelvinfn.kelvin import ROT_K, _eval_ber_bei, kelvin_all, kelvin_ker_kei  # noqa: E402
+from kelvinfn import orderderiv  # noqa: E402
+from kelvinfn.kelvin import (ROT_K, _eval_ber_bei, _eval_ker_kei, kelvin_all,  # noqa: E402
+                             kelvin_ker_kei)
 from kelvinfn.orderderiv import dkelvin  # noqa: E402
 
 ORDERS = [k / 2.0 for k in range(-20, 21)]
@@ -63,12 +65,19 @@ DK_ORDERS = [2e-6, 0.3, 3.0, 3.000002, 5.00001, 7.75, 10.0, 12.5, 15.0, 20.0, 30
 DK_XS = [0.1, 2.0, 8.0, 15.0, 20.0, 25.0, 30.0]
 DK_REL = 1e-12
 KK_ORDERS = [k / 4.0 for k in range(-40, 41)]
-KK_XS = [0.1, 0.3, 1.0, 3.0, 8.0, 15.0, 20.0]
+KK_XS = [0.1, 0.3, 1.0, 3.0, 8.0, 12.0, 15.0, 18.0, 20.0]
 # just off an integer at small x, where csc(pi nu) and the cancellation of
 # I_{-nu} against I_nu once cost ker/kei up to 2.4e-10
 KK_NEAR = [(5.0 - 2e-6, 0.01), (-5.0 + 2e-6, 0.01), (5.0 - 2e-6, 0.05), (-5.0 + 2e-6, 0.05),
            (-3.0 + 3e-6, 0.02)]
 KK_REL = 1e-12
+# the ker + i kei pairs of KK_ORDERS x KK_XS and KK_NEAR; the worst is 2.58e-15,
+# at nu = 9.75, x = 18
+KK_PAIR_REL = 3e-15
+# the exact Kelvin ray at large x, where K ~ e^(-z) carries the rounding of
+# the double z = ROT_K x into ker/kei
+RAY_ROUNDING_ORDERS = [2e-6, 0.3, 3.0, 3.000002, 7.75, 10.0]
+RAY_ROUNDING_XS = [12.0, 18.0, 20.0, 22.0, 25.0, 30.0]
 BB_CAL_ORDERS = [0.0, 0.3, 1.0, 2.5, 5.0, 7.75, 10.0, -1.5, -3.3, -7.0]
 BB_CAL_XS = [0.1, 0.5, 2.0, 5.0, 8.0, 12.0, 15.0, 20.0]
 
@@ -161,7 +170,26 @@ def test_ber_bei_error_estimate_calibrated(nu, x):
 @pytest.mark.parametrize("nu, x", [(nu, x) for nu in KK_ORDERS for x in KK_XS] + KK_NEAR)
 def test_ker_kei_pairs(nu, x):
     want = kk_oracle(nu, x)
-    assert abs(complex(*kelvin_ker_kei(nu, x)) - want) <= KK_REL * abs(want)
+    assert abs(complex(*kelvin_ker_kei(nu, x)) - want) <= KK_PAIR_REL * abs(want)
+
+
+@pytest.mark.parametrize("x", RAY_ROUNDING_XS)
+@pytest.mark.parametrize("nu", RAY_ROUNDING_ORDERS)
+def test_k_estimates_cover_the_ray_rounding(monkeypatch, nu, x):
+    """The K sum is exact to its estimate at the double z = ROT_K x, which
+    is up to 0.81 eps x off the ray; K ~ e^(-z) turns that into ~x eps of
+    ker/kei.  The ker/kei estimate and dkelvin's K side (its series side
+    zeroed here) each cover the error against mpmath on the exact ray and,
+    where it is above 1e-15 of the pair, overstate it by at most 1e3."""
+    ker, kei, est = _eval_ker_kei(nu, x)
+    monkeypatch.setattr(orderderiv, "_bb_series", lambda o, run, x: (0j, 0j, 0.0))
+    d = orderderiv._dkelvin(nu, x)
+    for got, want, e in ((complex(ker, kei), kk_oracle(nu, x), est),
+                         (complex(d[6], d[7]), oracle(nu, x)["dkk"], d[8])):
+        err = abs(got - want)
+        assert e >= err, (e, err)
+        if err > 1e-15 * abs(want):
+            assert e <= 1e3 * err, (e, err)
 
 
 @functools.lru_cache(maxsize=None)

@@ -18,10 +18,10 @@ import kelvinfn.bessel
 import kelvinfn.hyper
 import kelvinfn.quad
 from kelvinfn import manifest as M
-from kelvinfn.bessel import _RayOrder
+from kelvinfn.bessel import _ji, _RayOrder, dj_dnu, dk_dnu
 from kelvinfn.cli import main
-from kelvinfn.kelvin import ROT_K, kelvin_all, kelvin_ker_kei
-from kelvinfn.orderderiv import _ray_reader, dkelvin
+from kelvinfn.kelvin import ROT_J, ROT_K, kelvin_all, kelvin_ker_kei
+from kelvinfn.orderderiv import dkelvin, dkelvin_bb_pos, dkelvin_kk_pos
 from kelvinfn.quad import apelblat_dber_dbei, theorem5_identities, theorem5_identity
 from kelvinfn.verify import run_suites
 
@@ -177,8 +177,8 @@ def test_temme_terms(nu, x, terms, dterms):
 
 def test_term_cap_reported_through_the_ray_path(monkeypatch):
     monkeypatch.setattr(kelvinfn.hyper, "MAX_TERMS", 4)
-    for res in (_ray_reader(18.0, -0.25)(0.5), _ray_reader(18.0, 0.25)(0.5),
-                _ray_reader(18.0, 0.25)(-0.5)):
+    for res in (_ji(0.5, ROT_J * 18.0, -1.0)[0], _ji(0.5, ROT_K * 18.0, 1.0)[0],
+                _ji(-0.5, ROT_K * 18.0, 1.0)[0]):
         assert not res.converged
         assert "no_convergence" in res.flags
     # the psi sums of dJ/dnu, K and dK/dnu at 0.5, and K at 2
@@ -186,6 +186,31 @@ def test_term_cap_reported_through_the_ray_path(monkeypatch):
     k, dk = kelvinfn.bessel._k_sums(0.5, ROT_K * 18.0, True)
     k2 = kelvinfn.bessel._k_sums(2.0, ROT_K * 18.0, False)[0]
     assert not (psi[4] or k[3] or dk[3] or k2[3])
+
+
+@pytest.mark.parametrize("call, rays, ks", [
+    pytest.param(lambda: dj_dnu(0.3, 2.0 - 1.0j), 0, 0, id="dj_dnu"),
+    pytest.param(lambda: dk_dnu(0.3, 2.0 - 1.0j), 0, 0, id="dk_dnu"),
+    pytest.param(lambda: dj_dnu(0.3, ROT_J * 2.0), 0, 0, id="dj_dnu-ray"),
+    pytest.param(lambda: dkelvin_bb_pos(0.3, 2.0), 1, 0, id="dkelvin_bb_pos"),
+    pytest.param(lambda: dkelvin_kk_pos(0.3, 2.0), 0, 1, id="dkelvin_kk_pos"),
+])
+def test_closed_form_routes(series, ksums, monkeypatch, call, rays, ks):
+    """The closed forms read J and I at +-nu from one run of the general-z
+    series each (``bessel._z_sums``), on the Kelvin rays as elsewhere;
+    ``dkelvin_bb_pos`` takes ber/bei from one run of the ray series and
+    ``dkelvin_kk_pos`` ker/kei from one K sum."""
+    orders = []
+    orig = kelvinfn.bessel._z_sums
+
+    def counted(o, z, sign, psi):
+        orders.append(o.mu)
+        return orig(o, z, sign, psi)
+
+    monkeypatch.setattr(kelvinfn.bessel, "_z_sums", counted)
+    call()
+    assert sorted(orders) == [-0.3, 0.3]
+    assert (len(series), len(ksums)) == (rays, ks)
 
 
 def _counts(calls):
