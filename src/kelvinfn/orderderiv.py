@@ -229,17 +229,18 @@ def dkelvin(nu: float, x: float) -> OrderDerivQuad:
     dK/dnu of the K pass at |nu|, odd in nu, onto the Kelvin rays (method
     'series').  The result also carries the four values at nu.
     """
-    ber, bei, ker, kei, dber, dbei, dker, dkei, est = _dkelvin(nu, x)
-    return OrderDerivQuad(dber, dbei, dker, dkei, nu, x, "series", est,
+    ber, bei, ker, kei, dber, dbei, dker, dkei, est_j, est_k = _dkelvin(nu, x)
+    return OrderDerivQuad(dber, dbei, dker, dkei, nu, x, "series", est_j + est_k,
                           KelvinQuad(ber, bei, ker, kei, nu, x))
 
 
 def _dkelvin(nu: float, x: float, orders: dict | None = None) -> tuple:
     """``dkelvin`` as the plain tuple (ber, bei, ker, kei, dber, dbei, dker,
-    dkei, abs error estimate); the rows of a table order pass one dict
-    ``orders``, in which nu is set up once.  The estimate adds to the
-    series' estimate (:func:`_bb_series`) that of dK/dnu and pi/2 times the
-    K estimate, each with the rounding of the ray point
+    dkei, est_j, est_k) with the abs error estimates of dber/dbei and of
+    dker/dkei apart; the rows of a table order pass one dict ``orders``, in
+    which nu is set up once.  est_j is the series' estimate
+    (:func:`_bb_series`); est_k adds that of dK/dnu and pi/2 times the K
+    estimate, each with the rounding of the ray point
     (``kelvin._ray_rounding``)."""
     _finite(nu, x)
     if x <= 0.0:
@@ -249,12 +250,12 @@ def _dkelvin(nu: float, x: float, orders: dict | None = None) -> tuple:
     k, dk = bessel._k_sums(abs(nu), ROT_K * x, True)
     turn = _k_turn(nu, x, k)
     # log(x/2) after the K start, which raises where x/2 underflows to 0
-    bb, dbb, est = _bb_series(o, run, x)
+    bb, dbb, est_j = _bb_series(o, run, x)
     kk, e = turn * k[0], turn * (-dk[0] if nu < 0.0 else dk[0])
-    est += (dk[1] + _ray_rounding(nu, x, dk[0])
-            + PI / 2.0 * (k[1] + _ray_rounding(nu, x, k[0])))
+    est_k = (dk[1] + _ray_rounding(nu, x, dk[0])
+             + PI / 2.0 * (k[1] + _ray_rounding(nu, x, k[0])))
     return (bb.real, bb.imag, kk.real, kk.imag, dbb.real, dbb.imag,
-            e.real + PI / 2.0 * kk.imag, e.imag - PI / 2.0 * kk.real, est)
+            e.real + PI / 2.0 * kk.imag, e.imag - PI / 2.0 * kk.real, est_j, est_k)
 
 
 def _bb_series(o: _RayOrder, run: tuple, x: float) -> tuple[complex, complex, float]:

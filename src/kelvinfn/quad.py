@@ -1,22 +1,20 @@
-"""Adaptive quadrature engine and the integral representations / identities.
+"""Quadrature engine and the integral representations / identities.
 
-The engine is a globally adaptive Gauss-Kronrod 7-15 pair (open nodes, so
-integrable endpoint singularities never get evaluated) with bisection of the
-worst panel.  It starts from a list of panels under one global error target
-(``_integrate_panels``, the breakpoints of QUADPACK's QAGP);
-``integrate_finite`` is its one-panel start.  Accuracy is one module rule,
-not an option: every integral aims at max(TOL, TOL * |value|) and bisects a
-panel at most MAX_DEPTH levels below its start.  Each integral representation
-substitutes its known endpoint singularity away before handing the
-integrand to the engine:
+The engine is the tanh-sinh rule (Takahasi & Mori 1974): the trapezoid in t
+on x = c + h tanh(pi/2 sinh t), whose weights fall double exponentially at
+both ends, so that log and power endpoint singularities need no special
+treatment and no node lies on an end.  Each halving of the step reuses every
+earlier node, and the run stops at the first level whose error estimate
+meets max(TOL, TOL * |value|); MAX_DEPTH bounds the halvings.  Accuracy is
+one module rule, not an option.  The integrands stay finite as close to
+their ends as the nodes come (2.6e-275 of the half-width from an end at 0,
+the last double before any other end):
 
-* log(1-u) endpoints use u = 1 - e^(-v), under which log(1-u) = -v exactly;
-  the two integrals over v in [0, 45] (theorem 5 and the Apelblat order
-  derivatives) start on the dyadic panels ``_V_EDGES``, which the bisection
-  of the one panel [0, 45] reaches on 19 of the 21 points of their manifest
-  grids (at nu = 2.5, x = 0.5 it stops one level short), so the parents of
-  those panels are never evaluated;
-* u^((nu-1)/2) power endpoints use u = w^2;
+* theorem 5 integrates over u and the Apelblat order derivatives over
+  w = sqrt(u), up to their log(1-u) end, taken as log(1 - u) + log(1 + u);
+* the Apelblat order derivatives take the first series term of their
+  bracket, the u^((nu-1)/2) end, in closed form, and its second term where
+  the series would be all rounding;
 * the 1/sqrt(tau (t-tau)) convolution kernel uses tau = t sin^2(theta).
 
 Every identity check returns an :class:`IdentityReport` that serializes to
@@ -27,7 +25,7 @@ representation whose integral misses its error target raises
 
 from __future__ import annotations
 
-import heapq
+import functools
 import math
 from dataclasses import dataclass
 
@@ -40,10 +38,9 @@ from .orderderiv import _bb_series
 from .scalars import EULER_GAMMA, PI, SQRT2, digamma_real, gamma_real
 
 TOL = 1e-10  # read at call time, as is MAX_DEPTH
-MAX_DEPTH = 30
-_MAX_SPLITS = 4096
-# the starting panels of the integrals over v in [0, 45]: 0, 45/64, ..., 45/2, 45
-_V_EDGES = (0.0,) + tuple(45.0 * 2.0 ** -k for k in range(6, -1, -1))
+MAX_DEPTH = 8  # halvings of the unit step in t
+_T_MAX = 6.0  # the last node in t, 2.6e-275 of the half-width from its end
+_EPS = 2.0 ** -52
 
 
 @dataclass(frozen=True)
@@ -92,120 +89,93 @@ def _value(res: EvalResult):
     return res.value
 
 
-# Gauss-Kronrod 7-15 nodes and weights on [-1, 1] (QUADPACK values).
-_XGK = (
-    0.991455371120812639206854697526329,
-    0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926,
-    0.741531185599394439863864773280788,
-    0.586087235467691130294144838258730,
-    0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245,
-    0.0,
-)
-_WGK = (
-    0.022935322010529224963732008058970,
-    0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518,
-    0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550,
-    0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649,
-    0.209482141084727828012999174891714,
-)
-_WG = (
-    0.129484966168869693270611432679082,
-    0.279705391489276667901467771423780,
-    0.381830050505118944950369775488975,
-    0.417959183673469387755102040816327,
-)
-
-
-def _gk15(f, a: float, b: float) -> tuple[float, float]:
-    """15-point Kronrod value and |K15 - G7| error estimate on [a, b]."""
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    fc = f(c)
-    kron = _WGK[7] * fc
-    gauss = _WG[3] * fc
-    for i in range(7):
-        x = h * _XGK[i]
-        v = f(c - x) + f(c + x)
-        kron += _WGK[i] * v
-        if i % 2 == 1:  # odd Kronrod indices are the Gauss-7 nodes
-            gauss += _WG[i // 2] * v
-    return kron * h, abs(kron - gauss) * h
+@functools.cache
+def _level(k: int) -> tuple[tuple[float, float, float], ...]:
+    """The nodes that step 2^-k adds on 0 < t <= _T_MAX, in order of t:
+    (t, delta, w), with delta = 1 - tanh(pi/2 sinh t) the distance of the
+    node from the end of [-1, 1] and w = -d delta/dt its weight, both from
+    q = e^(-pi sinh t), so that nothing overflows."""
+    step = 2.0 ** -k
+    out = []
+    for j in range(1, int(_T_MAX / step) + 1, 1 if k == 0 else 2):
+        t = j * step
+        q = math.exp(-PI * math.sinh(t))
+        out.append((t, 2.0 * q / (1.0 + q), 2.0 * PI * math.cosh(t) * q / (1.0 + q) ** 2))
+    return tuple(out)
 
 
 def integrate_finite(f, a: float, b: float) -> EvalResult:
-    """Adaptive integral of f over [a, b] by worst-panel bisection.
+    """Integral of f over [a, b] by the nested tanh-sinh trapezoid.
+
+    The first level has step 1 in t; each level halves it.  Every level
+    after the first estimates its error from the gap g to the level before
+    at the rate of the last two gaps, g min(1, g / g_prev)^1.5 (the logs of
+    the errors fall 1.8 to 2 fold per halving), or g itself for the first
+    gap, which has no rate, plus a rounding floor
+
+      eps step sum |w f| (4 + |x| / d),
+
+    d the distance of the node x from the end it nears: 4 ulp of each value
+    for its own rounding and that of the sum, and what the rounding of x
+    moves f by, eps |x| |f'| <= eps |x| |f| / d at log and power ends.  The
+    walk towards each end stops, at this level and all later ones, at its
+    first node that rounds onto the end or adds less than eps of sum |w f|.
 
     Returns converged=False (with the best estimate) if the error target
-    max(TOL, TOL * |result|) is still unmet once every remaining panel has
-    reached MAX_DEPTH (flag ``max_depth_exceeded``), or as soon as the error
-    estimate is not finite (flag ``non_finite``: the integrand returned NaN
-    or inf, which no bisection mends).  This is the one-panel start of
-    :func:`_integrate_panels`.
+    max(TOL, TOL * |result|) is still unmet after MAX_DEPTH halvings (flag
+    ``max_depth_exceeded``), or as soon as a level's sum is not finite (flag
+    ``non_finite``: the integrand returned NaN or inf, which no halving
+    mends).  ``terms_used`` counts the integrand's evaluations.
     """
-    return _integrate_panels(f, (a, b))
-
-
-def _integrate_panels(f, edges: tuple[float, ...]) -> EvalResult:
-    """Adaptive integral of f over [edges[0], edges[-1]], started from the
-    panels between consecutive edges (the breakpoints of QUADPACK's QAGP).
-
-    Every starting panel is at depth 0 and joins one heap under one global
-    error target, so a panel that needs more still bisects, up to MAX_DEPTH
-    below its own start; a start on the panels the bisection of
-    [edges[0], edges[-1]] always reaches skips evaluating their parents.
-    """
-    if not (math.isfinite(edges[0]) and math.isfinite(edges[-1])):
-        raise DomainError(f"integration interval [{edges[0]}, {edges[-1]}] must be finite")
-    if not all(a < b for a, b in zip(edges, edges[1:])):
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError(f"integration interval [{a}, {b}] must be finite")
+    if not a < b:
         raise DomainError("integration interval must satisfy a < b")
-    # heap entries: (-err, seq, depth, a, b, val, err); panels at MAX_DEPTH
-    # are dropped from the heap but their contribution stays in the totals
-    heap = []
-    for seq, (a, b) in enumerate(zip(edges, edges[1:])):
-        val, err = _gk15(f, a, b)
-        heap.append((-err, seq, 0, a, b, val, err))
-    # summed onto the first panel, so that one panel returns its own value
-    total_val = sum((e[5] for e in heap[1:]), heap[0][5])
-    total_err = sum(e[6] for e in heap)
-    heapq.heapify(heap)
-    stuck_err = 0.0
-    seq = len(heap)
-    evals = 15 * seq
-    splits = 0
-    while heap:
-        target = max(TOL, TOL * abs(total_val))
-        if total_err <= target:
-            break
-        if stuck_err >= target or splits >= _MAX_SPLITS or not math.isfinite(total_err):
-            break  # unreachable tolerance; stop refining, report honestly
-        _, _, depth, pa, pb, pval, perr = heapq.heappop(heap)
-        if depth >= MAX_DEPTH:
-            stuck_err += perr
-            continue
-        mid = 0.5 * (pa + pb)
-        lv, le = _gk15(f, pa, mid)
-        rv, re_ = _gk15(f, mid, pb)
-        evals += 30
-        splits += 1
-        total_val += lv + rv - pval
-        total_err += le + re_ - perr
-        heapq.heappush(heap, (-le, seq, depth + 1, pa, mid, lv, le))
-        heapq.heappush(heap, (-re_, seq + 1, depth + 1, mid, pb, rv, re_))
-        seq += 2
-    converged = total_err <= max(TOL, TOL * abs(total_val))
-    flags = (() if converged else
-             ("max_depth_exceeded",) if math.isfinite(total_err) else ("non_finite",))
-    return EvalResult(total_val, total_err, evals, converged, flags)
+    h = 0.5 * (b - a)
+    c = a + h
+    total = 0.5 * PI * f(c)
+    mag = abs(total)  # sum |w f|
+    rnd = mag * abs(c) / h  # sum |w f x / d|
+    evals = 1
+    lim = [_T_MAX + 1.0, _T_MAX + 1.0]  # where the walks from a and from b stop
+    val = est = math.inf
+    gap = 0.0
+    for depth in range(MAX_DEPTH + 1):
+        for side, end, sgn in ((0, a, h), (1, b, -h)):
+            for t, delta, w in _level(depth):
+                if t >= lim[side]:
+                    break
+                d = sgn * delta
+                x = end + d
+                if x == end:
+                    lim[side] = t
+                    break
+                v = w * f(x)
+                evals += 1
+                total += v
+                mag += abs(v)
+                rnd += abs(v * x / d)
+                if abs(v) <= _EPS * mag:
+                    lim[side] = t
+                    break
+        step = h * 2.0 ** -depth
+        new = step * total
+        if not math.isfinite(abs(new)):
+            return EvalResult(new, math.inf, evals, False, ("non_finite",))
+        if depth:
+            last, gap = gap, abs(new - val)
+            rate = min(1.0, gap / last) ** 1.5 if last else 1.0
+            est = gap * rate + _EPS * step * (4.0 * mag + rnd)
+        val = new
+        if est <= max(TOL, TOL * abs(val)):
+            return EvalResult(val, est, evals, True)
+    return EvalResult(val, est, evals, False, ("max_depth_exceeded",))
 
 
 def integrate_semiinf(f) -> EvalResult:
     """Integral of f over [0, inf) for integrands decaying at least
-    exponentially, mapped onto s in (0, 1) by t = -log(1-s)."""
+    exponentially, mapped onto s in (0, 1) by t = -log(1-s); no node lies
+    on s = 1 (t = inf): one that rounds onto it ends the walk there."""
 
     def g(s: float) -> float:
         t = -math.log1p(-s)
@@ -292,8 +262,10 @@ def apelblat_dber_dbei(nu: float, x: float,
       int_0^1 u^(nu-1) [gamma + log(1-u)] du / Gamma(nu) = -psi(nu+1)/Gamma(nu+1),
 
     which tends to gamma at nu = 0, where 1/Gamma(nu) vanishes.  The rest
-    of the integrand goes like u^nu at 0 and is integrated under u = w^2
-    and then w = 1 - e^(-v), which makes the log(1-u) factor exact.
+    of the integrand goes like u^nu at 0 and is integrated over w = sqrt(u)
+    in [0, 1].  At y < 1e-8 it is the second series term, exact to double
+    precision there, where the series less its first term would be all
+    rounding (and y^(nu-1) can overflow).
     """
     if bracket not in _BRACKET_VARIANTS:
         raise ValueError(f"bracket must be one of {_BRACKET_VARIANTS}")
@@ -308,21 +280,21 @@ def apelblat_dber_dbei(nu: float, x: float,
     th = 0.75 * PI * (nu - 1.0)
     turn = complex(math.cos(th), 0.0 if bracket == "printed_s1" else math.sin(th))
 
-    def integrand(v: float) -> complex:
-        # ber and bei of the bracket, less their first terms, packed re/im
-        w = -math.expm1(-v)
+    def integrand(w: float) -> complex:
+        # ber and bei of the bracket at y = x w, less their first terms, packed re/im
         y = x * w
-        if y == 0.0 or w >= 1.0:
-            return 0j  # the rest vanishes at u = 0; past v ~ 37, e^(-v) < eps
-        b, e, _ = _eval_ber_bei(nu - 1.0, y, orders)
-        if bracket == "printed_s1":
-            e = _eval_ber_bei(nu, y, orders)[1]
-        # u^((nu-1)/2) [gamma + log(1-u)] du, with log(1-u) = -v + log(1+w)
-        weight = 2.0 * w ** nu * (EULER_GAMMA - v + math.log1p(w)) * math.exp(-v)
-        return weight * (complex(b, e) - lead * y ** (nu - 1.0) * turn)
+        if y < 1e-8 and bracket != "printed_s1":
+            r = 1j * turn * (0.5 * y) ** (nu + 1.0) / g1  # the second term, to eps
+        else:
+            b, e, _ = _eval_ber_bei(nu - 1.0, y, orders)
+            if bracket == "printed_s1":
+                e = _eval_ber_bei(nu, y, orders)[1]
+            r = complex(b, e) - lead * y ** (nu - 1.0) * turn
+        # u^((nu-1)/2) [gamma + log(1-u)] du at u = w^2
+        return 2.0 * w ** nu * (EULER_GAMMA + math.log(1.0 - w) + math.log1p(w)) * r
 
     first = -(x / 2.0) ** (nu - 1.0) * digamma_real(nu + 1.0) / g1
-    packed = _value(_integrate_panels(integrand, _V_EDGES)) + first * turn
+    packed = _value(integrate_finite(integrand, 0.0, 1.0)) + first * turn
     b_ber = packed.real + packed.imag
     b_bei = b_ber if bracket == "printed_s3" else packed.real - packed.imag
     pref = x / (2.0 * SQRT2)
@@ -406,15 +378,11 @@ def theorem5_identities(nu: float, x: float,
         raise DomainError("requires x > 0 and nu > -1")
     orders: dict = {}  # the set-up of order nu, shared by every node
 
-    def g(v: float) -> complex:
-        u = -math.expm1(-v)
-        if u <= 0.0 or u >= 1.0:
-            return 0j
-        log1mu2 = -v + math.log1p(u)
+    def g(u: float) -> complex:
         ber, bei, _ = _eval_ber_bei(nu, x * u, orders)
-        return u ** (nu + 1.0) * log1mu2 * math.exp(-v) * complex(ber, bei)
+        return u ** (nu + 1.0) * (math.log(1.0 - u) + math.log1p(u)) * complex(ber, bei)
 
-    res = _integrate_panels(g, _V_EDGES)
+    res = integrate_finite(g, 0.0, 1.0)
     lhs = res.value
     o = _RayOrder(nu + 1.0)
     bb, dbb, _ = _bb_series(o, bessel._ray_sums(o, x, True), x)

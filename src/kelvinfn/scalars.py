@@ -74,7 +74,7 @@ def _two_sum(a: float, b: float) -> tuple[float, float]:
     """Exact sum a+b = s + e with s = fl(a+b)."""
     s = a + b
     bb = s - a
-    return s, (a - bb) + (b - (s - bb))
+    return s, (a - (s - bb)) + (b - bb)
 
 
 def _two_prod(a: float, b: float) -> tuple[float, float]:

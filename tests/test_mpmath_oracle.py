@@ -44,7 +44,7 @@ from kelvinfn.bessel import (K_MAX_ARG, TEMME_DK_MAX_ARG, TEMME_MAX_ARG,  # noqa
                              dk_dnu_any)
 from kelvinfn.cli import main  # noqa: E402
 from kelvinfn.errors import ConvergenceError  # noqa: E402
-from kelvinfn import orderderiv  # noqa: E402
+from kelvinfn import manifest, orderderiv, quad  # noqa: E402
 from kelvinfn.kelvin import (ROT_K, _eval_ber_bei, _eval_ker_kei, kelvin_all,  # noqa: E402
                              kelvin_ker_kei)
 from kelvinfn.orderderiv import dkelvin  # noqa: E402
@@ -175,21 +175,38 @@ def test_ker_kei_pairs(nu, x):
 
 @pytest.mark.parametrize("x", RAY_ROUNDING_XS)
 @pytest.mark.parametrize("nu", RAY_ROUNDING_ORDERS)
-def test_k_estimates_cover_the_ray_rounding(monkeypatch, nu, x):
+def test_k_estimates_cover_the_ray_rounding(nu, x):
     """The K sum is exact to its estimate at the double z = ROT_K x, which
     is up to 0.81 eps x off the ray; K ~ e^(-z) turns that into ~x eps of
-    ker/kei.  The ker/kei estimate and dkelvin's K side (its series side
-    zeroed here) each cover the error against mpmath on the exact ray and,
-    where it is above 1e-15 of the pair, overstate it by at most 1e3."""
+    ker/kei.  The ker/kei estimate and dkelvin's K-side estimate (the last
+    entry of ``_dkelvin``) each cover the error against mpmath on the exact
+    ray and, where it is above 1e-15 of the pair, overstate it by at most 1e3."""
     ker, kei, est = _eval_ker_kei(nu, x)
-    monkeypatch.setattr(orderderiv, "_bb_series", lambda o, run, x: (0j, 0j, 0.0))
     d = orderderiv._dkelvin(nu, x)
     for got, want, e in ((complex(ker, kei), kk_oracle(nu, x), est),
-                         (complex(d[6], d[7]), oracle(nu, x)["dkk"], d[8])):
+                         (complex(d[6], d[7]), oracle(nu, x)["dkk"], d[9])):
         err = abs(got - want)
         assert e >= err, (e, err)
         if err > 1e-15 * abs(want):
             assert e <= 1e3 * err, (e, err)
+
+
+@pytest.mark.parametrize("fn", ["dber", "dbei", "dker", "dkei"])
+@pytest.mark.parametrize("nu, x", [(0.3, 20.0), (0.3, 2.0), (-2.7, 8.0), (2.5, 0.5),
+                                   (7.75, 12.0), (-0.5, 15.0), (1.0, 5.0)])
+def test_eval_derivative_estimates_calibrated(capsys, fn, nu, x):
+    """``eval dber``/``dbei`` print the series side's estimate and ``eval
+    dker``/``dkei`` the K side's: each covers the error of its value against
+    40-digit ``mp.diff`` and is at most 1e3 times it.  dker at (0.3, 20),
+    good to ~2e-22, used to print the ber/bei side's 4.3e-08."""
+    assert main(["eval", fn, "--nu", repr(nu), "--x", repr(x), "--format", "csv"]) == 0
+    cells = capsys.readouterr().out.splitlines()[1].split(",")
+    value, est = float(cells[3]), float(cells[4])
+    f = {"dber": mpmath.ber, "dbei": mpmath.bei, "dker": mpmath.ker, "dkei": mpmath.kei}[fn]
+    mp = mpmath.mp
+    with mp.workdps(40):
+        err = float(abs(mp.mpf(value) - mp.diff(lambda t: f(t, mp.mpf(x)), mp.mpf(nu))))
+    assert err <= est <= 1e3 * err, (err, est)
 
 
 @functools.lru_cache(maxsize=None)
@@ -529,3 +546,67 @@ def test_temme_tables():
             t = mp.mpf(mu)
             want = (gamma1(t), gamma2(t), mp.diff(gamma1, t), mp.diff(gamma2, t))
             assert all(abs(got - w) <= 1e-16 for got, w in zip(_gamma12(mu, True), want)), mu
+
+
+def check_quad_estimate(res, want) -> None:
+    """The tanh-sinh estimate covers the error against 30 digits and, where
+    that error is above 1e-15 of the integral, overstates it by at most 1e3."""
+    err = abs(res.value - complex(want))
+    assert res.converged and res.abs_err_estimate >= err, (res, err)
+    if err > 1e-15 * abs(want):
+        assert res.abs_err_estimate <= 1e3 * err, (res, err)
+
+
+@pytest.mark.parametrize("variant", ["sin", "cos"])
+@pytest.mark.parametrize("x", manifest.APPENDIX_X)
+def test_appendix_quadrature_estimate_calibrated(integrals, x, variant):
+    """Without its rounding floor the estimate at x = 10 fell 1e6 short."""
+    quad.appendix_ber_bei(x, variant)
+    mp = mpmath.mp
+    with mp.workdps(30):
+        big_x, sc = mp.mpf(x) / mp.sqrt(2), mp.sin if variant == "sin" else mp.cos
+
+        def f(t):
+            s = big_x * sc(t)
+            return mp.mpc(mp.cosh(s) * mp.cos(s), mp.sinh(s) * mp.sin(s))
+
+        want = mp.quad(f, [0, mp.pi / 4, mp.mpf(math.pi / 2)])
+    [res] = integrals
+    check_quad_estimate(res, want)
+
+
+@pytest.mark.parametrize("x", [2.0, 8.0])
+@pytest.mark.parametrize("nu", [0.3, 1.7])
+def test_apelblat_finite_part_estimate_calibrated(integrals, nu, x):
+    quad.apelblat_ber_bei(nu, x)
+    mp = mpmath.mp
+    with mp.workdps(30):
+        big_x, n = mp.mpf(x) / mp.sqrt(2), mp.mpf(nu)
+        cpn, spn = mp.cos(mp.pi * n), mp.sin(mp.pi * n)
+
+        def fin(t):
+            s = big_x * mp.sin(t)
+            c, sn = mp.cos(s - n * t), mp.sin(s - n * t)
+            ch, sh = mp.cosh(s), mp.sinh(s)
+            return mp.mpc(cpn * c * ch - spn * sn * sh, cpn * sn * sh + spn * c * ch)
+
+        want = mp.quad(fin, [0, mp.pi / 2, mp.mpf(math.pi)])
+    check_quad_estimate(integrals[0], want)
+
+
+def test_theorem5_quadrature_estimate_calibrated(integrals):
+    """The log(1-u^2) end at u = 1, where the nodes closer than eps round
+    onto the end, is covered by the node-rounding part of the floor."""
+    nu, x = 0.5, 2.0
+    quad.theorem5_identities(nu, x)
+    mp = mpmath.mp
+    with mp.workdps(30):
+        n = mp.mpf(nu)
+
+        def g(u):
+            y = mp.mpf(x) * u
+            return u ** (n + 1) * mp.log(1 - u * u) * mp.mpc(mp.ber(n, y), mp.bei(n, y))
+
+        want = mp.quad(g, [0, 1])
+    [res] = integrals
+    check_quad_estimate(res, want)

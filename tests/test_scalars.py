@@ -1,11 +1,12 @@
 """Gamma and digamma kernels: spot values, recurrences, reflection."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
 from kelvinfn.errors import GammaOverflowError, KelvinError, PoleError
-from kelvinfn.scalars import EULER_GAMMA, digamma_real, gamma_real
+from kelvinfn.scalars import EULER_GAMMA, _two_sum, digamma_real, gamma_real
 
 # Reference values computed with 25-digit arithmetic and rounded to double.
 GAMMA_REFS = {
@@ -77,6 +78,17 @@ class TestGammaRecurrence:
             rhs = x * gamma_real(x)
             worst = max(worst, abs(lhs - rhs) / math.ulp(abs(lhs)))
         assert worst <= 4.0
+
+
+@pytest.mark.parametrize("a, b", [(0.1, 3.0), (3.0, 0.1), (-0.7, 2.0), (1e-20, 1.0),
+                                  (1.0, -1.0 + 2.0**-52), (-2.5, 0.3)])
+def test_two_sum_error_term_is_exact(a, b):
+    """a + b = s + e exactly, with s the rounded sum: TwoSum's error term
+    takes a - (s - (s - a)) and b - (s - a); with the two swapped it read 0
+    at (0.1, 3), where the error is -8.3e-17."""
+    s, e = _two_sum(a, b)
+    assert s == a + b
+    assert Fraction(s) + Fraction(e) == Fraction(a) + Fraction(b)
 
 
 class TestDigamma:

@@ -12,6 +12,8 @@ one call does; a series run is identified by its order, argument and plain
 sum.
 """
 
+import contextlib
+
 import pytest
 
 import kelvinfn.bessel
@@ -20,6 +22,7 @@ import kelvinfn.quad
 from kelvinfn import manifest as M
 from kelvinfn.bessel import _ji, _RayOrder, dj_dnu, dk_dnu
 from kelvinfn.cli import main
+from kelvinfn.errors import ConvergenceError
 from kelvinfn.kelvin import ROT_J, ROT_K, kelvin_all, kelvin_ker_kei
 from kelvinfn.orderderiv import dkelvin, dkelvin_bb_pos, dkelvin_kk_pos
 from kelvinfn.quad import apelblat_dber_dbei, theorem5_identities, theorem5_identity
@@ -234,77 +237,62 @@ def test_theorem5_sets_up_each_order_once(anchors, monkeypatch, tol):
     assert _counts(anchors) == (2, 1)
 
 
-def test_theorem5_pair_in_one_pass(series):
-    """Both theorem5 rows at (0.5, 2) come from one adaptive pass over
-    ber + i bei, started on the seven panels of ``quad._V_EDGES``: each of
-    its 99 nodes runs the series of order 0.5 once (the 6 nodes past
-    v ~ 37, where 1 - e^(-v) rounds to 1, run none), and the closed form
-    runs order 1.5 once, with its psi sums.  Started on the one panel
-    [0, 45] the pass took 185 runs."""
+def test_theorem5_pair_in_one_pass(series, integrals):
+    """Both theorem5 rows at (0.5, 2) come from one tanh-sinh pass over
+    ber + i bei: each of its 41 nodes runs the series of order 0.5 once,
+    and the closed form runs order 1.5 once, with its psi sums.  The GK15
+    pass on the seven panels of the e^(-v) map took 99 runs."""
     ber, bei = theorem5_identities(0.5, 2.0)
     assert (ber.name, bei.name) == ("theorem5_ber", "theorem5_bei")
     mus = [mu for mu, _, _ in series]
-    assert (mus.count(0.5), mus.count(1.5), len(mus)) == (99, 1, 100)
+    assert [r.terms_used for r in integrals] == [41]
+    assert (mus.count(0.5), mus.count(1.5), len(mus)) == (41, 1, 42)
 
 
-def test_apelblat_derivatives_in_one_pass(series):
+def test_apelblat_derivatives_in_one_pass(series, integrals):
     """apelblat_dber_dbei(0.5, 1) runs the bracket's series of order -0.5
-    once at each of the 99 nodes of its seven starting panels, and order 0.5
-    once for the values.  Started on [0, 45], with the first series term
-    left in the integrand (u = w^4), it took 245 runs."""
+    once at 44 of the 46 nodes of its pass (at the 2 nodes below y = 1e-8
+    the second series term stands in), and order 0.5 once for the values.
+    The GK15 pass on the seven panels of the e^(-v) map took 99 runs."""
     apelblat_dber_dbei(0.5, 1.0)
     mus = [mu for mu, _, _ in series]
-    assert (mus.count(-0.5), mus.count(0.5), len(mus)) == (99, 1, 100)
+    assert [r.terms_used for r in integrals] == [46]
+    assert (mus.count(-0.5), mus.count(0.5), len(mus)) == (44, 1, 45)
 
 
-def test_log_weighted_panels(monkeypatch):
-    """The GK15 panels of the theorem5 suite and the Apelblat derivative
-    grid: 170, against 308 when both e^(-v) integrals started on the one
-    panel [0, 45] and the derivative integrand kept its first series term."""
-    panels = []
-    orig = kelvinfn.quad._gk15
-
-    def counted(f, a, b):
-        panels.append((a, b))
-        return orig(f, a, b)
-
-    monkeypatch.setattr(kelvinfn.quad, "_gk15", counted)
+def test_log_weighted_panels(integrals):
+    """The integrand evaluations of the theorem5 suite and the Apelblat
+    derivative grid, 24 integrals: 965, against 2550 (170 GK15 panels) when
+    the log-weighted integrals ran over v = -log(1-u) on dyadic panels."""
     run_suites("theorem5")
     for nu in M.APELBLAT_D_NU:
         for x in M.APELBLAT_D_X:
             apelblat_dber_dbei(nu, x)
-    assert len(panels) == 170
-    assert len(panels) <= 0.65 * 308
+    assert len(integrals) == 24 and all(r.converged for r in integrals)
+    assert sum(r.terms_used for r in integrals) == 965
 
 
 @pytest.mark.parametrize("nu", [-0.5, 0.3, 1.0, 5.0, 7.5])
 @pytest.mark.parametrize("x", [0.1, 1.0, 4.0, 8.0])
-def test_seeded_start_off_the_grid(monkeypatch, nu, x):
-    """Off the manifest grid the e^(-v) integrals started on
-    ``quad._V_EDGES`` converge and agree with the one-panel start within
-    twice the error target."""
-    runs = []
-    orig = kelvinfn.quad._integrate_panels
+def test_seeded_start_off_the_grid(monkeypatch, integrals, nu, x):
+    """Off the manifest grid the log-weighted integrals over [0, 1] (theorem
+    5 and the Apelblat order derivatives) converge and agree within twice
+    the error target with the deepest level, MAX_DEPTH halvings, that a
+    target of 0 runs to."""
 
-    def recorded(f, edges):
-        res = orig(f, edges)
-        runs.append(res)
-        return res
-
-    monkeypatch.setattr(kelvinfn.quad, "_integrate_panels", recorded)
-
-    def integrals():
-        runs.clear()
+    def run():
+        integrals.clear()
         theorem5_identities(nu, x)
         if nu >= 0.0:
-            apelblat_dber_dbei(nu, x)
-        return list(runs)
+            with contextlib.suppress(ConvergenceError):
+                apelblat_dber_dbei(nu, x)
+        return list(integrals)
 
-    seeded = integrals()
-    monkeypatch.setattr(kelvinfn.quad, "_V_EDGES", (0.0, 45.0))
-    single = integrals()
-    assert len(seeded) == len(single) == (1 if nu < 0.0 else 2)
+    first = run()
     tol = kelvinfn.quad.TOL
-    for s, o in zip(seeded, single):
+    monkeypatch.setattr(kelvinfn.quad, "TOL", 0.0)
+    deep = run()
+    assert len(first) == len(deep) == (1 if nu < 0.0 else 2)
+    for s, o in zip(first, deep):
         assert s.converged
         assert abs(s.value - o.value) <= 2.0 * max(tol, tol * abs(s.value))
