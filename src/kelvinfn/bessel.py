@@ -24,11 +24,11 @@ ber + i bei), so a kernel run does only the work that depends on the
 argument; the K starts read fixed tables (on the Kelvin ray the contour's
 nodes per step, Gamma_1 and Gamma_2), which depend on neither.
 The Kelvin values and order derivatives call the ray kernels directly, once
-each per (nu, x); a caller that evaluates one order at many x (table rows,
-integrand nodes, stencils) keeps one dict of orders, so each is set up
-once.  One psi run gives a function and its order derivative together, so
-nothing is memoised: nothing but the node tables outlives the top-level
-call.
+each per (nu, x); a caller that evaluates one order at many x sets it up
+once: a table order is one batch (``orderderiv._dkelvin_rows``), and
+integrand nodes and stencils keep one dict of orders.  One psi run gives a
+function and its order derivative together, so nothing is memoised:
+nothing but the node tables outlives the top-level call.
 
 The paper's closed forms ``dj_dnu`` and ``dk_dnu`` are oracles for the
 verify suites and tests only; they read J (or I) at nu and -nu from one

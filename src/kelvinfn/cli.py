@@ -6,7 +6,8 @@ eval    one function at one (nu, x); prints value, error estimate, method
 table   CSV sweep over nu/x ranges with all four values and derivatives
 verify  run identity suites, emit the report CSV, exit 1 on any failure
 
-CSV output uses 17 significant digits, '\n' line endings and no quoting, so
+A table takes each order as one batch (``orderderiv._dkelvin_rows``).  CSV
+output uses 17 significant digits, '\n' line endings and no quoting, so
 two runs with identical flags are byte-identical.  Every value is computed
 to full double precision; no flag or environment variable changes that.
 """
@@ -19,7 +20,7 @@ import sys
 
 from .errors import KelvinError
 from .kelvin import _eval_ber_bei, _eval_ker_kei
-from .orderderiv import _dkelvin
+from .orderderiv import _dkelvin_rows
 from .verify import SUITES, run_suites
 
 _VALUE_FNS = ("ber", "bei", "ker", "kei")
@@ -76,7 +77,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 value = ker if fn == "ker" else kei
         else:
             # dber/dbei carry the series side's estimate, dker/dkei the K side's
-            row = _dkelvin(args.nu, args.x)
+            row, = _dkelvin_rows(args.nu, (args.x,))
             i = _DERIV_FNS.index(fn)
             value, est = row[4 + i], row[8 + i // 2]
     except KelvinError as exc:
@@ -93,17 +94,21 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _table_row(nu: float, x: float, orders: dict) -> str:
-    if x == 0.0:
-        try:
-            ber, bei, _ = _eval_ber_bei(nu, 0.0)
-            cells = [_fmt(ber), _fmt(bei)]
-            note = "undefined_at_x0"
-        except KelvinError:
-            cells = ["", ""]
-            note = "undefined_at_x0"
-        return ",".join([_fmt(nu), _fmt(x)] + cells + [""] * 6 + [note])
-    return _TABLE_ROW % ((nu, x) + _dkelvin(nu, x, orders)[:8])
+def _origin_row(nu: float, x: float) -> str:
+    """The row at x = 0 (or -0): ber/bei where they are defined, and a note."""
+    try:
+        ber, bei, _ = _eval_ber_bei(nu, 0.0)
+        cells = [_fmt(ber), _fmt(bei)]
+    except KelvinError:
+        cells = ["", ""]
+    return ",".join([_fmt(nu), _fmt(x)] + cells + [""] * 6 + ["undefined_at_x0"])
+
+
+def _table_rows(nu: float, xs: list[float]) -> list[str]:
+    """The rows of order nu over ``xs``; those at x != 0 are one batch."""
+    rows = iter(_dkelvin_rows(nu, [x for x in xs if x != 0.0]))
+    return [_origin_row(nu, x) if x == 0.0 else _TABLE_ROW % ((nu, x) + next(rows)[:8])
+            for x in xs]
 
 
 def cmd_table(args: argparse.Namespace) -> int:
@@ -118,9 +123,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     lines = [_TABLE_HEADER]
     try:
         for nu in nus:          # nu-major, then x: deterministic row order
-            orders: dict = {}   # the order set-ups of nu, shared by its rows
-            for x in xs:
-                lines.append(_table_row(nu, x, orders))
+            lines += _table_rows(nu, xs)
     except KelvinError as exc:
         print(f"table: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -17,12 +17,14 @@ one exact phase e^(3i pi mu/4) into ber + i bei, so ber_{-n} = (-1)^n ber_n
 holds bit for bit; the K side's phase e^(-i pi nu/2) is exact likewise, so
 ker_{-n} = (-1)^n ker_n.  Each entry calls the kernels itself, once each:
 ``bessel._ray_sums`` on an order set up once (``bessel._RayOrder``: Gamma
-and psi at the anchor, the phase) and ``bessel._k_sums``, turned by
-e^(-i pi nu/2) (``_k_turn``).  ``_eval_ber_bei`` takes an optional dict of
-orders: a caller that evaluates one order at many x (integrand nodes, ODE
-stencils) passes the same dict each time, so that the order is set up once
-per top-level call.  ``_finite`` (``bessel._finite``, shared with the
-complex API) is where every entry rejects a non-finite order or argument.
+and psi at the anchor, the phase) and ``bessel._k_sums``, checked by
+``_k_bound`` and turned by e^(-i pi nu/2).  ``_eval_ber_bei`` takes an
+optional dict of orders: a caller that evaluates one order at many x
+(integrand nodes, ODE stencils) passes the same dict each time, so that the
+order is set up once per top-level call; the rows of a table order are one
+batch of their own (``orderderiv._dkelvin_rows``).  ``_finite``
+(``bessel._finite``, shared with the complex API) is where every entry
+rejects a non-finite order or argument.
 """
 
 from __future__ import annotations
@@ -73,13 +75,11 @@ def _rotate(o: _RayOrder, run: tuple) -> tuple[float, float, float]:
     return value.real, value.imag, err + _VALUE_FLOOR * max_term
 
 
-def _k_turn(nu: float, x: float, k: tuple) -> complex:
-    """e^(-i pi nu/2), exact at integer nu (``bessel._turn``), which turns
-    the K sum ``k`` at |nu| and x (a tuple of ``bessel._k_sums``) into
-    ker + i kei; ConvergenceError where that sum has no error bound."""
+def _k_bound(nu: float, x: float, k: tuple) -> None:
+    """ConvergenceError where the K sum ``k`` at |nu| and x (a tuple of
+    ``bessel._k_sums``) has no error bound."""
     if not k[3]:
         raise ConvergenceError(f"the K sum at order {nu:g} has no error bound at x = {x:g}")
-    return _turn(-0.5 * nu)
 
 
 def _eval_ber_bei(nu: float, x: float, orders: dict | None = None) -> tuple[float, float, float]:
@@ -103,7 +103,8 @@ def _eval_ker_kei(nu: float, x: float) -> tuple[float, float, float]:
     if x <= 0.0:
         raise DomainError("ker/kei defined for x > 0")
     k = bessel._k_sums(abs(nu), ROT_K * x, False)[0]  # K is even in the order
-    w = _k_turn(nu, x, k) * k[0]
+    _k_bound(nu, x, k)
+    w = _turn(-0.5 * nu) * k[0]  # exact at integer nu (``bessel._turn``)
     return w.real, w.imag, k[1] + _ray_rounding(nu, x, k[0])
 
 

@@ -28,9 +28,10 @@ the Kelvin values from their own kernels.
 P (``bessel._ray_sums``), and the K start and climb at |nu| with dK/dnu
 (``bessel._k_sums``).  Each side takes one phase: with ber + i bei = phi T,
 d(ber + i bei)/dnu = phi ((log(x/2) + 3i pi/4) T - P), as
-dT/dnu = log(x/2) T - P, and the K side turns by e^(-i pi nu/2).  The
-series side (``_bb_series``) also gives theorem 5 (``quad``) its ber/bei
-and dJ/dnu at nu + 1.
+dT/dnu = log(x/2) T - P, and the K side turns by e^(-i pi nu/2).  The rows
+of a table order are one batch (``_dkelvin_rows``), ``dkelvin`` a batch of
+one.  The series side (``_bb_series``) also gives theorem 5 (``quad``) its
+ber/bei and dJ/dnu at nu + 1.
 """
 
 from __future__ import annotations
@@ -39,10 +40,10 @@ import math
 from dataclasses import dataclass
 
 from . import bessel
-from .bessel import ORDER_EPS, _is_near_int, _order, _RayOrder, _turn, dj_dnu, dk_dnu
+from .bessel import ORDER_EPS, _is_near_int, _RayOrder, _turn, dj_dnu, dk_dnu
 from .errors import DomainError, NegativeIntegerOrderError, OrderClassError
 from .hyper import HyperSpec, pfq
-from .kelvin import (ROT_J, ROT_K, KelvinQuad, _eval_ber_bei, _eval_ker_kei, _finite, _k_turn,
+from .kelvin import (ROT_J, ROT_K, KelvinQuad, _eval_ber_bei, _eval_ker_kei, _finite, _k_bound,
                      _ray_rounding, kelvin_all)
 from .scalars import PI, digamma_real, gamma_real
 
@@ -229,33 +230,47 @@ def dkelvin(nu: float, x: float) -> OrderDerivQuad:
     dK/dnu of the K pass at |nu|, odd in nu, onto the Kelvin rays (method
     'series').  The result also carries the four values at nu.
     """
-    ber, bei, ker, kei, dber, dbei, dker, dkei, est_j, est_k = _dkelvin(nu, x)
+    (ber, bei, ker, kei, dber, dbei, dker, dkei, est_j, est_k), = _dkelvin_rows(nu, (x,))
     return OrderDerivQuad(dber, dbei, dker, dkei, nu, x, "series", est_j + est_k,
                           KelvinQuad(ber, bei, ker, kei, nu, x))
 
 
-def _dkelvin(nu: float, x: float, orders: dict | None = None) -> tuple:
-    """``dkelvin`` as the plain tuple (ber, bei, ker, kei, dber, dbei, dker,
-    dkei, est_j, est_k) with the abs error estimates of dber/dbei and of
-    dker/dkei apart; the rows of a table order pass one dict ``orders``, in
-    which nu is set up once.  est_j is the series' estimate
-    (:func:`_bb_series`); est_k adds that of dK/dnu and pi/2 times the K
-    estimate, each with the rounding of the ray point
-    (``kelvin._ray_rounding``)."""
-    _finite(nu, x)
-    if x <= 0.0:
-        raise DomainError("x must be positive")
-    o = _RayOrder(nu) if orders is None else _order(orders, nu)
-    run = bessel._ray_sums(o, x, True)
-    k, dk = bessel._k_sums(abs(nu), ROT_K * x, True)
-    turn = _k_turn(nu, x, k)
-    # log(x/2) after the K start, which raises where x/2 underflows to 0
-    bb, dbb, est_j = _bb_series(o, run, x)
-    kk, e = turn * k[0], turn * (-dk[0] if nu < 0.0 else dk[0])
-    est_k = (dk[1] + _ray_rounding(nu, x, dk[0])
-             + PI / 2.0 * (k[1] + _ray_rounding(nu, x, k[0])))
-    return (bb.real, bb.imag, kk.real, kk.imag, dbb.real, dbb.imag,
-            e.real + PI / 2.0 * kk.imag, e.imag - PI / 2.0 * kk.real, est_j, est_k)
+def _dkelvin_rows(nu: float, xs: list[float] | tuple[float, ...]) -> list[tuple]:
+    """``dkelvin`` at order nu and each x of ``xs`` as the plain tuple (ber,
+    bei, ker, kei, dber, dbei, dker, dkei, est_j, est_k), est_j the series'
+    abs error estimate (:func:`_bb_series`), est_k that of dK/dnu plus pi/2
+    times K's, each with the ray point's rounding (``kelvin._ray_rounding``).
+    The order is set up once, then the series runs at every x, the K sum at
+    every x, and the rows are built: each kernel runs 6-10% slower right
+    after the other.  The error raised is a row-by-row pass's first one."""
+    o, runs, fault = None, [], None
+    try:
+        for x in xs:
+            _finite(nu, x)
+            if x <= 0.0:
+                raise DomainError("x must be positive")
+            if o is None:  # nu is finite
+                o, turn = _RayOrder(nu), _turn(-0.5 * nu)
+                dturn = -turn if nu < 0.0 else turn  # turn * -dK/dnu, bit for bit
+            runs.append(bessel._ray_sums(o, x, True))
+    except Exception as exc:  # noqa: BLE001 - raised below, after the K sums before it
+        fault = exc
+    m, ks = abs(nu), []
+    for x, _ in zip(xs, runs):
+        ks.append(bessel._k_sums(m, ROT_K * x, True))
+        _k_bound(nu, x, ks[-1][0])
+    if fault is not None:
+        raise fault
+    rows = []
+    # log(x/2) cannot fail here: where x/2 underflows to 0 the K start has raised
+    for x, run, (k, dk) in zip(xs, runs, ks):
+        bb, dbb, est_j = _bb_series(o, run, x)
+        kk, e = turn * k[0], dturn * dk[0]
+        est_k = (dk[1] + _ray_rounding(m, x, dk[0])
+                 + PI / 2.0 * (k[1] + _ray_rounding(m, x, k[0])))
+        rows.append((bb.real, bb.imag, kk.real, kk.imag, dbb.real, dbb.imag,
+                     e.real + PI / 2.0 * kk.imag, e.imag - PI / 2.0 * kk.real, est_j, est_k))
+    return rows
 
 
 def _bb_series(o: _RayOrder, run: tuple, x: float) -> tuple[complex, complex, float]:

@@ -126,6 +126,10 @@ def integrate_finite(f, a: float, b: float) -> EvalResult:
     ``max_depth_exceeded``), or as soon as a level's sum is not finite (flag
     ``non_finite``: the integrand returned NaN or inf, which no halving
     mends).  ``terms_used`` counts the integrand's evaluations.
+
+    The rate holds for integrands smooth to rounding, as all of the
+    package's are; noise fools it: 1 + 1e-6 random() on [0, 1] stops after
+    28 evaluations with an estimate of 1e-11, its value ~1e-7 off.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError(f"integration interval [{a}, {b}] must be finite")

@@ -106,6 +106,26 @@ class TestTable:
         assert err.count("\n") == 1
         assert err.startswith("table: GammaOverflowError: ")
 
+    @pytest.mark.parametrize("args, error, at", [
+        (("--nu", "0", "--x-range=40:1040:1000"), "ConvergenceError", "at x = 40"),
+        (("--nu", "0", "--x", "1040"), "SeriesOverflowError", "at x = 1040"),
+        (("--nu", "0", "--x-range=-1:1:1"), "DomainError", "x must be positive"),
+        (("--nu-range=-200:0:200", "--x-range=1e-3:1:0.5"), "PowerOverflowError",
+         "(x/2)^-200 overflows double precision at x = 0.001"),
+    ])
+    def test_first_failing_row_names_the_error(self, capsys, args, error, at):
+        """A failing table names the error of its first failing row, in row
+        order: at x = 40 the K sum has no bound, though the series at 1040
+        overflows before the K sums run; within one row the series fails
+        before K; x = -1 fails before x = 0 and 1; nu = -200 fails at its
+        first x."""
+        code, out, err = run_cli(capsys, "table", *args)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith(f"table: {error}: ")
+        assert at in err
+
     def test_format_option_removed(self, capsys):
         """table writes CSV only; --format was accepted and ignored."""
         with pytest.raises(SystemExit) as exc:

@@ -51,12 +51,12 @@ def test_table_row_cells(capsys, nu, x):
     assert row == want
 
 
-def test_table_rows_on_the_whole_grid(capsys):
-    """Every row of the table over nu = -10:10:0.25, x = 0.5:20:0.5 is the
-    f"{v:.17g}" string of dkelvin(nu, x), cell by cell."""
-    assert main(["table", "--nu-range=-10:10:0.25", "--x-range=0.5:20:0.5"]) == 0
+def _table_cells_are_dkelvin(capsys, x_range, xs):
+    """Every row of the table over nu = -10:10:0.25 and ``x_range`` (the
+    points ``xs``) is the f"{v:.17g}" string of dkelvin(nu, x), cell by cell."""
+    assert main(["table", "--nu-range=-10:10:0.25", f"--x-range={x_range}"]) == 0
     rows = capsys.readouterr().out.splitlines()[1:]
-    points = [(-10.0 + 0.25 * i, 0.5 + 0.5 * j) for i in range(81) for j in range(40)]
+    points = [(-10.0 + 0.25 * i, x) for i in range(81) for x in xs]
     assert len(rows) == len(points)
     for row, (nu, x) in zip(rows, points):
         d = dkelvin(nu, x)
@@ -64,6 +64,17 @@ def test_table_rows_on_the_whole_grid(capsys):
         cells = [f"{v:.17g}" for v in (nu, x, q.ber, q.bei, q.ker, q.kei,
                                        d.dber, d.dbei, d.dker, d.dkei)]
         assert row == ",".join(cells + [d.method]), (nu, x)
+
+
+def test_table_rows_on_the_whole_grid(capsys):
+    """x = 0.5:20:0.5, every K start and step band of the envelope."""
+    _table_cells_are_dkelvin(capsys, "0.5:20:0.5", [0.5 + 0.5 * j for j in range(40)])
+
+
+def test_table_rows_across_the_k_start_border(capsys):
+    """x = 0.1:2:0.1, where Temme's dK/dnu start hands over to the contour
+    sum (x = 0.5) and then Temme's K start (x = 1.2)."""
+    _table_cells_are_dkelvin(capsys, "0.1:2:0.1", [0.1 + 0.1 * j for j in range(20)])
 
 
 @pytest.mark.parametrize("x", [0.5, 1.0, 2.0, 3.7, 7.5, 12.0, 15.0, 20.0])

@@ -1,14 +1,14 @@
 """One order, many arguments: the callers that set an order up once and run
-it at many x (table rows, integrands, ODE stencils) return, bit for bit,
-what the single-point calls return.  Each order is walked over x ascending
-and then descending with one shared set-up, so that nothing an order keeps
-can depend on the argument it was first run at."""
+it at many x (the batch of a table order, integrands, ODE stencils) return,
+bit for bit, what the single-point calls return.  Each order is walked over
+x ascending and then descending with one shared set-up, so that nothing an
+order keeps can depend on the argument it was first run at."""
 
 import pytest
 
-from kelvinfn.cli import _fmt, _table_row
+from kelvinfn.cli import _fmt, _table_rows
 from kelvinfn.kelvin import _eval_ber_bei, _eval_ker_kei, kelvin_ber_bei, kelvin_ker_kei
-from kelvinfn.orderderiv import _dkelvin, dkelvin
+from kelvinfn.orderderiv import _dkelvin_rows, dkelvin
 
 ORDERS = [-10.0, -3.0, -3.0 - 1e-9, -3.0 + 1e-9, -2.5, -0.3, 0.0, 2e-6, 3.0, 3.0 + 5e-7,
           7.75, 10.0]
@@ -29,20 +29,19 @@ def deriv_bits(d) -> tuple:
 
 @pytest.mark.parametrize("nu", ORDERS)
 def test_table_rows_equal_single_points(nu):
-    orders: dict = {}
-    for x in WALK:
-        d = dkelvin(nu, x)
+    """Every row of one batch, and every CSV row of one table order, is
+    dkelvin at its x, estimates included."""
+    points = [dkelvin(nu, x) for x in WALK]
+    for x, d, line in zip(WALK, points, _table_rows(nu, WALK), strict=True):
         want = [_fmt(nu), _fmt(x)] + [_fmt(v) for v in (
             d.values.ber, d.values.bei, d.values.ker, d.values.kei,
             d.dber, d.dbei, d.dker, d.dkei)] + [d.method]
-        assert _table_row(nu, x, orders).split(",") == want, x
-    shared: dict = {}
-    for x in WALK:
-        d = dkelvin(nu, x)
+        assert line.split(",") == want, x
+    for x, d, row in zip(WALK, points, _dkelvin_rows(nu, WALK), strict=True):
         want = bits(d.values.ber, d.values.bei, d.values.ker, d.values.kei,
                     d.dber, d.dbei, d.dker, d.dkei, d.err_estimate)
-        *row, est_j, est_k = _dkelvin(nu, x, shared)
-        assert bits(*row, est_j + est_k) == want, x
+        *vals, est_j, est_k = row
+        assert bits(*vals, est_j + est_k) == want, x
 
 
 @pytest.mark.parametrize("nu", ORDERS)

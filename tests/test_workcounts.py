@@ -97,6 +97,22 @@ def test_series_summed_once(series, ksums, capsys, call, count):
     assert len(ksums) == 1
 
 
+@pytest.mark.parametrize("nu", [0.3, -1.5, -3.0])
+def test_table_order_runs_in_phases(monkeypatch, capsys, nu):
+    """The rows of one table order make one series run and one K sum each,
+    every series run first and then every K sum, in row order; the row at
+    x = 0 makes neither."""
+    calls = []
+    ray, ks = kelvinfn.bessel._ray_sums, kelvinfn.bessel._k_sums
+    monkeypatch.setattr(kelvinfn.bessel, "_ray_sums",
+                        lambda o, x, psi: calls.append(("J", x)) or ray(o, x, psi))
+    monkeypatch.setattr(kelvinfn.bessel, "_k_sums",
+                        lambda m, z, dk: calls.append(("K", abs(z))) or ks(m, z, dk))
+    assert main(["table", "--nu", repr(nu), "--x-range", "0:4:1"]) == 0
+    xs = [pytest.approx(x) for x in (1.0, 2.0, 3.0, 4.0)]
+    assert calls == [("J", x) for x in xs] + [("K", x) for x in xs]
+
+
 @pytest.mark.parametrize("nu, count", [(0.3, 1), (2.0, 1),  # 3, 2
                                        (-3.0, 1)])
 def test_kelvin_all_counts(series, ksums, nu, count):
