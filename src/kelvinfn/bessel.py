@@ -390,7 +390,9 @@ def _k_sums(nu: float, z: complex, dk: bool) -> tuple:
         if d or not dk:
             return k, d
     th = math.atan2(z.imag, z.real)
-    h = next((h for bound, h in _K_STEPS if sz <= bound), _K_STEPS[-1][1])
+    for bound, h in _K_STEPS:  # past the last bound, its step
+        if sz <= bound:
+            break
     if abs(th) > _RAY_PHASE:
         h *= 0.7
     # passes to |z| (cosh u - 1) = 80, where the terms are below e^(-80) of g(0)

@@ -15,16 +15,17 @@ bound on the order.
 J_mu and I_mu of one order are one real series on the two rays, turned by
 one exact phase e^(3i pi mu/4) into ber + i bei, so ber_{-n} = (-1)^n ber_n
 holds bit for bit; the K side's phase e^(-i pi nu/2) is exact likewise, so
-ker_{-n} = (-1)^n ker_n.  Each entry calls the kernels itself, once each:
+ker_{-n} = (-1)^n ker_n.  Each value is one run of each kernel:
 ``bessel._ray_sums`` on an order set up once (``bessel._RayOrder``: Gamma
 and psi at the anchor, the phase) and ``bessel._k_sums``, checked by
-``_k_bound`` and turned by e^(-i pi nu/2).  ``_eval_ber_bei`` takes an
-optional dict of orders: a caller that evaluates one order at many x
-(integrand nodes, ODE stencils) passes the same dict each time, so that the
-order is set up once per top-level call; the rows of a table order are one
-batch of their own (``orderderiv._dkelvin_rows``).  ``_finite``
-(``bessel._finite``, shared with the complex API) is where every entry
-rejects a non-finite order or argument.
+``_k_bound`` and turned by e^(-i pi nu/2).  ``kelvin_all`` composes the
+two runs itself, as ``orderderiv._dkelvin_rows`` does for a table order;
+``_eval_ber_bei`` and ``_eval_ker_kei`` are the one-sided entries, with
+error estimates.  ``_eval_ber_bei`` takes an optional dict of orders: a
+caller that evaluates one order at many x (integrand nodes, ODE stencils)
+passes the same dict each time, so that the order is set up once per
+top-level call.  ``_finite`` (``bessel._finite``, shared with the complex
+API) is where every entry rejects a non-finite order or argument.
 """
 
 from __future__ import annotations
@@ -136,9 +137,15 @@ def kelvin_ker_kei(nu: float, x: float) -> tuple[float, float]:
 
 def kelvin_all(nu: float, x: float) -> KelvinQuad:
     """All four Kelvin functions at (nu, x), x > 0; DomainError otherwise and
-    at non-finite nu or x."""
+    at non-finite nu or x.  The values of ``_eval_ber_bei`` and
+    ``_eval_ker_kei`` bit for bit, from their two kernel runs, less the
+    error estimates; a series error is raised before a K sum error."""
     if x <= 0.0:
         raise DomainError("kelvin_all requires x > 0 (ker/kei singular at 0)")
-    ber, bei, _ = _eval_ber_bei(nu, x)
-    ker, kei, _ = _eval_ker_kei(nu, x)
-    return KelvinQuad(ber, bei, ker, kei, nu, x)
+    _finite(nu, x)
+    o = _RayOrder(nu)
+    bb = o.phase() * bessel._ray_sums(o, x, False)[0]
+    k = bessel._k_sums(abs(nu), ROT_K * x, False)[0]
+    _k_bound(nu, x, k)
+    kk = _turn(-0.5 * nu) * k[0]
+    return KelvinQuad(bb.real, bb.imag, kk.real, kk.imag, nu, x)

@@ -5,7 +5,8 @@ order class *before* calling these, so poles raise :class:`PoleError` rather
 than returning infinities that would mask dispatch bugs.
 
 Gamma is computed by argument reduction to a fixed kernel on [1, 2].  The
-reduction product is accumulated in double-double arithmetic, which keeps the
+reduction product is accumulated in double-double arithmetic (at x >= 1
+inline, the split of :func:`_two_prod` in each step), which keeps the
 recurrence Gamma(x+1) = x*Gamma(x) tight to a couple of ulp: both sides reduce
 to the *same* kernel value and differ only in the (compensated) product path.
 """
@@ -55,6 +56,7 @@ _GAMMA_CHEB = (
     -1.0264877807879824168e-19,
     1.7108136694583458466e-20,
 )
+_GAMMA_CHEB_REV = _GAMMA_CHEB[:0:-1]  # the Clenshaw order, c_26 down to c_1
 
 # psi(x) ~ log x - 1/(2x) - sum c_k x^(-2k); c_k = B_{2k}/(2k).
 _DIGAMMA_TAIL = (
@@ -90,15 +92,6 @@ def _two_prod(a: float, b: float) -> tuple[float, float]:
     return p, e
 
 
-def _dd_mul(hi: float, lo: float, f: float) -> tuple[float, float]:
-    if abs(hi) > 1e250:  # Veltkamp split would overflow; drop compensation
-        return hi * f + lo * f, 0.0
-    p, e = _two_prod(hi, f)
-    e += lo * f
-    s = p + e
-    return s, e - (s - p)
-
-
 def _dd_div_dd(hi: float, lo: float, fh: float, fl: float) -> tuple[float, float]:
     """(hi, lo) / (fh, fl) with one Newton correction step."""
     q = hi / fh
@@ -112,10 +105,10 @@ def _dd_div_dd(hi: float, lo: float, fh: float, fl: float) -> tuple[float, float
 def _gamma_kernel(t: float) -> float:
     """Gamma(t) for t in [1, 2], Clenshaw recurrence on the Chebyshev fit."""
     u = 2.0 * t - 3.0  # exact: 2t and the difference stay on the grid
-    b1 = 0.0
-    b2 = 0.0
-    for c in reversed(_GAMMA_CHEB[1:]):
-        b1, b2 = 2.0 * u * b1 - b2 + c, b1
+    u2 = 2.0 * u
+    b1 = b2 = 0.0
+    for c in _GAMMA_CHEB_REV:
+        b1, b2 = u2 * b1 - b2 + c, b1
     return u * b1 - b2 + _GAMMA_CHEB[0]
 
 
@@ -143,7 +136,20 @@ def gamma_real(x: float) -> float:
             n += 1
         hi, lo = _gamma_kernel(t), 0.0
         for k in range(n):
-            hi, lo = _dd_mul(hi, lo, t + k)
+            f = t + k
+            if abs(hi) > 1e250:  # Veltkamp split would overflow; drop compensation
+                hi, lo = hi * f + lo * f, 0.0
+                continue
+            p = hi * f
+            c = hi * _SPLITTER
+            a_hi = c - (c - hi)
+            a_lo = hi - a_hi
+            c = f * _SPLITTER
+            b_hi = c - (c - f)
+            b_lo = f - b_hi
+            e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo + lo * f
+            hi = p + e
+            lo = e - (hi - p)
     else:
         # ascend to x + n in [1, 2); the shift and the divisors x + k are
         # held as exact double-double pairs so the chain does not drift

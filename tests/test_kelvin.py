@@ -158,6 +158,24 @@ def test_negative_order_range_is_typed(call, error):
         call()
 
 
+@pytest.mark.parametrize("nu, x, error, prefix", [
+    (0.0, 40.0, ConvergenceError, "the K sum at order 0 has no error bound"),
+    (0.0, 5e-324, ConvergenceError, "K_0 has no start at |z| = "),
+    (-2.5, 5e-324, PowerOverflowError, "(x/2)^-2.5 overflows"),
+    (200.0, 1e-3, GammaOverflowError, "gamma(201.0) overflows"),
+    (-200.5, 100.0, PowerOverflowError, "(x/2)^-200.5 overflows"),
+])
+def test_kelvin_all_error_precedence(nu, x, error, prefix):
+    """kelvin_all raises the series' error before the K sum's: at x = 40 and
+    at order 0 at the smallest double only K fails; at -2.5 and -200.5 the
+    series' (x/2)^nu overflows first (K fails too at 5e-324); at 200 the
+    series' Gamma(201) overflows before K's (x/2)^-200 does."""
+    with pytest.raises(error) as info:
+        kelvin_all(nu, x)
+    assert type(info.value) is error
+    assert str(info.value).startswith(prefix)
+
+
 def test_dk_quadrature_below_the_envelope():
     """Far below the envelope dkelvin returns a result or raises a typed
     error: at x = 1e-300 Temme's start gives dK/dnu in 2 terms with a finite

@@ -8,7 +8,8 @@ import pytest
 
 from kelvinfn.cli import _fmt, main
 from kelvinfn.hyper import HyperSpec, pfq
-from kelvinfn.kelvin import ROT_J, ROT_K, kelvin_all
+from kelvinfn.kelvin import (ROT_J, ROT_K, _eval_ber_bei, _eval_ker_kei, kelvin_all,
+                             kelvin_ber_bei, kelvin_ker_kei)
 from kelvinfn.orderderiv import dkelvin
 
 ORDERS = [0.3, 0.5, 3.0, 3.0 + 1e-10, -0.3, -1.5, -3.0]
@@ -37,6 +38,22 @@ def test_dkelvin_values_equal_kelvin_all_on_the_table_grid():
         for j in range(40):
             x = 0.5 + 0.5 * j
             assert bits(dkelvin(nu, x).values) == bits(kelvin_all(nu, x)), (nu, x)
+
+
+def test_kelvin_all_equals_the_one_sided_entries():
+    """kelvin_all composes the two kernels itself; its values stay those of
+    _eval_ber_bei and _eval_ker_kei bit for bit, across Temme's border at
+    x = 1.2 and every step band of the K sum."""
+    xs = [0.1 * j for j in range(1, 20)] + [0.5 * j for j in range(1, 41)]
+    for i in range(81):
+        nu = -10.0 + 0.25 * i
+        for x in xs:
+            q = kelvin_all(nu, x)
+            got = tuple(v.hex() for v in (q.ber, q.bei, q.ker, q.kei))
+            want = _eval_ber_bei(nu, x)[:2] + _eval_ker_kei(nu, x)[:2]
+            assert got == tuple(v.hex() for v in want), (nu, x)
+            assert (q.ber, q.bei) == kelvin_ber_bei(nu, x)
+            assert (q.ker, q.kei) == kelvin_ker_kei(nu, x)
 
 
 @pytest.mark.parametrize("x", XS)

@@ -43,6 +43,31 @@ class TestGammaValues:
         assert gamma_real(-0.5) == pytest.approx(-2.0 * math.sqrt(math.pi), rel=1e-14)
 
 
+# gamma_real's bits, pinned so that a rewrite of the kernel or of either
+# reduction chain cannot move them: the kernel interval [1, 2], the x >= 1
+# chain, its uncompensated steps past |Gamma| = 1e250, and the x < 1 path
+GAMMA_BITS = {
+    1.0: "0x1.0000000000000p+0",
+    1.3: "0x1.cb81477381f33p-1",
+    1.5: "0x1.c5bf891b4ef6ap-1",
+    2.0: "0x1.0000000000000p+0",
+    3.7: "0x1.0aebf5759a454p+2",
+    9.3: "0x1.2ceb8ed6b5745p+16",
+    11.0: "0x1.baf8000000000p+21",
+    50.25: "0x1.f658786903e33p+209",
+    150.3: "0x1.bd343d178a853p+867",
+    171.5: "0x1.0e1863dcad78ap+1023",
+    0.3: "0x1.7eebbb8aec4abp+1",
+    -2.5: "-0x1.e3ff812e32182p-1",
+    -169.5: "0x1.fbb03aae1cf03p-1015",
+}
+
+
+@pytest.mark.parametrize("x, bits", sorted(GAMMA_BITS.items()))
+def test_gamma_bits(x, bits):
+    assert gamma_real(x).hex() == bits
+
+
 class TestGammaErrors:
     @pytest.mark.parametrize("x", [0.0, -1.0, -2.0, -37.0])
     def test_poles(self, x):
