@@ -25,8 +25,9 @@ argument; the K starts read fixed tables (on the Kelvin ray the contour's
 nodes per step, Gamma_1 and Gamma_2), which depend on neither.
 The Kelvin values and order derivatives call the ray kernels directly, once
 each per (nu, x); a caller that evaluates one order at many x sets it up
-once: a table order is one batch (``orderderiv._dkelvin_rows``), and
-integrand nodes and stencils keep one dict of orders.  One psi run gives a
+once: a table order and each order of a verify suite's x grid are one batch
+(``kelvin._kelvin_rows``, ``orderderiv._dkelvin_rows``), and integrand
+nodes, stencils and the value rows of a suite keep one dict of orders.  One psi run gives a
 function and its order derivative together, so nothing is memoised:
 nothing but the node tables outlives the top-level call.
 

@@ -19,7 +19,10 @@ ker_{-n} = (-1)^n ker_n.  Each value is one run of each kernel:
 ``bessel._ray_sums`` on an order set up once (``bessel._RayOrder``: Gamma
 and psi at the anchor, the phase) and ``bessel._k_sums``, checked by
 ``_k_bound`` and turned by e^(-i pi nu/2).  ``kelvin_all`` composes the
-two runs itself, as ``orderderiv._dkelvin_rows`` does for a table order;
+two runs itself.  One order at many x is one batch (``_phases``): the order
+set up once, every series run, then every K sum; ``_kelvin_rows`` reads
+the values from it (fd oracle, reflection suite), ``orderderiv._dkelvin_rows``
+the order derivatives too (table, fd, integer and apelblat suites).
 ``_eval_ber_bei`` and ``_eval_ker_kei`` are the one-sided entries, with
 error estimates.  ``_eval_ber_bei`` takes an optional dict of orders: a
 caller that evaluates one order at many x (integrand nodes, ODE stencils)
@@ -133,6 +136,49 @@ def kelvin_ker_kei(nu: float, x: float) -> tuple[float, float]:
     """(ker_nu(x), kei_nu(x)) for x > 0; DomainError at x = 0 (log singularity)
     and at non-finite nu or x."""
     return _eval_ker_kei(nu, x)[:2]
+
+
+def _phases(nu: float, xs, dk: bool) -> tuple:
+    """The kernel runs of order nu at each x of ``xs`` as (order, K turn,
+    series runs, K sums): the order set up once (``bessel._RayOrder``),
+    the series (``bessel._ray_sums``) run at every x, then the K sum at |nu|
+    (``bessel._k_sums``) at every x, each checked by ``_k_bound``; with
+    ``dk`` the psi sums and dK/dnu too.  Each kernel runs 6-10% slower
+    right after the other.  The error raised is a row-by-row pass's first:
+    a series fault is raised after the K sums of the rows before it."""
+    o = turn = fault = None
+    runs = []
+    try:
+        for x in xs:
+            _finite(nu, x)
+            if x <= 0.0:
+                raise DomainError("x must be positive")
+            if o is None:  # nu is finite
+                o, turn = _RayOrder(nu), _turn(-0.5 * nu)
+            runs.append(bessel._ray_sums(o, x, dk))
+    except Exception as exc:  # noqa: BLE001 - raised below, after the K sums before it
+        fault = exc
+    m, ks = abs(nu), []
+    for x, _ in zip(xs, runs):
+        ks.append(bessel._k_sums(m, ROT_K * x, dk))
+        _k_bound(nu, x, ks[-1][0])
+    if fault is not None:
+        raise fault
+    return o, turn, runs, ks
+
+
+def _kelvin_rows(nu: float, xs) -> list[tuple[float, float, float, float]]:
+    """``kelvin_all`` at order nu and each x of ``xs``, bit for bit, as the
+    plain tuple (ber, bei, ker, kei): one batch of :func:`_phases`, for a
+    caller that evaluates one order at many x.  As a batch of one it costs
+    10% more per point than ``kelvin_all`` (33.1 against 30.0 ms over 1024
+    scattered points), which therefore composes its two runs itself."""
+    o, turn, runs, ks = _phases(nu, xs, False)
+    rows = []
+    for run, (k, _) in zip(runs, ks):
+        bb, kk = o.phase() * run[0], turn * k[0]
+        rows.append((bb.real, bb.imag, kk.real, kk.imag))
+    return rows
 
 
 def kelvin_all(nu: float, x: float) -> KelvinQuad:

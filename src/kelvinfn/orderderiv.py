@@ -29,9 +29,11 @@ P (``bessel._ray_sums``), and the K start and climb at |nu| with dK/dnu
 (``bessel._k_sums``).  Each side takes one phase: with ber + i bei = phi T,
 d(ber + i bei)/dnu = phi ((log(x/2) + 3i pi/4) T - P), as
 dT/dnu = log(x/2) T - P, and the K side turns by e^(-i pi nu/2).  The rows
-of a table order are one batch (``_dkelvin_rows``), ``dkelvin`` a batch of
-one.  The series side (``_bb_series``) also gives theorem 5 (``quad``) its
-ber/bei and dJ/dnu at nu + 1.
+of one order are one batch (``_dkelvin_rows``, on the phases of
+``kelvin._phases``): a table order, and an order of the fd, integer and
+apelblat suites; ``dkelvin`` is a batch of one.  The series side
+(``_bb_series``) also gives theorem 5 (``quad``) its ber/bei and dJ/dnu at
+nu + 1.
 """
 
 from __future__ import annotations
@@ -39,11 +41,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import bessel
 from .bessel import ORDER_EPS, _is_near_int, _RayOrder, _turn, dj_dnu, dk_dnu
 from .errors import DomainError, NegativeIntegerOrderError, OrderClassError
 from .hyper import HyperSpec, pfq
-from .kelvin import (ROT_J, ROT_K, KelvinQuad, _eval_ber_bei, _eval_ker_kei, _finite, _k_bound,
+from .kelvin import (ROT_J, ROT_K, KelvinQuad, _eval_ber_bei, _eval_ker_kei, _finite, _phases,
                      _ray_rounding, kelvin_all)
 from .scalars import PI, digamma_real, gamma_real
 
@@ -240,27 +241,13 @@ def _dkelvin_rows(nu: float, xs: list[float] | tuple[float, ...]) -> list[tuple]
     bei, ker, kei, dber, dbei, dker, dkei, est_j, est_k), est_j the series'
     abs error estimate (:func:`_bb_series`), est_k that of dK/dnu plus pi/2
     times K's, each with the ray point's rounding (``kelvin._ray_rounding``).
-    The order is set up once, then the series runs at every x, the K sum at
-    every x, and the rows are built: each kernel runs 6-10% slower right
-    after the other.  The error raised is a row-by-row pass's first one."""
-    o, runs, fault = None, [], None
-    try:
-        for x in xs:
-            _finite(nu, x)
-            if x <= 0.0:
-                raise DomainError("x must be positive")
-            if o is None:  # nu is finite
-                o, turn = _RayOrder(nu), _turn(-0.5 * nu)
-                dturn = -turn if nu < 0.0 else turn  # turn * -dK/dnu, bit for bit
-            runs.append(bessel._ray_sums(o, x, True))
-    except Exception as exc:  # noqa: BLE001 - raised below, after the K sums before it
-        fault = exc
-    m, ks = abs(nu), []
-    for x, _ in zip(xs, runs):
-        ks.append(bessel._k_sums(m, ROT_K * x, True))
-        _k_bound(nu, x, ks[-1][0])
-    if fault is not None:
-        raise fault
+    The kernels run as one batch (``kelvin._phases``), then the rows are
+    built; the error raised is a row-by-row pass's first one."""
+    o, turn, runs, ks = _phases(nu, xs, True)
+    if o is None:  # no rows
+        return []
+    m = abs(nu)
+    dturn = -turn if nu < 0.0 else turn  # turn * -dK/dnu, bit for bit
     rows = []
     # log(x/2) cannot fail here: where x/2 underflows to 0 the K start has raised
     for x, run, (k, dk) in zip(xs, runs, ks):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from . import bessel
 from .bessel import _RayOrder
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, KelvinError
 from .hyper import EvalResult
 from .kelvin import _eval_ber_bei, _finite, kelvin_ber_bei
 from .orderderiv import _bb_series
@@ -123,9 +123,11 @@ def integrate_finite(f, a: float, b: float) -> EvalResult:
 
     Returns converged=False (with the best estimate) if the error target
     max(TOL, TOL * |result|) is still unmet after MAX_DEPTH halvings (flag
-    ``max_depth_exceeded``), or as soon as a level's sum is not finite (flag
-    ``non_finite``: the integrand returned NaN or inf, which no halving
-    mends).  ``terms_used`` counts the integrand's evaluations.
+    ``max_depth_exceeded``), or as soon as a level's sum is not finite or
+    the integrand overflows (flag ``non_finite``: it returned NaN or inf,
+    or raised a bare OverflowError, which no halving mends; a
+    ``KelvinError`` passes through).  ``terms_used`` counts the
+    integrand's evaluations.
 
     The rate holds for integrands smooth to rounding, as all of the
     package's are; noise fools it: 1 + 1e-6 random() on [0, 1] stops after
@@ -137,43 +139,48 @@ def integrate_finite(f, a: float, b: float) -> EvalResult:
         raise DomainError("integration interval must satisfy a < b")
     h = 0.5 * (b - a)
     c = a + h
-    total = 0.5 * PI * f(c)
-    mag = abs(total)  # sum |w f|
-    rnd = mag * abs(c) / h  # sum |w f x / d|
-    evals = 1
-    lim = [_T_MAX + 1.0, _T_MAX + 1.0]  # where the walks from a and from b stop
-    val = est = math.inf
-    gap = 0.0
-    for depth in range(MAX_DEPTH + 1):
-        for side, end, sgn in ((0, a, h), (1, b, -h)):
-            for t, delta, w in _level(depth):
-                if t >= lim[side]:
-                    break
-                d = sgn * delta
-                x = end + d
-                if x == end:
-                    lim[side] = t
-                    break
-                v = w * f(x)
-                evals += 1
-                total += v
-                mag += abs(v)
-                rnd += abs(v * x / d)
-                if abs(v) <= _EPS * mag:
-                    lim[side] = t
-                    break
-        step = h * 2.0 ** -depth
-        new = step * total
-        if not math.isfinite(abs(new)):
-            return EvalResult(new, math.inf, evals, False, ("non_finite",))
-        if depth:
-            last, gap = gap, abs(new - val)
-            rate = min(1.0, gap / last) ** 1.5 if last else 1.0
-            est = gap * rate + _EPS * step * (4.0 * mag + rnd)
-        val = new
-        if est <= max(TOL, TOL * abs(val)):
-            return EvalResult(val, est, evals, True)
-    return EvalResult(val, est, evals, False, ("max_depth_exceeded",))
+    evals = 1  # integrand calls, counted as they are made
+    try:
+        total = 0.5 * PI * f(c)
+        mag = abs(total)  # sum |w f|
+        rnd = mag * abs(c) / h  # sum |w f x / d|
+        lim = [_T_MAX + 1.0, _T_MAX + 1.0]  # where the walks from a and from b stop
+        val = est = math.inf
+        gap = 0.0
+        for depth in range(MAX_DEPTH + 1):
+            for side, end, sgn in ((0, a, h), (1, b, -h)):
+                for t, delta, w in _level(depth):
+                    if t >= lim[side]:
+                        break
+                    d = sgn * delta
+                    x = end + d
+                    if x == end:
+                        lim[side] = t
+                        break
+                    evals += 1
+                    v = w * f(x)
+                    total += v
+                    mag += abs(v)
+                    rnd += abs(v * x / d)
+                    if abs(v) <= _EPS * mag:
+                        lim[side] = t
+                        break
+            step = h * 2.0 ** -depth
+            new = step * total
+            if not math.isfinite(abs(new)):
+                return EvalResult(new, math.inf, evals, False, ("non_finite",))
+            if depth:
+                last, gap = gap, abs(new - val)
+                rate = min(1.0, gap / last) ** 1.5 if last else 1.0
+                est = gap * rate + _EPS * step * (4.0 * mag + rnd)
+            val = new
+            if est <= max(TOL, TOL * abs(val)):
+                return EvalResult(val, est, evals, True)
+        return EvalResult(val, est, evals, False, ("max_depth_exceeded",))
+    except OverflowError as exc:  # a bare one, from math or **; typed ones pass
+        if isinstance(exc, KelvinError):
+            raise
+        return EvalResult(math.inf, math.inf, evals, False, ("non_finite",))
 
 
 def integrate_semiinf(f) -> EvalResult:

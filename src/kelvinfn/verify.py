@@ -5,13 +5,17 @@ rows; ``run_suites`` is what both the command-line ``verify`` command and
 the acceptance tests drive.  Suite names: fd, reflection, ode, apelblat,
 theorem5, appendix, brychkov, integer (plus 'all').  Series and integrals
 run at the one accuracy of ``hyper`` and ``quad``.
+
+A suite that evaluates one order over an x grid runs it as one batch
+(``kelvin._kelvin_rows``, ``orderderiv._dkelvin_rows``), its rows in grid
+order; the value rows of apelblat and appendix share one set-up per order.
 """
 
 from __future__ import annotations
 
 from . import manifest as M
-from .kelvin import _eval_ber_bei, _eval_ker_kei, kelvin_all, kelvin_ber_bei
-from .orderderiv import dkelvin, dkelvin_bb_brychkov, dkelvin_bb_pos, dkelvin_integer
+from .kelvin import _eval_ber_bei, _eval_ker_kei, _kelvin_rows
+from .orderderiv import _dkelvin_rows, dkelvin_bb_brychkov, dkelvin_bb_pos, dkelvin_integer
 from .quad import (IdentityReport, apelblat_ber_bei, apelblat_dber_dbei,
                    appendix_ber_bei, convolution_identity, indefinite_integral_check,
                    make_report, theorem5_identities)
@@ -19,20 +23,19 @@ from .quad import (IdentityReport, apelblat_ber_bei, apelblat_dber_dbei,
 _COMPONENTS = ("dber", "dbei", "dker", "dkei")
 
 
-def _fd_quad(nu: float, x: float, h: float) -> tuple[float, ...]:
-    """Central finite difference of all four Kelvin functions over the order."""
-    hi = kelvin_all(nu + h, x)
-    lo = kelvin_all(nu - h, x)
-    return tuple((a - b) / (2.0 * h) for a, b in
-                 ((hi.ber, lo.ber), (hi.bei, lo.bei), (hi.ker, lo.ker), (hi.kei, lo.kei)))
+def _fd_rows(nu: float, xs, h: float) -> list[tuple[float, ...]]:
+    """Central finite differences of all four Kelvin functions over the
+    order, one 4-tuple per x of ``xs``."""
+    return [tuple((a - b) / (2.0 * h) for a, b in zip(hi, lo, strict=True))
+            for hi, lo in zip(_kelvin_rows(nu + h, xs), _kelvin_rows(nu - h, xs), strict=True)]
 
 
-def fd_oracle(nu: float, x: float) -> tuple[float, ...]:
-    """Richardson-extrapolated finite-difference order derivatives."""
+def fd_oracle(nu: float, xs) -> list[tuple[float, ...]]:
+    """Richardson-extrapolated finite-difference order derivatives, one
+    4-tuple (dber, dbei, dker, dkei) per x of ``xs``."""
     h1, h2 = M.FD_STEPS
-    g1 = _fd_quad(nu, x, h1)
-    g2 = _fd_quad(nu, x, h2)
-    return tuple((4.0 * b - a) / 3.0 for a, b in zip(g1, g2))
+    return [tuple((4.0 * b - a) / 3.0 for a, b in zip(g1, g2, strict=True))
+            for g1, g2 in zip(_fd_rows(nu, xs, h1), _fd_rows(nu, xs, h2), strict=True)]
 
 
 def suite_fd() -> list[IdentityReport]:
@@ -40,12 +43,10 @@ def suite_fd() -> list[IdentityReport]:
     out = []
     for sign in (1.0, -1.0):
         for nu in M.FD_NU:
-            for x in M.FD_X:
-                order = sign * nu
-                got = dkelvin(order, x)
-                ora = fd_oracle(order, x)
-                vals = (got.dber, got.dbei, got.dker, got.dkei)
-                for name, g, o in zip(_COMPONENTS, vals, ora):
+            order = sign * nu
+            for x, row, ora in zip(M.FD_X, _dkelvin_rows(order, M.FD_X),
+                                   fd_oracle(order, M.FD_X), strict=True):
+                for name, g, o in zip(_COMPONENTS, row[4:8], ora, strict=True):
                     tol = M.FD_SCALED_TOL * (1.0 + abs(o))
                     out.append(make_report(f"fd_{name}", order, x, g, o, tol))
     return out
@@ -56,12 +57,10 @@ def suite_integer() -> list[IdentityReport]:
     its term-wise dJ/dnu and its dK/dnu quadrature are regular."""
     out = []
     for n in M.INTEGER_N:
-        for x in M.INTEGER_X:
+        for x, row in zip(M.INTEGER_X, _dkelvin_rows(float(n), M.INTEGER_X), strict=True):
             sums = dkelvin_integer(n, x)
-            d = dkelvin(float(n), x)
             vals = (sums.dber, sums.dbei, sums.dker, sums.dkei)
-            at_n = (d.dber, d.dbei, d.dker, d.dkei)
-            for name, g, o in zip(_COMPONENTS, vals, at_n):
+            for name, g, o in zip(_COMPONENTS, vals, row[4:8], strict=True):
                 tol = M.INTEGER_SCALED_TOL * (1.0 + abs(o))
                 out.append(make_report(f"integer_{name}", float(n), x, g, o, tol))
     return out
@@ -83,17 +82,17 @@ def suite_apelblat() -> list[IdentityReport]:
     """Integral representations vs the series path, values and derivatives."""
     out = []
     for nu in M.APELBLAT_NU:
+        orders: dict = {}  # the set-up of order nu, shared by its rows
         for arg in M.APELBLAT_ARG:
             q = apelblat_ber_bei(nu, arg)
-            k = kelvin_ber_bei(nu, arg)
+            k = _eval_ber_bei(nu, arg, orders)
             out.append(make_report("apelblat_ber", nu, arg, q[0], k[0], M.APELBLAT_TOL))
             out.append(make_report("apelblat_bei", nu, arg, q[1], k[1], M.APELBLAT_TOL))
     for nu in M.APELBLAT_D_NU:
-        for x in M.APELBLAT_D_X:
+        for x, row in zip(M.APELBLAT_D_X, _dkelvin_rows(nu, M.APELBLAT_D_X), strict=True):
             q = apelblat_dber_dbei(nu, x)
-            d = dkelvin(nu, x)
-            out.append(make_report("apelblat_dber", nu, x, q[0], d.dber, M.APELBLAT_D_TOL))
-            out.append(make_report("apelblat_dbei", nu, x, q[1], d.dbei, M.APELBLAT_D_TOL))
+            out.append(make_report("apelblat_dber", nu, x, q[0], row[4], M.APELBLAT_D_TOL))
+            out.append(make_report("apelblat_dbei", nu, x, q[1], row[5], M.APELBLAT_D_TOL))
     return out
 
 
@@ -111,10 +110,11 @@ def suite_theorem5() -> list[IdentityReport]:
 def suite_appendix() -> list[IdentityReport]:
     """Quarter-period representations and the self-convolution identity."""
     out = []
+    orders: dict = {}  # the set-up of order 0, shared by its rows
     for x in M.APPENDIX_X:
         s = appendix_ber_bei(x, "sin")
         c = appendix_ber_bei(x, "cos")
-        k = kelvin_ber_bei(0.0, x)
+        k = _eval_ber_bei(0.0, x, orders)
         out.append(make_report("appendix_variants_ber", 0.0, x, s[0], c[0],
                                M.APPENDIX_VARIANT_TOL))
         out.append(make_report("appendix_variants_bei", 0.0, x, s[1], c[1],
@@ -133,12 +133,10 @@ def suite_reflection() -> list[IdentityReport]:
     out = []
     for n in M.REFLECTION_N:
         sgn = -1.0 if n % 2 else 1.0
-        for x in M.REFLECTION_X:
-            neg = kelvin_all(float(-n), x)
-            pos = kelvin_all(float(n), x)
-            pairs = (("ber", neg.ber, sgn * pos.ber), ("bei", neg.bei, sgn * pos.bei),
-                     ("ker", neg.ker, sgn * pos.ker), ("kei", neg.kei, sgn * pos.kei))
-            for name, lhs, rhs in pairs:
+        for x, neg, pos in zip(M.REFLECTION_X, _kelvin_rows(float(-n), M.REFLECTION_X),
+                               _kelvin_rows(float(n), M.REFLECTION_X), strict=True):
+            for name, lhs, p in zip(("ber", "bei", "ker", "kei"), neg, pos, strict=True):
+                rhs = sgn * p
                 tol = M.REFLECTION_REL_TOL * max(abs(rhs), 1e-30)
                 out.append(make_report(f"reflection_{name}", float(-n), x, lhs, rhs, tol))
     return out

@@ -10,7 +10,7 @@ from kelvinfn.errors import (ConvergenceError, DomainError, GammaOverflowError, 
                              PowerOverflowError, SeriesOverflowError)
 from kelvinfn import hyper
 from kelvinfn.hyper import HyperSpec, pfq
-from kelvinfn.kelvin import KelvinQuad, kelvin_all, kelvin_ber_bei, kelvin_ker_kei
+from kelvinfn.kelvin import KelvinQuad, _kelvin_rows, kelvin_all, kelvin_ber_bei, kelvin_ker_kei
 from kelvinfn.orderderiv import dkelvin
 
 EULER_GAMMA = 0.5772156649015328606
@@ -174,6 +174,23 @@ def test_kelvin_all_error_precedence(nu, x, error, prefix):
         kelvin_all(nu, x)
     assert type(info.value) is error
     assert str(info.value).startswith(prefix)
+
+
+@pytest.mark.parametrize("xs, error, at", [
+    ([40.0, 1040.0], ConvergenceError, "no error bound at x = 40"),
+    ([-1.0, 1.0], DomainError, "x must be positive"),
+    ([1.0, math.nan], DomainError, "x=nan"),
+    ([1.0, math.inf], DomainError, "x=inf"),
+])
+def test_kelvin_rows_first_failing_row(xs, error, at):
+    """A batch of values raises the error of its first failing row, in row
+    order: at x = 40 the K sum has no bound, though the series at 1040
+    overflows before the K sums run; x = -1 fails before x = 1; a
+    non-finite x is refused."""
+    with pytest.raises(error) as info:
+        _kelvin_rows(0.0, xs)
+    assert type(info.value) is error
+    assert at in str(info.value)
 
 
 def test_dk_quadrature_below_the_envelope():

@@ -5,7 +5,8 @@ import math
 import pytest
 
 import kelvinfn.quad
-from kelvinfn.errors import ConvergenceError, DomainError
+from kelvinfn.errors import (ConvergenceError, DomainError, KelvinError, PowerOverflowError,
+                             SeriesOverflowError)
 from kelvinfn.kelvin import kelvin_ber_bei
 from kelvinfn.orderderiv import dkelvin
 from kelvinfn.quad import (apelblat_ber_bei, apelblat_dber_dbei,
@@ -329,6 +330,39 @@ class TestNonFinite:
     def test_indefinite(self):
         with pytest.raises(DomainError, match="nu=0.5, x=nan"):
             indefinite_integral_check(0.5, math.nan)
+
+
+class TestOverflow:
+    """Far outside the envelope an integrand overflows in math or **: the
+    integral ends flagged ``non_finite``, so the representation raises a
+    typed error, not a bare OverflowError."""
+
+    @pytest.mark.parametrize("call, error", [
+        (lambda: apelblat_ber_bei(0.5, 2000.0), ConvergenceError),  # cosh of the finite part
+        (lambda: appendix_ber_bei(2000.0, "cos"), ConvergenceError),  # cosh
+        (lambda: apelblat_ber_bei(-200.5, 1.0), ConvergenceError),  # e^(-nu t) of the tail
+        # u^(nu+1) fails the row's integral; the closed form's (x/2)^1.5 raises
+        (lambda: indefinite_integral_check(0.5, 1e300, 1e-9), PowerOverflowError),
+    ], ids=["apelblat_fin", "appendix", "apelblat_tail", "indefinite"])
+    def test_representations_raise_typed(self, call, error):
+        with pytest.raises(KelvinError) as info:
+            call()
+        assert type(info.value) is error
+
+    def test_engine_flags_overflow(self):
+        """e^(1000 u) overflows at the first node above u = 0.71; the
+        evaluations made, the failing one included, are counted."""
+        calls = []
+        r = integrate_finite(lambda u: calls.append(u) or math.exp(1000.0 * u), 0.0, 1.0)
+        assert not r.converged and r.flags == ("non_finite",)
+        assert r.terms_used == len(calls) and max(calls) > 0.7
+
+    def test_typed_overflow_passes(self):
+        def f(u):
+            raise SeriesOverflowError("series past the double range")
+
+        with pytest.raises(SeriesOverflowError):
+            integrate_finite(f, 0.0, 1.0)
 
 
 def test_integrands_finite_at_the_ends(monkeypatch):

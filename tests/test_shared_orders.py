@@ -1,14 +1,19 @@
 """One order, many arguments: the callers that set an order up once and run
-it at many x (the batch of a table order, integrands, ODE stencils) return,
-bit for bit, what the single-point calls return.  Each order is walked over
-x ascending and then descending with one shared set-up, so that nothing an
-order keeps can depend on the argument it was first run at."""
+it at many x (the batches of a table order and of the verify suites,
+integrands, ODE stencils) return, bit for bit, what the single-point calls
+return.  Each order is walked over x ascending and then descending with one
+shared set-up, so that nothing an order keeps can depend on the argument it
+was first run at."""
 
 import pytest
 
+from kelvinfn import manifest as M
 from kelvinfn.cli import _fmt, _table_rows
-from kelvinfn.kelvin import _eval_ber_bei, _eval_ker_kei, kelvin_ber_bei, kelvin_ker_kei
-from kelvinfn.orderderiv import _dkelvin_rows, dkelvin
+from kelvinfn.kelvin import (_eval_ber_bei, _eval_ker_kei, _kelvin_rows, kelvin_all,
+                             kelvin_ber_bei, kelvin_ker_kei)
+from kelvinfn.orderderiv import _dkelvin_rows, dkelvin, dkelvin_integer
+from kelvinfn.quad import apelblat_ber_bei, apelblat_dber_dbei, make_report
+from kelvinfn.verify import SUITES
 
 ORDERS = [-10.0, -3.0, -3.0 - 1e-9, -3.0 + 1e-9, -2.5, -0.3, 0.0, 2e-6, 3.0, 3.0 + 5e-7,
           7.75, 10.0]
@@ -42,6 +47,107 @@ def test_table_rows_equal_single_points(nu):
                     d.dber, d.dbei, d.dker, d.dkei, d.err_estimate)
         *vals, est_j, est_k = row
         assert bits(*vals, est_j + est_k) == want, x
+
+
+# the table grid's orders and the fd suite's nu +- h; x across the K start
+# border and on to the end of the envelope
+BATCH_ORDERS = sorted({k / 4.0 for k in range(-40, 41)}
+                      | {s * nu + d * h for s in (1.0, -1.0) for nu in M.FD_NU
+                         for h in M.FD_STEPS for d in (1.0, -1.0)})
+BATCH_XS = sorted({k / 10.0 for k in range(1, 21)} | {k / 2.0 for k in range(1, 41)})
+BATCH_WALK = BATCH_XS + BATCH_XS[::-1]
+
+
+@pytest.mark.parametrize("nu", BATCH_ORDERS)
+def test_value_rows_equal_kelvin_all(nu):
+    for x, row in zip(BATCH_WALK, _kelvin_rows(nu, BATCH_WALK), strict=True):
+        q = kelvin_all(nu, x)
+        assert bits(*row) == bits(q.ber, q.bei, q.ker, q.kei), x
+
+
+# the batched suites as point-by-point loops over the public functions
+_COMPONENTS = ("dber", "dbei", "dker", "dkei")
+
+
+def _derivs(d) -> tuple:
+    return d.dber, d.dbei, d.dker, d.dkei
+
+
+def _fd_point(nu: float, x: float) -> tuple:
+    def central(h):
+        hi, lo = kelvin_all(nu + h, x), kelvin_all(nu - h, x)
+        return tuple((a - b) / (2.0 * h) for a, b in
+                     ((hi.ber, lo.ber), (hi.bei, lo.bei), (hi.ker, lo.ker), (hi.kei, lo.kei)))
+
+    h1, h2 = M.FD_STEPS
+    return tuple((4.0 * b - a) / 3.0 for a, b in zip(central(h1), central(h2)))
+
+
+def fd_points():
+    out = []
+    for sign in (1.0, -1.0):
+        for nu in M.FD_NU:
+            for x in M.FD_X:
+                order = sign * nu
+                got, ora = dkelvin(order, x), _fd_point(order, x)
+                for name, g, o in zip(_COMPONENTS, _derivs(got), ora):
+                    tol = M.FD_SCALED_TOL * (1.0 + abs(o))
+                    out.append(make_report(f"fd_{name}", order, x, g, o, tol))
+    return out
+
+
+def reflection_points():
+    out = []
+    for n in M.REFLECTION_N:
+        sgn = -1.0 if n % 2 else 1.0
+        for x in M.REFLECTION_X:
+            neg, pos = kelvin_all(float(-n), x), kelvin_all(float(n), x)
+            pairs = (("ber", neg.ber, sgn * pos.ber), ("bei", neg.bei, sgn * pos.bei),
+                     ("ker", neg.ker, sgn * pos.ker), ("kei", neg.kei, sgn * pos.kei))
+            for name, lhs, rhs in pairs:
+                tol = M.REFLECTION_REL_TOL * max(abs(rhs), 1e-30)
+                out.append(make_report(f"reflection_{name}", float(-n), x, lhs, rhs, tol))
+    return out
+
+
+def integer_points():
+    out = []
+    for n in M.INTEGER_N:
+        for x in M.INTEGER_X:
+            sums, d = dkelvin_integer(n, x), dkelvin(float(n), x)
+            for name, g, o in zip(_COMPONENTS, _derivs(sums), _derivs(d)):
+                tol = M.INTEGER_SCALED_TOL * (1.0 + abs(o))
+                out.append(make_report(f"integer_{name}", float(n), x, g, o, tol))
+    return out
+
+
+def apelblat_points():
+    out = []
+    for nu in M.APELBLAT_NU:
+        for arg in M.APELBLAT_ARG:
+            q, k = apelblat_ber_bei(nu, arg), kelvin_ber_bei(nu, arg)
+            out.append(make_report("apelblat_ber", nu, arg, q[0], k[0], M.APELBLAT_TOL))
+            out.append(make_report("apelblat_bei", nu, arg, q[1], k[1], M.APELBLAT_TOL))
+    for nu in M.APELBLAT_D_NU:
+        for x in M.APELBLAT_D_X:
+            q, d = apelblat_dber_dbei(nu, x), dkelvin(nu, x)
+            out.append(make_report("apelblat_dber", nu, x, q[0], d.dber, M.APELBLAT_D_TOL))
+            out.append(make_report("apelblat_dbei", nu, x, q[1], d.dbei, M.APELBLAT_D_TOL))
+    return out
+
+
+def report_bits(r) -> tuple:
+    return (r.name,) + bits(r.nu, r.x, r.lhs, r.rhs, r.abs_diff, r.tol) + (r.passed,)
+
+
+@pytest.mark.parametrize("suite, points", [("fd", fd_points), ("reflection", reflection_points),
+                                           ("integer", integer_points),
+                                           ("apelblat", apelblat_points)])
+def test_suite_batches_equal_point_loops(suite, points):
+    """Each batched suite returns, row for row and bit for bit, what a loop
+    over its points returns."""
+    want = [report_bits(r) for r in points()]
+    assert [report_bits(r) for r in SUITES[suite]()] == want
 
 
 @pytest.mark.parametrize("nu", ORDERS)

@@ -23,7 +23,7 @@ from kelvinfn import manifest as M
 from kelvinfn.bessel import _ji, _RayOrder, dj_dnu, dk_dnu
 from kelvinfn.cli import main
 from kelvinfn.errors import ConvergenceError
-from kelvinfn.kelvin import ROT_J, ROT_K, kelvin_all, kelvin_ker_kei
+from kelvinfn.kelvin import ROT_J, ROT_K, _kelvin_rows, kelvin_all, kelvin_ker_kei
 from kelvinfn.orderderiv import dkelvin, dkelvin_bb_pos, dkelvin_kk_pos
 from kelvinfn.quad import apelblat_dber_dbei, theorem5_identities, theorem5_identity
 from kelvinfn.verify import run_suites
@@ -111,6 +111,48 @@ def test_table_order_runs_in_phases(monkeypatch, capsys, nu):
     assert main(["table", "--nu", repr(nu), "--x-range", "0:4:1"]) == 0
     xs = [pytest.approx(x) for x in (1.0, 2.0, 3.0, 4.0)]
     assert calls == [("J", x) for x in xs] + [("K", x) for x in xs]
+
+
+@pytest.mark.parametrize("nu", [0.3, -1.5, -3.0])
+def test_value_batch_runs_in_phases(monkeypatch, nu):
+    """A batch of values makes one series run and one K sum per x, every
+    series run first and then every K sum, in row order."""
+    calls = []
+    ray, ks = kelvinfn.bessel._ray_sums, kelvinfn.bessel._k_sums
+    monkeypatch.setattr(kelvinfn.bessel, "_ray_sums",
+                        lambda o, x, psi: calls.append(("J", x)) or ray(o, x, psi))
+    monkeypatch.setattr(kelvinfn.bessel, "_k_sums",
+                        lambda m, z, dk: calls.append(("K", abs(z))) or ks(m, z, dk))
+    xs = [1.0, 2.0, 3.0, 4.0]
+    assert len(_kelvin_rows(nu, xs)) == 4
+    assert calls == [("J", x) for x in xs] + [("K", pytest.approx(x)) for x in xs]
+
+
+@pytest.fixture
+def setups(monkeypatch):
+    """The orders set up for the series kernels (``bessel._RayOrder``)."""
+    mus = []
+    init = _RayOrder.__init__
+
+    def counted(self, mu):
+        mus.append(mu)
+        init(self, mu)
+
+    monkeypatch.setattr(_RayOrder, "__init__", counted)
+    return mus
+
+
+# (suite, order set-ups, series runs, K sums); point by point the suites set
+# up 300, 48, 84, 57 and 11 orders for the same kernel runs
+@pytest.mark.parametrize("suite, orders, runs, ks", [
+    ("fd", 60, 300, 300), ("reflection", 12, 48, 48), ("integer", 69, 84, 84),
+    ("apelblat", 27, 421, 9), ("appendix", 7, 11, 0)])
+def test_suites_set_up_each_order_once(setups, series, ksums, suite, orders, runs, ks):
+    """fd and reflection, and the derivative rows of integer and apelblat,
+    run each order as one batch over its x grid; the value rows of
+    apelblat and appendix share one set-up per order."""
+    run_suites(suite)
+    assert (len(setups), len(series), len(ksums)) == (orders, runs, ks)
 
 
 @pytest.mark.parametrize("nu, count", [(0.3, 1), (2.0, 1),  # 3, 2
