@@ -27,9 +27,10 @@ The Kelvin values and order derivatives call the ray kernels directly, once
 each per (nu, x); a caller that evaluates one order at many x sets it up
 once: a table order and each order of a verify suite's x grid are one batch
 (``kelvin._kelvin_rows``, ``orderderiv._dkelvin_rows``), and integrand
-nodes, stencils and the value rows of a suite keep one dict of orders.  One psi run gives a
-function and its order derivative together, so nothing is memoised:
-nothing but the node tables outlives the top-level call.
+nodes, stencils and the value rows of a suite keep one dict of orders; a
+table and a verify suite keep one dict of K starts, one per (mu, z).  One
+psi run gives a function and its order derivative together, and nothing
+but the node tables outlives the top-level call.
 
 The paper's closed forms ``dj_dnu`` and ``dk_dnu`` are oracles for the
 verify suites and tests only; they read J (or I) at nu and -nu from one
@@ -340,12 +341,14 @@ def _k_nodes(h: float, th: float, n: int) -> tuple:
     return passes
 
 
-def _k_sums(nu: float, z: complex, dk: bool) -> tuple:
+def _k_sums(nu: float, z: complex, dk: bool, starts: dict | None = None) -> tuple:
     """K_nu(z) at nu >= 0, Re z >= 0, and with ``dk`` D_nu = dK/dnu: a start
     chosen by |z| alone, Temme's series (:func:`_k_temme`) for K at |z| <=
     ``TEMME_MAX_ARG`` and for D at |z| <= ``TEMME_DK_MAX_ARG``, above them
     the trapezoidal sum below (which, between the two, gives only D), then
-    one climb.
+    one climb.  The start depends on mu and z alone: one dict ``starts`` for
+    all the orders of a call shares it, bit for bit, between +-nu, nu + n
+    and the integers of one z, and a start with D serves K alone too.
 
     At mu = nu - floor(nu) in [0, 1), K_mu = int_0^inf f(t) dt with
     f(t) = cosh(mu t) e^(-z cosh t) (DLMF 10.32.9), even in t.  The sum
@@ -387,70 +390,78 @@ def _k_sums(nu: float, z: complex, dk: bool) -> tuple:
             f"(z/2)^{-nu:g} overflows double precision at |z| = {sz:g}") from None
     k = None
     if sz <= TEMME_MAX_ARG:
-        k, d = _k_temme(nu, z, dk and sz <= TEMME_DK_MAX_ARG)
+        k, d = _k_temme(nu, z, dk and sz <= TEMME_DK_MAX_ARG, starts)
         if d or not dk:
             return k, d
-    th = math.atan2(z.imag, z.real)
-    for bound, h in _K_STEPS:  # past the last bound, its step
-        if sz <= bound:
-            break
-    if abs(th) > _RAY_PHASE:
-        h *= 0.7
-    # passes to |z| (cosh u - 1) = 80, where the terms are below e^(-80) of g(0)
-    top = min(int(math.acosh(1.0 + 80.0 / sz) / h) + 2, hyper.MAX_TERMS) // 2
-    nz, tol = -z, hyper.REL_TOL
-    exp, cosh, tanh = cmath.exp, cmath.cosh, cmath.tanh
-    w = complex(0.5, -0.25 * th)  # g(0)/2 / e^(-z), summed with the even nodes
-    so, se, s1, d1, do, de = 0j, w, 0j, 0j, 0j, 0j
-    mag, mag1, dmag, dmag1 = abs(w), 0.0, 0.0, 0.0
-    ks = None  # K's sums once it stops
-    # REL_TOL of the K, primed K, D and primed D sums, as last read
-    lim = lim1 = dlim = dlim1 = math.inf
-    # D sums while dsum; at mu = 0 its terms are exact zeros, so it is done at once
-    dsum, dconv, dn, kn = dk and mu > 0.0, dk, 0, 0
-    for t, cm, tp, am, t2, cm2, tp2, am2 in _k_nodes(h, th, top)[:top]:
-        kn += 2
-        y, y2 = nz * cm, nz * cm2
-        w, w2 = exp(y) * cosh(mu * t) * tp, exp(y2) * cosh(mu * t2) * tp2
-        so, se = so + w, se + w2
-        s1 += y * w + y2 * w2
-        m, m2 = abs(w), abs(w2)
-        mag += m + m2
-        mag1 += am * m + am2 * m2
-        if dsum:
-            # each D term is the K term times t tanh(mu t)
-            p, p2 = t * tanh(mu * t) * w, t2 * tanh(mu * t2) * w2
-            do, de = do + p, de + p2
-            d1 += y * p + y2 * p2
-            v, v2 = abs(p), abs(p2)
-            dmag += v + v2
-            dmag1 += am * v + am2 * v2
-        if ks is None and m2 <= m and (m2 <= lim or sz * am2 * m2 <= lim1):
-            lim, lim1 = tol * abs(so + se), tol * abs(s1)
-            if m2 <= lim and sz * am2 * m2 <= lim1:
-                ks = (so, se, s1, mag, mag1, kn)
-                if not dsum:
-                    break
-        if dsum and ks is not None and v2 <= v and (v2 <= dlim or sz * am2 * v2 <= dlim1):
-            dlim, dlim1 = tol * abs(do + de), tol * abs(d1)
-            if v2 <= dlim and sz * am2 * v2 <= dlim1:
-                dsum, dn = False, kn
+    st = starts.get((mu, z, "sum")) if starts else None
+    if st is None or dk and st[9] is None:
+        th = math.atan2(z.imag, z.real)
+        for bound, h in _K_STEPS:  # past the last bound, its step
+            if sz <= bound:
                 break
-    if dsum:  # out of nodes
-        dconv, dn = False, kn
-    kconv = ks is not None and sz <= K_MAX_ARG
-    so, se, s1, kmag, kmag1, kn = ks or (so, se, s1, mag, mag1, kn)
-    # r, K_mu's relative gap T_h - T_2h, and c, the largest ratio of a start
-    # value's sum of |terms| to its size (the cancellation)
-    s = abs(so + se)
-    r, c = abs(so - se) / s, kmag / s
-    he = h * exp(nz)
-    kv = he * (so + se)
-    dv = d1v = None
-    if dk:
-        dv = he * (do + de)
-        s = abs(do + de) or 1.0  # 0 at mu = 0
-        dr, dc = max(r, abs(do - de) / s), max(c, dmag / s)
+        if abs(th) > _RAY_PHASE:
+            h *= 0.7
+        # passes to |z| (cosh u - 1) = 80, where the terms are below e^(-80) of g(0)
+        top = min(int(math.acosh(1.0 + 80.0 / sz) / h) + 2, hyper.MAX_TERMS) // 2
+        nz, tol = -z, hyper.REL_TOL
+        exp, cosh, tanh = cmath.exp, cmath.cosh, cmath.tanh
+        w = complex(0.5, -0.25 * th)  # g(0)/2 / e^(-z), summed with the even nodes
+        so, se, s1, d1, do, de = 0j, w, 0j, 0j, 0j, 0j
+        mag, mag1, dmag, dmag1 = abs(w), 0.0, 0.0, 0.0
+        ks = None  # K's sums once it stops
+        # REL_TOL of the K, primed K, D and primed D sums, as last read
+        lim = lim1 = dlim = dlim1 = math.inf
+        # D sums while dsum; at mu = 0 its terms are exact zeros, so it is done at once
+        dsum, dconv, dn, kn = dk and mu > 0.0, dk, 0, 0
+        for t, cm, tp, am, t2, cm2, tp2, am2 in _k_nodes(h, th, top)[:top]:
+            kn += 2
+            y, y2 = nz * cm, nz * cm2
+            w, w2 = exp(y) * cosh(mu * t) * tp, exp(y2) * cosh(mu * t2) * tp2
+            so, se = so + w, se + w2
+            s1 += y * w + y2 * w2
+            m, m2 = abs(w), abs(w2)
+            mag += m + m2
+            mag1 += am * m + am2 * m2
+            if dsum:
+                # each D term is the K term times t tanh(mu t)
+                p, p2 = t * tanh(mu * t) * w, t2 * tanh(mu * t2) * w2
+                do, de = do + p, de + p2
+                d1 += y * p + y2 * p2
+                v, v2 = abs(p), abs(p2)
+                dmag += v + v2
+                dmag1 += am * v + am2 * v2
+            if ks is None and m2 <= m and (m2 <= lim or sz * am2 * m2 <= lim1):
+                lim, lim1 = tol * abs(so + se), tol * abs(s1)
+                if m2 <= lim and sz * am2 * m2 <= lim1:
+                    ks = (so, se, s1, mag, mag1, kn)
+                    if not dsum:
+                        break
+            if dsum and ks is not None and v2 <= v and (v2 <= dlim or sz * am2 * v2 <= dlim1):
+                dlim, dlim1 = tol * abs(do + de), tol * abs(d1)
+                if v2 <= dlim and sz * am2 * v2 <= dlim1:
+                    dsum, dn = False, kn
+                    break
+        if dsum:  # out of nodes
+            dconv, dn = False, kn
+        kconv = ks is not None and sz <= K_MAX_ARG
+        so, se, s1, kmag, kmag1, kn = ks or (so, se, s1, mag, mag1, kn)
+        # r, K_mu's relative gap T_h - T_2h, and c, the largest ratio of a start
+        # value's sum of |terms| to its size (the cancellation)
+        s = abs(so + se)
+        r, c = abs(so - se) / s, kmag / s
+        he = h * exp(nz)
+        kv = he * (so + se)
+        dv = dr = dc = None
+        if dk:
+            dv = he * (do + de)
+            s = abs(do + de) or 1.0  # 0 at mu = 0
+            dr, dc = max(r, abs(do - de) / s), max(c, dmag / s)
+        if starts is not None:
+            starts[mu, z, "sum"] = (he, kv, s1, r, c, kmag, kmag1, kn, kconv, dv, d1, dr, dc,
+                                    dmag, dmag1, dn, dconv)
+    else:  # summed before, with D where dk asks for it
+        he, kv, s1, r, c, kmag, kmag1, kn, kconv, dv, d1, dr, dc, dmag, dmag1, dn, dconv = st
+    d1v = None
     if n:
         # K_(mu+1) = (mu/z) K_mu - K'_mu (DLMF 10.29.2) and its order
         # derivative D_(mu+1) = K_mu/z + (mu/z) D_mu - D'_mu
@@ -462,7 +473,7 @@ def _k_sums(nu: float, z: complex, dk: bool) -> tuple:
             d1v = dv + (kv + mu * dv - he * d1) / z
             s = ((kmag + dmag * mu) / sz + dmag + dmag1) * abs(he) / (abs(d1v) or 1.0)
             dc = max(dc, c, s)
-        kv, dv = _climb(n, mu, 0.5 * z, kv, k1, dv, d1v)
+        kv, dv = _climb(n, mu, 0.5 * z, kv, k1, dv if dk else None, d1v)
     if not cmath.isfinite(kv) or dk and not cmath.isfinite(dv):
         raise SeriesOverflowError(f"K_{nu:g} overflows double precision at |z| = {sz:g}")
     k = k or _k_estimate(kv, r ** 5, c, n, kn, kconv)
@@ -484,7 +495,7 @@ def _gamma12(m: float, dk: bool) -> tuple:
     return g1, g2, 2.0 * m * d1, 2.0 * m * d2
 
 
-def _k_temme(nu: float, z: complex, dk: bool) -> tuple:
+def _k_temme(nu: float, z: complex, dk: bool, starts: dict | None) -> tuple:
     """:func:`_k_sums` at |z| <= ``TEMME_MAX_ARG`` (with ``dk`` at |z| <=
     ``TEMME_DK_MAX_ARG``): Temme's series (J. Comput. Phys. 19, 1975) at
     m = nu - floor(nu), or m - 1 where m > 1/2,
@@ -504,7 +515,8 @@ def _k_temme(nu: float, z: complex, dk: bool) -> tuple:
     a term passes it: the same term, and bits, with or without ``dk``; D goes
     on to its own rule.  The estimate (:func:`_k_estimate`) takes as r the
     first neglected term, bounded by the last times |z^2/4|/(k+1), plus
-    |s| eps (the rounding of s), and as c the sums of |terms| over the sums."""
+    |s| eps (the rounding of s), and as c the sums of |terms| over the sums;
+    from ``starts`` where summed before, with D if asked (:func:`_k_sums`)."""
     n = int(nu)
     m = nu - n
     if m > 0.5:
@@ -513,85 +525,91 @@ def _k_temme(nu: float, z: complex, dk: bool) -> tuple:
     h = 0.5 * z
     if not h:
         raise ConvergenceError(f"K_{nu:g} has no start at |z| = {abs(z):g}: z/2 underflows to 0")
-    s = m * m
-    g1, g2, dg1, dg2 = _gamma12(m, dk)
-    rp, rm = g2 - m * g1, g2 + m * g1  # 1/Gamma(1+m), 1/Gamma(1-m)
-    gg = 1.0 / (rp * rm)  # Gamma(1+m) Gamma(1-m)
-    a1, a2 = gg * g1, gg * g2
-    lg = -cmath.log(h)  # log(2/z)
-    sg = m * lg
-    ep, ch = cmath.exp(sg), cmath.cosh(sg)
-    sh = cmath.sinh(sg) / sg if sg else 1.0
-    lsh = lg * sh  # sinh(s) / m
-    b1, b2 = ch * a1, lsh * a2
-    f = b1 + b2
-    p, q, w = 0.5 * ep / rp, 0.5 / (ep * rm), h * h
-    ks, k1s, kmag, k1mag, ds, d1s = f, p, abs(b1) + abs(b2), abs(p), None, None
-    if dk:
-        e, gg2 = g1 + m * dg1, gg * gg
-        da1 = gg * dg1 + 2.0 * g1 * gg2 * (m * g1 * e - g2 * dg2)
-        da2 = 2.0 * m * g1 * g2 * e * gg2 - 0.5 * dg2 * (1.0 / (rp * rp) + 1.0 / (rm * rm))
-        if abs(sg) <= 1.0:  # d(sinh(s)/s)/ds
-            t, s2 = 0.0, sg * sg
-            for a in _DSINHC:
-                t = t * s2 + a
-            dsh = sg * t
-        else:
-            dsh = (ch - sh) / sg
-        dch, dlsh = m * lg * lsh, lg * lg * dsh
-        b = (dch * a1, ch * da1, dlsh * a2, lsh * da2)
-        df = sum(b)
-        du = dch * a2 + ch * da2 + m * (2.0 * lsh * a1 + m * (dlsh * a1 + lsh * da1))
-        v, dv = m * f, f + m * df  # p - q
-        dp = p * (lg - (dg2 - e) / rp)
-        ds, d1s, dmag, d1mag = df, dp, sum(map(abs, b)), abs(dp)
-    # from here on f, p, q (and their derivatives) carry the factor c_k
-    tol, lim, lim1, dlim, dlim1 = hyper.REL_TOL, math.inf, math.inf, math.inf, math.inf
-    kn, dn, r, dr = 0, 0, 0.0, 0.0
-    for k in range(1, hyper.MAX_TERMS):
-        a = w / k
-        den = k * k - s
-        pq = p + q
-        f = (k * f + pq) * a / den
-        p *= a / (k - m)
-        q *= a / (k + m)
+    st = starts.get((m, z, "temme")) if starts else None
+    if st is None or dk and st[2] is None:
+        s = m * m
+        g1, g2, dg1, dg2 = _gamma12(m, dk)
+        rp, rm = g2 - m * g1, g2 + m * g1  # 1/Gamma(1+m), 1/Gamma(1-m)
+        gg = 1.0 / (rp * rm)  # Gamma(1+m) Gamma(1-m)
+        a1, a2 = gg * g1, gg * g2
+        lg = -cmath.log(h)  # log(2/z)
+        sg = m * lg
+        ep, ch = cmath.exp(sg), cmath.cosh(sg)
+        sh = cmath.sinh(sg) / sg if sg else 1.0
+        lsh = lg * sh  # sinh(s) / m
+        b1, b2 = ch * a1, lsh * a2
+        f = b1 + b2
+        p, q, w = 0.5 * ep / rp, 0.5 / (ep * rm), h * h
+        ks, k1s, kmag, k1mag, ds, d1s = f, p, abs(b1) + abs(b2), abs(p), None, None
         if dk:
-            df = ((k * df + du) * a + 2.0 * m * f) / den
-            dp = (a * dp + p) / (k - m)
-            vn = (k * v + m * pq) * a / den
-            du, dv = (((k * du + v + m * dv) * a + 2.0 * m * (p + q)) / den,
-                      ((k * dv + pq + m * du) * a + 2.0 * m * vn) / den)
-            v = vn
-            if not dn:
-                t = dp - k * df
-                ds, d1s = ds + df, d1s + t
-                at, at1 = abs(df), abs(t)
-                dmag, d1mag = dmag + at, d1mag + at1
-                if at <= dlim and at1 <= dlim1:
-                    dlim, dlim1 = tol * abs(ds), tol * abs(d1s)
+            e, gg2 = g1 + m * dg1, gg * gg
+            da1 = gg * dg1 + 2.0 * g1 * gg2 * (m * g1 * e - g2 * dg2)
+            da2 = 2.0 * m * g1 * g2 * e * gg2 - 0.5 * dg2 * (1.0 / (rp * rp) + 1.0 / (rm * rm))
+            if abs(sg) <= 1.0:  # d(sinh(s)/s)/ds
+                t, s2 = 0.0, sg * sg
+                for a in _DSINHC:
+                    t = t * s2 + a
+                dsh = sg * t
+            else:
+                dsh = (ch - sh) / sg
+            dch, dlsh = m * lg * lsh, lg * lg * dsh
+            b = (dch * a1, ch * da1, dlsh * a2, lsh * da2)
+            df = sum(b)
+            du = dch * a2 + ch * da2 + m * (2.0 * lsh * a1 + m * (dlsh * a1 + lsh * da1))
+            v, dv = m * f, f + m * df  # p - q
+            dp = p * (lg - (dg2 - e) / rp)
+            ds, d1s, dmag, d1mag = df, dp, sum(map(abs, b)), abs(dp)
+        # from here on f, p, q (and their derivatives) carry the factor c_k
+        tol, lim, lim1, dlim, dlim1 = hyper.REL_TOL, math.inf, math.inf, math.inf, math.inf
+        kn, dn, r, dr = 0, 0, 0.0, 0.0
+        for k in range(1, hyper.MAX_TERMS):
+            a = w / k
+            den = k * k - s
+            pq = p + q
+            f = (k * f + pq) * a / den
+            p *= a / (k - m)
+            q *= a / (k + m)
+            if dk:
+                df = ((k * df + du) * a + 2.0 * m * f) / den
+                dp = (a * dp + p) / (k - m)
+                vn = (k * v + m * pq) * a / den
+                du, dv = (((k * du + v + m * dv) * a + 2.0 * m * (p + q)) / den,
+                          ((k * dv + pq + m * du) * a + 2.0 * m * vn) / den)
+                v = vn
+                if not dn:
+                    t = dp - k * df
+                    ds, d1s = ds + df, d1s + t
+                    at, at1 = abs(df), abs(t)
+                    dmag, d1mag = dmag + at, d1mag + at1
                     if at <= dlim and at1 <= dlim1:
-                        dr = max(at / (abs(ds) or 1.0), at1 / abs(d1s)) * abs(w) / (k + 1)
-                        dn = k + 1
-                        if kn:
-                            break
-        if not kn:
-            t = p - k * f
-            ks, k1s = ks + f, k1s + t
-            at, at1 = abs(f), abs(t)
-            kmag, k1mag = kmag + at, k1mag + at1
-            if at <= lim and at1 <= lim1:
-                lim, lim1 = tol * abs(ks), tol * abs(k1s)
+                        dlim, dlim1 = tol * abs(ds), tol * abs(d1s)
+                        if at <= dlim and at1 <= dlim1:
+                            dr = max(at / (abs(ds) or 1.0), at1 / abs(d1s)) * abs(w) / (k + 1)
+                            dn = k + 1
+                            if kn:
+                                break
+            if not kn:
+                t = p - k * f
+                ks, k1s = ks + f, k1s + t
+                at, at1 = abs(f), abs(t)
+                kmag, k1mag = kmag + at, k1mag + at1
                 if at <= lim and at1 <= lim1:
-                    kn, r = k + 1, max(at / abs(ks), at1 / abs(k1s)) * abs(w) / (k + 1)
-                    if dn or not dk:
-                        break
-    r += abs(sg) * _EPS
-    c = max(kmag / abs(ks), k1mag / abs(k1s))
-    k1s /= h
-    if dk:
-        dc = max(c, dmag / (abs(ds) or 1.0), d1mag / abs(d1s))
-        d1s /= h
-    kv, dv = _climb(n, m, h, ks, k1s, ds, d1s) if n else (ks, ds)
+                    lim, lim1 = tol * abs(ks), tol * abs(k1s)
+                    if at <= lim and at1 <= lim1:
+                        kn, r = k + 1, max(at / abs(ks), at1 / abs(k1s)) * abs(w) / (k + 1)
+                        if dn or not dk:
+                            break
+        r += abs(sg) * _EPS
+        c = max(kmag / abs(ks), k1mag / abs(k1s))
+        k1s /= h
+        if dk:
+            dc = max(c, dmag / (abs(ds) or 1.0), d1mag / abs(d1s))
+            d1s /= h
+        if starts is not None:
+            starts[m, z, "temme"] = ks, k1s, ds, d1s, r, c, dr, dc if dk else None, kn, dn
+    else:  # summed before, with D where dk asks for it
+        ks, k1s, ds, d1s, r, c, dr, dc, kn, dn = st
+    kv, dv = _climb(n, m, h, ks, k1s, ds if dk else None, d1s) if n else (ks, ds)
     if not cmath.isfinite(kv) or dk and not cmath.isfinite(dv):
         raise SeriesOverflowError(f"K_{nu:g} overflows double precision at |z| = {abs(z):g}")
     k = _k_estimate(kv, r, c, n, kn or hyper.MAX_TERMS, kn > 0)
@@ -625,18 +643,24 @@ def _climb(n: int, mu: float, h: complex, k: complex, k1: complex, d: complex | 
     K_(a+1) = K_(a-1) + a K_a / h, D_(a+1) = D_(a-1) + (K_a + a D_a) / h,
     stable upward, where K is dominant (Temme, J. Comput. Phys. 19, 1975).
     Each step divides by h: the rounding of a product by 1/h would repeat
-    at every step and grow n-fold (5.6e-15 at n = 49, |z| = 0.7)."""
+    at every step and grow n-fold (5.6e-15 at n = 49, |z| = 0.7).  A climb
+    past 65 steps checks K and D after every 64 and stops where either has
+    left the double range."""
     a = mu + 1.0
-    if d is None:
-        for _ in range(n - 1):
-            k, k1 = k1, k + a * k1 / h
-            a += 1.0
-        return k1, None
-    for _ in range(n - 1):
-        d, d1 = d1, d + (k1 + a * d1) / h
-        k, k1 = k1, k + a * k1 / h
-        a += 1.0
-    return k1, d1
+    while True:
+        steps = n - 1 if n <= 65 else 64
+        if d is None:
+            for _ in range(steps):
+                k, k1 = k1, k + a * k1 / h
+                a += 1.0
+        else:
+            for _ in range(steps):
+                d, d1 = d1, d + (k1 + a * d1) / h
+                k, k1 = k1, k + a * k1 / h
+                a += 1.0
+        if n <= 65 or not (cmath.isfinite(k1) and (d is None or cmath.isfinite(d1))):
+            return k1, d1
+        n -= 64
 
 
 def _turn(t: float) -> complex:

@@ -6,16 +6,18 @@ eval    one function at one (nu, x); prints value, error estimate, method
 table   CSV sweep over nu/x ranges with all four values and derivatives
 verify  run identity suites, emit the report CSV, exit 1 on any failure
 
-A table takes each order as one batch (``orderderiv._dkelvin_rows``).  CSV
-output uses 17 significant digits, '\n' line endings and no quoting, so
-two runs with identical flags are byte-identical.  Every value is computed
-to full double precision; no flag or environment variable changes that.
+A table takes each order as one batch (``orderderiv._dkelvin_rows``), and
+several orders share one dict of K starts (``bessel._k_sums``).  CSV output
+uses 17 significant digits, '\n' line endings and no quoting, so two runs
+with identical flags are byte-identical.  Every value is computed to full
+double precision; no flag or environment variable changes that.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 
 from .errors import KelvinError
@@ -44,8 +46,8 @@ def _parse_range(spec: str, what: str) -> list[float]:
     if len(parts) != 3:
         raise ValueError(f"{what}: expected 'a:b:step', got {spec!r}")
     a, b, step = (float(p) for p in parts)
-    if step <= 0.0 or b < a:
-        raise ValueError(f"{what}: need step > 0 and b >= a in {spec!r}")
+    if not all(map(math.isfinite, (a, b, step))) or step <= 0.0 or b < a:
+        raise ValueError(f"{what}: need finite a, b and step, step > 0 and b >= a in {spec!r}")
     n = int((b - a) / step + 1e-9) + 1
     return [a + k * step for k in range(n)]
 
@@ -104,9 +106,9 @@ def _origin_row(nu: float, x: float) -> str:
     return ",".join([_fmt(nu), _fmt(x)] + cells + [""] * 6 + ["undefined_at_x0"])
 
 
-def _table_rows(nu: float, xs: list[float]) -> list[str]:
+def _table_rows(nu: float, xs: list[float], starts: dict | None) -> list[str]:
     """The rows of order nu over ``xs``; those at x != 0 are one batch."""
-    rows = iter(_dkelvin_rows(nu, [x for x in xs if x != 0.0]))
+    rows = iter(_dkelvin_rows(nu, [x for x in xs if x != 0.0], starts))
     return [_origin_row(nu, x) if x == 0.0 else _TABLE_ROW % ((nu, x) + next(rows)[:8])
             for x in xs]
 
@@ -120,10 +122,10 @@ def cmd_table(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"table: {exc}", file=sys.stderr)
         return 2
-    lines = [_TABLE_HEADER]
+    lines, starts = [_TABLE_HEADER], {} if len(nus) > 1 else None
     try:
         for nu in nus:          # nu-major, then x: deterministic row order
-            lines += _table_rows(nu, xs)
+            lines += _table_rows(nu, xs, starts)
     except KelvinError as exc:
         print(f"table: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

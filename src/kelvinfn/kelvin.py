@@ -27,8 +27,10 @@ the order derivatives too (table, fd, integer and apelblat suites).
 error estimates.  ``_eval_ber_bei`` takes an optional dict of orders: a
 caller that evaluates one order at many x (integrand nodes, ODE stencils)
 passes the same dict each time, so that the order is set up once per
-top-level call.  ``_finite`` (``bessel._finite``, shared with the complex
-API) is where every entry rejects a non-finite order or argument.
+top-level call; ``_eval_ker_kei`` and the batches take one of K starts
+(``bessel._k_sums``) likewise, for all the orders of a call.  ``_finite``
+(``bessel._finite``, shared with the complex API) is where every entry
+rejects a non-finite order or argument.
 """
 
 from __future__ import annotations
@@ -99,14 +101,14 @@ def _eval_ber_bei(nu: float, x: float, orders: dict | None = None) -> tuple[floa
     return _rotate(o, bessel._ray_sums(o, x, False))
 
 
-def _eval_ker_kei(nu: float, x: float) -> tuple[float, float, float]:
+def _eval_ker_kei(nu: float, x: float, starts: dict | None = None) -> tuple[float, float, float]:
     """(ker, kei, abs error estimate) from one K start and climb at x.  The
     sum is taken at the double z = ``ROT_K`` x, off the ray by its rounding,
     so the estimate adds what that moves K by (:func:`_ray_rounding`)."""
     _finite(nu, x)
     if x <= 0.0:
         raise DomainError("ker/kei defined for x > 0")
-    k = bessel._k_sums(abs(nu), ROT_K * x, False)[0]  # K is even in the order
+    k = bessel._k_sums(abs(nu), ROT_K * x, False, starts)[0]  # K is even in the order
     _k_bound(nu, x, k)
     w = _turn(-0.5 * nu) * k[0]  # exact at integer nu (``bessel._turn``)
     return w.real, w.imag, k[1] + _ray_rounding(nu, x, k[0])
@@ -138,14 +140,15 @@ def kelvin_ker_kei(nu: float, x: float) -> tuple[float, float]:
     return _eval_ker_kei(nu, x)[:2]
 
 
-def _phases(nu: float, xs, dk: bool) -> tuple:
+def _phases(nu: float, xs, dk: bool, starts: dict | None) -> tuple:
     """The kernel runs of order nu at each x of ``xs`` as (order, K turn,
     series runs, K sums): the order set up once (``bessel._RayOrder``),
     the series (``bessel._ray_sums``) run at every x, then the K sum at |nu|
-    (``bessel._k_sums``) at every x, each checked by ``_k_bound``; with
-    ``dk`` the psi sums and dK/dnu too.  Each kernel runs 6-10% slower
-    right after the other.  The error raised is a row-by-row pass's first:
-    a series fault is raised after the K sums of the rows before it."""
+    (``bessel._k_sums``, on ``starts``) at every x, each checked by
+    ``_k_bound``; with ``dk`` the psi sums and dK/dnu too.  Each kernel runs
+    6-10% slower right after the other.  The error raised is a row-by-row
+    pass's first: a series fault is raised after the K sums of the rows
+    before it."""
     o = turn = fault = None
     runs = []
     try:
@@ -160,20 +163,21 @@ def _phases(nu: float, xs, dk: bool) -> tuple:
         fault = exc
     m, ks = abs(nu), []
     for x, _ in zip(xs, runs):
-        ks.append(bessel._k_sums(m, ROT_K * x, dk))
+        ks.append(bessel._k_sums(m, ROT_K * x, dk, starts))
         _k_bound(nu, x, ks[-1][0])
     if fault is not None:
         raise fault
     return o, turn, runs, ks
 
 
-def _kelvin_rows(nu: float, xs) -> list[tuple[float, float, float, float]]:
+def _kelvin_rows(nu: float, xs,
+                 starts: dict | None = None) -> list[tuple[float, float, float, float]]:
     """``kelvin_all`` at order nu and each x of ``xs``, bit for bit, as the
     plain tuple (ber, bei, ker, kei): one batch of :func:`_phases`, for a
     caller that evaluates one order at many x.  As a batch of one it costs
     10% more per point than ``kelvin_all`` (33.1 against 30.0 ms over 1024
     scattered points), which therefore composes its two runs itself."""
-    o, turn, runs, ks = _phases(nu, xs, False)
+    o, turn, runs, ks = _phases(nu, xs, False, starts)
     rows = []
     for run, (k, _) in zip(runs, ks):
         bb, kk = o.phase() * run[0], turn * k[0]

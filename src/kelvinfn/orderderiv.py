@@ -44,8 +44,8 @@ from dataclasses import dataclass
 from .bessel import ORDER_EPS, _is_near_int, _RayOrder, _turn, dj_dnu, dk_dnu
 from .errors import DomainError, NegativeIntegerOrderError, OrderClassError
 from .hyper import HyperSpec, pfq
-from .kelvin import (ROT_J, ROT_K, KelvinQuad, _eval_ber_bei, _eval_ker_kei, _finite, _phases,
-                     _ray_rounding, kelvin_all)
+from .kelvin import (ROT_J, ROT_K, KelvinQuad, _eval_ber_bei, _eval_ker_kei, _finite,
+                     _kelvin_rows, _phases, _ray_rounding)
 from .scalars import PI, digamma_real, gamma_real
 
 # dkelvin_kk_pos refuses 2 nu this close to an integer, where the csc of its
@@ -133,6 +133,11 @@ def dkelvin_integer(n: int | float, x: float) -> OrderDerivQuad:
     empty at n = 0.  Kept as an oracle for ``dkelvin`` at integer order.
     A float order must be an integer (2.0), or OrderClassError is raised.
     """
+    return _dkelvin_integer(n, x, {})
+
+
+def _dkelvin_integer(n: int | float, x: float, starts: dict) -> OrderDerivQuad:
+    """:func:`dkelvin_integer`, its values on the K starts of ``starts``."""
     _finite(n, x)
     if n != int(n):
         raise OrderClassError(f"finite sums need an integer order, got nu = {n}")
@@ -141,8 +146,8 @@ def dkelvin_integer(n: int | float, x: float) -> OrderDerivQuad:
         raise NegativeIntegerOrderError("finite sums defined for n >= 0 only")
     if x <= 0.0:
         raise DomainError("x must be positive")
-    quads = [kelvin_all(float(k), x) for k in range(n + 1)]
-    top = quads[n]
+    quads = [_kelvin_rows(float(k), (x,), starts)[0] for k in range(n + 1)]
+    top = KelvinQuad(*quads[n], float(n), x)
     dber = -PI / 2.0 * top.bei - top.ker
     dbei = PI / 2.0 * top.ber - top.kei
     dker = PI / 2.0 * top.kei
@@ -154,11 +159,11 @@ def dkelvin_integer(n: int | float, x: float) -> OrderDerivQuad:
         s5 = math.sin(5.0 * (k - n) * PI / 4.0)
         c3 = math.cos(3.0 * (k - n) * PI / 4.0)
         s3 = math.sin(3.0 * (k - n) * PI / 4.0)
-        q = quads[k]
-        dber += w * (c5 * q.ber + s5 * q.bei)
-        dbei += w * (c5 * q.bei - s5 * q.ber)
-        dker += w * (c3 * q.ker - s3 * q.kei)
-        dkei += w * (s3 * q.ker + c3 * q.kei)
+        ber, bei, ker, kei = quads[k]
+        dber += w * (c5 * ber + s5 * bei)
+        dbei += w * (c5 * bei - s5 * ber)
+        dker += w * (c3 * ker - s3 * kei)
+        dkei += w * (s3 * ker + c3 * kei)
     est = 1e-12 * (1.0 + abs(dber) + abs(dbei) + abs(dker) + abs(dkei))
     return OrderDerivQuad(dber, dbei, dker, dkei, float(n), x, "integer_sum", est, top)
 
@@ -236,14 +241,15 @@ def dkelvin(nu: float, x: float) -> OrderDerivQuad:
                           KelvinQuad(ber, bei, ker, kei, nu, x))
 
 
-def _dkelvin_rows(nu: float, xs: list[float] | tuple[float, ...]) -> list[tuple]:
+def _dkelvin_rows(nu: float, xs: list[float] | tuple[float, ...],
+                  starts: dict | None = None) -> list[tuple]:
     """``dkelvin`` at order nu and each x of ``xs`` as the plain tuple (ber,
     bei, ker, kei, dber, dbei, dker, dkei, est_j, est_k), est_j the series'
     abs error estimate (:func:`_bb_series`), est_k that of dK/dnu plus pi/2
     times K's, each with the ray point's rounding (``kelvin._ray_rounding``).
-    The kernels run as one batch (``kelvin._phases``), then the rows are
-    built; the error raised is a row-by-row pass's first one."""
-    o, turn, runs, ks = _phases(nu, xs, True)
+    The kernels run as one batch (``kelvin._phases``, on ``starts``), then
+    the rows are built; the error raised is a row-by-row pass's first one."""
+    o, turn, runs, ks = _phases(nu, xs, True, starts)
     if o is None:  # no rows
         return []
     m = abs(nu)

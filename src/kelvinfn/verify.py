@@ -9,13 +9,17 @@ run at the one accuracy of ``hyper`` and ``quad``.
 A suite that evaluates one order over an x grid runs it as one batch
 (``kelvin._kelvin_rows``, ``orderderiv._dkelvin_rows``), its rows in grid
 order; the value rows of apelblat and appendix share one set-up per order.
+A call of fd, reflection, integer, ode or apelblat sums each K start once
+(one dict of starts, ``bessel._k_sums``).
 """
 
 from __future__ import annotations
 
+import math
+
 from . import manifest as M
 from .kelvin import _eval_ber_bei, _eval_ker_kei, _kelvin_rows
-from .orderderiv import _dkelvin_rows, dkelvin_bb_brychkov, dkelvin_bb_pos, dkelvin_integer
+from .orderderiv import _dkelvin_integer, _dkelvin_rows, dkelvin_bb_brychkov, dkelvin_bb_pos
 from .quad import (IdentityReport, apelblat_ber_bei, apelblat_dber_dbei,
                    appendix_ber_bei, convolution_identity, indefinite_integral_check,
                    make_report, theorem5_identities)
@@ -23,29 +27,36 @@ from .quad import (IdentityReport, apelblat_ber_bei, apelblat_dber_dbei,
 _COMPONENTS = ("dber", "dbei", "dker", "dkei")
 
 
-def _fd_rows(nu: float, xs, h: float) -> list[tuple[float, ...]]:
+def _fd_rows(nu: float, xs, h: float, starts: dict) -> list[tuple[float, ...]]:
     """Central finite differences of all four Kelvin functions over the
     order, one 4-tuple per x of ``xs``."""
     return [tuple((a - b) / (2.0 * h) for a, b in zip(hi, lo, strict=True))
-            for hi, lo in zip(_kelvin_rows(nu + h, xs), _kelvin_rows(nu - h, xs), strict=True)]
+            for hi, lo in zip(_kelvin_rows(nu + h, xs, starts), _kelvin_rows(nu - h, xs, starts),
+                              strict=True)]
 
 
 def fd_oracle(nu: float, xs) -> list[tuple[float, ...]]:
     """Richardson-extrapolated finite-difference order derivatives, one
     4-tuple (dber, dbei, dker, dkei) per x of ``xs``."""
+    return _fd_oracle(nu, xs, {})
+
+
+def _fd_oracle(nu: float, xs, starts: dict) -> list[tuple[float, ...]]:
+    """:func:`fd_oracle` with the K starts of ``starts``."""
     h1, h2 = M.FD_STEPS
     return [tuple((4.0 * b - a) / 3.0 for a, b in zip(g1, g2, strict=True))
-            for g1, g2 in zip(_fd_rows(nu, xs, h1), _fd_rows(nu, xs, h2), strict=True)]
+            for g1, g2 in zip(_fd_rows(nu, xs, h1, starts), _fd_rows(nu, xs, h2, starts),
+                              strict=True)]
 
 
 def suite_fd() -> list[IdentityReport]:
     """Dispatcher vs finite differences, positive and reflected grids."""
-    out = []
+    out, starts = [], {}
     for sign in (1.0, -1.0):
         for nu in M.FD_NU:
             order = sign * nu
-            for x, row, ora in zip(M.FD_X, _dkelvin_rows(order, M.FD_X),
-                                   fd_oracle(order, M.FD_X), strict=True):
+            for x, row, ora in zip(M.FD_X, _dkelvin_rows(order, M.FD_X, starts),
+                                   _fd_oracle(order, M.FD_X, starts), strict=True):
                 for name, g, o in zip(_COMPONENTS, row[4:8], ora, strict=True):
                     tol = M.FD_SCALED_TOL * (1.0 + abs(o))
                     out.append(make_report(f"fd_{name}", order, x, g, o, tol))
@@ -55,10 +66,10 @@ def suite_fd() -> list[IdentityReport]:
 def suite_integer() -> list[IdentityReport]:
     """Integer-order finite sums vs ``dkelvin`` at the integer itself, where
     its term-wise dJ/dnu and its dK/dnu quadrature are regular."""
-    out = []
+    out, starts = [], {}
     for n in M.INTEGER_N:
-        for x, row in zip(M.INTEGER_X, _dkelvin_rows(float(n), M.INTEGER_X), strict=True):
-            sums = dkelvin_integer(n, x)
+        for x, row in zip(M.INTEGER_X, _dkelvin_rows(float(n), M.INTEGER_X, starts), strict=True):
+            sums = _dkelvin_integer(n, x, starts)
             vals = (sums.dber, sums.dbei, sums.dker, sums.dkei)
             for name, g, o in zip(_COMPONENTS, vals, row[4:8], strict=True):
                 tol = M.INTEGER_SCALED_TOL * (1.0 + abs(o))
@@ -80,7 +91,7 @@ def suite_brychkov() -> list[IdentityReport]:
 
 def suite_apelblat() -> list[IdentityReport]:
     """Integral representations vs the series path, values and derivatives."""
-    out = []
+    out, starts = [], {}
     for nu in M.APELBLAT_NU:
         orders: dict = {}  # the set-up of order nu, shared by its rows
         for arg in M.APELBLAT_ARG:
@@ -89,7 +100,8 @@ def suite_apelblat() -> list[IdentityReport]:
             out.append(make_report("apelblat_ber", nu, arg, q[0], k[0], M.APELBLAT_TOL))
             out.append(make_report("apelblat_bei", nu, arg, q[1], k[1], M.APELBLAT_TOL))
     for nu in M.APELBLAT_D_NU:
-        for x, row in zip(M.APELBLAT_D_X, _dkelvin_rows(nu, M.APELBLAT_D_X), strict=True):
+        for x, row in zip(M.APELBLAT_D_X, _dkelvin_rows(nu, M.APELBLAT_D_X, starts),
+                          strict=True):
             q = apelblat_dber_dbei(nu, x)
             out.append(make_report("apelblat_dber", nu, x, q[0], row[4], M.APELBLAT_D_TOL))
             out.append(make_report("apelblat_dbei", nu, x, q[1], row[5], M.APELBLAT_D_TOL))
@@ -130,11 +142,11 @@ def suite_appendix() -> list[IdentityReport]:
 
 def suite_reflection() -> list[IdentityReport]:
     """Integer reflection: f_{-n} = (-1)^n f_n for all four functions."""
-    out = []
+    out, starts = [], {}
     for n in M.REFLECTION_N:
         sgn = -1.0 if n % 2 else 1.0
-        for x, neg, pos in zip(M.REFLECTION_X, _kelvin_rows(float(-n), M.REFLECTION_X),
-                               _kelvin_rows(float(n), M.REFLECTION_X), strict=True):
+        for x, neg, pos in zip(M.REFLECTION_X, _kelvin_rows(float(-n), M.REFLECTION_X, starts),
+                               _kelvin_rows(float(n), M.REFLECTION_X, starts), strict=True):
             for name, lhs, p in zip(("ber", "bei", "ker", "kei"), neg, pos, strict=True):
                 rhs = sgn * p
                 tol = M.REFLECTION_REL_TOL * max(abs(rhs), 1e-30)
@@ -156,7 +168,7 @@ def _ode_residual(w_of_x, nu: float, x: float, h: float) -> float:
 
 def suite_ode() -> list[IdentityReport]:
     """Both Kelvin pairs satisfy x^2 w'' + x w' - (nu^2 + i x^2) w = 0."""
-    out = []
+    out, starts = [], {}  # the K starts, shared by the stencils of every order
     for nu in M.ODE_BB_NU:
         for x in M.ODE_X:
             res = _ode_residual(
@@ -166,7 +178,7 @@ def suite_ode() -> list[IdentityReport]:
     for nu in M.ODE_KK_NU:
         for x in M.ODE_X:
             res = _ode_residual(
-                lambda t, orders: complex(*_eval_ker_kei(nu, t)[:2]),
+                lambda t, orders: complex(*_eval_ker_kei(nu, t, starts)[:2]),
                 nu, x, M.ODE_STEP)
             out.append(make_report("ode_ker_kei", nu, x, res, 0.0, M.ODE_SCALED_TOL))
     return out
@@ -185,7 +197,10 @@ SUITES = {
 
 
 def run_suites(name: str, tol_override: float | None = None) -> list[IdentityReport]:
-    """Run one named suite (or 'all'), optionally overriding every tolerance."""
+    """Run one named suite (or 'all'), optionally overriding every tolerance
+    with one value, finite and >= 0 (ValueError otherwise)."""
+    if tol_override is not None and not 0.0 <= tol_override < math.inf:
+        raise ValueError(f"the tolerance must be finite and >= 0, got {tol_override!r}")
     if name == "all":
         names = list(SUITES)
     elif name in SUITES:

@@ -156,6 +156,19 @@ class TestTable:
                                "--x-range", "1:2:1")
         assert code == 2
 
+    @pytest.mark.parametrize("flag, spec", [("--nu-range", "0:inf:1"), ("--x-range", "1:2:inf"),
+                                            ("--x-range", "nan:2:1"), ("--x-range", "-inf:2:1"),
+                                            ("--nu-range", "0:nan:1")])
+    def test_non_finite_range_exit_2(self, capsys, flag, spec):
+        """A bound or step that is not finite is a usage error naming its
+        flag, not a traceback or a row at x = nan."""
+        other = "--x" if flag == "--nu-range" else "--nu"
+        code, out, err = run_cli(capsys, "table", f"{flag}={spec}", other, "1")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"table: {flag}: need finite a, b and step")
+        with pytest.raises(ValueError, match=flag):
+            _parse_range(spec, flag)
+
     def test_missing_grid_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "table")
         assert code == 2
@@ -188,6 +201,16 @@ class TestVerify:
                                "--tol", "1e-330", "--format", "plain")
         assert code == 1
         assert "FAIL" in out
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1", "-1e-300"])
+    def test_bad_tolerance_exit_2(self, capsys, tol):
+        """An override that is not finite or is negative is refused before any
+        suite runs: under inf a row whose integral missed its target
+        (abs_diff = inf) would pass, under nan or a negative one every row
+        fails."""
+        code, out, err = run_cli(capsys, "verify", "--suite", "all", f"--tol={tol}")
+        assert (code, out) == (2, "")
+        assert err.startswith("verify: the tolerance must be finite and >= 0")
 
     def test_unknown_suite_exit_2(self, capsys):
         with pytest.raises(SystemExit):   # argparse rejects bad choices

@@ -2,9 +2,11 @@
 
 import cmath
 import math
+import time
 
 import pytest
 
+from kelvinfn import bessel
 from kelvinfn.bessel import _k_sums, bessel_i, bessel_j, dj_dnu_any
 from kelvinfn.errors import (ConvergenceError, DomainError, GammaOverflowError, KelvinError,
                              PowerOverflowError, SeriesOverflowError)
@@ -237,6 +239,43 @@ def test_k_quadrature_edges_are_typed(monkeypatch):
     monkeypatch.setattr(hyper, "MAX_TERMS", 20000)
     k = ray_k(0.3, 2.0, False)[0]
     assert k[3] and k[0] == want
+
+
+class _Half(complex):
+    """h = z/2 that counts the divisions by it (the steps of a climb)."""
+
+    steps = 0
+
+    def __rtruediv__(self, other):
+        _Half.steps += 1
+        return complex(other) / complex(self)
+
+
+@pytest.mark.parametrize("dk", [False, True])
+def test_climb_stops_after_overflow(dk):
+    """K_(a+1) = K_(a-1) + a K_a / h at h = 1/2 overflows near a = 150; a
+    climb of a million steps stops after the first block of 64 steps past
+    that, where it took every step."""
+    _Half.steps = 0
+    d = 1.0 + 0j if dk else None
+    k, dv = bessel._climb(10 ** 6, 0.0, _Half(0.5), 1.0 + 0j, 1.0 + 0j, d, d)
+    assert not cmath.isfinite(k)
+    assert 150 < _Half.steps // (2 if dk else 1) <= 256
+
+
+@pytest.mark.parametrize("call", [kelvin_ker_kei, lambda nu, x: bessel.bessel_k(nu, x),
+                                  lambda nu, x: bessel.dk_dnu_any(nu, complex(x, -x))])
+@pytest.mark.parametrize("nu", [1e8, 1e17])
+def test_climb_overflow_is_raised_at_once(call, nu):
+    """Where |z|/2 > 1 the (|z|/2)^(-nu) check cannot fire, so an order far
+    past the double range reaches the climb of ker/kei, K and dK/dnu (the
+    values and order derivatives of all four raise the series' error
+    first); it raises SeriesOverflowError within a few hundred steps (a
+    climb to 1e8 took 12 s, to 1e17 years)."""
+    t = time.perf_counter()
+    with pytest.raises(SeriesOverflowError):
+        call(nu, 5.0)
+    assert time.perf_counter() - t < 2.0
 
 
 @pytest.mark.parametrize("x", [1e-300, 0.1, 0.49, 0.51, 1.0, 1.19, 1.21, 2.0, 20.0])

@@ -3,13 +3,18 @@ it at many x (the batches of a table order and of the verify suites,
 integrands, ODE stencils) return, bit for bit, what the single-point calls
 return.  Each order is walked over x ascending and then descending with one
 shared set-up, so that nothing an order keeps can depend on the argument it
-was first run at."""
+was first run at.  Many orders, one argument: a K sum that reads its start
+from a dict shared by every order of a call (``bessel._k_sums``) returns,
+bit for bit, what a fresh sum returns."""
 
 import pytest
 
+import kelvinfn.bessel
 from kelvinfn import manifest as M
+from kelvinfn.bessel import _k_sums
 from kelvinfn.cli import _fmt, _table_rows
-from kelvinfn.kelvin import (_eval_ber_bei, _eval_ker_kei, _kelvin_rows, kelvin_all,
+from kelvinfn.errors import PowerOverflowError, SeriesOverflowError
+from kelvinfn.kelvin import (ROT_K, _eval_ber_bei, _eval_ker_kei, _kelvin_rows, kelvin_all,
                              kelvin_ber_bei, kelvin_ker_kei)
 from kelvinfn.orderderiv import _dkelvin_rows, dkelvin, dkelvin_integer
 from kelvinfn.quad import apelblat_ber_bei, apelblat_dber_dbei, make_report
@@ -37,7 +42,7 @@ def test_table_rows_equal_single_points(nu):
     """Every row of one batch, and every CSV row of one table order, is
     dkelvin at its x, estimates included."""
     points = [dkelvin(nu, x) for x in WALK]
-    for x, d, line in zip(WALK, points, _table_rows(nu, WALK), strict=True):
+    for x, d, line in zip(WALK, points, _table_rows(nu, WALK, {}), strict=True):
         want = [_fmt(nu), _fmt(x)] + [_fmt(v) for v in (
             d.values.ber, d.values.bei, d.values.ker, d.values.kei,
             d.dber, d.dbei, d.dker, d.dkei)] + [d.method]
@@ -198,3 +203,92 @@ def test_node_table_grows_safely_across_threads(monkeypatch):
         sys.setswitchinterval(interval)
     assert not errors
     assert got == [want] * 24
+
+
+# orders whose starts coincide: the integers; quarter orders that share
+# mu = nu - floor(nu) (at 0.75, 1.75 and 9.75 Temme's series starts at
+# m = -0.25); 0.3, and 5.3, whose mu is 0.3 less an ulp
+K_ORDERS = [0.0, 1.0, 3.0, 0.25, 2.25, 0.75, 1.75, 9.75, 0.5, 2.5, 0.3, 5.3]
+# Temme's series alone at x <= 0.45; between TEMME_DK_MAX_ARG = 0.5 and
+# TEMME_MAX_ARG = 1.2 K from Temme's series and dK/dnu from the sum; the
+# sum alone above
+K_XS = [0.1, 0.45, 0.55, 1.0, 1.15, 1.3, 5.0, 20.0]
+
+
+def k_bits(res) -> tuple:
+    """The bits of a ``_k_sums`` result: per side (value, estimate, scale,
+    nodes, converged), or None."""
+    return tuple(None if t is None else bits(t[0].real, t[0].imag, t[1], t[4]) + t[2:4]
+                 for t in res)
+
+
+@pytest.mark.parametrize("dk_first", [True, False], ids=["dK-then-K", "K-then-dK"])
+def test_shared_k_starts_equal_fresh_sums(dk_first):
+    """Every order of K_ORDERS at every x of K_XS, walked up and down, asks
+    for K and for K + dK/dnu from one dict of starts: each result is that of
+    a fresh sum, and the dict holds one start per fractional part and x on
+    each route (6 of each: 2 x 6 on Temme's series, 3 x 12 on both, 3 x 6
+    on the sum)."""
+    starts: dict = {}
+    for x in K_XS + K_XS[::-1]:
+        z = ROT_K * x
+        for nu in K_ORDERS:
+            for dk in (dk_first, not dk_first):
+                assert k_bits(_k_sums(nu, z, dk, starts)) == k_bits(_k_sums(nu, z, dk)), \
+                    (nu, x, dk)
+    assert len(starts) == 66
+
+
+SIGNED_ORDERS = [0.25, -0.25, -2.25, 2.25, -0.75, 1.75, -9.75, 3.0, -3.0, 0.0, -0.3, 0.3]
+
+
+def test_shared_k_starts_across_signed_orders():
+    """+-nu share their starts: batches of values and of order derivatives
+    over K_XS, all with one dict, equal ``kelvin_all`` and ``dkelvin``, from
+    one start per fractional part (4) and x on each route (2 x on Temme's
+    series, 3 on both, 3 on the sum)."""
+    starts: dict = {}
+    for nu in SIGNED_ORDERS:
+        for x, row in zip(K_XS, _kelvin_rows(nu, K_XS, starts), strict=True):
+            q = kelvin_all(nu, x)
+            assert bits(*row) == bits(q.ber, q.bei, q.ker, q.kei), (nu, x)
+        for x, row in zip(K_XS, _dkelvin_rows(nu, K_XS, starts), strict=True):
+            d = dkelvin(nu, x)
+            *vals, est_j, est_k = row
+            assert bits(*vals, est_j + est_k) == bits(
+                d.values.ber, d.values.bei, d.values.ker, d.values.kei,
+                d.dber, d.dbei, d.dker, d.dkei, d.err_estimate), (nu, x)
+    assert len(starts) == 4 * (2 + 3 * 2 + 3)
+
+
+def test_shared_k_starts_raise_per_request():
+    """The power check and the climb's overflow belong to each request: a
+    start shared with an order that overflows still serves the others."""
+    starts: dict = {}
+    z, big = ROT_K * 1e-3, ROT_K * 5.0
+    want = k_bits(_k_sums(0.3, z, True)), k_bits(_k_sums(0.0, big, True))
+    assert k_bits(_k_sums(0.3, z, True, starts)) == want[0]
+    with pytest.raises(PowerOverflowError):
+        _k_sums(200.3, z, True, starts)
+    assert k_bits(_k_sums(0.3, z, True, starts)) == want[0]
+    with pytest.raises(SeriesOverflowError):
+        _k_sums(1000.0, big, True, starts)
+    assert k_bits(_k_sums(0.0, big, True, starts)) == want[1]
+    assert len(starts) == 2
+
+
+def test_start_that_raises_is_not_kept(monkeypatch):
+    starts: dict = {}
+    orig = kelvinfn.bessel._k_nodes
+
+    def fails_once(*args):
+        monkeypatch.setattr(kelvinfn.bessel, "_k_nodes", orig)
+        raise SeriesOverflowError("injected")
+
+    monkeypatch.setattr(kelvinfn.bessel, "_k_nodes", fails_once)
+    with pytest.raises(SeriesOverflowError):
+        _k_sums(2.3, ROT_K * 5.0, False, starts)
+    assert not starts
+    assert k_bits(_k_sums(2.3, ROT_K * 5.0, False, starts)) == \
+        k_bits(_k_sums(2.3, ROT_K * 5.0, False))
+    assert len(starts) == 1

@@ -9,7 +9,9 @@ and climb, ``bessel._k_sums``: Temme's series from fixed tables at small
 |z|, the trapezoidal sum above, neither with Gamma or psi.  Counting kernel
 runs, nodes and Gamma/psi calls gives a deterministic measure of the work
 one call does; a series run is identified by its order, argument and plain
-sum.
+sum.  A K sum reads its start (Temme's series or the trapezoidal sum) from
+one dict per table or verify suite call, so a call sums fewer starts than
+it makes K sums.
 """
 
 import contextlib
@@ -70,9 +72,9 @@ def ksums(monkeypatch):
     keys = []
     orig = kelvinfn.bessel._k_sums
 
-    def counted(nu, z, dk):
+    def counted(nu, z, dk, starts=None):
         keys.append((nu, z, dk))
-        return orig(nu, z, dk)
+        return orig(nu, z, dk, starts)
 
     monkeypatch.setattr(kelvinfn.bessel, "_k_sums", counted)
     return keys
@@ -107,7 +109,7 @@ def test_table_order_runs_in_phases(monkeypatch, capsys, nu):
     monkeypatch.setattr(kelvinfn.bessel, "_ray_sums",
                         lambda o, x, psi: calls.append(("J", x)) or ray(o, x, psi))
     monkeypatch.setattr(kelvinfn.bessel, "_k_sums",
-                        lambda m, z, dk: calls.append(("K", abs(z))) or ks(m, z, dk))
+                        lambda m, z, dk, st: calls.append(("K", abs(z))) or ks(m, z, dk, st))
     assert main(["table", "--nu", repr(nu), "--x-range", "0:4:1"]) == 0
     xs = [pytest.approx(x) for x in (1.0, 2.0, 3.0, 4.0)]
     assert calls == [("J", x) for x in xs] + [("K", x) for x in xs]
@@ -122,7 +124,7 @@ def test_value_batch_runs_in_phases(monkeypatch, nu):
     monkeypatch.setattr(kelvinfn.bessel, "_ray_sums",
                         lambda o, x, psi: calls.append(("J", x)) or ray(o, x, psi))
     monkeypatch.setattr(kelvinfn.bessel, "_k_sums",
-                        lambda m, z, dk: calls.append(("K", abs(z))) or ks(m, z, dk))
+                        lambda m, z, dk, st: calls.append(("K", abs(z))) or ks(m, z, dk, st))
     xs = [1.0, 2.0, 3.0, 4.0]
     assert len(_kelvin_rows(nu, xs)) == 4
     assert calls == [("J", x) for x in xs] + [("K", pytest.approx(x)) for x in xs]
@@ -153,6 +155,77 @@ def test_suites_set_up_each_order_once(setups, series, ksums, suite, orders, run
     apelblat and appendix share one set-up per order."""
     run_suites(suite)
     assert (len(setups), len(series), len(ksums)) == (orders, runs, ks)
+
+
+@pytest.fixture
+def kstarts(monkeypatch):
+    """The K starts summed, by route (one ``_gamma12`` per start on Temme's
+    series, one ``_k_nodes`` per start on the trapezoidal sum), and every
+    dict of starts passed to ``_k_sums``, by id."""
+    routes, dicts = [], {}
+    for name, route in (("_gamma12", "temme"), ("_k_nodes", "sum")):
+        orig = getattr(kelvinfn.bessel, name)
+
+        def counted(*args, orig=orig, route=route):
+            routes.append(route)
+            return orig(*args)
+
+        monkeypatch.setattr(kelvinfn.bessel, name, counted)
+    orig_k = kelvinfn.bessel._k_sums
+
+    def recorded(nu, z, dk, starts=None):
+        if starts is not None:
+            dicts[id(starts)] = starts
+        return orig_k(nu, z, dk, starts)
+
+    monkeypatch.setattr(kelvinfn.bessel, "_k_sums", recorded)
+    return routes, dicts
+
+
+def _kept(dicts) -> list:
+    """The keys (start order, argument, route) of every dict of starts."""
+    return [key for d in dicts.values() for key in d]
+
+
+# (suite, K sums, K starts, distinct (start order, argument)); one start per
+# K sum before.  fd, integer and apelblat ask for dK/dnu at x = 1, between
+# Temme's borders, where K starts on Temme's series and dK/dnu on the sum, so
+# a fractional part takes two starts there: 6 more in fd (at the same order
+# but for 0.75, whose Temme start is at -0.25), 1 in integer and apelblat
+@pytest.mark.parametrize("suite, ks, starts, distinct", [
+    ("fd", 300, 156, 151), ("reflection", 48, 4, 4), ("integer", 84, 5, 4),
+    ("ode", 60, 45, 45), ("apelblat", 9, 4, 3)])
+def test_suites_share_k_starts(ksums, kstarts, suite, ks, starts, distinct):
+    """One dict of K starts per suite call: fd's -nu rows and finite
+    differences read the starts of +nu, reflection and integer one start
+    per x, ode one per fractional part and stencil point, apelblat's
+    derivative rows (orders 0.5, 1.5, 2.5) one per x.  Each start is summed
+    once and kept once."""
+    run_suites(suite)
+    routes, dicts = kstarts
+    kept = _kept(dicts)
+    assert (len(ksums), len(routes), len(kept), len(dicts)) == (ks, starts, starts, 1)
+    assert len({(m, z) for m, z, _ in kept}) == distinct
+
+
+def test_table_shares_k_starts(ksums, kstarts, capsys):
+    """The whole-grid table, 81 orders x 20 values of x: 1620 K sums from
+    84 starts, 4 fractional parts x 20 x and the 4 Temme starts of K at
+    x = 1, where dK/dnu starts on the sum."""
+    assert main(["table", "--nu-range=-10:10:0.25", "--x-range=1:20:1"]) == 0
+    routes, dicts = kstarts
+    kept = _kept(dicts)
+    assert (len(ksums), len(routes), len(kept), len(dicts)) == (1620, 84, 84, 1)
+    assert sorted(r for _, z, r in kept if z == ROT_K) == ["sum"] * 4 + ["temme"] * 4
+
+
+def test_one_order_table_keeps_no_starts(ksums, kstarts, capsys):
+    """A table of one order has no start to share, its x being distinct: it
+    keeps no dict, and sums one start per K sum and the Temme start of K at
+    x = 1."""
+    assert main(["table", "--nu", "2.5", "--x-range=1:20:1"]) == 0
+    routes, dicts = kstarts
+    assert (len(ksums), len(routes), len(dicts)) == (20, 21, 0)
 
 
 @pytest.mark.parametrize("nu, count", [(0.3, 1), (2.0, 1),  # 3, 2
@@ -192,8 +265,8 @@ def test_dk_quadrature_nodes(monkeypatch):
     runs = []
     orig = kelvinfn.bessel._k_sums
 
-    def counted(nu, z, dk):
-        k, d = orig(nu, z, dk)
+    def counted(nu, z, dk, starts):
+        k, d = orig(nu, z, dk, starts)
         runs.append((nu, z, k[2], d[2]))  # (value, estimate, nodes, converged, scale)
         return k, d
 
