@@ -26,11 +26,12 @@ nodes per step, Gamma_1 and Gamma_2), which depend on neither.
 The Kelvin values and order derivatives call the ray kernels directly, once
 each per (nu, x); a caller that evaluates one order at many x sets it up
 once: a table order and each order of a verify suite's x grid are one batch
-(``kelvin._kelvin_rows``, ``orderderiv._dkelvin_rows``), and integrand
-nodes, stencils and the value rows of a suite keep one dict of orders; a
-table and a verify suite keep one dict of K starts, one per (mu, z).  One
-psi run gives a function and its order derivative together, and nothing
-but the node tables outlives the top-level call.
+(``kelvin._kelvin_rows``, ``orderderiv._dkelvin_rows``), integrand nodes
+and stencils run the kernels on one set-up per integral or order, and the
+value rows of a suite keep one dict of orders; a table and a verify suite
+keep one dict of K starts, one per (mu, z), which also answers a repeated
+K request.  One psi run gives a function and its order derivative
+together, and nothing but the node tables outlives the top-level call.
 
 The paper's closed forms ``dj_dnu`` and ``dk_dnu`` are oracles for the
 verify suites and tests only; they read J (or I) at nu and -nu from one
@@ -348,7 +349,11 @@ def _k_sums(nu: float, z: complex, dk: bool, starts: dict | None = None) -> tupl
     the trapezoidal sum below (which, between the two, gives only D), then
     one climb.  The start depends on mu and z alone: one dict ``starts`` for
     all the orders of a call shares it, bit for bit, between +-nu, nu + n
-    and the integers of one z, and a start with D serves K alone too.
+    and the integers of one z, and a start with D serves K alone too.  The
+    dict also keeps each request's result, keyed (nu, z, "k"): a repeat
+    returns it without the climb and the estimate, a result with D serving
+    a request for K alone but not the reverse; a request that raises is not
+    kept.
 
     At mu = nu - floor(nu) in [0, 1), K_mu = int_0^inf f(t) dt with
     f(t) = cosh(mu t) e^(-z cosh t) (DLMF 10.32.9), even in t.  The sum
@@ -380,6 +385,9 @@ def _k_sums(nu: float, z: complex, dk: bool, starts: dict | None = None) -> tupl
     None), tuples of :func:`_k_estimate`; PowerOverflowError where
     (|z|/2)^(-nu) overflows, SeriesOverflowError where K or D does.
     """
+    got = starts.get((nu, z, "k")) if starts else None
+    if got is not None and (got[1] is not None or not dk):  # a repeat
+        return got if dk or got[1] is None else (got[0], None)
     n = int(nu)
     mu = nu - n
     sz = abs(z)
@@ -392,7 +400,10 @@ def _k_sums(nu: float, z: complex, dk: bool, starts: dict | None = None) -> tupl
     if sz <= TEMME_MAX_ARG:
         k, d = _k_temme(nu, z, dk and sz <= TEMME_DK_MAX_ARG, starts)
         if d or not dk:
-            return k, d
+            res = k, d
+            if starts is not None:
+                starts[nu, z, "k"] = res
+            return res
     st = starts.get((mu, z, "sum")) if starts else None
     if st is None or dk and st[9] is None:
         th = math.atan2(z.imag, z.real)
@@ -477,7 +488,10 @@ def _k_sums(nu: float, z: complex, dk: bool, starts: dict | None = None) -> tupl
     if not cmath.isfinite(kv) or dk and not cmath.isfinite(dv):
         raise SeriesOverflowError(f"K_{nu:g} overflows double precision at |z| = {sz:g}")
     k = k or _k_estimate(kv, r ** 5, c, n, kn, kconv)
-    return k, (_k_estimate(dv, dr ** 5, dc, n, dn or kn, dconv and kconv) if dk else None)
+    res = k, (_k_estimate(dv, dr ** 5, dc, n, dn or kn, dconv and kconv) if dk else None)
+    if starts is not None:
+        starts[nu, z, "k"] = res
+    return res
 
 
 def _gamma12(m: float, dk: bool) -> tuple:
@@ -645,7 +659,8 @@ def _climb(n: int, mu: float, h: complex, k: complex, k1: complex, d: complex | 
     Each step divides by h: the rounding of a product by 1/h would repeat
     at every step and grow n-fold (5.6e-15 at n = 49, |z| = 0.7).  A climb
     past 65 steps checks K and D after every 64 and stops where either has
-    left the double range."""
+    left the double range, or where both are exact zeros (a start that
+    underflowed past ``K_MAX_ARG``), which the recurrence keeps."""
     a = mu + 1.0
     while True:
         steps = n - 1 if n <= 65 else 64
@@ -659,6 +674,8 @@ def _climb(n: int, mu: float, h: complex, k: complex, k1: complex, d: complex | 
                 k, k1 = k1, k + a * k1 / h
                 a += 1.0
         if n <= 65 or not (cmath.isfinite(k1) and (d is None or cmath.isfinite(d1))):
+            return k1, d1
+        if not (k or k1 or d or d1):
             return k1, d1
         n -= 64
 

@@ -69,12 +69,14 @@ def sum_series(first_term: complex, ratio) -> EvalResult:
     blocks of four.  The error estimate is 10x the first neglected term.
 
     The sum carries Neumaier compensation on each component separately,
-    which keeps conjugation symmetry exact: summing the conjugated terms
-    produces the exact conjugate of the sum.  Terms or a sum beyond the
-    double range raise SeriesOverflowError.
+    with the branch-free TwoSum error terms of the ray kernels, which keeps
+    conjugation symmetry exact: summing the conjugated terms produces the
+    exact conjugate of the sum.  Terms or a sum beyond the double range
+    raise SeriesOverflowError.
     """
     rel_tol = REL_TOL
     max_terms = MAX_TERMS
+    hypot = math.hypot
     t = complex(first_term)
     re = im = cre = cim = 0.0
     small_run = 0
@@ -85,23 +87,17 @@ def sum_series(first_term: complex, ratio) -> EvalResult:
         while True:
             tr = t.real
             s = re + tr
-            if abs(re) >= abs(tr):
-                cre += (re - s) + tr
-            else:
-                cre += (tr - s) + re
+            cre += (re - (s - (s - re))) + (tr - (s - re))
             re = s
             ti = t.imag
             s = im + ti
-            if abs(im) >= abs(ti):
-                cim += (im - s) + ti
-            else:
-                cim += (ti - s) + im
+            cim += (im - (s - (s - im))) + (ti - (s - im))
             im = s
             if k:
                 mag = abs(t)
                 if mag > max_term:
                     max_term = mag
-                if mag <= rel_tol * (1.0 + abs(complex(re + cre, im + cim))):
+                if mag <= rel_tol * (1.0 + hypot(re + cre, im + cim)):
                     small_run += 1
                     if small_run >= 2:
                         converged = True

@@ -19,18 +19,19 @@ ker_{-n} = (-1)^n ker_n.  Each value is one run of each kernel:
 ``bessel._ray_sums`` on an order set up once (``bessel._RayOrder``: Gamma
 and psi at the anchor, the phase) and ``bessel._k_sums``, checked by
 ``_k_bound`` and turned by e^(-i pi nu/2).  ``kelvin_all`` composes the
-two runs itself.  One order at many x is one batch (``_phases``): the order
-set up once, every series run, then every K sum; ``_kelvin_rows`` reads
-the values from it (fd oracle, reflection suite), ``orderderiv._dkelvin_rows``
-the order derivatives too (table, fd, integer and apelblat suites).
-``_eval_ber_bei`` and ``_eval_ker_kei`` are the one-sided entries, with
-error estimates.  ``_eval_ber_bei`` takes an optional dict of orders: a
-caller that evaluates one order at many x (integrand nodes, ODE stencils)
-passes the same dict each time, so that the order is set up once per
-top-level call; ``_eval_ker_kei`` and the batches take one of K starts
-(``bessel._k_sums``) likewise, for all the orders of a call.  ``_finite``
-(``bessel._finite``, shared with the complex API) is where every entry
-rejects a non-finite order or argument.
+two runs itself, as do the integrand nodes of ``quad`` and the ODE
+stencils of ``verify``.  One order at many x is one batch (``_phases``):
+the order set up once, every series run, then every K sum; ``_kelvin_rows``
+reads the values from it (fd oracle, reflection and integer suites),
+``orderderiv._dkelvin_rows`` the order derivatives too (table, fd, integer
+and apelblat suites).  ``_eval_ber_bei`` and ``_eval_ker_kei`` are the
+one-sided entries, with error estimates (``eval``, the closed forms).
+``_eval_ber_bei`` takes an optional dict of orders: a caller that evaluates
+one order at many x (the value rows of apelblat and appendix) passes the
+same dict each time, so that the order is set up once per top-level call;
+the batches take one of K starts (``bessel._k_sums``) likewise, for all
+the orders of a call.  ``_finite`` (``bessel._finite``, shared with the
+complex API) is where every entry rejects a non-finite order or argument.
 """
 
 from __future__ import annotations
@@ -101,14 +102,14 @@ def _eval_ber_bei(nu: float, x: float, orders: dict | None = None) -> tuple[floa
     return _rotate(o, bessel._ray_sums(o, x, False))
 
 
-def _eval_ker_kei(nu: float, x: float, starts: dict | None = None) -> tuple[float, float, float]:
+def _eval_ker_kei(nu: float, x: float) -> tuple[float, float, float]:
     """(ker, kei, abs error estimate) from one K start and climb at x.  The
     sum is taken at the double z = ``ROT_K`` x, off the ray by its rounding,
     so the estimate adds what that moves K by (:func:`_ray_rounding`)."""
     _finite(nu, x)
     if x <= 0.0:
         raise DomainError("ker/kei defined for x > 0")
-    k = bessel._k_sums(abs(nu), ROT_K * x, False, starts)[0]  # K is even in the order
+    k = bessel._k_sums(abs(nu), ROT_K * x, False)[0]  # K is even in the order
     _k_bound(nu, x, k)
     w = _turn(-0.5 * nu) * k[0]  # exact at integer nu (``bessel._turn``)
     return w.real, w.imag, k[1] + _ray_rounding(nu, x, k[0])

@@ -133,11 +133,6 @@ def dkelvin_integer(n: int | float, x: float) -> OrderDerivQuad:
     empty at n = 0.  Kept as an oracle for ``dkelvin`` at integer order.
     A float order must be an integer (2.0), or OrderClassError is raised.
     """
-    return _dkelvin_integer(n, x, {})
-
-
-def _dkelvin_integer(n: int | float, x: float, starts: dict) -> OrderDerivQuad:
-    """:func:`dkelvin_integer`, its values on the K starts of ``starts``."""
     _finite(n, x)
     if n != int(n):
         raise OrderClassError(f"finite sums need an integer order, got nu = {n}")
@@ -146,7 +141,14 @@ def _dkelvin_integer(n: int | float, x: float, starts: dict) -> OrderDerivQuad:
         raise NegativeIntegerOrderError("finite sums defined for n >= 0 only")
     if x <= 0.0:
         raise DomainError("x must be positive")
-    quads = [_kelvin_rows(float(k), (x,), starts)[0] for k in range(n + 1)]
+    starts: dict = {}
+    return _dkelvin_integer(n, x, [_kelvin_rows(float(k), (x,), starts)[0]
+                                   for k in range(n + 1)])
+
+
+def _dkelvin_integer(n: int, x: float, quads: list) -> OrderDerivQuad:
+    """:func:`dkelvin_integer` at n >= 0 and x > 0 from ``quads``, the rows
+    (ber, bei, ker, kei) of ``kelvin._kelvin_rows`` at the orders 0..n."""
     top = KelvinQuad(*quads[n], float(n), x)
     dber = -PI / 2.0 * top.bei - top.ker
     dbei = PI / 2.0 * top.ber - top.kei

@@ -17,6 +17,10 @@ the last double before any other end):
   the series would be all rounding;
 * the 1/sqrt(tau (t-tau)) convolution kernel uses tau = t sin^2(theta).
 
+An integrand of ber + i bei reads phi T from the ray kernel at each node,
+on one order set up per integral, with no checks or estimate (the
+'printed_s1' bracket, of two orders, reads ``kelvin._eval_ber_bei``).
+
 Every identity check returns an :class:`IdentityReport` that serializes to
 one CSV row: name,nu,x,lhs,rhs,abs_diff,tol,pass.  A value-returning
 representation whose integral misses its error target raises
@@ -139,6 +143,8 @@ def integrate_finite(f, a: float, b: float) -> EvalResult:
         raise DomainError("integration interval must satisfy a < b")
     h = 0.5 * (b - a)
     c = a + h
+    if not a < c < b:  # the half-width rounds to 0, or the midpoint onto an end
+        raise DomainError(f"integration interval [{a}, {b}] holds no double inside")
     evals = 1  # integrand calls, counted as they are made
     try:
         total = 0.5 * PI * f(c)
@@ -195,13 +201,6 @@ def integrate_semiinf(f) -> EvalResult:
     return integrate_finite(g, 0.0, 1.0)
 
 
-def _exp_decay(t: float, scale: float) -> float:
-    """e^(-scale sinh t) guarded against sinh overflow (underflows to 0)."""
-    if scale * math.sinh(min(t, 40.0)) > 745.0 or t > 40.0:
-        return 0.0
-    return math.exp(-scale * math.sinh(t))
-
-
 def apelblat_ber_bei(nu: float, x: float) -> tuple[float, float]:
     """(ber_nu(x), bei_nu(x)) from the two-part integral representation.
 
@@ -227,7 +226,8 @@ def apelblat_ber_bei(nu: float, x: float) -> tuple[float, float]:
     def fin(t: float) -> complex:
         # both finite parts in one adaptive pass, packed re/im
         s = big_x * math.sin(t)
-        c, sn = math.cos(s - nu * t), math.sin(s - nu * t)
+        a = s - nu * t
+        c, sn = math.cos(a), math.sin(a)
         ch, sh = math.cosh(s), math.sinh(s)
         return complex(cpn * c * ch - spn * sn * sh, cpn * sn * sh + spn * c * ch)
 
@@ -235,12 +235,13 @@ def apelblat_ber_bei(nu: float, x: float) -> tuple[float, float]:
     if abs(spn) > 1e-15:
 
         def tail(t: float) -> complex:
-            # e^(-nu t - X sinh t) e^(i (X sinh t + pi nu)): both tails, packed re/im
-            d = _exp_decay(t, big_x)
-            if d == 0.0:
+            # e^(-nu t - X sinh t) e^(i (X sinh t + pi nu)): both tails, packed re/im;
+            # t stays below 37 (s below 1 - 2^-53), so sinh t does not overflow
+            xs = big_x * math.sinh(t)
+            if xs > 745.0:  # e^(-X sinh t) underflows to 0
                 return 0j
-            a = big_x * math.sinh(t) + PI * nu
-            return math.exp(-nu * t) * d * complex(math.cos(a), math.sin(a))
+            a = xs + PI * nu
+            return math.exp(-nu * t) * math.exp(-xs) * complex(math.cos(a), math.sin(a))
 
         w -= spn / PI * _value(integrate_semiinf(tail))
     return w.real, w.imag
@@ -276,14 +277,17 @@ def apelblat_dber_dbei(nu: float, x: float,
     of the integrand goes like u^nu at 0 and is integrated over w = sqrt(u)
     in [0, 1].  At y < 1e-8 it is the second series term, exact to double
     precision there, where the series less its first term would be all
-    rounding (and y^(nu-1) can overflow).
+    rounding (and y^(nu-1) can overflow); above, ber_{nu-1} + i bei_{nu-1}
+    is read from the ray kernel, on one set-up of order nu - 1.
     """
     if bracket not in _BRACKET_VARIANTS:
         raise ValueError(f"bracket must be one of {_BRACKET_VARIANTS}")
-    if x <= 0.0 or nu < 0.0:
-        raise DomainError("requires x > 0 and nu >= 0")
+    if not 0.5 * x > 0.0 or nu < 0.0:
+        raise DomainError("requires x > 0, x/2 not underflowing to 0, and nu >= 0")
     ber, bei = kelvin_ber_bei(nu, x)
-    orders: dict = {}  # the set-ups of orders nu - 1 and nu, shared by every node
+    o = _RayOrder(nu - 1.0)  # the bracket's order, set up once for every node
+    phase, ray = o.phase(), bessel._ray_sums
+    orders: dict = {}  # the set-ups of orders nu - 1 and nu of the mixed bracket
     g1 = gamma_real(nu + 1.0)
     # the first term of ber_{nu-1} + i bei_{nu-1} at y is lead * y^(nu-1) * turn;
     # the mixed bracket takes bei of order nu, whose first term needs no split
@@ -297,10 +301,12 @@ def apelblat_dber_dbei(nu: float, x: float,
         if y < 1e-8 and bracket != "printed_s1":
             r = 1j * turn * (0.5 * y) ** (nu + 1.0) / g1  # the second term, to eps
         else:
-            b, e, _ = _eval_ber_bei(nu - 1.0, y, orders)
             if bracket == "printed_s1":
-                e = _eval_ber_bei(nu, y, orders)[1]
-            r = complex(b, e) - lead * y ** (nu - 1.0) * turn
+                b = complex(_eval_ber_bei(nu - 1.0, y, orders)[0],
+                            _eval_ber_bei(nu, y, orders)[1])
+            else:
+                b = phase * ray(o, y, False)[0]
+            r = b - lead * y ** (nu - 1.0) * turn
         # u^((nu-1)/2) [gamma + log(1-u)] du at u = w^2
         return 2.0 * w ** nu * (EULER_GAMMA + math.log(1.0 - w) + math.log1p(w)) * r
 
@@ -385,13 +391,14 @@ def theorem5_identities(nu: float, x: float,
     sqrt 2 Re[e^(i pi (nu - 1/4)) dJ/dmu] = -Re E - Im E.
     """
     _finite(nu, x)
-    if x <= 0.0 or nu <= -1.0:
-        raise DomainError("requires x > 0 and nu > -1")
-    orders: dict = {}  # the set-up of order nu, shared by every node
+    if not 0.5 * x > 0.0 or nu <= -1.0:
+        raise DomainError("requires x > 0, x/2 not underflowing to 0, and nu > -1")
+    o = _RayOrder(nu)  # set up once for every node
+    phase, ray = o.phase(), bessel._ray_sums
 
     def g(u: float) -> complex:
-        ber, bei, _ = _eval_ber_bei(nu, x * u, orders)
-        return u ** (nu + 1.0) * (math.log(1.0 - u) + math.log1p(u)) * complex(ber, bei)
+        return (u ** (nu + 1.0) * (math.log(1.0 - u) + math.log1p(u))
+                * (phase * ray(o, x * u, False)[0]))
 
     res = integrate_finite(g, 0.0, 1.0)
     lhs = res.value
@@ -427,10 +434,10 @@ def indefinite_integral_check(nu: float, x: float,
     _finite(nu, x)
     if nu < 0.0 or x <= 0.0:
         raise DomainError("requires nu >= 0 and x > 0")
-    orders: dict = {}  # the set-up of order nu, shared by every node
-    # both integrals in one adaptive pass, packed re/im
-    res = integrate_finite(lambda u: u ** (nu + 1.0) * complex(
-        *_eval_ber_bei(nu, u, orders)[:2]), 0.0, x)
+    o = _RayOrder(nu)  # set up once for every node
+    phase, ray = o.phase(), bessel._ray_sums
+    # both integrals in one adaptive pass, packed re/im, from the ray kernel
+    res = integrate_finite(lambda u: u ** (nu + 1.0) * (phase * ray(o, u, False)[0]), 0.0, x)
     lhs = res.value
     ber1, bei1 = kelvin_ber_bei(nu + 1.0, x)
     pref = x ** (nu + 1.0) / SQRT2

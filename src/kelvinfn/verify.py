@@ -8,17 +8,21 @@ run at the one accuracy of ``hyper`` and ``quad``.
 
 A suite that evaluates one order over an x grid runs it as one batch
 (``kelvin._kelvin_rows``, ``orderderiv._dkelvin_rows``), its rows in grid
-order; the value rows of apelblat and appendix share one set-up per order.
-A call of fd, reflection, integer, ode or apelblat sums each K start once
-(one dict of starts, ``bessel._k_sums``).
+order; integer's finite sums read one value batch per order 0..5.  The
+value rows of apelblat and appendix, and the ODE stencils, which read the
+kernels directly, share one set-up per order.  A call of fd, reflection,
+integer, ode or apelblat sums each K start and each K request once (one
+dict of starts, ``bessel._k_sums``).
 """
 
 from __future__ import annotations
 
 import math
 
+from . import bessel
 from . import manifest as M
-from .kelvin import _eval_ber_bei, _eval_ker_kei, _kelvin_rows
+from .bessel import _RayOrder, _turn
+from .kelvin import ROT_K, _eval_ber_bei, _k_bound, _kelvin_rows
 from .orderderiv import _dkelvin_integer, _dkelvin_rows, dkelvin_bb_brychkov, dkelvin_bb_pos
 from .quad import (IdentityReport, apelblat_ber_bei, apelblat_dber_dbei,
                    appendix_ber_bei, convolution_identity, indefinite_integral_check,
@@ -65,11 +69,14 @@ def suite_fd() -> list[IdentityReport]:
 
 def suite_integer() -> list[IdentityReport]:
     """Integer-order finite sums vs ``dkelvin`` at the integer itself, where
-    its term-wise dJ/dnu and its dK/dnu quadrature are regular."""
+    its term-wise dJ/dnu and its dK/dnu quadrature are regular; the derivative
+    rows run first, so that their K results serve the value batches."""
     out, starts = [], {}
-    for n in M.INTEGER_N:
-        for x, row in zip(M.INTEGER_X, _dkelvin_rows(float(n), M.INTEGER_X, starts), strict=True):
-            sums = _dkelvin_integer(n, x, starts)
+    rows = [_dkelvin_rows(float(n), M.INTEGER_X, starts) for n in M.INTEGER_N]
+    values = [_kelvin_rows(float(k), M.INTEGER_X, starts) for k in range(max(M.INTEGER_N) + 1)]
+    for n, batch in zip(M.INTEGER_N, rows, strict=True):
+        for i, (x, row) in enumerate(zip(M.INTEGER_X, batch, strict=True)):
+            sums = _dkelvin_integer(n, x, [v[i] for v in values[:n + 1]])
             vals = (sums.dber, sums.dbei, sums.dker, sums.dkei)
             for name, g, o in zip(_COMPONENTS, vals, row[4:8], strict=True):
                 tol = M.INTEGER_SCALED_TOL * (1.0 + abs(o))
@@ -155,10 +162,8 @@ def suite_reflection() -> list[IdentityReport]:
 
 
 def _ode_residual(w_of_x, nu: float, x: float, h: float) -> float:
-    """Scaled residual of x^2 w'' + x w' - (nu^2 + i x^2) w via 5-point stencils;
-    ``w_of_x(t, orders)`` gets one dict of order set-ups for the stencil."""
-    orders: dict = {}
-    w = [w_of_x(x + k * h, orders) for k in (-2, -1, 0, 1, 2)]
+    """Scaled residual of x^2 w'' + x w' - (nu^2 + i x^2) w via 5-point stencils."""
+    w = [w_of_x(x + k * h) for k in (-2, -1, 0, 1, 2)]
     d1 = (w[0] - 8.0 * w[1] + 8.0 * w[3] - w[4]) / (12.0 * h)
     d2 = (-w[0] + 16.0 * w[1] - 30.0 * w[2] + 16.0 * w[3] - w[4]) / (12.0 * h * h)
     residual = x * x * d2 + x * d1 - complex(nu * nu, x * x) * w[2]
@@ -170,16 +175,22 @@ def suite_ode() -> list[IdentityReport]:
     """Both Kelvin pairs satisfy x^2 w'' + x w' - (nu^2 + i x^2) w = 0."""
     out, starts = [], {}  # the K starts, shared by the stencils of every order
     for nu in M.ODE_BB_NU:
+        o = _RayOrder(nu)
+        phase = o.phase()
         for x in M.ODE_X:
-            res = _ode_residual(
-                lambda t, orders: complex(*_eval_ber_bei(nu, t, orders)[:2]),
-                nu, x, M.ODE_STEP)
+            res = _ode_residual(lambda t: phase * bessel._ray_sums(o, t, False)[0],
+                                nu, x, M.ODE_STEP)
             out.append(make_report("ode_ber_bei", nu, x, res, 0.0, M.ODE_SCALED_TOL))
     for nu in M.ODE_KK_NU:
+        turn = _turn(-0.5 * nu)
+
+        def ker_kei(t: float) -> complex:
+            k = bessel._k_sums(abs(nu), ROT_K * t, False, starts)[0]
+            _k_bound(nu, t, k)
+            return turn * k[0]
+
         for x in M.ODE_X:
-            res = _ode_residual(
-                lambda t, orders: complex(*_eval_ker_kei(nu, t, starts)[:2]),
-                nu, x, M.ODE_STEP)
+            res = _ode_residual(ker_kei, nu, x, M.ODE_STEP)
             out.append(make_report("ode_ker_kei", nu, x, res, 0.0, M.ODE_SCALED_TOL))
     return out
 

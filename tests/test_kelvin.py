@@ -263,6 +263,32 @@ def test_climb_stops_after_overflow(dk):
     assert 150 < _Half.steps // (2 if dk else 1) <= 256
 
 
+@pytest.mark.parametrize("dk", [False, True])
+def test_climb_of_zeros_stops(dk):
+    """Past ``K_MAX_ARG`` the K start underflows to exact zeros, which the
+    recurrence keeps and which never leave the double range: a climb of a
+    million steps of zeros stops after its first block of 64 steps, where
+    it took every step."""
+    _Half.steps = 0
+    d = 0j if dk else None
+    k, dv = bessel._climb(10 ** 6, 0.0, _Half(1e299, 1e299), 0j, 0j, d, d)
+    assert k == 0 and dv == d
+    assert _Half.steps <= 64 * (2 if dk else 1)
+
+
+@pytest.mark.parametrize("nu", [1e7, 1e9])
+def test_underflowed_k_start_raises_at_once(nu):
+    """At x = 1e300 the K start underflows to 0: ker/kei raise their
+    ConvergenceError, and bessel_k reports no_convergence, without the
+    climb to the order (1.7 s to 1e7, years to 1e17)."""
+    t = time.perf_counter()
+    with pytest.raises(ConvergenceError):
+        kelvin_ker_kei(nu, 1e300)
+    k = bessel.bessel_k(nu, complex(1e300, 1e300))
+    assert not k.converged and k.value == 0
+    assert time.perf_counter() - t < 2.0
+
+
 @pytest.mark.parametrize("call", [kelvin_ker_kei, lambda nu, x: bessel.bessel_k(nu, x),
                                   lambda nu, x: bessel.dk_dnu_any(nu, complex(x, -x))])
 @pytest.mark.parametrize("nu", [1e8, 1e17])

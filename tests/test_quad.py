@@ -365,6 +365,24 @@ class TestOverflow:
             integrate_finite(f, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: theorem5_identities(0.0, 5e-324),
+    lambda: indefinite_integral_check(0.0, 5e-324),
+    lambda: apelblat_dber_dbei(0.0, 5e-324),
+    lambda: apelblat_dber_dbei(3.0, 5e-324),
+    lambda: integrate_finite(math.cos, 0.0, 5e-324),
+    lambda: integrate_finite(math.cos, 1.0, math.nextafter(1.0, 2.0)),
+], ids=["theorem5", "indefinite", "apelblat_d0", "apelblat_d3", "engine", "engine_no_interior"])
+def test_half_x_underflow_is_typed(call):
+    """Where x/2 underflows to 0 the identities raise DomainError, not a
+    bare ValueError (log(x/2)) or ZeroDivisionError ((x/2)^(nu-1), or the
+    engine's half-width): so does the engine on an interval with no double
+    inside."""
+    with pytest.raises(KelvinError) as info:
+        call()
+    assert type(info.value) is DomainError
+
+
 def test_integrands_finite_at_the_ends(monkeypatch):
     """Every integrand stays finite at points as close to its ends as the
     nodes come: ~1e-275 of the width from an end at 0 (1e-300 here), and

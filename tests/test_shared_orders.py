@@ -7,17 +7,22 @@ was first run at.  Many orders, one argument: a K sum that reads its start
 from a dict shared by every order of a call (``bessel._k_sums``) returns,
 bit for bit, what a fresh sum returns."""
 
+import math
+
 import pytest
 
 import kelvinfn.bessel
 from kelvinfn import manifest as M
-from kelvinfn.bessel import _k_sums
+from kelvinfn.bessel import _k_sums, _RayOrder
 from kelvinfn.cli import _fmt, _table_rows
 from kelvinfn.errors import PowerOverflowError, SeriesOverflowError
 from kelvinfn.kelvin import (ROT_K, _eval_ber_bei, _eval_ker_kei, _kelvin_rows, kelvin_all,
                              kelvin_ber_bei, kelvin_ker_kei)
-from kelvinfn.orderderiv import _dkelvin_rows, dkelvin, dkelvin_integer
-from kelvinfn.quad import apelblat_ber_bei, apelblat_dber_dbei, make_report
+from kelvinfn.orderderiv import _bb_series, _dkelvin_rows, dkelvin, dkelvin_integer
+from kelvinfn.quad import (_report, apelblat_ber_bei, apelblat_dber_dbei,
+                           indefinite_integral_check, integrate_finite, make_report,
+                           theorem5_identities)
+from kelvinfn.scalars import EULER_GAMMA, PI, SQRT2, digamma_real, gamma_real
 from kelvinfn.verify import SUITES
 
 ORDERS = [-10.0, -3.0, -3.0 - 1e-9, -3.0 + 1e-9, -2.5, -0.3, 0.0, 2e-6, 3.0, 3.0 + 5e-7,
@@ -163,6 +168,102 @@ def test_integrand_ber_bei_equal_single_points(nu):
             bits(*kelvin_ber_bei(nu, x), _eval_ber_bei(nu, x)[2]), x
 
 
+# the integrals as point-by-point node loops: ber + i bei from _eval_ber_bei
+# at each node, on one dict of orders per integral
+
+
+def theorem5_nodes(nu: float, x: float, tol: float) -> tuple:
+    orders: dict = {}
+
+    def g(u):
+        ber, bei, _ = _eval_ber_bei(nu, x * u, orders)
+        return u ** (nu + 1.0) * (math.log(1.0 - u) + math.log1p(u)) * complex(ber, bei)
+
+    res = integrate_finite(g, 0.0, 1.0)
+    o = _RayOrder(nu + 1.0)
+    bb, dbb, _ = _bb_series(o, kelvinfn.bessel._ray_sums(o, x, True), x)
+    e = dbb - 1j * PI * bb
+    alpha = EULER_GAMMA + math.log(x / 2.0)
+    rhs_ber = ((PI / 4.0 + alpha) * bb.real + (PI / 4.0 - alpha) * bb.imag
+               + e.imag - e.real) / (SQRT2 * x)
+    rhs_bei = ((PI / 4.0 + alpha) * bb.imag - (PI / 4.0 - alpha) * bb.real
+               - e.real - e.imag) / (SQRT2 * x)
+    return (_report("theorem5_ber", nu, x, res.value.real, rhs_ber, tol, res.converged),
+            _report("theorem5_bei", nu, x, res.value.imag, rhs_bei, tol, res.converged))
+
+
+def indefinite_nodes(nu: float, x: float, tol: float) -> tuple:
+    orders: dict = {}
+    res = integrate_finite(lambda u: u ** (nu + 1.0) * complex(
+        *_eval_ber_bei(nu, u, orders)[:2]), 0.0, x)
+    ber1, bei1 = kelvin_ber_bei(nu + 1.0, x)
+    pref = x ** (nu + 1.0) / SQRT2
+    return (_report("indefinite_ber", nu, x, res.value.real, pref * (bei1 - ber1), tol,
+                    res.converged),
+            _report("indefinite_bei", nu, x, res.value.imag, -pref * (bei1 + ber1), tol,
+                    res.converged))
+
+
+def apelblat_d_nodes(nu: float, x: float, bracket: str) -> tuple:
+    ber, bei = kelvin_ber_bei(nu, x)
+    orders: dict = {}
+    g1 = gamma_real(nu + 1.0)
+    lead = nu / g1 * 2.0 ** (1.0 - nu)
+    th = 0.75 * PI * (nu - 1.0)
+    turn = complex(math.cos(th), 0.0 if bracket == "printed_s1" else math.sin(th))
+
+    def integrand(w):
+        y = x * w
+        if y < 1e-8 and bracket != "printed_s1":
+            r = 1j * turn * (0.5 * y) ** (nu + 1.0) / g1
+        else:
+            b, e, _ = _eval_ber_bei(nu - 1.0, y, orders)
+            if bracket == "printed_s1":
+                e = _eval_ber_bei(nu, y, orders)[1]
+            r = complex(b, e) - lead * y ** (nu - 1.0) * turn
+        return 2.0 * w ** nu * (EULER_GAMMA + math.log(1.0 - w) + math.log1p(w)) * r
+
+    res = integrate_finite(integrand, 0.0, 1.0)
+    assert res.converged
+    first = -(x / 2.0) ** (nu - 1.0) * digamma_real(nu + 1.0) / g1
+    packed = res.value + first * turn
+    b_ber = packed.real + packed.imag
+    b_bei = b_ber if bracket == "printed_s3" else packed.real - packed.imag
+    pref = x / (2.0 * SQRT2)
+    return (math.log(x / 2.0) * ber - 0.75 * PI * bei - pref * b_ber,
+            math.log(x / 2.0) * bei + 0.75 * PI * ber + pref * b_bei)
+
+
+@pytest.mark.parametrize("nu", M.THEOREM5_NU)
+@pytest.mark.parametrize("x", M.THEOREM5_X)
+def test_theorem5_nodes_equal_single_points(nu, x):
+    """The theorem5 rows, their integrand on the ray kernel, are bit for bit
+    those of a node loop over ``_eval_ber_bei``."""
+    assert [report_bits(r) for r in theorem5_identities(nu, x, M.THEOREM5_TOL)] == \
+        [report_bits(r) for r in theorem5_nodes(nu, x, M.THEOREM5_TOL)]
+
+
+@pytest.mark.parametrize("nu, x, tol", M.INDEFINITE_POINTS)
+def test_indefinite_nodes_equal_single_points(nu, x, tol):
+    assert [report_bits(r) for r in indefinite_integral_check(nu, x, tol)] == \
+        [report_bits(r) for r in indefinite_nodes(nu, x, tol)]
+
+
+@pytest.mark.parametrize("bracket", ["consistent", "printed_s1", "printed_s3"])
+def test_apelblat_derivative_nodes_equal_single_points(bracket):
+    """The Apelblat derivative rows, on their suite grid, with every bracket."""
+    def rows(nu, x, q, d):
+        return [report_bits(make_report(name, nu, x, v, w, M.APELBLAT_D_TOL))
+                for name, v, w in (("apelblat_dber", q[0], d.dber),
+                                   ("apelblat_dbei", q[1], d.dbei))]
+
+    for nu in M.APELBLAT_D_NU:
+        for x in M.APELBLAT_D_X:
+            d = dkelvin(nu, x)
+            assert rows(nu, x, apelblat_dber_dbei(nu, x, bracket), d) == \
+                rows(nu, x, apelblat_d_nodes(nu, x, bracket), d), (nu, x)
+
+
 @pytest.mark.parametrize("nu", ORDERS)
 def test_stencil_ker_kei_equal_single_points(nu):
     for x in WALK:
@@ -215,6 +316,12 @@ K_ORDERS = [0.0, 1.0, 3.0, 0.25, 2.25, 0.75, 1.75, 9.75, 0.5, 2.5, 0.3, 5.3]
 K_XS = [0.1, 0.45, 0.55, 1.0, 1.15, 1.3, 5.0, 20.0]
 
 
+def start_count(starts: dict) -> int:
+    """The K starts a dict of ``_k_sums`` holds, less the request results
+    it also keeps (keyed (nu, z, "k"))."""
+    return sum(key[2] != "k" for key in starts)
+
+
 def k_bits(res) -> tuple:
     """The bits of a ``_k_sums`` result: per side (value, estimate, scale,
     nodes, converged), or None."""
@@ -236,7 +343,7 @@ def test_shared_k_starts_equal_fresh_sums(dk_first):
             for dk in (dk_first, not dk_first):
                 assert k_bits(_k_sums(nu, z, dk, starts)) == k_bits(_k_sums(nu, z, dk)), \
                     (nu, x, dk)
-    assert len(starts) == 66
+    assert start_count(starts) == 66
 
 
 SIGNED_ORDERS = [0.25, -0.25, -2.25, 2.25, -0.75, 1.75, -9.75, 3.0, -3.0, 0.0, -0.3, 0.3]
@@ -258,7 +365,7 @@ def test_shared_k_starts_across_signed_orders():
             assert bits(*vals, est_j + est_k) == bits(
                 d.values.ber, d.values.bei, d.values.ker, d.values.kei,
                 d.dber, d.dbei, d.dker, d.dkei, d.err_estimate), (nu, x)
-    assert len(starts) == 4 * (2 + 3 * 2 + 3)
+    assert start_count(starts) == 4 * (2 + 3 * 2 + 3)
 
 
 def test_shared_k_starts_raise_per_request():
@@ -274,7 +381,39 @@ def test_shared_k_starts_raise_per_request():
     with pytest.raises(SeriesOverflowError):
         _k_sums(1000.0, big, True, starts)
     assert k_bits(_k_sums(0.0, big, True, starts)) == want[1]
-    assert len(starts) == 2
+    assert start_count(starts) == 2
+
+
+@pytest.mark.parametrize("x", [0.3, 1.0, 5.0])
+def test_repeated_k_request_returns_its_result(x):
+    """A K request repeated on one dict (the same |nu| and z) returns the
+    tuple of the first, on Temme's series (0.3), between its borders (1.0)
+    and on the trapezoidal sum (5.0): a dK/dnu result serves a request for
+    K alone, but a K result does not serve one for dK/dnu, which sums
+    again."""
+    starts: dict = {}
+    z = ROT_K * x
+    k = _k_sums(2.3, z, False, starts)
+    assert _k_sums(2.3, z, False, starts) is k
+    d = _k_sums(2.3, z, True, starts)
+    assert d[0] is not k[0] and k_bits(d) == k_bits(_k_sums(2.3, z, True))
+    assert _k_sums(2.3, z, True, starts) is d
+    again = _k_sums(2.3, z, False, starts)
+    assert again[0] is d[0] and again[1] is None
+    assert k_bits(again) == k_bits(_k_sums(2.3, z, False))
+
+
+def test_k_request_that_raised_raises_again():
+    """A request that raised is not kept: its repeat raises again, whether
+    it failed before its start (the power check) or after it (the climb)."""
+    starts: dict = {}
+    z, big = ROT_K * 1e-3, ROT_K * 5.0
+    for _ in range(2):
+        with pytest.raises(PowerOverflowError):
+            _k_sums(200.3, z, True, starts)
+        with pytest.raises(SeriesOverflowError):
+            _k_sums(1000.0, big, True, starts)
+    assert not [key for key in starts if key[2] == "k"]
 
 
 def test_start_that_raises_is_not_kept(monkeypatch):
@@ -291,4 +430,4 @@ def test_start_that_raises_is_not_kept(monkeypatch):
     assert not starts
     assert k_bits(_k_sums(2.3, ROT_K * 5.0, False, starts)) == \
         k_bits(_k_sums(2.3, ROT_K * 5.0, False))
-    assert len(starts) == 1
+    assert start_count(starts) == 1

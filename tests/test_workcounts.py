@@ -144,14 +144,17 @@ def setups(monkeypatch):
     return mus
 
 
-# (suite, order set-ups, series runs, K sums); point by point the suites set
-# up 300, 48, 84, 57 and 11 orders for the same kernel runs
+# (suite, order set-ups, series runs, K requests); point by point the suites
+# set up 300, 48, 84, 57 and 11 orders for the same kernel runs.  integer
+# took 69 set-ups, 84 runs and 84 K requests with a batch of one per finite
+# sum's order and x
 @pytest.mark.parametrize("suite, orders, runs, ks", [
-    ("fd", 60, 300, 300), ("reflection", 12, 48, 48), ("integer", 69, 84, 84),
+    ("fd", 60, 300, 300), ("reflection", 12, 48, 48), ("integer", 11, 44, 44),
     ("apelblat", 27, 421, 9), ("appendix", 7, 11, 0)])
 def test_suites_set_up_each_order_once(setups, series, ksums, suite, orders, runs, ks):
     """fd and reflection, and the derivative rows of integer and apelblat,
-    run each order as one batch over its x grid; the value rows of
+    run each order as one batch over its x grid, and integer's finite sums
+    read the values of one batch per order 0..5; the value rows of
     apelblat and appendix share one set-up per order."""
     run_suites(suite)
     assert (len(setups), len(series), len(ksums)) == (orders, runs, ks)
@@ -183,8 +186,9 @@ def kstarts(monkeypatch):
 
 
 def _kept(dicts) -> list:
-    """The keys (start order, argument, route) of every dict of starts."""
-    return [key for d in dicts.values() for key in d]
+    """The keys (start order, argument, route) of the starts of every dict
+    of starts, less the request results it also keeps (route "k")."""
+    return [key for d in dicts.values() for key in d if key[2] != "k"]
 
 
 # (suite, K sums, K starts, distinct (start order, argument)); one start per
@@ -193,7 +197,7 @@ def _kept(dicts) -> list:
 # a fractional part takes two starts there: 6 more in fd (at the same order
 # but for 0.75, whose Temme start is at -0.25), 1 in integer and apelblat
 @pytest.mark.parametrize("suite, ks, starts, distinct", [
-    ("fd", 300, 156, 151), ("reflection", 48, 4, 4), ("integer", 84, 5, 4),
+    ("fd", 300, 156, 151), ("reflection", 48, 4, 4), ("integer", 44, 5, 4),
     ("ode", 60, 45, 45), ("apelblat", 9, 4, 3)])
 def test_suites_share_k_starts(ksums, kstarts, suite, ks, starts, distinct):
     """One dict of K starts per suite call: fd's -nu rows and finite
@@ -206,6 +210,45 @@ def test_suites_share_k_starts(ksums, kstarts, suite, ks, starts, distinct):
     kept = _kept(dicts)
     assert (len(ksums), len(routes), len(kept), len(dicts)) == (ks, starts, starts, 1)
     assert len({(m, z) for m, z, _ in kept}) == distinct
+
+
+@pytest.fixture
+def kresults(monkeypatch):
+    """The result of every K request, kept so that no two share an id."""
+    results = []
+    orig = kelvinfn.bessel._k_sums
+
+    def recorded(nu, z, dk, starts=None):
+        results.append(orig(nu, z, dk, starts))
+        return results[-1]
+
+    monkeypatch.setattr(kelvinfn.bessel, "_k_sums", recorded)
+    return results
+
+
+def _summed(results) -> int:
+    """The K requests that summed their K: a repeat returns the K of the
+    request it repeats, the same tuple."""
+    return len({id(k) for k, _ in results})
+
+
+# (suite, K requests, K requests summed); one summed per request before
+@pytest.mark.parametrize("suite, requests, summed", [
+    ("fd", 300, 150), ("reflection", 48, 24), ("integer", 44, 24), ("ode", 60, 60),
+    ("apelblat", 9, 9)])
+def test_suites_answer_each_k_request_once(kresults, suite, requests, summed):
+    """A K request repeated within one suite call (the same |nu| and x)
+    returns the result of the first: fd's -nu rows and finite differences,
+    reflection's -n rows, and integer's values at the orders of its
+    derivative rows, whose dK/dnu results serve them."""
+    run_suites(suite)
+    assert (len(kresults), _summed(kresults)) == (requests, summed)
+
+
+def test_table_answers_each_k_request_once(kresults, capsys):
+    """The whole-grid table sums K once per |nu| and x: 41 of 81 orders."""
+    assert main(["table", "--nu-range=-10:10:0.25", "--x-range=1:20:1"]) == 0
+    assert (len(kresults), _summed(kresults)) == (1620, 820)
 
 
 def test_table_shares_k_starts(ksums, kstarts, capsys):
