@@ -14,9 +14,9 @@ z^nu = exp(nu log z), arg z in (-pi, pi].  Each quantity has one route:
   (0.5 for dK/dnu) and above one trapezoidal sum over int_0^inf
   cosh(mu t) e^(-z cosh t) dt on a contour bent towards steepest descent,
   at every Re z >= 0, the imaginary axis included, then one climb by the
-  recurrence to |nu| (:func:`_k_sums`), continued to Re z < 0 by
-  DLMF 10.34.2 (:func:`_k_any`); past |z| = 30 the sum reports
-  no_convergence.
+  recurrence to |nu| (:func:`_k_sums`); past |z| = 30 the sum reports
+  no_convergence.  At Re z < 0 K is refused (BranchError): the
+  continuation there (DLMF 10.34.2) cancels, dK/dnu 2e-7 off at |z| = 20.
 
 A :class:`_RayOrder` holds what the series kernels take from the order
 alone (Gamma and psi at the anchor, the weights below it, the phase of
@@ -38,7 +38,8 @@ verify suites and tests only; they read J (or I) at nu and -nu from one
 run of :func:`_z_sums` each (:func:`_ji`), on the Kelvin rays as at every
 other z, so the ray kernel serves only the Kelvin values and order
 derivatives.  Every public function rejects a non-finite order or argument
-first (:func:`_finite`).
+first (:func:`_finite`).  The complex API flags a result ``degraded`` where
+its own estimate is above ``DEGRADED_REL`` of its value (:func:`_result`).
 """
 
 from __future__ import annotations
@@ -102,8 +103,12 @@ _K_FLOOR = 6.0
 # mpmath and overstates it by at most 1e3
 _JI_FLOOR = 8.0 * sys.float_info.epsilon
 
-_DEGRADED_ABS_Z = 20.0
-_DEGRADED_ORDER = 10.0
+# A J, I or dJ/dnu result is ``degraded`` where its estimate is above this
+# share of its value: over 21 orders, |z| from 0.05 to 20 and six phases,
+# every point more than 1e-13 off 40-digit mpmath is above it (the least
+# 2.8e-12), and 2 of the points within 1e-14 are
+DEGRADED_REL = 1e-12
+_LOG2 = math.log(2.0)
 _TINY = sys.float_info.min
 _EPS = sys.float_info.epsilon
 
@@ -112,16 +117,16 @@ def _is_near_int(x: float, eps: float) -> bool:
     return abs(x - round(x)) <= eps
 
 
-def _degraded_flags(nu: float, z: complex) -> tuple[str, ...]:
-    if abs(z) > _DEGRADED_ABS_Z or abs(nu) > _DEGRADED_ORDER:
-        return ("degraded",)
-    return ()
+def _log_half(z: complex) -> complex:
+    """log(z/2) on the principal branch, also where z/2 underflows to 0."""
+    h = z / 2.0
+    return cmath.log(h) if h else cmath.log(z) - _LOG2
 
 
 def _half_pow(nu: float, z: complex) -> complex:
     """(z/2)^nu on the principal branch."""
     try:
-        return cmath.exp(nu * cmath.log(z / 2.0))
+        return cmath.exp(nu * _log_half(z))
     except OverflowError:
         raise PowerOverflowError(
             f"(z/2)^{nu:g} overflows double precision at |z| = {abs(z):g}") from None
@@ -798,6 +803,15 @@ def _finite(nu: float, z: complex) -> None:
         raise DomainError(f"order and argument must be finite, got nu={nu!r}, x={z!r}")
 
 
+def _result(value: complex, est: float, terms: int, conv: bool, scale: float) -> EvalResult:
+    """The EvalResult of a complex-API value, flagged ``no_convergence``
+    unless ``conv`` and ``degraded`` where ``est`` is above ``DEGRADED_REL``
+    of the value or either is not finite."""
+    bad = not (math.isfinite(est) and cmath.isfinite(value)) or est > DEGRADED_REL * abs(value)
+    flags = (() if conv else ("no_convergence",)) + (("degraded",) if bad else ())
+    return EvalResult(value, est, terms, conv, flags, scale)
+
+
 def _ji(mu: float, z: complex, sign: float,
         psi: bool = False) -> tuple[EvalResult, EvalResult | None]:
     """F = J_mu(z) (sign = -1) or I_mu(z) (sign = +1) at z != 0 from one run
@@ -806,17 +820,15 @@ def _ji(mu: float, z: complex, sign: float,
     term (cancellation) and eps times the terms times the value (rounding
     carried from term to term)."""
     f, err, terms, conv, max_term, ps = _z_sums(_RayOrder(mu), z, sign, psi)
-    flags = (() if conv else ("no_convergence",)) + _degraded_flags(mu, z)
-    res = EvalResult(f, err + _JI_FLOOR * max_term + terms * _EPS * abs(f), terms, conv, flags,
-                     max_term)
+    res = _result(f, err + _JI_FLOOR * max_term + terms * _EPS * abs(f), terms, conv, max_term)
     if ps is None:
         return res, None
     p, p_err, p_max, p_terms, p_conv = ps
-    lg = cmath.log(z / 2.0)
+    lg = _log_half(z)
     df = f * lg - p
     d_max = max(abs(lg) * max_term, p_max)
-    return res, EvalResult(df, err * abs(lg) + p_err + _JI_FLOOR * d_max + p_terms * _EPS * abs(df),
-                           p_terms, conv and p_conv, flags, d_max)
+    return res, _result(df, err * abs(lg) + p_err + _JI_FLOOR * d_max + p_terms * _EPS * abs(df),
+                        p_terms, conv and p_conv, d_max)
 
 
 def _bessel_ji(nu: float, z: complex, sign: float) -> EvalResult:
@@ -826,8 +838,7 @@ def _bessel_ji(nu: float, z: complex, sign: float) -> EvalResult:
         if nu < 0.0 and nu != round(nu):
             raise BranchError("z = 0 with negative non-integer order")
         # 1/Gamma(nu+1) vanishes at the negative integers, so F_(-n)(0) = 0
-        return EvalResult(1.0 + 0.0j if nu == 0.0 else 0.0j, 0.0, 1, True,
-                          _degraded_flags(nu, z))
+        return EvalResult(1.0 + 0.0j if nu == 0.0 else 0.0j, 0.0, 1, True)
     return _ji(nu, z, sign)[0]
 
 
@@ -842,44 +853,26 @@ def bessel_i(nu: float, z: complex) -> EvalResult:
     return _bessel_ji(nu, z, 1.0)
 
 
-def bessel_k(nu: float, z: complex) -> EvalResult:
-    """K_nu(z), even in nu (:func:`_k_any`), at every z != 0, the imaginary
-    axis included; ArgumentZeroError at z = 0.  ``max_abs_term`` is the sum
-    of |terms| carried to the order, the scale of its cancellation."""
+def _k(nu: float, z: complex, dk: bool) -> EvalResult:
+    """K_nu(z) or, with ``dk``, dK/dnu at |nu| (K is even in the order) from
+    one run of :func:`_k_sums`, flagged ``no_convergence`` only, at every
+    z != 0 of the closed right half-plane, the imaginary axis (Re z = +-0)
+    included; ArgumentZeroError at z = 0, BranchError at Re z < 0.
+    ``max_abs_term`` is the sum of |terms| carried to the order, the scale
+    of its cancellation."""
     _finite(nu, z)
     z = complex(z)
     if z == 0:
         raise ArgumentZeroError("K_nu undefined at z = 0")
-    return _k_any(abs(nu), z, False)[0]  # K is even in the order
+    if z.real < 0.0:
+        raise BranchError(f"K_nu is computed at Re z >= 0 only, got z = {z!r}")
+    run = _k_sums(abs(nu), z, dk)[dk]
+    return EvalResult(*run[:4], () if run[3] else ("no_convergence",), run[4])
 
 
-def _k_result(nu: float, z: complex, run: tuple) -> EvalResult:
-    flags = (() if run[3] else ("no_convergence",)) + _degraded_flags(nu, z)
-    return EvalResult(*run[:4], flags, run[4])
-
-
-def _k_any(nu: float, z: complex, dk: bool) -> tuple[EvalResult, EvalResult | None]:
-    """K_nu(z) at nu >= 0 and with ``dk`` dK/dnu (else None).  At Re z > 0
-    one run of :func:`_k_sums`; at Re z < 0 DLMF 10.34.2 with m = +-1 the
-    sign of Im z, where sin(m nu pi)/sin(nu pi) = m at every order,
-
-        K_nu(z) = e^(-i m nu pi) K_nu(-z) - i m pi I_nu(-z),
-
-    with I_nu, and dI/dnu for dK/dnu, from one run of :func:`_ji`."""
-    if z.real >= 0.0:
-        k, d = _k_sums(nu, z, dk)
-    else:
-        k, d = _k_sums(nu, -z, dk)
-        i, di = _ji(nu, -z, 1.0, dk)
-        m = math.copysign(1.0, z.imag)
-        turn, im = _turn(-m * nu), complex(0.0, m * PI)
-        if dk:  # e^(-i m nu pi) (dK/dnu - i m pi K_nu)(-z) - i m pi dI/dnu(-z)
-            d = (turn * (d[0] - im * k[0]) - im * di.value,
-                 d[1] + PI * (k[1] + di.abs_err_estimate), d[2] + di.terms_used,
-                 d[3] and di.converged, max(d[4], PI * k[4], PI * di.max_abs_term))
-        k = (turn * k[0] - im * i.value, k[1] + PI * i.abs_err_estimate, k[2] + i.terms_used,
-             k[3] and i.converged, max(k[4], PI * i.max_abs_term))
-    return _k_result(nu, z, k), (_k_result(nu, z, d) if dk else None)
+def bessel_k(nu: float, z: complex) -> EvalResult:
+    """K_nu(z) on the closed right half-plane (:func:`_k`)."""
+    return _k(nu, z, False)
 
 
 def _f23(nu: float, w: complex) -> EvalResult:
@@ -916,8 +909,10 @@ def dj_dnu(nu: float, z: complex) -> EvalResult:
     g1 = gamma_real(nu + 1.0)
     coef_a = -PI / math.sin(PI * nu) / (2.0 * g1 * g1) * _half_pow(2.0 * nu, z)
     a = coef_a * jm.value * f1.value
+    w = 2.0 / z  # inf where |z| < ~1e-308: take -log(z/2) there
     bracket = (z * z / (4.0 * (1.0 - nu * nu)) * f2.value
-               + cmath.log(2.0 / z) + 1.0 / (2.0 * nu) + digamma_real(nu))
+               + (cmath.log(w) if cmath.isfinite(w) else -_log_half(z))
+               + 1.0 / (2.0 * nu) + digamma_real(nu))
     b = jp.value * bracket
     value = a - b
     est = (abs(coef_a) * (abs(jm.value) * f1.abs_err_estimate + abs(f1.value) * jm.abs_err_estimate)
@@ -925,8 +920,7 @@ def dj_dnu(nu: float, z: complex) -> EvalResult:
            + abs(jp.value) * abs(z * z / (4.0 * (1.0 - nu * nu))) * f2.abs_err_estimate)
     conv = jm.converged and jp.converged and f1.converged and f2.converged
     terms = jm.terms_used + jp.terms_used + f1.terms_used + f2.terms_used
-    return EvalResult(value, est, terms, conv, _degraded_flags(nu, z),
-                      max(jm.max_abs_term, jp.max_abs_term))
+    return _result(value, est, terms, conv, max(jm.max_abs_term, jp.max_abs_term))
 
 
 def dk_dnu(nu: float, z: complex) -> EvalResult:
@@ -961,7 +955,7 @@ def dk_dnu(nu: float, z: complex) -> EvalResult:
     s = math.sin(PI * nu)
     c = math.cos(PI * nu)
     bracket = (z2 / (4.0 * (1.0 - nu * nu)) * f34.value
-               + cmath.log(z / 2.0) - digamma_real(nu) - 1.0 / (2.0 * nu))
+               + _log_half(z) - digamma_real(nu) - 1.0 / (2.0 * nu))
     p1 = (PI / (2.0 * s)) * (PI * (c / s) * ip.value - (ip.value + im.value) * bracket)
     gm = gamma_real(-nu)
     gp = gamma_real(nu)
@@ -975,8 +969,7 @@ def dk_dnu(nu: float, z: complex) -> EvalResult:
         + 0.25 * (abs(t_m) + abs(t_p)) * 1e-14
     conv = ip.converged and im.converged and f34.converged and f23p.converged and f23m.converged
     terms = ip.terms_used + im.terms_used + f34.terms_used + f23p.terms_used + f23m.terms_used
-    return EvalResult(value, est, terms, conv, _degraded_flags(nu, z),
-                      max(ip.max_abs_term, im.max_abs_term))
+    return _result(value, est, terms, conv, max(ip.max_abs_term, im.max_abs_term))
 
 
 def dj_dnu_any(nu: float, z: complex) -> EvalResult:
@@ -997,13 +990,8 @@ def dj_dnu_any(nu: float, z: complex) -> EvalResult:
 
 
 def dk_dnu_any(nu: float, z: complex) -> EvalResult:
-    """dK/dnu at every real order, from the run that gives K
-    (:func:`_k_any`) at |nu|, negated at nu < 0 (dK/dnu is odd in the
-    order): exactly 0 at nu = 0 for Re z > 0, where the order weights
-    vanish."""
-    _finite(nu, z)
-    z = complex(z)
-    if z == 0:
-        raise ArgumentZeroError("z = 0")
-    d = _k_any(abs(nu), z, True)[1]
+    """dK/dnu at every real order on the closed right half-plane, from the
+    run that gives K at |nu| (:func:`_k`), negated at nu < 0 (dK/dnu is odd
+    in the order): exactly 0 at nu = 0, where the order weights vanish."""
+    d = _k(nu, z, True)
     return d if nu >= 0.0 else replace(d, value=-d.value)

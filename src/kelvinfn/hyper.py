@@ -34,7 +34,9 @@ class EvalResult:
     term) unless an operation documents an amplified estimate.
     ``max_abs_term`` is the largest intermediate term magnitude, the input
     to cancellation budgets.  ``flags`` records 'no_convergence' (the term
-    cap was reached) and 'degraded' (outside |z| <= 20, |nu| <= 10).
+    cap was reached) and, on J, I, dJ/dnu and the closed forms of
+    ``bessel``, 'degraded' (the estimate is above ``bessel.DEGRADED_REL``
+    of the value, or either is not finite).
     """
 
     value: complex

@@ -8,10 +8,11 @@ K_0, and Richardson finite differences over the order for the derivatives.
 import cmath
 import math
 import random
+import time
 
 import pytest
 
-from kelvinfn.bessel import (bessel_i, bessel_j, bessel_k, dj_dnu, dj_dnu_any,
+from kelvinfn.bessel import (DEGRADED_REL, bessel_i, bessel_j, bessel_k, dj_dnu, dj_dnu_any,
                              dk_dnu, dk_dnu_any)
 from kelvinfn.errors import (ArgumentZeroError, BranchError, GammaOverflowError, KelvinError,
                              OrderClassError, PowerOverflowError, SeriesOverflowError)
@@ -86,8 +87,13 @@ class TestBesselJ:
         assert issubclass(PowerOverflowError, OverflowError)
 
     def test_degraded_flag(self):
-        assert "degraded" in bessel_j(0.5, 25.0 + 0.0j).flags
-        assert "degraded" in bessel_j(11.0, 1.0 + 0.0j).flags
+        """``degraded`` reads the run's own estimate, not |z| or the order:
+        J at z = 20 and 25, where the series cancel, carries it; J_11(1),
+        accurate however small, and J_0.5(5) do not."""
+        for z in (20.0, 25.0):
+            r = bessel_j(0.5, z + 0.0j)
+            assert "degraded" in r.flags and r.abs_err_estimate > DEGRADED_REL * abs(r.value)
+        assert "degraded" not in bessel_j(11.0, 1.0 + 0.0j).flags
         assert "degraded" not in bessel_j(0.5, 5.0 + 0.0j).flags
 
 
@@ -259,6 +265,81 @@ class TestDispatchers:
         for fn in (bessel_k, dk_dnu_any):
             r = fn(2.5, 800.0)
             assert r.value == 0.0 and "no_convergence" in r.flags
+
+
+# Re z < 0, where K is refused: |z| in {0.3, 2, 5, 10, 20} at phases pi,
+# +-3 pi/4 and 2.4, and Re z = -5e-324
+K_LEFT_ZS = ([cmath.rect(r, ph) for r in (0.3, 2.0, 5.0, 10.0, 20.0)
+              for ph in (math.pi, 3.0 * math.pi / 4.0, -3.0 * math.pi / 4.0, 2.4)]
+             + [complex(-5e-324, 2.0), complex(-5e-324, -2.0), complex(-5e-324, 0.0)])
+
+
+@pytest.mark.parametrize("fn", [bessel_k, dk_dnu_any])
+@pytest.mark.parametrize("nu", [0.0, 0.3, -0.3, 1.5, 2.7, 3.0, 8.0])
+def test_k_refused_at_negative_real_part(fn, nu):
+    """K and dK/dnu are computed on the closed right half-plane only: at
+    Re z < 0, where the continuation DLMF 10.34.2 lost up to 2e-7 of dK/dnu
+    to the cancellation of the I series, they raise BranchError; at
+    Re z = -0.0 they are the values at +0.0."""
+    for z in K_LEFT_ZS:
+        with pytest.raises(BranchError):
+            fn(nu, z)
+    for y in (2.0, -0.5, 25.0):
+        assert fn(nu, complex(-0.0, y)).value == fn(nu, complex(0.0, y)).value
+
+
+# The typed-error sweep of the complex API: every call returns finite values
+# or raises a KelvinError, each within CALL_SECONDS
+EDGE_ORDERS = [0.0, 0.3, -0.3, 2.0, -2.0, 10.5, -10.5, 171.5, 1e17]
+EDGE_ZS = [5e-324, -5e-324, 5e-324j, -5e-324j, complex(-0.0, 2.0), complex(-5e-324, 2.0), 30.5,
+           1e300, -1e300j, cmath.rect(20.0, 0.51 * math.pi), cmath.rect(20.0, -0.51 * math.pi)]
+CALL_SECONDS = 1.0
+
+
+@pytest.mark.parametrize("fn", [bessel_j, bessel_i, bessel_k, dj_dnu_any, dk_dnu_any])
+def test_complex_api_edges_are_typed(fn):
+    """At z = +-5e-324 and +-5e-324i, where z/2 underflows to 0, J, I and
+    dJ/dnu take log z - log 2 (J_0 = I_0 = 1) instead of a bare
+    ValueError.  K at an order far past |z| = 1e300 on the imaginary axis is
+    left out: its unconverged start has modulus 1 there and the climb does
+    not end."""
+    for nu in EDGE_ORDERS:
+        for z in EDGE_ZS:
+            if fn in (bessel_k, dk_dnu_any) and nu == 1e17 and z == -1e300j:
+                continue
+            t = time.perf_counter()
+            try:
+                res = fn(nu, z)
+            except KelvinError:
+                pass
+            else:
+                assert cmath.isfinite(res.value), (nu, z, res)
+            assert time.perf_counter() - t < CALL_SECONDS, (nu, z)
+    if fn in (bessel_j, bessel_i):
+        assert fn(0.0, 5e-324).value == fn(0.0, 5e-324j).value == 1.0
+        assert fn(0.3, 5e-324).value.real == pytest.approx(9.221596625239e-98, rel=1e-12)
+        with pytest.raises(PowerOverflowError):
+            fn(-2.0, 5e-324)
+
+
+def test_dj_dnu_closed_form_where_two_over_z_overflows():
+    """Where 2/z overflows (|z| < ~1e-308) the closed form's log(2/z) is
+    taken as -log(z/2): dJ/dnu is finite, unflagged and the value of
+    :func:`dj_dnu_any` (-6.87e-95 at z = 5e-324, not -inf + nan i)."""
+    for z in (5e-324, 5e-324j, 1e-300, 1e-308j):
+        r = dj_dnu(0.3, z)
+        assert cmath.isfinite(r.value) and "degraded" not in r.flags, (z, r)
+        assert abs(r.value - dj_dnu_any(0.3, z).value) <= 1e-13 * abs(r.value), z
+
+
+def test_degraded_where_not_finite():
+    """A value or estimate that is not finite is ``degraded``: no estimate
+    vouches for it."""
+    from kelvinfn.bessel import _result
+    assert _result(1.0 + 0.0j, 0.0, 1, True, 1.0).flags == ()
+    assert "degraded" in _result(complex(-math.inf, math.nan), math.inf, 1, True, 1.0).flags
+    assert "degraded" in _result(1.0 + 0.0j, math.inf, 1, True, 1.0).flags
+    assert "degraded" in _result(complex(math.nan, 0.0), 0.0, 1, True, 1.0).flags
 
 
 class TestSeriesBudget:

@@ -43,7 +43,7 @@ from kelvinfn.bessel import (K_MAX_ARG, TEMME_DK_MAX_ARG, TEMME_MAX_ARG,  # noqa
                              _gamma12, _k_sums, bessel_i, bessel_j, bessel_k, dj_dnu_any,
                              dk_dnu_any)
 from kelvinfn.cli import main  # noqa: E402
-from kelvinfn.errors import ConvergenceError  # noqa: E402
+from kelvinfn.errors import BranchError, ConvergenceError  # noqa: E402
 from kelvinfn import manifest, orderderiv, quad  # noqa: E402
 from kelvinfn.kelvin import (ROT_K, _eval_ber_bei, _eval_ker_kei, kelvin_all,  # noqa: E402
                              kelvin_ker_kei)
@@ -310,9 +310,11 @@ def test_k_past_the_bounds_is_typed(nu, x):
 
 # The complex API at a general z: J and I at every real order of the grid,
 # negative integers included, and dJ/dnu at nu >= 0, held to 1e-13 relative
-# against 40-digit mpmath over |z| from 0.05 to 5 and six phases; K and
-# dK/dnu at integers and generic orders to 5e-12 on |z| in [0.1, 20] at the
-# same phases and at Re z < 0, away from the imaginary axis.
+# against 40-digit mpmath over |z| from 0.05 to 5 and six phases, and
+# flagged ``degraded`` wherever they are not, out to |z| = 20; K and dK/dnu
+# at integers and generic orders to 5e-12 on |z| in [0.1, 20] at the same
+# phases, all in the right half-plane (at Re z < 0 they raise BranchError,
+# tests/test_bessel.py).
 API_ORDERS = [-10.0, -8.0, -7.5, -5.0, -3.3, -3.0, -2.5, -2.0, -1.0, -0.5, 0.0, 0.3, 1.0,
               2.0, 2.5, 3.5, 5.0, 6.3, 8.0, 10.0, 12.5]
 API_PHASES = [0.0, math.pi / 4.0, -math.pi / 4.0, 0.7, 1.2, 1.5]
@@ -323,10 +325,8 @@ API_REL = 1e-13
 JI_CAL_ZS = [cmath.rect(r, ph) for r in (5.0, 10.0, 15.0, 20.0) for ph in API_PHASES]
 K_INTEGERS = [0, 1, 2, 3, 5, 8]
 K_GENERIC = [0.3, 1.5, 2.7, 4.25]
-K_ZS = ([cmath.rect(r, ph) for r in (0.1, 0.3, 1.0, 2.0, 5.0, 10.0, 15.0, 20.0)
-         for ph in API_PHASES]
-        + [cmath.rect(r, ph) for r in (0.3, 2.0, 5.0, 10.0, 20.0)
-           for ph in (math.pi, 3.0 * math.pi / 4.0, -3.0 * math.pi / 4.0, 2.4)])
+K_ZS = [cmath.rect(r, ph) for r in (0.1, 0.3, 1.0, 2.0, 5.0, 10.0, 15.0, 20.0)
+        for ph in API_PHASES]
 K_REL = 5e-12
 
 
@@ -391,6 +391,35 @@ def test_dj_dnu_any_against_mpmath(nu):
     assert api_misses(dj_dnu_any, "besselj", nu, API_ZS, API_REL, diff=True) == []
 
 
+def test_degraded_where_ji_miss():
+    """J, I and (at nu >= 0) dJ/dnu carry ``degraded`` at every point of
+    API_ZS and JI_CAL_ZS more than 1e-13 off 40-digit mpmath, J_0.3(20)
+    (2.7e-9 off) among them.  Of the points within 1e-14 some carry it too,
+    where the estimate, built to cover the error, overstates it; their
+    count is reported, and held to 1% of those points (measured: 2 of
+    3264)."""
+    missed, false, good = [], 0, 0
+    for fn, name in ((bessel_j, "besselj"), (bessel_i, "besseli"), (dj_dnu_any, "besselj")):
+        diff = fn is dj_dnu_any
+        for nu in API_ORDERS:
+            if diff and nu < 0.0:
+                continue
+            for z in dict.fromkeys(API_ZS + JI_CAL_ZS):
+                res = fn(nu, z)
+                want = api_oracle(name, nu, z, diff)
+                err = abs(res.value - want) / abs(want)
+                flagged = "degraded" in res.flags
+                if err > 1e-13 and not flagged:
+                    missed.append((fn.__name__, nu, z, err))
+                if err <= 1e-14:
+                    good += 1
+                    false += flagged
+    print(f"degraded on {false} of the {good} points within 1e-14")
+    assert missed == []
+    assert false <= 0.01 * good
+    assert "degraded" in bessel_j(0.3, 20.0).flags
+
+
 @pytest.mark.parametrize("nu", [float(n) for n in K_INTEGERS] + K_GENERIC)
 def test_bessel_k_against_mpmath(nu):
     assert api_misses(bessel_k, "besselk", nu, K_ZS, K_REL) == []
@@ -399,12 +428,9 @@ def test_bessel_k_against_mpmath(nu):
 @pytest.mark.parametrize("n", K_INTEGERS)
 def test_dk_dnu_any_at_integers_against_mpmath(n):
     """dK/dnu at the integers; at 0, where K is even in the order, exactly 0
-    for Re z > 0 (the sum's order-derivative weights vanish) and within
-    5e-12 of K_0 at Re z < 0, where I_0 and dI/dnu enter."""
+    (the sum's order-derivative weights vanish)."""
     if n == 0:
-        assert all(dk_dnu_any(0.0, z).value == 0.0 for z in K_ZS if z.real > 0.0)
-        assert all(abs(dk_dnu_any(0.0, z).value) <= K_REL * abs(bessel_k(0.0, z).value)
-                   for z in K_ZS if z.real < 0.0)
+        assert all(dk_dnu_any(0.0, z).value == 0.0 for z in K_ZS)
     else:
         assert api_misses(dk_dnu_any, "besselk", float(n), K_ZS, K_REL, diff=True) == []
 
@@ -417,12 +443,15 @@ def test_dk_dnu_any_against_mpmath(nu):
 def test_order_derivatives_at_negative_orders():
     """dJ/dnu and dK/dnu at negative orders, integers included: the series
     with psi/Gamma entire, and dK/dnu odd in the order.  Measured within
-    3.0e-15 (dJ/dnu) and 1.6e-15 (dK/dnu) of 40-digit mpmath."""
-    zs = [0.5 + 0.2j, 2.0 - 1.0j, 5.0 + 3.0j, -2.0 + 1.0j, 0.1 + 0.3j]
+    3.0e-15 (dJ/dnu) and 1.6e-15 (dK/dnu) of 40-digit mpmath.  At
+    z = -2 + i dK/dnu is refused."""
+    zs = [0.5 + 0.2j, 2.0 - 1.0j, 5.0 + 3.0j, 0.1 + 0.3j]
     for nu in (-0.3, -0.5, -1.0, -2.3, -3.0, -7.75):
-        assert api_misses(dj_dnu_any, "besselj", nu, zs, 1e-14, diff=True) == [], nu
+        assert api_misses(dj_dnu_any, "besselj", nu, zs + [-2.0 + 1.0j], 1e-14, diff=True) == [], nu
         assert api_misses(dk_dnu_any, "besselk", nu, zs, 1e-14, diff=True) == [], nu
         assert all(dk_dnu_any(nu, z).value == -dk_dnu_any(-nu, z).value for z in zs)
+        with pytest.raises(BranchError):
+            dk_dnu_any(nu, -2.0 + 1.0j)
 
 
 @pytest.mark.parametrize("nu", [float(n) for n in K_INTEGERS] + K_GENERIC)
@@ -439,14 +468,15 @@ def test_k_off_the_right_half_plane():
     real t axis had no step and raised ConvergenceError above
     ``TEMME_MAX_ARG`` (K) and ``TEMME_DK_MAX_ARG`` (dK/dnu), the bent
     contour holds K and dK/dnu to K_REL, as Temme's series does below the
-    borders: at |z| = 2, 3 and 1 (both sums), 1 (K) and 0.5 (both)."""
+    borders: at |z| = 2, 3 and 1 (both sums), 1 (K) and 0.5 (both).  A real
+    part of -0.0 is on the axis too."""
     near = cmath.rect(1.0, math.pi / 2.0 - 0.002)
-    zs = [2j, -3j, near]
+    zs = [2j, -3j, near, complex(-0.0, 2.0), complex(-0.0, -3.0)]
     assert api_misses(bessel_k, "besselk", 1.5, zs, K_REL) == []
     assert api_misses(dk_dnu_any, "besselk", 1.5, zs, K_REL, diff=True) == []
     assert api_misses(bessel_k, "besselk", 1.5, [1j, cmath.rect(1.0, math.pi / 2.0 - 0.01)],
                       K_REL) == []
-    zs = [cmath.rect(0.5, math.pi / 2.0 - 0.002), 0.5j, -0.5j]
+    zs = [cmath.rect(0.5, math.pi / 2.0 - 0.002), 0.5j, -0.5j, complex(-0.0, 0.5)]
     assert api_misses(bessel_k, "besselk", 1.5, zs, K_REL) == []
     assert api_misses(dk_dnu_any, "besselk", 1.5, zs, K_REL, diff=True) == []
 
