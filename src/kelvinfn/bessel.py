@@ -388,7 +388,10 @@ def _k_sums(nu: float, z: complex, dk: bool, starts: dict | None = None) -> tupl
     |z| (cosh u - 1) = 80; a sum out of nodes, or past |z| = ``K_MAX_ARG``,
     is unconverged.  Returns (K, D or
     None), tuples of :func:`_k_estimate`; PowerOverflowError where
-    (|z|/2)^(-nu) overflows, SeriesOverflowError where K or D does.
+    (|z|/2)^(-nu) overflows, SeriesOverflowError where K or D does, and
+    past ``K_MAX_ARG``, where a climb would take more than
+    ``hyper.MAX_TERMS`` steps, ConvergenceError without the climb, or zeros
+    from a start that underflowed to zeros.
     """
     got = starts.get((nu, z, "k")) if starts else None
     if got is not None and (got[1] is not None or not dk):  # a repeat
@@ -478,6 +481,15 @@ def _k_sums(nu: float, z: complex, dk: bool, starts: dict | None = None) -> tupl
     else:  # summed before, with D where dk asks for it
         he, kv, s1, r, c, kmag, kmag1, kn, kconv, dv, d1, dr, dc, dmag, dmag1, dn, dconv = st
     d1v = None
+    if n > hyper.MAX_TERMS and sz > K_MAX_ARG:
+        # a start with no error bound is not climbed far: on the imaginary
+        # axis e^(-z) keeps modulus 1, and a climb below the order |z|/2
+        # neither overflows nor ends; where e^(-z) underflowed to 0 the
+        # start is zeros, and so is K at the order
+        if he:
+            raise ConvergenceError(f"K_{nu:g} at |z| = {sz:g}: the sum has no error bound "
+                                   f"past |z| = {K_MAX_ARG:g}, and the climb is {n} steps")
+        n = 0
     if n:
         # K_(mu+1) = (mu/z) K_mu - K'_mu (DLMF 10.29.2) and its order
         # derivative D_(mu+1) = K_mu/z + (mu/z) D_mu - D'_mu
@@ -664,8 +676,7 @@ def _climb(n: int, mu: float, h: complex, k: complex, k1: complex, d: complex | 
     Each step divides by h: the rounding of a product by 1/h would repeat
     at every step and grow n-fold (5.6e-15 at n = 49, |z| = 0.7).  A climb
     past 65 steps checks K and D after every 64 and stops where either has
-    left the double range, or where both are exact zeros (a start that
-    underflowed past ``K_MAX_ARG``), which the recurrence keeps."""
+    left the double range."""
     a = mu + 1.0
     while True:
         steps = n - 1 if n <= 65 else 64
@@ -679,8 +690,6 @@ def _climb(n: int, mu: float, h: complex, k: complex, k1: complex, d: complex | 
                 k, k1 = k1, k + a * k1 / h
                 a += 1.0
         if n <= 65 or not (cmath.isfinite(k1) and (d is None or cmath.isfinite(d1))):
-            return k1, d1
-        if not (k or k1 or d or d1):
             return k1, d1
         n -= 64
 

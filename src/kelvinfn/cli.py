@@ -32,6 +32,8 @@ _REPORT_HEADER = "name,nu,x,lhs,rhs,abs_diff,tol,pass"
 # a table row: nu, x, the four values and the four order derivatives, each
 # cell the string of _fmt ('%.17g' and '{:.17g}' agree on every double)
 _TABLE_ROW = "%.17g," * 10 + "series"
+# the most points one range may hold, far above a grid of 81 orders by 20 x
+MAX_RANGE_POINTS = 10 ** 6
 
 
 def _fmt(v: float) -> str:
@@ -39,7 +41,8 @@ def _fmt(v: float) -> str:
 
 
 def _parse_range(spec: str, what: str) -> list[float]:
-    """Parse 'a:b:step' (inclusive grid) or a single number."""
+    """Parse 'a:b:step' (inclusive grid of at most ``MAX_RANGE_POINTS``) or
+    a single number."""
     parts = spec.split(":")
     if len(parts) == 1:
         return [float(parts[0])]
@@ -48,8 +51,10 @@ def _parse_range(spec: str, what: str) -> list[float]:
     a, b, step = (float(p) for p in parts)
     if not all(map(math.isfinite, (a, b, step))) or step <= 0.0 or b < a:
         raise ValueError(f"{what}: need finite a, b and step, step > 0 and b >= a in {spec!r}")
-    n = int((b - a) / step + 1e-9) + 1
-    return [a + k * step for k in range(n)]
+    count = (b - a) / step + 1e-9  # not finite where the quotient overflows
+    if not count < MAX_RANGE_POINTS:
+        raise ValueError(f"{what}: more than {MAX_RANGE_POINTS} points in {spec!r}")
+    return [a + k * step for k in range(int(count) + 1)]
 
 
 def _emit(lines: list[str], out_path: str | None) -> None:

@@ -16,7 +16,8 @@ class PoleError(KelvinError):
 
 
 class GammaOverflowError(KelvinError, OverflowError):
-    """Gamma exceeds the double range (argument above ~171.62)."""
+    """Gamma exceeds the double range (argument above ~171.62), or Gamma or
+    digamma does near 0 (|argument| below ~5.6e-309, where both are ~1/x)."""
 
 
 class PowerOverflowError(KelvinError, OverflowError):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import GammaOverflowError, PoleError
+from .errors import DomainError, GammaOverflowError, PoleError
 
 PI = math.pi
 EULER_GAMMA = 0.5772156649015328606065120900824024
@@ -23,6 +23,9 @@ SQRT2 = math.sqrt(2.0)
 
 # Largest x with Gamma(x) finite in double precision.
 _GAMMA_OVERFLOW_X = 171.62437695630272
+# Below this |x|, Gamma(x) = 1/x - gamma + O(x) and psi(x) = -1/x - gamma + O(x)
+# are 1/x and -1/x to rounding, and 1/x is past the Veltkamp split's range
+_TINY = 1e-300
 
 # Chebyshev coefficients of Gamma(1+w), w in [0, 1], u = 2w - 1.
 # Degree 26 interpolant; intrinsic relative error ~4e-21, so the kernel
@@ -117,16 +120,19 @@ def gamma_real(x: float) -> float:
 
     Raises
     ------
+    DomainError
+        If x is not finite.
     PoleError
         If x is in {0, -1, -2, ...}.
     GammaOverflowError
-        If |Gamma(x)| exceeds the double range (x > ~171.62).
+        If |Gamma(x)| exceeds the double range (x > ~171.62, or |x| below
+        ~5.6e-309, where Gamma(x) ~ 1/x).
     """
-    if x <= 0.0 and x == math.floor(x):
-        raise PoleError(f"gamma pole at x = {x}")
-    if x > _GAMMA_OVERFLOW_X:
-        raise GammaOverflowError(f"gamma({x}) overflows double precision")
     if x >= 1.0:
+        if x > _GAMMA_OVERFLOW_X:
+            if x == math.inf:
+                raise DomainError(f"gamma needs a finite argument, got x = {x}")
+            raise GammaOverflowError(f"gamma({x}) overflows double precision")
         # descend to t in [1, 2]; each y - 1 step is exact in doubles,
         # so the ascending factors t + k reproduce the chain bit for bit
         t = x
@@ -150,6 +156,12 @@ def gamma_real(x: float) -> float:
             e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo + lo * f
             hi = p + e
             lo = e - (hi - p)
+    elif not x > -math.inf:  # -inf or NaN
+        raise DomainError(f"gamma needs a finite argument, got x = {x}")
+    elif x == math.floor(x):
+        raise PoleError(f"gamma pole at x = {x}")
+    elif abs(x) < _TINY:
+        hi, lo = 1.0 / x, 0.0
     else:
         # ascend to x + n in [1, 2); the shift and the divisors x + k are
         # held as exact double-double pairs so the chain does not drift
@@ -171,12 +183,19 @@ def digamma_real(x: float) -> float:
 
     Recurrence pushes the argument above 10, then the asymptotic tail in
     1/x^2 finishes the job.  Negative arguments go through the reflection
-    psi(x) = psi(1-x) - pi*cot(pi*x).
+    psi(x) = psi(1-x) - pi*cot(pi*x).  DomainError at a non-finite x,
+    GammaOverflowError where |psi(x)| ~ 1/|x| exceeds the double range (|x|
+    below ~5.6e-309).
     """
-    if x <= 0.0 and x == math.floor(x):
-        raise PoleError(f"digamma pole at x = {x}")
-    if x < 0.0:
-        return digamma_real(1.0 - x) - PI / math.tan(PI * x)
+    if not _TINY <= x < math.inf:
+        if not -math.inf < x < math.inf:
+            raise DomainError(f"digamma needs a finite argument, got x = {x}")
+        if x == math.floor(x):
+            raise PoleError(f"digamma pole at x = {x}")
+        psi = digamma_real(1.0 - x) - PI / math.tan(PI * x) if x < 0.0 else -1.0 / x
+        if math.isinf(psi):
+            raise GammaOverflowError(f"digamma({x}) overflows double precision")
+        return psi
     # compensated accumulation of the recurrence terms -1/x
     acc = 0.0
     comp = 0.0

@@ -14,8 +14,8 @@ import pytest
 
 from kelvinfn.bessel import (DEGRADED_REL, bessel_i, bessel_j, bessel_k, dj_dnu, dj_dnu_any,
                              dk_dnu, dk_dnu_any)
-from kelvinfn.errors import (ArgumentZeroError, BranchError, GammaOverflowError, KelvinError,
-                             OrderClassError, PowerOverflowError, SeriesOverflowError)
+from kelvinfn.errors import (ArgumentZeroError, BranchError, ConvergenceError, GammaOverflowError,
+                             KelvinError, OrderClassError, PowerOverflowError, SeriesOverflowError)
 from kelvinfn import hyper
 from kelvinfn.quad import integrate_semiinf
 
@@ -292,7 +292,8 @@ def test_k_refused_at_negative_real_part(fn, nu):
 # or raises a KelvinError, each within CALL_SECONDS
 EDGE_ORDERS = [0.0, 0.3, -0.3, 2.0, -2.0, 10.5, -10.5, 171.5, 1e17]
 EDGE_ZS = [5e-324, -5e-324, 5e-324j, -5e-324j, complex(-0.0, 2.0), complex(-5e-324, 2.0), 30.5,
-           1e300, -1e300j, cmath.rect(20.0, 0.51 * math.pi), cmath.rect(20.0, -0.51 * math.pi)]
+           1e300, 1e300j, -1e300j, cmath.rect(20.0, 0.51 * math.pi),
+           cmath.rect(20.0, -0.51 * math.pi)]
 CALL_SECONDS = 1.0
 
 
@@ -300,13 +301,11 @@ CALL_SECONDS = 1.0
 def test_complex_api_edges_are_typed(fn):
     """At z = +-5e-324 and +-5e-324i, where z/2 underflows to 0, J, I and
     dJ/dnu take log z - log 2 (J_0 = I_0 = 1) instead of a bare
-    ValueError.  K at an order far past |z| = 1e300 on the imaginary axis is
-    left out: its unconverged start has modulus 1 there and the climb does
-    not end."""
+    ValueError.  K at order 1e17 and z = +-1e300i, whose unbounded start
+    keeps modulus 1 on the imaginary axis, raises ConvergenceError instead
+    of a climb to the order that does not end."""
     for nu in EDGE_ORDERS:
         for z in EDGE_ZS:
-            if fn in (bessel_k, dk_dnu_any) and nu == 1e17 and z == -1e300j:
-                continue
             t = time.perf_counter()
             try:
                 res = fn(nu, z)
@@ -320,6 +319,10 @@ def test_complex_api_edges_are_typed(fn):
         assert fn(0.3, 5e-324).value.real == pytest.approx(9.221596625239e-98, rel=1e-12)
         with pytest.raises(PowerOverflowError):
             fn(-2.0, 5e-324)
+    if fn in (bessel_k, dk_dnu_any):
+        for z in (1e300j, -1e300j):
+            with pytest.raises(ConvergenceError):
+                fn(1e17, z)
 
 
 def test_dj_dnu_closed_form_where_two_over_z_overflows():

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from kelvinfn.cli import _TABLE_ROW, _fmt, _parse_range, main
+from kelvinfn.cli import MAX_RANGE_POINTS, _TABLE_ROW, _fmt, _parse_range, main
 
 
 def run_cli(capsys, *argv):
@@ -168,6 +168,20 @@ class TestTable:
         assert err.startswith(f"table: {flag}: need finite a, b and step")
         with pytest.raises(ValueError, match=flag):
             _parse_range(spec, flag)
+
+    @pytest.mark.parametrize("flag, spec", [("--x-range", "0:1:1e-300"),
+                                            ("--x-range", "1:1e300:1e-300"),
+                                            ("--nu-range", "0:1e6:1")])
+    def test_range_point_count_bounded(self, capsys, flag, spec):
+        """A range of more than MAX_RANGE_POINTS points, or of a count that
+        overflows, is a usage error naming its flag, refused before a row is
+        built (a grid of 1e300 points was still growing after 3 s, and the
+        overflowing count was a bare OverflowError with exit 1)."""
+        other = "--x" if flag == "--nu-range" else "--nu"
+        code, out, err = run_cli(capsys, "table", f"{flag}={spec}", other, "1")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"table: {flag}: more than {MAX_RANGE_POINTS} points")
+        assert len(_parse_range(f"0:{MAX_RANGE_POINTS - 1}:1", flag)) == MAX_RANGE_POINTS
 
     def test_missing_grid_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "table")

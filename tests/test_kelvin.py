@@ -264,16 +264,25 @@ def test_climb_stops_after_overflow(dk):
 
 
 @pytest.mark.parametrize("dk", [False, True])
-def test_climb_of_zeros_stops(dk):
-    """Past ``K_MAX_ARG`` the K start underflows to exact zeros, which the
-    recurrence keeps and which never leave the double range: a climb of a
-    million steps of zeros stops after its first block of 64 steps, where
-    it took every step."""
-    _Half.steps = 0
-    d = 0j if dk else None
-    k, dv = bessel._climb(10 ** 6, 0.0, _Half(1e299, 1e299), 0j, 0j, d, d)
-    assert k == 0 and dv == d
-    assert _Half.steps <= 64 * (2 if dk else 1)
+def test_unbounded_k_start_is_not_climbed(dk, monkeypatch):
+    """Past ``K_MAX_ARG`` the K start has no error bound, and a climb of
+    more than ``hyper.MAX_TERMS`` steps from it is not taken: where e^(-z)
+    underflows the start, and K and dK/dnu at the order, are exact zeros;
+    on the imaginary axis, where e^(-z) keeps modulus 1 and a climb to 1e17
+    did not end, ConvergenceError.  A climb of MAX_TERMS steps is taken."""
+    def climb(*args):
+        raise AssertionError("climbed")
+
+    with monkeypatch.context() as m:
+        m.setattr(bessel, "_climb", climb)
+        k, d = _k_sums(1e6 + 0.5, complex(1e299, 1e299), dk)
+        assert k[0] == 0 and not k[3]
+        assert d[0] == 0 if dk else d is None
+        for z in (1e300j, -1e300j, 40j):
+            with pytest.raises(ConvergenceError):
+                _k_sums(1e17, z, dk)
+    k = _k_sums(hyper.MAX_TERMS + 0.5, 1e300j, dk)[0]
+    assert cmath.isfinite(k[0]) and not k[3]
 
 
 @pytest.mark.parametrize("nu", [1e7, 1e9])

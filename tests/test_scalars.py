@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from kelvinfn.errors import GammaOverflowError, KelvinError, PoleError
+from kelvinfn.errors import DomainError, GammaOverflowError, KelvinError, PoleError
 from kelvinfn.scalars import EULER_GAMMA, _two_sum, digamma_real, gamma_real
 
 # Reference values computed with 25-digit arithmetic and rounded to double.
@@ -84,6 +84,35 @@ class TestGammaErrors:
         with pytest.raises(GammaOverflowError):
             gamma_real(172.0)
         assert issubclass(GammaOverflowError, KelvinError)
+
+
+# Near 0, Gamma(x) = 1/x - gamma + O(x) and psi(x) = -1/x - gamma + O(x):
+# below |x| = 7.5e-301 the double-double divide of gamma_real overflowed in its
+# Veltkamp split (NaN), and the recurrence of digamma_real added -inf to 0
+# (NaN) or its reflection returned inf
+@pytest.mark.parametrize("x", [1e-305, -1e-305, 7e-301, -7e-301, 1e-307])
+def test_gamma_and_digamma_near_zero(x):
+    assert gamma_real(x) == 1.0 / x
+    assert digamma_real(x) == pytest.approx(-1.0 / x, rel=1e-15)
+
+
+@pytest.mark.parametrize("x", [5e-324, -5e-324, 5e-309, -1e-310])
+def test_overflow_near_zero_is_typed(x):
+    """Where 1/x leaves the double range, so do Gamma and psi."""
+    with pytest.raises(GammaOverflowError):
+        gamma_real(x)
+    with pytest.raises(GammaOverflowError):
+        digamma_real(x)
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_non_finite_argument_is_a_domain_error(x):
+    """Not a bare OverflowError (-inf), ValueError (NaN), or a NaN or inf
+    returned."""
+    with pytest.raises(DomainError):
+        gamma_real(x)
+    with pytest.raises(DomainError):
+        digamma_real(x)
 
 
 class TestGammaRecurrence:
