@@ -19,7 +19,11 @@ the last double before any other end):
 
 An integrand of ber + i bei reads phi T from the ray kernel at each node,
 on one order set up per integral, with no checks or estimate (the
-'printed_s1' bracket, of two orders, reads ``kelvin._eval_ber_bei``).
+'printed_s1' bracket, of two orders, reads ``kelvin._eval_ber_bei``).  The
+value representations are Bessel's integral (DLMF 10.9.6) for
+ber + i bei = e^(i pi nu) J_nu(e^(-i pi/4) x), one complex cos or exp per
+node, its Schlaefli tail cut where the integrand is below e^(-_CUT)
+(``_tail_cut``): no integral of the package runs on [0, inf).
 
 Every identity check returns an :class:`IdentityReport` that serializes to
 one CSV row: name,nu,x,lhs,rhs,abs_diff,tol,pass.  A value-returning
@@ -29,6 +33,7 @@ representation whose integral misses its error target raises
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -45,6 +50,7 @@ TOL = 1e-10  # read at call time, as is MAX_DEPTH
 MAX_DEPTH = 8  # halvings of the unit step in t
 _T_MAX = 6.0  # the last node in t, 2.6e-275 of the half-width from its end
 _EPS = 2.0 ** -52
+_CUT = 40.0  # the Schlaefli tail stops where its integrand is below e^(-_CUT)
 
 
 @dataclass(frozen=True)
@@ -193,58 +199,55 @@ def integrate_semiinf(f) -> EvalResult:
     """Integral of f over [0, inf) for integrands decaying at least
     exponentially, mapped onto s in (0, 1) by t = -log(1-s); no node lies
     on s = 1 (t = inf): one that rounds onto it ends the walk there."""
-
-    def g(s: float) -> float:
-        t = -math.log1p(-s)
-        return f(t) / (1.0 - s)
-
-    return integrate_finite(g, 0.0, 1.0)
+    return integrate_finite(lambda s: f(-math.log1p(-s)) / (1.0 - s), 0.0, 1.0)
 
 
 def apelblat_ber_bei(nu: float, x: float) -> tuple[float, float]:
-    """(ber_nu(x), bei_nu(x)) from the two-part integral representation.
+    """(ber_nu(x), bei_nu(x)) from Bessel's integral (DLMF 10.9.6) for
+    ber_nu(x) + i bei_nu(x) = e^(i pi nu) J_nu(z), z = e^(-i pi/4) x = X - i X:
 
-    With X = x/sqrt(2):
+      ber_nu + i bei_nu = (1/pi) int_0^pi e^(i pi nu) cos(z sin t - nu t) dt
+                          - (sin(pi nu)/pi) int_0^T e^(i pi nu) e^(-nu t - z sinh t) dt
 
-      ber_nu(x) = (1/pi) int_0^pi [cos(pi nu) cos(X sin t - nu t) cosh(X sin t)
-                                   - sin(pi nu) sin(X sin t - nu t) sinh(X sin t)] dt
-                  - (sin(pi nu)/pi) int_0^inf e^(-nu t - X sinh t)
-                                             cos(X sinh t + pi nu) dt
-
-    and the bei companion swaps sin/sinh pairings and signs.  The oscillatory
-    factor in the tail carries X sinh t (the derivation from the contour
-    representation of J at argument e^(-i pi/4) x makes both the decay and
-    the oscillation come from the same X sinh t term).
+    with X = x/sqrt(2).  The Schlaefli tail, over (0, inf) in DLMF and
+    absent at the integers, is cut at T = :func:`_tail_cut`.
     """
     _finite(nu, x)
     if x <= 0.0:
         raise DomainError("x must be positive")
     big_x = x / SQRT2
-    cpn = math.cos(PI * nu)
-    spn = math.sin(PI * nu)
-
-    def fin(t: float) -> complex:
-        # both finite parts in one adaptive pass, packed re/im
-        s = big_x * math.sin(t)
-        a = s - nu * t
-        c, sn = math.cos(a), math.sin(a)
-        ch, sh = math.cosh(s), math.sinh(s)
-        return complex(cpn * c * ch - spn * sn * sh, cpn * sn * sh + spn * c * ch)
-
-    w = _value(integrate_finite(fin, 0.0, PI)) / PI
-    if abs(spn) > 1e-15:
-
-        def tail(t: float) -> complex:
-            # e^(-nu t - X sinh t) e^(i (X sinh t + pi nu)): both tails, packed re/im;
-            # t stays below 37 (s below 1 - 2^-53), so sinh t does not overflow
-            xs = big_x * math.sinh(t)
-            if xs > 745.0:  # e^(-X sinh t) underflows to 0
-                return 0j
-            a = xs + PI * nu
-            return math.exp(-nu * t) * math.exp(-xs) * complex(math.cos(a), math.sin(a))
-
-        w -= spn / PI * _value(integrate_semiinf(tail))
+    z = complex(big_x, -big_x)
+    p = bessel._turn(nu)  # e^(i pi nu), exact at the integers
+    w = _value(integrate_finite(lambda t: p * cmath.cos(z * math.sin(t) - nu * t),
+                                0.0, PI)) / PI
+    if abs(p.imag) > 1e-15:
+        tail = integrate_finite(lambda t: p * cmath.exp(-nu * t - z * math.sinh(t)),
+                                0.0, _tail_cut(nu, big_x))
+        w -= p.imag / PI * _value(tail)
     return w.real, w.imag
+
+
+def _tail_cut(nu: float, big_x: float) -> float:
+    """A cut T with phi(T) >= _CUT, phi(t) = nu t + X sinh t, the -log of
+    the tail's |integrand|.  phi is convex with phi(0) = 0, so phi' >= _CUT/T
+    past T: there the integrand stays below e^(-_CUT), and the part dropped
+    is below e^(-_CUT) T/_CUT, 1.5e-16 (1.5e-6 TOL) at the T < 1421 of any
+    tail that returns (its centre node's sinh overflows past T/2 = 710.5).
+    A negative order's e^(|nu| t) grows first: T <- asinh((_CUT + 1 + |nu| T)/X)
+    climbs to the root of X sinh T = _CUT + 1 + |nu| T, each step leaving
+    phi(T) = _CUT + 1 - |nu| dT, and stops at |nu| dT <= 1 (in 27 steps or
+    fewer at X < 710, past which the finite part has overflowed).  A
+    positive order's e^(-nu t) alone is e^(-_CUT) at _CUT/nu."""
+    n, t = max(-nu, 0.0), 0.0
+    while True:
+        t, last = math.asinh((_CUT + 1.0 + n * t) / big_x), t
+        if not n * (t - last) > 1.0:  # ends at t = inf too, where X < 41/DBL_MAX
+            break
+    if nu > 0.0:
+        return min(t, _CUT / nu)
+    if t == math.inf:
+        raise ConvergenceError(f"the tail of order {nu} has no finite cut at X = {big_x:.3g}")
+    return t
 
 
 _BRACKET_VARIANTS = ("consistent", "printed_s1", "printed_s3")
@@ -320,13 +323,14 @@ def apelblat_dber_dbei(nu: float, x: float,
 
 
 def appendix_ber_bei(x: float, variant: str = "sin") -> tuple[float, float]:
-    """Order-zero values from the quarter-period representations
+    """Order-zero values from the quarter-period form of Bessel's integral
+    (DLMF 10.9.6 at nu = 0, whose tail drops out), z = e^(-i pi/4) x:
 
-      ber(x) = (2/pi) int_0^{pi/2} cosh(x sc(t)/sqrt 2) cos(x sc(t)/sqrt 2) dt
-      bei(x) = (2/pi) int_0^{pi/2} sinh(x sc(t)/sqrt 2) sin(x sc(t)/sqrt 2) dt
+      ber(x) + i bei(x) = (2/pi) int_0^{pi/2} cos(z sc(t)) dt
 
     with sc = sin or cos selected by ``variant`` (the two are equal by the
-    t -> pi/2 - t substitution).
+    t -> pi/2 - t substitution); its real and imaginary parts are
+    cosh(s) cos(s) and sinh(s) sin(s) at s = x sc(t)/sqrt 2.
     """
     _finite(0.0, x)
     if variant not in ("sin", "cos"):
@@ -334,13 +338,8 @@ def appendix_ber_bei(x: float, variant: str = "sin") -> tuple[float, float]:
     if x < 0.0:
         raise DomainError("x must be nonnegative")
     sc = math.sin if variant == "sin" else math.cos
-
-    def f(t: float) -> complex:
-        # both integrals in one adaptive pass, packed re/im
-        s = x * sc(t) / SQRT2
-        return complex(math.cosh(s) * math.cos(s), math.sinh(s) * math.sin(s))
-
-    w = 2.0 / PI * _value(integrate_finite(f, 0.0, PI / 2.0))
+    z = complex(x / SQRT2, -x / SQRT2)
+    w = 2.0 / PI * _value(integrate_finite(lambda t: cmath.cos(z * sc(t)), 0.0, PI / 2.0))
     return w.real, w.imag
 
 

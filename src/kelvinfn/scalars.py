@@ -23,6 +23,9 @@ SQRT2 = math.sqrt(2.0)
 
 # Largest x with Gamma(x) finite in double precision.
 _GAMMA_OVERFLOW_X = 171.62437695630272
+# Below this x, |Gamma(x)| < 1.6e-325 (its largest, at -184.00000000000003) is
+# under half the least subnormal, so Gamma(x) rounds to a signed zero
+_GAMMA_ZERO_X = -184.0
 # Below this |x|, Gamma(x) = 1/x - gamma + O(x) and psi(x) = -1/x - gamma + O(x)
 # are 1/x and -1/x to rounding, and 1/x is past the Veltkamp split's range
 _TINY = 1e-300
@@ -162,6 +165,8 @@ def gamma_real(x: float) -> float:
         raise PoleError(f"gamma pole at x = {x}")
     elif abs(x) < _TINY:
         hi, lo = 1.0 / x, 0.0
+    elif x < _GAMMA_ZERO_X:
+        hi, lo = 0.0, 0.0  # signed below, with no chain of -x steps
     else:
         # ascend to x + n in [1, 2); the shift and the divisors x + k are
         # held as exact double-double pairs so the chain does not drift
@@ -175,6 +180,8 @@ def gamma_real(x: float) -> float:
     result = hi + lo
     if math.isinf(result):
         raise GammaOverflowError(f"gamma({x}) overflows double precision")
+    if result == 0.0:  # underflowed, at x < -171.6: Gamma's sign, (-1)^(n+1) on (-n-1, -n)
+        return -0.0 if math.floor(x) % 2 else 0.0
     return result
 
 

@@ -88,7 +88,9 @@ EDGE_ARGS = {
     # the complex API at z = x and z = i x
     **dict.fromkeys(["bessel_j", "bessel_i", "bessel_k", "dj_dnu_any", "dk_dnu_any"],
                     _NU_X + [(nu, complex(0.0, x)) for nu, x in _NU_X]),
-    **dict.fromkeys(["gamma_real", "digamma_real"], [(v,) for v in EDGE_ORDERS + EDGE_XS]),
+    # and far below -184, where Gamma is a signed zero with no reduction chain
+    **dict.fromkeys(["gamma_real", "digamma_real"],
+                    [(v,) for v in EDGE_ORDERS + EDGE_XS + [-1e6 - 0.5, -4e15 + 0.5, -180.5]]),
     "appendix_ber_bei": [(x,) for x in EDGE_XS],
     "convolution_identity": _SIDES,
     "integrate_finite": [(math.cos, 0.0, x) for x in EDGE_XS] + [

@@ -625,6 +625,26 @@ def test_apelblat_finite_part_estimate_calibrated(integrals, nu, x):
     check_quad_estimate(integrals[0], want)
 
 
+@pytest.mark.parametrize("x", [0.5, 2.0, 8.0])
+@pytest.mark.parametrize("nu", [0.3, 1.7, -2.3])
+def test_apelblat_tail_estimate_covers_its_error(integrals, nu, x):
+    """The estimate of the tail cut at T covers its error against 30 digits
+    of the tail over (0, 2T), the part past the cut included (past 2T,
+    where phi(2T) >= 2 phi(T), it is below e^(-80)).  It overstates that
+    error by up to 1.6e4 (nu = -2.3, x = 8; 5.3e3 at nu = 0.3, x = 2), past
+    the 1e3 of check_quad_estimate, so no upper bound is asserted."""
+    quad.apelblat_ber_bei(nu, x)
+    mp = mpmath.mp
+    with mp.workdps(30):
+        big_x, n = mp.mpf(x) / mp.sqrt(2), mp.mpf(nu)
+        z, turn = mp.mpc(big_x, -big_x), mp.expjpi(n)
+        cut = quad._tail_cut(nu, x / math.sqrt(2))
+        want = mp.quad(lambda t: turn * mp.exp(-n * t - z * mp.sinh(t)),
+                       [0, cut / 4, cut / 2, cut, 2 * cut])
+    res = integrals[1]
+    assert res.converged and res.abs_err_estimate >= abs(res.value - complex(want))
+
+
 def test_theorem5_quadrature_estimate_calibrated(integrals):
     """The log(1-u^2) end at u = 1, where the nodes closer than eps round
     onto the end, is covered by the node-rounding part of the floor."""

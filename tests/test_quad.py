@@ -161,6 +161,15 @@ class TestApelblatValues:
         assert got[0] == pytest.approx(want[0], abs=1e-8)
         assert got[1] == pytest.approx(want[1], abs=1e-8)
 
+    @pytest.mark.parametrize("nu, x", [(-9.3, 1.0), (-5.5, 0.5), (-9.9, 0.1)])
+    def test_negative_order_tail_cut(self, nu, x):
+        """e^(-nu t - X sinh t) grows like e^(|nu| t) before it decays: a cut
+        that ignores nu, at asinh(41/X), is 0.12 off at (-9.3, 1); the tail
+        on (0, inf), mapped onto (0, 1), missed its target at (-9.9, 0.1)."""
+        got = complex(*apelblat_ber_bei(nu, x))
+        want = complex(*kelvin_ber_bei(nu, x))
+        assert abs(got - want) <= 1e-12 * abs(want)
+
 
 class TestApelblatDerivatives:
     @pytest.mark.parametrize("nu,x", [(0.5, 1.0), (1.5, 2.0), (2.5, 0.5)])

@@ -1,6 +1,7 @@
 """Gamma and digamma kernels: spot values, recurrences, reflection."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -66,6 +67,22 @@ GAMMA_BITS = {
 @pytest.mark.parametrize("x, bits", sorted(GAMMA_BITS.items()))
 def test_gamma_bits(x, bits):
     assert gamma_real(x).hex() == bits
+
+
+# Below -184, |Gamma| is under half the least subnormal on every double; from
+# -171.6 down it underflows.  The chain of -x divisions took 0.96 s at -1e6 - 0.5
+# (years at -4e15 + 0.5) and returned +0.0 where Gamma < 0: (-1)^(n+1) on (-n-1, -n)
+@pytest.mark.parametrize("x, sign", [(-180.5, -1.0), (-184.5, -1.0), (-185.5, 1.0),
+                                     (-200.5, -1.0), (-400.5, -1.0), (-1e6 - 0.5, -1.0),
+                                     (-4e15 + 0.5, 1.0), (-4e15 + 1.5, -1.0)])
+def test_gamma_underflow_is_a_signed_zero(x, sign):
+    times = []
+    for _ in range(5):
+        t = time.perf_counter()
+        g = gamma_real(x)
+        times.append(time.perf_counter() - t)
+    assert g == 0.0 and math.copysign(1.0, g) == sign
+    assert min(times) < 1e-3
 
 
 class TestGammaErrors:
