@@ -20,11 +20,13 @@ ker_{-n} = (-1)^n ker_n.  Each value is one run of each kernel:
 and psi at the anchor, the phase) and ``bessel._k_sums``, checked by
 ``_k_bound`` and turned by e^(-i pi nu/2).  ``kelvin_all`` composes the
 two runs itself, as do the integrand nodes of ``quad`` and the ODE
-stencils of ``verify``.  One order at many x is one batch (``_phases``):
-the order set up once, every series run, then every K sum; ``_kelvin_rows``
-reads the values from it (fd oracle, reflection and integer suites),
-``orderderiv._dkelvin_rows`` the order derivatives too (table, fd, integer
-and apelblat suites).  ``_eval_ber_bei`` and ``_eval_ker_kei`` are the
+stencils of ``verify``.  Orders at many x run as one *plan* (``_phases``),
+a list of (order, dK/dnu wanted) entries over one x grid: each order set
+up once, every series run of every entry, then every K sum.  A verify
+suite call runs one plan (``orderderiv._plan_rows``); ``_kelvin_rows``
+(values) and ``orderderiv._dkelvin_rows`` (the order derivatives too) are
+plans of one entry, for a table order, ``eval`` and ``verify.fd_oracle``.
+``_eval_ber_bei`` and ``_eval_ker_kei`` are the
 one-sided entries, with error estimates (``eval``, the closed forms).
 ``_eval_ber_bei`` takes an optional dict of orders: a caller that evaluates
 one order at many x (the value rows of apelblat and appendix) passes the
@@ -141,49 +143,58 @@ def kelvin_ker_kei(nu: float, x: float) -> tuple[float, float]:
     return _eval_ker_kei(nu, x)[:2]
 
 
-def _phases(nu: float, xs, dk: bool, starts: dict | None) -> tuple:
-    """The kernel runs of order nu at each x of ``xs`` as (order, K turn,
-    series runs, K sums): the order set up once (``bessel._RayOrder``),
-    the series (``bessel._ray_sums``) run at every x, then the K sum at |nu|
-    (``bessel._k_sums``, on ``starts``) at every x, each checked by
-    ``_k_bound``; with ``dk`` the psi sums and dK/dnu too.  Each kernel runs
-    6-10% slower right after the other.  The error raised is a row-by-row
-    pass's first: a series fault is raised after the K sums of the rows
-    before it."""
-    o = turn = fault = None
-    runs = []
+def _phases(plan, xs, starts: dict | None) -> list[tuple]:
+    """The kernel runs of a *plan*, entries (order nu, dK/dnu wanted) over
+    the grid ``xs``, as one (order, K turn, series runs, K sums) per entry:
+    each entry's order set up once (``bessel._RayOrder``), every series run
+    of every entry (``bessel._ray_sums``, with the psi sums where dK/dnu is
+    wanted), then every K sum at |nu| (``bessel._k_sums``, on ``starts``),
+    each checked by ``_k_bound``, all in entry-then-x order.  Each kernel
+    runs 6-10% slower right after the other.  The error raised is a
+    row-by-row pass's first, in that order: a series fault is raised after
+    the K sums of the rows before it.  An empty grid gives no entries."""
+    phases, fault = [], None
     try:
-        for x in xs:
-            _finite(nu, x)
-            if x <= 0.0:
-                raise DomainError("x must be positive")
-            if o is None:  # nu is finite
-                o, turn = _RayOrder(nu), _turn(-0.5 * nu)
-            runs.append(bessel._ray_sums(o, x, dk))
+        for nu, dk in plan:
+            o = None
+            for x in xs:
+                _finite(nu, x)
+                if x <= 0.0:
+                    raise DomainError("x must be positive")
+                if o is None:  # nu is finite
+                    o, runs = _RayOrder(nu), []
+                    phases.append((o, _turn(-0.5 * nu), runs, []))
+                runs.append(bessel._ray_sums(o, x, dk))
     except Exception as exc:  # noqa: BLE001 - raised below, after the K sums before it
         fault = exc
-    m, ks = abs(nu), []
-    for x, _ in zip(xs, runs):
-        ks.append(bessel._k_sums(m, ROT_K * x, dk, starts))
-        _k_bound(nu, x, ks[-1][0])
+    for (nu, dk), (_, _, runs, ks) in zip(plan, phases):
+        m = abs(nu)
+        for x, _ in zip(xs, runs):
+            ks.append(bessel._k_sums(m, ROT_K * x, dk, starts))
+            _k_bound(nu, x, ks[-1][0])
     if fault is not None:
         raise fault
-    return o, turn, runs, ks
+    return phases
 
 
-def _kelvin_rows(nu: float, xs,
-                 starts: dict | None = None) -> list[tuple[float, float, float, float]]:
-    """``kelvin_all`` at order nu and each x of ``xs``, bit for bit, as the
-    plain tuple (ber, bei, ker, kei): one batch of :func:`_phases`, for a
-    caller that evaluates one order at many x.  As a batch of one it costs
-    10% more per point than ``kelvin_all`` (33.1 against 30.0 ms over 1024
-    scattered points), which therefore composes its two runs itself."""
-    o, turn, runs, ks = _phases(nu, xs, False, starts)
+def _values(o: _RayOrder, turn: complex, runs: list, ks: list) -> list[tuple]:
+    """The rows (ber, bei, ker, kei) of one entry of :func:`_phases`."""
     rows = []
     for run, (k, _) in zip(runs, ks):
         bb, kk = o.phase() * run[0], turn * k[0]
         rows.append((bb.real, bb.imag, kk.real, kk.imag))
     return rows
+
+
+def _kelvin_rows(nu: float, xs,
+                 starts: dict | None = None) -> list[tuple[float, float, float, float]]:
+    """``kelvin_all`` at order nu and each x of ``xs``, bit for bit, as the
+    plain tuple (ber, bei, ker, kei): a plan of one entry (:func:`_phases`),
+    for a caller that evaluates one order at many x.  As a batch of one it
+    costs 10% more per point than ``kelvin_all`` (33.1 against 30.0 ms over
+    1024 scattered points), which therefore composes its two runs itself."""
+    phases = _phases(((nu, False),), xs, starts)
+    return _values(*phases[0]) if phases else []
 
 
 def kelvin_all(nu: float, x: float) -> KelvinQuad:

@@ -29,9 +29,10 @@ P (``bessel._ray_sums``), and the K start and climb at |nu| with dK/dnu
 (``bessel._k_sums``).  Each side takes one phase: with ber + i bei = phi T,
 d(ber + i bei)/dnu = phi ((log(x/2) + 3i pi/4) T - P), as
 dT/dnu = log(x/2) T - P, and the K side turns by e^(-i pi nu/2).  The rows
-of one order are one batch (``_dkelvin_rows``, on the phases of
-``kelvin._phases``): a table order, and an order of the fd, integer and
-apelblat suites; ``dkelvin`` is a batch of one.  The series side
+of one order are a plan of one entry (``_dkelvin_rows``, on
+``kelvin._phases``): a table order, and ``dkelvin``, a batch of one; the
+fd, integer and apelblat suites read theirs from one plan per call
+(``_plan_rows``).  The series side
 (``_bb_series``) also gives theorem 5 (``quad``) its ber/bei and dJ/dnu at
 nu + 1.
 """
@@ -45,7 +46,7 @@ from .bessel import ORDER_EPS, _is_near_int, _RayOrder, _turn, dj_dnu, dk_dnu
 from .errors import DomainError, NegativeIntegerOrderError, OrderClassError
 from .hyper import HyperSpec, pfq
 from .kelvin import (ROT_J, ROT_K, KelvinQuad, _eval_ber_bei, _eval_ker_kei, _finite,
-                     _kelvin_rows, _phases, _ray_rounding)
+                     _kelvin_rows, _phases, _ray_rounding, _values)
 from .scalars import PI, digamma_real, gamma_real
 
 # dkelvin_kk_pos refuses 2 nu this close to an integer, where the csc of its
@@ -249,13 +250,25 @@ def _dkelvin_rows(nu: float, xs: list[float] | tuple[float, ...],
     bei, ker, kei, dber, dbei, dker, dkei, est_j, est_k), est_j the series'
     abs error estimate (:func:`_bb_series`), est_k that of dK/dnu plus pi/2
     times K's, each with the ray point's rounding (``kelvin._ray_rounding``).
-    The kernels run as one batch (``kelvin._phases``, on ``starts``), then
-    the rows are built; the error raised is a row-by-row pass's first one."""
-    o, turn, runs, ks = _phases(nu, xs, True, starts)
-    if o is None:  # no rows
-        return []
-    m = abs(nu)
-    dturn = -turn if nu < 0.0 else turn  # turn * -dK/dnu, bit for bit
+    A plan of one entry (``kelvin._phases``, on ``starts``), whose error
+    is a row-by-row pass's first."""
+    phases = _phases(((nu, True),), xs, starts)
+    return _derivs(xs, *phases[0]) if phases else []
+
+
+def _plan_rows(plan, xs, starts: dict) -> list[list[tuple]]:
+    """The rows of each entry (nu, dK/dnu wanted) of ``plan`` over the grid
+    ``xs``, from one run of ``kelvin._phases`` on ``starts``: those of
+    :func:`_dkelvin_rows` where dK/dnu is wanted, else those of
+    ``kelvin._kelvin_rows``, bit for bit.  ``xs`` is not empty."""
+    return [_derivs(xs, *p) if dk else _values(*p)
+            for (_, dk), p in zip(plan, _phases(plan, xs, starts), strict=True)]
+
+
+def _derivs(xs, o: _RayOrder, turn: complex, runs: list, ks: list) -> list[tuple]:
+    """The rows of :func:`_dkelvin_rows` from one entry of ``kelvin._phases``."""
+    m = abs(o.mu)
+    dturn = -turn if o.mu < 0.0 else turn  # turn * -dK/dnu, bit for bit
     rows = []
     # log(x/2) cannot fail here: where x/2 underflows to 0 the K start has raised
     for x, run, (k, dk) in zip(xs, runs, ks):

@@ -26,6 +26,9 @@ _GAMMA_OVERFLOW_X = 171.62437695630272
 # Below this x, |Gamma(x)| < 1.6e-325 (its largest, at -184.00000000000003) is
 # under half the least subnormal, so Gamma(x) rounds to a signed zero
 _GAMMA_ZERO_X = -184.0
+# Below x = -170 the quotient of the x < 1 chain goes subnormal before its last,
+# small divisors: scaled by 2^600 it stays within ~[1e-158, 1e181] to x = -184
+_CHAIN_SCALE = 600
 # Below this |x|, Gamma(x) = 1/x - gamma + O(x) and psi(x) = -1/x - gamma + O(x)
 # are 1/x and -1/x to rounding, and 1/x is past the Veltkamp split's range
 _TINY = 1e-300
@@ -173,10 +176,12 @@ def gamma_real(x: float) -> float:
         n = math.ceil(1.0 - x)
         th, tl = _two_sum(x, float(n))
         k0 = _gamma_kernel(th)
-        hi, lo = k0, k0 * digamma_real(th) * tl
+        scale = _CHAIN_SCALE if n > 171 else 0
+        hi, lo = math.ldexp(k0, scale), math.ldexp(k0 * digamma_real(th) * tl, scale)
         for k in range(n):
             fh, fl = _two_sum(x, float(k))
             hi, lo = _dd_div_dd(hi, lo, fh, fl)
+        hi, lo = math.ldexp(hi + lo, -scale), 0.0  # one rounding onto the subnormals
     result = hi + lo
     if math.isinf(result):
         raise GammaOverflowError(f"gamma({x}) overflows double precision")

@@ -6,13 +6,15 @@ the acceptance tests drive.  Suite names: fd, reflection, ode, apelblat,
 theorem5, appendix, brychkov, integer (plus 'all').  Series and integrals
 run at the one accuracy of ``hyper`` and ``quad``.
 
-A suite that evaluates one order over an x grid runs it as one batch
-(``kelvin._kelvin_rows``, ``orderderiv._dkelvin_rows``), its rows in grid
-order; integer's finite sums read one value batch per order 0..5.  The
-value rows of apelblat and appendix, and the ODE stencils, which read the
-kernels directly, share one set-up per order.  A call of fd, reflection,
-integer, ode or apelblat sums each K start and each K request once (one
-dict of starts, ``bessel._k_sums``).
+fd, reflection, integer and the derivative rows of apelblat run their
+orders over their x grid as one plan per call (``orderderiv._plan_rows``
+on ``kelvin._phases``): every series run of the call, then every K sum.
+fd's plan holds each order with dK/dnu followed by its four stencil
+orders; integer's holds its derivative orders, then the values at 0..5
+that its finite sums read.  The value rows of apelblat and appendix, and
+the ODE stencils, which read the kernels directly, share one set-up per
+order.  A call of fd, reflection, integer, ode or apelblat sums each K
+start and each K request once (one dict of starts, ``bessel._k_sums``).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from . import bessel
 from . import manifest as M
 from .bessel import _RayOrder, _turn
 from .kelvin import ROT_K, _eval_ber_bei, _k_bound, _kelvin_rows
-from .orderderiv import _dkelvin_integer, _dkelvin_rows, dkelvin_bb_brychkov, dkelvin_bb_pos
+from .orderderiv import _dkelvin_integer, _plan_rows, dkelvin_bb_brychkov, dkelvin_bb_pos
 from .quad import (IdentityReport, apelblat_ber_bei, apelblat_dber_dbei,
                    appendix_ber_bei, convolution_identity, indefinite_integral_check,
                    make_report, theorem5_identities)
@@ -31,39 +33,42 @@ from .quad import (IdentityReport, apelblat_ber_bei, apelblat_dber_dbei,
 _COMPONENTS = ("dber", "dbei", "dker", "dkei")
 
 
-def _fd_rows(nu: float, xs, h: float, starts: dict) -> list[tuple[float, ...]]:
-    """Central finite differences of all four Kelvin functions over the
-    order, one 4-tuple per x of ``xs``."""
-    return [tuple((a - b) / (2.0 * h) for a, b in zip(hi, lo, strict=True))
-            for hi, lo in zip(_kelvin_rows(nu + h, xs, starts), _kelvin_rows(nu - h, xs, starts),
-                              strict=True)]
+def _stencil(nu: float) -> tuple[float, float, float, float]:
+    """The orders of the finite differences at nu: nu +- h1, nu +- h2."""
+    h1, h2 = M.FD_STEPS
+    return nu + h1, nu - h1, nu + h2, nu - h2
+
+
+def _richardson(hi1, lo1, hi2, lo2) -> list[tuple[float, ...]]:
+    """Richardson-extrapolated central differences over the order, one
+    4-tuple (dber, dbei, dker, dkei) per x, from the value rows at the
+    orders of :func:`_stencil`."""
+    h1, h2 = M.FD_STEPS
+    return [tuple((4.0 * ((c - d) / (2.0 * h2)) - (a - b) / (2.0 * h1)) / 3.0
+                  for a, b, c, d in zip(p1, m1, p2, m2, strict=True))
+            for p1, m1, p2, m2 in zip(hi1, lo1, hi2, lo2, strict=True)]
 
 
 def fd_oracle(nu: float, xs) -> list[tuple[float, ...]]:
     """Richardson-extrapolated finite-difference order derivatives, one
     4-tuple (dber, dbei, dker, dkei) per x of ``xs``."""
-    return _fd_oracle(nu, xs, {})
-
-
-def _fd_oracle(nu: float, xs, starts: dict) -> list[tuple[float, ...]]:
-    """:func:`fd_oracle` with the K starts of ``starts``."""
-    h1, h2 = M.FD_STEPS
-    return [tuple((4.0 * b - a) / 3.0 for a, b in zip(g1, g2, strict=True))
-            for g1, g2 in zip(_fd_rows(nu, xs, h1, starts), _fd_rows(nu, xs, h2, starts),
-                              strict=True)]
+    starts: dict = {}
+    return _richardson(*[_kelvin_rows(s, xs, starts) for s in _stencil(nu)])
 
 
 def suite_fd() -> list[IdentityReport]:
-    """Dispatcher vs finite differences, positive and reflected grids."""
-    out, starts = [], {}
-    for sign in (1.0, -1.0):
-        for nu in M.FD_NU:
-            order = sign * nu
-            for x, row, ora in zip(M.FD_X, _dkelvin_rows(order, M.FD_X, starts),
-                                   _fd_oracle(order, M.FD_X, starts), strict=True):
-                for name, g, o in zip(_COMPONENTS, row[4:8], ora, strict=True):
-                    tol = M.FD_SCALED_TOL * (1.0 + abs(o))
-                    out.append(make_report(f"fd_{name}", order, x, g, o, tol))
+    """Dispatcher vs finite differences, positive and reflected grids: one
+    plan of each order with dK/dnu, followed by its four stencil orders."""
+    orders = [sign * nu for sign in (1.0, -1.0) for nu in M.FD_NU]
+    plan = [e for nu in orders for e in [(nu, True)] + [(s, False) for s in _stencil(nu)]]
+    batches = _plan_rows(plan, M.FD_X, {})
+    out = []
+    for i, order in enumerate(orders):
+        rows, *values = batches[5 * i:5 * i + 5]
+        for x, row, ora in zip(M.FD_X, rows, _richardson(*values), strict=True):
+            for name, g, o in zip(_COMPONENTS, row[4:8], ora, strict=True):
+                tol = M.FD_SCALED_TOL * (1.0 + abs(o))
+                out.append(make_report(f"fd_{name}", order, x, g, o, tol))
     return out
 
 
@@ -71,9 +76,10 @@ def suite_integer() -> list[IdentityReport]:
     """Integer-order finite sums vs ``dkelvin`` at the integer itself, where
     its term-wise dJ/dnu and its dK/dnu quadrature are regular; the derivative
     rows run first, so that their K results serve the value batches."""
-    out, starts = [], {}
-    rows = [_dkelvin_rows(float(n), M.INTEGER_X, starts) for n in M.INTEGER_N]
-    values = [_kelvin_rows(float(k), M.INTEGER_X, starts) for k in range(max(M.INTEGER_N) + 1)]
+    out, top = [], max(M.INTEGER_N) + 1
+    plan = [(float(n), True) for n in M.INTEGER_N] + [(float(k), False) for k in range(top)]
+    batches = _plan_rows(plan, M.INTEGER_X, {})
+    rows, values = batches[:len(M.INTEGER_N)], batches[len(M.INTEGER_N):]
     for n, batch in zip(M.INTEGER_N, rows, strict=True):
         for i, (x, row) in enumerate(zip(M.INTEGER_X, batch, strict=True)):
             sums = _dkelvin_integer(n, x, [v[i] for v in values[:n + 1]])
@@ -98,7 +104,7 @@ def suite_brychkov() -> list[IdentityReport]:
 
 def suite_apelblat() -> list[IdentityReport]:
     """Integral representations vs the series path, values and derivatives."""
-    out, starts = [], {}
+    out = []
     for nu in M.APELBLAT_NU:
         orders: dict = {}  # the set-up of order nu, shared by its rows
         for arg in M.APELBLAT_ARG:
@@ -106,10 +112,12 @@ def suite_apelblat() -> list[IdentityReport]:
             k = _eval_ber_bei(nu, arg, orders)
             out.append(make_report("apelblat_ber", nu, arg, q[0], k[0], M.APELBLAT_TOL))
             out.append(make_report("apelblat_bei", nu, arg, q[1], k[1], M.APELBLAT_TOL))
-    for nu in M.APELBLAT_D_NU:
-        for x, row in zip(M.APELBLAT_D_X, _dkelvin_rows(nu, M.APELBLAT_D_X, starts),
-                          strict=True):
-            q = apelblat_dber_dbei(nu, x)
+    # the integrals first, so that the plan's series runs precede its K sums
+    quads = [[apelblat_dber_dbei(nu, x) for x in M.APELBLAT_D_X] for nu in M.APELBLAT_D_NU]
+    plan = [(nu, True) for nu in M.APELBLAT_D_NU]
+    for nu, qs, rows in zip(M.APELBLAT_D_NU, quads, _plan_rows(plan, M.APELBLAT_D_X, {}),
+                            strict=True):
+        for x, q, row in zip(M.APELBLAT_D_X, qs, rows, strict=True):
             out.append(make_report("apelblat_dber", nu, x, q[0], row[4], M.APELBLAT_D_TOL))
             out.append(make_report("apelblat_dbei", nu, x, q[1], row[5], M.APELBLAT_D_TOL))
     return out
@@ -149,11 +157,12 @@ def suite_appendix() -> list[IdentityReport]:
 
 def suite_reflection() -> list[IdentityReport]:
     """Integer reflection: f_{-n} = (-1)^n f_n for all four functions."""
-    out, starts = [], {}
+    out = []
+    plan = [(nu, False) for n in M.REFLECTION_N for nu in (float(-n), float(n))]
+    batches = iter(_plan_rows(plan, M.REFLECTION_X, {}))
     for n in M.REFLECTION_N:
         sgn = -1.0 if n % 2 else 1.0
-        for x, neg, pos in zip(M.REFLECTION_X, _kelvin_rows(float(-n), M.REFLECTION_X, starts),
-                               _kelvin_rows(float(n), M.REFLECTION_X, starts), strict=True):
+        for x, neg, pos in zip(M.REFLECTION_X, next(batches), next(batches), strict=True):
             for name, lhs, p in zip(("ber", "bei", "ker", "kei"), neg, pos, strict=True):
                 rhs = sgn * p
                 tol = M.REFLECTION_REL_TOL * max(abs(rhs), 1e-30)

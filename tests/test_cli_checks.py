@@ -28,7 +28,8 @@ CLI_SECONDS = 10.0  # the bound of each command
 EDGE_SECONDS = 1.0  # the bound of each call of the edge sweep
 
 # every row of the 8 suites, and each suite alone with its own row count, so
-# that a suite whose batches drop or repeat rows fails by name
+# that a suite whose batches drop or repeat rows fails by name; the suites in
+# the order of ``verify --suite all``
 SUITE_ROWS = {"all": 603, "fd": 240, "reflection": 96, "ode": 24, "apelblat": 78,
               "theorem5": 30, "appendix": 23, "brychkov": 32, "integer": 80}
 # (orders, x, rows): negative integers, half-integers and quarter orders; x
@@ -88,9 +89,12 @@ EDGE_ARGS = {
     # the complex API at z = x and z = i x
     **dict.fromkeys(["bessel_j", "bessel_i", "bessel_k", "dj_dnu_any", "dk_dnu_any"],
                     _NU_X + [(nu, complex(0.0, x)) for nu, x in _NU_X]),
-    # and far below -184, where Gamma is a signed zero with no reduction chain
+    # and far below -184, where Gamma is a signed zero with no reduction chain,
+    # and between -184 and -170, where its chain runs scaled
     **dict.fromkeys(["gamma_real", "digamma_real"],
-                    [(v,) for v in EDGE_ORDERS + EDGE_XS + [-1e6 - 0.5, -4e15 + 0.5, -180.5]]),
+                    [(v,) for v in EDGE_ORDERS + EDGE_XS + [-1e6 - 0.5, -4e15 + 0.5, -180.5,
+                                                            -176.00000000000003,
+                                                            -179.99999999999997]]),
     "appendix_ber_bei": [(x,) for x in EDGE_XS],
     "convolution_identity": _SIDES,
     "integrate_finite": [(math.cos, 0.0, x) for x in EDGE_XS] + [
@@ -169,6 +173,22 @@ def test_identity_suites():
         if (code, last) != (0, f"{rows}/{rows} identities passed"):
             bad.append(suite)
     assert not bad, bad
+
+
+def test_all_suites_join_the_single_suites():
+    """``verify --suite all`` prints, byte for byte, the CSV of each suite
+    run alone, in suite order under one header: no plan, dict of K starts
+    or set-up of one suite call reaches another."""
+    code, whole, _ = run_cli("verify", "--suite", "all")
+    header, parts = whole.splitlines(keepends=True)[:1], []
+    for suite in SUITE_ROWS:
+        if suite != "all":
+            lines = run_cli("verify", "--suite", suite)[1].splitlines(keepends=True)
+            parts += lines[1:] if lines[:1] == header else ["<header differs>\n"]
+    joined = "".join(header + parts)
+    print(f"verify --suite all: exit {code}, {len(whole)} bytes; the 8 suites joined: "
+          f"{len(joined)} bytes, {'equal' if joined == whole else 'different'}")
+    assert code == 0 and joined == whole
 
 
 def test_table_sweeps():

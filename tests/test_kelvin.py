@@ -12,7 +12,8 @@ from kelvinfn.errors import (ConvergenceError, DomainError, GammaOverflowError, 
                              PowerOverflowError, SeriesOverflowError)
 from kelvinfn import hyper
 from kelvinfn.hyper import HyperSpec, pfq
-from kelvinfn.kelvin import KelvinQuad, _kelvin_rows, kelvin_all, kelvin_ber_bei, kelvin_ker_kei
+from kelvinfn.kelvin import (KelvinQuad, _kelvin_rows, _phases, kelvin_all, kelvin_ber_bei,
+                             kelvin_ker_kei)
 from kelvinfn.orderderiv import dkelvin
 
 EULER_GAMMA = 0.5772156649015328606
@@ -191,6 +192,22 @@ def test_kelvin_rows_first_failing_row(xs, error, at):
     non-finite x is refused."""
     with pytest.raises(error) as info:
         _kelvin_rows(0.0, xs)
+    assert type(info.value) is error
+    assert at in str(info.value)
+
+
+@pytest.mark.parametrize("plan, error, at", [
+    ([(0.0, False), (1000.0, False)], ConvergenceError, "no error bound at x = 40"),
+    ([(0.0, True), (math.nan, False)], ConvergenceError, "no error bound at x = 40"),
+    ([(1000.0, False), (0.0, False)], PowerOverflowError, "(x/2)^1000 overflows"),
+])
+def test_plan_first_failing_row(plan, error, at):
+    """A plan raises the error of its first failing row in entry-then-x
+    order: the K sum of an earlier entry at x = 40, which has no bound,
+    before the series fault of a later one, though every series runs
+    before any K sum; an earlier series fault before a later K fault."""
+    with pytest.raises(error) as info:
+        _phases(plan, [40.0], {})
     assert type(info.value) is error
     assert at in str(info.value)
 

@@ -32,6 +32,7 @@ factor, dker/dkei hold 1e-10 at x = 8.
 import cmath
 import functools
 import math
+import random
 import sys
 
 import pytest
@@ -48,6 +49,7 @@ from kelvinfn import manifest, orderderiv, quad  # noqa: E402
 from kelvinfn.kelvin import (ROT_K, _eval_ber_bei, _eval_ker_kei, kelvin_all,  # noqa: E402
                              kelvin_ker_kei)
 from kelvinfn.orderderiv import dkelvin  # noqa: E402
+from kelvinfn.scalars import gamma_real  # noqa: E402
 
 ORDERS = [k / 2.0 for k in range(-20, 21)]
 XS = [0.5, 1.0, 2.0, 5.0, 8.0, 10.0, 12.0, 15.0, 18.0, 20.0]
@@ -577,6 +579,27 @@ def test_temme_tables():
             t = mp.mpf(mu)
             want = (gamma1(t), gamma2(t), mp.diff(gamma1, t), mp.diff(gamma2, t))
             assert all(abs(got - w) <= 1e-16 for got, w in zip(_gamma12(mu, True), want)), mu
+
+
+# Gamma between -184 and -170, where the quotient of the x < 1 chain once went
+# subnormal before its last, small divisors: -176.00000000000003 was 7e-4
+# off and -179.99999999999997 (1.75e-316) came back 0; a seeded sample of
+# the interval besides, the points next to its integers among them
+_GAMMA_RNG = random.Random(29)
+GAMMA_LOW = [-176.00000000000003, -179.99999999999997, -170.5, -171.5, -183.99999999999997,
+             -172.00000000000003] + [
+    _GAMMA_RNG.uniform(-184.0, -170.0) for _ in range(40)] + [
+    math.nextafter(float(n), n + d) for n in range(-183, -170) for d in (-1.0, 1.0)]
+
+
+@pytest.mark.parametrize("x", GAMMA_LOW)
+def test_gamma_below_the_double_range(x):
+    """Within 1e-15 relative of 40-digit mpmath, or 1 ulp of the least
+    subnormal where that is larger: a subnormal Gamma is the chain's value,
+    good to ~2e-16 relative, rounded once onto the subnormals."""
+    with mpmath.mp.workdps(40):
+        want = mpmath.gamma(mpmath.mpf(x))
+        assert abs(gamma_real(x) - want) <= max(1e-15 * abs(want), 5e-324), x
 
 
 def check_quad_estimate(res, want) -> None:

@@ -1,15 +1,19 @@
 """Quadrature engine and the integral representations / identity checks."""
 
+import cmath
 import math
+import random
 
 import pytest
 
 import kelvinfn.quad
+from kelvinfn.bessel import _turn
 from kelvinfn.errors import (ConvergenceError, DomainError, KelvinError, PowerOverflowError,
                              SeriesOverflowError)
 from kelvinfn.kelvin import kelvin_ber_bei
+from kelvinfn.hyper import EvalResult
 from kelvinfn.orderderiv import dkelvin
-from kelvinfn.quad import (apelblat_ber_bei, apelblat_dber_dbei,
+from kelvinfn.quad import (TOL, apelblat_ber_bei, apelblat_dber_dbei,
                            appendix_ber_bei, convolution_identity,
                            indefinite_integral_check, integrate_finite,
                            integrate_semiinf, make_report, theorem5_identities,
@@ -121,6 +125,109 @@ class TestEngineFinite:
                 prev = err
 
 
+def reference_walk(f, a, b):
+    """The walk of ``integrate_finite`` as it was written before its loop
+    was tuned (one list of walk bounds, a loop over both ends, the module
+    constants read per node and per level), on the same nodes: the tuned
+    walk must return the same result, bit for bit."""
+    q = kelvinfn.quad
+    h = 0.5 * (b - a)
+    c = a + h
+    evals = 1
+    try:
+        total = 0.5 * math.pi * f(c)
+        mag = abs(total)
+        rnd = mag * abs(c) / h
+        lim = [q._T_MAX + 1.0, q._T_MAX + 1.0]
+        val = est = math.inf
+        gap = 0.0
+        for depth in range(q.MAX_DEPTH + 1):
+            for side, end, sgn in ((0, a, h), (1, b, -h)):
+                for t, delta, w in q._level(depth):
+                    if t >= lim[side]:
+                        break
+                    d = sgn * delta
+                    x = end + d
+                    if x == end:
+                        lim[side] = t
+                        break
+                    evals += 1
+                    v = w * f(x)
+                    total += v
+                    mag += abs(v)
+                    rnd += abs(v * x / d)
+                    if abs(v) <= q._EPS * mag:
+                        lim[side] = t
+                        break
+            step = h * 2.0 ** -depth
+            new = step * total
+            if not math.isfinite(abs(new)):
+                return EvalResult(new, math.inf, evals, False, ("non_finite",))
+            if depth:
+                last, gap = gap, abs(new - val)
+                rate = min(1.0, gap / last) ** 1.5 if last else 1.0
+                est = gap * rate + q._EPS * step * (4.0 * mag + rnd)
+            val = new
+            if est <= max(q.TOL, q.TOL * abs(val)):
+                return EvalResult(val, est, evals, True)
+        return EvalResult(val, est, evals, False, ("max_depth_exceeded",))
+    except OverflowError:
+        return EvalResult(math.inf, math.inf, evals, False, ("non_finite",))
+
+
+def _bessel_integrand(nu, x):
+    """The finite part of Bessel's integral in ``apelblat_ber_bei``."""
+    z, p = complex(x / math.sqrt(2.0), -x / math.sqrt(2.0)), _turn(nu)
+    return lambda t: p * cmath.cos(z * math.sin(t) - nu * t)
+
+
+def _apelblat_tail(nu, x):
+    """The Schlaefli tail of ``apelblat_ber_bei`` and its interval."""
+    big_x = x / math.sqrt(2.0)
+    z, p = complex(big_x, -big_x), _turn(nu)
+    return (lambda t: p * cmath.exp(-nu * t - z * math.sinh(t)), 0.0,
+            kelvinfn.quad._tail_cut(nu, big_x))
+
+
+def _noisy():
+    """1 + 1e-6 random() on [0, 1], seeded afresh for each walk."""
+    rng = random.Random(3)
+    return lambda u: 1.0 + 1e-6 * rng.random(), 0.0, 1.0
+
+
+WALK_CASES = {
+    "log_end": lambda: (lambda u: math.log1p(-u) if u < 1.0 else 0.0, 0.0, 1.0),
+    "power_end": lambda: (lambda u: u ** -0.5, 0.0, 1.0),
+    "bessel_x8": lambda: (_bessel_integrand(0.3, 8.0), 0.0, math.pi),
+    "apelblat_tail": lambda: _apelblat_tail(-2.3, 8.0),
+    "noisy": _noisy,
+    "overflow": lambda: (lambda u: math.exp(1000.0 * u), 0.0, 1.0),
+}
+
+
+def _fields(res):
+    return repr((res.value, res.abs_err_estimate, res.terms_used, res.converged, res.flags))
+
+
+@pytest.mark.parametrize("max_depth", [None, 3])
+@pytest.mark.parametrize("case", sorted(WALK_CASES))
+def test_walk_matches_the_reference(monkeypatch, case, max_depth):
+    """The tuned walk returns the reference walk's value, estimate,
+    evaluations, convergence and flags, also with MAX_DEPTH at 3 (where
+    the Bessel integral at x = 8 and the tail miss 1e-14) and where the
+    integrand overflows (``non_finite``)."""
+    if max_depth is not None:
+        monkeypatch.setattr(kelvinfn.quad, "MAX_DEPTH", max_depth)
+        monkeypatch.setattr(kelvinfn.quad, "TOL", 1e-14)
+    got = integrate_finite(*WALK_CASES[case]())
+    want = reference_walk(*WALK_CASES[case]())
+    assert _fields(got) == _fields(want)
+    if case == "overflow":
+        assert got.flags == ("non_finite",)
+    if max_depth is not None and case in ("bessel_x8", "apelblat_tail"):
+        assert got.flags == ("max_depth_exceeded",)
+
+
 class TestEngineSemiInfinite:
     def test_exponential(self):
         r = integrate_semiinf(lambda t: math.exp(-t))
@@ -169,6 +276,26 @@ class TestApelblatValues:
         got = complex(*apelblat_ber_bei(nu, x))
         want = complex(*kelvin_ber_bei(nu, x))
         assert abs(got - want) <= 1e-12 * abs(want)
+
+
+# values far below TOL, where the representations meet only the absolute
+# bound TOL: ber_9.6(0.1) + i bei is ~2e-19 and comes back ~8e-17 off
+FLOOR_POINTS = [(9.6, 0.1), (10.0, 0.1), (-10.0, 0.1)]
+
+
+@pytest.mark.parametrize("nu, x", FLOOR_POINTS)
+def test_apelblat_absolute_floor(nu, x):
+    """apelblat_ber_bei is good to max(TOL, TOL |value|), as documented."""
+    for got, want in zip(apelblat_ber_bei(nu, x), kelvin_ber_bei(nu, x), strict=True):
+        assert abs(got - want) <= max(TOL, TOL * abs(want))
+
+
+@pytest.mark.parametrize("variant", ["sin", "cos"])
+@pytest.mark.parametrize("x", [1e-5, 0.1])
+def test_appendix_absolute_floor(x, variant):
+    """appendix_ber_bei likewise; bei_0(1e-5) = 2.5e-11 is below TOL."""
+    for got, want in zip(appendix_ber_bei(x, variant), kelvin_ber_bei(0.0, x), strict=True):
+        assert abs(got - want) <= max(TOL, TOL * abs(want))
 
 
 class TestApelblatDerivatives:

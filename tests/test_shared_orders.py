@@ -16,9 +16,9 @@ from kelvinfn import manifest as M
 from kelvinfn.bessel import _k_sums, _RayOrder
 from kelvinfn.cli import _fmt, _table_rows
 from kelvinfn.errors import PowerOverflowError, SeriesOverflowError
-from kelvinfn.kelvin import (ROT_K, _eval_ber_bei, _eval_ker_kei, _kelvin_rows, kelvin_all,
-                             kelvin_ber_bei, kelvin_ker_kei)
-from kelvinfn.orderderiv import _bb_series, _dkelvin_rows, dkelvin, dkelvin_integer
+from kelvinfn.kelvin import (ROT_K, _eval_ber_bei, _eval_ker_kei, _kelvin_rows, _ray_rounding,
+                             kelvin_all, kelvin_ber_bei, kelvin_ker_kei)
+from kelvinfn.orderderiv import _bb_series, _dkelvin_rows, _plan_rows, dkelvin, dkelvin_integer
 from kelvinfn.quad import (_report, apelblat_ber_bei, apelblat_dber_dbei,
                            indefinite_integral_check, integrate_finite, make_report,
                            theorem5_identities)
@@ -73,6 +73,54 @@ def test_value_rows_equal_kelvin_all(nu):
     for x, row in zip(BATCH_WALK, _kelvin_rows(nu, BATCH_WALK), strict=True):
         q = kelvin_all(nu, x)
         assert bits(*row) == bits(q.ber, q.bei, q.ker, q.kei), x
+
+
+def reference_rows(nu, xs, dk, starts):
+    """The one-order batches as they were before plans: the order set up
+    once, every series run, then every K sum, and the rows of
+    ``_kelvin_rows`` (``dk`` false) or ``_dkelvin_rows`` built from them."""
+    o, turn = _RayOrder(nu), kelvinfn.bessel._turn(-0.5 * nu)
+    runs = [kelvinfn.bessel._ray_sums(o, x, dk) for x in xs]
+    ks = [_k_sums(abs(nu), ROT_K * x, dk, starts) for x in xs]
+    rows = []
+    for x, run, (k, dkn) in zip(xs, runs, ks):
+        kk = turn * k[0]
+        if not dk:
+            bb = o.phase() * run[0]
+            rows.append((bb.real, bb.imag, kk.real, kk.imag))
+            continue
+        bb, dbb, est_j = _bb_series(o, run, x)
+        e = (-turn if nu < 0.0 else turn) * dkn[0]
+        m = abs(nu)
+        est_k = (dkn[1] + _ray_rounding(m, x, dkn[0])
+                 + PI / 2.0 * (k[1] + _ray_rounding(m, x, k[0])))
+        rows.append((bb.real, bb.imag, kk.real, kk.imag, dbb.real, dbb.imag,
+                     e.real + PI / 2.0 * kk.imag, e.imag - PI / 2.0 * kk.real, est_j, est_k))
+    return rows
+
+
+@pytest.mark.parametrize("nu", BATCH_ORDERS[::3] + [-0.0])
+def test_one_order_fronts_keep_their_bits(nu):
+    """``_kelvin_rows`` and ``_dkelvin_rows``, plans of one entry, return
+    the one-order batches' rows bit for bit, with and without a dict of
+    starts."""
+    for shared in (False, True):
+        mine, theirs = ({}, {}) if shared else (None, None)
+        assert [bits(*r) for r in _kelvin_rows(nu, BATCH_WALK, mine)] == [
+            bits(*r) for r in reference_rows(nu, BATCH_WALK, False, theirs)]
+        assert [bits(*r) for r in _dkelvin_rows(nu, BATCH_WALK, mine)] == [
+            bits(*r) for r in reference_rows(nu, BATCH_WALK, True, theirs)]
+
+
+def test_plan_rows_equal_one_order_batches():
+    """A plan of many entries returns, entry by entry, the rows of the
+    one-order fronts, bit for bit: the fd suite's plan over its grid."""
+    h1, h2 = M.FD_STEPS
+    plan = [e for nu in ORDERS for e in ((nu, True), (nu + h1, False), (nu - h2, False))]
+    starts: dict = {}
+    for (nu, dk), rows in zip(plan, _plan_rows(plan, M.FD_X, starts), strict=True):
+        want = (_dkelvin_rows if dk else _kelvin_rows)(nu, M.FD_X)
+        assert [bits(*r) for r in rows] == [bits(*r) for r in want], (nu, dk)
 
 
 # the batched suites as point-by-point loops over the public functions

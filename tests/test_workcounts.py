@@ -130,6 +130,22 @@ def test_value_batch_runs_in_phases(monkeypatch, nu):
     assert calls == [("J", x) for x in xs] + [("K", pytest.approx(x)) for x in xs]
 
 
+@pytest.mark.parametrize("suite", ["fd", "reflection", "integer", "apelblat"])
+def test_suites_run_every_series_before_any_k_sum(monkeypatch, suite):
+    """fd, reflection, integer and apelblat run their K sums as one plan
+    (``kelvin._phases``): every series run of the call, integrand nodes
+    included, comes before its first K sum."""
+    calls = []
+    ray, ks = kelvinfn.bessel._ray_sums, kelvinfn.bessel._k_sums
+    monkeypatch.setattr(kelvinfn.bessel, "_ray_sums",
+                        lambda o, x, psi: calls.append("J") or ray(o, x, psi))
+    monkeypatch.setattr(kelvinfn.bessel, "_k_sums",
+                        lambda m, z, dk, st: calls.append("K") or ks(m, z, dk, st))
+    run_suites(suite)
+    first_k = calls.index("K")
+    assert "J" in calls[:first_k] and "J" not in calls[first_k:]
+
+
 @pytest.fixture
 def setups(monkeypatch):
     """The orders set up for the series kernels (``bessel._RayOrder``)."""
