@@ -25,13 +25,13 @@ argument; the K starts read fixed tables (on the Kelvin ray the contour's
 nodes per step, Gamma_1 and Gamma_2), which depend on neither.
 The Kelvin values and order derivatives call the ray kernels directly, once
 each per (nu, x); a caller that evaluates one order at many x sets it up
-once: a table order and each order of a verify suite's x grid are one batch
-(``kelvin._kelvin_rows``, ``orderderiv._dkelvin_rows``), integrand nodes
-and stencils run the kernels on one set-up per integral or order, and the
-value rows of a suite keep one dict of orders; a table and a verify suite
-keep one dict of K starts, one per (mu, z), which also answers a repeated
-K request.  One psi run gives a function and its order derivative
-together, and nothing but the node tables outlives the top-level call.
+once: orders over an x grid (a table order, ``eval``, a verify suite call)
+run as one plan (``orderderiv._plan_rows``), and integrand nodes, stencils
+and the value rows of a suite run the kernels on one set-up per integral
+or order; a table and a verify suite keep one dict of K starts, one per
+(mu, z), which also answers a repeated K request.  One psi run gives a
+function and its order derivative together, and nothing but the node
+tables outlives the top-level call.
 
 The paper's closed forms ``dj_dnu`` and ``dk_dnu`` are oracles for the
 verify suites and tests only; they read J (or I) at nu and -nu from one
@@ -191,14 +191,6 @@ class _RayOrder:
         if p is None:
             p = self.bb = _turn(0.75 * self.mu + 0.5 * self.k0)
         return p
-
-
-def _order(orders: dict, mu: float) -> _RayOrder:
-    """The order mu of ``orders``, set up on first use."""
-    o = orders.get(mu)
-    if o is None:
-        o = orders[mu] = _RayOrder(mu)
-    return o
 
 
 def _ray_sums(o: _RayOrder, x: float, psi: bool) -> tuple:

@@ -6,10 +6,11 @@ eval    one function at one (nu, x); prints value, error estimate, method
 table   CSV sweep over nu/x ranges with all four values and derivatives
 verify  run identity suites, emit the report CSV, exit 1 on any failure
 
-A table takes each order as one batch (``orderderiv._dkelvin_rows``), and
-several orders share one dict of K starts (``bessel._k_sums``).  CSV output
-uses 17 significant digits, '\n' line endings and no quoting, so two runs
-with identical flags are byte-identical.  Every value is computed to full
+``eval`` of an order derivative, and each order of a table over its x
+other than 0, is one plan of one entry (``orderderiv._plan_rows``); the
+orders of a table share one dict of K starts (``bessel._k_sums``).  CSV
+output uses 17 significant digits, '\n' line endings and no quoting, so two
+runs with identical flags are byte-identical.  Every value is computed to full
 double precision; no flag or environment variable changes that.
 """
 
@@ -22,7 +23,7 @@ import sys
 
 from .errors import KelvinError
 from .kelvin import _eval_ber_bei, _eval_ker_kei
-from .orderderiv import _dkelvin_rows
+from .orderderiv import _plan_rows
 from .verify import SUITES, run_suites
 
 _VALUE_FNS = ("ber", "bei", "ker", "kei")
@@ -84,7 +85,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 value = ker if fn == "ker" else kei
         else:
             # dber/dbei carry the series side's estimate, dker/dkei the K side's
-            row, = _dkelvin_rows(args.nu, (args.x,))
+            (row,), = _plan_rows(((args.nu, True),), (args.x,), None)
             i = _DERIV_FNS.index(fn)
             value, est = row[4 + i], row[8 + i // 2]
     except KelvinError as exc:
@@ -112,8 +113,8 @@ def _origin_row(nu: float, x: float) -> str:
 
 
 def _table_rows(nu: float, xs: list[float], starts: dict | None) -> list[str]:
-    """The rows of order nu over ``xs``; those at x != 0 are one batch."""
-    rows = iter(_dkelvin_rows(nu, [x for x in xs if x != 0.0], starts))
+    """The rows of order nu over ``xs``; those at x != 0 are one plan."""
+    rows = iter(_plan_rows(((nu, True),), [x for x in xs if x != 0.0], starts)[0])
     return [_origin_row(nu, x) if x == 0.0 else _TABLE_ROW % ((nu, x) + next(rows)[:8])
             for x in xs]
 

@@ -1,9 +1,9 @@
 """Exception types raised by the evaluation kernels.
 
 Every domain violation raises a typed error instead of returning NaN or
-infinity, so that dispatch logic higher up (order classification, reflection
-formulas) cannot silently consume a value produced outside a kernel's
-validity region.
+infinity, so that no caller (a closed form's order class, a reflection
+formula) can silently consume a value produced outside a kernel's validity
+region.
 """
 
 

@@ -19,21 +19,15 @@ ker_{-n} = (-1)^n ker_n.  Each value is one run of each kernel:
 ``bessel._ray_sums`` on an order set up once (``bessel._RayOrder``: Gamma
 and psi at the anchor, the phase) and ``bessel._k_sums``, checked by
 ``_k_bound`` and turned by e^(-i pi nu/2).  ``kelvin_all`` composes the
-two runs itself, as do the integrand nodes of ``quad`` and the ODE
-stencils of ``verify``.  Orders at many x run as one *plan* (``_phases``),
-a list of (order, dK/dnu wanted) entries over one x grid: each order set
-up once, every series run of every entry, then every K sum.  A verify
-suite call runs one plan (``orderderiv._plan_rows``); ``_kelvin_rows``
-(values) and ``orderderiv._dkelvin_rows`` (the order derivatives too) are
-plans of one entry, for a table order, ``eval`` and ``verify.fd_oracle``.
-``_eval_ber_bei`` and ``_eval_ker_kei`` are the
-one-sided entries, with error estimates (``eval``, the closed forms).
-``_eval_ber_bei`` takes an optional dict of orders: a caller that evaluates
-one order at many x (the value rows of apelblat and appendix) passes the
-same dict each time, so that the order is set up once per top-level call;
-the batches take one of K starts (``bessel._k_sums``) likewise, for all
-the orders of a call.  ``_finite`` (``bessel._finite``, shared with the
-complex API) is where every entry rejects a non-finite order or argument.
+two runs itself.  Orders at many x run as one *plan*
+(``orderderiv._plan_rows``, for a table order, ``eval``, ``dkelvin`` and
+the verify suites); a caller that evaluates one point at a time (integrand
+nodes, ODE stencils, the value rows of a suite) keeps one ``_RayOrder``
+per order and runs the kernels itself.  ``_eval_ber_bei`` and
+``_eval_ker_kei`` are the one-sided entries, with error estimates
+(``eval``, the closed forms).  ``_finite`` (``bessel._finite``, shared
+with the complex API) is where every entry rejects a non-finite order or
+argument.
 """
 
 from __future__ import annotations
@@ -42,7 +36,7 @@ import math
 from dataclasses import dataclass
 
 from . import bessel
-from .bessel import _EPS, _finite, _order, _RayOrder, _turn
+from .bessel import _EPS, _finite, _RayOrder, _turn
 from .errors import ConvergenceError, DomainError
 
 _HALF_SQRT2 = math.sqrt(0.5)
@@ -67,23 +61,6 @@ class KelvinQuad:
     x: float
 
 
-def _origin(nu: float, x: float) -> tuple[float, float, float]:
-    """(ber, bei, 0) at x = 0; DomainError at x < 0, and at x = 0
-    where the order is negative and not an integer."""
-    if x < 0.0:
-        raise DomainError("Kelvin functions defined for x >= 0")
-    if nu < 0.0 and nu != round(nu):
-        raise DomainError("ber/bei of negative non-integer order are singular at x = 0")
-    return (1.0 if nu == 0.0 else 0.0), 0.0, 0.0
-
-
-def _rotate(o: _RayOrder, run: tuple) -> tuple[float, float, float]:
-    """(ber, bei, abs error estimate) from the kernel run of ``o``."""
-    s, err, _, _, max_term, _ = run
-    value = o.phase() * s
-    return value.real, value.imag, err + _VALUE_FLOOR * max_term
-
-
 def _k_bound(nu: float, x: float, k: tuple) -> None:
     """ConvergenceError where the K sum ``k`` at |nu| and x (a tuple of
     ``bessel._k_sums``) has no error bound."""
@@ -91,17 +68,21 @@ def _k_bound(nu: float, x: float, k: tuple) -> None:
         raise ConvergenceError(f"the K sum at order {nu:g} has no error bound at x = {x:g}")
 
 
-def _eval_ber_bei(nu: float, x: float, orders: dict | None = None) -> tuple[float, float, float]:
-    """(ber, bei, abs error estimate) from one kernel run at x.
-
-    A caller that evaluates order nu at many x passes them all one dict
-    ``orders``, in which nu is set up once (``bessel._RayOrder``).
-    """
+def _eval_ber_bei(nu: float, x: float) -> tuple[float, float, float]:
+    """(ber, bei, abs error estimate) from one kernel run at x > 0, and
+    (ber, bei, 0) at x = 0; DomainError at x < 0, and at x = 0 where the
+    order is negative and not an integer."""
     _finite(nu, x)
-    if x <= 0.0:
-        return _origin(nu, x)
-    o = _RayOrder(nu) if orders is None else _order(orders, nu)
-    return _rotate(o, bessel._ray_sums(o, x, False))
+    if x < 0.0:
+        raise DomainError("Kelvin functions defined for x >= 0")
+    if x == 0.0:
+        if nu < 0.0 and nu != round(nu):
+            raise DomainError("ber/bei of negative non-integer order are singular at x = 0")
+        return (1.0 if nu == 0.0 else 0.0), 0.0, 0.0
+    o = _RayOrder(nu)
+    s, err, _, _, max_term, _ = bessel._ray_sums(o, x, False)
+    value = o.phase() * s
+    return value.real, value.imag, err + _VALUE_FLOOR * max_term
 
 
 def _eval_ker_kei(nu: float, x: float) -> tuple[float, float, float]:
@@ -143,65 +124,14 @@ def kelvin_ker_kei(nu: float, x: float) -> tuple[float, float]:
     return _eval_ker_kei(nu, x)[:2]
 
 
-def _phases(plan, xs, starts: dict | None) -> list[tuple]:
-    """The kernel runs of a *plan*, entries (order nu, dK/dnu wanted) over
-    the grid ``xs``, as one (order, K turn, series runs, K sums) per entry:
-    each entry's order set up once (``bessel._RayOrder``), every series run
-    of every entry (``bessel._ray_sums``, with the psi sums where dK/dnu is
-    wanted), then every K sum at |nu| (``bessel._k_sums``, on ``starts``),
-    each checked by ``_k_bound``, all in entry-then-x order.  Each kernel
-    runs 6-10% slower right after the other.  The error raised is a
-    row-by-row pass's first, in that order: a series fault is raised after
-    the K sums of the rows before it.  An empty grid gives no entries."""
-    phases, fault = [], None
-    try:
-        for nu, dk in plan:
-            o = None
-            for x in xs:
-                _finite(nu, x)
-                if x <= 0.0:
-                    raise DomainError("x must be positive")
-                if o is None:  # nu is finite
-                    o, runs = _RayOrder(nu), []
-                    phases.append((o, _turn(-0.5 * nu), runs, []))
-                runs.append(bessel._ray_sums(o, x, dk))
-    except Exception as exc:  # noqa: BLE001 - raised below, after the K sums before it
-        fault = exc
-    for (nu, dk), (_, _, runs, ks) in zip(plan, phases):
-        m = abs(nu)
-        for x, _ in zip(xs, runs):
-            ks.append(bessel._k_sums(m, ROT_K * x, dk, starts))
-            _k_bound(nu, x, ks[-1][0])
-    if fault is not None:
-        raise fault
-    return phases
-
-
-def _values(o: _RayOrder, turn: complex, runs: list, ks: list) -> list[tuple]:
-    """The rows (ber, bei, ker, kei) of one entry of :func:`_phases`."""
-    rows = []
-    for run, (k, _) in zip(runs, ks):
-        bb, kk = o.phase() * run[0], turn * k[0]
-        rows.append((bb.real, bb.imag, kk.real, kk.imag))
-    return rows
-
-
-def _kelvin_rows(nu: float, xs,
-                 starts: dict | None = None) -> list[tuple[float, float, float, float]]:
-    """``kelvin_all`` at order nu and each x of ``xs``, bit for bit, as the
-    plain tuple (ber, bei, ker, kei): a plan of one entry (:func:`_phases`),
-    for a caller that evaluates one order at many x.  As a batch of one it
-    costs 10% more per point than ``kelvin_all`` (33.1 against 30.0 ms over
-    1024 scattered points), which therefore composes its two runs itself."""
-    phases = _phases(((nu, False),), xs, starts)
-    return _values(*phases[0]) if phases else []
-
-
 def kelvin_all(nu: float, x: float) -> KelvinQuad:
     """All four Kelvin functions at (nu, x), x > 0; DomainError otherwise and
     at non-finite nu or x.  The values of ``_eval_ber_bei`` and
     ``_eval_ker_kei`` bit for bit, from their two kernel runs, less the
-    error estimates; a series error is raised before a K sum error."""
+    error estimates; a series error is raised before a K sum error.  It
+    composes the runs itself: as a plan of one entry
+    (``orderderiv._plan_rows``) it cost 10% more per point (33.1 against
+    30.0 ms over 1024 scattered points)."""
     if x <= 0.0:
         raise DomainError("kelvin_all requires x > 0 (ker/kei singular at 0)")
     _finite(nu, x)

@@ -5,7 +5,7 @@ always check the identical point set; nothing here is derived from runtime
 configuration.
 """
 
-# finite-difference concordance of the dispatcher, positive orders
+# finite-difference concordance of dkelvin, positive orders
 FD_NU = (0.1, 0.3, 0.75, 1.5, 2.4, 5.3)
 FD_X = (0.5, 1.0, 2.0, 5.0, 10.0)
 FD_SCALED_TOL = 1e-6          # |closed - fd| <= tol * (1 + |value|)

@@ -18,8 +18,9 @@ the last double before any other end):
 * the 1/sqrt(tau (t-tau)) convolution kernel uses tau = t sin^2(theta).
 
 An integrand of ber + i bei reads phi T from the ray kernel at each node,
-on one order set up per integral, with no checks or estimate (the
-'printed_s1' bracket, of two orders, reads ``kelvin._eval_ber_bei``).  The
+on one ``bessel._RayOrder`` per order and integral (two for the
+'printed_s1' bracket), with no checks or estimate; no integrand runs a
+plan (``orderderiv._plan_rows``), whose K sums it would not use.  The
 value representations are Bessel's integral (DLMF 10.9.6) for
 ber + i bei = e^(i pi nu) J_nu(e^(-i pi/4) x), one complex cos or exp per
 node, its Schlaefli tail cut where the integrand is below e^(-_CUT)
@@ -46,7 +47,7 @@ from . import bessel
 from .bessel import _RayOrder
 from .errors import ConvergenceError, DomainError, KelvinError
 from .hyper import EvalResult
-from .kelvin import _eval_ber_bei, _finite, kelvin_ber_bei
+from .kelvin import _finite, kelvin_ber_bei
 from .orderderiv import _bb_series
 from .scalars import EULER_GAMMA, PI, SQRT2, digamma_real, gamma_real
 
@@ -317,7 +318,8 @@ def apelblat_dber_dbei(nu: float, x: float,
     ber, bei = kelvin_ber_bei(nu, x)
     o = _RayOrder(nu - 1.0)  # the bracket's order, set up once for every node
     phase, ray = o.phase(), bessel._ray_sums
-    orders: dict = {}  # the set-ups of orders nu - 1 and nu of the mixed bracket
+    # the mixed bracket's second order, nu, for its bei, set up once likewise
+    o1 = _RayOrder(nu) if bracket == "printed_s1" else None
     g1 = gamma_real(nu + 1.0)
     # the first term of ber_{nu-1} + i bei_{nu-1} at y is lead * y^(nu-1) * turn;
     # the mixed bracket takes bei of order nu, whose first term needs no split
@@ -331,11 +333,9 @@ def apelblat_dber_dbei(nu: float, x: float,
         if y < 1e-8 and bracket != "printed_s1":
             r = 1j * turn * (0.5 * y) ** (nu + 1.0) / g1  # the second term, to eps
         else:
-            if bracket == "printed_s1":
-                b = complex(_eval_ber_bei(nu - 1.0, y, orders)[0],
-                            _eval_ber_bei(nu, y, orders)[1])
-            else:
-                b = phase * ray(o, y, False)[0]
+            b = phase * ray(o, y, False)[0]
+            if o1 is not None:
+                b = complex(b.real, (o1.phase() * ray(o1, y, False)[0]).imag)
             r = b - lead * y ** (nu - 1.0) * turn
         # u^((nu-1)/2) [gamma + log(1-u)] du at u = w^2
         return 2.0 * w ** nu * (EULER_GAMMA + math.log(1.0 - w) + math.log1p(w)) * r

@@ -1,8 +1,8 @@
 """Real-argument gamma and digamma kernels plus shared constants.
 
-Self-contained on purpose: the order-derivative closed forms dispatch on the
-order class *before* calling these, so poles raise :class:`PoleError` rather
-than returning infinities that would mask dispatch bugs.
+Self-contained on purpose: poles raise :class:`PoleError` rather than
+returning infinities, so that a caller evaluated at an order it does not
+hold (a closed form outside its order class) cannot go on with the value.
 
 Gamma is computed by argument reduction to a fixed kernel on [1, 2].  The
 reduction product is accumulated in double-double arithmetic (at x >= 1

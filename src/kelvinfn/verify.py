@@ -7,14 +7,15 @@ theorem5, appendix, brychkov, integer (plus 'all').  Series and integrals
 run at the one accuracy of ``hyper`` and ``quad``.
 
 fd, reflection, integer and the derivative rows of apelblat run their
-orders over their x grid as one plan per call (``orderderiv._plan_rows``
-on ``kelvin._phases``): every series run of the call, then every K sum.
-fd's plan holds each order with dK/dnu followed by its four stencil
-orders; integer's holds its derivative orders, then the values at 0..5
-that its finite sums read.  The value rows of apelblat and appendix, and
-the ODE stencils, which read the kernels directly, share one set-up per
-order.  A call of fd, reflection, integer, ode or apelblat sums each K
-start and each K request once (one dict of starts, ``bessel._k_sums``).
+orders over their x grid as one plan per call (``orderderiv._plan_rows``,
+the one front of plans, as for ``fd_oracle``): every series run of the
+call, then every K sum.  fd's plan holds each order with dK/dnu followed
+by its four stencil orders; integer's holds its derivative orders, then
+the values at 0..5 that its finite sums read.  The value rows of apelblat
+and appendix, and the ODE stencils, run the kernels at each point on one
+``bessel._RayOrder`` per order.  A call of fd, reflection, integer, ode or
+apelblat sums each K start and each K request once (one dict of starts,
+``bessel._k_sums``).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import math
 from . import bessel
 from . import manifest as M
 from .bessel import _RayOrder, _turn
-from .kelvin import ROT_K, _eval_ber_bei, _k_bound, _kelvin_rows
+from .kelvin import ROT_K, _k_bound
 from .orderderiv import _dkelvin_integer, _plan_rows, dkelvin_bb_brychkov, dkelvin_bb_pos
 from .quad import (IdentityReport, apelblat_ber_bei, apelblat_dber_dbei,
                    appendix_ber_bei, convolution_identity, indefinite_integral_check,
@@ -52,12 +53,11 @@ def _richardson(hi1, lo1, hi2, lo2) -> list[tuple[float, ...]]:
 def fd_oracle(nu: float, xs) -> list[tuple[float, ...]]:
     """Richardson-extrapolated finite-difference order derivatives, one
     4-tuple (dber, dbei, dker, dkei) per x of ``xs``."""
-    starts: dict = {}
-    return _richardson(*[_kelvin_rows(s, xs, starts) for s in _stencil(nu)])
+    return _richardson(*_plan_rows([(s, False) for s in _stencil(nu)], xs, {}))
 
 
 def suite_fd() -> list[IdentityReport]:
-    """Dispatcher vs finite differences, positive and reflected grids: one
+    """dkelvin vs finite differences, positive and reflected grids: one
     plan of each order with dK/dnu, followed by its four stencil orders."""
     orders = [sign * nu for sign in (1.0, -1.0) for nu in M.FD_NU]
     plan = [e for nu in orders for e in [(nu, True)] + [(s, False) for s in _stencil(nu)]]
@@ -106,12 +106,12 @@ def suite_apelblat() -> list[IdentityReport]:
     """Integral representations vs the series path, values and derivatives."""
     out = []
     for nu in M.APELBLAT_NU:
-        orders: dict = {}  # the set-up of order nu, shared by its rows
+        o = _RayOrder(nu)  # the set-up of order nu, shared by its rows
         for arg in M.APELBLAT_ARG:
             q = apelblat_ber_bei(nu, arg)
-            k = _eval_ber_bei(nu, arg, orders)
-            out.append(make_report("apelblat_ber", nu, arg, q[0], k[0], M.APELBLAT_TOL))
-            out.append(make_report("apelblat_bei", nu, arg, q[1], k[1], M.APELBLAT_TOL))
+            k = o.phase() * bessel._ray_sums(o, arg, False)[0]
+            out.append(make_report("apelblat_ber", nu, arg, q[0], k.real, M.APELBLAT_TOL))
+            out.append(make_report("apelblat_bei", nu, arg, q[1], k.imag, M.APELBLAT_TOL))
     # the integrals first, so that the plan's series runs precede its K sums
     quads = [[apelblat_dber_dbei(nu, x) for x in M.APELBLAT_D_X] for nu in M.APELBLAT_D_NU]
     plan = [(nu, True) for nu in M.APELBLAT_D_NU]
@@ -137,18 +137,18 @@ def suite_theorem5() -> list[IdentityReport]:
 def suite_appendix() -> list[IdentityReport]:
     """Quarter-period representations and the self-convolution identity."""
     out = []
-    orders: dict = {}  # the set-up of order 0, shared by its rows
+    o = _RayOrder(0.0)  # the set-up of order 0, shared by its rows
     for x in M.APPENDIX_X:
         s = appendix_ber_bei(x, "sin")
         c = appendix_ber_bei(x, "cos")
-        k = _eval_ber_bei(0.0, x, orders)
+        k = o.phase() * bessel._ray_sums(o, x, False)[0]
         out.append(make_report("appendix_variants_ber", 0.0, x, s[0], c[0],
                                M.APPENDIX_VARIANT_TOL))
         out.append(make_report("appendix_variants_bei", 0.0, x, s[1], c[1],
                                M.APPENDIX_VARIANT_TOL))
-        out.append(make_report("appendix_series_ber", 0.0, x, s[0], k[0],
+        out.append(make_report("appendix_series_ber", 0.0, x, s[0], k.real,
                                M.APPENDIX_SERIES_TOL))
-        out.append(make_report("appendix_series_bei", 0.0, x, s[1], k[1],
+        out.append(make_report("appendix_series_bei", 0.0, x, s[1], k.imag,
                                M.APPENDIX_SERIES_TOL))
     for a, b, t in M.CONVOLUTION_POINTS:
         out.append(convolution_identity(a, b, t, M.CONVOLUTION_TOL))

@@ -151,6 +151,15 @@ class TestTable:
         assert row[4] == "" and row[5] == "" and row[6] == ""
         assert row[10] == "undefined_at_x0"
 
+    def test_x_zero_rows_of_several_orders(self, capsys):
+        """At x = 0 alone each order's plan has an empty grid, and the orders
+        share a dict of K starts: one undefined_at_x0 row per order."""
+        code, out, _ = run_cli(capsys, "table", "--nu-range=-1:1:1", "--x", "0")
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [(r[0], r[1], r[10]) for r in rows] == [
+            (nu, "0", "undefined_at_x0") for nu in ("-1", "0", "1")]
+
     def test_invalid_range_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "table", "--nu-range", "1:0:0.5",
                                "--x-range", "1:2:1")

@@ -11,6 +11,7 @@ everywhere); one ``python -m kelvinfn`` subprocess covers the module entry.
 
 import cmath
 import contextlib
+import importlib
 import io
 import math
 import os
@@ -24,6 +25,7 @@ import kelvinfn
 from kelvinfn import cli
 from kelvinfn.errors import KelvinError
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CLI_SECONDS = 10.0  # the bound of each command
 EDGE_SECONDS = 1.0  # the bound of each call of the edge sweep
 
@@ -309,6 +311,60 @@ def test_edge_sweep_cli():
     print(f"{sum(codes.values())} commands in {time.perf_counter() - t:.2f} s, "
           f"exit codes {codes}")
     assert not bad, bad[:20]
+
+
+_MISSING = object()  # the value of an attribute a module does not hold
+
+
+def _kelvinfn_modules():
+    return {k: m for k, m in sys.modules.items()
+            if k == "kelvinfn" or k.startswith("kelvinfn.")}
+
+
+def test_tracer_binds_every_layer():
+    """The benchmark's tracer (perfbench/tracing.py, imported and not
+    changed) installs on a fresh import of kelvinfn: every name of its
+    LAYERS resolves at its home module and is wrapped there, and
+    ``uninstall`` puts every module attribute back.  A change that deletes
+    or renames a name the tracer looks up fails here, and not only in the
+    traced benchmark runs.  The modules imported before are restored."""
+    kept, had = _kelvinfn_modules(), {k: sys.modules.get(k) for k in ("tracing", "workloads")}
+    bytecode, tracer = sys.dont_write_bytecode, None
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    sys.dont_write_bytecode = True  # no __pycache__ under perfbench/
+    try:
+        for k in kept:
+            del sys.modules[k]
+        importlib.import_module("kelvinfn.cli")
+        tracing = importlib.import_module("tracing")
+        mods = _kelvinfn_modules()
+        before = {k: dict(vars(m)) for k, m in mods.items()}
+        suites = dict(mods["kelvinfn.verify"].SUITES)
+        tracer = tracing.Tracer()
+        tracer.install()
+        names = [(f"kelvinfn.{layer}", fn) for layer, fns in tracing.LAYERS.items() for fn in fns]
+        unwrapped = [f"{k}.{fn}" for k, fn in names if vars(mods[k])[fn] is before[k][fn]]
+        bindings = len(tracer._restore)
+        tracer.uninstall()
+        moved = [f"{k}.{a}" for k, m in mods.items() for a in set(vars(m)) | set(before[k])
+                 if vars(m).get(a, _MISSING) is not before[k].get(a, _MISSING)]
+        moved += ["verify.SUITES"] * (mods["kelvinfn.verify"].SUITES != suites)
+    finally:
+        if tracer is not None:
+            tracer.uninstall()
+        for k in _kelvinfn_modules():
+            del sys.modules[k]
+        sys.modules.update(kept)
+        for k, m in had.items():
+            if m is None:
+                sys.modules.pop(k, None)
+            else:
+                sys.modules[k] = m
+        sys.path.remove(os.path.join(ROOT, "perfbench"))
+        sys.dont_write_bytecode = bytecode
+    print(f"tracer: {len(names)} names of LAYERS, {len(unwrapped)} not wrapped, "
+          f"{bindings} bindings; after uninstall {len(moved)} attributes differ")
+    assert not unwrapped and not moved, (unwrapped, moved)
 
 
 def main():

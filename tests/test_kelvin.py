@@ -12,9 +12,8 @@ from kelvinfn.errors import (ConvergenceError, DomainError, GammaOverflowError, 
                              PowerOverflowError, SeriesOverflowError)
 from kelvinfn import hyper
 from kelvinfn.hyper import HyperSpec, pfq
-from kelvinfn.kelvin import (KelvinQuad, _kelvin_rows, _phases, kelvin_all, kelvin_ber_bei,
-                             kelvin_ker_kei)
-from kelvinfn.orderderiv import dkelvin
+from kelvinfn.kelvin import KelvinQuad, kelvin_all, kelvin_ber_bei, kelvin_ker_kei
+from kelvinfn.orderderiv import _plan_rows, dkelvin
 
 EULER_GAMMA = 0.5772156649015328606
 ROT_K = complex(math.sqrt(0.5), math.sqrt(0.5))
@@ -186,12 +185,12 @@ def test_kelvin_all_error_precedence(nu, x, error, prefix):
     ([1.0, math.inf], DomainError, "x=inf"),
 ])
 def test_kelvin_rows_first_failing_row(xs, error, at):
-    """A batch of values raises the error of its first failing row, in row
-    order: at x = 40 the K sum has no bound, though the series at 1040
-    overflows before the K sums run; x = -1 fails before x = 1; a
+    """A plan of values at one order raises the error of its first failing
+    row, in row order: at x = 40 the K sum has no bound, though the series
+    at 1040 overflows before the K sums run; x = -1 fails before x = 1; a
     non-finite x is refused."""
     with pytest.raises(error) as info:
-        _kelvin_rows(0.0, xs)
+        _plan_rows([(0.0, False)], xs, None)
     assert type(info.value) is error
     assert at in str(info.value)
 
@@ -207,9 +206,17 @@ def test_plan_first_failing_row(plan, error, at):
     before the series fault of a later one, though every series runs
     before any K sum; an earlier series fault before a later K fault."""
     with pytest.raises(error) as info:
-        _phases(plan, [40.0], {})
+        _plan_rows(plan, [40.0], {})
     assert type(info.value) is error
     assert at in str(info.value)
+
+
+def test_plan_of_an_empty_grid():
+    """An empty grid gives one empty list per entry, whatever the entries
+    (``cli._table_rows`` at x = 0 alone)."""
+    plan = [(0.5, True), (-1.0, False), (math.nan, True), (1e300, False)]
+    assert _plan_rows(plan, (), {}) == [[], [], [], []]
+    assert _plan_rows(plan, [], None) == [[], [], [], []]
 
 
 def test_dk_quadrature_below_the_envelope():

@@ -181,11 +181,11 @@ def test_k_estimates_cover_the_ray_rounding(nu, x):
     """The K sum is exact to its estimate at the double z = ROT_K x, which
     is up to 0.81 eps x off the ray; K ~ e^(-z) turns that into ~x eps of
     ker/kei.  The ker/kei estimate and dkelvin's K-side estimate (the last
-    entry of a ``_dkelvin_rows`` row) each cover the error against mpmath on
+    entry of a derivative row of ``_plan_rows``) each cover the error against mpmath on
     the exact ray and, where it is above 1e-15 of the pair, overstate it by
     at most 1e3."""
     ker, kei, est = _eval_ker_kei(nu, x)
-    d, = orderderiv._dkelvin_rows(nu, (x,))
+    (d,), = orderderiv._plan_rows([(nu, True)], (x,), None)
     for got, want, e in ((complex(ker, kei), kk_oracle(nu, x), est),
                          (complex(d[6], d[7]), oracle(nu, x)["dkk"], d[9])):
         err = abs(got - want)

@@ -1,7 +1,9 @@
-"""Order derivatives of the Kelvin functions: every order class, both
-evaluation families, and the dispatcher."""
+"""Order derivatives of the Kelvin functions: every order class, the
+paper's closed forms and reference forms, and ``dkelvin``, which takes one
+route at every order."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,7 +11,7 @@ import pytest
 from kelvinfn.bessel import (bessel_i, bessel_j, bessel_k, dj_dnu, dj_dnu_any, dk_dnu,
                              dk_dnu_any)
 from kelvinfn.errors import (DomainError, NegativeIntegerOrderError,
-                             OrderClassError)
+                             OrderClassError, SeriesOverflowError)
 from kelvinfn.kelvin import kelvin_all, kelvin_ber_bei, kelvin_ker_kei
 from kelvinfn.orderderiv import (coef_c, coef_d, dkelvin, dkelvin_bb_brychkov,
                                  dkelvin_bb_neg, dkelvin_bb_pos,
@@ -134,11 +136,23 @@ class TestIntegerOrder:
         with pytest.raises(NegativeIntegerOrderError):
             dkelvin_integer(-1.0, 1.0)
 
+    def test_overflow_raises_at_the_first_order_that_overflows(self):
+        """The values at 0..n are built one order at a time, so n = 1e17
+        raises where K_152 overflows, at once, and builds nothing for the
+        orders above."""
+        t = time.perf_counter()
+        with pytest.raises(SeriesOverflowError, match="K_152 overflows"):
+            dkelvin_integer(1e17, 1.0)
+        assert time.perf_counter() - t < 0.1
+
 
 @pytest.mark.parametrize("fn", [dkelvin, dkelvin_bb_pos, dkelvin_kk_pos, dkelvin_bb_neg,
                                 dkelvin_kk_neg, dkelvin_bb_brychkov, dkelvin_integer,
                                 bessel_j, bessel_i, bessel_k, dj_dnu, dk_dnu, dj_dnu_any,
-                                dk_dnu_any])
+                                dk_dnu_any,
+                                # at nu = inf d raised a bare OverflowError from its pFq
+                                pytest.param(lambda nu, x: coef_c(nu, x, 0), id="coef_c"),
+                                pytest.param(lambda nu, x: coef_d(nu, x, 0), id="coef_d")])
 @pytest.mark.parametrize("nu, x", [(math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0),
                                    (3, math.nan), (3, math.inf)])
 def test_non_finite_input_raises_domain_error(fn, nu, x):
@@ -147,6 +161,15 @@ def test_non_finite_input_raises_domain_error(fn, nu, x):
 
 
 class TestReferenceCoefficients:
+    @pytest.mark.parametrize("fn", [coef_c, coef_d])
+    @pytest.mark.parametrize("nu", [-9.5, -1.0, 0.0, 0.5, 3.0, 7.25, 1e300])
+    def test_overflowing_argument_is_typed(self, fn, nu):
+        """x^4 past the double range raises SeriesOverflowError (it was a
+        bare OverflowError)."""
+        for a in (0, 1):
+            with pytest.raises(SeriesOverflowError, match="x\\^4 overflows"):
+                fn(nu, 1e300, a)
+
     def test_unit_at_zero_argument(self):
         assert coef_c(0.5, 0.0, 0) == 1.0
         assert coef_c(0.5, 0.0, 1) == 1.0
@@ -207,6 +230,8 @@ class TestBrychkovReference:
 
 
 class TestDispatcher:
+    """dkelvin, one route at every order."""
+
     def test_method_tags(self):
         assert dkelvin(0.5, 1.0).method == "series"
         assert dkelvin(3.0, 2.0).method == "series"

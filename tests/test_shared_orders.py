@@ -16,9 +16,9 @@ from kelvinfn import manifest as M
 from kelvinfn.bessel import _k_sums, _RayOrder
 from kelvinfn.cli import _fmt, _table_rows
 from kelvinfn.errors import PowerOverflowError, SeriesOverflowError
-from kelvinfn.kelvin import (ROT_K, _eval_ber_bei, _eval_ker_kei, _kelvin_rows, _ray_rounding,
-                             kelvin_all, kelvin_ber_bei, kelvin_ker_kei)
-from kelvinfn.orderderiv import _bb_series, _dkelvin_rows, _plan_rows, dkelvin, dkelvin_integer
+from kelvinfn.kelvin import (ROT_K, _eval_ber_bei, _eval_ker_kei, _ray_rounding, kelvin_all,
+                             kelvin_ber_bei, kelvin_ker_kei)
+from kelvinfn.orderderiv import _bb_series, _plan_rows, dkelvin, dkelvin_integer
 from kelvinfn.quad import (_report, apelblat_ber_bei, apelblat_dber_dbei,
                            indefinite_integral_check, integrate_finite, make_report,
                            theorem5_identities)
@@ -37,6 +37,16 @@ def bits(*vals) -> tuple:
     return tuple(float(v).hex() for v in vals)
 
 
+def value_rows(nu, xs, starts=None) -> list:
+    """The rows of a plan of one entry, order nu with its values alone."""
+    return _plan_rows([(nu, False)], xs, starts)[0]
+
+
+def deriv_rows(nu, xs, starts=None) -> list:
+    """The rows of a plan of one entry, order nu with its order derivatives."""
+    return _plan_rows([(nu, True)], xs, starts)[0]
+
+
 def deriv_bits(d) -> tuple:
     return (bits(*(getattr(d, f) for f in _FIELDS)) + (d.method,)
             + bits(*(getattr(d.values, f) for f in _VALUES)))
@@ -52,7 +62,7 @@ def test_table_rows_equal_single_points(nu):
             d.values.ber, d.values.bei, d.values.ker, d.values.kei,
             d.dber, d.dbei, d.dker, d.dkei)] + [d.method]
         assert line.split(",") == want, x
-    for x, d, row in zip(WALK, points, _dkelvin_rows(nu, WALK), strict=True):
+    for x, d, row in zip(WALK, points, deriv_rows(nu, WALK), strict=True):
         want = bits(d.values.ber, d.values.bei, d.values.ker, d.values.kei,
                     d.dber, d.dbei, d.dker, d.dkei, d.err_estimate)
         *vals, est_j, est_k = row
@@ -70,15 +80,15 @@ BATCH_WALK = BATCH_XS + BATCH_XS[::-1]
 
 @pytest.mark.parametrize("nu", BATCH_ORDERS)
 def test_value_rows_equal_kelvin_all(nu):
-    for x, row in zip(BATCH_WALK, _kelvin_rows(nu, BATCH_WALK), strict=True):
+    for x, row in zip(BATCH_WALK, value_rows(nu, BATCH_WALK), strict=True):
         q = kelvin_all(nu, x)
         assert bits(*row) == bits(q.ber, q.bei, q.ker, q.kei), x
 
 
 def reference_rows(nu, xs, dk, starts):
     """The one-order batches as they were before plans: the order set up
-    once, every series run, then every K sum, and the rows of
-    ``_kelvin_rows`` (``dk`` false) or ``_dkelvin_rows`` built from them."""
+    once, every series run, then every K sum, and the value rows (``dk``
+    false) or the derivative rows of ``_plan_rows`` built from them."""
     o, turn = _RayOrder(nu), kelvinfn.bessel._turn(-0.5 * nu)
     runs = [kelvinfn.bessel._ray_sums(o, x, dk) for x in xs]
     ks = [_k_sums(abs(nu), ROT_K * x, dk, starts) for x in xs]
@@ -101,25 +111,25 @@ def reference_rows(nu, xs, dk, starts):
 
 @pytest.mark.parametrize("nu", BATCH_ORDERS[::3] + [-0.0])
 def test_one_order_fronts_keep_their_bits(nu):
-    """``_kelvin_rows`` and ``_dkelvin_rows``, plans of one entry, return
-    the one-order batches' rows bit for bit, with and without a dict of
-    starts."""
+    """Plans of one entry (``_plan_rows``), of values and of order
+    derivatives, return the one-order batches' rows bit for bit, with and
+    without a dict of starts."""
     for shared in (False, True):
         mine, theirs = ({}, {}) if shared else (None, None)
-        assert [bits(*r) for r in _kelvin_rows(nu, BATCH_WALK, mine)] == [
+        assert [bits(*r) for r in value_rows(nu, BATCH_WALK, mine)] == [
             bits(*r) for r in reference_rows(nu, BATCH_WALK, False, theirs)]
-        assert [bits(*r) for r in _dkelvin_rows(nu, BATCH_WALK, mine)] == [
+        assert [bits(*r) for r in deriv_rows(nu, BATCH_WALK, mine)] == [
             bits(*r) for r in reference_rows(nu, BATCH_WALK, True, theirs)]
 
 
 def test_plan_rows_equal_one_order_batches():
     """A plan of many entries returns, entry by entry, the rows of the
-    one-order fronts, bit for bit: the fd suite's plan over its grid."""
+    one-order batches, bit for bit: the fd suite's plan over its grid."""
     h1, h2 = M.FD_STEPS
     plan = [e for nu in ORDERS for e in ((nu, True), (nu + h1, False), (nu - h2, False))]
     starts: dict = {}
     for (nu, dk), rows in zip(plan, _plan_rows(plan, M.FD_X, starts), strict=True):
-        want = (_dkelvin_rows if dk else _kelvin_rows)(nu, M.FD_X)
+        want = reference_rows(nu, M.FD_X, dk, None)
         assert [bits(*r) for r in rows] == [bits(*r) for r in want], (nu, dk)
 
 
@@ -210,21 +220,22 @@ def test_suite_batches_equal_point_loops(suite, points):
 
 @pytest.mark.parametrize("nu", ORDERS)
 def test_integrand_ber_bei_equal_single_points(nu):
-    orders: dict = {}
+    """ber + i bei as the integrands read it, phi T from the ray kernel on
+    one set-up of the order walked over x, is ``kelvin_ber_bei`` bit for
+    bit."""
+    o = _RayOrder(nu)
     for x in WALK:
-        assert bits(*_eval_ber_bei(nu, x, orders)) == \
-            bits(*kelvin_ber_bei(nu, x), _eval_ber_bei(nu, x)[2]), x
+        bb = o.phase() * kelvinfn.bessel._ray_sums(o, x, False)[0]
+        assert bits(bb.real, bb.imag) == bits(*kelvin_ber_bei(nu, x)), x
 
 
 # the integrals as point-by-point node loops: ber + i bei from _eval_ber_bei
-# at each node, on one dict of orders per integral
+# at each node, the order set up afresh at each
 
 
 def theorem5_nodes(nu: float, x: float, tol: float) -> tuple:
-    orders: dict = {}
-
     def g(u):
-        ber, bei, _ = _eval_ber_bei(nu, x * u, orders)
+        ber, bei, _ = _eval_ber_bei(nu, x * u)
         return u ** (nu + 1.0) * (math.log(1.0 - u) + math.log1p(u)) * complex(ber, bei)
 
     res = integrate_finite(g, 0.0, 1.0)
@@ -241,9 +252,8 @@ def theorem5_nodes(nu: float, x: float, tol: float) -> tuple:
 
 
 def indefinite_nodes(nu: float, x: float, tol: float) -> tuple:
-    orders: dict = {}
     res = integrate_finite(lambda u: u ** (nu + 1.0) * complex(
-        *_eval_ber_bei(nu, u, orders)[:2]), 0.0, x)
+        *_eval_ber_bei(nu, u)[:2]), 0.0, x)
     ber1, bei1 = kelvin_ber_bei(nu + 1.0, x)
     pref = x ** (nu + 1.0) / SQRT2
     return (_report("indefinite_ber", nu, x, res.value.real, pref * (bei1 - ber1), tol,
@@ -254,7 +264,6 @@ def indefinite_nodes(nu: float, x: float, tol: float) -> tuple:
 
 def apelblat_d_nodes(nu: float, x: float, bracket: str) -> tuple:
     ber, bei = kelvin_ber_bei(nu, x)
-    orders: dict = {}
     g1 = gamma_real(nu + 1.0)
     lead = nu / g1 * 2.0 ** (1.0 - nu)
     th = 0.75 * PI * (nu - 1.0)
@@ -265,9 +274,9 @@ def apelblat_d_nodes(nu: float, x: float, bracket: str) -> tuple:
         if y < 1e-8 and bracket != "printed_s1":
             r = 1j * turn * (0.5 * y) ** (nu + 1.0) / g1
         else:
-            b, e, _ = _eval_ber_bei(nu - 1.0, y, orders)
+            b, e, _ = _eval_ber_bei(nu - 1.0, y)
             if bracket == "printed_s1":
-                e = _eval_ber_bei(nu, y, orders)[1]
+                e = _eval_ber_bei(nu, y)[1]
             r = complex(b, e) - lead * y ** (nu - 1.0) * turn
         return 2.0 * w ** nu * (EULER_GAMMA + math.log(1.0 - w) + math.log1p(w)) * r
 
@@ -404,10 +413,10 @@ def test_shared_k_starts_across_signed_orders():
     series, 3 on both, 3 on the sum)."""
     starts: dict = {}
     for nu in SIGNED_ORDERS:
-        for x, row in zip(K_XS, _kelvin_rows(nu, K_XS, starts), strict=True):
+        for x, row in zip(K_XS, value_rows(nu, K_XS, starts), strict=True):
             q = kelvin_all(nu, x)
             assert bits(*row) == bits(q.ber, q.bei, q.ker, q.kei), (nu, x)
-        for x, row in zip(K_XS, _dkelvin_rows(nu, K_XS, starts), strict=True):
+        for x, row in zip(K_XS, deriv_rows(nu, K_XS, starts), strict=True):
             d = dkelvin(nu, x)
             *vals, est_j, est_k = row
             assert bits(*vals, est_j + est_k) == bits(

@@ -25,8 +25,8 @@ from kelvinfn import manifest as M
 from kelvinfn.bessel import _ji, _RayOrder, dj_dnu, dk_dnu
 from kelvinfn.cli import main
 from kelvinfn.errors import ConvergenceError
-from kelvinfn.kelvin import ROT_J, ROT_K, _kelvin_rows, kelvin_all, kelvin_ker_kei
-from kelvinfn.orderderiv import dkelvin, dkelvin_bb_pos, dkelvin_kk_pos
+from kelvinfn.kelvin import ROT_J, ROT_K, kelvin_all, kelvin_ker_kei
+from kelvinfn.orderderiv import _plan_rows, dkelvin, dkelvin_bb_pos, dkelvin_kk_pos
 from kelvinfn.quad import apelblat_dber_dbei, theorem5_identities, theorem5_identity
 from kelvinfn.verify import run_suites
 
@@ -126,14 +126,14 @@ def test_value_batch_runs_in_phases(monkeypatch, nu):
     monkeypatch.setattr(kelvinfn.bessel, "_k_sums",
                         lambda m, z, dk, st: calls.append(("K", abs(z))) or ks(m, z, dk, st))
     xs = [1.0, 2.0, 3.0, 4.0]
-    assert len(_kelvin_rows(nu, xs)) == 4
+    assert len(_plan_rows([(nu, False)], xs, None)[0]) == 4
     assert calls == [("J", x) for x in xs] + [("K", pytest.approx(x)) for x in xs]
 
 
 @pytest.mark.parametrize("suite", ["fd", "reflection", "integer", "apelblat"])
 def test_suites_run_every_series_before_any_k_sum(monkeypatch, suite):
     """fd, reflection, integer and apelblat run their K sums as one plan
-    (``kelvin._phases``): every series run of the call, integrand nodes
+    (``orderderiv._plan_rows``): every series run of the call, integrand nodes
     included, comes before its first K sum."""
     calls = []
     ray, ks = kelvinfn.bessel._ray_sums, kelvinfn.bessel._k_sums
