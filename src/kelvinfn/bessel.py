@@ -9,12 +9,12 @@ z^nu = exp(nu log z), arg z in (-pi, pi].  Each quantity has one route:
   pass.  On the Kelvin rays the series is summed in real arithmetic
   (:func:`_ray_sums`), at a general complex z by its twin
   (:func:`_z_sums`).
-- K_nu and dK/dnu, even and odd in nu, at every order: a start near
-  mu = |nu| - floor(|nu|) chosen by |z| alone, Temme's series at |z| <= 1.2
-  (0.5 for dK/dnu) and above one trapezoidal sum over int_0^inf
-  cosh(mu t) e^(-z cosh t) dt on a contour bent towards steepest descent,
-  at every Re z >= 0, the imaginary axis included, then one climb by the
-  recurrence to |nu| (:func:`_k_sums`); past |z| = 30 the sum reports
+- K_nu and dK/dnu, even and odd in nu, at every order: one start record
+  near mu = |nu| - floor(|nu|) from a start chosen by |z| alone, Temme's
+  series at |z| <= 1.2 (0.5 for dK/dnu) and above one trapezoidal sum over
+  int_0^inf cosh(mu t) e^(-z cosh t) dt on a contour bent towards steepest
+  descent, at every Re z >= 0, the imaginary axis included, then one climb
+  to |nu| and one estimate (:func:`_k_sums`); past |z| = 30 the sum reports
   no_convergence.  At Re z < 0 K is refused (BranchError): the
   continuation there (DLMF 10.34.2) cancels, dK/dnu 2e-7 off at |z| = 20.
 
@@ -340,28 +340,92 @@ def _k_nodes(h: float, th: float, n: int) -> tuple:
 
 
 def _k_sums(nu: float, z: complex, dk: bool, starts: dict | None = None) -> tuple:
-    """K_nu(z) at nu >= 0, Re z >= 0, and with ``dk`` D_nu = dK/dnu: a start
-    chosen by |z| alone, Temme's series (:func:`_k_temme`) for K at |z| <=
-    ``TEMME_MAX_ARG`` and for D at |z| <= ``TEMME_DK_MAX_ARG``, above them
-    the trapezoidal sum below (which, between the two, gives only D), then
-    one climb.  The start depends on mu and z alone: one dict ``starts`` for
-    all the orders of a call shares it, bit for bit, between +-nu, nu + n
-    and the integers of one z, and a start with D serves K alone too.  The
-    dict also keeps each request's result, keyed (nu, z, "k"): a repeat
-    returns it without the climb and the estimate, a result with D serving
-    a request for K alone but not the reverse; a request that raises is not
-    kept.
+    """K_nu(z) at nu >= 0, Re z >= 0, and with ``dk`` D_nu = dK/dnu, climbed
+    (:func:`_k_from`) from the start record of Temme's series
+    (:func:`_k_temme`) for K at |z| <= ``TEMME_MAX_ARG`` and for D at |z| <=
+    ``TEMME_DK_MAX_ARG``, of the trapezoidal sum (:func:`_k_trapezoid`)
+    above.  One dict ``starts`` for all the orders of a call shares each
+    start, bit for bit, between +-nu, nu + n and the integers of one z, a
+    start with D serving K alone too.  It also keeps each request's result,
+    keyed (nu, z, "k"): a repeat returns it without the climb and the
+    estimate, a result with D serving a request for K alone but not the
+    reverse; a request that raises is not kept.
 
-    At mu = nu - floor(nu) in [0, 1), K_mu = int_0^inf f(t) dt with
-    f(t) = cosh(mu t) e^(-z cosh t) (DLMF 10.32.9), even in t.  The sum
-    takes it on the contour t(u) = u - i th tanh(u/2), th = ph z, which
-    leaves t = 0 towards the steepest descent from the saddle and ends on
-    Im t = -th, where z cosh t is real: g(u) = f(t(u)) t'(u) is even in u,
-    so one trapezoidal sum h (g(0)/2 + sum_k g(kh)) gives K_mu, its
-    z-derivative K'_mu (the weight -cosh t) and, with ``dk``, D_mu and D'_mu
-    (the same times t tanh(mu t)); :func:`_climb` takes them to nu.  Each
-    node takes e^(-z (cosh t - 1)) once, with t, cosh t - 1 and t' from a
-    table (:func:`_k_nodes`), and the sums take the factor e^(-z) once: the
+    Returns (K, D or None), tuples of :func:`_k_estimate`;
+    PowerOverflowError where (|z|/2)^(-nu) overflows, SeriesOverflowError
+    where K or D does, and past ``K_MAX_ARG``, where a climb would take
+    more than ``hyper.MAX_TERMS`` steps, ConvergenceError without the
+    climb, or zeros from a start that underflowed to zeros.
+    """
+    got = starts.get((nu, z, "k")) if starts else None
+    if got is not None and (got[1] is not None or not dk):  # a repeat
+        return got if dk or got[1] is None else (got[0], None)
+    sz = abs(z)
+    try:
+        (0.5 * sz) ** -nu
+    except (OverflowError, ZeroDivisionError):
+        raise PowerOverflowError(
+            f"(z/2)^{-nu:g} overflows double precision at |z| = {sz:g}") from None
+    if sz > TEMME_MAX_ARG:
+        res = _k_from("sum", nu, z, dk, starts)
+    elif dk and sz > TEMME_DK_MAX_ARG:
+        # two starts and climbs (Temme's D sums cancel here); the sum's K is not used
+        res = _k_from("temme", nu, z, False, starts)[0], _k_from("sum", nu, z, True, starts)[1]
+    else:
+        res = _k_from("temme", nu, z, dk, starts)
+    if starts is not None:
+        starts[nu, z, "k"] = res
+    return res
+
+
+def _k_from(route: str, nu: float, z: complex, dk: bool, starts: dict | None) -> tuple:
+    """(K_nu, D_nu or None) of :func:`_k_sums` from the start record of
+    ``route`` ("temme" at m = nu - floor(nu), or m - 1 where m > 1/2; "sum"
+    at nu - floor(nu)), read from or kept in ``starts`` under (start order,
+    z, route): one climb (:func:`_climb`) to nu and one estimate each side."""
+    n = int(nu)
+    mu = nu - n
+    if route == "temme" and mu > 0.5:
+        mu -= 1.0
+        n += 1
+    st = starts.get((mu, z, route)) if starts else None
+    if st is None or dk and st[1] is None:
+        st = (_k_temme if route == "temme" else _k_trapezoid)(mu, z, dk)
+        if starts is not None:
+            starts[mu, z, route] = st
+    ks, ds = st
+    k, k1 = ks[0], ks[1]
+    d, d1 = (ds[0], ds[1]) if dk else (None, None)
+    if n > hyper.MAX_TERMS and abs(z) > K_MAX_ARG:
+        # a start with no error bound is not climbed far: on the imaginary
+        # axis e^(-z) keeps modulus 1, and a climb below the order |z|/2
+        # neither overflows nor ends; where e^(-z) underflowed to 0 the
+        # start is zeros, and so is K at the order
+        if k or k1:
+            raise ConvergenceError(f"K_{nu:g} at |z| = {abs(z):g}: the sum has no error bound "
+                                   f"past |z| = {K_MAX_ARG:g}, and the climb is {n} steps")
+        n = 0
+    if n:
+        k, d = _climb(n, mu, 0.5 * z, k, k1, d, d1)
+    if not cmath.isfinite(k) or dk and not cmath.isfinite(d):
+        raise SeriesOverflowError(f"K_{nu:g} overflows double precision at |z| = {abs(z):g}")
+    k = _k_estimate(k, n, ks)
+    return k, _k_estimate(d, n, ds) if dk else None
+
+
+def _k_trapezoid(mu: float, z: complex, dk: bool) -> tuple:
+    """The start record of :func:`_k_sums` at mu in [0, 1), |z| >
+    ``TEMME_DK_MAX_ARG``, from one trapezoidal sum: K_mu = int_0^inf f(t) dt,
+    f(t) = cosh(mu t) e^(-z cosh t) (DLMF 10.32.9), even in t, on the contour
+    t(u) = u - i th tanh(u/2), th = ph z, which leaves t = 0 towards the
+    steepest descent from the saddle and ends on Im t = -th, where
+    z cosh t is real: g(u) = f(t(u)) t'(u) is even in u, so one trapezoidal
+    sum h (g(0)/2 + sum_k g(kh)) gives K_mu, its z-derivative K'_mu (the
+    weight -cosh t) and, with ``dk``, D_mu and D'_mu (the same times
+    t tanh(mu t)); K_(mu+1) = (mu/z) K_mu - K'_mu (DLMF 10.29.2) and
+    D_(mu+1) = K_mu/z + (mu/z) D_mu - D'_mu.  Each node takes
+    e^(-z (cosh t - 1)) once, with t, cosh t - 1 and t' from a table
+    (:func:`_k_nodes`), and the sums take the factor e^(-z) once: the
     exponent is small where the terms are large, so its rounding does not
     grow with |z|.  The primed sums carry -z (cosh t - 1), as K'_mu = -K_mu
     + the sum of the terms times (1 - cosh t).  g is analytic in
@@ -378,129 +442,75 @@ def _k_sums(nu: float, z: complex, dk: bool, starts: dict | None = None) -> tupl
     it: the same pass, and bits, with or without ``dk``; D goes on to its
     own rule.  The sums take at most ``hyper.MAX_TERMS`` nodes, none past
     |z| (cosh u - 1) = 80; a sum out of nodes, or past |z| = ``K_MAX_ARG``,
-    is unconverged.  Returns (K, D or
-    None), tuples of :func:`_k_estimate`; PowerOverflowError where
-    (|z|/2)^(-nu) overflows, SeriesOverflowError where K or D does, and
-    past ``K_MAX_ARG``, where a climb would take more than
-    ``hyper.MAX_TERMS`` steps, ConvergenceError without the climb, or zeros
-    from a start that underflowed to zeros.
-    """
-    got = starts.get((nu, z, "k")) if starts else None
-    if got is not None and (got[1] is not None or not dk):  # a repeat
-        return got if dk or got[1] is None else (got[0], None)
-    n = int(nu)
-    mu = nu - n
+    is unconverged.  r and c are those of :func:`_k_estimate`, c at n > 0
+    also that of the value at mu + 1."""
     sz = abs(z)
-    try:
-        (0.5 * sz) ** -nu
-    except (OverflowError, ZeroDivisionError):
-        raise PowerOverflowError(
-            f"(z/2)^{-nu:g} overflows double precision at |z| = {sz:g}") from None
-    k = None
-    if sz <= TEMME_MAX_ARG:
-        k, d = _k_temme(nu, z, dk and sz <= TEMME_DK_MAX_ARG, starts)
-        if d or not dk:
-            res = k, d
-            if starts is not None:
-                starts[nu, z, "k"] = res
-            return res
-    st = starts.get((mu, z, "sum")) if starts else None
-    if st is None or dk and st[9] is None:
-        th = math.atan2(z.imag, z.real)
-        for bound, h in _K_STEPS:  # past the last bound, its step
-            if sz <= bound:
-                break
-        if abs(th) > _RAY_PHASE:
-            h *= 0.7
-        # passes to |z| (cosh u - 1) = 80, where the terms are below e^(-80) of g(0)
-        top = min(int(math.acosh(1.0 + 80.0 / sz) / h) + 2, hyper.MAX_TERMS) // 2
-        nz, tol = -z, hyper.REL_TOL
-        exp, cosh, tanh = cmath.exp, cmath.cosh, cmath.tanh
-        w = complex(0.5, -0.25 * th)  # g(0)/2 / e^(-z), summed with the even nodes
-        so, se, s1, d1, do, de = 0j, w, 0j, 0j, 0j, 0j
-        mag, mag1, dmag, dmag1 = abs(w), 0.0, 0.0, 0.0
-        ks = None  # K's sums once it stops
-        # REL_TOL of the K, primed K, D and primed D sums, as last read
-        lim = lim1 = dlim = dlim1 = math.inf
-        # D sums while dsum; at mu = 0 its terms are exact zeros, so it is done at once
-        dsum, dconv, dn, kn = dk and mu > 0.0, dk, 0, 0
-        for t, cm, tp, am, t2, cm2, tp2, am2 in _k_nodes(h, th, top)[:top]:
-            kn += 2
-            y, y2 = nz * cm, nz * cm2
-            w, w2 = exp(y) * cosh(mu * t) * tp, exp(y2) * cosh(mu * t2) * tp2
-            so, se = so + w, se + w2
-            s1 += y * w + y2 * w2
-            m, m2 = abs(w), abs(w2)
-            mag += m + m2
-            mag1 += am * m + am2 * m2
-            if dsum:
-                # each D term is the K term times t tanh(mu t)
-                p, p2 = t * tanh(mu * t) * w, t2 * tanh(mu * t2) * w2
-                do, de = do + p, de + p2
-                d1 += y * p + y2 * p2
-                v, v2 = abs(p), abs(p2)
-                dmag += v + v2
-                dmag1 += am * v + am2 * v2
-            if ks is None and m2 <= m and (m2 <= lim or sz * am2 * m2 <= lim1):
-                lim, lim1 = tol * abs(so + se), tol * abs(s1)
-                if m2 <= lim and sz * am2 * m2 <= lim1:
-                    ks = (so, se, s1, mag, mag1, kn)
-                    if not dsum:
-                        break
-            if dsum and ks is not None and v2 <= v and (v2 <= dlim or sz * am2 * v2 <= dlim1):
-                dlim, dlim1 = tol * abs(do + de), tol * abs(d1)
-                if v2 <= dlim and sz * am2 * v2 <= dlim1:
-                    dsum, dn = False, kn
+    th = math.atan2(z.imag, z.real)
+    for bound, h in _K_STEPS:  # past the last bound, its step
+        if sz <= bound:
+            break
+    if abs(th) > _RAY_PHASE:
+        h *= 0.7
+    # passes to |z| (cosh u - 1) = 80, where the terms are below e^(-80) of g(0)
+    top = min(int(math.acosh(1.0 + 80.0 / sz) / h) + 2, hyper.MAX_TERMS) // 2
+    nz, tol = -z, hyper.REL_TOL
+    exp, cosh, tanh = cmath.exp, cmath.cosh, cmath.tanh
+    w = complex(0.5, -0.25 * th)  # g(0)/2 / e^(-z), summed with the even nodes
+    so, se, s1, d1, do, de = 0j, w, 0j, 0j, 0j, 0j
+    mag, mag1, dmag, dmag1 = abs(w), 0.0, 0.0, 0.0
+    ks = None  # K's sums once it stops
+    # REL_TOL of the K, primed K, D and primed D sums, as last read
+    lim = lim1 = dlim = dlim1 = math.inf
+    # D sums while dsum; at mu = 0 its terms are exact zeros, so it is done at once
+    dsum, dconv, dn, kn = dk and mu > 0.0, dk, 0, 0
+    for t, cm, tp, am, t2, cm2, tp2, am2 in _k_nodes(h, th, top)[:top]:
+        kn += 2
+        y, y2 = nz * cm, nz * cm2
+        w, w2 = exp(y) * cosh(mu * t) * tp, exp(y2) * cosh(mu * t2) * tp2
+        so, se = so + w, se + w2
+        s1 += y * w + y2 * w2
+        m, m2 = abs(w), abs(w2)
+        mag += m + m2
+        mag1 += am * m + am2 * m2
+        if dsum:
+            # each D term is the K term times t tanh(mu t)
+            p, p2 = t * tanh(mu * t) * w, t2 * tanh(mu * t2) * w2
+            do, de = do + p, de + p2
+            d1 += y * p + y2 * p2
+            v, v2 = abs(p), abs(p2)
+            dmag += v + v2
+            dmag1 += am * v + am2 * v2
+        if ks is None and m2 <= m and (m2 <= lim or sz * am2 * m2 <= lim1):
+            lim, lim1 = tol * abs(so + se), tol * abs(s1)
+            if m2 <= lim and sz * am2 * m2 <= lim1:
+                ks = (so, se, s1, mag, mag1, kn)
+                if not dsum:
                     break
-        if dsum:  # out of nodes
-            dconv, dn = False, kn
-        kconv = ks is not None and sz <= K_MAX_ARG
-        so, se, s1, kmag, kmag1, kn = ks or (so, se, s1, mag, mag1, kn)
-        # r, K_mu's relative gap T_h - T_2h, and c, the largest ratio of a start
-        # value's sum of |terms| to its size (the cancellation)
-        s = abs(so + se)
-        r, c = abs(so - se) / s, kmag / s
-        he = h * exp(nz)
-        kv = he * (so + se)
-        dv = dr = dc = None
-        if dk:
-            dv = he * (do + de)
-            s = abs(do + de) or 1.0  # 0 at mu = 0
-            dr, dc = max(r, abs(do - de) / s), max(c, dmag / s)
-        if starts is not None:
-            starts[mu, z, "sum"] = (he, kv, s1, r, c, kmag, kmag1, kn, kconv, dv, d1, dr, dc,
-                                    dmag, dmag1, dn, dconv)
-    else:  # summed before, with D where dk asks for it
-        he, kv, s1, r, c, kmag, kmag1, kn, kconv, dv, d1, dr, dc, dmag, dmag1, dn, dconv = st
-    d1v = None
-    if n > hyper.MAX_TERMS and sz > K_MAX_ARG:
-        # a start with no error bound is not climbed far: on the imaginary
-        # axis e^(-z) keeps modulus 1, and a climb below the order |z|/2
-        # neither overflows nor ends; where e^(-z) underflowed to 0 the
-        # start is zeros, and so is K at the order
-        if he:
-            raise ConvergenceError(f"K_{nu:g} at |z| = {sz:g}: the sum has no error bound "
-                                   f"past |z| = {K_MAX_ARG:g}, and the climb is {n} steps")
-        n = 0
-    if n:
-        # K_(mu+1) = (mu/z) K_mu - K'_mu (DLMF 10.29.2) and its order
-        # derivative D_(mu+1) = K_mu/z + (mu/z) D_mu - D'_mu
-        k1 = kv + (mu * kv - he * s1) / z
-        s = (kmag * (1.0 + mu / sz) + kmag1) * abs(he) / (abs(k1) or 1.0)
-        if s > c:
-            c = s
-        if dk:
-            d1v = dv + (kv + mu * dv - he * d1) / z
-            s = ((kmag + dmag * mu) / sz + dmag + dmag1) * abs(he) / (abs(d1v) or 1.0)
-            dc = max(dc, c, s)
-        kv, dv = _climb(n, mu, 0.5 * z, kv, k1, dv if dk else None, d1v)
-    if not cmath.isfinite(kv) or dk and not cmath.isfinite(dv):
-        raise SeriesOverflowError(f"K_{nu:g} overflows double precision at |z| = {sz:g}")
-    k = k or _k_estimate(kv, r ** 5, c, n, kn, kconv)
-    res = k, (_k_estimate(dv, dr ** 5, dc, n, dn or kn, dconv and kconv) if dk else None)
-    if starts is not None:
-        starts[nu, z, "k"] = res
-    return res
+        if dsum and ks is not None and v2 <= v and (v2 <= dlim or sz * am2 * v2 <= dlim1):
+            dlim, dlim1 = tol * abs(do + de), tol * abs(d1)
+            if v2 <= dlim and sz * am2 * v2 <= dlim1:
+                dsum, dn = False, kn
+                break
+    if dsum:  # out of nodes
+        dconv, dn = False, kn
+    kconv = ks is not None and sz <= K_MAX_ARG
+    so, se, s1, kmag, kmag1, kn = ks or (so, se, s1, mag, mag1, kn)
+    s = abs(so + se)
+    r, c = abs(so - se) / s, kmag / s
+    he = h * exp(nz)
+    kv = he * (so + se)
+    k1 = kv + (mu * kv - he * s1) / z
+    s = (kmag * (1.0 + mu / sz) + kmag1) * abs(he) / (abs(k1) or 1.0)
+    c1 = s if s > c else c
+    k = kv, k1, r ** 5, c, c1, kn, kconv
+    if not dk:
+        return k, None
+    dv = he * (do + de)
+    s = abs(do + de) or 1.0  # 0 at mu = 0
+    dr, dc = max(r, abs(do - de) / s), max(c, dmag / s)
+    d1v = dv + (kv + mu * dv - he * d1) / z
+    dc1 = max(dc, c1, ((kmag + dmag * mu) / sz + dmag + dmag1) * abs(he) / (abs(d1v) or 1.0))
+    return k, (dv, d1v, dr ** 5, dc, dc1, dn or kn, dconv and kconv)
 
 
 def _gamma12(m: float, dk: bool) -> tuple:
@@ -518,10 +528,9 @@ def _gamma12(m: float, dk: bool) -> tuple:
     return g1, g2, 2.0 * m * d1, 2.0 * m * d2
 
 
-def _k_temme(nu: float, z: complex, dk: bool, starts: dict | None) -> tuple:
-    """:func:`_k_sums` at |z| <= ``TEMME_MAX_ARG`` (with ``dk`` at |z| <=
-    ``TEMME_DK_MAX_ARG``): Temme's series (J. Comput. Phys. 19, 1975) at
-    m = nu - floor(nu), or m - 1 where m > 1/2,
+def _k_temme(m: float, z: complex, dk: bool) -> tuple:
+    """The start record of :func:`_k_sums` at |m| <= 1/2 and |z| <=
+    ``TEMME_MAX_ARG``, from Temme's series (J. Comput. Phys. 19, 1975)
 
         K_m = sum_k c_k f_k,   K_(m+1) = (2/z) sum_k c_k (p_k - k f_k),
         c_k = (z^2/4)^k / k!,  f_k = (k f_(k-1) + p_(k-1) + q_(k-1)) / (k^2 - m^2),
@@ -536,127 +545,113 @@ def _k_temme(nu: float, z: complex, dk: bool, starts: dict | None) -> tuple:
     carry the factor m, so D_0 = 0 exactly.  K stops once the terms of both
     its sums are below ``hyper.REL_TOL`` of them, each limit read again when
     a term passes it: the same term, and bits, with or without ``dk``; D goes
-    on to its own rule.  The estimate (:func:`_k_estimate`) takes as r the
-    first neglected term, bounded by the last times |z^2/4|/(k+1), plus
-    |s| eps (the rounding of s), and as c the sums of |terms| over the sums;
-    from ``starts`` where summed before, with D if asked (:func:`_k_sums`)."""
-    n = int(nu)
-    m = nu - n
-    if m > 0.5:
-        m -= 1.0
-        n += 1
+    on to its own rule.  r (:func:`_k_estimate`) is the first neglected
+    term, bounded by the last times |z^2/4|/(k+1), plus |s| eps (the
+    rounding of s), D's added to K's; c, at every n, the sums of |terms|
+    over the sums."""
     h = 0.5 * z
     if not h:
-        raise ConvergenceError(f"K_{nu:g} has no start at |z| = {abs(z):g}: z/2 underflows to 0")
-    st = starts.get((m, z, "temme")) if starts else None
-    if st is None or dk and st[2] is None:
-        s = m * m
-        g1, g2, dg1, dg2 = _gamma12(m, dk)
-        rp, rm = g2 - m * g1, g2 + m * g1  # 1/Gamma(1+m), 1/Gamma(1-m)
-        gg = 1.0 / (rp * rm)  # Gamma(1+m) Gamma(1-m)
-        a1, a2 = gg * g1, gg * g2
-        lg = -cmath.log(h)  # log(2/z)
-        sg = m * lg
-        ep, ch = cmath.exp(sg), cmath.cosh(sg)
-        sh = cmath.sinh(sg) / sg if sg else 1.0
-        lsh = lg * sh  # sinh(s) / m
-        b1, b2 = ch * a1, lsh * a2
-        f = b1 + b2
-        p, q, w = 0.5 * ep / rp, 0.5 / (ep * rm), h * h
-        ks, k1s, kmag, k1mag, ds, d1s = f, p, abs(b1) + abs(b2), abs(p), None, None
+        raise ConvergenceError(f"K_{m:g} has no start at |z| = {abs(z):g}: z/2 underflows to 0")
+    s = m * m
+    g1, g2, dg1, dg2 = _gamma12(m, dk)
+    rp, rm = g2 - m * g1, g2 + m * g1  # 1/Gamma(1+m), 1/Gamma(1-m)
+    gg = 1.0 / (rp * rm)  # Gamma(1+m) Gamma(1-m)
+    a1, a2 = gg * g1, gg * g2
+    lg = -cmath.log(h)  # log(2/z)
+    sg = m * lg
+    ep, ch = cmath.exp(sg), cmath.cosh(sg)
+    sh = cmath.sinh(sg) / sg if sg else 1.0
+    lsh = lg * sh  # sinh(s) / m
+    b1, b2 = ch * a1, lsh * a2
+    f = b1 + b2
+    p, q, w = 0.5 * ep / rp, 0.5 / (ep * rm), h * h
+    ks, k1s, kmag, k1mag = f, p, abs(b1) + abs(b2), abs(p)
+    if dk:
+        e, gg2 = g1 + m * dg1, gg * gg
+        da1 = gg * dg1 + 2.0 * g1 * gg2 * (m * g1 * e - g2 * dg2)
+        da2 = 2.0 * m * g1 * g2 * e * gg2 - 0.5 * dg2 * (1.0 / (rp * rp) + 1.0 / (rm * rm))
+        if abs(sg) <= 1.0:  # d(sinh(s)/s)/ds
+            t, s2 = 0.0, sg * sg
+            for a in _DSINHC:
+                t = t * s2 + a
+            dsh = sg * t
+        else:
+            dsh = (ch - sh) / sg
+        dch, dlsh = m * lg * lsh, lg * lg * dsh
+        # added left to right: from 3.12 on, sum() of floats is compensated
+        b = (dch * a1, ch * da1, dlsh * a2, lsh * da2)
+        df = b[0] + b[1] + b[2] + b[3]
+        du = dch * a2 + ch * da2 + m * (2.0 * lsh * a1 + m * (dlsh * a1 + lsh * da1))
+        v, dv = m * f, f + m * df  # p - q
+        dp = p * (lg - (dg2 - e) / rp)
+        ds, d1s, d1mag = df, dp, abs(dp)
+        dmag = abs(b[0]) + abs(b[1]) + abs(b[2]) + abs(b[3])
+    # from here on f, p, q (and their derivatives) carry the factor c_k
+    tol, lim, lim1, dlim, dlim1 = hyper.REL_TOL, math.inf, math.inf, math.inf, math.inf
+    kn, dn, r, dr = 0, 0, 0.0, 0.0
+    for k in range(1, hyper.MAX_TERMS):
+        a = w / k
+        den = k * k - s
+        pq = p + q
+        f = (k * f + pq) * a / den
+        p *= a / (k - m)
+        q *= a / (k + m)
         if dk:
-            e, gg2 = g1 + m * dg1, gg * gg
-            da1 = gg * dg1 + 2.0 * g1 * gg2 * (m * g1 * e - g2 * dg2)
-            da2 = 2.0 * m * g1 * g2 * e * gg2 - 0.5 * dg2 * (1.0 / (rp * rp) + 1.0 / (rm * rm))
-            if abs(sg) <= 1.0:  # d(sinh(s)/s)/ds
-                t, s2 = 0.0, sg * sg
-                for a in _DSINHC:
-                    t = t * s2 + a
-                dsh = sg * t
-            else:
-                dsh = (ch - sh) / sg
-            dch, dlsh = m * lg * lsh, lg * lg * dsh
-            b = (dch * a1, ch * da1, dlsh * a2, lsh * da2)
-            df = sum(b)
-            du = dch * a2 + ch * da2 + m * (2.0 * lsh * a1 + m * (dlsh * a1 + lsh * da1))
-            v, dv = m * f, f + m * df  # p - q
-            dp = p * (lg - (dg2 - e) / rp)
-            ds, d1s, dmag, d1mag = df, dp, sum(map(abs, b)), abs(dp)
-        # from here on f, p, q (and their derivatives) carry the factor c_k
-        tol, lim, lim1, dlim, dlim1 = hyper.REL_TOL, math.inf, math.inf, math.inf, math.inf
-        kn, dn, r, dr = 0, 0, 0.0, 0.0
-        for k in range(1, hyper.MAX_TERMS):
-            a = w / k
-            den = k * k - s
-            pq = p + q
-            f = (k * f + pq) * a / den
-            p *= a / (k - m)
-            q *= a / (k + m)
-            if dk:
-                df = ((k * df + du) * a + 2.0 * m * f) / den
-                dp = (a * dp + p) / (k - m)
-                vn = (k * v + m * pq) * a / den
-                du, dv = (((k * du + v + m * dv) * a + 2.0 * m * (p + q)) / den,
-                          ((k * dv + pq + m * du) * a + 2.0 * m * vn) / den)
-                v = vn
-                if not dn:
-                    t = dp - k * df
-                    ds, d1s = ds + df, d1s + t
-                    at, at1 = abs(df), abs(t)
-                    dmag, d1mag = dmag + at, d1mag + at1
+            df = ((k * df + du) * a + 2.0 * m * f) / den
+            dp = (a * dp + p) / (k - m)
+            vn = (k * v + m * pq) * a / den
+            du, dv = (((k * du + v + m * dv) * a + 2.0 * m * (p + q)) / den,
+                      ((k * dv + pq + m * du) * a + 2.0 * m * vn) / den)
+            v = vn
+            if not dn:
+                t = dp - k * df
+                ds, d1s = ds + df, d1s + t
+                at, at1 = abs(df), abs(t)
+                dmag, d1mag = dmag + at, d1mag + at1
+                if at <= dlim and at1 <= dlim1:
+                    dlim, dlim1 = tol * abs(ds), tol * abs(d1s)
                     if at <= dlim and at1 <= dlim1:
-                        dlim, dlim1 = tol * abs(ds), tol * abs(d1s)
-                        if at <= dlim and at1 <= dlim1:
-                            dr = max(at / (abs(ds) or 1.0), at1 / abs(d1s)) * abs(w) / (k + 1)
-                            dn = k + 1
-                            if kn:
-                                break
-            if not kn:
-                t = p - k * f
-                ks, k1s = ks + f, k1s + t
-                at, at1 = abs(f), abs(t)
-                kmag, k1mag = kmag + at, k1mag + at1
-                if at <= lim and at1 <= lim1:
-                    lim, lim1 = tol * abs(ks), tol * abs(k1s)
-                    if at <= lim and at1 <= lim1:
-                        kn, r = k + 1, max(at / abs(ks), at1 / abs(k1s)) * abs(w) / (k + 1)
-                        if dn or not dk:
+                        dr = max(at / (abs(ds) or 1.0), at1 / abs(d1s)) * abs(w) / (k + 1)
+                        dn = k + 1
+                        if kn:
                             break
-        r += abs(sg) * _EPS
-        c = max(kmag / abs(ks), k1mag / abs(k1s))
-        k1s /= h
-        if dk:
-            dc = max(c, dmag / (abs(ds) or 1.0), d1mag / abs(d1s))
-            d1s /= h
-        if starts is not None:
-            starts[m, z, "temme"] = ks, k1s, ds, d1s, r, c, dr, dc if dk else None, kn, dn
-    else:  # summed before, with D where dk asks for it
-        ks, k1s, ds, d1s, r, c, dr, dc, kn, dn = st
-    kv, dv = _climb(n, m, h, ks, k1s, ds if dk else None, d1s) if n else (ks, ds)
-    if not cmath.isfinite(kv) or dk and not cmath.isfinite(dv):
-        raise SeriesOverflowError(f"K_{nu:g} overflows double precision at |z| = {abs(z):g}")
-    k = _k_estimate(kv, r, c, n, kn or hyper.MAX_TERMS, kn > 0)
-    return k, (_k_estimate(dv, r + dr, dc, n, dn or hyper.MAX_TERMS, dn > 0 and kn > 0)
-               if dk else None)
+        if not kn:
+            t = p - k * f
+            ks, k1s = ks + f, k1s + t
+            at, at1 = abs(f), abs(t)
+            kmag, k1mag = kmag + at, k1mag + at1
+            if at <= lim and at1 <= lim1:
+                lim, lim1 = tol * abs(ks), tol * abs(k1s)
+                if at <= lim and at1 <= lim1:
+                    kn, r = k + 1, max(at / abs(ks), at1 / abs(k1s)) * abs(w) / (k + 1)
+                    if dn or not dk:
+                        break
+    r += abs(sg) * _EPS
+    c = max(kmag / abs(ks), k1mag / abs(k1s))
+    k = ks, k1s / h, r, c, c, kn or hyper.MAX_TERMS, kn > 0
+    if not dk:
+        return k, None
+    dc = max(c, dmag / (abs(ds) or 1.0), d1mag / abs(d1s))
+    return k, (ds, d1s / h, r + dr, dc, dc, dn or hyper.MAX_TERMS, dn > 0 and kn > 0)
 
 
-def _k_estimate(v: complex, r: float, c: float, n: int, nodes: int, conv: bool) -> tuple:
-    """The tuple (value, abs error estimate, nodes, converged, scale) of
-    :func:`_k_sums` for v, n steps of the recurrence above its start values,
-    which carries their relative errors: |v| (r + (``_K_FLOOR`` + n) eps c).
-    r is the start's relative truncation error: Temme's first neglected term
-    (:func:`_k_temme`), or the fifth power of the trapezoidal sum's largest
-    relative gap |T_h - T_2h|/|T_h|: halving the step raises the relative
-    error to a power, in 30-digit arithmetic at the steps of ``_K_STEPS``
-    2.2 to 2.8 at |z| <= 5, where the gap is below 2e-6 and its fifth power
-    far below the floor, and 3.7 to 6.5 at |z| = 10 to 30; against 40-digit
-    mpmath on the Kelvin ray the fourth power overstated the error of
-    dK/dnu by up to 9e3 at |z| = 30, the fifth by at most 18.  c is the
-    largest ratio of a start value's sum of |terms| to its size (the
-    cancellation); the scale is c |v|."""
-    size = abs(v)
-    return v, size * (r + (_K_FLOOR + n) * _EPS * c) if conv else math.inf, nodes, \
-        conv, c * size
+def _k_estimate(v: complex, n: int, side: tuple) -> tuple:
+    """(value, abs error estimate, nodes, converged, scale) of :func:`_k_sums`
+    for v, n steps of the climb above one side of a start record (value at
+    mu and at mu + 1, r, c, cn, nodes, converged): |v| (r + (``_K_FLOOR`` +
+    n) eps c), c at n = 0 and cn above.  r is the start's relative
+    truncation error: Temme's first neglected term, or the fifth power of
+    the trapezoidal sum's largest relative gap |T_h - T_2h|/|T_h|: halving
+    the step raises the relative error to a power, in 30-digit arithmetic
+    at the steps of ``_K_STEPS`` 2.2 to 2.8 at |z| <= 5, where the gap is
+    below 2e-6 and its fifth power far below the floor, and 3.7 to 6.5 at
+    |z| = 10 to 30; against 40-digit mpmath on the Kelvin ray the fourth
+    power overstated the error of dK/dnu by up to 9e3 at |z| = 30, the
+    fifth by at most 18.  c is the largest ratio of a start value's sum of
+    |terms| to its size (the cancellation); the scale is c |v|."""
+    _, _, r, c, cn, nodes, conv = side
+    size, c = abs(v), cn if n else c
+    return v, size * (r + (_K_FLOOR + n) * _EPS * c) if conv else math.inf, nodes, conv, c * size
 
 
 def _climb(n: int, mu: float, h: complex, k: complex, k1: complex, d: complex | None,

@@ -43,9 +43,10 @@ _HALF_SQRT2 = math.sqrt(0.5)
 # e^(-i pi/4) and e^(i pi/4); built componentwise so conjugation tests are exact
 ROT_J = complex(_HALF_SQRT2, -_HALF_SQRT2)
 ROT_K = complex(_HALF_SQRT2, _HALF_SQRT2)
-# the rounding floor of ber/bei per unit of the series' largest term; against
-# 40-digit mpmath on the grid of the tests 7.2e-16 is the least that covers
-# the true error (at nu = -3.3, x = 0.1)
+# the rounding floor of a ber/bei series and of its psi sum (``orderderiv``)
+# per unit of its largest term; against 40-digit mpmath on the grids of the
+# tests the least that covers the true error is 7.2e-16 for the values (at
+# nu = -3.3, x = 0.1), 6e-16 for the order derivatives (nu = 7.9999995, x = 8)
 _VALUE_FLOOR = 1e-15
 
 
@@ -71,7 +72,8 @@ def _k_bound(nu: float, x: float, k: tuple) -> None:
 def _eval_ber_bei(nu: float, x: float) -> tuple[float, float, float]:
     """(ber, bei, abs error estimate) from one kernel run at x > 0, and
     (ber, bei, 0) at x = 0; DomainError at x < 0, and at x = 0 where the
-    order is negative and not an integer."""
+    order is negative and not an integer; ConvergenceError where the
+    estimate exceeds |ber + i bei|, past x ~ 127: no digit is right."""
     _finite(nu, x)
     if x < 0.0:
         raise DomainError("Kelvin functions defined for x >= 0")
@@ -82,7 +84,11 @@ def _eval_ber_bei(nu: float, x: float) -> tuple[float, float, float]:
     o = _RayOrder(nu)
     s, err, _, _, max_term, _ = bessel._ray_sums(o, x, False)
     value = o.phase() * s
-    return value.real, value.imag, err + _VALUE_FLOOR * max_term
+    est = err + _VALUE_FLOOR * max_term
+    if est > abs(value):
+        raise ConvergenceError(f"ber/bei of order {nu:g} at x = {x:g}: the error estimate "
+                               f"{est:.3g} exceeds |ber + i bei| = {abs(value):.3g}")
+    return value.real, value.imag, est
 
 
 def _eval_ker_kei(nu: float, x: float) -> tuple[float, float, float]:
@@ -114,6 +120,8 @@ def kelvin_ber_bei(nu: float, x: float) -> tuple[float, float]:
     DomainError
         If nu or x is not finite, x < 0, or x = 0 at negative non-integer
         order, where (x/2)^nu is singular.
+    ConvergenceError
+        Past x ~ 127, where the series' error estimate exceeds the value.
     """
     return _eval_ber_bei(nu, x)[:2]
 

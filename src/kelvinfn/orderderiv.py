@@ -48,17 +48,13 @@ from . import bessel
 from .bessel import ORDER_EPS, _is_near_int, _RayOrder, _turn, dj_dnu, dk_dnu
 from .errors import DomainError, NegativeIntegerOrderError, OrderClassError, SeriesOverflowError
 from .hyper import HyperSpec, pfq
-from .kelvin import (ROT_J, ROT_K, KelvinQuad, _eval_ber_bei, _eval_ker_kei, _finite,
-                     _k_bound, _ray_rounding)
+from .kelvin import (_VALUE_FLOOR, ROT_J, ROT_K, KelvinQuad, _eval_ber_bei, _eval_ker_kei,
+                     _finite, _k_bound, _ray_rounding)
 from .scalars import PI, digamma_real, gamma_real
 
 # dkelvin_kk_pos refuses 2 nu this close to an integer, where the csc of its
 # closed form amplifies the cancellation of I_{-nu} against I_nu
 NEAR_EXCLUDED = 1e-6
-# dkelvin's rounding floor of a series per unit of its largest term; on the
-# mpmath grids of the tests 6e-16 is the least that covers the true error
-# (at nu = 7.9999995, x = 8), and 1e-15 is kelvin._VALUE_FLOOR's
-_SERIES_FLOOR = 1e-15
 
 
 @dataclass(frozen=True)
@@ -87,7 +83,7 @@ def dkelvin_bb_pos(nu: float, x: float) -> tuple[float, float]:
     _finite(nu, x)
     if x <= 0.0:
         raise DomainError("x must be positive")
-    if nu < 0.0 or abs(nu - round(nu)) <= ORDER_EPS:
+    if nu < 0.0 or _is_near_int(nu, ORDER_EPS):
         raise OrderClassError(f"integer or negative order {nu}: use dkelvin")
     ber, bei, _ = _eval_ber_bei(nu, x)
     e = _turn(nu) * dj_dnu(nu, ROT_J * x).value
@@ -216,7 +212,7 @@ def dkelvin_bb_brychkov(nu: float, x: float) -> tuple[float, float]:
     _finite(nu, x)
     if x <= 0.0:
         raise DomainError("x must be positive")
-    if nu <= 0.0 or abs(nu - round(nu)) <= ORDER_EPS:
+    if nu <= 0.0 or _is_near_int(nu, ORDER_EPS):
         raise OrderClassError("reference form needs non-integer nu > 0")
     ber, bei, _ = _eval_ber_bei(nu, x)
     ber_m, bei_m, _ = _eval_ber_bei(-nu, x)
@@ -332,10 +328,10 @@ def _bb_series(o: _RayOrder, run: tuple, x: float) -> tuple[complex, complex, fl
     from the run of ``bessel._ray_sums`` with psi sums, T and P, of the order
     ``o`` at x: ber + i bei = phi T and d(ber + i bei)/dnu =
     phi ((log(x/2) + 3i pi/4) T - P), phi = ``o.phase()``.  The estimate
-    adds to the run's estimates the floor of each series, ``_SERIES_FLOOR``
+    adds to the run's estimates the floor of each series, ``_VALUE_FLOOR``
     times its largest term, each scaled as in the derivative."""
     t, t_err, _, _, t_max, (p, p_err, p_max, _, _) = run
     lg = complex(math.log(0.5 * x), 0.75 * PI)
     phi = o.phase()
     return (phi * t, phi * (lg * t - p),
-            abs(lg) * (t_err + _SERIES_FLOOR * t_max) + p_err + _SERIES_FLOOR * p_max)
+            abs(lg) * (t_err + _VALUE_FLOOR * t_max) + p_err + _VALUE_FLOOR * p_max)

@@ -54,6 +54,8 @@ TYPED_ERRORS = [
     # K climbed past the double range where (|z|/2)^-nu cannot overflow
     ("eval kei --nu 1e8 --x 5", "eval: SeriesOverflowError: "),
     ("eval kei --nu 1e17 --x 5", "eval: SeriesOverflowError: "),
+    # ber past x ~ 127, where the series' estimate exceeds the value
+    ("eval ber --nu 0 --x 150", "eval: ConvergenceError: "),
     # K past the K sum's bound, whose start underflows to 0: ker has no bound
     ("eval ker --nu 1e7 --x 1e300", "eval: ConvergenceError: "),
     ("eval ker --nu 1e17 --x 1e300", "eval: ConvergenceError: "),

@@ -160,6 +160,16 @@ def test_negative_order_range_is_typed(call, error):
         call()
 
 
+def test_ber_bei_with_no_right_digit_raise():
+    """Past x ~ 127 the series' error estimate exceeds |ber + i bei|: at
+    order 0 and x = 150 the values were 268 times off 40-digit mpmath, so
+    kelvin_ber_bei refuses them; at x = 120 the estimate is 0.13 of it."""
+    with pytest.raises(ConvergenceError, match="exceeds"):
+        kelvin_ber_bei(0.0, 150.0)
+    ber, bei = kelvin_ber_bei(0.0, 120.0)
+    assert math.isfinite(ber) and math.isfinite(bei)
+
+
 @pytest.mark.parametrize("nu, x, error, prefix", [
     (0.0, 40.0, ConvergenceError, "the K sum at order 0 has no error bound"),
     (0.0, 5e-324, ConvergenceError, "K_0 has no start at |z| = "),
