@@ -211,3 +211,78 @@ class TestDigamma:
         # psi(-1/2) = 2 - gamma - 2 log 2 (recurrence down from psi(1/2))
         ref = 2.0 - EULER_GAMMA - 2.0 * math.log(2.0)
         assert digamma_real(-0.5) == pytest.approx(ref, abs=1e-14)
+
+
+def test_digamma_keeps_its_bits():
+    """digamma_real keeps the bits frozen in DIGAMMA_BITS: its recurrence to
+    x >= 10 with the rounding of every step carried, its asymptotic tail, and
+    the reflection of negative non-integers."""
+    for line in DIGAMMA_BITS.strip().splitlines():
+        x, bits = line.split()
+        assert digamma_real(float(x)).hex() == bits, x
+
+
+# x and psi(x) as float.hex, x from random.Random(32): 20 log-uniform on
+# [1e-300, 12], 20 uniform on [0, 12] and 20 uniform on [-20, 0]
+DIGAMMA_BITS = """
+2.04214837510424e-277 -0x1.1adeae5a48cb7p+919
+2.068083513692307e-236 -0x1.e6a5fc5891466p+782
+1.8434507838893868e-209 -0x1.51ed04e8dcdc7p+693
+1.0854219602890025e-29 -0x1.29b034f347c0ep+96
+2.578066160346807e-151 -0x1.2f5a542b79071p+500
+7.070357673859669e-84 -0x1.2a35556e9d250p+276
+1.5093239177728441e-270 -0x1.410e735b17139p+896
+1.6878804580683872e-147 -0x1.7b91964b2082bp+487
+6.787458198689954e-47 -0x1.4a5397bf19607p+153
+2.535061154572702e-143 -0x1.9e0f6ec6ee565p+473
+2.689861230076259e-16 -0x1.a6a6428b41fa6p+51
+3.1021458845686226e-35 -0x1.8d5617af350f9p+114
+4.881299587491901e-189 -0x1.78aaac00157dap+625
+1.6773917171850026e-300 -0x1.c7c8e50e536d7p+995
+2.484426087268136e-73 -0x1.2399279fd4dc8p+241
+1.1459890347544299e-262 -0x1.1bc4957d87a03p+870
+6.814089402009433e-298 -0x1.1f3a4ec15c530p+987
+9.857941735420668e-81 -0x1.b607f0f42f449p+265
+5.783165170070845e-47 -0x1.83b0bd33f7bb7p+153
+7.517571915905273e-49 -0x1.d201f68ef7049p+159
+11.441230946042051 0x1.324a15800f10ap+1
+2.4200429719320473 0x1.538b991eb23c4p-1
+0.9780091644099977 -0x1.3a5be0438c47bp-1
+1.4490007491551449 -0x1.92db64bcaa8d0p-7
+11.732948141586583 0x1.35a7b942b8061p+1
+1.3431047851749716 -0x1.f12da9f03eaebp-4
+1.9145091568401877 0x1.76e7aac9a8e62p-2
+0.24119509143130324 -0x1.189496594472ap+2
+0.591987036628276 -0x1.91f0c32ce45efp+0
+0.4591990609961254 -0x1.170c444f940bfp+1
+4.2363885843861135 0x1.5231838221cb7p+0
+1.959219884992105 0x1.95a648e2d0790p-2
+3.716096317329709 0x1.2c10d2889e8f0p+0
+11.145722463046862 0x1.2ec9880fce638p+1
+2.009786504624039 0x1.b75fe293f6307p-2
+9.772275639701661 0x1.1d1f2117779d1p+1
+8.86028912359074 0x1.0fe21aca3ea01p+1
+6.82226457380972 0x1.d8597b4240378p+0
+6.908339388583875 0x1.dbcde5f7bcc0ep+0
+9.241732659918847 0x1.1596670f00871p+1
+-11.741877688499166 -0x1.eb9a3704b3540p-2
+-4.585909439386377 0x1.84988d96a8f07p-1
+-6.589564096731211 0x1.0d2850e474272p+0
+-4.88026450022276 -0x1.9145ed24917fdp+2
+-8.012873655759114 0x1.3f1c79f27fceep+6
+-19.74523474116958 -0x1.4ef7f818ef980p-5
+-8.535038634633697 0x1.dab9dc6f5e683p+0
+-1.3928194036048036 0x1.bfb8305f16608p+0
+-9.534916283058653 0x1.f5e2574575310p+0
+-16.253753629347678 0x1.78c6bc570a6e6p+2
+-8.911012733415527 -0x1.166deee0097b5p+3
+-14.046029596236142 0x1.840432540d946p+4
+-1.8181036209096635 -0x1.02667023bdbc9p+2
+-1.2480832833488908 0x1.e0252c7f551f2p+1
+-13.23490817247263 0x1.84c8584e54108p+2
+-0.9653138446804976 -0x1.c50c9910cf28fp+4
+-6.040157995455355 0x1.aa5f82a2d57a7p+4
+-7.692455955733566 -0x1.11aa991639ee0p-4
+-3.870273320293909 -0x1.73323d78aba92p+2
+-0.7272946074169684 -0x1.3f0dbdab9b755p+1
+"""

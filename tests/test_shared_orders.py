@@ -18,7 +18,8 @@ from kelvinfn.cli import _fmt, _table_rows
 from kelvinfn.errors import PowerOverflowError, SeriesOverflowError
 from kelvinfn.kelvin import (ROT_K, _eval_ber_bei, _eval_ker_kei, _ray_rounding, kelvin_all,
                              kelvin_ber_bei, kelvin_ker_kei)
-from kelvinfn.orderderiv import _bb_series, _plan_rows, dkelvin, dkelvin_integer
+from kelvinfn.orderderiv import (_bb_series, _dkelvin_integer, _plan_rows, dkelvin,
+                                 dkelvin_integer)
 from kelvinfn.quad import (_report, apelblat_ber_bei, apelblat_dber_dbei,
                            indefinite_integral_check, integrate_finite, make_report,
                            theorem5_identities)
@@ -216,6 +217,29 @@ def test_suite_batches_equal_point_loops(suite, points):
     over its points returns."""
     want = [report_bits(r) for r in points()]
     assert [report_bits(r) for r in SUITES[suite]()] == want
+
+
+def integer_plan_points():
+    """The integer suite on its earlier plan: the derivative entries, then a
+    value entry at every order 0..5, whose rows feed the finite sums."""
+    out, top = [], max(M.INTEGER_N) + 1
+    plan = [(float(n), True) for n in M.INTEGER_N] + [(float(k), False) for k in range(top)]
+    batches = _plan_rows(plan, M.INTEGER_X, {})
+    rows, values = batches[:len(M.INTEGER_N)], batches[len(M.INTEGER_N):]
+    for n, batch in zip(M.INTEGER_N, rows, strict=True):
+        for i, (x, row) in enumerate(zip(M.INTEGER_X, batch, strict=True)):
+            sums = _dkelvin_integer(n, x, [v[i] for v in values[:n + 1]])
+            for name, g, o in zip(_COMPONENTS, _derivs(sums), row[4:8], strict=True):
+                tol = M.INTEGER_SCALED_TOL * (1.0 + abs(o))
+                out.append(make_report(f"integer_{name}", float(n), x, g, o, tol))
+    return out
+
+
+def test_integer_suite_equals_its_earlier_plan():
+    """The integer suite's rows equal, field for field, those of the plan
+    with a value entry at every order 0..5."""
+    want = [report_bits(r) for r in integer_plan_points()]
+    assert [report_bits(r) for r in SUITES["integer"]()] == want
 
 
 @pytest.mark.parametrize("nu", ORDERS)
