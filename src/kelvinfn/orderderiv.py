@@ -20,9 +20,9 @@ The paper's closed forms stay as oracles for the verify suites and tests:
 ``dkelvin_bb_pos`` (csc/2F3/3F4 dJ/dnu), ``dkelvin_kk_pos`` (closed-form
 dK/dnu), ``dkelvin_bb_brychkov`` (3F6/4F7) and ``dkelvin_integer`` (finite
 sums over lower-order Kelvin values, tag 'integer_sum').  The first two
-rotate ``bessel.dj_dnu`` and ``bessel.dk_dnu`` at the ray points, which
-read J and I there as at every complex z (``bessel._z_sums``), and take
-the Kelvin values from their own kernels.
+rotate ``bessel.dj_dnu`` and ``bessel.dk_dnu`` at the ray points (J and I
+by ``bessel._z_sums``), with the Kelvin values from their own kernels; the
+first three raise ConvergenceError where their estimate reaches |value|.
 
 ``dkelvin`` is two kernel calls: the series at nu with its psi sums, T and
 P (``bessel._ray_sums``), and the K start and climb at |nu| with dK/dnu
@@ -31,12 +31,11 @@ d(ber + i bei)/dnu = phi ((log(x/2) + 3i pi/4) T - P), as
 dT/dnu = log(x/2) T - P, and the K side turns by e^(-i pi nu/2).
 
 ``_plan_rows`` is the one way to run orders over an x grid: a *plan* of
-(order, dK/dnu wanted) entries, each entry's rows the values alone or the
-values with the order derivatives and their estimates.  ``dkelvin`` is a plan of one entry at one x; a table order,
-``eval`` and each verify suite call run one plan, and ``dkelvin_integer``
-one per order 0..n, each built when the finite sum reaches it.  The
-series side (``_bb_series``) also gives theorem 5 (``quad``) its ber/bei
-and dJ/dnu at nu + 1.
+(order, dK/dnu wanted) entries, each with rows of values, or of values,
+order derivatives and estimates.  ``dkelvin`` is a plan of one entry at
+one x; a table order, ``eval`` and each verify suite call run one plan,
+and ``dkelvin_integer`` one per order 0..n, built as its sum reaches it.
+``_bb_series`` also gives theorem 5 (``quad``) ber/bei and dJ/dnu at nu + 1.
 """
 
 from __future__ import annotations
@@ -45,11 +44,11 @@ import math
 from dataclasses import dataclass
 
 from . import bessel
-from .bessel import ORDER_EPS, _is_near_int, _RayOrder, _turn, dj_dnu, dk_dnu
+from .bessel import _EPS, ORDER_EPS, _is_near_int, _RayOrder, _turn, dj_dnu, dk_dnu
 from .errors import DomainError, NegativeIntegerOrderError, OrderClassError, SeriesOverflowError
-from .hyper import HyperSpec, pfq
+from .hyper import EvalResult, HyperSpec, pfq
 from .kelvin import (_VALUE_FLOOR, ROT_J, ROT_K, KelvinQuad, _eval_ber_bei, _eval_ker_kei,
-                     _finite, _k_bound, _ray_rounding)
+                     _finite, _k_bound, _ray_rounding, _some_digit)
 from .scalars import PI, digamma_real, gamma_real
 
 # dkelvin_kk_pos refuses 2 nu this close to an integer, where the csc of its
@@ -85,9 +84,10 @@ def dkelvin_bb_pos(nu: float, x: float) -> tuple[float, float]:
         raise DomainError("x must be positive")
     if nu < 0.0 or _is_near_int(nu, ORDER_EPS):
         raise OrderClassError(f"integer or negative order {nu}: use dkelvin")
-    ber, bei, _ = _eval_ber_bei(nu, x)
-    e = _turn(nu) * dj_dnu(nu, ROT_J * x).value
-    return e.real - PI * bei, e.imag + PI * ber
+    ber, bei, est = _eval_ber_bei(nu, x)
+    r = dj_dnu(nu, ROT_J * x)
+    e = _turn(nu) * r.value
+    return _some_digit(e.real - PI * bei, e.imag + PI * ber, r.abs_err_estimate + PI * est, nu, x)
 
 
 def dkelvin_kk_pos(nu: float, x: float) -> tuple[float, float]:
@@ -99,9 +99,11 @@ def dkelvin_kk_pos(nu: float, x: float) -> tuple[float, float]:
         raise DomainError("x must be positive")
     if nu < 0.0 or _is_near_int(2.0 * nu, NEAR_EXCLUDED):
         raise OrderClassError(f"order {nu} excluded for the K-side closed form")
-    ker, kei, _ = _eval_ker_kei(nu, x)
-    e = _turn(-0.5 * nu) * dk_dnu(nu, ROT_K * x).value
-    return e.real + PI / 2.0 * kei, e.imag - PI / 2.0 * ker
+    ker, kei, est = _eval_ker_kei(nu, x)
+    r = dk_dnu(nu, ROT_K * x)
+    e = _turn(-0.5 * nu) * r.value
+    return _some_digit(e.real + PI / 2.0 * kei, e.imag - PI / 2.0 * ker,
+                       r.abs_err_estimate + PI / 2.0 * est, nu, x)
 
 
 def dkelvin_bb_neg(nu: float, x: float) -> tuple[float, float]:
@@ -172,34 +174,34 @@ def _dkelvin_integer(n: int, x: float, quads: list) -> OrderDerivQuad:
     return OrderDerivQuad(dber, dbei, dker, dkei, float(n), x, "integer_sum", est, top)
 
 
-def _reference_pfq(nu: float, x: float, upper: tuple, lower: tuple) -> float:
-    """The real part of pFq(upper; lower; -x^4/16), the series of c and d;
-    DomainError at a non-finite nu or x, SeriesOverflowError where x^4
-    overflows."""
+def _reference_pfq(nu: float, x: float, a: int, d: bool) -> EvalResult:
+    """The series of d(nu, x, a) (4F7) if ``d``, else of c(nu, x, a) (3F6), at
+    -x^4/16; DomainError at a non-finite nu or x, SeriesOverflowError where
+    x^4 overflows."""
     _finite(nu, x)
     try:
         z = -x ** 4 / 16.0
     except OverflowError:
         raise SeriesOverflowError(f"x^4 overflows double precision at x = {x:g}") from None
-    return pfq(HyperSpec(upper, lower, z)).value.real
+    if d:
+        return pfq(HyperSpec(
+            ((a + 1.0) / 2.0, (a + 1.0) / 2.0, (2.0 * a + 3.0) / 4.0, (2.0 * a + 5.0) / 4.0),
+            (a + 0.5, (a + 3.0) / 2.0, (a + 3.0) / 2.0, (nu + a) / 2.0 + 1.0,
+             (nu + a + 3.0) / 2.0, (a - nu) / 2.0 + 1.0, (a - nu + 3.0) / 2.0), z))
+    return pfq(HyperSpec(
+        ((2.0 * nu + a + 1.0) / 4.0, (2.0 * nu + 3.0) / 4.0, (2.0 * nu + 5.0 * a) / 4.0),
+        (a + 0.5, (nu + a + 1.0) / 2.0, (nu + a) / 2.0 + 1.0, (nu + a) / 2.0 + 1.0,
+         nu + (a + 1.0) / 2.0, nu + 1.0 + a / 2.0), z))
 
 
 def coef_c(nu: float, x: float, a: int) -> float:
     """c(nu, x, a): the 3F6 factor of the reference ber/bei order derivatives."""
-    return _reference_pfq(
-        nu, x,
-        ((2.0 * nu + a + 1.0) / 4.0, (2.0 * nu + 3.0) / 4.0, (2.0 * nu + 5.0 * a) / 4.0),
-        (a + 0.5, (nu + a + 1.0) / 2.0, (nu + a) / 2.0 + 1.0, (nu + a) / 2.0 + 1.0,
-         nu + (a + 1.0) / 2.0, nu + 1.0 + a / 2.0))
+    return _reference_pfq(nu, x, a, False).value.real
 
 
 def coef_d(nu: float, x: float, a: int) -> float:
     """d(nu, x, a): the 4F7 factor of the reference ber/bei order derivatives."""
-    return _reference_pfq(
-        nu, x,
-        ((a + 1.0) / 2.0, (a + 1.0) / 2.0, (2.0 * a + 3.0) / 4.0, (2.0 * a + 5.0) / 4.0),
-        (a + 0.5, (a + 3.0) / 2.0, (a + 3.0) / 2.0, (nu + a) / 2.0 + 1.0,
-         (nu + a + 3.0) / 2.0, (a - nu) / 2.0 + 1.0, (a - nu + 3.0) / 2.0))
+    return _reference_pfq(nu, x, a, True).value.real
 
 
 def dkelvin_bb_brychkov(nu: float, x: float) -> tuple[float, float]:
@@ -207,7 +209,8 @@ def dkelvin_bb_brychkov(nu: float, x: float) -> tuple[float, float]:
 
     Kept as an independent evaluation path for differential testing against
     :func:`dkelvin_bb_pos`; it routes through negative-order Kelvin values
-    and the real 3F6/4F7 series instead of complex-argument 2F3/3F4.
+    and the real 3F6/4F7 series instead of complex-argument 2F3/3F4.  Its
+    estimate sums eps |weight| (largest series term) over its c and d terms.
     """
     _finite(nu, x)
     if x <= 0.0:
@@ -216,10 +219,8 @@ def dkelvin_bb_brychkov(nu: float, x: float) -> tuple[float, float]:
         raise OrderClassError("reference form needs non-integer nu > 0")
     ber, bei, _ = _eval_ber_bei(nu, x)
     ber_m, bei_m, _ = _eval_ber_bei(-nu, x)
-    c0 = coef_c(nu, x, 0)
-    c1 = coef_c(nu, x, 1)
-    d0 = coef_d(nu, x, 0)
-    d1 = coef_d(nu, x, 1)
+    series = [_reference_pfq(nu, x, a, d) for d in (False, True) for a in (0, 1)]
+    c0, c1, d0, d1 = (r.value.real for r in series)
     lg = math.log(x / 2.0) - digamma_real(nu) - 1.0 / (2.0 * nu)
     csc = 1.0 / math.sin(PI * nu)
     g1 = gamma_real(nu + 1.0)
@@ -238,7 +239,11 @@ def dkelvin_bb_brychkov(nu: float, x: float) -> tuple[float, float]:
             - p0 * (c32 * bei_m + s32 * ber_m) * c0
             - p1 * (c32 * ber_m - s32 * bei_m) * c1
             + q * (ber * d0 - r * bei * d1))
-    return dber, dbei
+    m = abs(c32 * bei_m + s32 * ber_m) + abs(c32 * ber_m - s32 * bei_m)
+    est = _EPS * (m * (abs(p0) * series[0].max_abs_term + abs(p1) * series[1].max_abs_term)
+                  + abs(q) * (abs(ber) + abs(bei))
+                  * (series[2].max_abs_term + abs(r) * series[3].max_abs_term))
+    return _some_digit(dber, dbei, est, nu, x)
 
 
 def dkelvin(nu: float, x: float) -> OrderDerivQuad:
@@ -267,9 +272,11 @@ def _plan_rows(plan, xs, starts: dict | None) -> list[list[tuple]]:
     is wanted) comes first, then every K sum at |nu| (``bessel._k_sums``,
     on the dict of K starts ``starts``, or none), each checked by
     ``kelvin._k_bound``, all in entry-then-x order: each kernel runs 6-10%
-    slower right after the other.  The error raised is a row-by-row pass's
-    first: a series fault is raised after the K sums of the rows before it.
-    An empty grid gives one empty list per entry.
+    slower right after the other.  The rows come in a pass after (built in
+    the K pass, they won 14 and 15 of 40 runs over the 81 table orders).
+    The error raised is a row-by-row pass's first: a series fault is raised
+    after the K sums of the rows before it.  An empty grid gives one empty
+    list per entry.
     """
     if not xs:
         return [[] for _ in plan]

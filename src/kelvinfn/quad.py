@@ -26,9 +26,10 @@ ber + i bei = e^(i pi nu) J_nu(e^(-i pi/4) x), one complex cos or exp per
 node, its Schlaefli tail cut where the integrand is below e^(-_CUT)
 (``_tail_cut``): no integral of the package runs on [0, inf).
 
-Each level walks in from a, then from b, with its bounds and constants in
-locals: on a cheap node (one complex cos) the walk's bookkeeping costs as
-much as the integrand, which binds its cmath and math functions once.
+Each level walks in from a, then from b, one loop over the ends with their
+stop points and constants in locals: on a cheap node (one complex cos) the
+walk's bookkeeping costs as much as the integrand, which binds its cmath and
+math functions once.
 
 Every identity check returns an :class:`IdentityReport` that serializes to
 one CSV row: name,nu,x,lhs,rhs,abs_diff,tol,pass.  A value-returning
@@ -157,50 +158,35 @@ def integrate_finite(f, a: float, b: float) -> EvalResult:
     if not a < c < b:  # the half-width rounds to 0, or the midpoint onto an end
         raise DomainError(f"integration interval [{a}, {b}] holds no double inside")
     evals = 1  # integrand calls, counted as they are made
-    eps, tol, nh = _EPS, TOL, -h
+    eps, tol, ends = _EPS, TOL, ((0, a, h), (1, b, -h))
     try:
         total = 0.5 * PI * f(c)
         mag = abs(total)  # sum |w f|
         rnd = mag * abs(c) / h  # sum |w f x / d|
-        lim_a = lim_b = _T_MAX + 1.0  # where the walks from a and from b stop
+        lims = [_T_MAX + 1.0] * 2  # where the walks from a and from b stop
         val = est = math.inf
         gap = 0.0
         for depth in range(MAX_DEPTH + 1):
             level = _level(depth)
-            for t, delta, w in level:
-                if t >= lim_a:
-                    break
-                d = h * delta
-                x = a + d
-                if x == a:
-                    lim_a = t
-                    break
-                evals += 1
-                v = w * f(x)
-                total += v
-                av = abs(v)
-                mag += av
-                rnd += abs(v * x / d)
-                if av <= eps * mag:
-                    lim_a = t
-                    break
-            for t, delta, w in level:
-                if t >= lim_b:
-                    break
-                d = nh * delta
-                x = b + d
-                if x == b:
-                    lim_b = t
-                    break
-                evals += 1
-                v = w * f(x)
-                total += v
-                av = abs(v)
-                mag += av
-                rnd += abs(v * x / d)
-                if av <= eps * mag:
-                    lim_b = t
-                    break
+            for i, end, s in ends:
+                lim = lims[i]
+                for t, delta, w in level:
+                    if t >= lim:
+                        break
+                    d = s * delta
+                    x = end + d
+                    if x == end:
+                        lims[i] = t
+                        break
+                    evals += 1
+                    v = w * f(x)
+                    total += v
+                    av = abs(v)
+                    mag += av
+                    rnd += abs(v * x / d)
+                    if av <= eps * mag:
+                        lims[i] = t
+                        break
             step = h * 2.0 ** -depth
             new = step * total
             if not math.isfinite(abs(new)):

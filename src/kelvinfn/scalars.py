@@ -4,11 +4,12 @@ Self-contained on purpose: poles raise :class:`PoleError` rather than
 returning infinities, so that a caller evaluated at an order it does not
 hold (a closed form outside its order class) cannot go on with the value.
 
-Gamma is computed by argument reduction to a fixed kernel on [1, 2].  The
-reduction product is accumulated in double-double arithmetic (at x >= 1
-inline, the split of :func:`_two_prod` in each step), which keeps the
-recurrence Gamma(x+1) = x*Gamma(x) tight to a couple of ulp: both sides reduce
-to the *same* kernel value and differ only in the (compensated) product path.
+Gamma is computed by argument reduction to a fixed kernel on [1, 2], its
+product in double-double arithmetic (at x >= 1 inline, :func:`_two_prod`'s
+split in each step; at x < 1 exact divisors by :func:`_two_sum`, which also
+carries each step's rounding in digamma's recurrence).  So Gamma(x+1) =
+x*Gamma(x) holds to a couple of ulp: both sides reduce to the *same* kernel
+value and differ only in the (compensated) product path.
 """
 
 from __future__ import annotations
@@ -208,17 +209,11 @@ def digamma_real(x: float) -> float:
         if math.isinf(psi):
             raise GammaOverflowError(f"digamma({x}) overflows double precision")
         return psi
-    # compensated accumulation of the recurrence terms -1/x
-    acc = 0.0
-    comp = 0.0
+    # the recurrence terms -1/x, with the rounding of each step carried
+    acc = comp = 0.0
     while x < 10.0:
-        term = -1.0 / x
-        t = acc + term
-        if abs(acc) >= abs(term):
-            comp += (acc - t) + term
-        else:
-            comp += (term - t) + acc
-        acc = t
+        acc, e = _two_sum(acc, -1.0 / x)
+        comp += e
         x += 1.0
     inv2 = 1.0 / (x * x)
     tail = 0.0

@@ -10,12 +10,12 @@ fd, reflection, integer and the derivative rows of apelblat run their
 orders over their x grid as one plan per call (``orderderiv._plan_rows``,
 the one front of plans, as for ``fd_oracle``): every series run of the
 call, then every K sum.  fd's plan holds each order with dK/dnu followed
-by its four stencil orders; integer's holds its derivative orders, then
-the values at 0..5 that its finite sums read.  The value rows of apelblat
-and appendix, and the ODE stencils, run the kernels at each point on one
-``bessel._RayOrder`` per order.  A call of fd, reflection, integer, ode or
-apelblat sums each K start and each K request once (one dict of starts,
-``bessel._k_sums``).
+by its four stencil orders; integer's each order 0..5 once, with dK/dnu
+at the orders of its finite sums, which read the values from every row.
+The value rows of apelblat and appendix, and the ODE stencils, run the
+kernels at each point on one ``bessel._RayOrder`` per order.  A call of fd,
+reflection, integer, ode or apelblat sums each K start and each K request
+once (one dict of starts, ``bessel._k_sums``).
 """
 
 from __future__ import annotations
@@ -74,15 +74,14 @@ def suite_fd() -> list[IdentityReport]:
 
 def suite_integer() -> list[IdentityReport]:
     """Integer-order finite sums vs ``dkelvin`` at the integer itself, where
-    its term-wise dJ/dnu and its dK/dnu quadrature are regular; the derivative
-    rows run first, so that their K results serve the value batches."""
-    out, top = [], max(M.INTEGER_N) + 1
-    plan = [(float(n), True) for n in M.INTEGER_N] + [(float(k), False) for k in range(top)]
-    batches = _plan_rows(plan, M.INTEGER_X, {})
-    rows, values = batches[:len(M.INTEGER_N)], batches[len(M.INTEGER_N):]
-    for n, batch in zip(M.INTEGER_N, rows, strict=True):
-        for i, (x, row) in enumerate(zip(M.INTEGER_X, batch, strict=True)):
-            sums = _dkelvin_integer(n, x, [v[i] for v in values[:n + 1]])
+    its term-wise dJ/dnu and its dK/dnu quadrature are regular.  One plan
+    runs each order 0..5, with dK/dnu at the orders n of the sums; the sums
+    read the values from the first four fields of every order's rows."""
+    out, ns = [], M.INTEGER_N
+    rows = _plan_rows([(float(k), k in ns) for k in range(max(ns) + 1)], M.INTEGER_X, {})
+    for n in ns:
+        for i, (x, row) in enumerate(zip(M.INTEGER_X, rows[n], strict=True)):
+            sums = _dkelvin_integer(n, x, [r[i][:4] for r in rows[:n + 1]])
             vals = (sums.dber, sums.dbei, sums.dker, sums.dkei)
             for name, g, o in zip(_COMPONENTS, vals, row[4:8], strict=True):
                 tol = M.INTEGER_SCALED_TOL * (1.0 + abs(o))

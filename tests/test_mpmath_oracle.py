@@ -46,7 +46,7 @@ from kelvinfn.bessel import (K_MAX_ARG, TEMME_DK_MAX_ARG, TEMME_MAX_ARG,  # noqa
 from kelvinfn.cli import main  # noqa: E402
 from kelvinfn.errors import BranchError, ConvergenceError  # noqa: E402
 from kelvinfn import manifest, orderderiv, quad  # noqa: E402
-from kelvinfn.kelvin import (ROT_K, _eval_ber_bei, _eval_ker_kei, kelvin_all,  # noqa: E402
+from kelvinfn.kelvin import (ROT_J, ROT_K, _eval_ber_bei, _eval_ker_kei, kelvin_all,  # noqa: E402
                              kelvin_ker_kei)
 from kelvinfn.orderderiv import dkelvin  # noqa: E402
 from kelvinfn.scalars import gamma_real  # noqa: E402
@@ -684,3 +684,22 @@ def test_theorem5_quadrature_estimate_calibrated(integrals):
         want = mp.quad(g, [0, 1])
     [res] = integrals
     check_quad_estimate(res, want)
+
+
+@pytest.mark.parametrize("nu", [0.3, 1.3, 2.7])
+def test_closed_form_estimates_cover_their_cancellation(nu):
+    """The estimates of the paper's closed forms for dJ/dnu and dK/dnu on
+    the Kelvin rays (``bessel.dj_dnu``, ``bessel.dk_dnu``) cover their error
+    against 40-digit mpmath from x = 5 to x = 30, where the cancellation of
+    their 2F3/3F4 series leaves no digit.  Without those series' rounding
+    floors they understated it from x = 15 on: at order 0.3 by 8 (dJ/dnu)
+    and 18 times (dK/dnu) at x = 20, and by up to 5.9e2 at x = 30."""
+    mp = mpmath.mp
+    for x in (5.0, 10.0, 15.0, 20.0, 25.0, 30.0):
+        for fn, name, z in ((bessel.dj_dnu, "besselj", ROT_J * x),
+                            (bessel.dk_dnu, "besselk", ROT_K * x)):
+            r = fn(nu, z)
+            with mp.workdps(40):
+                bf = getattr(mp, name)
+                want = complex(mp.diff(lambda n: bf(n, mp.mpc(z)), nu))
+            assert r.abs_err_estimate >= abs(r.value - want), (name, x)

@@ -10,7 +10,7 @@ import pytest
 
 from kelvinfn.bessel import (bessel_i, bessel_j, bessel_k, dj_dnu, dj_dnu_any, dk_dnu,
                              dk_dnu_any)
-from kelvinfn.errors import (DomainError, NegativeIntegerOrderError,
+from kelvinfn.errors import (ConvergenceError, DomainError, NegativeIntegerOrderError,
                              OrderClassError, SeriesOverflowError)
 from kelvinfn.kelvin import kelvin_all, kelvin_ber_bei, kelvin_ker_kei
 from kelvinfn.orderderiv import (coef_c, coef_d, dkelvin, dkelvin_bb_brychkov,
@@ -227,6 +227,32 @@ class TestBrychkovReference:
     def test_rejects_integer_order(self):
         with pytest.raises(OrderClassError):
             dkelvin_bb_brychkov(2.0, 1.0)
+
+
+class TestNoRightDigit:
+    """The paper's closed forms raise ConvergenceError where their error
+    estimate is not below |value|.  At order 0.3 they returned, with no flag,
+    dK/dnu 1.1e4 and 1.9e11 times its value off at x = 15 and 20, dJ/dnu
+    3e5 times off at x = 30, and Brychkov's form 23 and 4.3e5 times off at
+    x = 25 and 30."""
+
+    @pytest.mark.parametrize("fn, x", [(dkelvin_kk_pos, 15.0), (dkelvin_kk_pos, 20.0),
+                                       (dkelvin_bb_pos, 30.0), (dkelvin_bb_brychkov, 25.0),
+                                       (dkelvin_bb_brychkov, 30.0)])
+    def test_raises_where_no_digit_is_right(self, fn, x):
+        with pytest.raises(ConvergenceError, match="error estimate"):
+            fn(0.3, x)
+
+    @pytest.mark.parametrize("fn, x, rel", [(dkelvin_kk_pos, 10.0, 1e-4),
+                                            (dkelvin_bb_pos, 20.0, 1e-2),
+                                            (dkelvin_bb_brychkov, 20.0, 1e-2)])
+    def test_returns_where_digits_remain(self, fn, x, rel):
+        """Where a few digits are left the form still returns them (dkelvin
+        holds the envelope to ~2e-14)."""
+        d = dkelvin(0.3, x)
+        want = (d.dker, d.dkei) if fn is dkelvin_kk_pos else (d.dber, d.dbei)
+        got = fn(0.3, x)
+        assert math.hypot(got[0] - want[0], got[1] - want[1]) <= rel * math.hypot(*want)
 
 
 class TestDispatcher:

@@ -163,15 +163,17 @@ def setups(monkeypatch):
 # (suite, order set-ups, series runs, K requests); point by point the suites
 # set up 300, 48, 84, 57 and 11 orders for the same kernel runs.  integer
 # took 69 set-ups, 84 runs and 84 K requests with a batch of one per finite
-# sum's order and x
+# sum's order and x, and 11, 44 and 44 with a value entry at every order
+# 0..5 besides its derivative entries
 @pytest.mark.parametrize("suite, orders, runs, ks", [
-    ("fd", 60, 300, 300), ("reflection", 12, 48, 48), ("integer", 11, 44, 44),
+    ("fd", 60, 300, 300), ("reflection", 12, 48, 48), ("integer", 6, 24, 24),
     ("apelblat", 27, 421, 9), ("appendix", 7, 11, 0)])
 def test_suites_set_up_each_order_once(setups, series, ksums, suite, orders, runs, ks):
     """fd and reflection, and the derivative rows of integer and apelblat,
     run each order as one batch over its x grid, and integer's finite sums
-    read the values of one batch per order 0..5; the value rows of
-    apelblat and appendix share one set-up per order."""
+    read the values at 0..5 from its derivative rows at 0, 1, 2, 3 and 5
+    and from one value batch at 4; the value rows of apelblat and appendix
+    share one set-up per order."""
     run_suites(suite)
     assert (len(setups), len(series), len(ksums)) == (orders, runs, ks)
 
@@ -213,7 +215,7 @@ def _kept(dicts) -> list:
 # a fractional part takes two starts there: 6 more in fd (at the same order
 # but for 0.75, whose Temme start is at -0.25), 1 in integer and apelblat
 @pytest.mark.parametrize("suite, ks, starts, distinct", [
-    ("fd", 300, 156, 151), ("reflection", 48, 4, 4), ("integer", 44, 5, 4),
+    ("fd", 300, 156, 151), ("reflection", 48, 4, 4), ("integer", 24, 5, 4),
     ("ode", 60, 45, 45), ("apelblat", 9, 4, 3)])
 def test_suites_share_k_starts(ksums, kstarts, suite, ks, starts, distinct):
     """One dict of K starts per suite call: fd's -nu rows and finite
@@ -248,15 +250,17 @@ def _summed(results) -> int:
     return len({id(k) for k, _ in results})
 
 
-# (suite, K requests, K requests summed); one summed per request before
+# (suite, K requests, K requests summed); one summed per request before.
+# integer made 44 requests with a value entry at every order 0..5, 20 of
+# them repeats of its derivative entries' requests
 @pytest.mark.parametrize("suite, requests, summed", [
-    ("fd", 300, 150), ("reflection", 48, 24), ("integer", 44, 24), ("ode", 60, 60),
+    ("fd", 300, 150), ("reflection", 48, 24), ("integer", 24, 24), ("ode", 60, 60),
     ("apelblat", 9, 9)])
 def test_suites_answer_each_k_request_once(kresults, suite, requests, summed):
     """A K request repeated within one suite call (the same |nu| and x)
     returns the result of the first: fd's -nu rows and finite differences,
-    reflection's -n rows, and integer's values at the orders of its
-    derivative rows, whose dK/dnu results serve them."""
+    and reflection's -n rows.  integer repeats none: its derivative rows
+    give the values at their orders."""
     run_suites(suite)
     assert (len(kresults), _summed(kresults)) == (requests, summed)
 
