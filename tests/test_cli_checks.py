@@ -24,6 +24,9 @@ import time
 import kelvinfn
 from kelvinfn import cli
 from kelvinfn.errors import KelvinError
+from kelvinfn.hyper import EvalResult
+from kelvinfn.kelvin import KelvinQuad
+from kelvinfn.orderderiv import OrderDerivQuad
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CLI_SECONDS = 10.0  # the bound of each command
@@ -145,8 +148,9 @@ def run_cli(*argv, seconds=CLI_SECONDS):
 
 
 def _values(res):
-    """The numbers a result reports as values, its error estimates left out."""
-    if isinstance(res, (tuple, list)):
+    """The numbers a result reports as values, its error estimates left out;
+    a record (a tuple with ``_fields``) is read by its value fields."""
+    if isinstance(res, (tuple, list)) and not hasattr(res, "_fields"):
         return [v for r in res for v in _values(r)]
     if isinstance(res, (int, float, complex)):
         return [res]
@@ -293,6 +297,19 @@ def test_edge_sweep_library():
     print(f"{sum(map(len, EDGE_ARGS.values()))} calls of {len(EDGE_ARGS)} functions in "
           f"{time.perf_counter() - t:.2f} s: {seen}, {len(bad)} defects")
     assert not bad, bad[:20]
+
+
+def test_edge_sweep_reads_values_not_estimates():
+    """The sweep's reader keeps a record's values and leaves out its
+    estimates: a NaN value is reported, an infinite estimate is not."""
+    nan, inf = math.nan, math.inf
+    cases = [(EvalResult(1.0, inf, 1, False), True), (EvalResult(nan, 0.0, 1, True), False),
+             (OrderDerivQuad(1.0, 2.0, 3.0, 4.0, 0.5, 1.0, "series", inf,
+                             KelvinQuad(1.0, 2.0, 3.0, nan, 0.5, 1.0)), False),
+             ((1.0, EvalResult(2.0, inf, 1, False)), True)]
+    seen = [all(map(cmath.isfinite, _values(res))) for res, _ in cases]
+    print(f"finite values read: {seen}")
+    assert seen == [want for _, want in cases], seen
 
 
 def test_edge_sweep_cli():
