@@ -47,7 +47,6 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import replace
 from operator import mul
 
 from .errors import (ArgumentZeroError, BranchError, ConvergenceError, DomainError,
@@ -875,7 +874,7 @@ def bessel_k(nu: float, z: complex) -> EvalResult:
 def _floored(spec: HyperSpec) -> EvalResult:
     """pFq of ``spec``, its estimate raised by ``_JI_FLOOR`` times its largest term."""
     r = pfq(spec)
-    return replace(r, abs_err_estimate=r.abs_err_estimate + _JI_FLOOR * r.max_abs_term)
+    return r._replace(abs_err_estimate=r.abs_err_estimate + _JI_FLOOR * r.max_abs_term)
 
 
 def _f23(nu: float, w: complex) -> EvalResult:
@@ -997,4 +996,4 @@ def dk_dnu_any(nu: float, z: complex) -> EvalResult:
     run that gives K at |nu| (:func:`_k`), negated at nu < 0 (dK/dnu is odd
     in the order): exactly 0 at nu = 0, where the order weights vanish."""
     d = _k(nu, z, True)
-    return d if nu >= 0.0 else replace(d, value=-d.value)
+    return d if nu >= 0.0 else d._replace(value=-d.value)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DenominatorPoleError, SeriesOverflowError
 
@@ -26,8 +26,7 @@ REL_TOL = 1e-15
 MAX_TERMS = 500
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(NamedTuple):
     """Value plus error estimate and diagnostics of one evaluation.
 
     ``abs_err_estimate`` follows the series rule (10x the first neglected
@@ -47,20 +46,16 @@ class EvalResult:
     max_abs_term: float = 0.0
 
 
-@dataclass(frozen=True)
-class HyperSpec:
+class HyperSpec(NamedTuple("HyperSpec", [("upper", tuple), ("lower", tuple), ("z", complex)])):
     """Parameter set of a pFq evaluation: upper a_i, lower b_j, argument z."""
 
-    upper: tuple[float, ...]
-    lower: tuple[float, ...]
-    z: complex
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "upper", tuple(float(a) for a in self.upper))
-        object.__setattr__(self, "lower", tuple(float(b) for b in self.lower))
-        object.__setattr__(self, "z", complex(self.z))
+    def __new__(cls, upper, lower, z):
+        self = super().__new__(cls, tuple(map(float, upper)), tuple(map(float, lower)), complex(z))
         if len(self.upper) > len(self.lower):
             raise ValueError("series is not entire: need len(upper) <= len(lower)")
+        return self
 
 
 def sum_series(first_term: complex, ratio) -> EvalResult:

@@ -33,7 +33,7 @@ argument.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import bessel
 from .bessel import _EPS, _finite, _RayOrder, _turn
@@ -50,8 +50,7 @@ ROT_K = complex(_HALF_SQRT2, _HALF_SQRT2)
 _VALUE_FLOOR = 1e-15
 
 
-@dataclass(frozen=True)
-class KelvinQuad:
+class KelvinQuad(NamedTuple):
     """All four Kelvin function values at one (nu, x)."""
 
     ber: float

@@ -41,7 +41,7 @@ and ``dkelvin_integer`` one per order 0..n, built as its sum reaches it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import bessel
 from .bessel import _EPS, ORDER_EPS, _is_near_int, _RayOrder, _turn, dj_dnu, dk_dnu
@@ -56,8 +56,7 @@ from .scalars import PI, digamma_real, gamma_real
 NEAR_EXCLUDED = 1e-6
 
 
-@dataclass(frozen=True)
-class OrderDerivQuad:
+class OrderDerivQuad(NamedTuple):
     """The four order derivatives at one (nu, x), with provenance.
 
     ``method`` is 'series' from ``dkelvin`` and 'integer_sum' from
@@ -210,18 +209,22 @@ def dkelvin_bb_brychkov(nu: float, x: float) -> tuple[float, float]:
     Kept as an independent evaluation path for differential testing against
     :func:`dkelvin_bb_pos`; it routes through negative-order Kelvin values
     and the real 3F6/4F7 series instead of complex-argument 2F3/3F4.  Its
-    estimate sums eps |weight| (largest series term) over its c and d terms.
+    estimate sums eps |weight| (largest series term) over its c and d terms,
+    the errors of ber/bei at nu (estimate and rounding) times their weights,
+    with lg's terms, and those of the values at -nu plus the rounding of the
+    phases 3 pi nu/2 and pi nu (csc), Gamma and power factors times theirs.
     """
     _finite(nu, x)
     if x <= 0.0:
         raise DomainError("x must be positive")
     if nu <= 0.0 or _is_near_int(nu, ORDER_EPS):
         raise OrderClassError("reference form needs non-integer nu > 0")
-    ber, bei, _ = _eval_ber_bei(nu, x)
-    ber_m, bei_m, _ = _eval_ber_bei(-nu, x)
+    ber, bei, e = _eval_ber_bei(nu, x)
+    ber_m, bei_m, e_m = _eval_ber_bei(-nu, x)
     series = [_reference_pfq(nu, x, a, d) for d in (False, True) for a in (0, 1)]
     c0, c1, d0, d1 = (r.value.real for r in series)
-    lg = math.log(x / 2.0) - digamma_real(nu) - 1.0 / (2.0 * nu)
+    psi = digamma_real(nu)
+    lg = math.log(x / 2.0) - psi - 1.0 / (2.0 * nu)
     csc = 1.0 / math.sin(PI * nu)
     g1 = gamma_real(nu + 1.0)
     g2 = gamma_real(nu + 2.0)
@@ -240,9 +243,12 @@ def dkelvin_bb_brychkov(nu: float, x: float) -> tuple[float, float]:
             - p1 * (c32 * ber_m - s32 * bei_m) * c1
             + q * (ber * d0 - r * bei * d1))
     m = abs(c32 * bei_m + s32 * ber_m) + abs(c32 * ber_m - s32 * bei_m)
-    est = _EPS * (m * (abs(p0) * series[0].max_abs_term + abs(p1) * series[1].max_abs_term)
-                  + abs(q) * (abs(ber) + abs(bei))
-                  * (series[2].max_abs_term + abs(r) * series[3].max_abs_term))
+    b = abs(ber) + abs(bei)
+    w = abs(math.log(x / 2.0)) + abs(psi) + 0.5 / nu + 3.0 + abs(q) * (abs(d0) + abs(r * d1))
+    est = (_EPS * (m * (abs(p0) * series[0].max_abs_term + abs(p1) * series[1].max_abs_term)
+                   + abs(q) * b * (series[2].max_abs_term + abs(r) * series[3].max_abs_term))
+           + w * (e + 4.0 * _EPS * b) + (abs(p0 * c0) + abs(p1 * c1))
+           * (e_m + _EPS * m * (8.0 + nu * (5.0 + 3.2 * abs(csc * math.cos(PI * nu))))))
     return _some_digit(dber, dbei, est, nu, x)
 
 

@@ -42,7 +42,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import bessel
 from .bessel import _RayOrder
@@ -59,8 +59,7 @@ _EPS = 2.0 ** -52
 _CUT = 40.0  # the Schlaefli tail stops where its integrand is below e^(-_CUT)
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """Outcome of one identity check; ``passed`` iff abs_diff <= tol.
 
     abs_diff is inf when the integral behind a side missed its error

@@ -273,6 +273,19 @@ def test_module_entry():
         (proc.returncode, proc.stderr)
 
 
+def test_cold_import_defines_no_dataclass():
+    """A fresh ``import kelvinfn.cli`` loads neither dataclasses nor inspect:
+    the result records are NamedTuples, which cost a tenth of a frozen
+    dataclass to define at import."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kelvinfn.__file__)))
+    code = ("import kelvinfn.cli, sys; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          timeout=CLI_SECONDS, env=dict(os.environ, PYTHONPATH=src))
+    print(f"modules loaded by a cold import of kelvinfn.cli: {proc.stdout.strip()}")
+    assert proc.returncode == 0 and proc.stdout.strip() == "[]", (proc.stdout, proc.stderr)
+
+
 def test_edge_sweep_library():
     """Every public function of kelvinfn.__all__ at the edge points returns
     finite values or raises a KelvinError, each call within EDGE_SECONDS."""

@@ -1,9 +1,10 @@
 """The contract of the result records: ``EvalResult``, ``HyperSpec``,
 ``KelvinQuad``, ``OrderDerivQuad`` and ``IdentityReport``.
 
-A record is read by attribute, in the field order below; assignment raises
-AttributeError.  Positional unpacking is not part of the contract, because
-later fields may be appended.
+Each record is a ``typing.NamedTuple``: it is read by attribute, in the field
+order below, and through ``_replace``, ``_asdict`` and ``_fields``;
+assignment raises AttributeError.  Positional unpacking is not part of the
+contract, because later fields may be appended.
 """
 
 import inspect
@@ -40,7 +41,8 @@ def _records():
     ]
 
 
-@pytest.mark.parametrize("rec, want", _records(), ids=lambda r: type(r).__name__)
+@pytest.mark.parametrize("rec, want", [pytest.param(r, w, id=type(r).__name__)
+                                       for r, w in _records()])
 def test_fields_in_order_read_by_attribute_and_frozen(rec, want):
     fields = FIELDS[type(rec)]
     assert tuple(inspect.signature(type(rec)).parameters) == fields
@@ -48,6 +50,10 @@ def test_fields_in_order_read_by_attribute_and_frozen(rec, want):
     for f in fields:
         with pytest.raises(AttributeError):
             setattr(rec, f, None)
+    assert rec._fields == fields and tuple(rec._asdict().values()) == want
+    changed = rec._replace(**{fields[0]: "new"})
+    assert type(changed) is type(rec) and getattr(changed, fields[0]) == "new"
+    assert tuple(getattr(changed, f) for f in fields[1:]) == want[1:]
 
 
 @pytest.mark.parametrize("nu, x", [(0.5, 1.0), (-2.3, 0.1), (3.0, 8.0), (7.3, 20.0)])
