@@ -50,6 +50,7 @@ class HyperSpec(NamedTuple("HyperSpec", [("upper", tuple), ("lower", tuple), ("z
     """Parameter set of a pFq evaluation: upper a_i, lower b_j, argument z."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace converts and checks
 
     def __new__(cls, upper, lower, z):
         self = super().__new__(cls, tuple(map(float, upper)), tuple(map(float, lower)), complex(z))

@@ -209,10 +209,10 @@ def dkelvin_bb_brychkov(nu: float, x: float) -> tuple[float, float]:
     Kept as an independent evaluation path for differential testing against
     :func:`dkelvin_bb_pos`; it routes through negative-order Kelvin values
     and the real 3F6/4F7 series instead of complex-argument 2F3/3F4.  Its
-    estimate sums eps |weight| (largest series term) over its c and d terms,
-    the errors of ber/bei at nu (estimate and rounding) times their weights,
-    with lg's terms, and those of the values at -nu plus the rounding of the
-    phases 3 pi nu/2 and pi nu (csc), Gamma and power factors times theirs.
+    estimate adds to eps |weight| (largest series term) over the c and d
+    terms the error of ber/bei (estimate plus 4 ulp) times their weights,
+    and over the p terms that of the values at -nu plus the rounding of the
+    phases 3 pi nu/2 and pi nu (csc) and of the Gamma and power factors.
     """
     _finite(nu, x)
     if x <= 0.0:

@@ -51,8 +51,9 @@ def test_fields_in_order_read_by_attribute_and_frozen(rec, want):
         with pytest.raises(AttributeError):
             setattr(rec, f, None)
     assert rec._fields == fields and tuple(rec._asdict().values()) == want
-    changed = rec._replace(**{fields[0]: "new"})
-    assert type(changed) is type(rec) and getattr(changed, fields[0]) == "new"
+    new = (2.0,) if type(rec) is HyperSpec else "new"  # HyperSpec converts to floats
+    changed = rec._replace(**{fields[0]: new})
+    assert type(changed) is type(rec) and getattr(changed, fields[0]) == new
     assert tuple(getattr(changed, f) for f in fields[1:]) == want[1:]
 
 
@@ -67,6 +68,10 @@ def test_hyperspec_converts_and_checks_its_parameters():
     assert all(type(v) is float for v in s.upper + s.lower) and type(s.z) is complex
     with pytest.raises(ValueError, match="not entire"):
         HyperSpec((1.0, 2.0), (3.0,), 0.5)
+    assert s._replace(upper=[1]) == ((1.0,), (3.0, 4.5), 2 + 0j)
+    assert type(s._replace(z=3).z) is complex
+    with pytest.raises(ValueError, match="not entire"):
+        s._replace(upper=(1, 2, 3))
 
 
 def test_repr_is_frozen():
