@@ -25,11 +25,11 @@ argument; the K starts read fixed tables (on the Kelvin ray the contour's
 nodes per step, Gamma_1 and Gamma_2), which depend on neither.
 The Kelvin values and order derivatives call the ray kernels directly, once
 each per (nu, x); a caller that evaluates one order at many x sets it up
-once: orders over an x grid (a table order, ``eval``, a verify suite call)
-run as one plan (``orderderiv._plan_rows``), and integrand nodes, stencils
+once: orders over an x grid (a table, ``eval``, a verify suite call) run
+as one plan (``orderderiv._plan_rows``), and integrand nodes, stencils
 and the value rows of a suite run the kernels on one set-up per integral
-or order; a table and a verify suite keep one dict of K starts, one per
-(mu, z), which also answers a repeated K request.  One psi run gives a
+or order; a plan of several orders and the ODE suite keep one dict of K
+starts, one per (mu, z), which also answers a repeated K request.  One psi run gives a
 function and its order derivative together, and nothing but the node
 tables outlives the top-level call.
 

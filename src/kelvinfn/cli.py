@@ -6,12 +6,16 @@ eval    one function at one (nu, x); prints value, error estimate, method
 table   CSV sweep over nu/x ranges with all four values and derivatives
 verify  run identity suites, emit the report CSV, exit 1 on any failure
 
-``eval`` of an order derivative, and each order of a table over its x
-other than 0, is one plan of one entry (``orderderiv._plan_rows``); the
-orders of a table share one dict of K starts (``bessel._k_sums``).  CSV
-output uses 17 significant digits, '\n' line endings and no quoting, so two
-runs with identical flags are byte-identical.  Every value is computed to full
-double precision; no flag or environment variable changes that.
+``eval`` of an order derivative is one plan of one entry, and a table over
+its x other than 0 one plan of all its orders (``orderderiv._plan_rows``),
+which owns the dict of K starts they share (``bessel._k_sums``).  A table's
+``--nu`` and ``--x`` are second spellings of ``--nu-range`` and
+``--x-range``, each an 'a:b:step' range or one number.  CSV output uses 17
+significant digits, '\n' line endings and no quoting, so two runs with
+identical flags are byte-identical.  Every value is computed to full double
+precision, and ``verify`` checks at the manifest tolerances; no flag or
+environment variable changes that.  A command exits 2 with its error named,
+an unwritable ``--out`` included.
 """
 
 from __future__ import annotations
@@ -45,11 +49,12 @@ def _parse_range(spec: str, what: str) -> list[float]:
     """Parse 'a:b:step' (inclusive grid of at most ``MAX_RANGE_POINTS``) or
     a single number."""
     parts = spec.split(":")
-    if len(parts) == 1:
-        return [float(parts[0])]
-    if len(parts) != 3:
-        raise ValueError(f"{what}: expected 'a:b:step', got {spec!r}")
-    a, b, step = (float(p) for p in parts)
+    try:
+        if len(parts) == 1:
+            return [float(spec)]
+        a, b, step = map(float, parts)
+    except ValueError:  # not a number, or not three
+        raise ValueError(f"{what}: expected a number or 'a:b:step', got {spec!r}") from None
     if not all(map(math.isfinite, (a, b, step))) or step <= 0.0 or b < a:
         raise ValueError(f"{what}: need finite a, b and step, step > 0 and b >= a in {spec!r}")
     count = (b - a) / step + 1e-9  # not finite where the quotient overflows
@@ -68,10 +73,7 @@ def _emit(lines: list[str], out_path: str | None) -> None:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    fn = args.fn_pos or args.fn
-    if fn is None:
-        print("eval: missing function selector (positional or --fn)", file=sys.stderr)
-        return 2
+    fn = args.fn
     if fn not in _VALUE_FNS + _DERIV_FNS:
         print(f"eval: unknown function {fn!r}", file=sys.stderr)
         return 2
@@ -85,7 +87,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 value = ker if fn == "ker" else kei
         else:
             # dber/dbei carry the series side's estimate, dker/dkei the K side's
-            (row,), = _plan_rows(((args.nu, True),), (args.x,), None)
+            (row,), = _plan_rows(((args.nu, True),), (args.x,))
             i = _DERIV_FNS.index(fn)
             value, est = row[4 + i], row[8 + i // 2]
     except KelvinError as exc:
@@ -112,26 +114,24 @@ def _origin_row(nu: float, x: float) -> str:
     return ",".join([_fmt(nu), _fmt(x)] + cells + [""] * 6 + ["undefined_at_x0"])
 
 
-def _table_rows(nu: float, xs: list[float], starts: dict | None) -> list[str]:
-    """The rows of order nu over ``xs``; those at x != 0 are one plan."""
-    rows = iter(_plan_rows(((nu, True),), [x for x in xs if x != 0.0], starts)[0])
+def _table_rows(nus: list[float], xs: list[float]) -> list[str]:
+    """The rows of the orders ``nus`` over ``xs``, nu-major, then x; those
+    at x != 0 are one plan."""
+    plan = [(nu, True) for nu in nus]
+    rows = (r for rs in _plan_rows(plan, [x for x in xs if x != 0.0]) for r in rs)
     return [_origin_row(nu, x) if x == 0.0 else _TABLE_ROW % ((nu, x) + next(rows)[:8])
-            for x in xs]
+            for nu in nus for x in xs]
 
 
 def cmd_table(args: argparse.Namespace) -> int:
     try:
-        nus = _parse_range(args.nu_range, "--nu-range") if args.nu_range else [args.nu]
-        xs = _parse_range(args.x_range, "--x-range") if args.x_range else [args.x]
-        if nus == [None] or xs == [None]:
-            raise ValueError("table needs --nu/--x or --nu-range/--x-range")
+        nus = _parse_range(args.nu_range, "--nu-range")
+        xs = _parse_range(args.x_range, "--x-range")
     except ValueError as exc:
         print(f"table: {exc}", file=sys.stderr)
         return 2
-    lines, starts = [_TABLE_HEADER], {} if len(nus) > 1 else None
     try:
-        for nu in nus:          # nu-major, then x: deterministic row order
-            lines += _table_rows(nu, xs, starts)
+        lines = [_TABLE_HEADER] + _table_rows(nus, xs)
     except KelvinError as exc:
         print(f"table: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
@@ -140,11 +140,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        reports = run_suites(args.suite, tol_override=args.tol)
-    except ValueError as exc:
-        print(f"verify: {exc}", file=sys.stderr)
-        return 2
+    reports = run_suites(args.suite)
     if args.format == "csv":
         lines = [_REPORT_HEADER] + [r.csv_row() for r in reports]
     else:
@@ -164,9 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     pe = sub.add_parser("eval", help="evaluate one function at one point")
-    pe.add_argument("fn_pos", nargs="?", metavar="FN",
-                    help="one of ber bei ker kei dber dbei dker dkei")
-    pe.add_argument("--fn", help="function selector (alternative to positional)")
+    pe.add_argument("fn", metavar="FN", help="one of ber bei ker kei dber dbei dker dkei")
     pe.add_argument("--nu", type=float, required=True)
     pe.add_argument("--x", type=float, required=True)
     pe.add_argument("--format", choices=("csv", "plain"), default="plain")
@@ -174,18 +168,14 @@ def build_parser() -> argparse.ArgumentParser:
     pe.set_defaults(func=cmd_eval)
 
     pt = sub.add_parser("table", help="CSV sweep over nu/x grids")
-    pt.add_argument("--nu", type=float, default=None)
-    pt.add_argument("--x", type=float, default=None)
-    pt.add_argument("--nu-range", dest="nu_range", default=None, metavar="A:B:STEP")
-    pt.add_argument("--x-range", dest="x_range", default=None, metavar="A:B:STEP")
+    pt.add_argument("--nu-range", "--nu", dest="nu_range", required=True, metavar="A:B:STEP")
+    pt.add_argument("--x-range", "--x", dest="x_range", required=True, metavar="A:B:STEP")
     pt.add_argument("--out", default=None)
     pt.set_defaults(func=cmd_table)
 
     pv = sub.add_parser("verify", help="run identity suites")
     pv.add_argument("--suite", default="all",
                     choices=["all"] + sorted(SUITES))
-    pv.add_argument("--tol", type=float, default=None,
-                    help="override every per-row tolerance")
     pv.add_argument("--format", choices=("csv", "plain"), default="csv")
     pv.add_argument("--out", default=None)
     pv.set_defaults(func=cmd_verify)
@@ -202,6 +192,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ValueError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # an --out path that cannot be written
+        print(f"{args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -27,7 +27,8 @@ per order and runs the kernels itself.  ``_eval_ber_bei`` and
 ``_eval_ker_kei`` are the one-sided entries, with error estimates
 (``eval``, the closed forms).  ``_finite`` (``bessel._finite``, shared
 with the complex API) is where every entry rejects a non-finite order or
-argument.
+argument, and ``_finite_positive`` where an entry defined at x > 0 alone
+also rejects x <= 0.
 """
 
 from __future__ import annotations
@@ -59,6 +60,14 @@ class KelvinQuad(NamedTuple):
     kei: float
     nu: float
     x: float
+
+
+def _finite_positive(nu: float, x: float) -> None:
+    """DomainError unless the order nu and the argument x are finite and
+    x > 0: the first check of every entry defined off the origin."""
+    _finite(nu, x)
+    if x <= 0.0:
+        raise DomainError("x must be positive")
 
 
 def _k_bound(nu: float, x: float, k: tuple) -> None:
@@ -100,9 +109,7 @@ def _eval_ker_kei(nu: float, x: float) -> tuple[float, float, float]:
     """(ker, kei, abs error estimate) from one K start and climb at x.  The
     sum is taken at the double z = ``ROT_K`` x, off the ray by its rounding,
     so the estimate adds what that moves K by (:func:`_ray_rounding`)."""
-    _finite(nu, x)
-    if x <= 0.0:
-        raise DomainError("ker/kei defined for x > 0")
+    _finite_positive(nu, x)
     k = bessel._k_sums(abs(nu), ROT_K * x, False)[0]  # K is even in the order
     _k_bound(nu, x, k)
     w = _turn(-0.5 * nu) * k[0]  # exact at integer nu (``bessel._turn``)
@@ -144,9 +151,7 @@ def kelvin_all(nu: float, x: float) -> KelvinQuad:
     error estimates; a series error is raised before a K sum error.  It
     composes the runs itself: from those two it was 5.5% slower (7 of 30
     runs won), and as a plan of one entry (``orderderiv._plan_rows``) 5-35%."""
-    if x <= 0.0:
-        raise DomainError("kelvin_all requires x > 0 (ker/kei singular at 0)")
-    _finite(nu, x)
+    _finite_positive(nu, x)
     o = _RayOrder(nu)
     bb = o.phase() * bessel._ray_sums(o, x, False)[0]
     k = bessel._k_sums(abs(nu), ROT_K * x, False)[0]

@@ -33,8 +33,10 @@ dT/dnu = log(x/2) T - P, and the K side turns by e^(-i pi nu/2).
 ``_plan_rows`` is the one way to run orders over an x grid: a *plan* of
 (order, dK/dnu wanted) entries, each with rows of values, or of values,
 order derivatives and estimates.  ``dkelvin`` is a plan of one entry at
-one x; a table order, ``eval`` and each verify suite call run one plan,
-and ``dkelvin_integer`` one per order 0..n, built as its sum reaches it.
+one x; a table, ``eval`` and each verify suite call run one plan, and
+``dkelvin_integer`` one per order 0..n, built as its sum reaches it.  A
+plan of more than one entry owns the dict of K starts its orders share
+(``bessel._k_sums``).
 ``_bb_series`` also gives theorem 5 (``quad``) ber/bei and dJ/dnu at nu + 1.
 """
 
@@ -48,7 +50,7 @@ from .bessel import _EPS, ORDER_EPS, _is_near_int, _RayOrder, _turn, dj_dnu, dk_
 from .errors import DomainError, NegativeIntegerOrderError, OrderClassError, SeriesOverflowError
 from .hyper import EvalResult, HyperSpec, pfq
 from .kelvin import (_VALUE_FLOOR, ROT_J, ROT_K, KelvinQuad, _eval_ber_bei, _eval_ker_kei,
-                     _finite, _k_bound, _ray_rounding, _some_digit)
+                     _finite, _finite_positive, _k_bound, _ray_rounding, _some_digit)
 from .scalars import PI, digamma_real, gamma_real
 
 # dkelvin_kk_pos refuses 2 nu this close to an integer, where the csc of its
@@ -78,9 +80,7 @@ class OrderDerivQuad(NamedTuple):
 def dkelvin_bb_pos(nu: float, x: float) -> tuple[float, float]:
     """(d ber_nu/d nu, d bei_nu/d nu) for non-integer nu >= 0, x > 0, by the
     paper's csc/2F3/3F4 closed form for dJ/dnu (``bessel.dj_dnu``)."""
-    _finite(nu, x)
-    if x <= 0.0:
-        raise DomainError("x must be positive")
+    _finite_positive(nu, x)
     if nu < 0.0 or _is_near_int(nu, ORDER_EPS):
         raise OrderClassError(f"integer or negative order {nu}: use dkelvin")
     ber, bei, est = _eval_ber_bei(nu, x)
@@ -93,9 +93,7 @@ def dkelvin_kk_pos(nu: float, x: float) -> tuple[float, float]:
     """(d ker_nu/d nu, d kei_nu/d nu) for nu >= 0 with 2 nu non-integer, x > 0,
     by the paper's closed form for dK/dnu.  Orders with 2 nu within 1e-6 of
     an integer are refused."""
-    _finite(nu, x)
-    if x <= 0.0:
-        raise DomainError("x must be positive")
+    _finite_positive(nu, x)
     if nu < 0.0 or _is_near_int(2.0 * nu, NEAR_EXCLUDED):
         raise OrderClassError(f"order {nu} excluded for the K-side closed form")
     ker, kei, est = _eval_ker_kei(nu, x)
@@ -144,8 +142,7 @@ def dkelvin_integer(n: int | float, x: float) -> OrderDerivQuad:
         raise DomainError("x must be positive")
     # one plan per order, each built when the sum reaches it, so that an
     # order whose Gamma or K overflows raises before the orders above it
-    starts: dict = {}
-    return _dkelvin_integer(n, x, [_plan_rows(((float(k), False),), (x,), starts)[0][0]
+    return _dkelvin_integer(n, x, [_plan_rows(((float(k), False),), (x,))[0][0]
                                    for k in range(n + 1)])
 
 
@@ -214,9 +211,7 @@ def dkelvin_bb_brychkov(nu: float, x: float) -> tuple[float, float]:
     and over the p terms that of the values at -nu plus the rounding of the
     phases 3 pi nu/2 and pi nu (csc) and of the Gamma and power factors.
     """
-    _finite(nu, x)
-    if x <= 0.0:
-        raise DomainError("x must be positive")
+    _finite_positive(nu, x)
     if nu <= 0.0 or _is_near_int(nu, ORDER_EPS):
         raise OrderClassError("reference form needs non-integer nu > 0")
     ber, bei, e = _eval_ber_bei(nu, x)
@@ -260,12 +255,12 @@ def dkelvin(nu: float, x: float) -> OrderDerivQuad:
     'series').  The result also carries the four values at nu.
     """
     (ber, bei, ker, kei, dber, dbei, dker, dkei, est_j, est_k), = \
-        _plan_rows(((nu, True),), (x,), None)[0]
+        _plan_rows(((nu, True),), (x,))[0]
     return OrderDerivQuad(dber, dbei, dker, dkei, nu, x, "series", est_j + est_k,
                           KelvinQuad(ber, bei, ker, kei, nu, x))
 
 
-def _plan_rows(plan, xs, starts: dict | None) -> list[list[tuple]]:
+def _plan_rows(plan, xs) -> list[list[tuple]]:
     """The rows of each entry (nu, dK/dnu wanted) of the *plan* ``plan`` at
     each x of ``xs``: (ber, bei, ker, kei), ``kelvin_all`` bit for bit,
     where dK/dnu is not wanted, else (ber, bei, ker, kei, dber, dbei, dker,
@@ -275,11 +270,12 @@ def _plan_rows(plan, xs, starts: dict | None) -> list[list[tuple]]:
 
     Each entry's order is set up once (``bessel._RayOrder``).  Every series
     run of every entry (``bessel._ray_sums``, with the psi sums where dK/dnu
-    is wanted) comes first, then every K sum at |nu| (``bessel._k_sums``,
-    on the dict of K starts ``starts``, or none), each checked by
-    ``kelvin._k_bound``, all in entry-then-x order: each kernel runs 6-10%
-    slower right after the other.  The rows come in a pass after (built in
-    the K pass, they won 14 and 15 of 40 runs over the 81 table orders).
+    is wanted) comes first, then every K sum at |nu| (``bessel._k_sums``),
+    each checked by ``kelvin._k_bound``, all in entry-then-x order: each
+    kernel runs 6-10% slower right after the other.  The entries share one
+    dict of K starts; a plan of one entry, whose x have no start in common,
+    keeps none.  The rows come in a pass after (built in the K pass, they
+    won 14 and 15 of 40 runs over the 81 table orders).
     The error raised is a row-by-row pass's first: a series fault is raised
     after the K sums of the rows before it.  An empty grid gives one empty
     list per entry.
@@ -287,13 +283,12 @@ def _plan_rows(plan, xs, starts: dict | None) -> list[list[tuple]]:
     if not xs:
         return [[] for _ in plan]
     entries, fault = [], None  # (order, series runs, K sums) per entry
+    starts = {} if len(plan) > 1 else None
     try:
         for nu, dk in plan:
             o = None
             for x in xs:
-                _finite(nu, x)
-                if x <= 0.0:
-                    raise DomainError("x must be positive")
+                _finite_positive(nu, x)
                 if o is None:  # nu is finite
                     o = _RayOrder(nu)
                     entries.append((o, [], []))

@@ -48,7 +48,7 @@ from . import bessel
 from .bessel import _RayOrder
 from .errors import ConvergenceError, DomainError, KelvinError
 from .hyper import EvalResult
-from .kelvin import _finite, kelvin_ber_bei
+from .kelvin import _finite, _finite_positive, kelvin_ber_bei
 from .orderderiv import _bb_series
 from .scalars import EULER_GAMMA, PI, SQRT2, digamma_real, gamma_real
 
@@ -225,9 +225,7 @@ def apelblat_ber_bei(nu: float, x: float) -> tuple[float, float]:
     is good to the absolute bound TOL only: ber_9.6(0.1) ~ -1.8e-19 comes
     back as -4.7e-17, and orders +-10 at x = 0.1 6e3 to 8e3 times off.
     """
-    _finite(nu, x)
-    if x <= 0.0:
-        raise DomainError("x must be positive")
+    _finite_positive(nu, x)
     big_x = x / SQRT2
     z = complex(big_x, -big_x)
     p = bessel._turn(nu)  # e^(i pi nu), exact at the integers

@@ -15,12 +15,11 @@ at the orders of its finite sums, which read the values from every row.
 The value rows of apelblat and appendix, and the ODE stencils, run the
 kernels at each point on one ``bessel._RayOrder`` per order.  A call of fd,
 reflection, integer, ode or apelblat sums each K start and each K request
-once (one dict of starts, ``bessel._k_sums``).
+once: the plan owns the dict of K starts its orders share, and ode, which
+runs the K kernel itself, keeps its own (``bessel._k_sums``).
 """
 
 from __future__ import annotations
-
-import math
 
 from . import bessel
 from . import manifest as M
@@ -53,7 +52,7 @@ def _richardson(hi1, lo1, hi2, lo2) -> list[tuple[float, ...]]:
 def fd_oracle(nu: float, xs) -> list[tuple[float, ...]]:
     """Richardson-extrapolated finite-difference order derivatives, one
     4-tuple (dber, dbei, dker, dkei) per x of ``xs``."""
-    return _richardson(*_plan_rows([(s, False) for s in _stencil(nu)], xs, {}))
+    return _richardson(*_plan_rows([(s, False) for s in _stencil(nu)], xs))
 
 
 def suite_fd() -> list[IdentityReport]:
@@ -61,7 +60,7 @@ def suite_fd() -> list[IdentityReport]:
     plan of each order with dK/dnu, followed by its four stencil orders."""
     orders = [sign * nu for sign in (1.0, -1.0) for nu in M.FD_NU]
     plan = [e for nu in orders for e in [(nu, True)] + [(s, False) for s in _stencil(nu)]]
-    batches = _plan_rows(plan, M.FD_X, {})
+    batches = _plan_rows(plan, M.FD_X)
     out = []
     for i, order in enumerate(orders):
         rows, *values = batches[5 * i:5 * i + 5]
@@ -78,7 +77,7 @@ def suite_integer() -> list[IdentityReport]:
     runs each order 0..5, with dK/dnu at the orders n of the sums; the sums
     read the values from the first four fields of every order's rows."""
     out, ns = [], M.INTEGER_N
-    rows = _plan_rows([(float(k), k in ns) for k in range(max(ns) + 1)], M.INTEGER_X, {})
+    rows = _plan_rows([(float(k), k in ns) for k in range(max(ns) + 1)], M.INTEGER_X)
     for n in ns:
         for i, (x, row) in enumerate(zip(M.INTEGER_X, rows[n], strict=True)):
             sums = _dkelvin_integer(n, x, [r[i][:4] for r in rows[:n + 1]])
@@ -114,7 +113,7 @@ def suite_apelblat() -> list[IdentityReport]:
     # the integrals first, so that the plan's series runs precede its K sums
     quads = [[apelblat_dber_dbei(nu, x) for x in M.APELBLAT_D_X] for nu in M.APELBLAT_D_NU]
     plan = [(nu, True) for nu in M.APELBLAT_D_NU]
-    for nu, qs, rows in zip(M.APELBLAT_D_NU, quads, _plan_rows(plan, M.APELBLAT_D_X, {}),
+    for nu, qs, rows in zip(M.APELBLAT_D_NU, quads, _plan_rows(plan, M.APELBLAT_D_X),
                             strict=True):
         for x, q, row in zip(M.APELBLAT_D_X, qs, rows, strict=True):
             out.append(make_report("apelblat_dber", nu, x, q[0], row[4], M.APELBLAT_D_TOL))
@@ -158,7 +157,7 @@ def suite_reflection() -> list[IdentityReport]:
     """Integer reflection: f_{-n} = (-1)^n f_n for all four functions."""
     out = []
     plan = [(nu, False) for n in M.REFLECTION_N for nu in (float(-n), float(n))]
-    batches = iter(_plan_rows(plan, M.REFLECTION_X, {}))
+    batches = iter(_plan_rows(plan, M.REFLECTION_X))
     for n in M.REFLECTION_N:
         sgn = -1.0 if n % 2 else 1.0
         for x, neg, pos in zip(M.REFLECTION_X, next(batches), next(batches), strict=True):
@@ -215,11 +214,9 @@ SUITES = {
 }
 
 
-def run_suites(name: str, tol_override: float | None = None) -> list[IdentityReport]:
-    """Run one named suite (or 'all'), optionally overriding every tolerance
-    with one value, finite and >= 0 (ValueError otherwise)."""
-    if tol_override is not None and not 0.0 <= tol_override < math.inf:
-        raise ValueError(f"the tolerance must be finite and >= 0, got {tol_override!r}")
+def run_suites(name: str) -> list[IdentityReport]:
+    """Run one named suite (or 'all', every suite in order) at the manifest
+    tolerances; ValueError at an unknown name."""
     if name == "all":
         names = list(SUITES)
     elif name in SUITES:
@@ -227,13 +224,4 @@ def run_suites(name: str, tol_override: float | None = None) -> list[IdentityRep
     else:
         raise ValueError(f"unknown suite {name!r}; choose from "
                          f"{['all'] + sorted(SUITES)}")
-    reports: list[IdentityReport] = []
-    for n in names:
-        reports.extend(SUITES[n]())
-    if tol_override is not None:
-        reports = [
-            IdentityReport(r.name, r.nu, r.x, r.lhs, r.rhs, r.abs_diff,
-                           tol_override, r.abs_diff <= tol_override)
-            for r in reports
-        ]
-    return reports
+    return [r for n in names for r in SUITES[n]()]

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from kelvinfn.cli import MAX_RANGE_POINTS, _TABLE_ROW, _fmt, _parse_range, main
+from kelvinfn.cli import MAX_RANGE_POINTS, _TABLE_HEADER, _TABLE_ROW, _fmt, _parse_range, main
 
 
 def run_cli(capsys, *argv):
@@ -77,13 +77,6 @@ class TestEval:
         assert code == 0
         assert out.splitlines()[1].endswith(",series")
 
-    def test_fn_flag_equivalent(self, capsys):
-        code1, out1, _ = run_cli(capsys, "eval", "bei", "--nu", "0.5", "--x", "2")
-        code2, out2, _ = run_cli(capsys, "eval", "--fn", "bei", "--nu", "0.5",
-                                 "--x", "2")
-        assert code1 == code2 == 0
-        assert out1 == out2
-
 
 class TestTable:
     def test_row_format_cells(self):
@@ -152,8 +145,8 @@ class TestTable:
         assert row[10] == "undefined_at_x0"
 
     def test_x_zero_rows_of_several_orders(self, capsys):
-        """At x = 0 alone each order's plan has an empty grid, and the orders
-        share a dict of K starts: one undefined_at_x0 row per order."""
+        """At x = 0 alone the plan of the table's orders has an empty grid:
+        one undefined_at_x0 row per order."""
         code, out, _ = run_cli(capsys, "table", "--nu-range=-1:1:1", "--x", "0")
         assert code == 0
         rows = [line.split(",") for line in out.splitlines()[1:]]
@@ -193,8 +186,30 @@ class TestTable:
         assert len(_parse_range(f"0:{MAX_RANGE_POINTS - 1}:1", flag)) == MAX_RANGE_POINTS
 
     def test_missing_grid_exit_2(self, capsys):
-        code, _, _ = run_cli(capsys, "table")
-        assert code == 2
+        """A table needs both axes: without one it is a usage error."""
+        for argv in ([], ["--nu", "0"], ["--x-range=1:2:1"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["table", *argv])
+            assert exc.value.code == 2
+            assert "required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("nus, xs", [("-2:2:0.25", "0:2:0.25"), ("0:1000:1000", "1:2:1"),
+                                         ("0:1:1", "40:1040:1000")])
+    def test_grid_joins_its_one_order_tables(self, capsys, nus, xs):
+        """A table of many orders prints, byte for byte, the table of each
+        order alone under one header: rows at x = 0, +-nu sharing K starts
+        at |nu|, x across Temme's borders at 0.5 and 1.2.  A grid with a
+        failing order exits as the first failing order alone does."""
+        code, out, err = run_cli(capsys, "table", f"--nu-range={nus}", f"--x-range={xs}")
+        want, joined = (0, ""), [_TABLE_HEADER + "\n"]
+        for nu in _parse_range(nus, "--nu-range"):
+            c, o, e = run_cli(capsys, "table", f"--nu={nu!r}", f"--x-range={xs}")
+            if c != 0:
+                want, joined = (c, e), []
+                break
+            joined += o.splitlines(keepends=True)[1:]
+        assert (code, err) == want
+        assert out == "".join(joined)
 
     def test_determinism(self, capsys, tmp_path):
         args = ("table", "--nu-range", "0:2:0.4", "--x-range", "0.5:2:0.75")
@@ -213,27 +228,6 @@ class TestVerify:
         lines = out.splitlines()
         assert lines[0] == "name,nu,x,lhs,rhs,abs_diff,tol,pass"
         assert all(l.endswith(",1") for l in lines[1:])
-
-    def test_degenerate_tolerance_always_passes(self, capsys):
-        code, _, _ = run_cli(capsys, "verify", "--suite", "all", "--tol", "1e300")
-        assert code == 0
-
-    def test_impossible_tolerance_exit_1(self, capsys):
-        # every fd row differs by finite-difference truncation, never by 0
-        code, out, _ = run_cli(capsys, "verify", "--suite", "fd",
-                               "--tol", "1e-330", "--format", "plain")
-        assert code == 1
-        assert "FAIL" in out
-
-    @pytest.mark.parametrize("tol", ["inf", "nan", "-1", "-1e-300"])
-    def test_bad_tolerance_exit_2(self, capsys, tol):
-        """An override that is not finite or is negative is refused before any
-        suite runs: under inf a row whose integral missed its target
-        (abs_diff = inf) would pass, under nan or a negative one every row
-        fails."""
-        code, out, err = run_cli(capsys, "verify", "--suite", "all", f"--tol={tol}")
-        assert (code, out) == (2, "")
-        assert err.startswith("verify: the tolerance must be finite and >= 0")
 
     def test_unknown_suite_exit_2(self, capsys):
         with pytest.raises(SystemExit):   # argparse rejects bad choices
@@ -258,7 +252,7 @@ class TestPlumbing:
         argv = ["table", "--nu-range=-1:1:0.5", "--x", "2"]
         code1, out1, _ = run_cli(capsys, *argv)
         with pytest.raises(SystemExit) as exc:
-            main(["table", "--nu", "not-a-number"])
+            main(["table", "--nu", "0", "--x", "2", "--no-such-flag"])
         assert exc.value.code == 2
         capsys.readouterr()
         code2, out2, _ = run_cli(capsys, *argv)

@@ -9,6 +9,7 @@ in process, under a deadline (SIGALRM where it exists, and the clock
 everywhere); one ``python -m kelvinfn`` subprocess covers the module entry.
 """
 
+import argparse
 import cmath
 import contextlib
 import importlib
@@ -62,9 +63,6 @@ TYPED_ERRORS = [
     # K past the K sum's bound, whose start underflows to 0: ker has no bound
     ("eval ker --nu 1e7 --x 1e300", "eval: ConvergenceError: "),
     ("eval ker --nu 1e17 --x 1e300", "eval: ConvergenceError: "),
-    ("verify --tol=inf", "verify: the tolerance must be finite and >= 0"),
-    ("verify --tol=nan", "verify: the tolerance must be finite and >= 0"),
-    ("verify --tol=-1", "verify: the tolerance must be finite and >= 0"),
     # the error of the first failing row, in row order
     ("table --nu 0 --x-range=40:1040:1000", "table: ConvergenceError: "),
     ("table --nu 0 --x-range=-1:1:1", "table: DomainError: "),
@@ -75,7 +73,18 @@ TYPED_ERRORS = [
     ("table --nu 0 --x-range=nan:2:1", "table: --x-range: need finite a, b and step"),
     ("table --nu 0 --x-range=0:1:1e-300", _TOO_MANY),
     ("table --nu 0 --x-range=1:1e300:1e-300", _TOO_MANY),
+    # an --out path that is a directory, or in a missing directory: named,
+    # and not taken for a failed identity (exit 1)
+    *[(f"{command} --out {path}", f"{command.split()[0]}: {error}: ")
+      for command in ("eval ber --nu 0 --x 1", "table --nu 0 --x 1", "verify --suite brychkov")
+      for path, error in ((".", "(IsADirectory|Permission)Error"),
+                          ("kelvinfn-no-such-dir/out.csv", "FileNotFoundError"))],
 ]
+# each subcommand's options, its positional FN included, each as its spellings
+# joined by '/': one more fails by name
+OPTIONS = {"eval": {"FN", "--nu", "--x", "--format", "--out"},
+           "table": {"--nu-range/--nu", "--x-range/--x", "--out"},
+           "verify": {"--suite", "--format", "--out"}}
 
 # The edge sweep: orders at and next to the integers, past Gamma's range and
 # the double range; arguments at the underflow of x/2, Temme's borders, the
@@ -109,7 +118,7 @@ EDGE_ARGS = {
     # e^(-x t) at every finite x: the integrands of the contract
     "integrate_semiinf": [(lambda t, x=x: math.exp(-x * t),) for x in EDGE_XS if math.isfinite(x)],
 }
-# run_suites takes a suite name and a tolerance: the identity counts run it
+# run_suites takes a suite name: the identity counts run it
 _NOT_SWEPT = {"run_suites"}
 _VALUE_FIELDS = ("value", "lhs", "rhs", "ber", "bei", "ker", "kei", "dber", "dbei", "dker",
                  "dkei", "values")
@@ -238,6 +247,22 @@ def test_typed_errors():
         if code != 2 or not re.search("^" + want, err, re.M):
             bad.append(command)
     assert not bad, bad
+
+
+def test_option_surface():
+    """Each subcommand takes the options of OPTIONS and no other: eval's
+    function is positional only, table's --nu and --x spell its ranges, and
+    verify checks at the manifest tolerances alone."""
+    subs = next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+    seen = {name: {"/".join(a.option_strings) or a.metavar for a in sub._actions
+                   if not isinstance(a, argparse._HelpAction)}
+            for name, sub in subs.items()}
+    for name in sorted(seen.keys() | OPTIONS.keys()):
+        got, want = seen.get(name, set()), OPTIONS.get(name, set())
+        print(f"{name}: {' '.join(sorted(got))}; not listed {sorted(got - want)}, "
+              f"missing {sorted(want - got)}")
+    assert seen == OPTIONS, seen
 
 
 def test_identities_where_x_over_2_underflows():

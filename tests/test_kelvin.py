@@ -200,7 +200,7 @@ def test_kelvin_rows_first_failing_row(xs, error, at):
     at 1040 overflows before the K sums run; x = -1 fails before x = 1; a
     non-finite x is refused."""
     with pytest.raises(error) as info:
-        _plan_rows([(0.0, False)], xs, None)
+        _plan_rows([(0.0, False)], xs)
     assert type(info.value) is error
     assert at in str(info.value)
 
@@ -216,7 +216,7 @@ def test_plan_first_failing_row(plan, error, at):
     before the series fault of a later one, though every series runs
     before any K sum; an earlier series fault before a later K fault."""
     with pytest.raises(error) as info:
-        _plan_rows(plan, [40.0], {})
+        _plan_rows(plan, [40.0])
     assert type(info.value) is error
     assert at in str(info.value)
 
@@ -225,8 +225,8 @@ def test_plan_of_an_empty_grid():
     """An empty grid gives one empty list per entry, whatever the entries
     (``cli._table_rows`` at x = 0 alone)."""
     plan = [(0.5, True), (-1.0, False), (math.nan, True), (1e300, False)]
-    assert _plan_rows(plan, (), {}) == [[], [], [], []]
-    assert _plan_rows(plan, [], None) == [[], [], [], []]
+    assert _plan_rows(plan, ()) == [[], [], [], []]
+    assert _plan_rows(plan, []) == [[], [], [], []]
 
 
 def test_dk_quadrature_below_the_envelope():

@@ -185,7 +185,7 @@ def test_k_estimates_cover_the_ray_rounding(nu, x):
     the exact ray and, where it is above 1e-15 of the pair, overstate it by
     at most 1e3."""
     ker, kei, est = _eval_ker_kei(nu, x)
-    (d,), = orderderiv._plan_rows([(nu, True)], (x,), None)
+    (d,), = orderderiv._plan_rows([(nu, True)], (x,))
     for got, want, e in ((complex(ker, kei), kk_oracle(nu, x), est),
                          (complex(d[6], d[7]), oracle(nu, x)["dkk"], d[9])):
         err = abs(got - want)

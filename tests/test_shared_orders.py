@@ -38,14 +38,14 @@ def bits(*vals) -> tuple:
     return tuple(float(v).hex() for v in vals)
 
 
-def value_rows(nu, xs, starts=None) -> list:
+def value_rows(nu, xs) -> list:
     """The rows of a plan of one entry, order nu with its values alone."""
-    return _plan_rows([(nu, False)], xs, starts)[0]
+    return _plan_rows([(nu, False)], xs)[0]
 
 
-def deriv_rows(nu, xs, starts=None) -> list:
+def deriv_rows(nu, xs) -> list:
     """The rows of a plan of one entry, order nu with its order derivatives."""
-    return _plan_rows([(nu, True)], xs, starts)[0]
+    return _plan_rows([(nu, True)], xs)[0]
 
 
 def deriv_bits(d) -> tuple:
@@ -58,7 +58,7 @@ def test_table_rows_equal_single_points(nu):
     """Every row of one batch, and every CSV row of one table order, is
     dkelvin at its x, estimates included."""
     points = [dkelvin(nu, x) for x in WALK]
-    for x, d, line in zip(WALK, points, _table_rows(nu, WALK, {}), strict=True):
+    for x, d, line in zip(WALK, points, _table_rows([nu], WALK), strict=True):
         want = [_fmt(nu), _fmt(x)] + [_fmt(v) for v in (
             d.values.ber, d.values.bei, d.values.ker, d.values.kei,
             d.dber, d.dbei, d.dker, d.dkei)] + [d.method]
@@ -86,13 +86,13 @@ def test_value_rows_equal_kelvin_all(nu):
         assert bits(*row) == bits(q.ber, q.bei, q.ker, q.kei), x
 
 
-def reference_rows(nu, xs, dk, starts):
+def reference_rows(nu, xs, dk):
     """The one-order batches as they were before plans: the order set up
     once, every series run, then every K sum, and the value rows (``dk``
     false) or the derivative rows of ``_plan_rows`` built from them."""
     o, turn = _RayOrder(nu), kelvinfn.bessel._turn(-0.5 * nu)
     runs = [kelvinfn.bessel._ray_sums(o, x, dk) for x in xs]
-    ks = [_k_sums(abs(nu), ROT_K * x, dk, starts) for x in xs]
+    ks = [_k_sums(abs(nu), ROT_K * x, dk) for x in xs]
     rows = []
     for x, run, (k, dkn) in zip(xs, runs, ks):
         kk = turn * k[0]
@@ -113,14 +113,11 @@ def reference_rows(nu, xs, dk, starts):
 @pytest.mark.parametrize("nu", BATCH_ORDERS[::3] + [-0.0])
 def test_one_order_fronts_keep_their_bits(nu):
     """Plans of one entry (``_plan_rows``), of values and of order
-    derivatives, return the one-order batches' rows bit for bit, with and
-    without a dict of starts."""
-    for shared in (False, True):
-        mine, theirs = ({}, {}) if shared else (None, None)
-        assert [bits(*r) for r in value_rows(nu, BATCH_WALK, mine)] == [
-            bits(*r) for r in reference_rows(nu, BATCH_WALK, False, theirs)]
-        assert [bits(*r) for r in deriv_rows(nu, BATCH_WALK, mine)] == [
-            bits(*r) for r in reference_rows(nu, BATCH_WALK, True, theirs)]
+    derivatives, return the one-order batches' rows bit for bit."""
+    assert [bits(*r) for r in value_rows(nu, BATCH_WALK)] == [
+        bits(*r) for r in reference_rows(nu, BATCH_WALK, False)]
+    assert [bits(*r) for r in deriv_rows(nu, BATCH_WALK)] == [
+        bits(*r) for r in reference_rows(nu, BATCH_WALK, True)]
 
 
 def test_plan_rows_equal_one_order_batches():
@@ -128,9 +125,8 @@ def test_plan_rows_equal_one_order_batches():
     one-order batches, bit for bit: the fd suite's plan over its grid."""
     h1, h2 = M.FD_STEPS
     plan = [e for nu in ORDERS for e in ((nu, True), (nu + h1, False), (nu - h2, False))]
-    starts: dict = {}
-    for (nu, dk), rows in zip(plan, _plan_rows(plan, M.FD_X, starts), strict=True):
-        want = reference_rows(nu, M.FD_X, dk, None)
+    for (nu, dk), rows in zip(plan, _plan_rows(plan, M.FD_X), strict=True):
+        want = reference_rows(nu, M.FD_X, dk)
         assert [bits(*r) for r in rows] == [bits(*r) for r in want], (nu, dk)
 
 
@@ -224,7 +220,7 @@ def integer_plan_points():
     value entry at every order 0..5, whose rows feed the finite sums."""
     out, top = [], max(M.INTEGER_N) + 1
     plan = [(float(n), True) for n in M.INTEGER_N] + [(float(k), False) for k in range(top)]
-    batches = _plan_rows(plan, M.INTEGER_X, {})
+    batches = _plan_rows(plan, M.INTEGER_X)
     rows, values = batches[:len(M.INTEGER_N)], batches[len(M.INTEGER_N):]
     for n, batch in zip(M.INTEGER_N, rows, strict=True):
         for i, (x, row) in enumerate(zip(M.INTEGER_X, batch, strict=True)):
@@ -430,17 +426,26 @@ def test_shared_k_starts_equal_fresh_sums(dk_first):
 SIGNED_ORDERS = [0.25, -0.25, -2.25, 2.25, -0.75, 1.75, -9.75, 3.0, -3.0, 0.0, -0.3, 0.3]
 
 
-def test_shared_k_starts_across_signed_orders():
-    """+-nu share their starts: batches of values and of order derivatives
-    over K_XS, all with one dict, equal ``kelvin_all`` and ``dkelvin``, from
-    one start per fractional part (4) and x on each route (2 x on Temme's
-    series, 3 on both, 3 on the sum)."""
-    starts: dict = {}
+def test_shared_k_starts_across_signed_orders(monkeypatch):
+    """+-nu share their starts: one plan of values and of order derivatives
+    of each order over K_XS equals ``kelvin_all`` and ``dkelvin``, and its
+    dict holds one start per fractional part (4) and x on each route (2 x
+    on Temme's series, 3 on both, 3 on the sum)."""
+    dicts, orig = {}, kelvinfn.bessel._k_sums
+
+    def recorded(nu, z, dk, starts=None):
+        dicts[id(starts)] = starts
+        return orig(nu, z, dk, starts)
+
+    monkeypatch.setattr(kelvinfn.bessel, "_k_sums", recorded)
+    batches = iter(_plan_rows([(nu, dk) for nu in SIGNED_ORDERS for dk in (False, True)], K_XS))
+    monkeypatch.undo()
+    (starts,) = dicts.values()
     for nu in SIGNED_ORDERS:
-        for x, row in zip(K_XS, value_rows(nu, K_XS, starts), strict=True):
+        for x, row in zip(K_XS, next(batches), strict=True):
             q = kelvin_all(nu, x)
             assert bits(*row) == bits(q.ber, q.bei, q.ker, q.kei), (nu, x)
-        for x, row in zip(K_XS, deriv_rows(nu, K_XS, starts), strict=True):
+        for x, row in zip(K_XS, next(batches), strict=True):
             d = dkelvin(nu, x)
             *vals, est_j, est_k = row
             assert bits(*vals, est_j + est_k) == bits(

@@ -126,7 +126,7 @@ def test_value_batch_runs_in_phases(monkeypatch, nu):
     monkeypatch.setattr(kelvinfn.bessel, "_k_sums",
                         lambda m, z, dk, st: calls.append(("K", abs(z))) or ks(m, z, dk, st))
     xs = [1.0, 2.0, 3.0, 4.0]
-    assert len(_plan_rows([(nu, False)], xs, None)[0]) == 4
+    assert len(_plan_rows([(nu, False)], xs)[0]) == 4
     assert calls == [("J", x) for x in xs] + [("K", pytest.approx(x)) for x in xs]
 
 
