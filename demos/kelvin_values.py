@@ -6,8 +6,6 @@ ber, bei, ker, kei at fractional, integer, and negative orders, plus the
 structural identities that tie them together.
 """
 
-import numpy as np
-
 from kelvinfn import kelvin_all, kelvin_ber_bei, kelvin_ker_kei
 
 # A single point: all four functions at order 0.5, argument 2
@@ -18,7 +16,7 @@ print(f"              ker={q.ker:+.12f}  kei={q.kei:+.12f}")
 # A small table over x at a few orders; ber/bei grow like e^(x/sqrt 2),
 # ker/kei decay on the same scale
 print("\n   x      ber_1.5(x)        kei_1.5(x)")
-for x in np.linspace(0.5, 8.0, 6):
+for x in [0.5 + 1.5 * k for k in range(6)]:
     ber, _ = kelvin_ber_bei(1.5, x)
     _, kei = kelvin_ker_kei(1.5, x)
     print(f"  {x:4.1f}  {ber:+16.8e}  {kei:+16.8e}")

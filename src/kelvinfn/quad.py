@@ -18,13 +18,13 @@ the last double before any other end):
 * the 1/sqrt(tau (t-tau)) convolution kernel uses tau = t sin^2(theta).
 
 An integrand of ber + i bei reads phi T from the ray kernel at each node,
-on one ``bessel._RayOrder`` per order and integral (two for the
-'printed_s1' bracket), with no checks or estimate; no integrand runs a
-plan (``orderderiv._plan_rows``), whose K sums it would not use.  The
-value representations are Bessel's integral (DLMF 10.9.6) for
-ber + i bei = e^(i pi nu) J_nu(e^(-i pi/4) x), one complex cos or exp per
-node, its Schlaefli tail cut where the integrand is below e^(-_CUT)
-(``_tail_cut``): no integral of the package runs on [0, inf).
+on one ``bessel._RayOrder`` per order and integral, with no checks or
+estimate; no integrand runs a plan (``orderderiv._plan_rows``), whose K
+sums it would not use.  The value representations are Bessel's integral
+(DLMF 10.9.6) for ber + i bei = e^(i pi nu) J_nu(e^(-i pi/4) x), one
+complex cos or exp per node, its Schlaefli tail cut where the integrand is
+below e^(-_CUT) (``_tail_cut``): no integral of the package runs on
+[0, inf).
 
 Each level walks in from a, then from b, one loop over the ends with their
 stop points and constants in locals: on a cheap node (one complex cos) the
@@ -261,24 +261,17 @@ def _tail_cut(nu: float, big_x: float) -> float:
     return t
 
 
-_BRACKET_VARIANTS = ("consistent", "printed_s1", "printed_s3")
-
-
-def apelblat_dber_dbei(nu: float, x: float,
-                       bracket: str = "consistent") -> tuple[float, float]:
+def apelblat_dber_dbei(nu: float, x: float) -> tuple[float, float]:
     """(d ber_nu/d nu, d bei_nu/d nu) from the log-weighted integral form:
 
       d ber_nu/d nu = log(x/2) ber_nu - (3 pi/4) bei_nu
           - (x/(2 sqrt 2)) int_0^1 u^((nu-1)/2) [gamma + log(1-u)] B(u) du
 
-    ``bracket`` selects B(u).  The transcriptions in circulation disagree:
-
-    * 'consistent'  B = ber_{nu-1}(x sqrt u) + bei_{nu-1}(x sqrt u)   (and
-      ber_{nu-1} - bei_{nu-1} for the bei derivative) -- this is the variant
-      the term-by-term differentiation of the defining series produces, and
-      the only one that reproduces the closed forms numerically;
-    * 'printed_s1'  mixed indices ber_{nu-1} +/- bei_nu;
-    * 'printed_s3'  ber_{nu-1} + bei_{nu-1} for *both* derivatives.
+    with B = ber_{nu-1}(x sqrt u) + bei_{nu-1}(x sqrt u), and ber_{nu-1} -
+    bei_{nu-1} for the bei derivative: the index-consistent bracket, which
+    the term-by-term differentiation of the defining series produces.  The
+    two printed transcriptions, which miss the closed forms, are recorded in
+    the ``apelblat_d_nodes`` fixture of tests/conftest.py.
 
     The first series term of ber_{nu-1} + i bei_{nu-1} at y = x sqrt u,
     (y/2)^(nu-1) e^(3 pi i (nu-1)/4) / Gamma(nu), carries the u^(nu-1)
@@ -294,42 +287,32 @@ def apelblat_dber_dbei(nu: float, x: float,
     rounding (and y^(nu-1) can overflow); above, ber_{nu-1} + i bei_{nu-1}
     is read from the ray kernel, on one set-up of order nu - 1.
     """
-    if bracket not in _BRACKET_VARIANTS:
-        raise ValueError(f"bracket must be one of {_BRACKET_VARIANTS}")
     if not 0.5 * x > 0.0 or nu < 0.0:
         raise DomainError("requires x > 0, x/2 not underflowing to 0, and nu >= 0")
     ber, bei = kelvin_ber_bei(nu, x)
     o = _RayOrder(nu - 1.0)  # the bracket's order, set up once for every node
     phase, ray = o.phase(), bessel._ray_sums
-    # the mixed bracket's second order, nu, for its bei, set up once likewise
-    o1 = _RayOrder(nu) if bracket == "printed_s1" else None
     g1 = gamma_real(nu + 1.0)
-    # the first term of ber_{nu-1} + i bei_{nu-1} at y is lead * y^(nu-1) * turn;
-    # the mixed bracket takes bei of order nu, whose first term needs no split
+    # the first term of ber_{nu-1} + i bei_{nu-1} at y is lead * y^(nu-1) * turn
     lead = nu / g1 * 2.0 ** (1.0 - nu)
     th = 0.75 * PI * (nu - 1.0)
-    turn = complex(math.cos(th), 0.0 if bracket == "printed_s1" else math.sin(th))
+    turn = complex(math.cos(th), math.sin(th))
 
     def integrand(w: float) -> complex:
         # ber and bei of the bracket at y = x w, less their first terms, packed re/im
         y = x * w
-        if y < 1e-8 and bracket != "printed_s1":
+        if y < 1e-8:
             r = 1j * turn * (0.5 * y) ** (nu + 1.0) / g1  # the second term, to eps
         else:
-            b = phase * ray(o, y, False)[0]
-            if o1 is not None:
-                b = complex(b.real, (o1.phase() * ray(o1, y, False)[0]).imag)
-            r = b - lead * y ** (nu - 1.0) * turn
+            r = phase * ray(o, y, False)[0] - lead * y ** (nu - 1.0) * turn
         # u^((nu-1)/2) [gamma + log(1-u)] du at u = w^2
         return 2.0 * w ** nu * (EULER_GAMMA + math.log(1.0 - w) + math.log1p(w)) * r
 
     first = -(x / 2.0) ** (nu - 1.0) * digamma_real(nu + 1.0) / g1
     packed = _value(integrate_finite(integrand, 0.0, 1.0)) + first * turn
-    b_ber = packed.real + packed.imag
-    b_bei = b_ber if bracket == "printed_s3" else packed.real - packed.imag
     pref = x / (2.0 * SQRT2)
-    return (math.log(x / 2.0) * ber - 0.75 * PI * bei - pref * b_ber,
-            math.log(x / 2.0) * bei + 0.75 * PI * ber + pref * b_bei)
+    return (math.log(x / 2.0) * ber - 0.75 * PI * bei - pref * (packed.real + packed.imag),
+            math.log(x / 2.0) * bei + 0.75 * PI * ber + pref * (packed.real - packed.imag))
 
 
 def appendix_ber_bei(x: float, variant: str = "sin") -> tuple[float, float]:

@@ -51,25 +51,26 @@ def test_criterion_4_reference_form_agreement():
     _report("criterion 4 (rotation vs reference forms)", reports)
 
 
-def test_criterion_5_integral_representation_oracle():
+def test_criterion_5_integral_representation_oracle(apelblat_d_nodes):
     """Integral representations: values to 1e-8, derivatives to 1e-6, and
     the bracket-variant resolution stays recorded."""
     reports = run_suites("apelblat")
     _report("criterion 5 (integral-representation oracle)", reports)
-    # bracket resolution: only the index-consistent variant reproduces the
-    # closed forms; both printed transcriptions are off by >> tolerance
+    # bracket resolution: only the index-consistent variant, the one the
+    # library computes, reproduces the closed forms; both printed
+    # transcriptions, rebuilt by the fixture, are off by >> tolerance
     nu, x = 1.5, 2.0
     want = dkelvin(nu, x)
-    ok = apelblat_dber_dbei(nu, x, bracket="consistent")
+    ok = apelblat_dber_dbei(nu, x)
     assert abs(ok[0] - want.dber) <= 1e-6
     assert abs(ok[1] - want.dbei) <= 1e-6
     # mixed-index transcription: both components wrong
-    s1 = apelblat_dber_dbei(nu, x, bracket="printed_s1")
+    s1 = apelblat_d_nodes(nu, x, "printed_s1")
     assert abs(s1[0] - want.dber) > 1e-2
     # same-sign transcription: the bei bracket is the broken one
-    s3 = apelblat_dber_dbei(nu, x, bracket="printed_s3")
+    s3 = apelblat_d_nodes(nu, x, "printed_s3")
     assert abs(s3[1] - want.dbei) > 1e-2
-    print("[PASS] criterion 5 bracket toggle: 'consistent' validates; "
+    print("[PASS] criterion 5 brackets: the consistent one validates; "
           "'printed_s1' and 'printed_s3' are rejected")
 
 

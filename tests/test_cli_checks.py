@@ -12,7 +12,9 @@ everywhere); one ``python -m kelvinfn`` subprocess covers the module entry.
 import argparse
 import cmath
 import contextlib
+import hashlib
 import importlib
+import inspect
 import io
 import math
 import os
@@ -85,6 +87,32 @@ TYPED_ERRORS = [
 OPTIONS = {"eval": {"FN", "--nu", "--x", "--format", "--out"},
            "table": {"--nu-range/--nu", "--x-range/--x", "--out"},
            "verify": {"--suite", "--format", "--out"}}
+# each public function's parameters, in order: one more fails by name.  The
+# optional ones are appendix_ber_bei's variant, whose two values verify
+# checks against each other, and the identity checks' tol, which verify
+# sets from the manifest
+SIGNATURES = {
+    **dict.fromkeys(["kelvin_all", "kelvin_ber_bei", "kelvin_ker_kei", "dkelvin",
+                     "dkelvin_bb_neg", "dkelvin_kk_neg", "apelblat_ber_bei",
+                     "apelblat_dber_dbei"], ("nu", "x")),
+    **dict.fromkeys(["bessel_j", "bessel_i", "bessel_k", "dj_dnu_any", "dk_dnu_any"],
+                    ("nu", "z")),
+    **dict.fromkeys(["gamma_real", "digamma_real"], ("x",)),
+    "appendix_ber_bei": ("x", "variant"),
+    "convolution_identity": ("a", "b", "t", "tol"),
+    **dict.fromkeys(["theorem5_identities", "indefinite_integral_check"], ("nu", "x", "tol")),
+    "theorem5_identity": ("nu", "x", "f", "tol"),
+    "integrate_finite": ("f", "a", "b"),
+    "integrate_semiinf": ("f",),
+    "run_suites": ("name",),
+}
+# the md5 of each command's stdout: a change to any digit of the output
+# fails here, and one that is meant updates the pin and says why
+OUTPUT_MD5 = {
+    "verify --suite all": "24245a249925718ea28b0395d429e7bc",
+    "table --nu-range=-10:10:0.25 --x-range=1:20:1": "814800b02056775628e64ea0f80e8e85",
+    "table --nu-range=-3:3:0.5 --x-range=0:2:0.25": "38713abd94a8bd5b97c0911909b766ff",
+}
 
 # The edge sweep: orders at and next to the integers, past Gamma's range and
 # the double range; arguments at the underflow of x/2, Temme's borders, the
@@ -263,6 +291,32 @@ def test_option_surface():
         print(f"{name}: {' '.join(sorted(got))}; not listed {sorted(got - want)}, "
               f"missing {sorted(want - got)}")
     assert seen == OPTIONS, seen
+
+
+def test_signatures():
+    """Each public function of kelvinfn.__all__ takes the parameters of
+    SIGNATURES and no other."""
+    seen = {n: tuple(inspect.signature(getattr(kelvinfn, n)).parameters)
+            for n in kelvinfn.__all__
+            if callable(getattr(kelvinfn, n)) and not isinstance(getattr(kelvinfn, n), type)}
+    for name in sorted(seen.keys() | SIGNATURES.keys()):
+        if seen.get(name) != SIGNATURES.get(name):
+            print(f"{name}: takes {seen.get(name)}, listed {SIGNATURES.get(name)}")
+    print(f"{len(seen)} public functions, {len(SIGNATURES)} listed")
+    assert seen == SIGNATURES, seen
+
+
+def test_output_bytes():
+    """Each command of OUTPUT_MD5 exits 0 and prints, byte for byte, the
+    output its pin was taken from."""
+    bad = []
+    for command, want in OUTPUT_MD5.items():
+        code, out, _ = run_cli(*command.split())
+        got = hashlib.md5(out.encode()).hexdigest()
+        print(f"{command}: exit {code}, {len(out)} bytes, md5 {got}")
+        if (code, got) != (0, want):
+            bad.append(command)
+    assert not bad, bad
 
 
 def test_identities_where_x_over_2_underflows():

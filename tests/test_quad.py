@@ -307,17 +307,14 @@ class TestApelblatDerivatives:
         assert got[1] == pytest.approx(want.dbei, abs=1e-6)
 
     @pytest.mark.parametrize("variant", ["printed_s1", "printed_s3"])
-    def test_printed_brackets_fail(self, variant):
-        """The two printed transcriptions disagree with the closed forms by
-        a wide margin; recording that is the point of the toggle."""
+    def test_printed_brackets_fail(self, variant, apelblat_d_nodes):
+        """The two printed transcriptions, rebuilt by the fixture, disagree
+        with the closed forms by a wide margin: the reason the library
+        computes the consistent bracket alone."""
         nu, x = 1.5, 2.0
-        got = apelblat_dber_dbei(nu, x, bracket=variant)
+        got = apelblat_d_nodes(nu, x, variant)
         want = dkelvin(nu, x)
         assert abs(got[0] - want.dber) + abs(got[1] - want.dbei) > 1e-2
-
-    def test_unknown_variant(self):
-        with pytest.raises(ValueError):
-            apelblat_dber_dbei(0.5, 1.0, bracket="whatever")
 
     @pytest.mark.parametrize("nu", [0.0, 1e-9, 1e-6, 1e-3, 0.01, 0.03, 0.05])
     @pytest.mark.parametrize("x", [0.5, 2.0, 1e-30])
@@ -527,15 +524,14 @@ def test_integrands_finite_at_the_ends(monkeypatch):
     monkeypatch.setattr(kelvinfn.quad, "integrate_finite", probe)
     for nu in (0.0, 1e-9, 1e-3, 0.01, 0.5, 2.5):
         for x in (0.5, 2.0):
-            for bracket in ("consistent", "printed_s1", "printed_s3"):
-                apelblat_dber_dbei(nu, x, bracket)
+            apelblat_dber_dbei(nu, x)
     for nu in (-0.9, -0.5, 0.5, 2.5):
         theorem5_identities(nu, 2.0)
     apelblat_ber_bei(0.3, 2.0)
     appendix_ber_bei(10.0, "cos")
     convolution_identity(2.0, 1.0, 0.5)
     indefinite_integral_check(0.5, 0.1)
-    assert len(probed) == 2 * (36 + 4 + 2 + 1 + 1 + 1)
+    assert len(probed) == 2 * (12 + 4 + 2 + 1 + 1 + 1)
 
 
 class TestIdentityReport:
