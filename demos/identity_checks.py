@@ -11,7 +11,7 @@ import time
 
 from kelvinfn import (apelblat_ber_bei, apelblat_dber_dbei,
                       convolution_identity, dkelvin, kelvin_ber_bei,
-                      run_suites, theorem5_identity)
+                      run_suites, theorem5_identities)
 
 # Function values from the two-part integral representation
 nu, x = 0.5, 2.0
@@ -27,7 +27,7 @@ print(f"\nd ber/d nu:  quadrature {dq[0]:.15f}")
 print(f"             closed     {dc.dber:.15f}")
 
 # A moment integral with a logarithmic weight, both sides independent
-rep = theorem5_identity(0.5, 1.0, "ber")
+rep = theorem5_identities(0.5, 1.0)[0]  # the ber row
 print(f"\nmoment integral check: lhs={rep.lhs:.12e} rhs={rep.rhs:.12e} "
       f"|diff|={rep.abs_diff:.2e} -> {'pass' if rep.passed else 'FAIL'}")
 

@@ -29,9 +29,9 @@ once: orders over an x grid (a table, ``eval``, a verify suite call) run
 as one plan (``orderderiv._plan_rows``), and integrand nodes, stencils
 and the value rows of a suite run the kernels on one set-up per integral
 or order; a plan of several orders and the ODE suite keep one dict of K
-starts, one per (mu, z), which also answers a repeated K request.  One psi run gives a
-function and its order derivative together, and nothing but the node
-tables outlives the top-level call.
+starts, one per (mu, z), which also answers a repeat of a K request (same
+|nu|, z and dk).  One psi run gives a function and its order derivative
+together, and nothing but the node tables outlives the top-level call.
 
 The paper's closed forms ``dj_dnu`` and ``dk_dnu`` are oracles for the
 verify suites and tests only; they read J (or I) at nu and -nu from one
@@ -346,9 +346,8 @@ def _k_sums(nu: float, z: complex, dk: bool, starts: dict | None = None) -> tupl
     above.  One dict ``starts`` for all the orders of a call shares each
     start, bit for bit, between +-nu, nu + n and the integers of one z, a
     start with D serving K alone too.  It also keeps each request's result,
-    keyed (nu, z, "k"): a repeat returns it without the climb and the
-    estimate, a result with D serving a request for K alone but not the
-    reverse; a request that raises is not kept.
+    keyed (nu, z, dk): an exact repeat returns it without the climb and the
+    estimate; a request that raises is not kept.
 
     Returns (K, D or None), tuples of :func:`_k_estimate`;
     PowerOverflowError where (|z|/2)^(-nu) overflows, SeriesOverflowError
@@ -356,9 +355,8 @@ def _k_sums(nu: float, z: complex, dk: bool, starts: dict | None = None) -> tupl
     more than ``hyper.MAX_TERMS`` steps, ConvergenceError without the
     climb, or zeros from a start that underflowed to zeros.
     """
-    got = starts.get((nu, z, "k")) if starts else None
-    if got is not None and (got[1] is not None or not dk):  # a repeat
-        return got if dk or got[1] is None else (got[0], None)
+    if starts and (nu, z, dk) in starts:  # a repeat
+        return starts[nu, z, dk]
     sz = abs(z)
     try:
         (0.5 * sz) ** -nu
@@ -374,7 +372,7 @@ def _k_sums(nu: float, z: complex, dk: bool, starts: dict | None = None) -> tupl
     else:
         res = _k_from("temme", nu, z, dk, starts)
     if starts is not None:
-        starts[nu, z, "k"] = res
+        starts[nu, z, dk] = res
     return res
 
 

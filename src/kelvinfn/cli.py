@@ -74,9 +74,6 @@ def _emit(lines: list[str], out_path: str | None) -> None:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     fn = args.fn
-    if fn not in _VALUE_FNS + _DERIV_FNS:
-        print(f"eval: unknown function {fn!r}", file=sys.stderr)
-        return 2
     try:
         if fn in _VALUE_FNS:
             if fn in ("ber", "bei"):
@@ -160,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     pe = sub.add_parser("eval", help="evaluate one function at one point")
-    pe.add_argument("fn", metavar="FN", help="one of ber bei ker kei dber dbei dker dkei")
+    pe.add_argument("fn", metavar="FN", choices=_VALUE_FNS + _DERIV_FNS, help="one of %(choices)s")
     pe.add_argument("--nu", type=float, required=True)
     pe.add_argument("--x", type=float, required=True)
     pe.add_argument("--format", choices=("csv", "plain"), default="plain")

@@ -22,7 +22,8 @@ dK/dnu), ``dkelvin_bb_brychkov`` (3F6/4F7) and ``dkelvin_integer`` (finite
 sums over lower-order Kelvin values, tag 'integer_sum').  The first two
 rotate ``bessel.dj_dnu`` and ``bessel.dk_dnu`` at the ray points (J and I
 by ``bessel._z_sums``), with the Kelvin values from their own kernels; the
-first three raise ConvergenceError where their estimate reaches |value|.
+first three raise ConvergenceError where their estimate reaches |value|,
+but not next to an integer order, where they can be wrong without raising.
 
 ``dkelvin`` is two kernel calls: the series at nu with its psi sums, T and
 P (``bessel._ray_sums``), and the K start and climb at |nu| with dK/dnu
@@ -33,10 +34,9 @@ dT/dnu = log(x/2) T - P, and the K side turns by e^(-i pi nu/2).
 ``_plan_rows`` is the one way to run orders over an x grid: a *plan* of
 (order, dK/dnu wanted) entries, each with rows of values, or of values,
 order derivatives and estimates.  ``dkelvin`` is a plan of one entry at
-one x; a table, ``eval`` and each verify suite call run one plan, and
-``dkelvin_integer`` one per order 0..n, built as its sum reaches it.  A
-plan of more than one entry owns the dict of K starts its orders share
-(``bessel._k_sums``).
+one x; a table, ``eval``, each verify suite call and ``dkelvin_integer``
+(the orders 0..n) run one plan.  A plan of more than one entry owns the
+dict of K starts its orders share (``bessel._k_sums``).
 ``_bb_series`` also gives theorem 5 (``quad``) ber/bei and dJ/dnu at nu + 1.
 """
 
@@ -79,7 +79,8 @@ class OrderDerivQuad(NamedTuple):
 
 def dkelvin_bb_pos(nu: float, x: float) -> tuple[float, float]:
     """(d ber_nu/d nu, d bei_nu/d nu) for non-integer nu >= 0, x > 0, by the
-    paper's csc/2F3/3F4 closed form for dJ/dnu (``bessel.dj_dnu``)."""
+    paper's csc/2F3/3F4 closed form for dJ/dnu (``bessel.dj_dnu``).  Next to
+    an integer order it can be wrong without raising."""
     _finite_positive(nu, x)
     if nu < 0.0 or _is_near_int(nu, ORDER_EPS):
         raise OrderClassError(f"integer or negative order {nu}: use dkelvin")
@@ -92,7 +93,7 @@ def dkelvin_bb_pos(nu: float, x: float) -> tuple[float, float]:
 def dkelvin_kk_pos(nu: float, x: float) -> tuple[float, float]:
     """(d ker_nu/d nu, d kei_nu/d nu) for nu >= 0 with 2 nu non-integer, x > 0,
     by the paper's closed form for dK/dnu.  Orders with 2 nu within 1e-6 of
-    an integer are refused."""
+    an integer are refused; just outside, it can be wrong without raising."""
     _finite_positive(nu, x)
     if nu < 0.0 or _is_near_int(2.0 * nu, NEAR_EXCLUDED):
         raise OrderClassError(f"order {nu} excluded for the K-side closed form")
@@ -131,6 +132,8 @@ def dkelvin_integer(n: int | float, x: float) -> OrderDerivQuad:
     with the analogous sums (3(k-n)pi/4 weights) on the K side.  Sums are
     empty at n = 0.  Kept as an oracle for ``dkelvin`` at integer order.
     A float order must be an integer (2.0), or OrderClassError is raised.
+    The orders 0..n are one plan (:func:`_plan_rows`), read from a generator
+    up to the first order that fails, so that n = 1e17 raises at once.
     """
     _finite(n, x)
     if n != int(n):
@@ -140,10 +143,8 @@ def dkelvin_integer(n: int | float, x: float) -> OrderDerivQuad:
         raise NegativeIntegerOrderError("finite sums defined for n >= 0 only")
     if x <= 0.0:
         raise DomainError("x must be positive")
-    # one plan per order, each built when the sum reaches it, so that an
-    # order whose Gamma or K overflows raises before the orders above it
-    return _dkelvin_integer(n, x, [_plan_rows(((float(k), False),), (x,))[0][0]
-                                   for k in range(n + 1)])
+    rows = _plan_rows(((float(k), False) for k in range(n + 1)), (x,))
+    return _dkelvin_integer(n, x, [r[0] for r in rows])
 
 
 def _dkelvin_integer(n: int, x: float, quads: list) -> OrderDerivQuad:
@@ -210,6 +211,7 @@ def dkelvin_bb_brychkov(nu: float, x: float) -> tuple[float, float]:
     terms the error of ber/bei (estimate plus 4 ulp) times their weights,
     and over the p terms that of the values at -nu plus the rounding of the
     phases 3 pi nu/2 and pi nu (csc) and of the Gamma and power factors.
+    Next to an integer order the form can be wrong without raising.
     """
     _finite_positive(nu, x)
     if nu <= 0.0 or _is_near_int(nu, ORDER_EPS):
@@ -277,13 +279,12 @@ def _plan_rows(plan, xs) -> list[list[tuple]]:
     keeps none.  The rows come in a pass after (built in the K pass, they
     won 14 and 15 of 40 runs over the 81 table orders).
     The error raised is a row-by-row pass's first: a series fault is raised
-    after the K sums of the rows before it.  An empty grid gives one empty
-    list per entry.
+    after the K sums of the rows before it; ``plan``, read once up to that
+    fault, may be a generator.  An empty grid gives one empty list per entry.
     """
     if not xs:
         return [[] for _ in plan]
-    entries, fault = [], None  # (order, series runs, K sums) per entry
-    starts = {} if len(plan) > 1 else None
+    entries, fault = [], None  # (dK/dnu wanted, order, series runs, K sums) per entry
     try:
         for nu, dk in plan:
             o = None
@@ -291,18 +292,19 @@ def _plan_rows(plan, xs) -> list[list[tuple]]:
                 _finite_positive(nu, x)
                 if o is None:  # nu is finite
                     o = _RayOrder(nu)
-                    entries.append((o, [], []))
-                entries[-1][1].append(bessel._ray_sums(o, x, dk))
+                    entries.append((dk, o, [], []))
+                entries[-1][2].append(bessel._ray_sums(o, x, dk))
     except Exception as exc:  # noqa: BLE001 - raised below, after the K sums before it
         fault = exc
-    for (nu, dk), (_, runs, ks) in zip(plan, entries):
+    starts = {} if len(entries) > 1 else None
+    for dk, o, runs, ks in entries:
         for x, _ in zip(xs, runs):
-            ks.append(bessel._k_sums(abs(nu), ROT_K * x, dk, starts))
-            _k_bound(nu, x, ks[-1][0])
+            ks.append(bessel._k_sums(abs(o.mu), ROT_K * x, dk, starts))
+            _k_bound(o.mu, x, ks[-1][0])
     if fault is not None:
         raise fault
-    return [_derivs(xs, *e) if dk else _values(*e)
-            for (_, dk), e in zip(plan, entries, strict=True)]
+    return [_derivs(xs, o, runs, ks) if dk else _values(o, runs, ks)
+            for dk, o, runs, ks in entries]
 
 
 def _values(o: _RayOrder, runs: list, ks: list) -> list[tuple]:

@@ -45,8 +45,9 @@ import math
 from typing import NamedTuple
 
 from . import bessel
+from . import manifest as M
 from .bessel import _RayOrder
-from .errors import ConvergenceError, DomainError, KelvinError
+from .errors import ConvergenceError, DomainError, KelvinError, PowerOverflowError
 from .hyper import EvalResult
 from .kelvin import _finite, _finite_positive, kelvin_ber_bei
 from .orderderiv import _bb_series
@@ -308,7 +309,11 @@ def apelblat_dber_dbei(nu: float, x: float) -> tuple[float, float]:
         # u^((nu-1)/2) [gamma + log(1-u)] du at u = w^2
         return 2.0 * w ** nu * (EULER_GAMMA + math.log(1.0 - w) + math.log1p(w)) * r
 
-    first = -(x / 2.0) ** (nu - 1.0) * digamma_real(nu + 1.0) / g1
+    try:
+        first = -(x / 2.0) ** (nu - 1.0) * digamma_real(nu + 1.0) / g1
+    except OverflowError:  # the power, at nu < 1 and x below about 1.1e-308
+        raise PowerOverflowError(
+            f"(x/2)^{nu - 1.0:g} overflows double precision at x = {x:g}") from None
     packed = _value(integrate_finite(integrand, 0.0, 1.0)) + first * turn
     pref = x / (2.0 * SQRT2)
     return (math.log(x / 2.0) * ber - 0.75 * PI * bei - pref * (packed.real + packed.imag),
@@ -338,15 +343,14 @@ def appendix_ber_bei(x: float, variant: str = "sin") -> tuple[float, float]:
     return w.real, w.imag
 
 
-def convolution_identity(a: float, b: float, t: float,
-                         tol: float = 1e-7) -> IdentityReport:
+def convolution_identity(a: float, b: float, t: float) -> IdentityReport:
     """Check ber(2 sqrt(a t)) + ber(2 sqrt(b t)) against its self-convolution:
 
       (2/pi) int_0^t cosh cos(sqrt((a+b)(t-tau))) cosh cos(sqrt((a-b) tau))
                      / sqrt(tau (t-tau)) dtau
 
     where 'cosh cos(s)' abbreviates cosh(s) cos(s).  The endpoint kernel is
-    removed by tau = t sin^2(theta).
+    removed by tau = t sin^2(theta).  Tolerance: ``manifest.CONVOLUTION_TOL``.
     """
     if not (a >= b > 0.0 and t > 0.0):
         raise DomainError("requires a >= b > 0 and t > 0")
@@ -360,12 +364,11 @@ def convolution_identity(a: float, b: float, t: float,
         return (math.cosh(u1) * math.cos(u1)) * (math.cosh(u2) * math.cos(u2))
 
     res = integrate_finite(f, 0.0, PI / 2.0)
-    return _report(f"convolution_a{a:g}_b{b:g}", a, t, lhs, 4.0 / PI * res.value, tol,
-                   res.converged)
+    return _report(f"convolution_a{a:g}_b{b:g}", a, t, lhs, 4.0 / PI * res.value,
+                   M.CONVOLUTION_TOL, res.converged)
 
 
-def theorem5_identities(nu: float, x: float,
-                        tol: float = 1e-7) -> tuple[IdentityReport, IdentityReport]:
+def theorem5_identities(nu: float, x: float) -> tuple[IdentityReport, IdentityReport]:
     """Check the log-weighted moment integrals of ber and bei against their
     closed forms, both rows from one adaptive pass over ber + i bei:
 
@@ -382,7 +385,7 @@ def theorem5_identities(nu: float, x: float,
     series run with its psi sums, read as in ``dkelvin``: with
     E = e^(i pi mu) dJ/dmu = d(ber + i bei)/dmu - i pi (ber + i bei),
     sqrt 2 Re[e^(i pi (nu + 1/4)) dJ/dmu] = Im E - Re E and
-    sqrt 2 Re[e^(i pi (nu - 1/4)) dJ/dmu] = -Re E - Im E.
+    sqrt 2 Re[e^(i pi (nu - 1/4)) dJ/dmu] = -Re E - Im E.  Tolerance: ``manifest.THEOREM5_TOL``.
     """
     _finite(nu, x)
     if not 0.5 * x > 0.0 or nu <= -1.0:
@@ -405,16 +408,15 @@ def theorem5_identities(nu: float, x: float,
                + e.imag - e.real) / (SQRT2 * x)
     rhs_bei = ((PI / 4.0 + alpha) * bei1 - (PI / 4.0 - alpha) * ber1
                - e.real - e.imag) / (SQRT2 * x)
-    return (_report("theorem5_ber", nu, x, lhs.real, rhs_ber, tol, res.converged),
-            _report("theorem5_bei", nu, x, lhs.imag, rhs_bei, tol, res.converged))
+    return (_report("theorem5_ber", nu, x, lhs.real, rhs_ber, M.THEOREM5_TOL, res.converged),
+            _report("theorem5_bei", nu, x, lhs.imag, rhs_bei, M.THEOREM5_TOL, res.converged))
 
 
-def theorem5_identity(nu: float, x: float, f: str,
-                      tol: float = 1e-7) -> IdentityReport:
+def theorem5_identity(nu: float, x: float, f: str) -> IdentityReport:
     """The row of :func:`theorem5_identities` for f = 'ber' or 'bei'."""
     if f not in ("ber", "bei"):
         raise ValueError("f must be 'ber' or 'bei'")
-    return theorem5_identities(nu, x, tol)[f == "bei"]
+    return theorem5_identities(nu, x)[f == "bei"]
 
 
 def indefinite_integral_check(nu: float, x: float,

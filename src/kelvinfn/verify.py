@@ -15,8 +15,8 @@ at the orders of its finite sums, which read the values from every row.
 The value rows of apelblat and appendix, and the ODE stencils, run the
 kernels at each point on one ``bessel._RayOrder`` per order.  A call of fd,
 reflection, integer, ode or apelblat sums each K start and each K request
-once: the plan owns the dict of K starts its orders share, and ode, which
-runs the K kernel itself, keeps its own (``bessel._k_sums``).
+(|nu|, x, dk) once: the plan owns the dict of K starts its orders share,
+and ode, which runs the K kernel itself, keeps its own (``bessel._k_sums``).
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ def suite_theorem5() -> list[IdentityReport]:
     out = []
     for nu in M.THEOREM5_NU:
         for x in M.THEOREM5_X:
-            out.extend(theorem5_identities(nu, x, M.THEOREM5_TOL))
+            out.extend(theorem5_identities(nu, x))
     for nu, x, tol in M.INDEFINITE_POINTS:
         out.extend(indefinite_integral_check(nu, x, tol))
     return out
@@ -149,7 +149,7 @@ def suite_appendix() -> list[IdentityReport]:
         out.append(make_report("appendix_series_bei", 0.0, x, s[1], k.imag,
                                M.APPENDIX_SERIES_TOL))
     for a, b, t in M.CONVOLUTION_POINTS:
-        out.append(convolution_identity(a, b, t, M.CONVOLUTION_TOL))
+        out.append(convolution_identity(a, b, t))
     return out
 
 

@@ -63,8 +63,10 @@ class TestEval:
         assert err.startswith("eval: DomainError: ")
 
     def test_unknown_function_exit_2(self, capsys):
-        code, _, err = run_cli(capsys, "eval", "blah", "--nu", "0", "--x", "1")
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:  # argparse rejects bad choices
+            main(["eval", "blah", "--nu", "0", "--x", "1"])
+        assert exc.value.code == 2
+        assert "argument FN: invalid choice: 'blah'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("fn", ["bei", "ker", "dkei"])
     def test_method_line(self, capsys, fn):

@@ -89,8 +89,8 @@ OPTIONS = {"eval": {"FN", "--nu", "--x", "--format", "--out"},
            "verify": {"--suite", "--format", "--out"}}
 # each public function's parameters, in order: one more fails by name.  The
 # optional ones are appendix_ber_bei's variant, whose two values verify
-# checks against each other, and the identity checks' tol, which verify
-# sets from the manifest
+# checks against each other, and indefinite_integral_check's tol, which
+# verify sets from the manifest's two values (1e-9 and 1e-10)
 SIGNATURES = {
     **dict.fromkeys(["kelvin_all", "kelvin_ber_bei", "kelvin_ker_kei", "dkelvin",
                      "dkelvin_bb_neg", "dkelvin_kk_neg", "apelblat_ber_bei",
@@ -99,9 +99,10 @@ SIGNATURES = {
                     ("nu", "z")),
     **dict.fromkeys(["gamma_real", "digamma_real"], ("x",)),
     "appendix_ber_bei": ("x", "variant"),
-    "convolution_identity": ("a", "b", "t", "tol"),
-    **dict.fromkeys(["theorem5_identities", "indefinite_integral_check"], ("nu", "x", "tol")),
-    "theorem5_identity": ("nu", "x", "f", "tol"),
+    "convolution_identity": ("a", "b", "t"),
+    "theorem5_identities": ("nu", "x"),
+    "indefinite_integral_check": ("nu", "x", "tol"),
+    "theorem5_identity": ("nu", "x", "f"),
     "integrate_finite": ("f", "a", "b"),
     "integrate_semiinf": ("f",),
     "run_suites": ("name",),
@@ -115,12 +116,13 @@ OUTPUT_MD5 = {
 }
 
 # The edge sweep: orders at and next to the integers, past Gamma's range and
-# the double range; arguments at the underflow of x/2, Temme's borders, the
-# envelope, K_MAX_ARG, e^(-x)'s underflow and past
+# the double range; arguments at the underflow of x/2, where 2/x overflows
+# (1e-320, 1e-308), Temme's borders, the envelope, K_MAX_ARG, e^(-x)'s
+# underflow and past
 EDGE_ORDERS = [0.0, -0.0, 5e-324, -5e-324, 171.6, -171.6, 1e8, 1e17, 1e300, -1e300] + [
     n + d for n in (-3.0, -1.0, 0.0, 1.0, 3.0) for d in (-1e-9, 0.0, 1e-9) if n + d]
-EDGE_XS = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 0.5, 1.2, 20.0, 30.0, math.nextafter(30.0, 40.0),
-           745.0, 1e300, math.inf, -math.inf, math.nan]
+EDGE_XS = [0.0, -0.0, 5e-324, -5e-324, 1e-320, 1e-308, 1e-300, 0.5, 1.2, 20.0, 30.0,
+           math.nextafter(30.0, 40.0), 745.0, 1e300, math.inf, -math.inf, math.nan]
 _NU_X = [(nu, x) for nu in EDGE_ORDERS for x in EDGE_XS]
 _SIDES = [(x, 0.5, 1.2) for x in EDGE_XS] + [(0.5, x, 1.2) for x in EDGE_XS] + [
     (0.5, 1.2, x) for x in EDGE_XS]

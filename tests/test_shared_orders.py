@@ -238,6 +238,55 @@ def test_integer_suite_equals_its_earlier_plan():
     assert [report_bits(r) for r in SUITES["integer"]()] == want
 
 
+def per_order_integer(n, x):
+    """``dkelvin_integer`` on its earlier plans: one plan of one entry per
+    order 0..n, each built when the sum reaches it."""
+    return _dkelvin_integer(n, x, [_plan_rows([(float(k), False)], [x])[0][0]
+                                   for k in range(n + 1)])
+
+
+def outcome(fn, *args):
+    """The bits of ``fn(*args)``, or the type and message of its error."""
+    try:
+        return deriv_bits(fn(*args))
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc)
+
+
+# x on Temme's series, between its borders, on the trapezoidal sum and up
+# to K_MAX_ARG; (n, x) where a series or a K sum fails at some order <= n
+INTEGER_SUM_XS = [0.05, 0.3, 0.5, 0.8, 1.0, 1.2, 1.5, 3.0, 7.0, 12.0, 20.0, 29.0]
+INTEGER_SUM_FAILS = [(10, 1e-300), (10, 5e-324), (3, 30.5), (30, 1e-10), (171, 0.05),
+                     (200, 1e-3), (400, 20.0), (int(1e17), 1.0)]
+
+
+@pytest.mark.parametrize("x", INTEGER_SUM_XS)
+def test_integer_sums_run_one_plan(monkeypatch, x):
+    """``dkelvin_integer(n, x)`` runs the orders 0..n as one plan: it sums
+    one K start, and at n = 0..10 it equals, field for field, the sums on
+    one plan per order."""
+    summed = []
+    for name in ("_k_temme", "_k_trapezoid"):
+        def counted(*args, orig=getattr(kelvinfn.bessel, name)):
+            summed.append(args)
+            return orig(*args)
+
+        monkeypatch.setattr(kelvinfn.bessel, name, counted)
+    for n in range(11):
+        summed.clear()
+        got = outcome(dkelvin_integer, n, x)
+        assert len(summed) == 1, (n, summed)
+        assert got == outcome(per_order_integer, n, x), n
+
+
+@pytest.mark.parametrize("n, x", INTEGER_SUM_FAILS)
+def test_integer_sums_raise_as_per_order_plans(n, x):
+    """Where an order <= n fails, ``dkelvin_integer`` raises the error of
+    the first failing order, type and message, as one plan per order does."""
+    got = outcome(dkelvin_integer, n, x)
+    assert isinstance(got[0], type) and got == outcome(per_order_integer, n, x)
+
+
 @pytest.mark.parametrize("nu", ORDERS)
 def test_integrand_ber_bei_equal_single_points(nu):
     """ber + i bei as the integrands read it, phi T from the ray kernel on
@@ -287,7 +336,7 @@ def indefinite_nodes(nu: float, x: float, tol: float) -> tuple:
 def test_theorem5_nodes_equal_single_points(nu, x):
     """The theorem5 rows, their integrand on the ray kernel, are bit for bit
     those of a node loop over ``_eval_ber_bei``."""
-    assert [report_bits(r) for r in theorem5_identities(nu, x, M.THEOREM5_TOL)] == \
+    assert [report_bits(r) for r in theorem5_identities(nu, x)] == \
         [report_bits(r) for r in theorem5_nodes(nu, x, M.THEOREM5_TOL)]
 
 
@@ -366,9 +415,9 @@ K_XS = [0.1, 0.45, 0.55, 1.0, 1.15, 1.3, 5.0, 20.0]
 
 
 def start_count(starts: dict) -> int:
-    """The K starts a dict of ``_k_sums`` holds, less the request results
-    it also keeps (keyed (nu, z, "k"))."""
-    return sum(key[2] != "k" for key in starts)
+    """The K starts a dict of ``_k_sums`` holds (keyed (start order, z,
+    route)), less the request results it also keeps (keyed (nu, z, dk))."""
+    return sum(isinstance(key[2], str) for key in starts)
 
 
 def k_bits(res) -> tuple:
@@ -444,11 +493,10 @@ def test_shared_k_starts_raise_per_request():
 
 @pytest.mark.parametrize("x", [0.3, 1.0, 5.0])
 def test_repeated_k_request_returns_its_result(x):
-    """A K request repeated on one dict (the same |nu| and z) returns the
-    tuple of the first, on Temme's series (0.3), between its borders (1.0)
-    and on the trapezoidal sum (5.0): a dK/dnu result serves a request for
-    K alone, but a K result does not serve one for dK/dnu, which sums
-    again."""
+    """A K request repeated on one dict (the same |nu|, z and dk) returns
+    the tuple of the first, on Temme's series (0.3), between its borders
+    (1.0) and on the trapezoidal sum (5.0); a request of the other kind
+    sums its own."""
     starts: dict = {}
     z = ROT_K * x
     k = _k_sums(2.3, z, False, starts)
@@ -456,9 +504,7 @@ def test_repeated_k_request_returns_its_result(x):
     d = _k_sums(2.3, z, True, starts)
     assert d[0] is not k[0] and k_bits(d) == k_bits(_k_sums(2.3, z, True))
     assert _k_sums(2.3, z, True, starts) is d
-    again = _k_sums(2.3, z, False, starts)
-    assert again[0] is d[0] and again[1] is None
-    assert k_bits(again) == k_bits(_k_sums(2.3, z, False))
+    assert _k_sums(2.3, z, False, starts) is k
 
 
 def test_k_request_that_raised_raises_again():
@@ -471,7 +517,7 @@ def test_k_request_that_raised_raises_again():
             _k_sums(200.3, z, True, starts)
         with pytest.raises(SeriesOverflowError):
             _k_sums(1000.0, big, True, starts)
-    assert not [key for key in starts if key[2] == "k"]
+    assert start_count(starts) == len(starts)
 
 
 def test_start_that_raises_is_not_kept(monkeypatch):

@@ -205,8 +205,8 @@ def kstarts(monkeypatch):
 
 def _kept(dicts) -> list:
     """The keys (start order, argument, route) of the starts of every dict
-    of starts, less the request results it also keeps (route "k")."""
-    return [key for d in dicts.values() for key in d if key[2] != "k"]
+    of starts, less the request results it also keeps (keyed (nu, z, dk))."""
+    return [key for d in dicts.values() for key in d if isinstance(key[2], str)]
 
 
 # (suite, K sums, K starts, distinct (start order, argument)); one start per
