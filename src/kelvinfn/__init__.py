@@ -3,8 +3,8 @@ and quadrature-backed identity verification.
 
 The paper's closed forms (``bessel.dj_dnu``/``dk_dnu``, the
 ``orderderiv.dkelvin_*`` oracles, ``coef_c``/``coef_d``), the series engine
-``hyper.pfq``/``HyperSpec`` and the errors only they raise are oracles of
-the verify suites: they are imported from their modules, not from here."""
+``hyper.pfq`` and the errors only they raise are oracles of the verify
+suites: they are imported from their modules, not from here."""
 
 from .errors import (ArgumentZeroError, BranchError, ConvergenceError, DomainError,
                      GammaOverflowError, KelvinError, PoleError, PowerOverflowError,

@@ -53,7 +53,7 @@ from .errors import (ArgumentZeroError, BranchError, ConvergenceError, DomainErr
                      GammaOverflowError, OrderClassError, PowerOverflowError,
                      SeriesOverflowError)
 from . import hyper
-from .hyper import EvalResult, HyperSpec, pfq
+from .hyper import EvalResult, pfq
 from .hyper import sum_series  # noqa: F401  bound here for perfbench/tracing.py, which wraps it
 from .scalars import PI, digamma_real, gamma_real
 
@@ -869,20 +869,20 @@ def bessel_k(nu: float, z: complex) -> EvalResult:
     return _k(nu, z, False)
 
 
-def _floored(spec: HyperSpec) -> EvalResult:
-    """pFq of ``spec``, its estimate raised by ``_JI_FLOOR`` times its largest term."""
-    r = pfq(spec)
+def _floored(upper: tuple, lower: tuple, w: complex) -> EvalResult:
+    """pFq at these parameters, its estimate raised by ``_JI_FLOOR`` times its largest term."""
+    r = pfq(upper, lower, w)
     return r._replace(abs_err_estimate=r.abs_err_estimate + _JI_FLOOR * r.max_abs_term)
 
 
 def _f23(nu: float, w: complex) -> EvalResult:
     """2F3(nu, nu+1/2; nu+1, nu+1, 2nu+1; w); at -nu, 2F3(-nu, 1/2-nu; 1-nu, 1-nu, 1-2nu; w)."""
-    return _floored(HyperSpec((nu, nu + 0.5), (nu + 1.0, nu + 1.0, 2.0 * nu + 1.0), w))
+    return _floored((nu, nu + 0.5), (nu + 1.0, nu + 1.0, 2.0 * nu + 1.0), w)
 
 
 def _f34(nu: float, w: complex) -> EvalResult:
     """3F4(1, 1, 3/2; 2, 2, 2-nu, 2+nu; w)."""
-    return _floored(HyperSpec((1.0, 1.0, 1.5), (2.0, 2.0, 2.0 - nu, 2.0 + nu), w))
+    return _floored((1.0, 1.0, 1.5), (2.0, 2.0, 2.0 - nu, 2.0 + nu), w)
 
 
 def dj_dnu(nu: float, z: complex) -> EvalResult:

@@ -10,7 +10,8 @@ verify  run identity suites, emit the report CSV, exit 1 on any failure
 its x other than 0 one plan of all its orders (``orderderiv._plan_rows``),
 which owns the dict of K starts they share (``bessel._k_sums``).  A table's
 ``--nu`` and ``--x`` are second spellings of ``--nu-range`` and
-``--x-range``, each an 'a:b:step' range or one number.  CSV output uses 17
+``--x-range``, each an 'a:b:step' range or one number, and a grid of more
+than ``MAX_RANGE_POINTS`` rows is refused.  CSV output uses 17
 significant digits, '\n' line endings and no quoting, so two runs with
 identical flags are byte-identical.  Every value is computed to full double
 precision, and ``verify`` checks at the manifest tolerances; no flag or
@@ -37,7 +38,7 @@ _REPORT_HEADER = "name,nu,x,lhs,rhs,abs_diff,tol,pass"
 # a table row: nu, x, the four values and the four order derivatives, each
 # cell the string of _fmt ('%.17g' and '{:.17g}' agree on every double)
 _TABLE_ROW = "%.17g," * 10 + "series"
-# the most points one range may hold, far above a grid of 81 orders by 20 x
+# the most points of a range and rows of a table, far above 81 orders by 20 x
 MAX_RANGE_POINTS = 10 ** 6
 
 
@@ -124,6 +125,8 @@ def cmd_table(args: argparse.Namespace) -> int:
     try:
         nus = _parse_range(args.nu_range, "--nu-range")
         xs = _parse_range(args.x_range, "--x-range")
+        if len(nus) * len(xs) > MAX_RANGE_POINTS:  # before any kernel runs
+            raise ValueError(f"a grid of {len(nus) * len(xs)} rows, more than {MAX_RANGE_POINTS}")
     except ValueError as exc:
         print(f"table: {exc}", file=sys.stderr)
         return 2

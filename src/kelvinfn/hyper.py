@@ -1,6 +1,7 @@
 """Generalized hypergeometric series pFq at complex argument.
 
-Entire series only (p <= q+1 excluded; we require p <= q), evaluated by
+Entire series only (p <= q+1 excluded; we require p <= q):
+``pfq(upper, lower, z)`` takes its parameters directly and sums by
 term-ratio recursion with compensated accumulation.  The Kelvin-type
 arguments make partial sums cancel by factors up to ~e^(x/sqrt(2)), so the
 summation carries Neumaier compensation on both components and reports the
@@ -44,19 +45,6 @@ class EvalResult(NamedTuple):
     converged: bool
     flags: tuple[str, ...] = ()
     max_abs_term: float = 0.0
-
-
-class HyperSpec(NamedTuple("HyperSpec", [("upper", tuple), ("lower", tuple), ("z", complex)])):
-    """Parameter set of a pFq evaluation: upper a_i, lower b_j, argument z."""
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace converts and checks
-
-    def __new__(cls, upper, lower, z):
-        self = super().__new__(cls, tuple(map(float, upper)), tuple(map(float, lower)), complex(z))
-        if len(self.upper) > len(self.lower):
-            raise ValueError("series is not entire: need len(upper) <= len(lower)")
-        return self
 
 
 def sum_series(first_term: complex, ratio) -> EvalResult:
@@ -117,18 +105,23 @@ def sum_series(first_term: complex, ratio) -> EvalResult:
                       () if converged else ("no_convergence",), max_term)
 
 
-def pfq(spec: HyperSpec) -> EvalResult:
-    """Evaluate pFq(a; b; z) = sum_k [prod (a_i)_k / prod (b_j)_k] z^k / k!.
+def pfq(upper, lower, z) -> EvalResult:
+    """Evaluate pFq(a; b; z) = sum_k [prod (a_i)_k / prod (b_j)_k] z^k / k!,
+    the a_i (``upper``) and b_j (``lower``) read as floats, z as a complex.
 
     Raises
     ------
+    ValueError
+        If len(upper) > len(lower): the series is not entire.
     DenominatorPoleError
         If any lower parameter is a nonpositive integer.
     """
-    for b in spec.lower:
+    upper, lower, z = tuple(map(float, upper)), tuple(map(float, lower)), complex(z)
+    if len(upper) > len(lower):
+        raise ValueError("series is not entire: need len(upper) <= len(lower)")
+    for b in lower:
         if b <= 0.0 and b == math.floor(b):
             raise DenominatorPoleError(f"lower parameter {b} is a nonpositive integer")
-    upper, lower, z = spec.upper, spec.lower, spec.z
 
     def ratio(k: int) -> complex:
         num = 1.0

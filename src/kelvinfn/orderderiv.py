@@ -48,7 +48,7 @@ from typing import NamedTuple
 from . import bessel
 from .bessel import _EPS, ORDER_EPS, _is_near_int, _RayOrder, _turn, dj_dnu, dk_dnu
 from .errors import DomainError, NegativeIntegerOrderError, OrderClassError, SeriesOverflowError
-from .hyper import EvalResult, HyperSpec, pfq
+from .hyper import EvalResult, pfq
 from .kelvin import (_VALUE_FLOOR, ROT_J, ROT_K, KelvinQuad, _eval_ber_bei, _eval_ker_kei,
                      _finite, _finite_positive, _k_bound, _ray_rounding, _some_digit)
 from .scalars import PI, digamma_real, gamma_real
@@ -181,14 +181,14 @@ def _reference_pfq(nu: float, x: float, a: int, d: bool) -> EvalResult:
     except OverflowError:
         raise SeriesOverflowError(f"x^4 overflows double precision at x = {x:g}") from None
     if d:
-        return pfq(HyperSpec(
+        return pfq(
             ((a + 1.0) / 2.0, (a + 1.0) / 2.0, (2.0 * a + 3.0) / 4.0, (2.0 * a + 5.0) / 4.0),
             (a + 0.5, (a + 3.0) / 2.0, (a + 3.0) / 2.0, (nu + a) / 2.0 + 1.0,
-             (nu + a + 3.0) / 2.0, (a - nu) / 2.0 + 1.0, (a - nu + 3.0) / 2.0), z))
-    return pfq(HyperSpec(
+             (nu + a + 3.0) / 2.0, (a - nu) / 2.0 + 1.0, (a - nu + 3.0) / 2.0), z)
+    return pfq(
         ((2.0 * nu + a + 1.0) / 4.0, (2.0 * nu + 3.0) / 4.0, (2.0 * nu + 5.0 * a) / 4.0),
         (a + 0.5, (nu + a + 1.0) / 2.0, (nu + a) / 2.0 + 1.0, (nu + a) / 2.0 + 1.0,
-         nu + (a + 1.0) / 2.0, nu + 1.0 + a / 2.0), z))
+         nu + (a + 1.0) / 2.0, nu + 1.0 + a / 2.0), z)
 
 
 def coef_c(nu: float, x: float, a: int) -> float:

@@ -6,17 +6,19 @@ the acceptance tests drive.  Suite names: fd, reflection, ode, apelblat,
 theorem5, appendix, brychkov, integer (plus 'all').  Series and integrals
 run at the one accuracy of ``hyper`` and ``quad``.
 
-fd, reflection, integer and the derivative rows of apelblat run their
-orders over their x grid as one plan per call (``orderderiv._plan_rows``,
-the one front of plans, as for ``fd_oracle``): every series run of the
-call, then every K sum.  fd's plan holds each order with dK/dnu followed
-by its four stencil orders; integer's each order 0..5 once, with dK/dnu
-at the orders of its finite sums, which read the values from every row.
-The value rows of apelblat and appendix, and the ODE stencils, run the
-kernels at each point on one ``bessel._RayOrder`` per order.  A call of fd,
-reflection, integer, ode or apelblat sums each K start and each K request
-(|nu|, x, dk) once: the plan owns the dict of K starts its orders share,
-and ode, which runs the K kernel itself, keeps its own (``bessel._k_sums``).
+fd, reflection and integer run their orders over their x grid as one plan
+per call (``orderderiv._plan_rows``, the one front of plans, as for
+``fd_oracle``): every series run of the call, then every K sum.  fd's plan
+holds each order with dK/dnu followed by its four stencil orders;
+integer's each order 0..5 once, with dK/dnu at the orders of its finite
+sums, which read the values from every row.  apelblat and appendix, which
+read no K, and the ODE stencils run the kernels at each point on one
+``bessel._RayOrder`` per order; apelblat's derivative rows read one series
+run with its psi sums per (nu, x) (``orderderiv._bb_series``), as
+``quad.theorem5_identities`` does.  A call of fd, reflection, integer or
+ode sums each K start and each K request (|nu|, x, dk) once: the plan owns
+the dict of K starts its orders share, and ode, which runs the K kernel
+itself, keeps its own (``bessel._k_sums``).
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from . import bessel
 from . import manifest as M
 from .bessel import _RayOrder, _turn
 from .kelvin import ROT_K, _k_bound
-from .orderderiv import _dkelvin_integer, _plan_rows, dkelvin_bb_brychkov, dkelvin_bb_pos
+from .orderderiv import (_bb_series, _dkelvin_integer, _plan_rows, dkelvin_bb_brychkov,
+                         dkelvin_bb_pos)
 from .quad import (IdentityReport, apelblat_ber_bei, apelblat_dber_dbei,
                    appendix_ber_bei, convolution_identity, indefinite_integral_check,
                    make_report, theorem5_identities)
@@ -110,14 +113,13 @@ def suite_apelblat() -> list[IdentityReport]:
             k = o.phase() * bessel._ray_sums(o, arg, False)[0]
             out.append(make_report("apelblat_ber", nu, arg, q[0], k.real, M.APELBLAT_TOL))
             out.append(make_report("apelblat_bei", nu, arg, q[1], k.imag, M.APELBLAT_TOL))
-    # the integrals first, so that the plan's series runs precede its K sums
-    quads = [[apelblat_dber_dbei(nu, x) for x in M.APELBLAT_D_X] for nu in M.APELBLAT_D_NU]
-    plan = [(nu, True) for nu in M.APELBLAT_D_NU]
-    for nu, qs, rows in zip(M.APELBLAT_D_NU, quads, _plan_rows(plan, M.APELBLAT_D_X),
-                            strict=True):
-        for x, q, row in zip(M.APELBLAT_D_X, qs, rows, strict=True):
-            out.append(make_report("apelblat_dber", nu, x, q[0], row[4], M.APELBLAT_D_TOL))
-            out.append(make_report("apelblat_dbei", nu, x, q[1], row[5], M.APELBLAT_D_TOL))
+    for nu in M.APELBLAT_D_NU:
+        o = _RayOrder(nu)
+        for x in M.APELBLAT_D_X:
+            q = apelblat_dber_dbei(nu, x)
+            dbb = _bb_series(o, bessel._ray_sums(o, x, True), x)[1]
+            out.append(make_report("apelblat_dber", nu, x, q[0], dbb.real, M.APELBLAT_D_TOL))
+            out.append(make_report("apelblat_dbei", nu, x, q[1], dbb.imag, M.APELBLAT_D_TOL))
     return out
 
 

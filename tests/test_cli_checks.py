@@ -47,6 +47,7 @@ SUITE_ROWS = {"all": 603, "fd": 240, "reflection": 96, "ode": 24, "apelblat": 78
 TABLE_GRIDS = [("-10:10:0.25", "1:20:1", 1620), ("-10:10:0.25", "0.1:2:0.1", 1620),
                ("-10:10:0.5", "20:30:0.5", 861), ("15:40:5", "1:20:1", 120)]
 _TOO_MANY = f"table: --x-range: more than {cli.MAX_RANGE_POINTS} points"
+_TOO_MANY_ROWS = f"table: a grid of 2001000 rows, more than {cli.MAX_RANGE_POINTS}"
 # (command, a line its stderr starts with): each exits 2 with a typed error
 TYPED_ERRORS = [
     # x/2 underflowing to 0, an argument past the K sum's bound, (x/2)^nu
@@ -75,6 +76,9 @@ TYPED_ERRORS = [
     ("table --nu 0 --x-range=nan:2:1", "table: --x-range: need finite a, b and step"),
     ("table --nu 0 --x-range=0:1:1e-300", _TOO_MANY),
     ("table --nu 0 --x-range=1:1e300:1e-300", _TOO_MANY),
+    # a grid of more rows than one range may hold points, refused before any
+    # kernel runs, though each axis is within the limit
+    ("table --nu-range=-10:10:0.01 --x-range=0.02:20:0.02", _TOO_MANY_ROWS),
     # an --out path that is a directory, or in a missing directory: named,
     # and not taken for a failed identity (exit 1)
     *[(f"{command} --out {path}", f"{command.split()[0]}: {error}: ")
@@ -263,14 +267,14 @@ def _finite_cell(cell):
 
 def test_typed_errors():
     """Each command exits 2 and its stderr names the error, within
-    CLI_SECONDS (a refusal of too many points within EDGE_SECONDS: a grid
-    that is built instead grows by about 1 GB a second): no traceback and no
-    endless climb or grid."""
+    CLI_SECONDS (a refusal of too many points or rows within EDGE_SECONDS:
+    a grid that is built instead grows by about 1 GB a second): no
+    traceback and no endless climb or grid."""
     bad = []
     for command, want in TYPED_ERRORS:
         try:
-            code, _, err = run_cli(*command.split(),
-                                   seconds=EDGE_SECONDS if want == _TOO_MANY else CLI_SECONDS)
+            seconds = EDGE_SECONDS if want in (_TOO_MANY, _TOO_MANY_ROWS) else CLI_SECONDS
+            code, _, err = run_cli(*command.split(), seconds=seconds)
         except Exception as exc:  # a traceback or a timeout
             code, err = None, f"{type(exc).__name__}: {exc}"
         print(f"{command}: exit {code}, {err.strip()}")

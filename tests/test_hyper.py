@@ -9,7 +9,7 @@ import pytest
 import kelvinfn
 from kelvinfn import hyper
 from kelvinfn.errors import DenominatorPoleError
-from kelvinfn.hyper import HyperSpec, pfq
+from kelvinfn.hyper import pfq
 
 J0_AT_2 = 0.22389077914123567  # 0F1(;1;-1), exact-rational partial sums
 
@@ -37,7 +37,7 @@ def pfq_fraction(upper, lower, z, n_terms):
 class TestSpotValues:
     def test_empty_sum_at_zero(self):
         nu = 0.3
-        r = pfq(HyperSpec((nu, nu + 0.5), (nu + 1, nu + 1, 2 * nu + 1), 0.0))
+        r = pfq((nu, nu + 0.5), (nu + 1, nu + 1, 2 * nu + 1), 0.0)
         assert r.value == 1.0 + 0.0j
         assert r.converged
 
@@ -49,8 +49,7 @@ class TestSpotValues:
             (Fraction(1), Fraction(1), Fraction(3, 2)),
             (Fraction(2), Fraction(2), 2 - nu, 2 + nu),
             z, 40)
-        spec = HyperSpec((1.0, 1.0, 1.5), (2.0, 2.0, 2 - 0.25, 2 + 0.25), float(z))
-        r = pfq(spec)
+        r = pfq((1.0, 1.0, 1.5), (2.0, 2.0, 2 - 0.25, 2 + 0.25), float(z))
         assert r.converged
         assert r.value.real == pytest.approx(float(oracle), rel=1e-14)
         assert r.value.imag == 0.0
@@ -59,13 +58,13 @@ class TestSpotValues:
         """(pfq(z) - 1)/z -> 3/(8(4-nu^2)) as z -> 0."""
         nu = 0.25
         z = 1e-6
-        r = pfq(HyperSpec((1.0, 1.0, 1.5), (2.0, 2.0, 2 - nu, 2 + nu), z))
+        r = pfq((1.0, 1.0, 1.5), (2.0, 2.0, 2 - nu, 2 + nu), z)
         slope = (r.value.real - 1.0) / z
         assert slope == pytest.approx(3.0 / (8.0 * (4.0 - nu * nu)), rel=1e-4)
 
     def test_0f1_is_bessel_j0(self):
         """0F1(;1;-x^2/4) = J_0(x) at x = 2."""
-        r = pfq(HyperSpec((), (1.0,), -1.0))
+        r = pfq((), (1.0,), -1.0)
         assert r.value.real == pytest.approx(J0_AT_2, rel=1e-14)
 
 
@@ -78,8 +77,8 @@ class TestStructuralProperties:
             a = rng.uniform(0.2, 5.0)
             b1 = rng.uniform(0.5, 4.0)
             z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-            padded = pfq(HyperSpec((a, 1.0), (a, b1, 1.5), z))
-            plain = pfq(HyperSpec((1.0,), (b1, 1.5), z))
+            padded = pfq((a, 1.0), (a, b1, 1.5), z)
+            plain = pfq((1.0,), (b1, 1.5), z)
             assert abs(padded.value - plain.value) <= 1e-13 * (1 + abs(plain.value))
 
     def test_conjugation_exact(self):
@@ -90,21 +89,21 @@ class TestStructuralProperties:
             up = (rng.uniform(0.2, 3.0), rng.uniform(0.2, 3.0))
             lo = (rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0))
             z = complex(rng.uniform(-10, 10), rng.uniform(-10, 10))
-            r = pfq(HyperSpec(up, lo, z))
-            rc = pfq(HyperSpec(up, lo, z.conjugate()))
+            r = pfq(up, lo, z)
+            rc = pfq(up, lo, z.conjugate())
             assert rc.value == r.value.conjugate()
 
     def test_term_count_for_kelvin_arguments(self):
         """Arguments up to |z| = 400 converge within 400 terms."""
         nu = 0.75
         for z in (400j, -400j, -400.0, 400.0):
-            r = pfq(HyperSpec((nu, nu + 0.5), (nu + 1, nu + 1, 2 * nu + 1), z))
+            r = pfq((nu, nu + 0.5), (nu + 1, nu + 1, 2 * nu + 1), z)
             assert r.converged
             assert r.terms_used <= 400
 
     def test_terminating_series(self):
         """A nonpositive-integer upper parameter truncates the sum exactly."""
-        r = pfq(HyperSpec((-3.0, 1.0), (2.0, 2.5), 1.7))
+        r = pfq((-3.0, 1.0), (2.0, 2.5), 1.7)
         oracle = pfq_fraction(
             (Fraction(-3), Fraction(1)), (Fraction(2), Fraction(5, 2)),
             Fraction(17, 10), 10)
@@ -115,26 +114,40 @@ class TestStructuralProperties:
 class TestErrorHandling:
     def test_denominator_pole(self):
         with pytest.raises(DenominatorPoleError):
-            pfq(HyperSpec((1.0,), (-2.0, 1.0), 0.5))
+            pfq((1.0,), (-2.0, 1.0), 0.5)
         with pytest.raises(DenominatorPoleError):
-            pfq(HyperSpec((1.0,), (0.0,), 0.5))
+            pfq((1.0,), (0.0,), 0.5)
 
     def test_not_entire_rejected(self):
         with pytest.raises(ValueError):
-            HyperSpec((1.0, 2.0), (3.0,), 0.5)
+            pfq((1.0, 2.0), (3.0,), 0.5)
 
     def test_max_terms_reports_no_convergence(self, monkeypatch):
         monkeypatch.setattr(hyper, "MAX_TERMS", 5)
-        r = pfq(HyperSpec((0.5,), (1.0, 1.0), 900.0))
+        r = pfq((0.5,), (1.0, 1.0), 900.0)
         assert not r.converged
         assert "no_convergence" in r.flags
 
     def test_converged_estimate_invariant(self):
         """converged implies abs_err_estimate <= REL_TOL (1 + |value|)."""
         for z in (0.5 + 0.5j, -3.0, 10j, -40.0):
-            r = pfq(HyperSpec((0.7, 1.2), (1.1, 2.2, 0.9), z))
+            r = pfq((0.7, 1.2), (1.1, 2.2, 0.9), z)
             assert r.converged
             assert r.abs_err_estimate <= hyper.REL_TOL * (1.0 + abs(r.value)) * 10.0
+
+
+def test_pfq_converts_and_checks_its_parameters():
+    """pfq reads any sequences of numbers as float parameters and any number
+    as a complex argument, bit for bit as the converted call, and checks
+    that the series is entire before it checks the lower parameters."""
+    assert pfq([1, 2], (3, 4.5), 2) == pfq((1.0, 2.0), (3.0, 4.5), 2 + 0j)
+    assert pfq(iter([0.5]), [1], -3) == pfq((0.5,), (1.0,), -3 + 0j)
+    with pytest.raises(ValueError, match="not entire"):
+        pfq((1.0, 2.0), (3.0,), 0.5)
+    with pytest.raises(ValueError, match="not entire"):
+        pfq((1, 2, 3), (0,), 0.5)
+    with pytest.raises(DenominatorPoleError):
+        pfq([1], [-2], 0.5)
 
 
 def test_precision_is_not_a_setting():
@@ -163,7 +176,7 @@ def test_precision_is_not_a_setting():
 ORACLES = {"bessel": ("dj_dnu", "dk_dnu"),
            "orderderiv": ("dkelvin_bb_pos", "dkelvin_kk_pos", "dkelvin_bb_brychkov",
                           "dkelvin_integer", "coef_c", "coef_d"),
-           "hyper": ("pfq", "HyperSpec"),
+           "hyper": ("pfq",),
            "errors": ("OrderClassError", "DenominatorPoleError", "NegativeIntegerOrderError")}
 
 

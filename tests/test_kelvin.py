@@ -11,7 +11,7 @@ from kelvinfn.bessel import _k_sums, bessel_i, bessel_j, dj_dnu_any
 from kelvinfn.errors import (ConvergenceError, DomainError, GammaOverflowError, KelvinError,
                              PowerOverflowError, SeriesOverflowError)
 from kelvinfn import hyper
-from kelvinfn.hyper import HyperSpec, pfq
+from kelvinfn.hyper import pfq
 from kelvinfn.kelvin import KelvinQuad, kelvin_all, kelvin_ber_bei, kelvin_ker_kei
 from kelvinfn.orderderiv import _plan_rows, dkelvin
 
@@ -127,7 +127,7 @@ def test_non_finite_input_raises_domain_error(fn, nu, x):
 
 @pytest.mark.parametrize("call", [lambda: kelvin_all(0.0, 1000.0),
                                   lambda: dkelvin(40.0, 1000.0),
-                                  lambda: pfq(HyperSpec((), (1.0,), 1e6)),
+                                  lambda: pfq((), (1.0,), 1e6),
                                   lambda: kelvin_all(30.0, 1e-9),
                                   lambda: kelvin_all(100.0, 0.01),
                                   lambda: kelvin_all(-49.5, 3.4e-6),
@@ -458,11 +458,11 @@ class TestKelvinODE:
 class TestAgainstScipy:
     """Spot cross-check against an unrelated implementation at order zero."""
 
-    scipy = pytest.importorskip("scipy.special")
-
     def test_order_zero_quad(self):
+        # this test alone skips where scipy is missing or broken, not the module
+        special = pytest.importorskip("scipy.special", exc_type=ImportError)
         for x in (0.5, 1.0, 3.0, 7.0):
-            be, ke, _, _ = self.scipy.kelvin(x)
+            be, ke, _, _ = special.kelvin(x)
             q = kelvin_all(0.0, x)
             assert q.ber == pytest.approx(be.real, rel=1e-9, abs=1e-12)
             assert q.bei == pytest.approx(be.imag, rel=1e-9, abs=1e-12)

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from kelvinfn.cli import _fmt, main
-from kelvinfn.hyper import HyperSpec, pfq
+from kelvinfn.hyper import pfq
 from kelvinfn.kelvin import (ROT_J, ROT_K, _eval_ber_bei, _eval_ker_kei, kelvin_all,
                              kelvin_ber_bei, kelvin_ker_kei)
 from kelvinfn.orderderiv import dkelvin
@@ -103,8 +103,8 @@ def test_pfq_equal_on_both_rays(nu, x):
     specs = [((nu, nu + 0.5), (nu + 1.0, nu + 1.0, 2.0 * nu + 1.0)),
              ((1.0, 1.0, 1.5), (2.0, 2.0, 2.0 - nu, 2.0 + nu))]
     for upper, lower in specs:
-        a = pfq(HyperSpec(upper, lower, -zj * zj))
-        b = pfq(HyperSpec(upper, lower, zk * zk))
+        a = pfq(upper, lower, -zj * zj)
+        b = pfq(upper, lower, zk * zk)
         assert a == b
         assert (math.copysign(1.0, a.value.real), math.copysign(1.0, a.value.imag)) == \
             (math.copysign(1.0, b.value.real), math.copysign(1.0, b.value.imag))

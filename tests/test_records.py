@@ -1,5 +1,5 @@
-"""The contract of the result records: ``EvalResult``, ``HyperSpec``,
-``KelvinQuad``, ``OrderDerivQuad`` and ``IdentityReport``.
+"""The contract of the result records: ``EvalResult``, ``KelvinQuad``,
+``OrderDerivQuad`` and ``IdentityReport``.
 
 Each record is a ``typing.NamedTuple``: it is read by attribute, in the field
 order below, and through ``_replace``, ``_asdict`` and ``_fields``;
@@ -12,7 +12,7 @@ import math
 
 import pytest
 
-from kelvinfn.hyper import EvalResult, HyperSpec
+from kelvinfn.hyper import EvalResult
 from kelvinfn.kelvin import KelvinQuad, kelvin_all
 from kelvinfn.orderderiv import OrderDerivQuad, dkelvin
 from kelvinfn.quad import IdentityReport, make_report
@@ -20,7 +20,6 @@ from kelvinfn.quad import IdentityReport, make_report
 FIELDS = {
     EvalResult: ("value", "abs_err_estimate", "terms_used", "converged", "flags",
                  "max_abs_term"),
-    HyperSpec: ("upper", "lower", "z"),
     KelvinQuad: ("ber", "bei", "ker", "kei", "nu", "x"),
     OrderDerivQuad: ("dber", "dbei", "dker", "dkei", "nu", "x", "method", "err_estimate",
                      "values"),
@@ -34,7 +33,6 @@ def _records():
     d = dkelvin(0.5, 1.0)
     return [
         (EvalResult(1 + 2j, 1e-16, 3, True), (1 + 2j, 1e-16, 3, True, (), 0.0)),
-        (HyperSpec((1.0,), (2.0,), 0.5j), ((1.0,), (2.0,), 0.5j)),
         (q, (q.ber, q.bei, q.ker, q.kei, 0.5, 1.0)),
         (d, (d.dber, d.dbei, d.dker, d.dkei, 0.5, 1.0, "series", d.err_estimate, q)),
         (make_report("r", 0.5, 1.0, 1.0, 1.5, 1.0), ("r", 0.5, 1.0, 1.0, 1.5, 0.5, 1.0, True)),
@@ -51,27 +49,14 @@ def test_fields_in_order_read_by_attribute_and_frozen(rec, want):
         with pytest.raises(AttributeError):
             setattr(rec, f, None)
     assert rec._fields == fields and tuple(rec._asdict().values()) == want
-    new = (2.0,) if type(rec) is HyperSpec else "new"  # HyperSpec converts to floats
-    changed = rec._replace(**{fields[0]: new})
-    assert type(changed) is type(rec) and getattr(changed, fields[0]) == new
+    changed = rec._replace(**{fields[0]: "new"})
+    assert type(changed) is type(rec) and getattr(changed, fields[0]) == "new"
     assert tuple(getattr(changed, f) for f in fields[1:]) == want[1:]
 
 
 @pytest.mark.parametrize("nu, x", [(0.5, 1.0), (-2.3, 0.1), (3.0, 8.0), (7.3, 20.0)])
 def test_dkelvin_carries_kelvin_all(nu, x):
     assert dkelvin(nu, x).values == kelvin_all(nu, x)
-
-
-def test_hyperspec_converts_and_checks_its_parameters():
-    s = HyperSpec([1, 2], (3, 4.5), 2)
-    assert s.upper == (1.0, 2.0) and s.lower == (3.0, 4.5) and s.z == 2 + 0j
-    assert all(type(v) is float for v in s.upper + s.lower) and type(s.z) is complex
-    with pytest.raises(ValueError, match="not entire"):
-        HyperSpec((1.0, 2.0), (3.0,), 0.5)
-    assert s._replace(upper=[1]) == ((1.0,), (3.0, 4.5), 2 + 0j)
-    assert type(s._replace(z=3).z) is complex
-    with pytest.raises(ValueError, match="not entire"):
-        s._replace(upper=(1, 2, 3))
 
 
 def test_repr_is_frozen():
