@@ -10,12 +10,12 @@ z^nu = exp(nu log z), arg z in (-pi, pi].  Each quantity has one route:
   (:func:`_ray_sums`), at a general complex z by its twin
   (:func:`_z_sums`).
 - K_nu and dK/dnu, even and odd in nu, at every order: one start record
-  near mu = |nu| - floor(|nu|) from a start chosen by |z| alone, Temme's
-  series at |z| <= 1.2 (0.5 for dK/dnu) and above one trapezoidal sum over
-  int_0^inf cosh(mu t) e^(-z cosh t) dt on a contour bent towards steepest
-  descent, at every Re z >= 0, the imaginary axis included, then one climb
-  to |nu| and one estimate (:func:`_k_sums`); past |z| = 30 the sum reports
-  no_convergence.  At Re z < 0 K is refused (BranchError): the
+  near mu = |nu| - floor(|nu|) from one start chosen by |z| alone, for K
+  and dK/dnu alike, Temme's series at |z| <= 0.5 and above one trapezoidal
+  sum over int_0^inf cosh(mu t) e^(-z cosh t) dt on a contour bent towards
+  steepest descent, at every Re z >= 0, the imaginary axis included, then
+  one climb to |nu| and one estimate (:func:`_k_sums`); past |z| = 30 the
+  sum reports no_convergence.  At Re z < 0 K is refused (BranchError): the
   continuation there (DLMF 10.34.2) cancels, dK/dnu 2e-7 off at |z| = 20.
 
 A :class:`_RayOrder` holds what the series kernels take from the order
@@ -72,11 +72,10 @@ K_MAX_ARG = 30.0
 # ph z on the Kelvin ray, exactly atan2(y, y) for z = ROT_K x = y + iy
 _RAY_PHASE = PI / 4.0
 
-# Temme's series starts K at |z| up to TEMME_MAX_ARG and dK/dnu up to
-# TEMME_DK_MAX_ARG (:func:`_k_temme`), the trapezoidal sum above; its dK/dnu
-# sums cancel 10-25 fold near order 1/2, 1.9e-15 off at |z| = 0.5, 4.8e-15 at 1
-TEMME_MAX_ARG = 1.2
-TEMME_DK_MAX_ARG = 0.5
+# Temme's series starts K and dK/dnu at |z| up to TEMME_MAX_ARG
+# (:func:`_k_temme`), the trapezoidal sum above; its dK/dnu sums cancel 10-25
+# fold near order 1/2, 1.9e-15 off at |z| = 0.5, 4.8e-15 at 1
+TEMME_MAX_ARG = 0.5
 # Taylor coefficients in mu^2, highest power first, of Gamma_2 = (1/Gamma(1-mu)
 # + 1/Gamma(1+mu))/2 and Gamma_1 = (1/Gamma(1-mu) - 1/Gamma(1+mu))/(2 mu), from
 # 50-digit mpmath: to |mu| = 1/2 the first term left out is below 1e-18
@@ -339,15 +338,16 @@ def _k_nodes(h: float, th: float, n: int) -> tuple:
 
 
 def _k_sums(nu: float, z: complex, dk: bool, starts: dict | None = None) -> tuple:
-    """K_nu(z) at nu >= 0, Re z >= 0, and with ``dk`` D_nu = dK/dnu, climbed
-    (:func:`_k_from`) from the start record of Temme's series
-    (:func:`_k_temme`) for K at |z| <= ``TEMME_MAX_ARG`` and for D at |z| <=
-    ``TEMME_DK_MAX_ARG``, of the trapezoidal sum (:func:`_k_trapezoid`)
-    above.  One dict ``starts`` for all the orders of a call shares each
-    start, bit for bit, between +-nu, nu + n and the integers of one z, a
-    start with D serving K alone too.  It also keeps each request's result,
-    keyed (nu, z, dk): an exact repeat returns it without the climb and the
-    estimate; a request that raises is not kept.
+    """K_nu(z) at nu >= 0, Re z >= 0, and with ``dk`` D_nu = dK/dnu, from one
+    start record: of Temme's series (:func:`_k_temme`) at |z| <=
+    ``TEMME_MAX_ARG``, at m = nu - floor(nu), or m - 1 where m > 1/2, and of
+    the trapezoidal sum (:func:`_k_trapezoid`) above, at nu - floor(nu);
+    then one climb (:func:`_climb`) to nu and one estimate each side.  One
+    dict ``starts`` for all the orders of a call keeps each start under
+    (start order, z), sharing it, bit for bit, between +-nu, nu + n and the
+    integers of one z, a start with D serving K alone too.  It also keeps
+    each request's result, keyed (nu, z, dk): an exact repeat returns it
+    without the climb and the estimate; a request that raises is not kept.
 
     Returns (K, D or None), tuples of :func:`_k_estimate`;
     PowerOverflowError where (|z|/2)^(-nu) overflows, SeriesOverflowError
@@ -363,57 +363,42 @@ def _k_sums(nu: float, z: complex, dk: bool, starts: dict | None = None) -> tupl
     except (OverflowError, ZeroDivisionError):
         raise PowerOverflowError(
             f"(z/2)^{-nu:g} overflows double precision at |z| = {sz:g}") from None
-    if sz > TEMME_MAX_ARG:
-        res = _k_from("sum", nu, z, dk, starts)
-    elif dk and sz > TEMME_DK_MAX_ARG:
-        # two starts (Temme's D sums cancel here), the sum's K unused: K from the sum
-        # too sped dkelvin here 23% but slowed values_scatter 2-6% (ROADMAP)
-        res = _k_from("temme", nu, z, False, starts)[0], _k_from("sum", nu, z, True, starts)[1]
-    else:
-        res = _k_from("temme", nu, z, dk, starts)
-    if starts is not None:
-        starts[nu, z, dk] = res
-    return res
-
-
-def _k_from(route: str, nu: float, z: complex, dk: bool, starts: dict | None) -> tuple:
-    """(K_nu, D_nu or None) of :func:`_k_sums` from the start record of
-    ``route`` ("temme" at m = nu - floor(nu), or m - 1 where m > 1/2; "sum"
-    at nu - floor(nu)), read from or kept in ``starts`` under (start order,
-    z, route): one climb (:func:`_climb`) to nu and one estimate each side."""
     n = int(nu)
     mu = nu - n
-    if route == "temme" and mu > 0.5:
+    temme = sz <= TEMME_MAX_ARG
+    if temme and mu > 0.5:
         mu -= 1.0
         n += 1
-    st = starts.get((mu, z, route)) if starts else None
+    st = starts.get((mu, z)) if starts else None
     if st is None or dk and st[1] is None:
-        st = (_k_temme if route == "temme" else _k_trapezoid)(mu, z, dk)
+        st = (_k_temme if temme else _k_trapezoid)(mu, z, dk)
         if starts is not None:
-            starts[mu, z, route] = st
+            starts[mu, z] = st
     ks, ds = st
     k, k1 = ks[0], ks[1]
     d, d1 = (ds[0], ds[1]) if dk else (None, None)
-    if n > hyper.MAX_TERMS and abs(z) > K_MAX_ARG:
+    if n > hyper.MAX_TERMS and sz > K_MAX_ARG:
         # a start with no error bound is not climbed far: on the imaginary
         # axis e^(-z) keeps modulus 1, and a climb below the order |z|/2
         # neither overflows nor ends; where e^(-z) underflowed to 0 the
         # start is zeros, and so is K at the order
         if k or k1:
-            raise ConvergenceError(f"K_{nu:g} at |z| = {abs(z):g}: the sum has no error bound "
+            raise ConvergenceError(f"K_{nu:g} at |z| = {sz:g}: the sum has no error bound "
                                    f"past |z| = {K_MAX_ARG:g}, and the climb is {n} steps")
         n = 0
     if n:
         k, d = _climb(n, mu, 0.5 * z, k, k1, d, d1)
     if not cmath.isfinite(k) or dk and not cmath.isfinite(d):
-        raise SeriesOverflowError(f"K_{nu:g} overflows double precision at |z| = {abs(z):g}")
-    k = _k_estimate(k, n, ks)
-    return k, _k_estimate(d, n, ds) if dk else None
+        raise SeriesOverflowError(f"K_{nu:g} overflows double precision at |z| = {sz:g}")
+    res = _k_estimate(k, n, ks), _k_estimate(d, n, ds) if dk else None
+    if starts is not None:
+        starts[nu, z, dk] = res
+    return res
 
 
 def _k_trapezoid(mu: float, z: complex, dk: bool) -> tuple:
     """The start record of :func:`_k_sums` at mu in [0, 1), |z| >
-    ``TEMME_DK_MAX_ARG``, from one trapezoidal sum: K_mu = int_0^inf f(t) dt,
+    ``TEMME_MAX_ARG``, from one trapezoidal sum: K_mu = int_0^inf f(t) dt,
     f(t) = cosh(mu t) e^(-z cosh t) (DLMF 10.32.9), even in t, on the contour
     t(u) = u - i th tanh(u/2), th = ph z, which leaves t = 0 towards the
     steepest descent from the saddle and ends on Im t = -th, where

@@ -11,9 +11,9 @@ its x other than 0 one plan of all its orders (``orderderiv._plan_rows``),
 which owns the dict of K starts they share (``bessel._k_sums``).  A table's
 ``--nu`` and ``--x`` are second spellings of ``--nu-range`` and
 ``--x-range``, each an 'a:b:step' range or one number, and a grid of more
-than ``MAX_RANGE_POINTS`` rows is refused.  CSV output uses 17
-significant digits, '\n' line endings and no quoting, so two runs with
-identical flags are byte-identical.  Every value is computed to full double
+than ``MAX_RANGE_POINTS`` rows is refused before either axis is built.  CSV
+output uses 17 significant digits, '\n' line endings and no quoting, so two
+runs with identical flags are byte-identical.  Every value is computed to full double
 precision, and ``verify`` checks at the manifest tolerances; no flag or
 environment variable changes that.  A command exits 2 with its error named,
 an unwritable ``--out`` included.
@@ -46,13 +46,14 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-def _parse_range(spec: str, what: str) -> list[float]:
-    """Parse 'a:b:step' (inclusive grid of at most ``MAX_RANGE_POINTS``) or
-    a single number."""
+def _range_spec(spec: str, what: str) -> tuple[float, float, int]:
+    """(a, step, n) of the n points a + k step of 'a:b:step' (an inclusive
+    grid of at most ``MAX_RANGE_POINTS``), or (x, -0.0, 1) of a single
+    number x: adding -0.0 leaves every double as it is."""
     parts = spec.split(":")
     try:
         if len(parts) == 1:
-            return [float(spec)]
+            return float(spec), -0.0, 1
         a, b, step = map(float, parts)
     except ValueError:  # not a number, or not three
         raise ValueError(f"{what}: expected a number or 'a:b:step', got {spec!r}") from None
@@ -61,7 +62,11 @@ def _parse_range(spec: str, what: str) -> list[float]:
     count = (b - a) / step + 1e-9  # not finite where the quotient overflows
     if not count < MAX_RANGE_POINTS:
         raise ValueError(f"{what}: more than {MAX_RANGE_POINTS} points in {spec!r}")
-    return [a + k * step for k in range(int(count) + 1)]
+    return a, step, int(count) + 1
+
+
+def _points(a: float, step: float, n: int) -> list[float]:
+    return [a + k * step for k in range(n)]
 
 
 def _emit(lines: list[str], out_path: str | None) -> None:
@@ -123,15 +128,16 @@ def _table_rows(nus: list[float], xs: list[float]) -> list[str]:
 
 def cmd_table(args: argparse.Namespace) -> int:
     try:
-        nus = _parse_range(args.nu_range, "--nu-range")
-        xs = _parse_range(args.x_range, "--x-range")
-        if len(nus) * len(xs) > MAX_RANGE_POINTS:  # before any kernel runs
-            raise ValueError(f"a grid of {len(nus) * len(xs)} rows, more than {MAX_RANGE_POINTS}")
+        nus = _range_spec(args.nu_range, "--nu-range")
+        xs = _range_spec(args.x_range, "--x-range")
+        rows = nus[2] * xs[2]  # the point counts
+        if rows > MAX_RANGE_POINTS:  # before either axis is built
+            raise ValueError(f"a grid of {rows} rows, more than {MAX_RANGE_POINTS}")
     except ValueError as exc:
         print(f"table: {exc}", file=sys.stderr)
         return 2
     try:
-        lines = [_TABLE_HEADER] + _table_rows(nus, xs)
+        lines = [_TABLE_HEADER] + _table_rows(_points(*nus), _points(*xs))
     except KelvinError as exc:
         print(f"table: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

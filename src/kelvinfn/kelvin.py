@@ -6,7 +6,7 @@ Every order comes straight from the defining rotations
     ker_nu(x) + i kei_nu(x) = e^(-i pi nu/2) K_|nu|(e^(i pi/4)  x)
 
 with J_nu the ascending series, entire in the order, and K_|nu| started
-near |nu| - floor(|nu|), by Temme's series at x <= 1.2 and the trapezoidal
+near |nu| - floor(|nu|), by Temme's series at x <= 0.5 and the trapezoidal
 sum of DLMF 10.32.9 on a contour bent towards steepest descent above, and
 climbed to |nu| (see ``bessel``); K is even in the order (DLMF 10.27.3).
 Neither route has a special case at or next to an integer order, nor a

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from kelvinfn.cli import MAX_RANGE_POINTS, _TABLE_HEADER, _TABLE_ROW, _fmt, _parse_range, main
+from kelvinfn.cli import (MAX_RANGE_POINTS, _TABLE_HEADER, _TABLE_ROW, _fmt, _points, _range_spec,
+                          main)
 
 
 def run_cli(capsys, *argv):
@@ -171,7 +172,7 @@ class TestTable:
         assert (code, out) == (2, "")
         assert err.startswith(f"table: {flag}: need finite a, b and step")
         with pytest.raises(ValueError, match=flag):
-            _parse_range(spec, flag)
+            _range_spec(spec, flag)
 
     @pytest.mark.parametrize("flag, spec", [("--x-range", "0:1:1e-300"),
                                             ("--x-range", "1:1e300:1e-300"),
@@ -185,7 +186,7 @@ class TestTable:
         code, out, err = run_cli(capsys, "table", f"{flag}={spec}", other, "1")
         assert (code, out) == (2, "")
         assert err.startswith(f"table: {flag}: more than {MAX_RANGE_POINTS} points")
-        assert len(_parse_range(f"0:{MAX_RANGE_POINTS - 1}:1", flag)) == MAX_RANGE_POINTS
+        assert _range_spec(f"0:{MAX_RANGE_POINTS - 1}:1", flag)[2] == MAX_RANGE_POINTS
 
     def test_missing_grid_exit_2(self, capsys):
         """A table needs both axes: without one it is a usage error."""
@@ -200,11 +201,11 @@ class TestTable:
     def test_grid_joins_its_one_order_tables(self, capsys, nus, xs):
         """A table of many orders prints, byte for byte, the table of each
         order alone under one header: rows at x = 0, +-nu sharing K starts
-        at |nu|, x across Temme's borders at 0.5 and 1.2.  A grid with a
+        at |nu|, x across Temme's border at 0.5.  A grid with a
         failing order exits as the first failing order alone does."""
         code, out, err = run_cli(capsys, "table", f"--nu-range={nus}", f"--x-range={xs}")
         want, joined = (0, ""), [_TABLE_HEADER + "\n"]
-        for nu in _parse_range(nus, "--nu-range"):
+        for nu in _points(*_range_spec(nus, "--nu-range")):
             c, o, e = run_cli(capsys, "table", f"--nu={nu!r}", f"--x-range={xs}")
             if c != 0:
                 want, joined = (c, e), []
@@ -262,9 +263,10 @@ class TestPlumbing:
         assert out1 == out2
 
     def test_parse_range(self):
-        assert _parse_range("1:2:0.5", "t") == [1.0, 1.5, 2.0]
-        assert _parse_range("3", "t") == [3.0]
+        assert _points(*_range_spec("1:2:0.5", "t")) == [1.0, 1.5, 2.0]
+        assert _points(*_range_spec("3", "t")) == [3.0]
+        assert math.copysign(1.0, _points(*_range_spec("-0", "t"))[0]) == -1.0
         with pytest.raises(ValueError):
-            _parse_range("1:2:0", "t")
+            _range_spec("1:2:0", "t")
         with pytest.raises(ValueError):
-            _parse_range("1:2", "t")
+            _range_spec("1:2", "t")

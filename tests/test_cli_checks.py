@@ -23,6 +23,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import kelvinfn
 from kelvinfn import cli
@@ -41,8 +42,8 @@ EDGE_SECONDS = 1.0  # the bound of each call of the edge sweep
 SUITE_ROWS = {"all": 603, "fd": 240, "reflection": 96, "ode": 24, "apelblat": 78,
               "theorem5": 30, "appendix": 23, "brychkov": 32, "integer": 80}
 # (orders, x, rows): negative integers, half-integers and quarter orders; x
-# across |z| = 0.5 and 1.2, where Temme's series hands dK/dnu and then K to
-# the trapezoidal sum; x past the envelope to K_MAX_ARG = 30; orders 15 to 40,
+# across |z| = 0.5, where Temme's series hands K and dK/dnu to the
+# trapezoidal sum; x past the envelope to K_MAX_ARG = 30; orders 15 to 40,
 # which the K sum reaches by its recurrence
 TABLE_GRIDS = [("-10:10:0.25", "1:20:1", 1620), ("-10:10:0.25", "0.1:2:0.1", 1620),
                ("-10:10:0.5", "20:30:0.5", 861), ("15:40:5", "1:20:1", 120)]
@@ -114,14 +115,14 @@ SIGNATURES = {
 # the md5 of each command's stdout: a change to any digit of the output
 # fails here, and one that is meant updates the pin and says why
 OUTPUT_MD5 = {
-    "verify --suite all": "24245a249925718ea28b0395d429e7bc",
-    "table --nu-range=-10:10:0.25 --x-range=1:20:1": "814800b02056775628e64ea0f80e8e85",
-    "table --nu-range=-3:3:0.5 --x-range=0:2:0.25": "38713abd94a8bd5b97c0911909b766ff",
+    "verify --suite all": "db1a44932ba3d3b150f8c683f8506e3d",
+    "table --nu-range=-10:10:0.25 --x-range=1:20:1": "ac4de3fe3887b7a3c175033270f9fc7b",
+    "table --nu-range=-3:3:0.5 --x-range=0:2:0.25": "a7e1c23a06fd2f9bef9662ad605ce587",
 }
 
 # The edge sweep: orders at and next to the integers, past Gamma's range and
 # the double range; arguments at the underflow of x/2, where 2/x overflows
-# (1e-320, 1e-308), Temme's borders, the envelope, K_MAX_ARG, e^(-x)'s
+# (1e-320, 1e-308), Temme's border (0.5), 1.2, the envelope, K_MAX_ARG, e^(-x)'s
 # underflow and past
 EDGE_ORDERS = [0.0, -0.0, 5e-324, -5e-324, 171.6, -171.6, 1e8, 1e17, 1e300, -1e300] + [
     n + d for n in (-3.0, -1.0, 0.0, 1.0, 3.0) for d in (-1e-9, 0.0, 1e-9) if n + d]
@@ -281,6 +282,22 @@ def test_typed_errors():
         if code != 2 or not re.search("^" + want, err, re.M):
             bad.append(command)
     assert not bad, bad
+
+
+def test_grid_refused_before_it_is_built():
+    """A grid of 999998000001 rows, each axis within MAX_RANGE_POINTS, is
+    refused with exit 2 from the counts of its axes: the refusal's peak of
+    traced memory stays under 1 MB (the two axes, built, take 65 MB)."""
+    command = "table --nu-range=0:999998:1 --x-range=0:999998:1"
+    tracemalloc.start()
+    try:
+        code, _, err = run_cli(*command.split())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    print(f"{command}: exit {code}, {err.strip()}, traced peak {peak} bytes")
+    assert code == 2 and peak < 2 ** 20, (code, peak)
+    assert err.startswith(f"table: a grid of 999998000001 rows, more than {cli.MAX_RANGE_POINTS}")
 
 
 def test_option_surface():

@@ -508,19 +508,18 @@ def test_k_off_the_ray_keeps_its_bits():
 # ``_k_sums`` at z = ROT_K x, one line per side (K, then dK/dnu): nu, x, the
 # side, the value's real and imaginary parts, the estimate and the scale as
 # float.hex, then the nodes and converged.  The orders and x are K_ORDERS x
-# K_XS of tests/test_shared_orders.py (both starts, and the band between
-# Temme's borders, where K starts on Temme's series and dK/dnu on the sum),
-# and the far-climb zero start at nu = 1e17, x = 1e300.
+# K_XS of tests/test_shared_orders.py (both starts, on each side of Temme's
+# border), and the far-climb zero start at nu = 1e17, x = 1e300.
 K_BITS = """
 0.0 0.1 K 0x1.35d21766b05e0p+1 -0x1.8dbf5e3180b97p-1 0x1.6196cf5f41dc1p-48 0x1.d76b77a8e5002p+1 6 1
 0.0 0.1 D 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 6 1
 0.0 0.45 K 0x1.e7c1c4be712b0p-1 -0x1.603fbfccb8e85p-1 0x1.c6ed1ca559282p-49 0x1.2f4878d9d1be9p+1 9 1
 0.0 0.45 D 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 8 1
-0.0 0.55 K 0x1.8a3c191dfdbb4p-1 -0x1.4f351d915ab48p-1 0x1.ad088c597c468p-49 0x1.1dfd5b3ea918bp+1 9 1
+0.0 0.55 K 0x1.8a3c191dfdbb6p-1 -0x1.4f351d915ab4ap-1 0x1.84cda1d60e40ap-50 0x1.0333c1395ed5bp+0 22 1
 0.0 0.55 D 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 22 1
-0.0 1.0 K 0x1.25964ff8316cep-2 -0x1.fadfdfbe2c593p-2 0x1.7f07a94cb5357p-49 0x1.feb1331030c56p+0 11 1
+0.0 1.0 K 0x1.25964ff8316d1p-2 -0x1.fadfdfbe2c595p-2 0x1.b7aac13530417p-51 0x1.251c80ce202bap-1 20 1
 0.0 1.0 D 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 20 1
-0.0 1.15 K 0x1.8edbd02c0fe91p-3 -0x1.c5a74229a6d54p-2 0x1.8031109e2f2c3p-49 0x1.fffccf0554ab6p+0 11 1
+0.0 1.15 K 0x1.8edbd02c0fe8ep-3 -0x1.c5a74229a6d52p-2 0x1.73e4fdd495d88p-51 0x1.efdbfd1b72760p-2 20 1
 0.0 1.15 D 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 20 1
 0.0 1.3 K 0x1.f9ac5d66eacd5p-4 -0x1.92bb17b2e8b3cp-2 0x1.3cbbbf0f699acp-51 0x1.a64fa969e223bp-2 20 1
 0.0 1.3 D 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 20 1
@@ -532,11 +531,11 @@ K_BITS = """
 1.0 0.1 D 0x1.73e8d55ed1157p+3 -0x1.69bc69b7d4e15p+4 0x1.01d2ceb6748afp-44 0x1.26a32ac98f201p+5 6 1
 1.0 0.45 K 0x1.3a1e41a62f6a5p+0 -0x1.aee939e04c1d2p+0 0x1.d6679a2e14298p-48 0x1.0ccd4852548a6p+2 9 1
 1.0 0.45 D 0x1.a9dc367eb5d57p-2 -0x1.49fc494e794acp+1 0x1.26eba828b36f4p-47 0x1.50fb30f2057e7p+2 8 1
-1.0 0.55 K 0x1.cfccb38078665p-1 -0x1.639640c9b2660p+0 0x1.9a9e5b7695038p-48 0x1.d53b887f158fap+1 9 1
+1.0 0.55 K 0x1.cfccb38078668p-1 -0x1.639640c9b2660p+0 0x1.8a5ccbd8c0f5cp-49 0x1.c2b3321c4a3d7p+0 22 1
 1.0 0.55 D 0x1.2f8da902beda2p-3 -0x1.d4e73a3144463p+0 0x1.b50386ade23c4p-49 0x1.f371be7d94d72p+0 22 1
-1.0 1.0 K 0x1.ef9b94cca319ap-3 -0x1.7b0b857f12b9bp-1 0x1.30393ffff3269p-48 0x1.5bacfe7d14a00p+1 11 1
+1.0 1.0 K 0x1.ef9b94cca31a4p-3 -0x1.7b0b857f12b9ep-1 0x1.704b872a9e55ep-50 0x1.a4e89a79d986bp-1 20 1
 1.0 1.0 D -0x1.2da244dab59ebp-3 -0x1.1b018503b1a35p-1 0x1.0e7d5a469315cp-50 0x1.35218bbe5ef45p-1 20 1
-1.0 1.15 K 0x1.1f9d2cc7e0935p-3 -0x1.3de6ce66b270dp-1 0x1.26c7badef5cc7p-48 0x1.50bd953ff194bp+1 11 1
+1.0 1.15 K 0x1.1f9d2cc7e0933p-3 -0x1.3de6ce66b270dp-1 0x1.2c537354ed54fp-50 0x1.573accf358612p-1 20 1
 1.0 1.15 D -0x1.38a1da4252436p-3 -0x1.919083dbf9db8p-2 0x1.8d1008c704c7bp-51 0x1.c5c92e9a4e9b1p-2 20 1
 1.0 1.3 K 0x1.11bf154f0f818p-4 -0x1.0be2f74903112p-1 0x1.f096cc538e2ffp-51 0x1.1bc3e278e3891p-1 20 1
 1.0 1.3 D -0x1.2c969ffe9c6ecp-3 -0x1.1fd1b6e46c356p-2 0x1.2a8651fcf04cdp-51 0x1.552bcb6a37334p-2 20 1
@@ -548,11 +547,11 @@ K_BITS = """
 3.0 0.1 D -0x1.a00fcdc51a46dp+14 -0x1.14776a380198bp+14 0x1.971ea64ad0b85p-34 0x1.69ddf2e33ea5dp+15 6 1
 3.0 0.45 K -0x1.fcdd5740cb58bp+5 -0x1.e3c3383ece98bp+5 0x1.8e2adc8201779p-42 0x1.61ed002bd5044p+7 9 1
 3.0 0.45 D -0x1.90b200e2fbe53p+7 -0x1.83816753e5b47p+6 0x1.f8e32bce44ff3p-41 0x1.c0b726f871b7bp+8 8 1
-3.0 0.55 K -0x1.19e233c482576p+5 -0x1.0560b2cfd44a6p+5 0x1.de0d71dddcbecp-43 0x1.a8e73e527cf18p+6 9 1
+3.0 0.55 K -0x1.19e233c482577p+5 -0x1.0560b2cfd44a8p+5 0x1.cb23005297be8p-44 0x1.981f1cbb318cfp+5 22 1
 3.0 0.55 D -0x1.9c635df63dadfp+6 -0x1.6acc2f3c11e6bp+5 0x1.0d0b732a7eef8p-42 0x1.de4d3e846fe2cp+6 22 1
-3.0 1.0 K -0x1.9142f1740454bp+2 -0x1.38c91864e3ef3p+2 0x1.f305cefdb713dp-45 0x1.bb9140d089592p+4 11 1
+3.0 1.0 K -0x1.9142f1740454ep+2 -0x1.38c91864e3ef7p+2 0x1.2e0fc5eeb35e2p-46 0x1.0c7fcc62668c9p+3 20 1
 3.0 1.0 D -0x1.b7ed01db67608p+3 -0x1.b124b0eee4becp+1 0x1.0cfc224dfacd4p-45 0x1.de320418da507p+3 20 1
-3.0 1.15 K -0x1.0e7869d6a77c2p+2 -0x1.84ff1386c4db7p+1 0x1.83595b549e04fp-45 0x1.5830adaafe4c1p+4 11 1
+3.0 1.15 K -0x1.0e7869d6a77c2p+2 -0x1.84ff1386c4db5p+1 0x1.8aacfa30db141p-47 0x1.5ed2a580c2bc8p+2 20 1
 3.0 1.15 D -0x1.0ed9658a1f967p+3 -0x1.86fea5a40e2d3p+0 0x1.460f1bc88c132p-46 0x1.21d48a796010fp+3 20 1
 3.0 1.3 K -0x1.7f9e39781578cp+1 -0x1.f6c0a76b4d378p+0 0x1.0f135c0e19808p-47 0x1.e1e9873582ab9p+1 20 1
 3.0 1.3 D -0x1.5f1a597e31e01p+2 -0x1.3ef91ced3815ap-1 0x1.a1b2e095c191bp-47 0x1.7349ab2fc8817p+2 20 1
@@ -564,11 +563,11 @@ K_BITS = """
 0.25 0.1 D 0x1.af7003c1748bap+0 -0x1.92ce1bee6724dp+0 0x1.5fa9f498e7f51p-47 0x1.c1d34ded116fap+2 6 1
 0.25 0.45 K 0x1.f1cb73005aea1p-1 -0x1.784c655b680a9p-1 0x1.0390bc4dd529ap-48 0x1.4f20d26ee1464p+1 9 1
 0.25 0.45 D 0x1.3fe01e9eeda81p-3 -0x1.881815580ac8fp-2 0x1.e94109c246692p-49 0x1.42735a897553fp+1 9 1
-0.25 0.55 K 0x1.8ff1af045e2b5p-1 -0x1.61c85910d5382p-1 0x1.e33d58bc5f85ep-49 0x1.39b93a28bbd1dp+1 9 1
+0.25 0.55 K 0x1.8ff1af045e2b6p-1 -0x1.61c85910d5384p-1 0x1.90c388dddb9ebp-50 0x1.0b2d05e93d148p+0 22 1
 0.25 0.55 D 0x1.697077206f78fp-4 -0x1.2debb9d37950dp-2 0x1.dc1fdb69c5b77p-52 0x1.3d6a924683cfbp-2 24 1
-0.25 1.0 K 0x1.243fd215f3e64p-2 -0x1.0464794d39af6p-1 0x1.a2d23d0c5ba8ep-49 0x1.13f2dca44f633p+1 11 1
+0.25 1.0 K 0x1.243fd215f3e65p-2 -0x1.0464794d39af8p-1 0x1.c003780d988c0p-51 0x1.2aacfab3bb080p-1 20 1
 0.25 1.0 D -0x1.6d1ab146ee728p-7 -0x1.c0cba67d64800p-4 0x1.53c51ae61dcd0p-53 0x1.c506ce8827bc1p-4 20 1
-0.25 1.15 K 0x1.8a4679bdbe2cbp-3 -0x1.cff891edebb14p-2 0x1.a22ff7b616508p-49 0x1.142181e327adap+1 11 1
+0.25 1.15 K 0x1.8a4679bdbe2c8p-3 -0x1.cff891edebb13p-2 0x1.7a2a5a98e2118p-51 0x1.f83878cbd8176p-2 20 1
 0.25 1.15 D -0x1.2e59520b1c5f8p-6 -0x1.4c6197453c70ap-4 0x1.0092e861b87ecp-53 0x1.561935d7a0a90p-4 20 1
 0.25 1.3 K 0x1.eed8f0a3a8fbfp-4 -0x1.9a69b4a6751cfp-2 0x1.4189fc9f6698ap-51 0x1.acb7fb7f33763p-2 20 1
 0.25 1.3 D -0x1.61898d25f2b23p-6 -0x1.ee546b619be58p-5 0x1.8af3ec5a55874p-54 0x1.074d483c3904dp-4 20 1
@@ -580,11 +579,11 @@ K_BITS = """
 2.25 0.1 D -0x1.60968972bf967p+9 -0x1.9098dfdb16b25p+10 0x1.58264a9269353p-37 0x1.4d8cc110546f1p+12 6 1
 2.25 0.45 K -0x1.e60b8cbc673dep+1 -0x1.f8ad49ee97656p+3 0x1.1d9e462ee83f4p-44 0x1.16c7ef13f54c2p+5 9 1
 2.25 0.45 D -0x1.3c4c5c1ecd68dp+4 -0x1.dc02ca0283f07p+4 0x1.b6f498d2c2c9ap-42 0x1.b330f37b3fcfdp+7 9 1
-2.25 0.55 K -0x1.4d964e316b230p+1 -0x1.3f408e7553783p+3 0x1.8b8da0e6b2ca8p-45 0x1.83bbc34b20337p+4 9 1
+2.25 0.55 K -0x1.4d964e316b232p+1 -0x1.3f408e7553785p+3 0x1.61fe3fbca1779p-46 0x1.61fe3fbca1779p+3 22 1
 2.25 0.55 D -0x1.890805845ed7fp+3 -0x1.0bbbcbf09414ap+4 0x1.644c69487774ep-45 0x1.644c69487774ep+4 24 1
-2.25 1.0 K -0x1.f6b1dc75b7a84p-1 -0x1.38fe39876942cp+1 0x1.3a78a1a6094d6p-46 0x1.37b46b25a8d8ap+3 11 1
+2.25 1.0 K -0x1.f6b1dc75b7a84p-1 -0x1.38fe39876942cp+1 0x1.69a73ee806efcp-48 0x1.69a73ee806efcp+1 20 1
 2.25 1.0 D -0x1.75be9309de31fp+1 -0x1.44c629d619d04p+1 0x1.097596bd9f73ep-47 0x1.097596bd9f73ep+2 20 1
-2.25 1.15 K -0x1.9b59c6a2a6cafp-1 -0x1.b92f9c58c2849p+0 0x1.0c8ee00fe4419p-46 0x1.0aa198c13915cp+3 11 1
+2.25 1.15 K -0x1.9b59c6a2a6cb2p-1 -0x1.b92f9c58c284bp+0 0x1.0485a202f73cdp-48 0x1.0485a202f73cdp+1 20 1
 2.25 1.15 D -0x1.07abf732d1652p+1 -0x1.85c8e2d7b2b30p+0 0x1.5ef72984cbc99p-48 0x1.5ef72984cbc99p+1 20 1
 2.25 1.3 K -0x1.5a485128f1156p-1 -0x1.40300713681a7p+0 0x1.84ddf01f13800p-49 0x1.84ddf01f13800p+0 20 1
 2.25 1.3 D -0x1.80d3ac7616aedp+0 -0x1.dda344d6729acp-1 0x1.e3d88137f9d1cp-49 0x1.e3d88137f9d1cp+0 20 1
@@ -596,11 +595,11 @@ K_BITS = """
 0.75 0.1 D 0x1.c2345614d073ap+2 -0x1.3a66652532c1cp+3 0x1.0b3e6d3de4910p-44 0x1.26af6398b0f33p+5 6 1
 0.75 0.45 K 0x1.1ecc06e5214c3p+0 -0x1.2df63317a1c23p+0 0x1.925e449837de7p-48 0x1.bf4f8bc687ed5p+1 9 1
 0.75 0.45 D 0x1.a4ff5f7150118p-2 -0x1.88146b4ae03aep+0 0x1.1128e007ded4bp-46 0x1.3520357db4e57p+3 9 1
-0.75 0.55 K 0x1.b81f2a68e8adbp-1 -0x1.066ef3de28a5ep+0 0x1.6847974aa56fdp-48 0x1.9272e86a141ffp+1 9 1
+0.75 0.55 K 0x1.b81f2a68e8adap-1 -0x1.066ef3de28a5dp+0 0x1.01bb721da513dp-49 0x1.57a4982786c52p+0 24 1
 0.75 0.55 D 0x1.9a14ad4925d24p-3 -0x1.2086a3849523fp+0 0x1.b90c5c7144f3fp-50 0x1.26083da0d8a2bp+0 24 1
-0.75 1.0 K 0x1.12b1b0647332bp-2 -0x1.403fdc213afeep-1 0x1.1ca441f846817p-48 0x1.42090dbf47ecdp+1 11 1
+0.75 1.0 K 0x1.12b1b06473330p-2 -0x1.403fdc213aff0p-1 0x1.0616d3cfe28b1p-50 0x1.5d73c5152e0ecp-1 20 1
 0.75 1.0 D -0x1.21e1395159368p-4 -0x1.7e3175b51fea8p-2 0x1.24956fe447ab5p-51 0x1.861c95305f8f2p-2 20 1
-0.75 1.15 K 0x1.5ad3d8924f158p-3 -0x1.13c96e2790ebep-1 0x1.1772cbb9d5bc8p-48 0x1.3cb4dfa722baap+1 11 1
+0.75 1.15 K 0x1.5ad3d8924f15ep-3 -0x1.13c96e2790ebfp-1 0x1.b2cf00a9adefap-51 0x1.21df55c673f51p-1 20 1
 0.75 1.15 D -0x1.5a24077849f5ap-4 -0x1.14840344127f7p-2 0x1.b3c6fa7e07825p-52 0x1.2284a6feafac3p-2 20 1
 0.75 1.3 K 0x1.8766b015171f4p-4 -0x1.dae5d3e812fc1p-2 0x1.6c93dd875648cp-51 0x1.e61a7cb4730bap-2 20 1
 0.75 1.3 D -0x1.65d71645ddb5cp-4 -0x1.93257ff60a654p-3 0x1.4ba380a4b02aap-52 0x1.ba2f5630eae37p-3 20 1
@@ -612,11 +611,11 @@ K_BITS = """
 1.75 0.1 D -0x1.91ac8f2aa0ed7p+3 -0x1.21b25371619ccp+8 0x1.c80ef8f4e6baap-40 0x1.b9f802d2be5a2p+9 6 1
 1.75 0.45 K 0x1.aa4eb63cf9c64p-1 -0x1.89f77923308cdp+2 0x1.b57c1b538a9b8p-46 0x1.ab02e6c790498p+3 9 1
 1.75 0.45 D -0x1.7ddaa8ec31c2dp+1 -0x1.6d8f71814f517p+3 0x1.222fc222b9d75p-43 0x1.1fb2874fddcabp+6 9 1
-1.75 0.55 K 0x1.d907ed39842c5p-2 -0x1.14d795b973119p+2 0x1.4dc63ffbeae1ep-46 0x1.4728e4f96bc45p+3 9 1
+1.75 0.55 K 0x1.d907ed39842cap-2 -0x1.14d795b973119p+2 0x1.05f57c6372f69p-47 0x1.2b61b2bacc878p+2 24 1
 1.75 0.55 D -0x1.268d332131361p+1 -0x1.c71b274a96535p+2 0x1.c2114ab9e2cffp-47 0x1.012e73d7ef524p+3 24 1
-1.75 1.0 K -0x1.7efb2d75c4678p-4 -0x1.74df991a9f516p+0 0x1.5c5ff37faec33p-47 0x1.594eb161a528ap+2 11 1
+1.75 1.0 K -0x1.7efb2d75c4670p-4 -0x1.74df991a9f51ap+0 0x1.6498cd5c53904p-49 0x1.978a0f44f1c97p+0 20 1
 1.75 1.0 D -0x1.ee14712cba54bp-1 -0x1.79a5cc70792c2p+0 0x1.aeafd15387f7bp-49 0x1.ec36a616523fbp+0 20 1
-1.75 1.15 K -0x1.2f49d8588de33p-3 -0x1.1b28bba728a8ap+0 0x1.3b45f93666cd6p-47 0x1.38f87a98b1d25p+2 11 1
+1.75 1.15 K -0x1.2f49d8588de34p-3 -0x1.1b28bba728a8bp+0 0x1.10f1f71991046p-49 0x1.37eff5d41372bp+0 20 1
 1.75 1.15 D -0x1.867f03700751ep-1 -0x1.ebd7101074622p-1 0x1.2c00217f57708p-49 0x1.56db93ff3f5c0p+0 20 1
 1.75 1.3 K -0x1.6fd6301e7c446p-3 -0x1.b6db5af46c7ccp-1 0x1.ac6e76bdecae0p-50 0x1.e9a2d0d90e7dcp-1 20 1
 1.75 1.3 D -0x1.38c3c2425d308p-1 -0x1.465fd96aa7450p-1 0x1.afec415e798d2p-50 0x1.eda04ab51d33ap-1 20 1
@@ -628,11 +627,11 @@ K_BITS = """
 9.75 0.1 D 0x1.b81b8d57cc319p+56 -0x1.25f280e9cfb41p+61 0x1.c7ac40660a220p+14 0x1.c086061910804p+62 6 1
 9.75 0.45 K 0x1.2f0c1c4b60806p+35 -0x1.88be13c9c09cap+37 0x1.b2e38ddb2a727p-10 0x1.ad9ec2d62f30dp+38 9 1
 9.75 0.45 D -0x1.a9c5194eb986ep+33 -0x1.7bcbd25f85353p+39 0x1.227f8680d2e53p-6 0x1.213f31cc2cd24p+42 9 1
-9.75 0.55 K 0x1.5199a96e5fd74p+32 -0x1.bc58402b214ddp+34 0x1.0c6c50f90beddp-12 0x1.09bc99622fed3p+36 9 1
+9.75 0.55 K 0x1.5199a96e5fd74p+32 -0x1.bc58402b214ddp+34 0x1.c7f371bb7f050p-14 0x1.e65901d910056p+34 24 1
 9.75 0.55 D -0x1.9e51d94875229p+31 -0x1.9724044b1103cp+36 0x1.9aa4f205097b1p-12 0x1.b605466bc5d89p+36 24 1
-9.75 1.0 K 0x1.c6f1c49b67e5fp+23 -0x1.4fc2cf5202637p+26 0x1.3c1df2fd3bd15p-20 0x1.3ab819a56b9b1p+28 11 1
+9.75 1.0 K 0x1.c6f1c49b67e6fp+23 -0x1.4fc2cf520263ap+26 0x1.5c3935b8ca102p-22 0x1.7370394da4558p+26 20 1
 9.75 1.0 D -0x1.829cc93a074dbp+24 -0x1.00149243831bbp+28 0x1.0704e82fb7106p-20 0x1.188dc47729ab1p+28 20 1
-9.75 1.15 K 0x1.b8703d2be3db0p+21 -0x1.584af4be8e6b8p+24 0x1.7f5f3d6ebb69ap-22 0x1.7df7838ddbd4cp+26 11 1
+9.75 1.15 K 0x1.b8703d2be3dbap+21 -0x1.584af4be8e6b8p+24 0x1.64e963557674ep-24 0x1.7cb4ae3906e32p+24 20 1
 9.75 1.15 D -0x1.cfcbc582b2562p+22 -0x1.f3d08cb57cc92p+25 0x1.01882f0a8d581p-22 0x1.12b3656096c45p+26 20 1
 9.75 1.3 K 0x1.f20808c98a825p+19 -0x1.a15f467efc896p+22 0x1.b002257578bd5p-26 0x1.cccf16e3b3fd2p+22 20 1
 9.75 1.3 D -0x1.40509996ddd83p+21 -0x1.2144651166c7dp+24 0x1.2af55909ed88cp-24 0x1.3ee3922cb91a6p+24 20 1
@@ -644,11 +643,11 @@ K_BITS = """
 0.5 0.1 D 0x1.ed665e560f441p+1 -0x1.0de42e1f07b56p+2 0x1.4408114009eeap-45 0x1.986ec88f16fb6p+4 6 1
 0.5 0.45 K 0x1.07a8cf8f558e4p+0 -0x1.c611a144fa1bfp-1 0x1.7223daf9c3c27p-48 0x1.d51439dd20df4p+1 9 1
 0.5 0.45 D 0x1.353b1634b7878p-2 -0x1.b60ba835c915cp-1 0x1.893ddef27d0bep-47 0x1.0214e969ecc62p+3 9 1
-0.5 0.55 K 0x1.a0447d878cc98p-1 -0x1.9d1fb3fb62debp-1 0x1.4fe2d1e5da351p-48 0x1.ad56a54d535e6p+1 9 1
+0.5 0.55 K 0x1.a0447d878cc98p-1 -0x1.9d1fb3fb62decp-1 0x1.b7e916017db7fp-50 0x1.25460eaba9255p+0 24 1
 0.5 0.55 D 0x1.4dfe37f96a0c2p-3 -0x1.4b5d0ce8863c1p-1 0x1.016e3c855fbc7p-50 0x1.573da6072a509p-1 24 1
-0.5 1.0 K 0x1.1f254a7f83bb7p-2 -0x1.19f360afbe885p-1 0x1.12f540a66b9dbp-48 0x1.67b1d0e42db4dp+1 11 1
+0.5 1.0 K 0x1.1f254a7f83bb6p-2 -0x1.19f360afbe888p-1 0x1.daae8fbc50688p-51 0x1.3c745fd2e045bp-1 20 1
 0.5 1.0 D -0x1.fbe05d9186e0cp-6 -0x1.d71e435912d27p-3 0x1.65741719fd78cp-52 0x1.dc9ac977fca11p-3 20 1
-0.5 1.15 K 0x1.7acbb9e1d29c3p-3 -0x1.efc28e8749961p-2 0x1.1057a1b4d1e92p-48 0x1.659a73163e2efp+1 11 1
+0.5 1.15 K 0x1.7acbb9e1d29bap-3 -0x1.efc28e8749962p-2 0x1.8e1a1f9831081p-51 0x1.0966bfbacb5abp-1 20 1
 0.5 1.15 D -0x1.66bf1806c7f52p-5 -0x1.59d22bc61e3cap-3 0x1.0c87416a43c43p-52 0x1.6609ac8dafb04p-3 20 1
 0.5 1.3 K 0x1.cba6e712a0678p-4 -0x1.b1f651050b568p-2 0x1.50c0d3c2f49efp-51 0x1.c1011a5946294p-2 20 1
 0.5 1.3 D -0x1.8db831ed3ead1p-5 -0x1.fe74c995b48b7p-4 0x1.9b9edf14f9602p-53 0x1.1269ea0dfb957p-3 20 1
@@ -660,11 +659,11 @@ K_BITS = """
 2.5 0.1 D -0x1.3ed7813acb38bp+11 -0x1.cec2e820f0eb5p+11 0x1.4776f3562a56fp-35 0x1.39db9b959767dp+14 6 1
 2.5 0.45 K -0x1.6de52dd283558p+3 -0x1.92e40bbe98d30p+4 0x1.35ed232d89c8cp-43 0x1.2a453a4df1d9ep+6 9 1
 2.5 0.45 D -0x1.62ccaa537f51cp+5 -0x1.74ad7772fbdb1p+5 0x1.2143c40cf0308p-40 0x1.1de02993a7fedp+9 9 1
-2.5 0.55 K -0x1.ca9681867e437p+2 -0x1.e3c5096d24a2ep+3 0x1.949781b16979fp-44 0x1.87eb67a3330c3p+5 9 1
+2.5 0.55 K -0x1.ca9681867e432p+2 -0x1.e3c5096d24a2cp+3 0x1.1fb4c4100a742p-45 0x1.1fb4c4100a742p+4 24 1
 2.5 0.55 D -0x1.9b620865bbd85p+4 -0x1.8ce57d7d38a2dp+4 0x1.33331561e50ebp-44 0x1.33331561e50ebp+5 24 1
-2.5 1.0 K -0x1.f1e958a645564p+0 -0x1.93d5d18408acep+1 0x1.118ca18e16818p-45 0x1.0da91ed424c9dp+4 11 1
+2.5 1.0 K -0x1.f1e958a645564p+0 -0x1.93d5d18408acfp+1 0x1.00cd39dcf9d2cp-47 0x1.00cd39dcf9d2cp+2 20 1
 2.5 1.0 D -0x1.3d1fd9392e1e2p+2 -0x1.91165f3283e53p+1 0x1.963712bfb958cp-47 0x1.963712bfb958cp+2 20 1
-2.5 1.15 K -0x1.7714ac26e0409p+0 -0x1.11a8344a66690p+1 0x1.c442f6e74dcfap-46 0x1.bf15faac94b60p+3 11 1
+2.5 1.15 K -0x1.7714ac26e0405p+0 -0x1.11a8344a66690p+1 0x1.67045f6b37107p-48 0x1.67045f6b37107p+1 20 1
 2.5 1.15 D -0x1.aa628cbb53d8ap+1 -0x1.c7ce177507f81p+0 0x1.059a207d62df1p-47 0x1.059a207d62df1p+2 20 1
 2.5 1.3 K -0x1.26036fc029d80p+0 -0x1.7f6623a6708cbp+0 0x1.052993fcdfdbfp-48 0x1.052993fcdfdbfp+1 20 1
 2.5 1.3 D -0x1.2a872f950fe44p+1 -0x1.0753fde2948fbp+0 0x1.60b993fd151adp-48 0x1.60b993fd151adp+1 20 1
@@ -676,11 +675,11 @@ K_BITS = """
 0.3 0.1 D 0x1.0837324b588c4p+1 -0x1.f96571b01801cp+0 0x1.cce6aa6e62495p-47 0x1.251a1b15b1f10p+3 6 1
 0.3 0.45 K 0x1.f62f2c2558c31p-1 -0x1.832ba5305a5a6p-1 0x1.111fb58b1dba3p-48 0x1.5ecd5109aaf02p+1 9 1
 0.3 0.45 D 0x1.7e4e6579dc2b7p-3 -0x1.de5642ee35447p-2 0x1.392b5838e8f82p-48 0x1.9c2176c33bd81p+1 9 1
-0.3 0.55 K 0x1.926aa19906bbbp-1 -0x1.6a24a35e42e3ap-1 0x1.fa61893bdf498p-49 0x1.475429144f73dp+1 9 1
+0.3 0.55 K 0x1.926aa19906bbap-1 -0x1.6a24a35e42e3ap-1 0x1.963469de02a51p-50 0x1.0ecd9be95718bp+0 22 1
 0.3 0.55 D 0x1.ad5b8a381e722p-4 -0x1.6f58ead508c4bp-2 0x1.20f5a264a8abfp-51 0x1.81478330e0e53p-2 24 1
-0.3 1.0 K 0x1.239abcee49fb5p-2 -0x1.077d3387d53b5p-1 0x1.b2df91d82edc9p-49 0x1.1df6f61475fc3p+1 11 1
+0.3 1.0 K 0x1.239abcee49fb4p-2 -0x1.077d3387d53b8p-1 0x1.c3c65d87810f7p-51 0x1.2d2ee90500b4fp-1 20 1
 0.3 1.0 D -0x1.ce6005b52c3acp-7 -0x1.0f384e091982ep-3 0x1.9ac1bc6960b7cp-53 0x1.11d67d9b95cfdp-3 20 1
-0.3 1.15 K 0x1.882b489d05332p-3 -0x1.d48dfed0920a3p-2 0x1.b1a66df19220bp-49 0x1.1de7a4f209824p+1 11 1
+0.3 1.15 K 0x1.882b489d05331p-3 -0x1.d48dfed0920a2p-2 0x1.7cfc63ab6c92ep-51 0x1.fbfb2f8f3b6e8p-2 20 1
 0.3 1.15 D -0x1.74758975fe94cp-6 -0x1.9134cc0bbe886p-4 0x1.35f189ca2ccbbp-53 0x1.9d420d0d910fap-4 20 1
 0.3 1.3 K 0x1.e9f1603e36a3bp-4 -0x1.9dd1cd17cd8d9p-2 0x1.43b2675ac373ep-51 0x1.af9889ce59efep-2 20 1
 0.3 1.3 D -0x1.afd5116eac2c9p-6 -0x1.2a035035af0c8p-4 0x1.dcd0526030e5ep-54 0x1.3de036eacb43fp-4 20 1
@@ -692,11 +691,11 @@ K_BITS = """
 5.3 0.1 D -0x1.e931c0d80df29p+27 0x1.332fe667761cap+29 0x1.761405daf58d1p-18 0x1.0911bd0c73867p+31 6 1
 5.3 0.45 K -0x1.9d8a28af142eap+14 0x1.5a8274ac3df12p+15 0x1.39529d90c66bdp-32 0x1.be7727d536f4dp+16 9 1
 5.3 0.45 D -0x1.69f265637b6e9p+15 0x1.31b7c3e6d4284p+17 0x1.614314052af15p-29 0x1.fe2b9e4155d34p+19 9 1
-5.3 0.55 K -0x1.1abc5aa03493ap+13 0x1.e022f5e9cda74p+13 0x1.d726bfdc56432p-34 0x1.50e579f52ace6p+15 9 1
+5.3 0.55 K -0x1.1abc5aa03493dp+13 0x1.e022f5e9cda77p+13 0x1.9b46d3393103ep-35 0x1.2b1c3c86af48ap+14 22 1
 5.3 0.55 D -0x1.b1e4dad8a5043p+13 0x1.8eb2062e03675p+15 0x1.30faf3b6f65cfp-33 0x1.bb9b910a20872p+15 24 1
-5.3 1.0 K -0x1.61eb00864c901p+8 0x1.4a71e1f8ffc08p+9 0x1.ed20b34b5446ap-38 0x1.63f4b56927706p+11 11 1
+5.3 1.0 K -0x1.61eb00864c904p+8 0x1.4a71e1f8ffc0ap+9 0x1.14f486fea9b59p-39 0x1.92d80a2c99c25p+9 20 1
 5.3 1.0 D -0x1.231c46310024ap+8 0x1.ba5a40892974cp+10 0x1.4b3a4ce2ee8efp-38 0x1.e1c92a0443b8bp+10 20 1
-5.3 1.15 K -0x1.457c17d12ce87p+7 0x1.3e12007cd8c85p+8 0x1.16366f68a8a34p-38 0x1.92389580fe33ep+10 11 1
+5.3 1.15 K -0x1.457c17d12ce81p+7 0x1.3e12007cd8c85p+8 0x1.079642e6832c0p-40 0x1.7f6632c3a785cp+8 20 1
 5.3 1.15 D -0x1.9666e65f8b237p+6 0x1.9053198a85a7ep+9 0x1.29b4d76de65f3p-39 0x1.b1070ace665bfp+9 20 1
 5.3 1.3 K -0x1.457b2a5633957p+6 0x1.4f8608ce325f6p+7 0x1.129d501424429p-41 0x1.8f70747a63499p+7 20 1
 5.3 1.3 D -0x1.17db912c05356p+5 0x1.8df77d75d0c62p+8 0x1.2632af30dc267p-40 0x1.abeca1bb6ec38p+8 20 1
@@ -717,11 +716,11 @@ PHASE_BITS = """
 2j 1.75 D 0x1.ee995f6a1ace0p-7 0x1.ca7670f45e8b4p-1 0x1.2450496d9a24ep-49 0x1.4e129d0f8b97dp+0 24 1
 2j -2.5 K -0x1.57a813fe83c7fp-1 0x1.2b2bf4779374fp+0 0x1.d4e031346c54cp-49 0x1.d4e031346c54cp+0 24 1
 2j -2.5 D -0x1.0fc61cf0feb26p+0 -0x1.53048c26065dep+0 0x1.27411812692ddp-48 0x1.27411812692ddp+1 24 1
-0.8j 0.3 K 0x1.4e594a3c0bc7ap-4 -0x1.5b4063935bedep+0 0x1.2806d42186741p-48 0x1.7ad49cb211798p+1 10 1
+0.8j 0.3 K 0x1.4e594a3c0bc70p-4 -0x1.5b4063935bedep+0 0x1.0528490d72208p-49 0x1.5c35b6bc982b6p+0 30 1
 0.8j 0.3 D -0x1.7c36cf2516a1ap-2 -0x1.68a2491b26abdp-3 0x1.3cb39c0cc2b35p-51 0x1.a644d0110399bp-2 30 1
-0.8j 1.75 K -0x1.550d77ddb4972p+1 -0x1.ce625ea6f5162p-1 0x1.8ae313f3e7633p-47 0x1.8099d3635004bp+2 10 1
+0.8j 1.75 K -0x1.550d77ddb4973p+1 -0x1.ce625ea6f5167p-1 0x1.ce6602901fcbdp-48 0x1.083a4a9b7fe23p+2 30 1
 0.8j 1.75 D -0x1.f7ab57548fbb2p+1 0x1.6651566d3c026p+1 0x1.8cd9444f14ddep-47 0x1.c58a9735ceb46p+2 30 1
-0.8j -2.5 K -0x1.4b6f5f36e68c5p+2 0x1.4f91d4291a36dp+2 0x1.349107381571cp-45 0x1.272009797d79bp+4 10 1
+0.8j -2.5 K -0x1.4b6f5f36e68c5p+2 0x1.4f91d4291a36dp+2 0x1.4eac3e6731ab1p-46 0x1.4eac3e6731ab1p+3 30 1
 0.8j -2.5 D -0x1.55edbd43cb50cp-3 -0x1.012fe62d72dabp+4 0x1.6d01b6d0e31b8p-45 0x1.6d01b6d0e31b8p+4 30 1
 (3+4j) 0.3 K -0x1.d1d1c3ea591dep-8 0x1.b58195a28bdb2p-6 0x1.53a55368eb307p-55 0x1.c4dc6f368eeb4p-6 20 1
 (3+4j) 0.3 D 0x1.cde5fed7bec98p-11 0x1.51416a910c855p-10 0x1.32a58a92000b1p-59 0x1.98dcb8c2aab97p-10 22 1

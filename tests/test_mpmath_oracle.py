@@ -14,13 +14,13 @@ J series passes the poles of Gamma at -n: it holds ber/bei and their order
 derivatives to 1e-13 and ker/kei and theirs to 1e-10.
 
 K and dK/dnu on the Kelvin ray, from the start of ``bessel._k_sums``
-(Temme's series at |z| <= ``TEMME_MAX_ARG``, for dK/dnu only to
-``TEMME_DK_MAX_ARG``, the trapezoidal sum above) climbed from
-nu - floor(nu) to the order, are held to 1e-12 against 40-digit mpmath,
-each with its error estimate calibrated against the true error, at
-integers, just off them, at generic orders and out to nu = 50, and on both
-sides of each border to 1.8e-15 (K) and 3.1e-15 (dK/dnu); ker/kei to
-1e-12 on nu = -10:10:0.25 over x in [0.1, 20], to 2.6e-15 at the borders,
+(Temme's series at |z| <= ``TEMME_MAX_ARG``, the trapezoidal sum above)
+climbed from nu - floor(nu) to the order, are held to 1e-12 against
+40-digit mpmath, each with its error estimate calibrated against the true
+error, at integers, just off them, at generic orders and out to nu = 50,
+and on both sides of the border to 1.8e-15 (K) and 3.1e-15 (dK/dnu);
+ker/kei to 1e-12 on nu = -10:10:0.25 over x in [0.1, 20], to 2.6e-15 at
+the border,
 and at small x just off an integer.
 The coefficient tables of Temme's start are recomputed here from mpmath.
 The ber/bei estimate that ``eval`` prints is calibrated the same way on an
@@ -40,9 +40,8 @@ import pytest
 mpmath = pytest.importorskip("mpmath")
 
 from kelvinfn import bessel  # noqa: E402
-from kelvinfn.bessel import (K_MAX_ARG, TEMME_DK_MAX_ARG, TEMME_MAX_ARG,  # noqa: E402
-                             _gamma12, _k_sums, bessel_i, bessel_j, bessel_k, dj_dnu_any,
-                             dk_dnu_any)
+from kelvinfn.bessel import (K_MAX_ARG, TEMME_MAX_ARG, _gamma12, _k_sums,  # noqa: E402
+                             bessel_i, bessel_j, bessel_k, dj_dnu_any, dk_dnu_any)
 from kelvinfn.cli import main  # noqa: E402
 from kelvinfn.errors import BranchError, ConvergenceError  # noqa: E402
 from kelvinfn import manifest, orderderiv, quad  # noqa: E402
@@ -327,7 +326,8 @@ API_REL = 1e-13
 JI_CAL_ZS = [cmath.rect(r, ph) for r in (5.0, 10.0, 15.0, 20.0) for ph in API_PHASES]
 K_INTEGERS = [0, 1, 2, 3, 5, 8]
 K_GENERIC = [0.3, 1.5, 2.7, 4.25]
-K_ZS = [cmath.rect(r, ph) for r in (0.1, 0.3, 1.0, 2.0, 5.0, 10.0, 15.0, 20.0)
+# 0.55 to 1.15: where Temme's series once started K and the sum dK/dnu
+K_ZS = [cmath.rect(r, ph) for r in (0.1, 0.3, 0.55, 1.0, 1.15, 2.0, 5.0, 10.0, 15.0, 20.0)
         for ph in API_PHASES]
 K_REL = 5e-12
 
@@ -467,10 +467,9 @@ def test_bessel_k_error_estimate_calibrated(nu):
 
 def test_k_off_the_right_half_plane():
     """On the imaginary axis and within 0.002 of it, where the sum on the
-    real t axis had no step and raised ConvergenceError above
-    ``TEMME_MAX_ARG`` (K) and ``TEMME_DK_MAX_ARG`` (dK/dnu), the bent
-    contour holds K and dK/dnu to K_REL, as Temme's series does below the
-    borders: at |z| = 2, 3 and 1 (both sums), 1 (K) and 0.5 (both).  A real
+    real t axis had no step and raised ConvergenceError, the bent contour
+    holds K and dK/dnu to K_REL above ``TEMME_MAX_ARG``, as Temme's series
+    does at it: at |z| = 2, 3 and 1 (both), 1 (K) and 0.5 (both).  A real
     part of -0.0 is on the axis too."""
     near = cmath.rect(1.0, math.pi / 2.0 - 0.002)
     zs = [2j, -3j, near, complex(-0.0, 2.0), complex(-0.0, -3.0)]
@@ -502,8 +501,9 @@ def test_k_towards_the_imaginary_axis(nu):
         assert api_miscalibrated(dk_dnu_any, "besselk", nu, AXIS_ZS, diff=True) == []
 
 
-BORDER_XS = [0.1, 0.3, TEMME_DK_MAX_ARG - 1e-9, TEMME_DK_MAX_ARG + 1e-9, 1.0,
-             TEMME_MAX_ARG - 1e-9, TEMME_MAX_ARG + 1e-9, 2.0]
+# Temme's border, and 1.2, where Temme's series once started K
+BORDER_XS = [0.1, 0.3, TEMME_MAX_ARG - 1e-9, TEMME_MAX_ARG + 1e-9, 1.0, 1.2 - 1e-9,
+             1.2 + 1e-9, 2.0]
 BORDER_ORDERS = [0.0, 2e-6, 0.25, 0.5 - 1e-9, 0.5 + 1e-9, 0.75, 0.999999, 1.0, 2.3, 7.75, 50.0]
 
 
@@ -523,13 +523,13 @@ def k_oracle_at_double(nu: float, x: float) -> tuple[complex, complex]:
 @pytest.mark.parametrize("x", BORDER_XS)
 @pytest.mark.parametrize("nu", BORDER_ORDERS)
 def test_k_across_the_temme_border(nu, x):
-    """On both sides of each border between the K starts, K on the Kelvin
-    ray holds 1.8e-15 and dK/dnu 3.1e-15 (measured: 1.7e-15 and 1.1e-15),
+    """On both sides of the border between the K starts, and of 1.2, K on
+    the Kelvin ray holds 1.8e-15 and dK/dnu 3.1e-15 (measured: 1.7e-15 and 1.1e-15),
     each estimate calibrated as in test_dk_error_estimate_calibrated."""
     k, dk = ray_k(nu, x, True)
     # Temme's terms, or the trapezoid's nodes (18 to 24)
     assert k[2] <= 12 if x < TEMME_MAX_ARG else k[2] >= 18
-    assert dk[2] <= 9 if x < TEMME_DK_MAX_ARG else dk[2] >= 18
+    assert dk[2] <= 9 if x < TEMME_MAX_ARG else dk[2] >= 18
     for (value, est, _, conv, _), want, rel in zip((k, dk), k_oracle_at_double(nu, x),
                                                    (1.8e-15, 3.1e-15)):
         err = abs(value - want)
@@ -543,7 +543,7 @@ def test_k_across_the_temme_border(nu, x):
 @pytest.mark.parametrize("x", BORDER_XS)
 def test_ker_kei_across_the_temme_border(x):
     """ker + i kei within 2.6e-15 of 40 digits on nu = -10:10:0.25 on both
-    sides of each border (measured: 1.8e-15)."""
+    sides of the border and of 1.2 (measured: 1.8e-15)."""
     for nu in KK_ORDERS:
         want = kk_oracle(nu, x)
         assert abs(complex(*kelvin_ker_kei(nu, x)) - want) <= 2.6e-15 * abs(want), nu

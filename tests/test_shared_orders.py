@@ -253,8 +253,8 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
-# x on Temme's series, between its borders, on the trapezoidal sum and up
-# to K_MAX_ARG; (n, x) where a series or a K sum fails at some order <= n
+# x on Temme's series, at its border, on the trapezoidal sum and up to
+# K_MAX_ARG; (n, x) where a series or a K sum fails at some order <= n
 INTEGER_SUM_XS = [0.05, 0.3, 0.5, 0.8, 1.0, 1.2, 1.5, 3.0, 7.0, 12.0, 20.0, 29.0]
 INTEGER_SUM_FAILS = [(10, 1e-300), (10, 5e-324), (3, 30.5), (30, 1e-10), (171, 0.05),
                      (200, 1e-3), (400, 20.0), (int(1e17), 1.0)]
@@ -408,16 +408,14 @@ def test_node_table_grows_safely_across_threads(monkeypatch):
 # mu = nu - floor(nu) (at 0.75, 1.75 and 9.75 Temme's series starts at
 # m = -0.25); 0.3, and 5.3, whose mu is 0.3 less an ulp
 K_ORDERS = [0.0, 1.0, 3.0, 0.25, 2.25, 0.75, 1.75, 9.75, 0.5, 2.5, 0.3, 5.3]
-# Temme's series alone at x <= 0.45; between TEMME_DK_MAX_ARG = 0.5 and
-# TEMME_MAX_ARG = 1.2 K from Temme's series and dK/dnu from the sum; the
-# sum alone above
+# Temme's series at x <= TEMME_MAX_ARG = 0.5, the sum above
 K_XS = [0.1, 0.45, 0.55, 1.0, 1.15, 1.3, 5.0, 20.0]
 
 
 def start_count(starts: dict) -> int:
-    """The K starts a dict of ``_k_sums`` holds (keyed (start order, z,
-    route)), less the request results it also keeps (keyed (nu, z, dk))."""
-    return sum(isinstance(key[2], str) for key in starts)
+    """The K starts a dict of ``_k_sums`` holds (keyed (start order, z)),
+    less the request results it also keeps (keyed (nu, z, dk))."""
+    return sum(len(key) == 2 for key in starts)
 
 
 def k_bits(res) -> tuple:
@@ -431,9 +429,8 @@ def k_bits(res) -> tuple:
 def test_shared_k_starts_equal_fresh_sums(dk_first):
     """Every order of K_ORDERS at every x of K_XS, walked up and down, asks
     for K and for K + dK/dnu from one dict of starts: each result is that of
-    a fresh sum, and the dict holds one start per fractional part and x on
-    each route (6 of each: 2 x 6 on Temme's series, 3 x 12 on both, 3 x 6
-    on the sum)."""
+    a fresh sum, and the dict holds one start per fractional part and x (6
+    of each: 2 x 6 on Temme's series, 6 x 6 on the sum)."""
     starts: dict = {}
     for x in K_XS + K_XS[::-1]:
         z = ROT_K * x
@@ -441,7 +438,7 @@ def test_shared_k_starts_equal_fresh_sums(dk_first):
             for dk in (dk_first, not dk_first):
                 assert k_bits(_k_sums(nu, z, dk, starts)) == k_bits(_k_sums(nu, z, dk)), \
                     (nu, x, dk)
-    assert start_count(starts) == 66
+    assert start_count(starts) == 48
 
 
 SIGNED_ORDERS = [0.25, -0.25, -2.25, 2.25, -0.75, 1.75, -9.75, 3.0, -3.0, 0.0, -0.3, 0.3]
@@ -450,8 +447,8 @@ SIGNED_ORDERS = [0.25, -0.25, -2.25, 2.25, -0.75, 1.75, -9.75, 3.0, -3.0, 0.0, -
 def test_shared_k_starts_across_signed_orders(monkeypatch):
     """+-nu share their starts: one plan of values and of order derivatives
     of each order over K_XS equals ``kelvin_all`` and ``dkelvin``, and its
-    dict holds one start per fractional part (4) and x on each route (2 x
-    on Temme's series, 3 on both, 3 on the sum)."""
+    dict holds one start per fractional part (4) and x (2 x on Temme's
+    series, 6 on the sum)."""
     dicts, orig = {}, kelvinfn.bessel._k_sums
 
     def recorded(nu, z, dk, starts=None):
@@ -472,7 +469,7 @@ def test_shared_k_starts_across_signed_orders(monkeypatch):
             assert bits(*vals, est_j + est_k) == bits(
                 d.values.ber, d.values.bei, d.values.ker, d.values.kei,
                 d.dber, d.dbei, d.dker, d.dkei, d.err_estimate), (nu, x)
-    assert start_count(starts) == 4 * (2 + 3 * 2 + 3)
+    assert start_count(starts) == 4 * (2 + 6)
 
 
 def test_shared_k_starts_raise_per_request():
@@ -494,9 +491,8 @@ def test_shared_k_starts_raise_per_request():
 @pytest.mark.parametrize("x", [0.3, 1.0, 5.0])
 def test_repeated_k_request_returns_its_result(x):
     """A K request repeated on one dict (the same |nu|, z and dk) returns
-    the tuple of the first, on Temme's series (0.3), between its borders
-    (1.0) and on the trapezoidal sum (5.0); a request of the other kind
-    sums its own."""
+    the tuple of the first, on Temme's series (0.3) and on the trapezoidal
+    sum (1.0, 5.0); a request of the other kind sums its own."""
     starts: dict = {}
     z = ROT_K * x
     k = _k_sums(2.3, z, False, starts)

@@ -205,18 +205,15 @@ def kstarts(monkeypatch):
 
 
 def _kept(dicts) -> list:
-    """The keys (start order, argument, route) of the starts of every dict
-    of starts, less the request results it also keeps (keyed (nu, z, dk))."""
-    return [key for d in dicts.values() for key in d if isinstance(key[2], str)]
+    """The keys (start order, argument) of the starts of every dict of
+    starts, less the request results it also keeps (keyed (nu, z, dk))."""
+    return [key for d in dicts.values() for key in d if len(key) == 2]
 
 
 # (suite, K sums, K starts, distinct (start order, argument)); one start per
-# K sum before.  fd and integer ask for dK/dnu at x = 1, between Temme's
-# borders, where K starts on Temme's series and dK/dnu on the sum, so a
-# fractional part takes two starts there: 6 more in fd (at the same order
-# but for 0.75, whose Temme start is at -0.25), 1 in integer
+# K sum before.  One start serves K and dK/dnu at each fractional part and x
 @pytest.mark.parametrize("suite, ks, starts, distinct", [
-    ("fd", 300, 156, 151), ("reflection", 48, 4, 4), ("integer", 24, 5, 4),
+    ("fd", 300, 150, 150), ("reflection", 48, 4, 4), ("integer", 24, 4, 4),
     ("ode", 60, 45, 45)])
 def test_suites_share_k_starts(ksums, kstarts, suite, ks, starts, distinct):
     """One dict of K starts per suite call: fd's -nu rows and finite
@@ -227,7 +224,7 @@ def test_suites_share_k_starts(ksums, kstarts, suite, ks, starts, distinct):
     routes, dicts = kstarts
     kept = _kept(dicts)
     assert (len(ksums), len(routes), len(kept), len(dicts)) == (ks, starts, starts, 1)
-    assert len({(m, z) for m, z, _ in kept}) == distinct
+    assert len(set(kept)) == distinct
 
 
 @pytest.fixture
@@ -272,22 +269,20 @@ def test_table_answers_each_k_request_once(kresults, capsys):
 
 def test_table_shares_k_starts(ksums, kstarts, capsys):
     """The whole-grid table, 81 orders x 20 values of x: 1620 K sums from
-    84 starts, 4 fractional parts x 20 x and the 4 Temme starts of K at
-    x = 1, where dK/dnu starts on the sum."""
+    80 starts, 4 fractional parts x 20 x, all on the trapezoidal sum."""
     assert main(["table", "--nu-range=-10:10:0.25", "--x-range=1:20:1"]) == 0
     routes, dicts = kstarts
     kept = _kept(dicts)
-    assert (len(ksums), len(routes), len(kept), len(dicts)) == (1620, 84, 84, 1)
-    assert sorted(r for _, z, r in kept if z == ROT_K) == ["sum"] * 4 + ["temme"] * 4
+    assert (len(ksums), len(routes), len(kept), len(dicts)) == (1620, 80, 80, 1)
+    assert set(routes) == {"sum"}
 
 
 def test_one_order_table_keeps_no_starts(ksums, kstarts, capsys):
     """A table of one order has no start to share, its x being distinct: it
-    keeps no dict, and sums one start per K sum and the Temme start of K at
-    x = 1."""
+    keeps no dict, and sums one start per K sum."""
     assert main(["table", "--nu", "2.5", "--x-range=1:20:1"]) == 0
     routes, dicts = kstarts
-    assert (len(ksums), len(routes), len(dicts)) == (20, 21, 0)
+    assert (len(ksums), len(routes), len(dicts)) == (20, 20, 0)
 
 
 @pytest.mark.parametrize("nu, count", [(0.3, 1), (2.0, 1),  # 3, 2
@@ -352,20 +347,18 @@ def test_k_sum_nodes_on_the_ray(x, nodes):
 
 
 _BORDER = kelvinfn.bessel.TEMME_MAX_ARG - 1e-9
-_DK_BORDER = kelvinfn.bessel.TEMME_DK_MAX_ARG - 1e-9
 
 
 @pytest.mark.parametrize("nu, x, terms, dterms", [
     (0.3, 0.1, 6, 6), (2.7, 0.1, 6, 7), (5.0, 0.1, 6, 6),
-    (0.3, _DK_BORDER, 9, 9), (2.7, _DK_BORDER, 9, 9), (5.0, _DK_BORDER, 9, 8),
-    (0.3, _BORDER, 11, 20), (2.7, _BORDER, 11, 20), (5.0, _BORDER, 11, 20)])
+    (0.3, _BORDER, 9, 9), (2.7, _BORDER, 9, 9), (5.0, _BORDER, 9, 8),
+    (0.3, 1.2 - 1e-9, 20, 20), (2.7, 1.2 - 1e-9, 20, 20), (5.0, 1.2 - 1e-9, 20, 20)])
 def test_temme_terms(nu, x, terms, dterms):
-    """One K start by Temme's series takes 6 terms at x = 0.1, 9 just below
-    |z| = 0.5 and 11 just below its border |z| = 1.2, with or without
-    dK/dnu, where the trapezoidal sum on the real t axis took 60, 46-48 and
-    40 nodes; dK/dnu goes on to its own rule, and above |z| = 0.5 to the
-    trapezoidal sum, which takes 20 nodes just below 1.2 (40 on the real t
-    axis)."""
+    """One K start by Temme's series takes 6 terms at x = 0.1 and 9 just
+    below its border |z| = 0.5, with or without dK/dnu, where the
+    trapezoidal sum on the real t axis took 60 and 46-48 nodes; dK/dnu goes
+    on to its own rule.  Above the border one trapezoidal sum starts both,
+    with 20 nodes just below 1.2 (40 on the real t axis)."""
     k, dk = kelvinfn.bessel._k_sums(nu, ROT_K * x, True)
     assert (kelvinfn.bessel._k_sums(nu, ROT_K * x, False)[0][2], k[2], dk[2]) == \
         (terms, terms, dterms)
