@@ -15,8 +15,11 @@ than ``MAX_RANGE_POINTS`` rows is refused before either axis is built.  CSV
 output uses 17 significant digits, '\n' line endings and no quoting, so two
 runs with identical flags are byte-identical.  Every value is computed to full double
 precision, and ``verify`` checks at the manifest tolerances; no flag or
-environment variable changes that.  A command exits 2 with its error named,
-an unwritable ``--out`` included.
+environment variable changes that.  ``main`` is the one exit-2 boundary: a
+bad range (ValueError), a ``KelvinError`` from any command and an
+unwritable ``--out`` (OSError) each print one line naming the command and
+the error, and no traceback.  ``verify`` exits 1 where a row fails, a row
+whose integral or closed form missed its target included.
 """
 
 from __future__ import annotations
@@ -80,22 +83,17 @@ def _emit(lines: list[str], out_path: str | None) -> None:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     fn = args.fn
-    try:
-        if fn in _VALUE_FNS:
-            if fn in ("ber", "bei"):
-                ber, bei, est = _eval_ber_bei(args.nu, args.x)
-                value = ber if fn == "ber" else bei
-            else:
-                ker, kei, est = _eval_ker_kei(args.nu, args.x)
-                value = ker if fn == "ker" else kei
-        else:
-            # dber/dbei carry the series side's estimate, dker/dkei the K side's
-            (row,), = _plan_rows(((args.nu, True),), (args.x,))
-            i = _DERIV_FNS.index(fn)
-            value, est = row[4 + i], row[8 + i // 2]
-    except KelvinError as exc:
-        print(f"eval: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+    if fn in ("ber", "bei"):
+        ber, bei, est = _eval_ber_bei(args.nu, args.x)
+        value = ber if fn == "ber" else bei
+    elif fn in ("ker", "kei"):
+        ker, kei, est = _eval_ker_kei(args.nu, args.x)
+        value = ker if fn == "ker" else kei
+    else:
+        # dber/dbei carry the series side's estimate, dker/dkei the K side's
+        (row,), = _plan_rows(((args.nu, True),), (args.x,))
+        i = _DERIV_FNS.index(fn)
+        value, est = row[4 + i], row[8 + i // 2]
     if args.format == "csv":
         _emit(["fn,nu,x,value,err_estimate,method",
                f"{fn},{_fmt(args.nu)},{_fmt(args.x)},{_fmt(value)},{_fmt(est)},series"],
@@ -127,21 +125,12 @@ def _table_rows(nus: list[float], xs: list[float]) -> list[str]:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    try:
-        nus = _range_spec(args.nu_range, "--nu-range")
-        xs = _range_spec(args.x_range, "--x-range")
-        rows = nus[2] * xs[2]  # the point counts
-        if rows > MAX_RANGE_POINTS:  # before either axis is built
-            raise ValueError(f"a grid of {rows} rows, more than {MAX_RANGE_POINTS}")
-    except ValueError as exc:
-        print(f"table: {exc}", file=sys.stderr)
-        return 2
-    try:
-        lines = [_TABLE_HEADER] + _table_rows(_points(*nus), _points(*xs))
-    except KelvinError as exc:
-        print(f"table: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    _emit(lines, args.out)
+    nus = _range_spec(args.nu_range, "--nu-range")
+    xs = _range_spec(args.x_range, "--x-range")
+    rows = nus[2] * xs[2]  # the point counts
+    if rows > MAX_RANGE_POINTS:  # before either axis is built
+        raise ValueError(f"a grid of {rows} rows, more than {MAX_RANGE_POINTS}")
+    _emit([_TABLE_HEADER] + _table_rows(_points(*nus), _points(*xs)), args.out)
     return 0
 
 
@@ -196,12 +185,11 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except ValueError as exc:  # a range that cannot be read, or a grid too large
         print(f"{args.command}: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:  # an --out path that cannot be written
+    except (KelvinError, OSError) as exc:  # the latter an --out that cannot be written
         print(f"{args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+    return 2
 
 
 if __name__ == "__main__":

@@ -47,7 +47,8 @@ from typing import NamedTuple
 
 from . import bessel
 from .bessel import _EPS, ORDER_EPS, _is_near_int, _RayOrder, _turn, dj_dnu, dk_dnu
-from .errors import DomainError, NegativeIntegerOrderError, OrderClassError, SeriesOverflowError
+from .errors import (DomainError, KelvinError, NegativeIntegerOrderError, OrderClassError,
+                     SeriesOverflowError)
 from .hyper import EvalResult, pfq
 from .kelvin import (_VALUE_FLOOR, ROT_J, ROT_K, KelvinQuad, _eval_ber_bei, _eval_ker_kei,
                      _finite, _finite_positive, _k_bound, _ray_rounding, _some_digit)
@@ -278,9 +279,10 @@ def _plan_rows(plan, xs) -> list[list[tuple]]:
     dict of K starts; a plan of one entry, whose x have no start in common,
     keeps none.  The rows come in a pass after (built in the K pass, they
     won 14 and 15 of 40 runs over the 81 table orders).
-    The error raised is a row-by-row pass's first: a series fault is raised
-    after the K sums of the rows before it; ``plan``, read once up to that
-    fault, may be a generator.  An empty grid gives one empty list per entry.
+    The ``KelvinError`` raised is a row-by-row pass's first: a series fault
+    is raised after the K sums of the rows before it; ``plan``, read once up
+    to that fault, may be a generator.  Any other exception is raised at
+    once.  An empty grid gives one empty list per entry.
     """
     if not xs:
         return [[] for _ in plan]
@@ -294,7 +296,7 @@ def _plan_rows(plan, xs) -> list[list[tuple]]:
                     o = _RayOrder(nu)
                     entries.append((dk, o, [], []))
                 entries[-1][2].append(bessel._ray_sums(o, x, dk))
-    except Exception as exc:  # noqa: BLE001 - raised below, after the K sums before it
+    except KelvinError as exc:  # raised below, after the K sums before it
         fault = exc
     starts = {} if len(entries) > 1 else None
     for dk, o, runs, ks in entries:

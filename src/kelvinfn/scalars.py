@@ -5,11 +5,11 @@ returning infinities, so that a caller evaluated at an order it does not
 hold (a closed form outside its order class) cannot go on with the value.
 
 Gamma is computed by argument reduction to a fixed kernel on [1, 2], its
-product in double-double arithmetic (at x >= 1 inline, :func:`_two_prod`'s
-split in each step; at x < 1 exact divisors by :func:`_two_sum`, which also
-carries each step's rounding in digamma's recurrence).  So Gamma(x+1) =
-x*Gamma(x) holds to a couple of ulp: both sides reduce to the *same* kernel
-value and differ only in the (compensated) product path.
+product in double-double arithmetic (at x >= 1 :func:`_two_prod` in each
+step; at x < 1 exact divisors by :func:`_two_sum`, which also carries each
+step's rounding in digamma's recurrence).  So Gamma(x+1) = x*Gamma(x) holds
+to a couple of ulp: both sides reduce to the *same* kernel value and differ
+only in the (compensated) product path.
 """
 
 from __future__ import annotations
@@ -153,14 +153,8 @@ def gamma_real(x: float) -> float:
             if abs(hi) > 1e250:  # Veltkamp split would overflow; drop compensation
                 hi, lo = hi * f + lo * f, 0.0
                 continue
-            p = hi * f
-            c = hi * _SPLITTER
-            a_hi = c - (c - hi)
-            a_lo = hi - a_hi
-            c = f * _SPLITTER
-            b_hi = c - (c - f)
-            b_lo = f - b_hi
-            e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo + lo * f
+            p, e = _two_prod(hi, f)
+            e += lo * f
             hi = p + e
             lo = e - (hi - p)
     elif not x > -math.inf:  # -inf or NaN

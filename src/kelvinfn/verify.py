@@ -4,7 +4,9 @@ Each suite takes no arguments and returns a list of :class:`IdentityReport`
 rows; ``run_suites`` is what both the command-line ``verify`` command and
 the acceptance tests drive.  Suite names: fd, reflection, ode, apelblat,
 theorem5, appendix, brychkov, integer (plus 'all').  Series and integrals
-run at the one accuracy of ``hyper`` and ``quad``.
+run at the one accuracy of ``hyper`` and ``quad``; a row whose integral or
+closed form misses its target fails (``quad._report``), its value NaN where
+none came back, so every suite returns all its rows.
 
 fd, reflection and integer run their orders over their x grid as one plan
 per call (``orderderiv._plan_rows``, the one front of plans, as for
@@ -23,17 +25,29 @@ itself, keeps its own (``bessel._k_sums``).
 
 from __future__ import annotations
 
+import math
+
 from . import bessel
 from . import manifest as M
 from .bessel import _RayOrder, _turn
+from .errors import ConvergenceError
 from .kelvin import ROT_K, _k_bound
 from .orderderiv import (_bb_series, _dkelvin_integer, _plan_rows, dkelvin_bb_brychkov,
                          dkelvin_bb_pos)
-from .quad import (IdentityReport, apelblat_ber_bei, apelblat_dber_dbei,
+from .quad import (IdentityReport, _report, apelblat_ber_bei, apelblat_dber_dbei,
                    appendix_ber_bei, convolution_identity, indefinite_integral_check,
                    make_report, theorem5_identities)
 
 _COMPONENTS = ("dber", "dbei", "dker", "dkei")
+
+
+def _side(fn, *args) -> tuple[tuple[float, float], bool]:
+    """(fn(*args), True), or ((nan, nan), False) where the integral or the
+    closed form behind fn misses its error target (ConvergenceError)."""
+    try:
+        return fn(*args), True
+    except ConvergenceError:
+        return (math.nan, math.nan), False
 
 
 def _stencil(nu: float) -> tuple[float, float, float, float]:
@@ -96,10 +110,10 @@ def suite_brychkov() -> list[IdentityReport]:
     out = []
     for nu in M.BRYCHKOV_NU:
         for x in M.BRYCHKOV_X:
-            a = dkelvin_bb_pos(nu, x)
-            b = dkelvin_bb_brychkov(nu, x)
-            out.append(make_report("brychkov_dber", nu, x, a[0], b[0], M.BRYCHKOV_TOL))
-            out.append(make_report("brychkov_dbei", nu, x, a[1], b[1], M.BRYCHKOV_TOL))
+            (a, a_ok), (b, b_ok) = _side(dkelvin_bb_pos, nu, x), _side(dkelvin_bb_brychkov, nu, x)
+            ok = a_ok and b_ok
+            out.append(_report("brychkov_dber", nu, x, a[0], b[0], M.BRYCHKOV_TOL, ok))
+            out.append(_report("brychkov_dbei", nu, x, a[1], b[1], M.BRYCHKOV_TOL, ok))
     return out
 
 
@@ -109,17 +123,17 @@ def suite_apelblat() -> list[IdentityReport]:
     for nu in M.APELBLAT_NU:
         o = _RayOrder(nu)  # the set-up of order nu, shared by its rows
         for arg in M.APELBLAT_ARG:
-            q = apelblat_ber_bei(nu, arg)
+            q, ok = _side(apelblat_ber_bei, nu, arg)
             k = o.phase() * bessel._ray_sums(o, arg, False)[0]
-            out.append(make_report("apelblat_ber", nu, arg, q[0], k.real, M.APELBLAT_TOL))
-            out.append(make_report("apelblat_bei", nu, arg, q[1], k.imag, M.APELBLAT_TOL))
+            out.append(_report("apelblat_ber", nu, arg, q[0], k.real, M.APELBLAT_TOL, ok))
+            out.append(_report("apelblat_bei", nu, arg, q[1], k.imag, M.APELBLAT_TOL, ok))
     for nu in M.APELBLAT_D_NU:
         o = _RayOrder(nu)
         for x in M.APELBLAT_D_X:
-            q = apelblat_dber_dbei(nu, x)
+            q, ok = _side(apelblat_dber_dbei, nu, x)
             dbb = _bb_series(o, bessel._ray_sums(o, x, True), x)[1]
-            out.append(make_report("apelblat_dber", nu, x, q[0], dbb.real, M.APELBLAT_D_TOL))
-            out.append(make_report("apelblat_dbei", nu, x, q[1], dbb.imag, M.APELBLAT_D_TOL))
+            out.append(_report("apelblat_dber", nu, x, q[0], dbb.real, M.APELBLAT_D_TOL, ok))
+            out.append(_report("apelblat_dbei", nu, x, q[1], dbb.imag, M.APELBLAT_D_TOL, ok))
     return out
 
 
@@ -139,17 +153,16 @@ def suite_appendix() -> list[IdentityReport]:
     out = []
     o = _RayOrder(0.0)  # the set-up of order 0, shared by its rows
     for x in M.APPENDIX_X:
-        s = appendix_ber_bei(x, "sin")
-        c = appendix_ber_bei(x, "cos")
+        (s, s_ok), (c, c_ok) = _side(appendix_ber_bei, x, "sin"), _side(appendix_ber_bei, x, "cos")
         k = o.phase() * bessel._ray_sums(o, x, False)[0]
-        out.append(make_report("appendix_variants_ber", 0.0, x, s[0], c[0],
-                               M.APPENDIX_VARIANT_TOL))
-        out.append(make_report("appendix_variants_bei", 0.0, x, s[1], c[1],
-                               M.APPENDIX_VARIANT_TOL))
-        out.append(make_report("appendix_series_ber", 0.0, x, s[0], k.real,
-                               M.APPENDIX_SERIES_TOL))
-        out.append(make_report("appendix_series_bei", 0.0, x, s[1], k.imag,
-                               M.APPENDIX_SERIES_TOL))
+        out.append(_report("appendix_variants_ber", 0.0, x, s[0], c[0],
+                           M.APPENDIX_VARIANT_TOL, s_ok and c_ok))
+        out.append(_report("appendix_variants_bei", 0.0, x, s[1], c[1],
+                           M.APPENDIX_VARIANT_TOL, s_ok and c_ok))
+        out.append(_report("appendix_series_ber", 0.0, x, s[0], k.real,
+                           M.APPENDIX_SERIES_TOL, s_ok))
+        out.append(_report("appendix_series_bei", 0.0, x, s[1], k.imag,
+                           M.APPENDIX_SERIES_TOL, s_ok))
     for a, b, t in M.CONVOLUTION_POINTS:
         out.append(convolution_identity(a, b, t))
     return out

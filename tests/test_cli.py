@@ -4,6 +4,10 @@ import math
 
 import pytest
 
+import kelvinfn.cli
+import kelvinfn.quad
+import kelvinfn.verify
+from kelvinfn.errors import ConvergenceError, PoleError
 from kelvinfn.cli import (MAX_RANGE_POINTS, _TABLE_HEADER, _TABLE_ROW, _fmt, _points, _range_spec,
                           main)
 
@@ -240,6 +244,37 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", "--suite", "theorem5")
         assert code == 0
 
+    @pytest.mark.parametrize("suite, rows", [("apelblat", 78), ("appendix", 23), ("all", 603)])
+    def test_missed_integrals_fail_their_rows(self, capsys, monkeypatch, suite, rows):
+        """With no halving of the step, no integral meets its target: verify
+        prints every row and exits 1, each row backed by an integral failed
+        with abs_diff = inf, and every other row passed."""
+        monkeypatch.setattr(kelvinfn.quad, "MAX_DEPTH", 0)
+        code, out, err = run_cli(capsys, "verify", "--suite", suite)
+        cells = [line.split(",") for line in out.splitlines()[1:]]
+        integral = ("apelblat_", "appendix_", "convolution_", "theorem5_", "indefinite_")
+        assert (code, err, len(cells)) == (1, "", rows)
+        assert all((c[5], c[7]) == ("inf", "0") if c[0].startswith(integral) else c[7] == "1"
+                   for c in cells)
+
+    def test_missed_closed_form_fails_its_rows(self, capsys, monkeypatch):
+        """A Brychkov reference form that raises ConvergenceError at one
+        order fails the two rows of each of its points, and no other."""
+        real = kelvinfn.verify.dkelvin_bb_brychkov
+
+        def missed(nu, x):
+            if nu == 0.3:
+                raise ConvergenceError("made to miss")
+            return real(nu, x)
+
+        monkeypatch.setattr(kelvinfn.verify, "dkelvin_bb_brychkov", missed)
+        code, out, _ = run_cli(capsys, "verify", "--suite", "brychkov")
+        cells = [line.split(",") for line in out.splitlines()[1:]]
+        failed = [c for c in cells if c[7] == "0"]
+        assert code == 1 and len(cells) == 32 and failed
+        assert all(float(c[1]) == 0.3 and c[4:6] == ["nan", "inf"] for c in failed)
+        assert len(failed) == sum(float(c[1]) == 0.3 for c in cells)
+
     def test_csv_deterministic(self, capsys, tmp_path):
         p1 = tmp_path / "v1.csv"
         p2 = tmp_path / "v2.csv"
@@ -249,6 +284,21 @@ class TestVerify:
 
 
 class TestPlumbing:
+    @pytest.mark.parametrize("argv, module, name", [
+        (("eval", "bei", "--nu", "0.5", "--x", "1"), kelvinfn.cli, "_eval_ber_bei"),
+        (("eval", "dker", "--nu", "0.5", "--x", "1"), kelvinfn.cli, "_plan_rows"),
+        (("table", "--nu", "0.5", "--x", "1"), kelvinfn.cli, "_plan_rows"),
+        (("verify", "--suite", "brychkov"), kelvinfn.verify, "dkelvin_bb_pos"),
+    ], ids=["eval", "eval-derivative", "table", "verify"])
+    def test_kelvin_error_exits_2(self, capsys, monkeypatch, argv, module, name):
+        """A KelvinError raised inside any command reaches main, which
+        prints one line, '<command>: <Type>: <message>', and returns 2."""
+        def fail(*args):
+            raise PoleError("made to fail")
+
+        monkeypatch.setattr(module, name, fail)
+        assert run_cli(capsys, *argv) == (2, "", f"{argv[0]}: PoleError: made to fail\n")
+
     def test_parser_reused_across_calls(self, capsys):
         """main() keeps one parser per process; a usage error in between
         leaves it as it was."""

@@ -4,7 +4,9 @@ script that needs only the standard library and kelvinfn:
     PYTHONPATH=src python -S tests/test_cli_checks.py
 
 runs each check, prints what it saw and exits 1 if any fails; pytest
-collects the same checks as tests.  Each command runs ``kelvinfn.cli.main``
+collects the same checks as tests.  Besides the commands and the edges, a
+seeded sweep holds two exact identities at negative orders, with no
+high-precision reference.  Each command runs ``kelvinfn.cli.main``
 in process, under a deadline (SIGALRM where it exists, and the clock
 everywhere); one ``python -m kelvinfn`` subprocess covers the module entry.
 """
@@ -18,6 +20,7 @@ import inspect
 import io
 import math
 import os
+import random
 import re
 import signal
 import subprocess
@@ -26,7 +29,7 @@ import time
 import tracemalloc
 
 import kelvinfn
-from kelvinfn import cli
+from kelvinfn import bessel, cli
 from kelvinfn.errors import KelvinError
 from kelvinfn.hyper import EvalResult
 from kelvinfn.kelvin import KelvinQuad
@@ -153,6 +156,20 @@ EDGE_ARGS = {
     # e^(-x t) at every finite x: the integrands of the contract
     "integrate_semiinf": [(lambda t, x=x: math.exp(-x * t),) for x in EDGE_XS if math.isfinite(x)],
 }
+# The negative-order sweep: 1500 seeded points (|nu| <= 10, x log-uniform on
+# [0.1, 20]), then the integers, the integers +- 1e-9 and the half-integers
+# of [-10, 10] at six x.  Each identity's bound on |lhs - rhs| over its largest
+# term is 10 times the worst the sweep read (Python 3.11.7 on x86-64): 1.4e-14,
+# 3.0e-14, 2.6e-14, 1.6e-14 and 1.6e-14, all at x = 20
+_RNG = random.Random(39)
+NEGATIVE_ORDER_POINTS = [
+    (_RNG.uniform(-10.0, 10.0), math.exp(_RNG.uniform(math.log(0.1), math.log(20.0))))
+    for _ in range(1500)] + [
+    (nu, x) for nu in [n + d for n in range(-10, 11) for d in (-1e-9, 0.0, 1e-9)]
+    + [n + 0.5 for n in range(-10, 10)] for x in (0.1, 0.5, 1.0, 5.0, 12.0, 20.0)]
+NEGATIVE_ORDER_BOUNDS = {"wronskian": 1.4e-13, "wronskian_dnu": 2.9e-13,
+                         "reflection": 2.5e-13, "reflection_dnu": 1.6e-13,
+                         "reflection_integers": 1.6e-13}
 # run_suites takes a suite name: the identity counts run it
 _NOT_SWEPT = {"run_suites"}
 _VALUE_FIELDS = ("value", "lhs", "rhs", "ber", "bei", "ker", "kei", "dber", "dbei", "dker",
@@ -360,6 +377,101 @@ def test_identities_where_x_over_2_underflows():
         if not typed:
             bad.append((fn.__name__, args, seen))
     assert not bad, bad
+
+
+def _turn(t):
+    """e^(i pi t), exact where 2t is an integer."""
+    m = round(2.0 * t)
+    e = math.pi * (t - 0.5 * m)
+    return complex(math.cos(e), math.sin(e)) * (1, 1j, -1, -1j)[m & 3]
+
+
+def _miss(*terms):
+    """|sum of the terms| over the largest: an identity's relative miss."""
+    return abs(sum(terms)) / max(map(abs, terms))
+
+
+def _negative_order_misses(points):
+    """The worst miss of each identity of NEGATIVE_ORDER_BOUNDS over
+    ``points``, and the number of ``dkelvin`` calls.  With b = ber + i bei,
+    k = ker + i kei and ' the order derivative, at each (nu, x):
+
+    * wronskian: b_nu k_(nu+1) - b_(nu+1) k_nu = e^(-3i pi/4)/x, the I-K
+      Wronskian (DLMF 10.28.2) on the Kelvin rays, and its derivative
+      b'_nu k_(nu+1) + b_nu k'_(nu+1) - b'_(nu+1) k_nu - b_(nu+1) k'_nu = 0;
+    * reflection, at nu = -m <= 0 (DLMF 10.61.6-9):
+      b_(-m) = e^(-i pi m) b_m + (2/pi) sin(pi m) k_m, k_(-m) = e^(i pi m) k_m,
+      and their derivatives in m; at the integers its own row."""
+    memo, worst = {}, dict.fromkeys(NEGATIVE_ORDER_BOUNDS, 0.0)
+
+    def at(nu, x):
+        if (nu, x) not in memo:
+            d = kelvinfn.dkelvin(nu, x)
+            memo[nu, x] = (complex(d.values.ber, d.values.bei),
+                           complex(d.values.ker, d.values.kei),
+                           complex(d.dber, d.dbei), complex(d.dker, d.dkei))
+        return memo[nu, x]
+
+    def keep(name, miss):
+        worst[name] = max(worst[name], miss)
+
+    w = cmath.exp(-0.75j * math.pi)
+    for nu, x in points:
+        (b0, k0, db0, dk0), (b1, k1, db1, dk1) = at(nu, x), at(nu + 1.0, x)
+        keep("wronskian", _miss(b0 * k1, -b1 * k0, -w / x))
+        keep("wronskian_dnu", _miss(db0 * k1, b0 * dk1, -db1 * k0, -b1 * dk0))
+        if nu <= 0.0:
+            m, t = -nu, _turn(-nu)
+            b, k, db, dk = at(m, x)
+            values = max(_miss(b0, -t.conjugate() * b, -2.0 / math.pi * t.imag * k),
+                         _miss(k0, -t * k))
+            # d/dm of each side; d/dm b_(-m) = -b'_(-m)
+            derivs = max(_miss(db0, -1j * math.pi * t.conjugate() * b, t.conjugate() * db,
+                               2.0 * t.real * k, 2.0 / math.pi * t.imag * dk),
+                         _miss(dk0, 1j * math.pi * t * k, t * dk))
+            if m == math.floor(m):
+                keep("reflection_integers", max(values, derivs))
+            else:
+                keep("reflection", values)
+                keep("reflection_dnu", derivs)
+    return worst, len(memo)
+
+
+def test_negative_order_identities():
+    """The Wronskian and the reflection at real order, each with its order
+    derivative, hold within NEGATIVE_ORDER_BOUNDS at every point of
+    NEGATIVE_ORDER_POINTS, in under a second."""
+    t = time.perf_counter()
+    worst, calls = _negative_order_misses(NEGATIVE_ORDER_POINTS)
+    t = time.perf_counter() - t
+    print(f"{len(NEGATIVE_ORDER_POINTS)} points, {calls} dkelvin calls in {t:.2f} s; worst "
+          + ", ".join(f"{k} {v:.2g} (bound {NEGATIVE_ORDER_BOUNDS[k]:.2g})"
+                      for k, v in worst.items()))
+    assert all(worst[k] <= b for k, b in NEGATIVE_ORDER_BOUNDS.items()), worst
+    assert t < 1.0, t
+
+
+def test_negative_order_identities_see_dk_scaled():
+    """With dK/dnu scaled by 1 + 1e-10 (in ``bessel._k_sums``, restored
+    after), on a tenth of the points the Wronskian's derivative and the
+    reflection's miss their bounds.  The rows of values do not, nor the
+    reflection at the integers, where sin(pi m) = 0 and each side reads the
+    same dK/dnu, odd in the order."""
+    real = bessel._k_sums
+
+    def scaled(nu, z, dk, starts=None):
+        k, d = real(nu, z, dk, starts)
+        return k, d and (d[0] * (1.0 + 1e-10),) + d[1:]
+
+    bessel._k_sums = scaled
+    try:
+        worst = _negative_order_misses(NEGATIVE_ORDER_POINTS[::10])[0]
+    finally:
+        bessel._k_sums = real
+    missed = [k for k, b in NEGATIVE_ORDER_BOUNDS.items() if worst[k] > b]
+    print(f"dK/dnu scaled by 1 + 1e-10: {missed} miss their bounds; worst "
+          + ", ".join(f"{k} {v:.2g}" for k, v in worst.items()))
+    assert missed == ["wronskian_dnu", "reflection_dnu"], worst
 
 
 def test_module_entry():

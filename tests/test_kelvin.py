@@ -221,6 +221,23 @@ def test_plan_first_failing_row(plan, error, at):
     assert at in str(info.value)
 
 
+def test_plan_raises_other_errors_at_once(monkeypatch):
+    """An exception that is not a KelvinError, here a TypeError from the
+    series of the second row, leaves the plan at once: no K sum runs."""
+    ray, ks = bessel._ray_sums, []
+
+    def broken(o, x, dk):
+        if x == 2.0:
+            raise TypeError("a programming error")
+        return ray(o, x, dk)
+
+    monkeypatch.setattr(bessel, "_ray_sums", broken)
+    monkeypatch.setattr(bessel, "_k_sums", lambda *args: ks.append(args))
+    with pytest.raises(TypeError, match="a programming error"):
+        _plan_rows([(0.5, False)], [1.0, 2.0])
+    assert ks == []
+
+
 def test_plan_of_an_empty_grid():
     """An empty grid gives one empty list per entry, whatever the entries
     (``cli._table_rows`` at x = 0 alone)."""
