@@ -2,13 +2,12 @@
 and quadrature-backed identity verification.
 
 The paper's closed forms (``bessel.dj_dnu``/``dk_dnu``, the
-``orderderiv.dkelvin_*`` oracles, ``coef_c``/``coef_d``), the series engine
-``hyper.pfq`` and the errors only they raise are oracles of the verify
-suites: they are imported from their modules, not from here."""
+``orderderiv.dkelvin_*`` oracles, ``coef_c``/``coef_d``) and the series
+engine ``hyper.pfq`` are oracles of the verify suites: they are imported
+from their modules, not from here."""
 
-from .errors import (ArgumentZeroError, BranchError, ConvergenceError, DomainError,
-                     GammaOverflowError, KelvinError, PoleError, PowerOverflowError,
-                     SeriesOverflowError)
+from .errors import (ConvergenceError, DomainError, GammaOverflowError, KelvinError,
+                     PowerOverflowError, SeriesOverflowError)
 from .hyper import EvalResult
 from .scalars import EULER_GAMMA, digamma_real, gamma_real
 from .bessel import bessel_i, bessel_j, bessel_k, dj_dnu_any, dk_dnu_any
@@ -24,9 +23,9 @@ from .verify import run_suites
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArgumentZeroError", "BranchError", "ConvergenceError", "DomainError", "EULER_GAMMA",
-    "EvalResult", "GammaOverflowError", "IdentityReport", "KelvinError", "KelvinQuad",
-    "OrderDerivQuad", "PoleError", "PowerOverflowError", "SeriesOverflowError",
+    "ConvergenceError", "DomainError", "EULER_GAMMA", "EvalResult", "GammaOverflowError",
+    "IdentityReport", "KelvinError", "KelvinQuad", "OrderDerivQuad", "PowerOverflowError",
+    "SeriesOverflowError",
     "apelblat_ber_bei", "apelblat_dber_dbei", "appendix_ber_bei",
     "bessel_i", "bessel_j", "bessel_k",
     "convolution_identity", "digamma_real", "dj_dnu_any", "dk_dnu_any", "dkelvin",

@@ -15,7 +15,7 @@ z^nu = exp(nu log z), arg z in (-pi, pi].  Each quantity has one route:
   sum over int_0^inf cosh(mu t) e^(-z cosh t) dt on a contour bent towards
   steepest descent, at every Re z >= 0, the imaginary axis included, then
   one climb to |nu| and one estimate (:func:`_k_sums`); past |z| = 30 the
-  sum reports no_convergence.  At Re z < 0 K is refused (BranchError): the
+  sum reports no_convergence.  At Re z < 0 K is refused (DomainError): the
   continuation there (DLMF 10.34.2) cancels, dK/dnu 2e-7 off at |z| = 20.
 
 A :class:`_RayOrder` holds what the series kernels take from the order
@@ -49,8 +49,7 @@ import math
 import sys
 from operator import mul
 
-from .errors import (ArgumentZeroError, BranchError, ConvergenceError, DomainError,
-                     GammaOverflowError, OrderClassError, PowerOverflowError,
+from .errors import (ConvergenceError, DomainError, GammaOverflowError, PowerOverflowError,
                      SeriesOverflowError)
 from . import hyper
 from .hyper import EvalResult, pfq
@@ -815,7 +814,7 @@ def _bessel_ji(nu: float, z: complex, sign: float) -> EvalResult:
     z = complex(z)
     if z == 0:
         if nu < 0.0 and nu != round(nu):
-            raise BranchError("z = 0 with negative non-integer order")
+            raise DomainError("z = 0 with negative non-integer order")
         # 1/Gamma(nu+1) vanishes at the negative integers, so F_(-n)(0) = 0
         return EvalResult(1.0 + 0.0j if nu == 0.0 else 0.0j, 0.0, 1, True)
     return _ji(nu, z, sign)[0]
@@ -836,15 +835,15 @@ def _k(nu: float, z: complex, dk: bool) -> EvalResult:
     """K_nu(z) or, with ``dk``, dK/dnu at |nu| (K is even in the order) from
     one run of :func:`_k_sums`, flagged ``no_convergence`` only, at every
     z != 0 of the closed right half-plane, the imaginary axis (Re z = +-0)
-    included; ArgumentZeroError at z = 0, BranchError at Re z < 0.
+    included; DomainError at z = 0 and at Re z < 0.
     ``max_abs_term`` is the sum of |terms| carried to the order, the scale
     of its cancellation."""
     _finite(nu, z)
     z = complex(z)
     if z == 0:
-        raise ArgumentZeroError("K_nu undefined at z = 0")
+        raise DomainError("K_nu undefined at z = 0")
     if z.real < 0.0:
-        raise BranchError(f"K_nu is computed at Re z >= 0 only, got z = {z!r}")
+        raise DomainError(f"K_nu is computed at Re z >= 0 only, got z = {z!r}")
     run = _k_sums(abs(nu), z, dk)[dk]
     return EvalResult(*run[:4], () if run[3] else ("no_convergence",), run[4])
 
@@ -884,9 +883,9 @@ def dj_dnu(nu: float, z: complex) -> EvalResult:
     _finite(nu, z)
     z = complex(z)
     if nu <= 0.0 or _is_near_int(nu, ORDER_EPS):
-        raise OrderClassError(f"dJ/dnu closed form invalid at nu = {nu}")
+        raise DomainError(f"dJ/dnu closed form invalid at nu = {nu}")
     if z == 0:
-        raise BranchError("z = 0")
+        raise DomainError("z = 0")
     jm = _ji(-nu, z, -1.0)[0]
     jp = _ji(nu, z, -1.0)[0]
     f1 = _f23(nu, -z * z)
@@ -928,9 +927,9 @@ def dk_dnu(nu: float, z: complex) -> EvalResult:
     _finite(nu, z)
     z = complex(z)
     if nu <= 0.0 or _is_near_int(2.0 * nu, ORDER_EPS):
-        raise OrderClassError(f"dK/dnu closed form invalid at nu = {nu}")
+        raise DomainError(f"dK/dnu closed form invalid at nu = {nu}")
     if z == 0:
-        raise ArgumentZeroError("z = 0")
+        raise DomainError("z = 0")
     ip, im = _ji(nu, z, 1.0)[0], _ji(-nu, z, 1.0)[0]
     z2 = z * z
     f34 = _f34(nu, z2)
@@ -970,7 +969,7 @@ def dj_dnu_any(nu: float, z: complex) -> EvalResult:
     _finite(nu, z)
     z = complex(z)
     if z == 0:
-        raise BranchError("z = 0")
+        raise DomainError("z = 0")
     return _ji(nu, z, -1.0, True)[1]
 
 

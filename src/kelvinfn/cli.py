@@ -13,13 +13,15 @@ which owns the dict of K starts they share (``bessel._k_sums``).  A table's
 ``--x-range``, each an 'a:b:step' range or one number, and a grid of more
 than ``MAX_RANGE_POINTS`` rows is refused before either axis is built.  CSV
 output uses 17 significant digits, '\n' line endings and no quoting, so two
-runs with identical flags are byte-identical.  Every value is computed to full double
-precision, and ``verify`` checks at the manifest tolerances; no flag or
-environment variable changes that.  ``main`` is the one exit-2 boundary: a
-bad range (ValueError), a ``KelvinError`` from any command and an
-unwritable ``--out`` (OSError) each print one line naming the command and
-the error, and no traceback.  ``verify`` exits 1 where a row fails, a row
-whose integral or closed form missed its target included.
+runs with identical flags are byte-identical.  Every value is computed to
+full double precision, and ``verify`` checks at the manifest tolerances; no
+flag or environment variable changes that.  ``main`` is the one exit-2
+boundary: a ``KelvinError`` from any command (a bad range or a grid too
+large is a ``DomainError``) and an unwritable ``--out`` (``OSError``) each
+print one line, '<command>: <Type>: <message>', and no traceback; any
+other exception is a fault of the program and surfaces with its traceback.
+``verify`` exits 1 where a row fails, a row whose integral or closed form
+missed its target included.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import functools
 import math
 import sys
 
-from .errors import KelvinError
+from .errors import DomainError, KelvinError
 from .kelvin import _eval_ber_bei, _eval_ker_kei
 from .orderderiv import _plan_rows
 from .verify import SUITES, run_suites
@@ -59,12 +61,12 @@ def _range_spec(spec: str, what: str) -> tuple[float, float, int]:
             return float(spec), -0.0, 1
         a, b, step = map(float, parts)
     except ValueError:  # not a number, or not three
-        raise ValueError(f"{what}: expected a number or 'a:b:step', got {spec!r}") from None
+        raise DomainError(f"{what}: expected a number or 'a:b:step', got {spec!r}") from None
     if not all(map(math.isfinite, (a, b, step))) or step <= 0.0 or b < a:
-        raise ValueError(f"{what}: need finite a, b and step, step > 0 and b >= a in {spec!r}")
+        raise DomainError(f"{what}: need finite a, b and step, step > 0 and b >= a in {spec!r}")
     count = (b - a) / step + 1e-9  # not finite where the quotient overflows
     if not count < MAX_RANGE_POINTS:
-        raise ValueError(f"{what}: more than {MAX_RANGE_POINTS} points in {spec!r}")
+        raise DomainError(f"{what}: more than {MAX_RANGE_POINTS} points in {spec!r}")
     return a, step, int(count) + 1
 
 
@@ -129,7 +131,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     xs = _range_spec(args.x_range, "--x-range")
     rows = nus[2] * xs[2]  # the point counts
     if rows > MAX_RANGE_POINTS:  # before either axis is built
-        raise ValueError(f"a grid of {rows} rows, more than {MAX_RANGE_POINTS}")
+        raise DomainError(f"a grid of {rows} rows, more than {MAX_RANGE_POINTS}")
     _emit([_TABLE_HEADER] + _table_rows(_points(*nus), _points(*xs)), args.out)
     return 0
 
@@ -185,8 +187,6 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # a range that cannot be read, or a grid too large
-        print(f"{args.command}: {exc}", file=sys.stderr)
     except (KelvinError, OSError) as exc:  # the latter an --out that cannot be written
         print(f"{args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
     return 2

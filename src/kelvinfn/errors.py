@@ -3,7 +3,9 @@
 Every domain violation raises a typed error instead of returning NaN or
 infinity, so that no caller (a closed form's order class, a reflection
 formula) can silently consume a value produced outside a kernel's validity
-region.
+region.  A refused argument is one type, :class:`DomainError`, whatever
+the reason; the overflow types stay apart because they are also
+``OverflowError``s, which ``quad.integrate_finite`` tells from bare ones.
 """
 
 
@@ -11,8 +13,14 @@ class KelvinError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class PoleError(KelvinError):
-    """Gamma or digamma evaluated at a nonpositive integer."""
+class DomainError(KelvinError):
+    """An argument the function does not take: outside the computed region
+    (ker at x = 0, K at Re z < 0, z = 0 at a negative non-integer order),
+    at a pole (Gamma or digamma at a nonpositive integer, a nonpositive
+    integer lower hypergeometric parameter), outside a closed form's order
+    class (an excluded integer or half-integer, a non-integer or negative
+    order for the integer finite sums), or a name or range the function
+    does not take (a suite, a variant, a table range)."""
 
 
 class GammaOverflowError(KelvinError, OverflowError):
@@ -35,28 +43,3 @@ class ConvergenceError(KelvinError):
     """A sum cannot bound its error: the K sum past |z| = 30 (its steps
     are calibrated to 30) or where z/2 underflows to 0 (no log(z/2)), or
     an integral representation whose quadrature misses its target."""
-
-
-class DenominatorPoleError(KelvinError):
-    """A lower hypergeometric parameter is a nonpositive integer."""
-
-
-class BranchError(KelvinError):
-    """z^nu undefined: z = 0 with negative order."""
-
-
-class ArgumentZeroError(KelvinError):
-    """Macdonald function requested at z = 0."""
-
-
-class OrderClassError(KelvinError):
-    """Closed form evaluated outside its order class (an excluded integer or
-    half-integer, or a non-integer order for the integer finite sums)."""
-
-
-class DomainError(KelvinError):
-    """Argument outside the function's real domain (e.g. ker at x = 0)."""
-
-
-class NegativeIntegerOrderError(KelvinError):
-    """Integer-order finite sums are defined for n >= 0 only."""

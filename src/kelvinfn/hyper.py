@@ -18,7 +18,7 @@ import cmath
 import math
 from typing import NamedTuple
 
-from .errors import DenominatorPoleError, SeriesOverflowError
+from .errors import DomainError, SeriesOverflowError
 
 
 # A series stops once its terms fall below REL_TOL of the sum; one that has
@@ -111,17 +111,16 @@ def pfq(upper, lower, z) -> EvalResult:
 
     Raises
     ------
-    ValueError
-        If len(upper) > len(lower): the series is not entire.
-    DenominatorPoleError
-        If any lower parameter is a nonpositive integer.
+    DomainError
+        If len(upper) > len(lower), where the series is not entire, or if
+        a lower parameter is a nonpositive integer, a pole of the terms.
     """
     upper, lower, z = tuple(map(float, upper)), tuple(map(float, lower)), complex(z)
     if len(upper) > len(lower):
-        raise ValueError("series is not entire: need len(upper) <= len(lower)")
+        raise DomainError("series is not entire: need len(upper) <= len(lower)")
     for b in lower:
         if b <= 0.0 and b == math.floor(b):
-            raise DenominatorPoleError(f"lower parameter {b} is a nonpositive integer")
+            raise DomainError(f"lower parameter {b} is a nonpositive integer")
 
     def ratio(k: int) -> complex:
         num = 1.0

@@ -47,8 +47,7 @@ from typing import NamedTuple
 
 from . import bessel
 from .bessel import _EPS, ORDER_EPS, _is_near_int, _RayOrder, _turn, dj_dnu, dk_dnu
-from .errors import (DomainError, KelvinError, NegativeIntegerOrderError, OrderClassError,
-                     SeriesOverflowError)
+from .errors import DomainError, KelvinError, SeriesOverflowError
 from .hyper import EvalResult, pfq
 from .kelvin import (_VALUE_FLOOR, ROT_J, ROT_K, KelvinQuad, _eval_ber_bei, _eval_ker_kei,
                      _finite, _finite_positive, _k_bound, _ray_rounding, _some_digit)
@@ -84,7 +83,7 @@ def dkelvin_bb_pos(nu: float, x: float) -> tuple[float, float]:
     an integer order it can be wrong without raising."""
     _finite_positive(nu, x)
     if nu < 0.0 or _is_near_int(nu, ORDER_EPS):
-        raise OrderClassError(f"integer or negative order {nu}: use dkelvin")
+        raise DomainError(f"integer or negative order {nu}: use dkelvin")
     ber, bei, est = _eval_ber_bei(nu, x)
     r = dj_dnu(nu, ROT_J * x)
     e = _turn(nu) * r.value
@@ -97,7 +96,7 @@ def dkelvin_kk_pos(nu: float, x: float) -> tuple[float, float]:
     an integer are refused; just outside, it can be wrong without raising."""
     _finite_positive(nu, x)
     if nu < 0.0 or _is_near_int(2.0 * nu, NEAR_EXCLUDED):
-        raise OrderClassError(f"order {nu} excluded for the K-side closed form")
+        raise DomainError(f"order {nu} excluded for the K-side closed form")
     ker, kei, est = _eval_ker_kei(nu, x)
     r = dk_dnu(nu, ROT_K * x)
     e = _turn(-0.5 * nu) * r.value
@@ -132,16 +131,16 @@ def dkelvin_integer(n: int | float, x: float) -> OrderDerivQuad:
 
     with the analogous sums (3(k-n)pi/4 weights) on the K side.  Sums are
     empty at n = 0.  Kept as an oracle for ``dkelvin`` at integer order.
-    A float order must be an integer (2.0), or OrderClassError is raised.
+    A float order must be an integer (2.0), or DomainError is raised.
     The orders 0..n are one plan (:func:`_plan_rows`), read from a generator
     up to the first order that fails, so that n = 1e17 raises at once.
     """
     _finite(n, x)
     if n != int(n):
-        raise OrderClassError(f"finite sums need an integer order, got nu = {n}")
+        raise DomainError(f"finite sums need an integer order, got nu = {n}")
     n = int(n)
     if n < 0:
-        raise NegativeIntegerOrderError("finite sums defined for n >= 0 only")
+        raise DomainError("finite sums defined for n >= 0 only")
     if x <= 0.0:
         raise DomainError("x must be positive")
     rows = _plan_rows(((float(k), False) for k in range(n + 1)), (x,))
@@ -216,7 +215,7 @@ def dkelvin_bb_brychkov(nu: float, x: float) -> tuple[float, float]:
     """
     _finite_positive(nu, x)
     if nu <= 0.0 or _is_near_int(nu, ORDER_EPS):
-        raise OrderClassError("reference form needs non-integer nu > 0")
+        raise DomainError("reference form needs non-integer nu > 0")
     ber, bei, e = _eval_ber_bei(nu, x)
     ber_m, bei_m, e_m = _eval_ber_bei(-nu, x)
     series = [_reference_pfq(nu, x, a, d) for d in (False, True) for a in (0, 1)]

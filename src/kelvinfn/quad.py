@@ -82,18 +82,12 @@ class IdentityReport(NamedTuple):
 
 
 def make_report(name: str, nu: float, x: float, lhs: float, rhs: float,
-                tol: float) -> IdentityReport:
-    d = abs(lhs - rhs)
-    return IdentityReport(name, nu, x, lhs, rhs, d, tol, d <= tol)
-
-
-def _report(name: str, nu: float, x: float, lhs: float, rhs: float,
-            tol: float, converged: bool) -> IdentityReport:
-    """make_report for a side that comes from an integral, which must
-    have met its error target for the row to pass."""
-    if converged:
-        return make_report(name, nu, x, lhs, rhs, tol)
-    return IdentityReport(name, nu, x, lhs, rhs, math.inf, tol, False)
+                tol: float, converged: bool = True) -> IdentityReport:
+    """The row of lhs against rhs; where a side's integral or closed form
+    missed its error target (``converged`` false), abs_diff is inf and the
+    row fails."""
+    d = abs(lhs - rhs) if converged else math.inf
+    return IdentityReport(name, nu, x, lhs, rhs, d, tol, converged and d <= tol)
 
 
 def _value(res: EvalResult):
@@ -333,7 +327,7 @@ def appendix_ber_bei(x: float, variant: str = "sin") -> tuple[float, float]:
     """
     _finite(0.0, x)
     if variant not in ("sin", "cos"):
-        raise ValueError("variant must be 'sin' or 'cos'")
+        raise DomainError("variant must be 'sin' or 'cos'")
     if x < 0.0:
         raise DomainError("x must be nonnegative")
     sc, cos = (math.sin if variant == "sin" else math.cos), cmath.cos
@@ -363,8 +357,8 @@ def convolution_identity(a: float, b: float, t: float) -> IdentityReport:
         return (math.cosh(u1) * math.cos(u1)) * (math.cosh(u2) * math.cos(u2))
 
     res = integrate_finite(f, 0.0, PI / 2.0)
-    return _report(f"convolution_a{a:g}_b{b:g}", a, t, lhs, 4.0 / PI * res.value,
-                   M.CONVOLUTION_TOL, res.converged)
+    return make_report(f"convolution_a{a:g}_b{b:g}", a, t, lhs, 4.0 / PI * res.value,
+                       M.CONVOLUTION_TOL, res.converged)
 
 
 def theorem5_identities(nu: float, x: float) -> tuple[IdentityReport, IdentityReport]:
@@ -407,14 +401,15 @@ def theorem5_identities(nu: float, x: float) -> tuple[IdentityReport, IdentityRe
                + e.imag - e.real) / (SQRT2 * x)
     rhs_bei = ((PI / 4.0 + alpha) * bei1 - (PI / 4.0 - alpha) * ber1
                - e.real - e.imag) / (SQRT2 * x)
-    return (_report("theorem5_ber", nu, x, lhs.real, rhs_ber, M.THEOREM5_TOL, res.converged),
-            _report("theorem5_bei", nu, x, lhs.imag, rhs_bei, M.THEOREM5_TOL, res.converged))
+    ok = res.converged
+    return (make_report("theorem5_ber", nu, x, lhs.real, rhs_ber, M.THEOREM5_TOL, ok),
+            make_report("theorem5_bei", nu, x, lhs.imag, rhs_bei, M.THEOREM5_TOL, ok))
 
 
 def theorem5_identity(nu: float, x: float, f: str) -> IdentityReport:
     """The row of :func:`theorem5_identities` for f = 'ber' or 'bei'."""
     if f not in ("ber", "bei"):
-        raise ValueError("f must be 'ber' or 'bei'")
+        raise DomainError("f must be 'ber' or 'bei'")
     return theorem5_identities(nu, x)[f == "bei"]
 
 
@@ -436,7 +431,6 @@ def indefinite_integral_check(nu: float, x: float,
     lhs = res.value
     ber1, bei1 = kelvin_ber_bei(nu + 1.0, x)
     pref = x ** (nu + 1.0) / SQRT2
-    return (_report("indefinite_ber", nu, x, lhs.real, pref * (bei1 - ber1), tol,
-                    res.converged),
-            _report("indefinite_bei", nu, x, lhs.imag, -pref * (bei1 + ber1), tol,
-                    res.converged))
+    ok = res.converged
+    return (make_report("indefinite_ber", nu, x, lhs.real, pref * (bei1 - ber1), tol, ok),
+            make_report("indefinite_bei", nu, x, lhs.imag, -pref * (bei1 + ber1), tol, ok))

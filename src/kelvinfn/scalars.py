@@ -1,6 +1,6 @@
 """Real-argument gamma and digamma kernels plus shared constants.
 
-Self-contained on purpose: poles raise :class:`PoleError` rather than
+Self-contained on purpose: poles raise :class:`DomainError` rather than
 returning infinities, so that a caller evaluated at an order it does not
 hold (a closed form outside its order class) cannot go on with the value.
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError, GammaOverflowError, PoleError
+from .errors import DomainError, GammaOverflowError
 
 PI = math.pi
 EULER_GAMMA = 0.5772156649015328606065120900824024
@@ -128,9 +128,7 @@ def gamma_real(x: float) -> float:
     Raises
     ------
     DomainError
-        If x is not finite.
-    PoleError
-        If x is in {0, -1, -2, ...}.
+        If x is not finite, or is a pole: x in {0, -1, -2, ...}.
     GammaOverflowError
         If |Gamma(x)| exceeds the double range (x > ~171.62, or |x| below
         ~5.6e-309, where Gamma(x) ~ 1/x).
@@ -160,7 +158,7 @@ def gamma_real(x: float) -> float:
     elif not x > -math.inf:  # -inf or NaN
         raise DomainError(f"gamma needs a finite argument, got x = {x}")
     elif x == math.floor(x):
-        raise PoleError(f"gamma pole at x = {x}")
+        raise DomainError(f"gamma pole at x = {x}")
     elif abs(x) < _TINY:
         hi, lo = 1.0 / x, 0.0
     elif x < _GAMMA_ZERO_X:
@@ -190,7 +188,7 @@ def digamma_real(x: float) -> float:
 
     Recurrence pushes the argument above 10, then the asymptotic tail in
     1/x^2 finishes the job.  Negative arguments go through the reflection
-    psi(x) = psi(1-x) - pi*cot(pi*x).  DomainError at a non-finite x,
+    psi(x) = psi(1-x) - pi*cot(pi*x).  DomainError at a non-finite x or a pole,
     GammaOverflowError where |psi(x)| ~ 1/|x| exceeds the double range (|x|
     below ~5.6e-309).
     """
@@ -198,7 +196,7 @@ def digamma_real(x: float) -> float:
         if not -math.inf < x < math.inf:
             raise DomainError(f"digamma needs a finite argument, got x = {x}")
         if x == math.floor(x):
-            raise PoleError(f"digamma pole at x = {x}")
+            raise DomainError(f"digamma pole at x = {x}")
         psi = digamma_real(1.0 - x) - PI / math.tan(PI * x) if x < 0.0 else -1.0 / x
         if math.isinf(psi):
             raise GammaOverflowError(f"digamma({x}) overflows double precision")

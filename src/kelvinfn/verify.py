@@ -5,7 +5,7 @@ rows; ``run_suites`` is what both the command-line ``verify`` command and
 the acceptance tests drive.  Suite names: fd, reflection, ode, apelblat,
 theorem5, appendix, brychkov, integer (plus 'all').  Series and integrals
 run at the one accuracy of ``hyper`` and ``quad``; a row whose integral or
-closed form misses its target fails (``quad._report``), its value NaN where
+closed form misses its target fails (``quad.make_report``), its value NaN where
 none came back, so every suite returns all its rows.
 
 fd, reflection and integer run their orders over their x grid as one plan
@@ -30,13 +30,13 @@ import math
 from . import bessel
 from . import manifest as M
 from .bessel import _RayOrder, _turn
-from .errors import ConvergenceError
+from .errors import ConvergenceError, DomainError
 from .kelvin import ROT_K, _k_bound
 from .orderderiv import (_bb_series, _dkelvin_integer, _plan_rows, dkelvin_bb_brychkov,
                          dkelvin_bb_pos)
-from .quad import (IdentityReport, _report, apelblat_ber_bei, apelblat_dber_dbei,
-                   appendix_ber_bei, convolution_identity, indefinite_integral_check,
-                   make_report, theorem5_identities)
+from .quad import (IdentityReport, apelblat_ber_bei, apelblat_dber_dbei, appendix_ber_bei,
+                   convolution_identity, indefinite_integral_check, make_report,
+                   theorem5_identities)
 
 _COMPONENTS = ("dber", "dbei", "dker", "dkei")
 
@@ -112,8 +112,8 @@ def suite_brychkov() -> list[IdentityReport]:
         for x in M.BRYCHKOV_X:
             (a, a_ok), (b, b_ok) = _side(dkelvin_bb_pos, nu, x), _side(dkelvin_bb_brychkov, nu, x)
             ok = a_ok and b_ok
-            out.append(_report("brychkov_dber", nu, x, a[0], b[0], M.BRYCHKOV_TOL, ok))
-            out.append(_report("brychkov_dbei", nu, x, a[1], b[1], M.BRYCHKOV_TOL, ok))
+            out.append(make_report("brychkov_dber", nu, x, a[0], b[0], M.BRYCHKOV_TOL, ok))
+            out.append(make_report("brychkov_dbei", nu, x, a[1], b[1], M.BRYCHKOV_TOL, ok))
     return out
 
 
@@ -125,15 +125,15 @@ def suite_apelblat() -> list[IdentityReport]:
         for arg in M.APELBLAT_ARG:
             q, ok = _side(apelblat_ber_bei, nu, arg)
             k = o.phase() * bessel._ray_sums(o, arg, False)[0]
-            out.append(_report("apelblat_ber", nu, arg, q[0], k.real, M.APELBLAT_TOL, ok))
-            out.append(_report("apelblat_bei", nu, arg, q[1], k.imag, M.APELBLAT_TOL, ok))
+            out.append(make_report("apelblat_ber", nu, arg, q[0], k.real, M.APELBLAT_TOL, ok))
+            out.append(make_report("apelblat_bei", nu, arg, q[1], k.imag, M.APELBLAT_TOL, ok))
     for nu in M.APELBLAT_D_NU:
         o = _RayOrder(nu)
         for x in M.APELBLAT_D_X:
             q, ok = _side(apelblat_dber_dbei, nu, x)
             dbb = _bb_series(o, bessel._ray_sums(o, x, True), x)[1]
-            out.append(_report("apelblat_dber", nu, x, q[0], dbb.real, M.APELBLAT_D_TOL, ok))
-            out.append(_report("apelblat_dbei", nu, x, q[1], dbb.imag, M.APELBLAT_D_TOL, ok))
+            out.append(make_report("apelblat_dber", nu, x, q[0], dbb.real, M.APELBLAT_D_TOL, ok))
+            out.append(make_report("apelblat_dbei", nu, x, q[1], dbb.imag, M.APELBLAT_D_TOL, ok))
     return out
 
 
@@ -155,14 +155,14 @@ def suite_appendix() -> list[IdentityReport]:
     for x in M.APPENDIX_X:
         (s, s_ok), (c, c_ok) = _side(appendix_ber_bei, x, "sin"), _side(appendix_ber_bei, x, "cos")
         k = o.phase() * bessel._ray_sums(o, x, False)[0]
-        out.append(_report("appendix_variants_ber", 0.0, x, s[0], c[0],
-                           M.APPENDIX_VARIANT_TOL, s_ok and c_ok))
-        out.append(_report("appendix_variants_bei", 0.0, x, s[1], c[1],
-                           M.APPENDIX_VARIANT_TOL, s_ok and c_ok))
-        out.append(_report("appendix_series_ber", 0.0, x, s[0], k.real,
-                           M.APPENDIX_SERIES_TOL, s_ok))
-        out.append(_report("appendix_series_bei", 0.0, x, s[1], k.imag,
-                           M.APPENDIX_SERIES_TOL, s_ok))
+        out.append(make_report("appendix_variants_ber", 0.0, x, s[0], c[0],
+                               M.APPENDIX_VARIANT_TOL, s_ok and c_ok))
+        out.append(make_report("appendix_variants_bei", 0.0, x, s[1], c[1],
+                               M.APPENDIX_VARIANT_TOL, s_ok and c_ok))
+        out.append(make_report("appendix_series_ber", 0.0, x, s[0], k.real,
+                               M.APPENDIX_SERIES_TOL, s_ok))
+        out.append(make_report("appendix_series_bei", 0.0, x, s[1], k.imag,
+                               M.APPENDIX_SERIES_TOL, s_ok))
     for a, b, t in M.CONVOLUTION_POINTS:
         out.append(convolution_identity(a, b, t))
     return out
@@ -231,12 +231,12 @@ SUITES = {
 
 def run_suites(name: str) -> list[IdentityReport]:
     """Run one named suite (or 'all', every suite in order) at the manifest
-    tolerances; ValueError at an unknown name."""
+    tolerances; DomainError at an unknown name."""
     if name == "all":
         names = list(SUITES)
     elif name in SUITES:
         names = [name]
     else:
-        raise ValueError(f"unknown suite {name!r}; choose from "
+        raise DomainError(f"unknown suite {name!r}; choose from "
                          f"{['all'] + sorted(SUITES)}")
     return [r for n in names for r in SUITES[n]()]

@@ -14,8 +14,8 @@ import pytest
 
 from kelvinfn.bessel import (DEGRADED_REL, bessel_i, bessel_j, bessel_k, dj_dnu, dj_dnu_any,
                              dk_dnu, dk_dnu_any)
-from kelvinfn.errors import (ArgumentZeroError, BranchError, ConvergenceError, GammaOverflowError,
-                             KelvinError, OrderClassError, PowerOverflowError, SeriesOverflowError)
+from kelvinfn.errors import (ConvergenceError, DomainError, GammaOverflowError, KelvinError,
+                             PowerOverflowError, SeriesOverflowError)
 from kelvinfn import hyper
 from kelvinfn.quad import integrate_semiinf
 
@@ -68,7 +68,7 @@ class TestBesselJ:
             assert got.value == (-1.0) ** n * ref.value
 
     def test_branch_error(self):
-        with pytest.raises(BranchError):
+        with pytest.raises(DomainError):
             bessel_j(-0.5, 0.0)
 
     @pytest.mark.parametrize("fn", [bessel_j, bessel_i])
@@ -154,7 +154,7 @@ class TestBesselK:
         assert bessel_k(-0.3, z).value == bessel_k(0.3, z).value
 
     def test_argument_zero(self):
-        with pytest.raises(ArgumentZeroError):
+        with pytest.raises(DomainError):
             bessel_k(0.5, 0.0)
 
     def test_connection_identity(self):
@@ -193,7 +193,7 @@ class TestDJDnu:
 
     @pytest.mark.parametrize("nu", [0.0, 1.0, 3.0, -0.5])
     def test_order_class_error(self, nu):
-        with pytest.raises(OrderClassError):
+        with pytest.raises(DomainError):
             dj_dnu(nu, 1.0 + 0.0j)
 
 
@@ -217,7 +217,7 @@ class TestDKDnu:
 
     @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 1.5, -0.25])
     def test_order_class_error(self, nu):
-        with pytest.raises(OrderClassError):
+        with pytest.raises(DomainError):
             dk_dnu(nu, 1.0 + 0.0j)
 
     def test_odd_symmetry_via_fd(self):
@@ -279,10 +279,10 @@ K_LEFT_ZS = ([cmath.rect(r, ph) for r in (0.3, 2.0, 5.0, 10.0, 20.0)
 def test_k_refused_at_negative_real_part(fn, nu):
     """K and dK/dnu are computed on the closed right half-plane only: at
     Re z < 0, where the continuation DLMF 10.34.2 lost up to 2e-7 of dK/dnu
-    to the cancellation of the I series, they raise BranchError; at
+    to the cancellation of the I series, they raise DomainError; at
     Re z = -0.0 they are the values at +0.0."""
     for z in K_LEFT_ZS:
-        with pytest.raises(BranchError):
+        with pytest.raises(DomainError):
             fn(nu, z)
     for y in (2.0, -0.5, 25.0):
         assert fn(nu, complex(-0.0, y)).value == fn(nu, complex(0.0, y)).value

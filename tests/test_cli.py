@@ -7,7 +7,7 @@ import pytest
 import kelvinfn.cli
 import kelvinfn.quad
 import kelvinfn.verify
-from kelvinfn.errors import ConvergenceError, PoleError
+from kelvinfn.errors import ConvergenceError, DomainError
 from kelvinfn.cli import (MAX_RANGE_POINTS, _TABLE_HEADER, _TABLE_ROW, _fmt, _points, _range_spec,
                           main)
 
@@ -174,8 +174,8 @@ class TestTable:
         other = "--x" if flag == "--nu-range" else "--nu"
         code, out, err = run_cli(capsys, "table", f"{flag}={spec}", other, "1")
         assert (code, out) == (2, "")
-        assert err.startswith(f"table: {flag}: need finite a, b and step")
-        with pytest.raises(ValueError, match=flag):
+        assert err.startswith(f"table: DomainError: {flag}: need finite a, b and step")
+        with pytest.raises(DomainError, match=flag):
             _range_spec(spec, flag)
 
     @pytest.mark.parametrize("flag, spec", [("--x-range", "0:1:1e-300"),
@@ -189,7 +189,7 @@ class TestTable:
         other = "--x" if flag == "--nu-range" else "--nu"
         code, out, err = run_cli(capsys, "table", f"{flag}={spec}", other, "1")
         assert (code, out) == (2, "")
-        assert err.startswith(f"table: {flag}: more than {MAX_RANGE_POINTS} points")
+        assert err.startswith(f"table: DomainError: {flag}: more than {MAX_RANGE_POINTS} points")
         assert _range_spec(f"0:{MAX_RANGE_POINTS - 1}:1", flag)[2] == MAX_RANGE_POINTS
 
     def test_missing_grid_exit_2(self, capsys):
@@ -294,10 +294,22 @@ class TestPlumbing:
         """A KelvinError raised inside any command reaches main, which
         prints one line, '<command>: <Type>: <message>', and returns 2."""
         def fail(*args):
-            raise PoleError("made to fail")
+            raise DomainError("made to fail")
 
         monkeypatch.setattr(module, name, fail)
-        assert run_cli(capsys, *argv) == (2, "", f"{argv[0]}: PoleError: made to fail\n")
+        assert run_cli(capsys, *argv) == (2, "", f"{argv[0]}: DomainError: made to fail\n")
+
+    def test_other_errors_surface(self, capsys, monkeypatch):
+        """Only a KelvinError or an OSError is a refusal: any other
+        exception, a bare ValueError from a kernel included, is a fault of
+        the program and leaves main with its traceback, not as exit 2."""
+        def fail(*args):
+            raise ValueError("math domain error")
+
+        monkeypatch.setattr(kelvinfn.cli, "_plan_rows", fail)
+        with pytest.raises(ValueError, match="math domain error"):
+            main(["table", "--nu", "0.5", "--x", "1"])
+        assert capsys.readouterr().err == ""
 
     def test_parser_reused_across_calls(self, capsys):
         """main() keeps one parser per process; a usage error in between
@@ -316,7 +328,7 @@ class TestPlumbing:
         assert _points(*_range_spec("1:2:0.5", "t")) == [1.0, 1.5, 2.0]
         assert _points(*_range_spec("3", "t")) == [3.0]
         assert math.copysign(1.0, _points(*_range_spec("-0", "t"))[0]) == -1.0
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             _range_spec("1:2:0", "t")
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             _range_spec("1:2", "t")

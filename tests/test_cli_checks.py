@@ -5,7 +5,7 @@ script that needs only the standard library and kelvinfn:
 
 runs each check, prints what it saw and exits 1 if any fails; pytest
 collects the same checks as tests.  Besides the commands and the edges, a
-seeded sweep holds two exact identities at negative orders, with no
+seeded sweep holds three exact identities at negative orders, with no
 high-precision reference.  Each command runs ``kelvinfn.cli.main``
 in process, under a deadline (SIGALRM where it exists, and the clock
 everywhere); one ``python -m kelvinfn`` subprocess covers the module entry.
@@ -29,9 +29,9 @@ import time
 import tracemalloc
 
 import kelvinfn
-from kelvinfn import bessel, cli
+from kelvinfn import bessel, cli, errors
 from kelvinfn.errors import KelvinError
-from kelvinfn.hyper import EvalResult
+from kelvinfn.hyper import EvalResult, pfq
 from kelvinfn.kelvin import KelvinQuad
 from kelvinfn.orderderiv import OrderDerivQuad
 
@@ -50,8 +50,8 @@ SUITE_ROWS = {"all": 603, "fd": 240, "reflection": 96, "ode": 24, "apelblat": 78
 # which the K sum reaches by its recurrence
 TABLE_GRIDS = [("-10:10:0.25", "1:20:1", 1620), ("-10:10:0.25", "0.1:2:0.1", 1620),
                ("-10:10:0.5", "20:30:0.5", 861), ("15:40:5", "1:20:1", 120)]
-_TOO_MANY = f"table: --x-range: more than {cli.MAX_RANGE_POINTS} points"
-_TOO_MANY_ROWS = f"table: a grid of 2001000 rows, more than {cli.MAX_RANGE_POINTS}"
+_TOO_MANY = f"table: DomainError: --x-range: more than {cli.MAX_RANGE_POINTS} points"
+_TOO_MANY_ROWS = f"table: DomainError: a grid of 2001000 rows, more than {cli.MAX_RANGE_POINTS}"
 # (command, a line its stderr starts with): each exits 2 with a typed error
 TYPED_ERRORS = [
     # x/2 underflowing to 0, an argument past the K sum's bound, (x/2)^nu
@@ -75,9 +75,9 @@ TYPED_ERRORS = [
     ("table --nu 0 --x-range=-1:1:1", "table: DomainError: "),
     ("table --nu-range=-200:0:200 --x-range=1e-3:1:0.5", "table: PowerOverflowError: "),
     # a range that is not finite, or holds too many points, names its flag
-    ("table --nu-range=0:inf:1 --x 1", "table: --nu-range: need finite a, b and step"),
-    ("table --nu 0 --x-range=1:2:inf", "table: --x-range: need finite a, b and step"),
-    ("table --nu 0 --x-range=nan:2:1", "table: --x-range: need finite a, b and step"),
+    ("table --nu-range=0:inf:1 --x 1", "table: DomainError: --nu-range: need finite a, b and step"),
+    ("table --nu 0 --x-range=1:2:inf", "table: DomainError: --x-range: need finite a, b and step"),
+    ("table --nu 0 --x-range=nan:2:1", "table: DomainError: --x-range: need finite a, b and step"),
     ("table --nu 0 --x-range=0:1:1e-300", _TOO_MANY),
     ("table --nu 0 --x-range=1:1e300:1e-300", _TOO_MANY),
     # a grid of more rows than one range may hold points, refused before any
@@ -160,7 +160,9 @@ EDGE_ARGS = {
 # [0.1, 20]), then the integers, the integers +- 1e-9 and the half-integers
 # of [-10, 10] at six x.  Each identity's bound on |lhs - rhs| over its largest
 # term is 10 times the worst the sweep read (Python 3.11.7 on x86-64): 1.4e-14,
-# 3.0e-14, 2.6e-14, 1.6e-14 and 1.6e-14, all at x = 20
+# 3.0e-14, 2.6e-14, 1.6e-14 and 1.6e-14, all at x = 20; for the recurrence
+# 2.97e-13 and 3.05e-13 (values, at nu = -7.9971, x = 0.159), 2.1e-13 and
+# 7.7e-14 (derivatives, at x = 19.6 and 20)
 _RNG = random.Random(39)
 NEGATIVE_ORDER_POINTS = [
     (_RNG.uniform(-10.0, 10.0), math.exp(_RNG.uniform(math.log(0.1), math.log(20.0))))
@@ -169,7 +171,9 @@ NEGATIVE_ORDER_POINTS = [
     + [n + 0.5 for n in range(-10, 10)] for x in (0.1, 0.5, 1.0, 5.0, 12.0, 20.0)]
 NEGATIVE_ORDER_BOUNDS = {"wronskian": 1.4e-13, "wronskian_dnu": 2.9e-13,
                          "reflection": 2.5e-13, "reflection_dnu": 1.6e-13,
-                         "reflection_integers": 1.6e-13}
+                         "reflection_integers": 1.6e-13,
+                         "recurrence_ber": 2.9e-12, "recurrence_bei": 3.0e-12,
+                         "recurrence_dber": 2.1e-12, "recurrence_dbei": 7.6e-13}
 # run_suites takes a suite name: the identity counts run it
 _NOT_SWEPT = {"run_suites"}
 _VALUE_FIELDS = ("value", "lhs", "rhs", "ber", "bei", "ker", "kei", "dber", "dbei", "dker",
@@ -314,7 +318,8 @@ def test_grid_refused_before_it_is_built():
         tracemalloc.stop()
     print(f"{command}: exit {code}, {err.strip()}, traced peak {peak} bytes")
     assert code == 2 and peak < 2 ** 20, (code, peak)
-    assert err.startswith(f"table: a grid of 999998000001 rows, more than {cli.MAX_RANGE_POINTS}")
+    assert err.startswith("table: DomainError: a grid of 999998000001 rows, more than "
+                          f"{cli.MAX_RANGE_POINTS}")
 
 
 def test_option_surface():
@@ -379,6 +384,27 @@ def test_identities_where_x_over_2_underflows():
     assert not bad, bad
 
 
+def test_refusals_are_domain_errors():
+    """A name, a variant or a parameter list that a function does not take
+    raises DomainError, the one refusal type: kelvinfn.errors defines it
+    beside the base, the convergence and the three overflow types only."""
+    seen = []
+    for fn, args in [(kelvinfn.appendix_ber_bei, (1.0, "tan")),
+                     (kelvinfn.theorem5_identity, (0.5, 1.0, "ker")),
+                     (kelvinfn.run_suites, ("nope",)), (pfq, ((1.0, 1.0), (1.0,), 0.5))]:
+        try:
+            fn(*args)
+            seen.append("no error")
+        except Exception as exc:
+            seen.append(type(exc).__name__)
+    types = sorted(n for n, v in vars(errors).items()
+                   if isinstance(v, type) and v.__module__ == errors.__name__)
+    print(f"refusals: {seen}; kelvinfn.errors defines {types}")
+    assert seen == ["DomainError"] * 4, seen
+    assert types == ["ConvergenceError", "DomainError", "GammaOverflowError", "KelvinError",
+                     "PowerOverflowError", "SeriesOverflowError"], types
+
+
 def _turn(t):
     """e^(i pi t), exact where 2t is an integer."""
     m = round(2.0 * t)
@@ -401,7 +427,11 @@ def _negative_order_misses(points):
       b'_nu k_(nu+1) + b_nu k'_(nu+1) - b'_(nu+1) k_nu - b_(nu+1) k'_nu = 0;
     * reflection, at nu = -m <= 0 (DLMF 10.61.6-9):
       b_(-m) = e^(-i pi m) b_m + (2/pi) sin(pi m) k_m, k_(-m) = e^(i pi m) k_m,
-      and their derivatives in m; at the integers its own row."""
+      and their derivatives in m; at the integers its own row;
+    * recurrence (DLMF 10.63.1), the series side alone, as the K climb
+      applies it itself: ber_(nu-1) + ber_(nu+1) = -(sqrt2 nu/x)(ber_nu -
+      bei_nu), bei_(nu-1) + bei_(nu+1) = -(sqrt2 nu/x)(ber_nu + bei_nu),
+      and their derivatives in nu, each part a row of its own."""
     memo, worst = {}, dict.fromkeys(NEGATIVE_ORDER_BOUNDS, 0.0)
 
     def at(nu, x):
@@ -420,6 +450,15 @@ def _negative_order_misses(points):
         (b0, k0, db0, dk0), (b1, k1, db1, dk1) = at(nu, x), at(nu + 1.0, x)
         keep("wronskian", _miss(b0 * k1, -b1 * k0, -w / x))
         keep("wronskian_dnu", _miss(db0 * k1, b0 * dk1, -db1 * k0, -b1 * dk0))
+        bm, _, dbm, _ = at(nu - 1.0, x)
+        s = math.sqrt(2.0) / x
+        c = s * nu
+        keep("recurrence_ber", _miss(bm.real, b1.real, c * b0.real, -c * b0.imag))
+        keep("recurrence_bei", _miss(bm.imag, b1.imag, c * b0.real, c * b0.imag))
+        keep("recurrence_dber", _miss(dbm.real, db1.real, s * b0.real, -s * b0.imag,
+                                      c * db0.real, -c * db0.imag))
+        keep("recurrence_dbei", _miss(dbm.imag, db1.imag, s * b0.real, s * b0.imag,
+                                      c * db0.real, c * db0.imag))
         if nu <= 0.0:
             m, t = -nu, _turn(-nu)
             b, k, db, dk = at(m, x)
@@ -438,9 +477,9 @@ def _negative_order_misses(points):
 
 
 def test_negative_order_identities():
-    """The Wronskian and the reflection at real order, each with its order
-    derivative, hold within NEGATIVE_ORDER_BOUNDS at every point of
-    NEGATIVE_ORDER_POINTS, in under a second."""
+    """The Wronskian, the reflection at real order and the recurrence, each
+    with its order derivative, hold within NEGATIVE_ORDER_BOUNDS at every
+    point of NEGATIVE_ORDER_POINTS, in under a second."""
     t = time.perf_counter()
     worst, calls = _negative_order_misses(NEGATIVE_ORDER_POINTS)
     t = time.perf_counter() - t
@@ -451,27 +490,54 @@ def test_negative_order_identities():
     assert t < 1.0, t
 
 
-def test_negative_order_identities_see_dk_scaled():
-    """With dK/dnu scaled by 1 + 1e-10 (in ``bessel._k_sums``, restored
-    after), on a tenth of the points the Wronskian's derivative and the
-    reflection's miss their bounds.  The rows of values do not, nor the
-    reflection at the integers, where sin(pi m) = 0 and each side reads the
-    same dK/dnu, odd in the order."""
-    real = bessel._k_sums
+def _scaled(part):
+    """A part of a kernel's result, (value, ...), with its value scaled by
+    1 + 1e-10; None (a part not asked for) as it is."""
+    return part and (part[0] * (1.0 + 1e-10),) + part[1:]
 
-    def scaled(nu, z, dk, starts=None):
-        k, d = real(nu, z, dk, starts)
-        return k, d and (d[0] * (1.0 + 1e-10),) + d[1:]
 
-    bessel._k_sums = scaled
+def _missed_with(name, wrap, what):
+    """The identities of NEGATIVE_ORDER_BOUNDS that miss their bounds on a
+    tenth of the points with the result r of ``bessel.<name>`` replaced by
+    ``wrap(r)``, restored after."""
+    real = getattr(bessel, name)
+    setattr(bessel, name, lambda *args: wrap(real(*args)))
     try:
         worst = _negative_order_misses(NEGATIVE_ORDER_POINTS[::10])[0]
     finally:
-        bessel._k_sums = real
+        setattr(bessel, name, real)
     missed = [k for k, b in NEGATIVE_ORDER_BOUNDS.items() if worst[k] > b]
-    print(f"dK/dnu scaled by 1 + 1e-10: {missed} miss their bounds; worst "
+    print(f"{what} scaled by 1 + 1e-10: {missed} miss their bounds; worst "
           + ", ".join(f"{k} {v:.2g}" for k, v in worst.items()))
+    return missed, worst
+
+
+def test_negative_order_identities_see_dk_scaled():
+    """With dK/dnu scaled by 1 + 1e-10 (in ``bessel._k_sums``), the
+    Wronskian's derivative and the reflection's miss their bounds.  The rows
+    of values do not, nor the reflection at the integers, where sin(pi m) =
+    0 and each side reads the same dK/dnu, odd in the order, nor the
+    recurrence, which reads no K."""
+    missed, worst = _missed_with("_k_sums", lambda r: (r[0], _scaled(r[1])), "dK/dnu")
     assert missed == ["wronskian_dnu", "reflection_dnu"], worst
+
+
+def test_negative_order_identities_see_psi_sum_scaled():
+    """With the psi sum P of the series, the dJ/dnu part of dber and dbei,
+    scaled by 1 + 1e-10 (in ``bessel._ray_sums``), the rows of order
+    derivatives miss their bounds."""
+    missed, worst = _missed_with("_ray_sums", lambda r: r[:5] + (_scaled(r[5]),), "P")
+    assert missed == ["wronskian_dnu", "reflection_dnu", "reflection_integers",
+                      "recurrence_dber", "recurrence_dbei"], worst
+
+
+def test_negative_order_identities_see_k_scaled():
+    """With K scaled by 1 + 1e-10 (in ``bessel._k_sums``), every row that
+    reads ker and kei misses its bound, and the recurrence, which reads
+    neither, does not."""
+    missed, worst = _missed_with("_k_sums", lambda r: (_scaled(r[0]), r[1]), "K")
+    assert missed == ["wronskian", "wronskian_dnu", "reflection", "reflection_dnu",
+                      "reflection_integers"], worst
 
 
 def test_module_entry():

@@ -43,7 +43,7 @@ from kelvinfn import bessel  # noqa: E402
 from kelvinfn.bessel import (K_MAX_ARG, TEMME_MAX_ARG, _gamma12, _k_sums,  # noqa: E402
                              bessel_i, bessel_j, bessel_k, dj_dnu_any, dk_dnu_any)
 from kelvinfn.cli import main  # noqa: E402
-from kelvinfn.errors import BranchError, ConvergenceError  # noqa: E402
+from kelvinfn.errors import ConvergenceError, DomainError  # noqa: E402
 from kelvinfn import manifest, orderderiv, quad  # noqa: E402
 from kelvinfn.kelvin import (ROT_J, ROT_K, _eval_ber_bei, _eval_ker_kei, kelvin_all,  # noqa: E402
                              kelvin_ker_kei)
@@ -314,7 +314,7 @@ def test_k_past_the_bounds_is_typed(nu, x):
 # against 40-digit mpmath over |z| from 0.05 to 5 and six phases, and
 # flagged ``degraded`` wherever they are not, out to |z| = 20; K and dK/dnu
 # at integers and generic orders to 5e-12 on |z| in [0.1, 20] at the same
-# phases, all in the right half-plane (at Re z < 0 they raise BranchError,
+# phases, all in the right half-plane (at Re z < 0 they raise DomainError,
 # tests/test_bessel.py).
 API_ORDERS = [-10.0, -8.0, -7.5, -5.0, -3.3, -3.0, -2.5, -2.0, -1.0, -0.5, 0.0, 0.3, 1.0,
               2.0, 2.5, 3.5, 5.0, 6.3, 8.0, 10.0, 12.5]
@@ -452,7 +452,7 @@ def test_order_derivatives_at_negative_orders():
         assert api_misses(dj_dnu_any, "besselj", nu, zs + [-2.0 + 1.0j], 1e-14, diff=True) == [], nu
         assert api_misses(dk_dnu_any, "besselk", nu, zs, 1e-14, diff=True) == [], nu
         assert all(dk_dnu_any(nu, z).value == -dk_dnu_any(-nu, z).value for z in zs)
-        with pytest.raises(BranchError):
+        with pytest.raises(DomainError):
             dk_dnu_any(nu, -2.0 + 1.0j)
 
 

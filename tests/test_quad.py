@@ -379,7 +379,7 @@ class TestTheorem5:
         assert rep.passed, rep
 
     def test_bad_tag(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError, match="'ber' or 'bei'"):
             theorem5_identity(0.5, 1.0, "foo")
 
     def test_rows_of_the_pair(self):

@@ -20,7 +20,7 @@ from kelvinfn.kelvin import (ROT_K, _eval_ber_bei, _eval_ker_kei, _ray_rounding,
                              kelvin_ber_bei, kelvin_ker_kei)
 from kelvinfn.orderderiv import (_bb_series, _dkelvin_integer, _plan_rows, dkelvin,
                                  dkelvin_integer)
-from kelvinfn.quad import (_report, apelblat_ber_bei, apelblat_dber_dbei,
+from kelvinfn.quad import (apelblat_ber_bei, apelblat_dber_dbei,
                            indefinite_integral_check, integrate_finite, make_report,
                            theorem5_identities)
 from kelvinfn.scalars import EULER_GAMMA, PI, SQRT2
@@ -316,8 +316,8 @@ def theorem5_nodes(nu: float, x: float, tol: float) -> tuple:
                + e.imag - e.real) / (SQRT2 * x)
     rhs_bei = ((PI / 4.0 + alpha) * bb.imag - (PI / 4.0 - alpha) * bb.real
                - e.real - e.imag) / (SQRT2 * x)
-    return (_report("theorem5_ber", nu, x, res.value.real, rhs_ber, tol, res.converged),
-            _report("theorem5_bei", nu, x, res.value.imag, rhs_bei, tol, res.converged))
+    return (make_report("theorem5_ber", nu, x, res.value.real, rhs_ber, tol, res.converged),
+            make_report("theorem5_bei", nu, x, res.value.imag, rhs_bei, tol, res.converged))
 
 
 def indefinite_nodes(nu: float, x: float, tol: float) -> tuple:
@@ -325,10 +325,10 @@ def indefinite_nodes(nu: float, x: float, tol: float) -> tuple:
         *_eval_ber_bei(nu, u)[:2]), 0.0, x)
     ber1, bei1 = kelvin_ber_bei(nu + 1.0, x)
     pref = x ** (nu + 1.0) / SQRT2
-    return (_report("indefinite_ber", nu, x, res.value.real, pref * (bei1 - ber1), tol,
-                    res.converged),
-            _report("indefinite_bei", nu, x, res.value.imag, -pref * (bei1 + ber1), tol,
-                    res.converged))
+    return (make_report("indefinite_ber", nu, x, res.value.real, pref * (bei1 - ber1), tol,
+                        res.converged),
+            make_report("indefinite_bei", nu, x, res.value.imag, -pref * (bei1 + ber1), tol,
+                        res.converged))
 
 
 @pytest.mark.parametrize("nu", M.THEOREM5_NU)
